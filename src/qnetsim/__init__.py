@@ -23,6 +23,7 @@ from .engine import EventEngine, SignalingScope, Topology
 from .protocols import (
     CorrectionMessage,
     EntangledResource,
+    apply_correction,
     entanglement_swap,
     make_bell_pair,
     make_w_state,
@@ -75,6 +76,7 @@ __all__ = [
     "Topology",
     "CorrectionMessage",
     "EntangledResource",
+    "apply_correction",
     "entanglement_swap",
     "make_bell_pair",
     "make_w_state",

@@ -24,9 +24,10 @@ from .qstate import (
     SCALAR_ATOL,
     STRUCTURAL_ATOL,
     EIGENVALUE_FLOOR,
+    EMBED_QUBIT_LIMIT,
     QuantumState,
     apply_on_targets,
-    embed_operator,
+    embedded_operators,
     von_neumann_entropy,
 )
 
@@ -36,9 +37,13 @@ _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelModel:
-    """Kraus representation of a completely positive trace-preserving map."""
+    """Kraus representation of a completely positive trace-preserving map.
+
+    Compared and hashed by identity, so a channel can key the embed cache
+    in ``qstate``.
+    """
 
     kraus_ops: tuple[np.ndarray, ...]
     dim_in: int
@@ -72,7 +77,7 @@ class ChannelModel:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class SwitchChannel(ChannelModel):
     """Two-qubit channel on (system, control) produced by the causal-order
     switch.  Carries the control state so single-qubit inputs can be lifted
@@ -161,7 +166,7 @@ def apply_channel(
             raise UnsupportedDimensionError("channel output dimension is not a power of two")
         return QuantumState(num_qubits, out)
 
-    targets = list(targets)
+    targets = tuple(targets)
     if channel.dim_in != channel.dim_out:
         raise UnsupportedDimensionError("embedded application needs a square channel")
     k = int(channel.dim_in).bit_length() - 1
@@ -172,24 +177,15 @@ def apply_channel(
     for q in targets:
         if not 0 <= q < state.num_qubits:
             raise IndexError(f"target {q} outside register of {state.num_qubits} qubits")
+    n = state.num_qubits
     out = np.zeros_like(state.matrix)
-    if state.num_qubits <= 6:
-        # Channel objects are long lived (links hold them), so caching the
-        # embedded Kraus set on the instance pays off across repeated calls.
-        cache = channel.__dict__.setdefault("_embed_cache", {})
-        key = (tuple(targets), state.num_qubits)
-        embedded = cache.get(key)
-        if embedded is None:
-            embedded = [
-                embed_operator(kraus, targets, state.num_qubits) for kraus in channel.kraus_ops
-            ]
-            cache[key] = embedded
-        for kraus in embedded:
+    if n <= EMBED_QUBIT_LIMIT:
+        for kraus in embedded_operators(channel, lambda: channel.kraus_ops, targets, n):
             out += kraus @ state.matrix @ kraus.conj().T
-        return QuantumState(state.num_qubits, out)
-    for kraus in channel.kraus_ops:
-        out += apply_on_targets(state.matrix, kraus, targets, state.num_qubits)
-    return QuantumState(state.num_qubits, out)
+    else:
+        for kraus in channel.kraus_ops:
+            out += apply_on_targets(state.matrix, kraus, targets, n)
+    return QuantumState(n, out)
 
 
 def compose_serial(first: ChannelModel, second: ChannelModel) -> ChannelModel:

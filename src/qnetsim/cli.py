@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import SCENARIOS, load_config
+from .config import load_config
 from .errors import ConfigError
 from .runner import run_experiment
+from .scenarios import SCENARIOS
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,26 +18,7 @@ import yaml
 from .channels import channel_from_spec
 from .engine import ClassicalLink, QuantumLink, Topology
 from .errors import ConfigError
-
-SCENARIOS = (
-    "teleport",
-    "superdense",
-    "swap",
-    "switch_activation",
-    "mac_compare",
-    "multipath_routing",
-)
-
-_REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
-    "teleport": ("n_teleports",),
-    "superdense": ("n_trials",),
-    "swap": ("n_swaps",),
-    "switch_activation": ("p1", "p2"),
-    "mac_compare": ("protocol", "n_nodes", "slots", "offered_load"),
-    "multipath_routing": ("src", "dst"),
-}
-
-_NEEDS_TOPOLOGY = {"teleport", "swap", "multipath_routing"}
+from .scenarios import SCENARIOS
 
 
 @dataclass
@@ -95,8 +76,9 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError([f"{source}: top level must be a mapping"])
 
     scenario = data.get("scenario")
-    if scenario not in SCENARIOS:
-        violations.append(f"scenario: {scenario!r} is not one of {SCENARIOS}")
+    entry = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
+    if entry is None:
+        violations.append(f"scenario: {scenario!r} is not one of {tuple(SCENARIOS)}")
 
     seeds_raw = data.get("seeds")
     seeds: tuple[int, ...] = ()
@@ -120,25 +102,22 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
         violations.append("sweep: must map parameter names to nonempty lists")
         sweep = {}
 
-    if scenario in _REQUIRED_PARAMS:
-        for name in _REQUIRED_PARAMS[scenario]:
-            if name not in params and name not in sweep:
-                violations.append(f"params: scenario {scenario} requires {name!r}")
+    missing = [n for n in entry.required if n not in params and n not in sweep] if entry else []
+    for name in missing:
+        violations.append(f"params: scenario {scenario} requires {name!r}")
 
     topology = None
     topology_raw = data.get("topology")
     if topology_raw is not None:
         topology = _parse_topology(topology_raw, violations)
-    elif scenario in _NEEDS_TOPOLOGY:
+    elif entry is not None and entry.needs_topology:
         violations.append(f"topology: scenario {scenario} requires one")
 
     unknown = set(data) - {"scenario", "seeds", "params", "topology", "sweep"}
     if unknown:
         violations.append(f"unknown top-level keys: {sorted(unknown)}")
 
-    if violations:
-        raise ConfigError([f"{source}: {v}" for v in violations])
-    return ExperimentConfig(
+    config = ExperimentConfig(
         scenario=scenario,
         seeds=seeds,
         params=params,
@@ -146,6 +125,17 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
         topology_raw=topology_raw,
         sweep={str(k): list(v) for k, v in sweep.items()},
     )
+    if entry is not None and entry.check_cell is not None and not missing:
+        for cell in expand_grid(config):
+            try:
+                entry.check_cell(cell)
+            except (TypeError, ValueError) as exc:
+                violation = f"params: {exc}"
+                if violation not in violations:
+                    violations.append(violation)
+    if violations:
+        raise ConfigError([f"{source}: {v}" for v in violations])
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

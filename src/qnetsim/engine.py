@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class EventKind(enum.Enum):
     CLASSICAL_DELIVER = "classical_deliver"
     ENTANGLEMENT_ATTEMPT = "entanglement_attempt"
     PROTOCOL_STEP = "protocol_step"
-    MAC_SLOT = "mac_slot"
     CUSTOM = "custom"
 
 
@@ -63,6 +62,19 @@ class QuantumLink:
             raise ValueError(f"attempt period must be >= 1, got {self.attempt_period}")
 
 
+def adjacency(
+    nodes: tuple[str, ...], links: Iterable[ClassicalLink | QuantumLink]
+) -> dict[str, list[str]]:
+    """Sorted neighbour lists of every node over undirected ``links``."""
+    neighbors: dict[str, list[str]] = {n: [] for n in nodes}
+    for link in links:
+        neighbors[link.a].append(link.b)
+        neighbors[link.b].append(link.a)
+    for adj in neighbors.values():
+        adj.sort()
+    return neighbors
+
+
 @dataclass
 class Topology:
     nodes: tuple[str, ...]
@@ -81,6 +93,7 @@ class Topology:
         self._latency: dict[frozenset[str], int] = {}
         for link in self.classical_links:
             self._latency[frozenset((link.a, link.b))] = link.latency
+        self._classical_neighbors = adjacency(self.nodes, self.classical_links)
 
     def classical_latency(self, a: str, b: str) -> int | None:
         return self._latency.get(frozenset((a, b)))
@@ -89,12 +102,7 @@ class Topology:
         """Hop-count shortest path over classical links (BFS), or None."""
         if src == dst:
             return (src,)
-        neighbors: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for link in self.classical_links:
-            neighbors[link.a].append(link.b)
-            neighbors[link.b].append(link.a)
-        for adj in neighbors.values():
-            adj.sort()
+        neighbors = self._classical_neighbors
         previous: dict[str, str] = {}
         frontier = [src]
         seen = {src}

@@ -11,10 +11,6 @@ class RenormalizationError(ArithmeticError):
     """A measurement branch with vanishing probability was selected."""
 
 
-class ProtocolTimeoutError(RuntimeError):
-    """A protocol stalled waiting for classical signaling that never arrived."""
-
-
 class ConsumedResourceError(RuntimeError):
     """An entangled resource was used after it had already been consumed."""
 

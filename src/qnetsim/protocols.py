@@ -1,27 +1,25 @@
 """Entanglement-based protocols: teleportation, superdense coding,
 entanglement swapping and W-state leader election.
 
-Protocols that move quantum information (teleport, swap) must deliver a
-two-bit correction message through the supplied ``signal`` callable; if
-delivery fails the destination never guesses, it stalls with an explicit
-error or flags the resource as uncorrected.  Leader election is the
-opposite extreme: it resolves without any classical exchange.
+Protocols that move quantum information (teleport, swap) run in two
+steps.  The first Bell-measures at the sending node, consumes its inputs
+and returns the two-bit ``CorrectionMessage`` together with the
+destination's state before correction.  The caller delivers the message
+however its classical plane allows; only ``apply_correction`` on a
+delivered message turns that state into the protocol's output, so a
+destination that never hears from the sender never guesses.  Leader
+election is the opposite extreme: it resolves without any classical
+exchange.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ConsumedResourceError,
-    DecodeAmbiguityError,
-    ProtocolTimeoutError,
-)
+from .errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError
 from .qstate import (
     I2,
     PAULI_X,
@@ -29,7 +27,6 @@ from .qstate import (
     GateSpec,
     QuantumState,
     apply_unitary,
-    fidelity,
     measure,
     new_register,
     partial_trace,
@@ -41,7 +38,6 @@ W_STATE_MAX_NODES = 10
 class ResourceKind(enum.Enum):
     BELL_PHI_PLUS = "bell_phi_plus"
     W_STATE = "w_state"
-    CUSTOM = "custom"
 
 
 class Purpose(enum.Enum):
@@ -58,7 +54,6 @@ class EntangledResource:
     holders: tuple[str, ...]
     fidelity_to_ideal: float | None = None
     consumed: bool = False
-    uncorrected: bool = False
 
     def __post_init__(self):
         if len(self.holders) != self.state.num_qubits:
@@ -82,8 +77,6 @@ class CorrectionMessage:
         if len(self.bits) != 2 or set(self.bits) - {0, 1}:
             raise ValueError(f"correction message needs exactly 2 bits, got {self.bits}")
 
-
-SignalFn = Callable[[CorrectionMessage], CorrectionMessage | None]
 
 _BELL_MATRIX: np.ndarray | None = None
 _W_MATRIX_CACHE: dict[int, np.ndarray] = {}
@@ -162,17 +155,20 @@ def pauli_correct(state: QuantumState, qubit: int, bits: tuple[int, int]) -> Qua
     return state
 
 
-def teleport(
-    payload: QuantumState,
-    resource: EntangledResource,
-    signal: SignalFn,
-    rng: np.random.Generator,
-) -> QuantumState:
-    """Teleport a one-qubit payload over a Bell resource.
+def apply_correction(state: QuantumState, message: CorrectionMessage) -> QuantumState:
+    """Second step of teleport and swap: apply a delivered correction to
+    the destination's qubit, which is the last qubit of ``state``."""
+    return pauli_correct(state, state.num_qubits - 1, message.bits)
 
-    Emits exactly one two-bit correction message through ``signal``; the
-    corrected destination state is only produced once that message comes
-    back as delivered.
+
+def teleport(
+    payload: QuantumState, resource: EntangledResource, rng: np.random.Generator
+) -> tuple[CorrectionMessage, QuantumState]:
+    """First step of teleporting a one-qubit payload over a Bell resource.
+
+    Bell-measures the payload with the sender's half and consumes the
+    resource.  Returns the two-bit correction addressed to the
+    destination and the destination's qubit before correction.
     """
     if payload.num_qubits != 1:
         raise ValueError("payload must be a single qubit")
@@ -180,21 +176,13 @@ def teleport(
         raise ValueError("teleport needs a Bell-pair resource")
     if resource.consumed:
         raise ConsumedResourceError("teleport resource already consumed")
-    if resource.uncorrected:
-        raise ValueError("resource carries an unapplied swap correction")
     joint = payload.tensor(resource.state)
     bits, post = bell_basis_measure(joint, 0, 1, rng)
     resource.consumed = True
     message = CorrectionMessage(
         bits, origin=resource.holders[0], target=resource.holders[1], purpose=Purpose.TELEPORT
     )
-    delivered = signal(message)
-    if delivered is None:
-        raise ProtocolTimeoutError(
-            f"correction {bits} from {message.origin} to {message.target} was not delivered"
-        )
-    destination = partial_trace(post, (2,))
-    return pauli_correct(destination, 0, delivered.bits)
+    return message, partial_trace(post, (2,))
 
 
 _ENCODINGS: dict[tuple[int, int], np.ndarray] = {}
@@ -263,16 +251,14 @@ def superdense_decode(
 
 
 def entanglement_swap(
-    left: EntangledResource,
-    right: EntangledResource,
-    signal: SignalFn,
-    rng: np.random.Generator,
-) -> EntangledResource:
-    """Splice two Bell pairs at their shared node into one end-to-end pair.
+    left: EntangledResource, right: EntangledResource, rng: np.random.Generator
+) -> tuple[CorrectionMessage, QuantumState]:
+    """First step of splicing two Bell pairs at their shared node.
 
-    The middle node Bell-measures its two halves and signals the outcome
-    to the far end, which applies the Pauli correction.  If the message is
-    undelivered the returned resource is flagged ``uncorrected``.
+    ``left`` is held as ``(a, mid)`` and ``right`` as ``(mid, c)``.  The
+    middle node Bell-measures its two halves and consumes both pairs.
+    Returns the two-bit correction addressed to ``c`` and the ``(a, c)``
+    pair before correction.
     """
     for res in (left, right):
         if res.kind is not ResourceKind.BELL_PHI_PLUS:
@@ -287,23 +273,10 @@ def entanglement_swap(
     bits, post = bell_basis_measure(joint, 1, 2, rng)
     left.consumed = True
     right.consumed = True
-    end_nodes = (left.holders[0], right.holders[1])
     message = CorrectionMessage(
-        bits, origin=left.holders[1], target=end_nodes[1], purpose=Purpose.SWAP
+        bits, origin=left.holders[1], target=right.holders[1], purpose=Purpose.SWAP
     )
-    ac = partial_trace(post, (0, 3))
-    delivered = signal(message)
-    if delivered is None:
-        return EntangledResource(
-            ac, ResourceKind.BELL_PHI_PLUS, end_nodes, uncorrected=True
-        )
-    corrected = pauli_correct(ac, 1, delivered.bits)
-    return EntangledResource(
-        corrected,
-        ResourceKind.BELL_PHI_PLUS,
-        end_nodes,
-        fidelity_to_ideal=fidelity(corrected, phi_plus_state()),
-    )
+    return message, partial_trace(post, (0, 3))
 
 
 def w_election_round(

@@ -12,29 +12,11 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-import numpy as np
-
-from .channels import depolarizing_channel
 from .config import ExperimentConfig, expand_grid
-from .engine import EventEngine, EventKind, SignalingScope, Topology
-from .errors import EngineAborted, UnreachableError
-from .protocols import (
-    CorrectionMessage,
-    Purpose,
-    bell_basis_measure,
-    make_bell_pair,
-    pauli_correct,
-    phi_plus_state,
-    superdense_decode,
-    superdense_encode,
-    werner_pair,
-)
-from .qstate import QuantumState, fidelity, partial_trace, random_pure_state
-from .services.mac import MacConfig, MacProtocol, run_mac_sim
-from .services.phy import phy_effective_rate
-from .services.routing import PlanMode, route_max_bottleneck, route_with_switch_merging
+from .errors import EngineAborted
+from .scenarios import SCENARIOS, ScenarioResult
 
 CSV_HEADER = (
     "scenario",
@@ -58,14 +40,6 @@ class MetricsRecord:
     classical_bits_end_to_end: int
 
 
-@dataclass
-class ScenarioResult:
-    metrics: list[tuple[str, Any]]
-    bits_host_to_host: int = 0
-    bits_end_to_end: int = 0
-    trace: tuple[str, ...] = ()
-
-
 def _params_label(cell: dict[str, Any]) -> str:
     return "|".join(f"{k}={cell[k]}" for k in sorted(cell))
 
@@ -78,255 +52,6 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-# -- scenario implementations ------------------------------------------------
-
-
-def _teleport_scenario(
-    config: ExperimentConfig, cell: dict, rng_seed: list[int]
-) -> ScenarioResult:
-    topology = config.topology
-    assert topology is not None
-    src = str(cell.get("src", topology.nodes[0]))
-    dst = str(cell.get("dst", topology.nodes[-1]))
-    n_teleports = int(cell["n_teleports"])
-    werner_w = float(cell.get("werner_w", 1.0))
-    engine = EventEngine(topology, rng_seed)
-    fidelities: list[float] = []
-
-    def teleport_step(eng: EventEngine, _event) -> None:
-        route = topology.shortest_classical_route(src, dst)
-        if route is None:
-            raise UnreachableError(f"no classical route from {src} to {dst}")
-        payload = random_pure_state(eng.rng)
-        if werner_w >= 1.0:
-            resource = make_bell_pair((src, dst))
-        else:
-            resource = werner_pair(werner_w, (src, dst))
-        joint = payload.tensor(resource.state)
-        bits, post = bell_basis_measure(joint, 0, 1, eng.rng)
-        resource.consumed = True
-        destination = partial_trace(post, (2,))
-
-        def on_deliver(message: CorrectionMessage) -> None:
-            corrected = pauli_correct(destination, 0, message.bits)
-            fidelities.append(fidelity(corrected, payload))
-
-        eng.send_classical(
-            CorrectionMessage(bits, src, dst, Purpose.TELEPORT),
-            route,
-            SignalingScope.END_TO_END,
-            on_deliver,
-        )
-
-    for k in range(n_teleports):
-        engine.schedule(k, EventKind.PROTOCOL_STEP, payload=f"teleport {k}", handler=teleport_step)
-    horizon = n_teleports + sum(l.latency for l in topology.classical_links) * len(topology.nodes)
-    result = engine.run_until(horizon)
-    if len(fidelities) != n_teleports:
-        raise UnreachableError(f"only {len(fidelities)} of {n_teleports} corrections arrived")
-    return ScenarioResult(
-        metrics=[
-            ("fidelity_mean", float(np.mean(fidelities))),
-            ("fidelity_min", float(np.min(fidelities))),
-            ("teleports", n_teleports),
-            ("bits_per_teleport", result.bits_end_to_end / n_teleports),
-        ],
-        bits_host_to_host=result.bits_host_to_host,
-        bits_end_to_end=result.bits_end_to_end,
-        trace=result.trace,
-    )
-
-
-def _superdense_scenario(
-    config: ExperimentConfig, cell: dict, rng_seed: list[int]
-) -> ScenarioResult:
-    n_trials = int(cell["n_trials"])
-    werner_w = float(cell.get("werner_w", 1.0))
-    rng = np.random.default_rng(rng_seed)
-    messages = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    per_message = max(n_trials // len(messages), 1)
-    metrics: list[tuple[str, Any]] = []
-    total_ok = 0
-    for message in messages:
-        ok = 0
-        for _ in range(per_message):
-            resource = (
-                make_bell_pair() if werner_w >= 1.0 else werner_pair(werner_w)
-            )
-            joint = superdense_encode(message, resource)
-            if superdense_decode(joint, rng) == message:
-                ok += 1
-        total_ok += ok
-        metrics.append((f"success_rate_{message[0]}{message[1]}", ok / per_message))
-    metrics.append(("success_rate_overall", total_ok / (per_message * len(messages))))
-    metrics.append(("trials", per_message * len(messages)))
-    return ScenarioResult(metrics=metrics)
-
-
-def _swap_scenario(
-    config: ExperimentConfig, cell: dict, rng_seed: list[int]
-) -> ScenarioResult:
-    topology = config.topology
-    assert topology is not None
-    if len(topology.nodes) < 3:
-        raise UnreachableError("swap scenario needs a three-node chain")
-    src = str(cell.get("src", topology.nodes[0]))
-    mid = str(cell.get("mid", topology.nodes[1]))
-    dst = str(cell.get("dst", topology.nodes[2]))
-    n_swaps = int(cell["n_swaps"])
-    left_link = topology.quantum_link(src, mid)
-    right_link = topology.quantum_link(mid, dst)
-    engine = EventEngine(topology, rng_seed)
-    fidelities: list[float] = []
-    outcome_counts = {m: 0 for m in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    phi = phi_plus_state()
-
-    def attempt_step(eng: EventEngine, event) -> None:
-        st = event.payload
-        if left_link is None or right_link is None:
-            raise UnreachableError(f"missing quantum link on chain {src}-{mid}-{dst}")
-        if st["left"] is None:
-            st["left"] = eng.attempt_entanglement(left_link)
-        if st["right"] is None:
-            st["right"] = eng.attempt_entanglement(right_link)
-        if st["left"] is None or st["right"] is None:
-            period = max(left_link.attempt_period, right_link.attempt_period)
-            eng.schedule(
-                eng.now + period, EventKind.ENTANGLEMENT_ATTEMPT, payload=st, handler=attempt_step
-            )
-            return
-        route = topology.shortest_classical_route(mid, dst)
-        if route is None:
-            raise UnreachableError(f"no classical route from {mid} to {dst}")
-        joint = st["left"].state.tensor(st["right"].state)
-        bits, post = bell_basis_measure(joint, 1, 2, eng.rng)
-        st["left"].consumed = True
-        st["right"].consumed = True
-        outcome_counts[bits] += 1
-        end_pair = partial_trace(post, (0, 3))
-
-        def on_deliver(message: CorrectionMessage) -> None:
-            corrected = pauli_correct(end_pair, 1, message.bits)
-            fidelities.append(fidelity(corrected, phi))
-
-        eng.send_classical(
-            CorrectionMessage(bits, mid, dst, Purpose.SWAP),
-            route,
-            SignalingScope.END_TO_END,
-            on_deliver,
-        )
-
-    for k in range(n_swaps):
-        engine.schedule(
-            k,
-            EventKind.ENTANGLEMENT_ATTEMPT,
-            payload={"left": None, "right": None},
-            handler=attempt_step,
-        )
-    result = engine.run_until(10_000_000)
-    if len(fidelities) != n_swaps:
-        raise UnreachableError(f"only {len(fidelities)} of {n_swaps} swaps completed")
-    metrics: list[tuple[str, Any]] = [
-        ("fidelity_mean", float(np.mean(fidelities))),
-        ("swaps", n_swaps),
-        ("bits_per_swap", result.bits_end_to_end / n_swaps),
-    ]
-    for m, count in sorted(outcome_counts.items()):
-        metrics.append((f"outcome_frac_{m[0]}{m[1]}", count / n_swaps))
-    return ScenarioResult(
-        metrics=metrics,
-        bits_host_to_host=result.bits_host_to_host,
-        bits_end_to_end=result.bits_end_to_end,
-        trace=result.trace,
-    )
-
-
-def _switch_activation_scenario(
-    config: ExperimentConfig, cell: dict, rng_seed: list[int]
-) -> ScenarioResult:
-    first = depolarizing_channel(float(cell["p1"]))
-    second = depolarizing_channel(float(cell["p2"]))
-    chi_first = phy_effective_rate(first, "direct")
-    chi_second = phy_effective_rate(second, "direct")
-    chi_serial = phy_effective_rate((first, second), "serial")
-    chi_switch = phy_effective_rate((first, second), "switch")
-    bottleneck_holds = chi_serial <= min(chi_first, chi_second) + 1e-9
-    return ScenarioResult(
-        metrics=[
-            ("chi_first", chi_first),
-            ("chi_second", chi_second),
-            ("chi_serial", chi_serial),
-            ("chi_switch", chi_switch),
-            ("bottleneck_holds", bottleneck_holds),
-        ]
-    )
-
-
-def _mac_compare_scenario(
-    config: ExperimentConfig, cell: dict, rng_seed: list[int]
-) -> ScenarioResult:
-    mac_config = MacConfig(
-        n_nodes=int(cell["n_nodes"]),
-        protocol=MacProtocol(str(cell["protocol"])),
-        slots=int(cell["slots"]),
-        offered_load=float(cell["offered_load"]),
-        w_refresh_cost=int(cell.get("w_refresh_cost", 0)),
-        backoff_window=int(cell.get("backoff_window", 0)),
-        carrier_sensing=bool(cell.get("carrier_sensing", True)),
-        hidden_pairs=tuple(tuple(p) for p in cell.get("hidden_pairs", ())),
-    )
-    metrics_out = run_mac_sim(mac_config, rng_seed)
-    return ScenarioResult(
-        metrics=[
-            ("throughput", metrics_out.throughput),
-            ("collision_rate", metrics_out.collision_rate),
-            ("fairness", metrics_out.fairness),
-            ("privacy_ok", metrics_out.privacy_ok),
-            ("contention_signaling_bits", metrics_out.contention_signaling_bits),
-        ],
-        bits_host_to_host=metrics_out.herald_bits_host_to_host,
-    )
-
-
-def _multipath_routing_scenario(
-    config: ExperimentConfig, cell: dict, rng_seed: list[int]
-) -> ScenarioResult:
-    topology = config.topology
-    assert topology is not None
-    src = str(cell["src"])
-    dst = str(cell["dst"])
-    single = route_max_bottleneck(topology, src, dst)
-    merged = route_with_switch_merging(topology, src, dst)
-    trace = [
-        f"single rate={single.effective_rate!r} path={'-'.join(single.paths[0])}",
-        f"merged rate={merged.effective_rate!r} mode={merged.mode.value} "
-        + " ".join("-".join(p) for p in merged.paths),
-    ]
-    return ScenarioResult(
-        metrics=[
-            ("single_path_rate", single.effective_rate),
-            ("merged_rate", merged.effective_rate),
-            ("merged_uses_superposition", merged.mode is PlanMode.SUPERPOSED_PAIR),
-            ("dominance_holds", merged.effective_rate >= single.effective_rate - 1e-9),
-            ("single_unreachable", single.unreachable),
-        ],
-        trace=tuple(trace),
-    )
-
-
-_SCENARIO_RUNNERS: dict[str, Callable[[ExperimentConfig, dict, list[int]], ScenarioResult]] = {
-    "teleport": _teleport_scenario,
-    "superdense": _superdense_scenario,
-    "swap": _swap_scenario,
-    "switch_activation": _switch_activation_scenario,
-    "mac_compare": _mac_compare_scenario,
-    "multipath_routing": _multipath_routing_scenario,
-}
-
-
-# -- harness -----------------------------------------------------------------
-
-
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -334,10 +59,13 @@ def run_experiment(
 ) -> tuple[list[MetricsRecord], int]:
     """Run every (seed, grid cell) combination.
 
-    Returns the metric rows and the number of aborted cells.  When
+    Returns the metric rows and the number of aborted cells.  A cell whose
+    scenario raises gets a ``status,aborted`` row and an ``abort_cause``
+    row naming the exception, and the remaining cells still run.  When
     ``out_dir`` is given, writes ``metrics.csv`` and, with ``trace``,
     one trace file per cell.
     """
+    run = SCENARIOS[config.scenario].run
     cells = expand_grid(config)
     rows: list[MetricsRecord] = []
     aborted = 0
@@ -348,15 +76,15 @@ def run_experiment(
         for cell_idx, cell in enumerate(cells):
             label = _params_label(cell)
             try:
-                result = _SCENARIO_RUNNERS[config.scenario](config, cell, [seed, cell_idx])
-            except EngineAborted as exc:
+                result = run(config.topology, cell, [seed, cell_idx])
+            except Exception as exc:  # noqa: BLE001 - one failed cell must not lose the sweep
                 aborted += 1
-                rows.append(
-                    MetricsRecord(config.scenario, seed, label, "status", "aborted", 0, 0)
+                in_engine = isinstance(exc, EngineAborted)
+                cause = exc.cause if in_engine else exc
+                result = ScenarioResult(
+                    [("status", "aborted"), ("abort_cause", f"{type(cause).__name__}: {cause}")],
+                    trace=exc.trace if in_engine else (),
                 )
-                if out_path is not None and trace:
-                    _write_trace(out_path, config.scenario, seed, cell_idx, exc.trace)
-                continue
             for metric, value in result.metrics:
                 rows.append(
                     MetricsRecord(

@@ -24,7 +24,7 @@ from ..channels import (
     quantum_switch,
     reduce_kraus,
 )
-from ..engine import Topology
+from ..engine import Topology, adjacency
 from .phy import PLUS_CONTROL, phy_effective_rate
 
 RATE_EPS = 1e-9
@@ -55,16 +55,6 @@ def _link_rates(topology: Topology) -> dict[frozenset[str], float]:
     return rates
 
 
-def _adjacency(topology: Topology) -> dict[str, list[str]]:
-    neighbors: dict[str, list[str]] = {n: [] for n in topology.nodes}
-    for link in topology.quantum_links:
-        neighbors[link.a].append(link.b)
-        neighbors[link.b].append(link.a)
-    for adj in neighbors.values():
-        adj.sort()
-    return neighbors
-
-
 def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPlan:
     """Best-first search for the path with the largest bottleneck rate.
 
@@ -77,7 +67,7 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
     if src == dst:
         raise ValueError("source and destination must differ")
     rates = _link_rates(topology)
-    neighbors = _adjacency(topology)
+    neighbors = adjacency(topology.nodes, topology.quantum_links)
     queue: list[tuple[float, tuple[str, ...]]] = [(-np.inf, (src,))]
     while queue:
         neg_rate, path = heappop(queue)
@@ -96,7 +86,7 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
 
 
 def _simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
-    neighbors = _adjacency(topology)
+    neighbors = adjacency(topology.nodes, topology.quantum_links)
     found: list[tuple[str, ...]] = []
     stack: list[tuple[str, ...]] = [(src,)]
     while stack:

@@ -26,16 +26,14 @@ from qnetsim.channels import (
 from qnetsim.config import load_config
 from qnetsim.engine import EventEngine, EventKind, SignalingScope
 from qnetsim.protocols import (
-    CorrectionMessage,
-    Purpose,
-    bell_basis_measure,
+    apply_correction,
     make_bell_pair,
-    pauli_correct,
     superdense_decode,
     superdense_encode,
+    teleport,
     werner_pair,
 )
-from qnetsim.qstate import QuantumState, fidelity, partial_trace, random_pure_state
+from qnetsim.qstate import QuantumState, fidelity, random_pure_state
 from qnetsim.runner import run_experiment
 from qnetsim.services.mac import MacConfig, MacProtocol, run_mac_sim
 from qnetsim.services.routing import (
@@ -86,21 +84,12 @@ def test_criterion_1_teleport_dual_resource():
 
     def step(eng, _event):
         payload = random_pure_state(eng.rng)
-        resource = make_bell_pair(("alice", "bob"))
-        joint = payload.tensor(resource.state)
-        bits, post = bell_basis_measure(joint, 0, 1, eng.rng)
-        resource.consumed = True
-        destination = partial_trace(post, (2,))
+        message, destination = teleport(payload, make_bell_pair(("alice", "bob")), eng.rng)
 
-        def on_deliver(message):
-            fidelities.append(fidelity(pauli_correct(destination, 0, message.bits), payload))
+        def on_deliver(delivered):
+            fidelities.append(fidelity(apply_correction(destination, delivered), payload))
 
-        eng.send_classical(
-            CorrectionMessage(bits, "alice", "bob", Purpose.TELEPORT),
-            ("alice", "bob"),
-            SignalingScope.END_TO_END,
-            on_deliver,
-        )
+        eng.send_classical(message, ("alice", "bob"), SignalingScope.END_TO_END, on_deliver)
 
     started = time.perf_counter()
     for k in range(n_teleports):

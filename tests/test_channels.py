@@ -24,6 +24,7 @@ from qnetsim.channels import (
     quantum_switch,
     reduce_kraus,
 )
+from qnetsim import qstate
 from qnetsim.errors import UnsupportedDimensionError
 from qnetsim.qstate import QuantumState, new_register, random_pure_state
 
@@ -128,6 +129,20 @@ def test_apply_channel_embedded_matches_kron_oracle():
         out = apply_channel(channel, state, targets=(target,))
         assert np.allclose(out.matrix, oracle, atol=1e-12)
         out.check()
+
+
+def test_embed_cache_is_bounded_and_keyed_by_channel():
+    # more distinct channels than the cache holds: every result must still
+    # match the kron oracle (no stale entry reused) and the cache stays bounded
+    rng = np.random.default_rng(5)
+    state = random_pure_state(rng, 2)
+    for k in range(qstate.EMBED_CACHE_SIZE + 20):
+        channel = _random_cptp(rng) if k % 2 else depolarizing_channel(k / 400)
+        lifted = [np.kron(I2, m) for m in channel.kraus_ops]
+        oracle = sum(m @ state.matrix @ m.conj().T for m in lifted)
+        out = apply_channel(channel, state, targets=(1,))
+        assert np.allclose(out.matrix, oracle, atol=1e-12)
+    assert len(qstate._EMBED_CACHE) <= qstate.EMBED_CACHE_SIZE
 
 
 def test_depolarizing_half_of_bell_gives_product():

@@ -100,6 +100,53 @@ def test_aborted_run_yields_nonzero_exit_and_status_row(tmp_path, capsys):
     assert "status,aborted" in text
 
 
+def test_validate_rejects_mac_cell_the_runner_would_reject(tmp_path, capsys):
+    config = yaml.safe_load((REPO_ROOT / "configs" / "mac_compare.yaml").read_text())
+    config["params"]["n_nodes"] = 1
+    path = write_config(tmp_path, config)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "need at least 2 nodes, got 1" in err
+    # one violation, not one per protocol cell of the sweep
+    assert err.count("invalid:") == 1
+
+
+def test_failed_cell_aborts_alone_with_its_cause(tmp_path, capsys):
+    config = small_teleport_config()
+    config["seeds"] = [3]
+    config["topology"]["nodes"].append("island")
+    config["sweep"] = {"dst": ["bob", "island"]}
+    path = write_config(tmp_path, config)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir), "--trace"]) == 1
+    assert "1 run(s) aborted" in capsys.readouterr().err
+    lines = (out_dir / "metrics.csv").read_text().splitlines()
+    bob = [line for line in lines if "dst=bob" in line]
+    island = [line for line in lines if "dst=island" in line]
+    assert len(bob) == 4 and all("aborted" not in line for line in bob)
+    assert island == [
+        "teleport,3,dst=island|n_teleports=25,status,aborted,0,0",
+        "teleport,3,dst=island|n_teleports=25,abort_cause,"
+        "UnreachableError: no classical route from alice to island,0,0",
+    ]
+    # the aborted cell keeps the trace prefix up to the failing event
+    aborted_trace = (out_dir / "teleport_s3_t1.trace").read_text().splitlines()
+    assert aborted_trace == ["t=0 seq=0 kind=protocol_step teleport 0"]
+
+
+def test_scenario_error_outside_engine_becomes_aborted_row(tmp_path):
+    config = {
+        "scenario": "swap",
+        "seeds": [1, 2],
+        "params": {"n_swaps": 3},
+        "topology": {"nodes": ["a", "b"]},
+    }
+    rows, aborted = run_experiment(load_config(write_config(tmp_path, config)))
+    assert aborted == 2
+    causes = [r.value for r in rows if r.metric == "abort_cause"]
+    assert causes == ["UnreachableError: swap scenario needs a three-node chain"] * 2
+
+
 def test_run_experiment_rows_match_csv_text(tmp_path):
     config_path = write_config(tmp_path, small_teleport_config())
     config = load_config(config_path)

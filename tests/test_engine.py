@@ -14,13 +14,14 @@ from qnetsim.engine import (
     Topology,
 )
 from qnetsim.channels import depolarizing_channel
-from qnetsim.errors import (
-    EngineAborted,
-    ProtocolTimeoutError,
-    SchedulingError,
-    UnreachableError,
+from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
+from qnetsim.protocols import (
+    CorrectionMessage,
+    Purpose,
+    apply_correction,
+    make_bell_pair,
+    teleport,
 )
-from qnetsim.protocols import CorrectionMessage, Purpose, make_bell_pair, teleport
 from qnetsim.qstate import random_pure_state
 
 
@@ -254,27 +255,30 @@ def test_handler_exception_aborts_with_trace_prefix():
     assert "t=2" in info.value.trace[1]
 
 
-def test_severed_classical_link_surfaces_teleport_timeout():
+def test_severed_classical_link_aborts_teleport_uncorrected():
     # quantum link exists, classical link does not: the correction cannot
-    # be signaled and the teleport must stall rather than guess
+    # be signaled, so the run aborts and the destination is never corrected
     topo = Topology(
         ("u", "v"), (), (QuantumLink("u", "v", depolarizing_channel(0.0), 1.0, 1),)
     )
     engine = EventEngine(topo, seed=7)
-
-    def signal(message):
-        try:
-            engine.send_classical(message, ("u", "v"), SignalingScope.END_TO_END)
-        except UnreachableError:
-            return None
-        return message
+    corrected = []
 
     def step(eng, event):
         payload = random_pure_state(eng.rng)
-        teleport(payload, make_bell_pair(("u", "v")), signal, eng.rng)
+        message, pending = teleport(payload, make_bell_pair(("u", "v")), eng.rng)
+        eng.send_classical(
+            message,
+            ("u", "v"),
+            SignalingScope.END_TO_END,
+            lambda delivered: corrected.append(apply_correction(pending, delivered)),
+        )
 
     engine.schedule(0, EventKind.PROTOCOL_STEP, handler=step)
     with pytest.raises(EngineAborted) as info:
         engine.run_until(5)
-    assert isinstance(info.value.cause, ProtocolTimeoutError)
+    assert isinstance(info.value.cause, UnreachableError)
     assert len(info.value.trace) == 1
+    assert corrected == []
+    assert engine.ledger == []
+

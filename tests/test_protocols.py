@@ -5,17 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qnetsim.errors import (
-    CapacityError,
-    ConsumedResourceError,
-    DecodeAmbiguityError,
-    ProtocolTimeoutError,
-)
+from qnetsim.errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError
 from qnetsim.protocols import (
     CorrectionMessage,
     EntangledResource,
     Purpose,
     ResourceKind,
+    apply_correction,
     entanglement_swap,
     make_bell_pair,
     make_w_state,
@@ -45,8 +41,20 @@ def werner_matrix(w):
     return w * bell_matrix(0, 0) + (1 - w) * np.eye(4) / 4
 
 
-def deliver(message):
-    return message
+def pauli_frame(bits):
+    """Hand-built Pauli that the Bell outcome ``(phase, parity)`` leaves."""
+    return (Z if bits[0] else I2) @ (X if bits[1] else I2)
+
+
+def teleported(payload, resource, rng):
+    """Both steps back to back: the correction is always delivered."""
+    message, pending = teleport(payload, resource, rng)
+    return apply_correction(pending, message)
+
+
+def swapped(left, right, rng):
+    message, pending = entanglement_swap(left, right, rng)
+    return apply_correction(pending, message)
 
 
 # -- resource preparation -----------------------------------------------------
@@ -124,37 +132,42 @@ def test_teleport_ideal_resource_is_exact():
     rng = np.random.default_rng(21)
     for _ in range(50):
         payload = random_pure_state(rng)
-        out = teleport(payload, make_bell_pair(), deliver, rng)
+        out = teleported(payload, make_bell_pair(), rng)
         assert np.allclose(out.matrix, payload.matrix, atol=1e-10)
 
 
 def test_teleport_emits_exactly_one_two_bit_message():
     rng = np.random.default_rng(22)
-    sent = []
-
-    def signal(message):
-        sent.append(message)
-        return message
-
-    teleport(random_pure_state(rng), make_bell_pair(("s", "d")), signal, rng)
-    assert len(sent) == 1
-    assert len(sent[0].bits) == 2
-    assert sent[0].purpose is Purpose.TELEPORT
-    assert (sent[0].origin, sent[0].target) == ("s", "d")
+    message, pending = teleport(random_pure_state(rng), make_bell_pair(("s", "d")), rng)
+    assert isinstance(message, CorrectionMessage)
+    assert len(message.bits) == 2
+    assert message.purpose is Purpose.TELEPORT
+    assert (message.origin, message.target) == ("s", "d")
+    assert pending.num_qubits == 1
 
 
-def test_teleport_undelivered_message_times_out():
+def test_teleport_uncorrected_state_is_pauli_frame_of_payload():
+    # Before the correction arrives the destination holds the payload under
+    # the Pauli named by the outcome; averaged over the four equally likely
+    # outcomes that is I/2, so the destination cannot guess the payload.
     rng = np.random.default_rng(23)
-    with pytest.raises(ProtocolTimeoutError):
-        teleport(random_pure_state(rng), make_bell_pair(), lambda m: None, rng)
+    payload = random_pure_state(rng)
+    seen = {}
+    for _ in range(200):
+        message, pending = teleport(payload, make_bell_pair(), rng)
+        p = pauli_frame(message.bits)
+        assert np.allclose(pending.matrix, p @ payload.matrix @ p.conj().T, atol=1e-10)
+        seen[message.bits] = pending.matrix
+    assert set(seen) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert np.allclose(sum(seen.values()) / 4, I2 / 2, atol=1e-10)
 
 
 def test_teleport_rejects_consumed_resource():
     rng = np.random.default_rng(24)
     resource = make_bell_pair()
-    teleport(random_pure_state(rng), resource, deliver, rng)
+    teleport(random_pure_state(rng), resource, rng)
     with pytest.raises(ConsumedResourceError):
-        teleport(random_pure_state(rng), resource, deliver, rng)
+        teleport(random_pure_state(rng), resource, rng)
 
 
 def test_teleport_with_product_resource_degrades_to_mixed():
@@ -166,7 +179,7 @@ def test_teleport_with_product_resource_degrades_to_mixed():
         ("a", "b"),
         fidelity_to_ideal=0.25,
     )
-    out = teleport(payload, product, deliver, rng)
+    out = teleported(payload, product, rng)
     assert np.allclose(out.matrix, I2 / 2, atol=1e-10)
     assert float(np.real(np.trace(out.matrix @ payload.matrix))) == pytest.approx(0.5, abs=1e-9)
 
@@ -199,7 +212,7 @@ def test_teleport_werner_fidelity_matches_oracle():
     observed = []
     for _ in range(200):
         payload = random_pure_state(rng)
-        out = teleport(payload, werner_pair(w), deliver, rng)
+        out = teleported(payload, werner_pair(w), rng)
         observed.append(float(np.real(np.trace(out.matrix @ payload.matrix))))
     assert abs(np.mean(observed) - oracle) < 0.01
     # the Werner output fidelity is payload independent: (1 + w) / 2
@@ -266,26 +279,20 @@ def test_swap_ideal_inputs_yield_phi_plus():
     for _ in range(200):
         left = make_bell_pair(("A", "B"))
         right = make_bell_pair(("B", "C"))
-        out = entanglement_swap(left, right, deliver, rng)
-        assert np.allclose(out.state.matrix, bell_matrix(0, 0), atol=1e-10)
-        assert out.holders == ("A", "C")
-        assert not out.uncorrected
+        out = swapped(left, right, rng)
+        assert np.allclose(out.matrix, bell_matrix(0, 0), atol=1e-10)
         assert left.consumed and right.consumed
 
 
 def test_swap_signals_even_for_trivial_outcome():
     rng = np.random.default_rng(42)
-    sent = []
-
-    def signal(message):
-        sent.append(message)
-        return message
-
-    # force many swaps; every single one must emit a message
-    for _ in range(40):
-        entanglement_swap(make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), signal, rng)
-    assert len(sent) == 40
+    # force many swaps; every single one must emit a message to the far end
+    sent = [
+        entanglement_swap(make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), rng)[0]
+        for _ in range(40)
+    ]
     assert all(m.purpose is Purpose.SWAP and len(m.bits) == 2 for m in sent)
+    assert all((m.origin, m.target) == ("B", "C") for m in sent)
     assert any(m.bits == (0, 0) for m in sent)
 
 
@@ -295,40 +302,45 @@ def test_swap_preserves_werner_parameter():
     for _ in range(20):
         left = werner_pair(w, ("A", "B"))
         right = make_bell_pair(("B", "C"))
-        out = entanglement_swap(left, right, deliver, rng)
-        assert np.allclose(out.state.matrix, werner_matrix(w), atol=1e-9)
+        out = swapped(left, right, rng)
+        assert np.allclose(out.matrix, werner_matrix(w), atol=1e-9)
 
 
 def test_swap_outcome_distribution():
     rng = np.random.default_rng(44)
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     n = 100_000
-
-    def record(message):
-        counts[message.bits] += 1
-        return message
-
     for _ in range(n):
-        entanglement_swap(make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), record, rng)
+        message, _ = entanglement_swap(
+            make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), rng
+        )
+        counts[message.bits] += 1
     for bits, count in counts.items():
         assert abs(count / n - 0.25) < 0.01, (bits, count / n)
 
 
-def test_swap_undelivered_correction_flags_resource():
+def test_swap_uncorrected_pair_is_pauli_frame_of_phi_plus():
+    # Without the correction the end pair is the Bell state the outcome
+    # names, orthogonal to phi+ unless the outcome is (0, 0).
     rng = np.random.default_rng(45)
-    out = entanglement_swap(
-        make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), lambda m: None, rng
-    )
-    assert out.uncorrected
-    # an uncorrected resource is unusable by teleport
-    with pytest.raises(ValueError):
-        teleport(random_pure_state(rng), out, deliver, rng)
+    seen = set()
+    for _ in range(100):
+        message, pending = entanglement_swap(
+            make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), rng
+        )
+        lifted = np.kron(I2, pauli_frame(message.bits))
+        expected = lifted @ bell_matrix(0, 0) @ lifted.conj().T
+        assert np.allclose(pending.matrix, expected, atol=1e-10)
+        overlap = float(np.real(np.trace(pending.matrix @ bell_matrix(0, 0))))
+        assert overlap == pytest.approx(1.0 if message.bits == (0, 0) else 0.0, abs=1e-10)
+        seen.add(message.bits)
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_swap_requires_shared_middle_node():
     rng = np.random.default_rng(46)
     with pytest.raises(ValueError):
-        entanglement_swap(make_bell_pair(("A", "B")), make_bell_pair(("X", "C")), deliver, rng)
+        entanglement_swap(make_bell_pair(("A", "B")), make_bell_pair(("X", "C")), rng)
 
 
 # -- W-state election ---------------------------------------------------------
