@@ -301,26 +301,6 @@ def holevo_information(
     return CapacityEstimate(min(chi, bound), ensemble)
 
 
-def holevo_best_over_polar_grid(
-    channel: ChannelModel,
-    n_points: int = 64,
-    control_measurement: np.ndarray | None = None,
-) -> CapacityEstimate:
-    """Grid search over antipodal pure-state ensembles parametrized by the
-    Bloch polar angle, keeping the best Holevo value."""
-    best: CapacityEstimate | None = None
-    for theta in np.linspace(0.0, np.pi, n_points):
-        a = QuantumState.from_vector(np.array([np.cos(theta / 2), np.sin(theta / 2)]))
-        b = QuantumState.from_vector(np.array([np.sin(theta / 2), -np.cos(theta / 2)]))
-        estimate = holevo_information(
-            channel, Ensemble(((0.5, a), (0.5, b))), control_measurement
-        )
-        if best is None or estimate.holevo_bits > best.holevo_bits:
-            best = estimate
-    assert best is not None
-    return best
-
-
 def bottleneck_check(
     first: ChannelModel, second: ChannelModel, ensemble: Ensemble | None = None
 ) -> BottleneckReport:
@@ -369,11 +349,3 @@ def channel_from_spec(spec: dict) -> ChannelModel:
         return ChannelModel.from_kraus(ops)
     raise ValueError(f"unknown channel type {kind!r}")
 
-
-def channel_to_spec(channel: ChannelModel) -> dict:
-    """Lossless kraus-list description of any channel."""
-    kraus = [
-        [[[float(x.real), float(x.imag)] for x in row] for row in k]
-        for k in channel.kraus_ops
-    ]
-    return {"type": "kraus-list", "kraus": kraus}

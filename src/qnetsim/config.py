@@ -3,7 +3,8 @@
 A config names a scenario, the seeds to replay it under, scenario
 parameters, an optional topology and an optional inline sweep grid.
 Validation collects every violation before failing so a bad file is
-reported in one pass.
+reported in one pass, and it prepares every cell of the sweep with the
+scenario's own ``prepare``, so a config that validates also runs.
 """
 
 from __future__ import annotations
@@ -27,22 +28,13 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     params: dict[str, Any] = field(default_factory=dict)
     topology: Topology | None = None
-    topology_raw: dict | None = None
     sweep: dict[str, list] = field(default_factory=dict)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return (
-            self.scenario == other.scenario
-            and self.seeds == other.seeds
-            and self.params == other.params
-            and self.topology_raw == other.topology_raw
-            and self.sweep == other.sweep
-        )
 
-
-def _parse_topology(raw: dict, violations: list[str]) -> Topology | None:
+def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
+    if not isinstance(raw, dict):
+        violations.append("topology: must be a mapping")
+        return None
     try:
         nodes = tuple(str(n) for n in raw.get("nodes", ()))
         classical = []
@@ -52,15 +44,13 @@ def _parse_topology(raw: dict, violations: list[str]) -> Topology | None:
             )
         quantum = []
         for entry in raw.get("quantum_links", ()):
-            spec = entry["channel"]
             quantum.append(
                 QuantumLink(
                     str(entry["a"]),
                     str(entry["b"]),
-                    channel_from_spec(spec),
+                    channel_from_spec(entry["channel"]),
                     float(entry.get("gen_success_prob", 1.0)),
                     int(entry.get("attempt_period", 1)),
-                    channel_spec=spec,
                 )
             )
         return Topology(nodes, tuple(classical), tuple(quantum))
@@ -76,8 +66,8 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError([f"{source}: top level must be a mapping"])
 
     scenario = data.get("scenario")
-    entry = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
-    if entry is None:
+    prepare = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
+    if prepare is None:
         violations.append(f"scenario: {scenario!r} is not one of {tuple(SCENARIOS)}")
 
     seeds_raw = data.get("seeds")
@@ -102,16 +92,10 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
         violations.append("sweep: must map parameter names to nonempty lists")
         sweep = {}
 
-    missing = [n for n in entry.required if n not in params and n not in sweep] if entry else []
-    for name in missing:
-        violations.append(f"params: scenario {scenario} requires {name!r}")
-
     topology = None
     topology_raw = data.get("topology")
     if topology_raw is not None:
         topology = _parse_topology(topology_raw, violations)
-    elif entry is not None and entry.needs_topology:
-        violations.append(f"topology: scenario {scenario} requires one")
 
     unknown = set(data) - {"scenario", "seeds", "params", "topology", "sweep"}
     if unknown:
@@ -122,17 +106,20 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
         seeds=seeds,
         params=params,
         topology=topology,
-        topology_raw=topology_raw,
         sweep={str(k): list(v) for k, v in sweep.items()},
     )
-    if entry is not None and entry.check_cell is not None and not missing:
+    # A topology that failed to parse is reported above; its cells are not.
+    if prepare is not None and (topology_raw is None or topology is not None):
         for cell in expand_grid(config):
             try:
-                entry.check_cell(cell)
+                prepare(topology, cell)
+                continue
+            except KeyError as exc:
+                violation = f"params: scenario {scenario} requires {exc.args[0]!r}"
             except (TypeError, ValueError) as exc:
                 violation = f"params: {exc}"
-                if violation not in violations:
-                    violations.append(violation)
+            if violation not in violations:
+                violations.append(violation)
     if violations:
         raise ConfigError([f"{source}: {v}" for v in violations])
     return config
@@ -151,21 +138,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError([f"{path}: YAML syntax error{where}: {exc}"]) from exc
     return parse_config(data, source=str(path))
-
-
-def serialize_config(config: ExperimentConfig) -> dict:
-    """Plain-dict form that parses back to an equal config."""
-    out: dict[str, Any] = {
-        "scenario": config.scenario,
-        "seeds": list(config.seeds),
-    }
-    if config.params:
-        out["params"] = dict(config.params)
-    if config.topology_raw is not None:
-        out["topology"] = config.topology_raw
-    if config.sweep:
-        out["sweep"] = {k: list(v) for k, v in config.sweep.items()}
-    return out
 
 
 def expand_grid(config: ExperimentConfig) -> list[dict[str, Any]]:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .channels import ChannelModel, apply_channel
 from .errors import EngineAborted, SchedulingError, UnreachableError
-from .protocols import CorrectionMessage, EntangledResource, make_bell_pair, phi_plus_state
-from .qstate import fidelity
+from .protocols import CorrectionMessage, EntangledResource, make_bell_pair
 
 
 class EventKind(enum.Enum):
@@ -53,7 +52,6 @@ class QuantumLink:
     channel: ChannelModel
     gen_success_prob: float
     attempt_period: int
-    channel_spec: dict | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.gen_success_prob <= 1.0:
@@ -260,12 +258,7 @@ class EventEngine:
         state = pair.state
         for qubit in (0, 1):
             state = apply_channel(link.channel, state, targets=(qubit,))
-        resource = EntangledResource(
-            state,
-            pair.kind,
-            pair.holders,
-            fidelity_to_ideal=fidelity(state, phi_plus_state()),
-        )
+        resource = EntangledResource(state, pair.kind, pair.holders)
         self.ledger.append(
             LedgerEntry(self.now, 1, SignalingScope.HOST_TO_HOST, "herald", link.a, link.b)
         )

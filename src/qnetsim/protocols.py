@@ -52,7 +52,6 @@ class EntangledResource:
     state: QuantumState
     kind: ResourceKind
     holders: tuple[str, ...]
-    fidelity_to_ideal: float | None = None
     consumed: bool = False
 
     def __post_init__(self):
@@ -99,9 +98,7 @@ def phi_plus_state() -> QuantumState:
 
 def make_bell_pair(holders: tuple[str, str] = ("a", "b")) -> EntangledResource:
     """Maximally entangled pair prepared by H then CNOT on ``|00>``."""
-    return EntangledResource(
-        phi_plus_state(), ResourceKind.BELL_PHI_PLUS, holders, fidelity_to_ideal=1.0
-    )
+    return EntangledResource(phi_plus_state(), ResourceKind.BELL_PHI_PLUS, holders)
 
 
 def werner_pair(w: float, holders: tuple[str, str] = ("a", "b")) -> EntangledResource:
@@ -109,12 +106,7 @@ def werner_pair(w: float, holders: tuple[str, str] = ("a", "b")) -> EntangledRes
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner weight {w} outside [0, 1]")
     matrix = w * _phi_plus_matrix() + (1.0 - w) * np.eye(4) / 4.0
-    return EntangledResource(
-        QuantumState(2, matrix),
-        ResourceKind.BELL_PHI_PLUS,
-        holders,
-        fidelity_to_ideal=(1.0 + 3.0 * w) / 4.0,
-    )
+    return EntangledResource(QuantumState(2, matrix), ResourceKind.BELL_PHI_PLUS, holders)
 
 
 def make_w_state(n: int, holders: tuple[str, ...] | None = None) -> EntangledResource:

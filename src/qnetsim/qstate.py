@@ -9,7 +9,6 @@ a single read-only matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -105,21 +104,6 @@ class QuantumState:
             self.num_qubits + other.num_qubits,
             np.kron(self.matrix, other.matrix),
         )
-
-    def dump(self) -> str:
-        """Serialize as JSON with the matrix in row-major (re, im) pairs."""
-        rows = [[[float(x.real), float(x.imag)] for x in row] for row in self.matrix]
-        return json.dumps({"num_qubits": self.num_qubits, "matrix": rows})
-
-    @classmethod
-    def from_dump(cls, text: str) -> "QuantumState":
-        payload = json.loads(text)
-        rows = payload["matrix"]
-        matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
-        state = cls(int(payload["num_qubits"]), matrix)
-        if matrix.shape != (state.dim, state.dim):
-            raise ValueError("dumped matrix shape disagrees with num_qubits")
-        return state
 
 
 @dataclass(frozen=True)

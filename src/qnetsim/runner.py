@@ -60,12 +60,12 @@ def run_experiment(
     """Run every (seed, grid cell) combination.
 
     Returns the metric rows and the number of aborted cells.  A cell whose
-    scenario raises gets a ``status,aborted`` row and an ``abort_cause``
-    row naming the exception, and the remaining cells still run.  When
-    ``out_dir`` is given, writes ``metrics.csv`` and, with ``trace``,
-    one trace file per cell.
+    scenario raises, in ``prepare`` or in its run, gets a ``status,aborted``
+    row and an ``abort_cause`` row naming the exception, and the remaining
+    cells still run.  When ``out_dir`` is given, writes ``metrics.csv``
+    and, with ``trace``, one trace file per cell.
     """
-    run = SCENARIOS[config.scenario].run
+    prepare = SCENARIOS[config.scenario]
     cells = expand_grid(config)
     rows: list[MetricsRecord] = []
     aborted = 0
@@ -76,7 +76,7 @@ def run_experiment(
         for cell_idx, cell in enumerate(cells):
             label = _params_label(cell)
             try:
-                result = run(config.topology, cell, [seed, cell_idx])
+                result = prepare(config.topology, cell)([seed, cell_idx])
             except Exception as exc:  # noqa: BLE001 - one failed cell must not lose the sweep
                 aborted += 1
                 in_engine = isinstance(exc, EngineAborted)

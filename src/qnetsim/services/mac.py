@@ -12,11 +12,11 @@ sensing disabled and backoff off it reduces to slotted ALOHA.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..protocols import make_w_state, w_election_round
+from ..protocols import W_STATE_MAX_NODES, make_w_state, w_election_round
 
 _BACKOFF_WINDOW_CAP = 1024
 
@@ -40,6 +40,8 @@ class MacConfig:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
+        if self.protocol is MacProtocol.W_STATE_ACCESS and self.n_nodes > W_STATE_MAX_NODES:
+            raise ValueError(f"W states span at most {W_STATE_MAX_NODES} nodes, got {self.n_nodes}")
         if self.slots < 1:
             raise ValueError(f"need at least 1 slot, got {self.slots}")
         if not 0.0 <= self.offered_load <= 1.0:

@@ -124,16 +124,6 @@ def _channel_fingerprint(channel: ChannelModel) -> bytes:
     return np.round(stacked, 12).tobytes()
 
 
-_switch_rate_cache: dict[tuple[bytes, bytes], float] = {}
-
-
-def _switch_rate(c1: ChannelModel, c2: ChannelModel) -> float:
-    key = tuple(sorted((_channel_fingerprint(c1), _channel_fingerprint(c2))))
-    if key not in _switch_rate_cache:
-        _switch_rate_cache[key] = phy_effective_rate((c1, c2), "switch")
-    return _switch_rate_cache[key]
-
-
 def route_with_switch_merging(topology: Topology, src: str, dst: str) -> TrajectoryPlan:
     """Best plan over single paths and switch-merged link-disjoint pairs.
 
@@ -144,12 +134,19 @@ def route_with_switch_merging(topology: Topology, src: str, dst: str) -> Traject
     best = route_max_bottleneck(topology, src, dst)
     paths = _simple_paths(topology, src, dst)
     channels = [_path_channel(topology, p) for p in paths]
+    fingerprints = [_channel_fingerprint(c) for c in channels]
     links = [_path_links(p) for p in paths]
+    # Paths with equal channels recur within one plan; the cache lives only
+    # as long as the plan, since other plans rarely share its entries.
+    switch_rates: dict[tuple[bytes, bytes], float] = {}
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
             if links[i] & links[j]:
                 continue
-            rate = _switch_rate(channels[i], channels[j])
+            key = tuple(sorted((fingerprints[i], fingerprints[j])))
+            if key not in switch_rates:
+                switch_rates[key] = phy_effective_rate((channels[i], channels[j]), "switch")
+            rate = switch_rates[key]
             if rate > best.effective_rate + RATE_EPS:
                 best = TrajectoryPlan(
                     PlanMode.SUPERPOSED_PAIR,

@@ -14,11 +14,9 @@ from qnetsim.channels import (
     apply_channel,
     bottleneck_check,
     channel_from_spec,
-    channel_to_spec,
     compose_serial,
     computational_ensemble,
     depolarizing_channel,
-    holevo_best_over_polar_grid,
     holevo_information,
     identity_channel,
     quantum_switch,
@@ -333,13 +331,6 @@ def test_switch_with_traced_control_stays_zero():
     assert estimate.holevo_bits == pytest.approx(0.0, abs=1e-9)
 
 
-def test_polar_grid_search_is_at_least_default():
-    channel = depolarizing_channel(0.3)
-    default = holevo_information(channel).holevo_bits
-    best = holevo_best_over_polar_grid(channel, n_points=16)
-    assert best.holevo_bits >= default - 1e-9
-
-
 # -- bottleneck ---------------------------------------------------------------
 
 
@@ -410,19 +401,44 @@ def test_reduce_kraus_random_channel_action_preserved():
 
 
 def test_channel_spec_round_trip_depolarizing():
-    channel = channel_from_spec({"type": "depolarizing", "p": 0.25})
-    spec = channel_to_spec(channel)
-    back = channel_from_spec(spec)
+    # A config may name the channel or write out its Kraus list:
+    # dep(1/4) = {sqrt(13/16) I, 1/4 X, 1/4 Y, 1/4 Z}.
+    a, b = math.sqrt(13) / 4, 0.25
+    by_name = channel_from_spec({"type": "depolarizing", "p": 0.25})
+    by_kraus = channel_from_spec(
+        {
+            "type": "kraus-list",
+            "kraus": [
+                [[[a, 0], [0, 0]], [[0, 0], [a, 0]]],
+                [[[0, 0], [b, 0]], [[b, 0], [0, 0]]],
+                [[[0, 0], [0, -b]], [[0, b], [0, 0]]],
+                [[[b, 0], [0, 0]], [[0, 0], [-b, 0]]],
+            ],
+        }
+    )
+    oracle = depolarizing_channel(0.25)
     for probe in PROBES:
-        assert np.allclose(back.apply_matrix(probe), channel.apply_matrix(probe), atol=1e-12)
+        for channel in (by_name, by_kraus):
+            assert np.allclose(channel.apply_matrix(probe), oracle.apply_matrix(probe), atol=1e-12)
 
 
 def test_channel_spec_round_trip_kraus_list():
-    rng = np.random.default_rng(19)
-    channel = _random_cptp(rng)
-    back = channel_from_spec(channel_to_spec(channel))
+    # The fully depolarizing channel written as {I, X, Y, Z} / 2.
+    channel = channel_from_spec(
+        {
+            "type": "kraus-list",
+            "kraus": [
+                [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+                [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]],
+                [[[0, 0], [0, -0.5]], [[0, 0.5], [0, 0]]],
+                [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+            ],
+        }
+    )
+    oracle = depolarizing_channel(1.0)
     for probe in PROBES:
-        assert np.allclose(back.apply_matrix(probe), channel.apply_matrix(probe), atol=1e-12)
+        assert np.allclose(channel.apply_matrix(probe), oracle.apply_matrix(probe), atol=1e-12)
+        assert np.allclose(channel.apply_matrix(probe), I2 / 2, atol=1e-12)
 
 
 def test_channel_spec_rejects_unknown_type():

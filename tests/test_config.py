@@ -1,4 +1,4 @@
-"""Config parsing, validation aggregation, grid expansion, round-trips."""
+"""Config parsing, validation aggregation, grid expansion."""
 
 from pathlib import Path
 
@@ -9,7 +9,6 @@ from qnetsim.config import (
     expand_grid,
     load_config,
     parse_config,
-    serialize_config,
 )
 from qnetsim.errors import ConfigError
 
@@ -90,6 +89,12 @@ def test_malformed_topology_reported():
     with pytest.raises(ConfigError) as info:
         parse_config(bad)
     assert any("topology" in v for v in info.value.violations)
+    bad["topology"] = ["alice", "bob"]
+    with pytest.raises(ConfigError) as info:
+        parse_config(bad)
+    assert [v for v in info.value.violations if "topology" in v] == [
+        "<config>: topology: must be a mapping"
+    ]
 
 
 def test_sweep_must_hold_nonempty_lists():
@@ -130,16 +135,6 @@ def test_grid_expansion_orders_cells_deterministically():
         {"p1": 0.4, "p2": 0.1},
         {"p1": 0.4, "p2": 0.2},
     ]
-
-
-def test_config_round_trip(tmp_path):
-    import yaml
-
-    path = tmp_path / "exp.yaml"
-    path.write_text(yaml.safe_dump(MINIMAL_TELEPORT))
-    config = load_config(path)
-    back = parse_config(serialize_config(config))
-    assert back == config
 
 
 def test_yaml_error_reports_location(tmp_path):

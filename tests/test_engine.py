@@ -20,9 +20,10 @@ from qnetsim.protocols import (
     Purpose,
     apply_correction,
     make_bell_pair,
+    phi_plus_state,
     teleport,
 )
-from qnetsim.qstate import random_pure_state
+from qnetsim.qstate import fidelity, random_pure_state
 
 
 def chain_topology(latencies=(2, 3, 4)):
@@ -178,7 +179,7 @@ def test_attempt_entanglement_certain_success():
     for _ in range(20):
         resource = engine.attempt_entanglement(topo.quantum_links[0])
         assert resource is not None
-        assert resource.fidelity_to_ideal == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(resource.state, phi_plus_state()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_attempt_entanglement_success_rate():
@@ -199,7 +200,7 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
     engine = EventEngine(topo, seed=3)
     resource = engine.attempt_entanglement(topo.quantum_links[0])
     assert resource is not None
-    assert resource.fidelity_to_ideal == pytest.approx(oracle, abs=1e-9)
+    assert fidelity(resource.state, phi_plus_state()) == pytest.approx(oracle, abs=1e-9)
     assert oracle == pytest.approx(0.73, abs=1e-12)
 
 

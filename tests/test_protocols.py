@@ -15,13 +15,14 @@ from qnetsim.protocols import (
     entanglement_swap,
     make_bell_pair,
     make_w_state,
+    phi_plus_state,
     superdense_decode,
     superdense_encode,
     teleport,
     w_election_round,
     werner_pair,
 )
-from qnetsim.qstate import QuantumState, measure, random_pure_state
+from qnetsim.qstate import QuantumState, fidelity, measure, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -65,7 +66,7 @@ def test_bell_pair_is_exact_phi_plus():
     assert np.allclose(pair.state.matrix, bell_matrix(0, 0), atol=1e-15)
     assert pair.kind is ResourceKind.BELL_PHI_PLUS
     assert pair.holders == ("alice", "bob")
-    assert pair.fidelity_to_ideal == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(pair.state, phi_plus_state()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_pair_marginals_are_maximally_mixed():
@@ -94,7 +95,7 @@ def test_werner_pair_matrix_and_fidelity():
     for w in (0.0, 0.37, 1.0):
         pair = werner_pair(w)
         assert np.allclose(pair.state.matrix, werner_matrix(w), atol=1e-12)
-        assert pair.fidelity_to_ideal == pytest.approx((1 + 3 * w) / 4, abs=1e-12)
+        assert fidelity(pair.state, phi_plus_state()) == pytest.approx((1 + 3 * w) / 4, abs=1e-12)
 
 
 def test_w_state_two_nodes():
@@ -177,7 +178,6 @@ def test_teleport_with_product_resource_degrades_to_mixed():
         QuantumState(2, np.eye(4, dtype=complex) / 4),
         ResourceKind.BELL_PHI_PLUS,
         ("a", "b"),
-        fidelity_to_ideal=0.25,
     )
     out = teleported(payload, product, rng)
     assert np.allclose(out.matrix, I2 / 2, atol=1e-10)

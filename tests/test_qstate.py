@@ -282,26 +282,6 @@ def test_fidelity_rejects_mixed_reference():
         fidelity(new_register(1, "0"), QuantumState(2, bell_phi_plus()))
 
 
-# -- serialization ------------------------------------------------------------
-
-
-def test_dump_golden_for_basis_state():
-    text = new_register(1, "0").dump()
-    assert text == '{"num_qubits": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}'
-
-
-def test_dump_round_trip():
-    state = QuantumState(2, bell_phi_plus())
-    back = QuantumState.from_dump(state.dump())
-    assert back.num_qubits == 2
-    assert np.allclose(back.matrix, state.matrix, atol=0)
-
-
-def test_from_dump_rejects_inconsistent_shape():
-    with pytest.raises(ValueError):
-        QuantumState.from_dump('{"num_qubits": 2, "matrix": [[[1.0, 0.0]]]}')
-
-
 # -- invariant properties -----------------------------------------------------
 
 _GATE_POOL = ("I", "X", "Y", "Z", "H", "CNOT", "CZ")
