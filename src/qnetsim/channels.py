@@ -11,11 +11,12 @@ outcome is what distinguishes it from a definite-order composition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import UnsupportedDimensionError
+from .fields import Fields
 from .qstate import (
     I2,
     PAULI_X,
@@ -66,7 +67,7 @@ class ChannelModel:
     @classmethod
     def from_kraus(cls, ops: Sequence[np.ndarray]) -> "ChannelModel":
         mats = [np.asarray(k, dtype=complex) for k in ops]
-        dim_out, dim_in = mats[0].shape
+        dim_out, dim_in = mats[0].shape if mats else (0, 0)
         return cls(tuple(mats), dim_in, dim_out)
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
@@ -332,20 +333,27 @@ def reduce_kraus(channel: ChannelModel) -> ChannelModel:
     return ChannelModel(tuple(ops), d_in, d_out)
 
 
-def channel_from_spec(spec: dict) -> ChannelModel:
-    """Build a channel from its structured-text description.
+def channel_from_spec(spec: Any, where: str = "channel") -> ChannelModel:
+    """Build a channel from its structured-text description at ``where``.
 
     ``{"type": "depolarizing", "p": x}`` or
     ``{"type": "kraus-list", "kraus": [...]}`` with each operator given as
     row-major ``[re, im]`` pairs.
     """
-    kind = spec.get("type")
+    fields = Fields(spec, where)
+    kind = fields.value("type")
     if kind == "depolarizing":
-        return depolarizing_channel(float(spec["p"]))
-    if kind == "kraus-list":
-        ops = []
-        for mat in spec["kraus"]:
-            ops.append(np.array([[complex(re, im) for re, im in row] for row in mat]))
-        return ChannelModel.from_kraus(ops)
-    raise ValueError(f"unknown channel type {kind!r}")
+        channel = depolarizing_channel(fields.probability("p"))
+    elif kind == "kraus-list":
+        kraus = fields.items("kraus")
+        try:
+            channel = ChannelModel.from_kraus(
+                [[[complex(re, im) for re, im in row] for row in op] for op in kraus]
+            )
+        except (TypeError, ValueError) as exc:
+            raise fields.error(f"kraus: {exc}") from exc
+    else:
+        raise fields.error(f"unknown channel type {kind!r}")
+    fields.done()
+    return channel
 

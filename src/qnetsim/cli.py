@@ -40,31 +40,22 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        for violation in exc.violations:
+            print(f"invalid: {violation}", file=sys.stderr)
+        return 1
     if args.command == "validate":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            for violation in exc.violations:
-                print(f"invalid: {violation}", file=sys.stderr)
-            return 1
         print(f"ok: scenario={config.scenario} seeds={list(config.seeds)}")
         return 0
 
-    if args.command == "run":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            for violation in exc.violations:
-                print(f"invalid: {violation}", file=sys.stderr)
-            return 1
-        rows, aborted = run_experiment(config, out_dir=args.out, trace=args.trace)
-        print(f"wrote {len(rows)} metric rows to {args.out}/metrics.csv")
-        if aborted:
-            print(f"{aborted} run(s) aborted", file=sys.stderr)
-            return 1
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    rows, aborted = run_experiment(config, out_dir=args.out, trace=args.trace)
+    print(f"wrote {len(rows)} metric rows to {args.out}/metrics.csv")
+    if aborted:
+        print(f"{aborted} run(s) aborted", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
 from .channels import channel_from_spec
 from .engine import ClassicalLink, QuantumLink, Topology
 from .errors import ConfigError
+from .fields import Fields
 from .scenarios import SCENARIOS
 
 
@@ -31,95 +32,72 @@ class ExperimentConfig:
     sweep: dict[str, list] = field(default_factory=dict)
 
 
-def _parse_topology(raw: Any, violations: list[str]) -> Topology | None:
-    if not isinstance(raw, dict):
-        violations.append("topology: must be a mapping")
-        return None
-    try:
-        nodes = tuple(str(n) for n in raw.get("nodes", ()))
-        classical = []
-        for entry in raw.get("classical_links", ()):
-            classical.append(
-                ClassicalLink(str(entry["a"]), str(entry["b"]), int(entry["latency"]))
-            )
-        quantum = []
-        for entry in raw.get("quantum_links", ()):
-            quantum.append(
-                QuantumLink(
-                    str(entry["a"]),
-                    str(entry["b"]),
-                    channel_from_spec(entry["channel"]),
-                    float(entry.get("gen_success_prob", 1.0)),
-                    int(entry.get("attempt_period", 1)),
-                )
-            )
-        return Topology(nodes, tuple(classical), tuple(quantum))
-    except (KeyError, TypeError, ValueError) as exc:
-        violations.append(f"topology: {exc}")
-        return None
+def _parse_topology(raw: Any) -> Topology:
+    topology = Fields(raw, "topology")
+    nodes = tuple(topology.items("nodes", [], topology.check_text))
+    classical_entries = topology.entries("classical_links", [])
+    quantum_entries = topology.entries("quantum_links", [])
+    classical = tuple(
+        ClassicalLink(e.node(nodes, "a"), e.node(nodes, "b"), e.integer("latency", low=1))
+        for e in classical_entries
+    )
+    quantum = tuple(
+        QuantumLink(
+            e.node(nodes, "a"),
+            e.node(nodes, "b"),
+            channel_from_spec(e.value("channel"), e.at("channel")),
+            e.probability("gen_success_prob", 1.0),
+            e.integer("attempt_period", 1, low=1),
+        )
+        for e in quantum_entries
+    )
+    for fields in (*classical_entries, *quantum_entries, topology):
+        fields.done()
+    return Topology(nodes, classical, quantum)
 
 
 def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     """Validate a parsed YAML document; raise with every violation found."""
-    violations: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError([f"{source}: top level must be a mapping"])
+    violations: list[str] = []
 
-    scenario = data.get("scenario")
+    def read(parse: Callable[[], Any], fallback: Any) -> Any:
+        try:
+            return parse()
+        except ValueError as exc:
+            violations.append(str(exc))
+            return fallback
+
+    top = Fields(data)
+    scenario = top.value("scenario", None)
     prepare = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
     if prepare is None:
         violations.append(f"scenario: {scenario!r} is not one of {tuple(SCENARIOS)}")
-
-    seeds_raw = data.get("seeds")
-    seeds: tuple[int, ...] = ()
-    if not isinstance(seeds_raw, (list, tuple)) or len(seeds_raw) == 0:
+    seeds = read(lambda: tuple(top.items("seeds", each=top.check_integer)), None)
+    if seeds == ():
         violations.append("seeds: must be a nonempty list of integers")
-    else:
-        try:
-            seeds = tuple(int(s) for s in seeds_raw)
-        except (TypeError, ValueError):
-            violations.append(f"seeds: {seeds_raw!r} contains a non-integer")
-
-    params = data.get("params") or {}
-    if not isinstance(params, dict):
-        violations.append("params: must be a mapping")
-        params = {}
-
-    sweep = data.get("sweep") or {}
-    if not isinstance(sweep, dict) or any(
-        not isinstance(v, list) or len(v) == 0 for v in sweep.values()
-    ):
+    params = read(lambda: top.mapping("params", {}), {})
+    sweep = read(lambda: top.mapping("sweep", {}), {})
+    if any(not isinstance(v, list) or len(v) == 0 for v in sweep.values()):
         violations.append("sweep: must map parameter names to nonempty lists")
         sweep = {}
+    for name in sorted(set(params) & set(sweep), key=str):
+        violations.append(f"sweep: {name} is also set in params, which the sweep overrides")
+    topology_raw = top.value("topology", None)
+    topology = None if topology_raw is None else read(lambda: _parse_topology(topology_raw), None)
+    read(top.done, None)
 
-    topology = None
-    topology_raw = data.get("topology")
-    if topology_raw is not None:
-        topology = _parse_topology(topology_raw, violations)
-
-    unknown = set(data) - {"scenario", "seeds", "params", "topology", "sweep"}
-    if unknown:
-        violations.append(f"unknown top-level keys: {sorted(unknown)}")
-
-    config = ExperimentConfig(
-        scenario=scenario,
-        seeds=seeds,
-        params=params,
-        topology=topology,
-        sweep={str(k): list(v) for k, v in sweep.items()},
-    )
+    sweep = {str(k): v for k, v in sweep.items()}
+    config = ExperimentConfig(scenario, seeds or (), params, topology, sweep)
     # A topology that failed to parse is reported above; its cells are not.
     if prepare is not None and (topology_raw is None or topology is not None):
         for cell in expand_grid(config):
             try:
                 prepare(topology, cell)
-                continue
-            except KeyError as exc:
-                violation = f"params: scenario {scenario} requires {exc.args[0]!r}"
             except (TypeError, ValueError) as exc:
-                violation = f"params: {exc}"
-            if violation not in violations:
-                violations.append(violation)
+                if f"params: {exc}" not in violations:
+                    violations.append(f"params: {exc}")
     if violations:
         raise ConfigError([f"{source}: {v}" for v in violations])
     return config

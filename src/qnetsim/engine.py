@@ -26,7 +26,6 @@ class EventKind(enum.Enum):
     CLASSICAL_DELIVER = "classical_deliver"
     ENTANGLEMENT_ATTEMPT = "entanglement_attempt"
     PROTOCOL_STEP = "protocol_step"
-    CUSTOM = "custom"
 
 
 class SignalingScope(enum.Enum):
@@ -202,8 +201,6 @@ class EventEngine:
         route: tuple[str, ...],
         scope: SignalingScope,
         on_deliver: Callable[[CorrectionMessage], None] | None = None,
-        size_bits: int | None = None,
-        purpose: str | None = None,
     ) -> Event:
         """Queue a classical message along ``route``; delivery takes the sum
         of per-hop link latencies."""
@@ -217,15 +214,9 @@ class EventEngine:
             if latency is None:
                 raise UnreachableError(f"no classical link between {a} and {b}")
             delay += latency
-        bits = size_bits if size_bits is not None else len(message.bits)
         self.ledger.append(
             LedgerEntry(
-                self.now,
-                bits,
-                scope,
-                purpose or message.purpose.value,
-                route[0],
-                route[-1],
+                self.now, len(message.bits), scope, message.purpose.value, route[0], route[-1]
             )
         )
         return self.schedule(

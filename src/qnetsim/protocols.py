@@ -177,17 +177,8 @@ def teleport(
     return message, partial_trace(post, (2,))
 
 
-_ENCODINGS: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _encoding_unitary(bits: tuple[int, int]) -> np.ndarray:
-    # Message (z, x) -> I, X, Z or XZ on the sender's half.
-    if not _ENCODINGS:
-        _ENCODINGS[(0, 0)] = I2
-        _ENCODINGS[(0, 1)] = PAULI_X
-        _ENCODINGS[(1, 0)] = PAULI_Z
-        _ENCODINGS[(1, 1)] = PAULI_X @ PAULI_Z
-    return _ENCODINGS[bits]
+# Message (z, x) -> I, X, Z or XZ on the sender's half.
+_ENCODINGS = {(0, 0): I2, (0, 1): PAULI_X, (1, 0): PAULI_Z, (1, 1): PAULI_X @ PAULI_Z}
 
 
 _BELL_PROJECTORS: dict[tuple[int, int], np.ndarray] = {}
@@ -195,7 +186,7 @@ _BELL_PROJECTORS: dict[tuple[int, int], np.ndarray] = {}
 
 def _bell_projector(bits: tuple[int, int]) -> np.ndarray:
     if bits not in _BELL_PROJECTORS:
-        u = np.kron(_encoding_unitary(bits), np.eye(2))
+        u = np.kron(_ENCODINGS[bits], np.eye(2))
         _BELL_PROJECTORS[bits] = u @ _phi_plus_matrix() @ u.conj().T
     return _BELL_PROJECTORS[bits]
 
@@ -212,7 +203,7 @@ def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> Qua
         raise ValueError("superdense coding needs a Bell-pair resource")
     if resource.consumed:
         raise ConsumedResourceError("superdense resource already consumed")
-    u = _encoding_unitary(tuple(bits))
+    u = _ENCODINGS[tuple(bits)]
     matrix = np.kron(u, np.eye(2)) @ resource.state.matrix @ np.kron(u, np.eye(2)).conj().T
     return QuantumState(2, matrix)
 

@@ -96,9 +96,6 @@ class QuantumState:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def is_pure(self, atol: float = SCALAR_ATOL) -> bool:
-        return abs(self.purity() - 1.0) <= atol
-
     def tensor(self, other: "QuantumState") -> "QuantumState":
         return QuantumState(
             self.num_qubits + other.num_qubits,

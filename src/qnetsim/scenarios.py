@@ -2,9 +2,10 @@
 
 ``prepare(topology, cell)`` reads every parameter of one expanded cell,
 checks it, and returns the cell's ``run(rng_seed) -> ScenarioResult``.
-It raises ``KeyError`` naming a missing parameter and ``ValueError`` (or
-``TypeError`` for a malformed value) for anything else ``run`` would
-reject, before any random draw or engine event.  Config validation prepares every cell and the experiment runner
+It reads the cell through a ``fields.Fields`` reader and raises
+``ValueError`` (``TypeError`` for a malformed ``hidden_pairs``) for
+anything ``run`` would reject, before any random draw or engine event.
+Config validation prepares every cell and the experiment runner
 prepares each cell it runs, so one code path decides whether a cell can
 run.  Routes and links are looked up once, in ``prepare``; the event
 handlers keep only the engine wiring.
@@ -12,17 +13,16 @@ handlers keep only the engine wiring.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from .channels import depolarizing_channel
+from .channels import bottleneck_check, depolarizing_channel
 from .engine import EventEngine, EventKind, QuantumLink, SignalingScope, Topology
 from .errors import UnreachableError
+from .fields import Fields
 from .protocols import (
     apply_correction,
     entanglement_swap,
@@ -49,54 +49,6 @@ class ScenarioResult:
 
 Run = Callable[[list[int]], ScenarioResult]
 
-_REQUIRED = object()
-
-
-class _Params:
-    """Checked reads from one cell.  Named nodes must differ, and ``done``
-    rejects every name no read asked for, so a misspelt parameter fails
-    instead of leaving the default in force."""
-
-    def __init__(self, cell: dict):
-        self._cell = cell
-        self._read: set[str] = set()
-        self._nodes: dict[str, str] = {}
-
-    def value(self, name: str, default: Any = _REQUIRED) -> Any:
-        self._read.add(name)
-        if name not in self._cell and default is _REQUIRED:
-            raise KeyError(name)
-        return self._cell.get(name, default)
-
-    def integer(self, name: str, default: Any = _REQUIRED, low: float = -math.inf) -> int:
-        value = self.value(name, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
-        return int(value)
-
-    def probability(self, name: str, default: Any = _REQUIRED) -> float:
-        value = self.value(name, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
-            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-        return float(value)
-
-    def node(self, topology: Topology, name: str, default: Any = _REQUIRED) -> str:
-        value = str(self.value(name, default))
-        if value not in topology.nodes:
-            raise ValueError(f"{name} {value!r} is not a topology node")
-        if value in self._nodes:
-            raise ValueError(f"{self._nodes[value]} and {name} are both {value!r}")
-        self._nodes[value] = name
-        return value
-
-    def done(self) -> None:
-        unread = sorted(set(self._cell) - self._read)
-        if unread:
-            raise ValueError(f"unknown parameter(s) {unread}; it reads {sorted(self._read)}")
-
-
 def _need_topology(topology: Topology | None, scenario: str, min_nodes: int) -> Topology:
     if topology is None or len(topology.nodes) < min_nodes:
         raise ValueError(f"scenario {scenario} requires a topology of at least {min_nodes} nodes")
@@ -114,12 +66,12 @@ def _swap_link(topology: Topology, a_name: str, a: str, b_name: str, b: str) -> 
 
 def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
     topology = _need_topology(topology, "teleport", 2)
-    params = _Params(cell)
+    params = Fields(cell)
     n_teleports = params.integer("n_teleports", low=1)
     werner_w = params.probability("werner_w", 1.0)
     make_pair = make_bell_pair if werner_w == 1.0 else partial(werner_pair, werner_w)
-    src = params.node(topology, "src", topology.nodes[0])
-    dst = params.node(topology, "dst", topology.nodes[-1])
+    src = params.node(topology.nodes, "src", topology.nodes[0])
+    dst = params.node(topology.nodes, "dst", topology.nodes[-1])
     params.done()
     route = topology.shortest_classical_route(src, dst)
     if route is None:
@@ -163,7 +115,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
 
 
 def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
-    params = _Params(cell)
+    params = Fields(cell)
     n_trials = params.integer("n_trials", low=1)
     werner_w = params.probability("werner_w", 1.0)
     params.done()
@@ -195,11 +147,11 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
 
 def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
     topology = _need_topology(topology, "swap", 3)
-    params = _Params(cell)
+    params = Fields(cell)
     n_swaps = params.integer("n_swaps", low=1)
-    src = params.node(topology, "src", topology.nodes[0])
-    mid = params.node(topology, "mid", topology.nodes[1])
-    dst = params.node(topology, "dst", topology.nodes[2])
+    src = params.node(topology.nodes, "src", topology.nodes[0])
+    mid = params.node(topology.nodes, "mid", topology.nodes[1])
+    dst = params.node(topology.nodes, "dst", topology.nodes[2])
     params.done()
     left_link = _swap_link(topology, "src", src, "mid", mid)
     right_link = _swap_link(topology, "mid", mid, "dst", dst)
@@ -271,7 +223,7 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
 
 
 def _prepare_switch_activation(topology: Topology | None, cell: dict) -> Run:
-    params = _Params(cell)
+    params = Fields(cell)
     p1 = params.probability("p1")
     p2 = params.probability("p2")
     params.done()
@@ -280,18 +232,14 @@ def _prepare_switch_activation(topology: Topology | None, cell: dict) -> Run:
         # Built here, not in prepare: validation prepares every cell of a sweep.
         first = depolarizing_channel(p1)
         second = depolarizing_channel(p2)
-        chi_first = phy_effective_rate(first, "direct")
-        chi_second = phy_effective_rate(second, "direct")
-        chi_serial = phy_effective_rate((first, second), "serial")
-        chi_switch = phy_effective_rate((first, second), "switch")
-        bottleneck_holds = chi_serial <= min(chi_first, chi_second) + 1e-9
+        report = bottleneck_check(first, second)
         return ScenarioResult(
             metrics=[
-                ("chi_first", chi_first),
-                ("chi_second", chi_second),
-                ("chi_serial", chi_serial),
-                ("chi_switch", chi_switch),
-                ("bottleneck_holds", bottleneck_holds),
+                ("chi_first", report.chi_first),
+                ("chi_second", report.chi_second),
+                ("chi_serial", report.chi_serial),
+                ("chi_switch", phy_effective_rate((first, second), "switch")),
+                ("bottleneck_holds", report.holds),
             ]
         )
 
@@ -299,19 +247,16 @@ def _prepare_switch_activation(topology: Topology | None, cell: dict) -> Run:
 
 
 def _prepare_mac_compare(topology: Topology | None, cell: dict) -> Run:
-    params = _Params(cell)
-    carrier_sensing = params.value("carrier_sensing", True)
-    if not isinstance(carrier_sensing, bool):
-        raise ValueError(f"carrier_sensing must be true or false, got {carrier_sensing!r}")
+    params = Fields(cell)
     config = MacConfig(
         n_nodes=params.integer("n_nodes"),
-        protocol=MacProtocol(str(params.value("protocol"))),
+        protocol=MacProtocol(params.text("protocol")),
         slots=params.integer("slots"),
         offered_load=params.probability("offered_load"),
         w_refresh_cost=params.integer("w_refresh_cost", 0),
         backoff_window=params.integer("backoff_window", 0),
-        carrier_sensing=carrier_sensing,
-        hidden_pairs=tuple(tuple(p) for p in params.value("hidden_pairs", ())),
+        carrier_sensing=params.flag("carrier_sensing", True),
+        hidden_pairs=tuple(tuple(p) for p in params.items("hidden_pairs", [])),
     )
     params.done()
 
@@ -333,9 +278,9 @@ def _prepare_mac_compare(topology: Topology | None, cell: dict) -> Run:
 
 def _prepare_multipath_routing(topology: Topology | None, cell: dict) -> Run:
     topology = _need_topology(topology, "multipath_routing", 2)
-    params = _Params(cell)
-    src = params.node(topology, "src")
-    dst = params.node(topology, "dst")
+    params = Fields(cell)
+    src = params.node(topology.nodes, "src")
+    dst = params.node(topology.nodes, "dst")
     params.done()
 
     def run(rng_seed: list[int]) -> ScenarioResult:

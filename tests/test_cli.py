@@ -239,6 +239,74 @@ def test_validate_rejects_cells_run_would_abort_or_misread(tmp_path, capsys, tex
     assert err.count("invalid:") == 1
 
 
+SWAP = "scenario: swap\nparams: {n_swaps: 2}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SWAP + chain(LEFT.replace("}}", "}, gen_prob: 0.5}"), RIGHT)
+         + "  bogus: 1\n",
+         "topology: quantum_links[0]: unknown parameter(s) ['gen_prob']"),
+        (SWAP + chain(LEFT, RIGHT) + "  bogus: 1\n",
+         "topology: unknown parameter(s) ['bogus']"),
+        ("scenario: teleport\nparams: {n_teleports: 5}"
+         "\ntopology: {nodes: [a, b], classical_link: [{a: a, b: b, latency: 1}]}\n",
+         "topology: unknown parameter(s) ['classical_link']"),
+        ("scenario: teleport\nparams: {n_teleports: 5}"
+         "\ntopology: {nodes: alice, classical_links: []}\n",
+         "topology: nodes must be a list, got 'alice'"),
+        ("scenario: teleport\nparams: {n_teleports: 5}"
+         + PAIR.replace("latency: 1", "latency: 1.7"),
+         "topology: classical_links[0]: latency must be an integer, got 1.7"),
+        (SWAP + chain(LEFT, RIGHT.replace("}}", "}, attempt_period: 2.5}")),
+         "topology: quantum_links[1]: attempt_period must be an integer, got 2.5"),
+        (SWAP + chain(LEFT.replace("}}", "}, gen_success_prob: '0.5'}"), RIGHT),
+         "topology: quantum_links[0]: gen_success_prob must be a number in [0, 1], got '0.5'"),
+        (SWAP + chain(LEFT.replace("}}", "}, gen_success_prob: true}"), RIGHT),
+         "topology: quantum_links[0]: gen_success_prob must be a number in [0, 1], got True"),
+        (SWAP + chain(LEFT.replace("p: 0.1", "p: '0.1'"), RIGHT),
+         "topology: quantum_links[0]: channel: p must be a number in [0, 1], got '0.1'"),
+        (SWAP + chain(LEFT, RIGHT.replace("p: 0.1", "p: 0.1, gamma: 0.5")),
+         "topology: quantum_links[1]: channel: unknown parameter(s) ['gamma']"),
+        (SWAP + chain("{a: l, b: m, channel: {type: kraus-list, kraus: []}}", RIGHT),
+         "topology: quantum_links[0]: channel: kraus: channel needs at least one Kraus operator"),
+        ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("b: b", "b: ghost"),
+         "topology: classical_links[0]: b 'ghost' is not a topology node"),
+        ("seeds: [1.5]\nscenario: superdense\nparams: {n_trials: 8}",
+         "seeds[0] must be an integer, got 1.5"),
+        ("seeds: [true]\nscenario: superdense\nparams: {n_trials: 8}",
+         "seeds[0] must be an integer, got True"),
+        ("scenario: superdense\nparams: {n_trials: 8, werner_w: 1.0}\nsweep: {werner_w: [0.9]}",
+         "sweep: werner_w is also set in params, which the sweep overrides"),
+    ],
+    ids=[
+        "misspelt-link-key-and-topology-key",
+        "unknown-topology-key",
+        "singular-classical-link",
+        "nodes-not-a-list",
+        "fractional-latency",
+        "fractional-attempt-period",
+        "gen-prob-string",
+        "gen-prob-bool",
+        "channel-p-string",
+        "channel-unknown-key",
+        "channel-no-kraus-operators",
+        "link-to-unknown-node",
+        "fractional-seed",
+        "bool-seed",
+        "param-also-swept",
+    ],
+)
+def test_validate_rejects_misread_topology_seeds_and_sweep(tmp_path, capsys, text, message):
+    path = tmp_path / "exp.yaml"
+    path.write_text(text if text.startswith("seeds:") else "seeds: [1]\n" + text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid: {path}: {message}" in err
+    assert err.count("invalid:") == 1
+
+
 def test_failed_cell_aborts_alone_with_its_cause(tmp_path, capsys, monkeypatch):
     config = small_teleport_config()
     config["seeds"] = [3]

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from qnetsim.config import (
     SCENARIOS,
@@ -160,3 +161,13 @@ def test_all_canned_configs_parse():
         config = load_config(path)
         scenarios.add(config.scenario)
     assert scenarios == set(SCENARIOS)
+
+
+def test_readme_schema_example_validates():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config schema", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = parse_config(yaml.safe_load(block), source="README.md")
+    assert config.scenario == "teleport"
+    assert config.sweep == {"werner_w": [0.6, 0.8, 1.0]}
+    assert config.topology is not None and config.topology.quantum_links

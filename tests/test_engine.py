@@ -44,7 +44,7 @@ def msg(origin="n0", target="n1"):
 def test_events_fire_at_scheduled_time():
     engine = EventEngine(chain_topology(), seed=0)
     fired = []
-    engine.schedule(5, EventKind.CUSTOM, handler=lambda eng, ev: fired.append(eng.now))
+    engine.schedule(5, EventKind.PROTOCOL_STEP, handler=lambda eng, ev: fired.append(eng.now))
     engine.run_until(10)
     assert fired == [5]
 
@@ -54,7 +54,10 @@ def test_equal_time_events_fire_in_insertion_order():
     order = []
     for tag in ("first", "second", "third"):
         engine.schedule(
-            7, EventKind.CUSTOM, payload=tag, handler=lambda eng, ev: order.append(ev.payload)
+            7,
+            EventKind.PROTOCOL_STEP,
+            payload=tag,
+            handler=lambda eng, ev: order.append(ev.payload),
         )
     engine.run_until(7)
     assert order == ["first", "second", "third"]
@@ -62,10 +65,10 @@ def test_equal_time_events_fire_in_insertion_order():
 
 def test_past_time_scheduling_rejected():
     engine = EventEngine(chain_topology(), seed=0)
-    engine.schedule(3, EventKind.CUSTOM, handler=lambda eng, ev: None)
+    engine.schedule(3, EventKind.PROTOCOL_STEP, handler=lambda eng, ev: None)
     engine.run_until(3)
     with pytest.raises(SchedulingError):
-        engine.schedule(2, EventKind.CUSTOM)
+        engine.schedule(2, EventKind.PROTOCOL_STEP)
 
 
 def test_empty_queue_terminates_immediately():
@@ -242,12 +245,12 @@ def test_identical_seeds_reproduce_traces():
 
 def test_handler_exception_aborts_with_trace_prefix():
     engine = EventEngine(chain_topology(), seed=0)
-    engine.schedule(1, EventKind.CUSTOM, payload="ok", handler=lambda eng, ev: None)
+    engine.schedule(1, EventKind.PROTOCOL_STEP, payload="ok", handler=lambda eng, ev: None)
 
     def boom(eng, ev):
         raise RuntimeError("handler exploded")
 
-    engine.schedule(2, EventKind.CUSTOM, payload="boom", handler=boom)
+    engine.schedule(2, EventKind.PROTOCOL_STEP, payload="boom", handler=boom)
     with pytest.raises(EngineAborted) as info:
         engine.run_until(10)
     assert isinstance(info.value.cause, RuntimeError)
