@@ -7,16 +7,14 @@ trajectory routing on top.
 """
 
 from .channels import (
-    CapacityEstimate,
     ChannelModel,
-    Ensemble,
-    SwitchChannel,
     apply_channel,
     bottleneck_check,
     compose_serial,
     depolarizing_channel,
     holevo_information,
     quantum_switch,
+    switch_holevo_information,
 )
 from .config import ExperimentConfig, load_config
 from .engine import EventEngine, SignalingScope, Topology
@@ -59,16 +57,14 @@ from .services import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityEstimate",
     "ChannelModel",
-    "Ensemble",
-    "SwitchChannel",
     "apply_channel",
     "bottleneck_check",
     "compose_serial",
     "depolarizing_channel",
     "holevo_information",
     "quantum_switch",
+    "switch_holevo_information",
     "ExperimentConfig",
     "load_config",
     "EventEngine",

@@ -1,16 +1,20 @@
 """CPTP channel models: Kraus sets, serial composition, a causal-order
-switch, and Holevo-information capacity estimates.
+switch, and Holevo rates.
 
 A channel is a tuple of Kraus operators satisfying completeness
 ``sum(K^dag K) = I`` within 1e-10.  The switch places two qubit channels
 in a superposition of application orders selected by a control qubit;
 measuring that control in the ``|+>/|->`` basis and keeping the classical
 outcome is what distinguishes it from a definite-order composition.
+
+A rate is the Holevo information of the equiprobable ``{|0>, |1>}``
+source: ``holevo_information`` for one qubit channel and
+``switch_holevo_information`` for two of them in the switch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -36,6 +40,7 @@ PLUS_MINUS_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
+_PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
 @dataclass(eq=False)
@@ -78,51 +83,6 @@ class ChannelModel:
         return out
 
 
-@dataclass(eq=False)
-class SwitchChannel(ChannelModel):
-    """Two-qubit channel on (system, control) produced by the causal-order
-    switch.  Carries the control state so single-qubit inputs can be lifted
-    to the joint space transparently."""
-
-    control: QuantumState = field(default=None)  # type: ignore[assignment]
-
-    def lift(self, system: QuantumState) -> QuantumState:
-        if system.num_qubits != 1:
-            raise UnsupportedDimensionError("switch system input must be one qubit")
-        return system.tensor(self.control)
-
-
-@dataclass
-class Ensemble:
-    """Classical-quantum source: ``(probability, state)`` pairs."""
-
-    entries: tuple[tuple[float, QuantumState], ...]
-
-    def __post_init__(self):
-        self.entries = tuple((float(p), s) for p, s in self.entries)
-        if not self.entries:
-            raise ValueError("ensemble must be nonempty")
-        for p, _ in self.entries:
-            if p < 0:
-                raise ValueError(f"ensemble probability {p} is negative")
-        total = sum(p for p, _ in self.entries)
-        if abs(total - 1.0) > STRUCTURAL_ATOL:
-            raise ValueError(f"ensemble probabilities sum to {total}, expected 1")
-
-
-@dataclass(frozen=True)
-class CapacityEstimate:
-    """Holevo information of a channel for a specific input ensemble.
-
-    This quantity lower-bounds the classical capacity, hence
-    ``is_lower_bound`` is always true.
-    """
-
-    holevo_bits: float
-    ensemble_used: Ensemble
-    is_lower_bound: bool = True
-
-
 @dataclass(frozen=True)
 class BottleneckReport:
     """Data-processing check for a serial composition."""
@@ -153,20 +113,9 @@ def depolarizing_channel(p: float) -> ChannelModel:
 
 
 def apply_channel(
-    channel: ChannelModel, state: QuantumState, targets: Sequence[int] | None = None
+    channel: ChannelModel, state: QuantumState, targets: Sequence[int]
 ) -> QuantumState:
-    """Apply a channel to a whole register, or embed it on ``targets``."""
-    if targets is None:
-        if state.dim != channel.dim_in:
-            raise ValueError(
-                f"state dimension {state.dim} != channel input dimension {channel.dim_in}"
-            )
-        out = channel.apply_matrix(state.matrix)
-        num_qubits = int(channel.dim_out).bit_length() - 1
-        if 2**num_qubits != channel.dim_out:
-            raise UnsupportedDimensionError("channel output dimension is not a power of two")
-        return QuantumState(num_qubits, out)
-
+    """Apply a square channel to the qubits ``targets`` of a register."""
     targets = tuple(targets)
     if channel.dim_in != channel.dim_out:
         raise UnsupportedDimensionError("embedded application needs a square channel")
@@ -199,9 +148,7 @@ def compose_serial(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     return ChannelModel(ops, first.dim_in, second.dim_out)
 
 
-def quantum_switch(
-    first: ChannelModel, second: ChannelModel, control: QuantumState
-) -> SwitchChannel:
+def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     """Superpose the two application orders of a pair of qubit channels.
 
     The returned channel acts on (system, control); Kraus operators are
@@ -211,25 +158,11 @@ def quantum_switch(
     for c in (first, second):
         if c.dim_in != 2 or c.dim_out != 2:
             raise UnsupportedDimensionError("switch requires single-qubit channels")
-    if control.num_qubits != 1:
-        raise UnsupportedDimensionError("switch control must be a single qubit")
-    control.check()
     ops = []
     for ki in second.kraus_ops:
         for kj in first.kraus_ops:
             ops.append(np.kron(ki @ kj, _P0) + np.kron(kj @ ki, _P1))
-    return SwitchChannel(tuple(ops), 4, 4, control=control)
-
-
-def computational_ensemble() -> Ensemble:
-    zero = QuantumState(1, _P0.copy())
-    one = QuantumState(1, _P1.copy())
-    return Ensemble(((0.5, zero), (0.5, one)))
-
-
-def _trace_out_control(joint: np.ndarray) -> np.ndarray:
-    t = joint.reshape(2, 2, 2, 2)
-    return np.einsum("abcb->ac", t)
+    return ChannelModel(tuple(ops), 4, 4)
 
 
 def _measure_control_blocks(joint: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -239,77 +172,59 @@ def _measure_control_blocks(joint: np.ndarray, basis: np.ndarray) -> np.ndarray:
     for m in range(2):
         v = basis[:, m]
         proj = np.kron(I2, np.outer(v, v.conj()))
-        block = _trace_out_control(proj @ joint @ proj)
+        block = np.einsum("abcb->ac", (proj @ joint @ proj).reshape(2, 2, 2, 2))
         out[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
     return out
 
 
-def _effective_output(
-    channel: ChannelModel,
-    state: QuantumState,
-    control_measurement: np.ndarray | None,
-) -> QuantumState:
-    if isinstance(channel, SwitchChannel):
-        if state.dim * 2 == channel.dim_in:
-            joint_in = channel.lift(state)
-        elif state.dim == channel.dim_in:
-            joint_in = state
-        else:
-            raise ValueError(
-                f"ensemble state dimension {state.dim} does not fit switch input"
-            )
-        joint_out = channel.apply_matrix(joint_in.matrix)
-        if control_measurement is not None:
-            return QuantumState(2, _measure_control_blocks(joint_out, control_measurement))
-        return QuantumState(2, _trace_out_control(joint_out))
-    if control_measurement is not None:
-        raise ValueError("control measurement given but channel has no control qubit")
-    if state.dim != channel.dim_in:
-        raise ValueError(
-            f"ensemble state dimension {state.dim} != channel input dimension {channel.dim_in}"
-        )
-    return apply_channel(channel, state)
-
-
-def holevo_information(
-    channel: ChannelModel,
-    ensemble: Ensemble | None = None,
-    control_measurement: np.ndarray | None = None,
-) -> CapacityEstimate:
-    """Holevo quantity ``S(sum p_x rho'_x) - sum p_x S(rho'_x)`` in bits.
-
-    For a switch channel, single-qubit ensemble states are tensored with
-    the stored control.  ``control_measurement`` (a 2x2 matrix whose
-    columns are the basis) measures the control and keeps the classical
-    outcome as a block-diagonal flag; ``None`` traces the control out.
-    """
-    if ensemble is None:
-        ensemble = computational_ensemble()
-    outputs = []
-    for p, state in ensemble.entries:
-        outputs.append((p, _effective_output(channel, state, control_measurement)))
-    dim_eff = outputs[0][1].dim
-    avg = sum(p * out.matrix for p, out in outputs)
-    chi = von_neumann_entropy(QuantumState(outputs[0][1].num_qubits, avg))
-    for p, out in outputs:
-        chi -= p * von_neumann_entropy(out)
+def _holevo_bits(outputs: list[np.ndarray]) -> float:
+    """Holevo quantity ``S(avg) - avg S`` in bits of equiprobable outputs."""
+    dim = outputs[0].shape[0]
+    num_qubits = dim.bit_length() - 1
+    avg = sum(0.5 * out for out in outputs)
+    chi = von_neumann_entropy(QuantumState(num_qubits, avg))
+    for out in outputs:
+        chi -= 0.5 * von_neumann_entropy(QuantumState(num_qubits, out))
     if chi < -SCALAR_ATOL:
         raise ArithmeticError(f"Holevo information {chi} is negative beyond tolerance")
     chi = max(chi, 0.0)
-    bound = np.log2(dim_eff)
+    bound = np.log2(dim)
     if chi > bound + SCALAR_ATOL:
-        raise ArithmeticError(f"Holevo information {chi} exceeds log2({dim_eff})")
-    return CapacityEstimate(min(chi, bound), ensemble)
+        raise ArithmeticError(f"Holevo information {chi} exceeds log2({dim})")
+    return min(chi, bound)
 
 
-def bottleneck_check(
-    first: ChannelModel, second: ChannelModel, ensemble: Ensemble | None = None
-) -> BottleneckReport:
+def holevo_information(channel: ChannelModel) -> float:
+    """Holevo rate in bits of a qubit-input channel fed ``|0>`` or ``|1>``."""
+    if channel.dim_in != 2:
+        raise UnsupportedDimensionError(
+            f"Holevo rate needs a qubit-input channel, got input dimension {channel.dim_in}"
+        )
+    return _holevo_bits([channel.apply_matrix(p) for p in (_P0, _P1)])
+
+
+def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> float:
+    """Holevo rate in bits of the switch of two qubit channels.
+
+    The control starts in ``|+>`` and is measured in the ``|+>/|->``
+    basis after the switch; its outcome is kept as a classical flag
+    beside the system's output.
+    """
+    switch = quantum_switch(first, second)
+    return _holevo_bits(
+        [
+            _measure_control_blocks(switch.apply_matrix(np.kron(p, _PLUS)), PLUS_MINUS_BASIS)
+            for p in (_P0, _P1)
+        ]
+    )
+
+
+def bottleneck_check(first: ChannelModel, second: ChannelModel) -> BottleneckReport:
     """Verify the composed channel carries no more information than either
     stage alone: ``chi(second . first) <= min(chi(first), chi(second))``."""
-    chi_first = holevo_information(first, ensemble).holevo_bits
-    chi_second = holevo_information(second, ensemble).holevo_bits
-    chi_serial = holevo_information(compose_serial(first, second), ensemble).holevo_bits
+    chi_first = holevo_information(first)
+    chi_second = holevo_information(second)
+    chi_serial = holevo_information(compose_serial(first, second))
     holds = chi_serial <= min(chi_first, chi_second) + SCALAR_ATOL
     return BottleneckReport(chi_first, chi_second, chi_serial, holds)
 

@@ -10,6 +10,7 @@ scenario's own ``prepare``, so a config that validates also runs.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -103,6 +104,29 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     return config
 
 
+class _RepeatedKeyError(yaml.MarkedYAMLError):
+    """A mapping key written twice; ``problem_mark`` locates the second."""
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """Safe loader that rejects a key written twice in one mapping, where
+    ``yaml.safe_load`` would keep the last value without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # the base loader reports an unhashable key
+            if key in seen:
+                mark = key_node.start_mark
+                raise _RepeatedKeyError(problem=f"repeated key {key!r}", problem_mark=mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -110,10 +134,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError([f"{path}: cannot read: {exc}"]) from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        if isinstance(exc, _RepeatedKeyError):
+            raise ConfigError([f"{path}: {exc.problem}{where}"]) from exc
         raise ConfigError([f"{path}: YAML syntax error{where}: {exc}"]) from exc
     return parse_config(data, source=str(path))
 

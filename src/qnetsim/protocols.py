@@ -77,23 +77,20 @@ class CorrectionMessage:
             raise ValueError(f"correction message needs exactly 2 bits, got {self.bits}")
 
 
-_BELL_MATRIX: np.ndarray | None = None
+def _phi_plus_matrix() -> np.ndarray:
+    state = new_register(2, "00")
+    state = apply_unitary(state, GateSpec("H", (0,)))
+    state = apply_unitary(state, GateSpec("CNOT", (0, 1)))
+    state.matrix.flags.writeable = False
+    return state.matrix
+
+
+_BELL_MATRIX = _phi_plus_matrix()
 _W_MATRIX_CACHE: dict[int, np.ndarray] = {}
 
 
-def _phi_plus_matrix() -> np.ndarray:
-    global _BELL_MATRIX
-    if _BELL_MATRIX is None:
-        state = new_register(2, "00")
-        state = apply_unitary(state, GateSpec("H", (0,)))
-        state = apply_unitary(state, GateSpec("CNOT", (0, 1)))
-        _BELL_MATRIX = state.matrix
-        _BELL_MATRIX.flags.writeable = False
-    return _BELL_MATRIX
-
-
 def phi_plus_state() -> QuantumState:
-    return QuantumState(2, _phi_plus_matrix())
+    return QuantumState(2, _BELL_MATRIX)
 
 
 def make_bell_pair(holders: tuple[str, str] = ("a", "b")) -> EntangledResource:
@@ -105,7 +102,7 @@ def werner_pair(w: float, holders: tuple[str, str] = ("a", "b")) -> EntangledRes
     """Bell pair mixed with white noise: ``w |phi+><phi+| + (1-w) I/4``."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner weight {w} outside [0, 1]")
-    matrix = w * _phi_plus_matrix() + (1.0 - w) * np.eye(4) / 4.0
+    matrix = w * _BELL_MATRIX + (1.0 - w) * np.eye(4) / 4.0
     return EntangledResource(QuantumState(2, matrix), ResourceKind.BELL_PHI_PLUS, holders)
 
 
@@ -181,14 +178,24 @@ def teleport(
 _ENCODINGS = {(0, 0): I2, (0, 1): PAULI_X, (1, 0): PAULI_Z, (1, 1): PAULI_X @ PAULI_Z}
 
 
-_BELL_PROJECTORS: dict[tuple[int, int], np.ndarray] = {}
+def _bell_projector(u: np.ndarray) -> np.ndarray:
+    lifted = np.kron(u, np.eye(2))
+    projector = lifted @ _BELL_MATRIX @ lifted.conj().T
+    projector.flags.writeable = False
+    return projector
 
 
-def _bell_projector(bits: tuple[int, int]) -> np.ndarray:
-    if bits not in _BELL_PROJECTORS:
-        u = np.kron(_ENCODINGS[bits], np.eye(2))
-        _BELL_PROJECTORS[bits] = u @ _phi_plus_matrix() @ u.conj().T
-    return _BELL_PROJECTORS[bits]
+# Message -> projector on the Bell state its encoding produces.
+_BELL_PROJECTORS = {bits: _bell_projector(u) for bits, u in _ENCODINGS.items()}
+
+
+def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to the clipped ``weights``
+    from exactly one ``rng.random()`` draw."""
+    cumulative = np.cumsum(np.clip(weights, 0.0, None))
+    cumulative /= cumulative[-1]
+    drawn = int(np.searchsorted(cumulative, rng.random(), side="right"))
+    return min(drawn, len(weights) - 1)
 
 
 def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> QuantumState:
@@ -220,17 +227,14 @@ def superdense_decode(
         raise ValueError("superdense decoding needs the two-qubit joint state")
     messages = [(0, 0), (0, 1), (1, 0), (1, 1)]
     overlaps = np.array(
-        [np.real(np.trace(joint.matrix @ _bell_projector(m))) for m in messages]
+        [np.real(np.trace(joint.matrix @ _BELL_PROJECTORS[m])) for m in messages]
     )
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.5:
         raise DecodeAmbiguityError(
             f"best Bell overlap {overlaps[best]:.4f} below 0.5", messages[best]
         )
-    cumulative = np.cumsum(np.clip(overlaps, 0.0, None))
-    cumulative /= cumulative[-1]
-    drawn = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return messages[min(drawn, 3)]
+    return messages[_draw_index(overlaps, rng)]
 
 
 def entanglement_swap(
@@ -277,11 +281,7 @@ def w_election_round(
     if resource.consumed:
         raise ConsumedResourceError("W resource already consumed by a previous round")
     n = resource.state.num_qubits
-    probabilities = np.real(np.diag(resource.state.matrix))
-    cumulative = np.cumsum(np.clip(probabilities, 0.0, None))
-    cumulative /= cumulative[-1]
-    index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    index = min(index, 2**n - 1)
+    index = _draw_index(np.real(np.diag(resource.state.matrix)), rng)
     outcomes = tuple((index >> (n - 1 - q)) & 1 for q in range(n))
     resource.consumed = True
     if sum(outcomes) != 1:

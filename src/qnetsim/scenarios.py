@@ -3,8 +3,8 @@
 ``prepare(topology, cell)`` reads every parameter of one expanded cell,
 checks it, and returns the cell's ``run(rng_seed) -> ScenarioResult``.
 It reads the cell through a ``fields.Fields`` reader and raises
-``ValueError`` (``TypeError`` for a malformed ``hidden_pairs``) for
-anything ``run`` would reject, before any random draw or engine event.
+``ValueError`` for anything ``run`` would reject, before any random
+draw or engine event.
 Config validation prepares every cell and the experiment runner
 prepares each cell it runs, so one code path decides whether a cell can
 run.  Routes and links are looked up once, in ``prepare``; the event
@@ -238,12 +238,18 @@ def _prepare_switch_activation(topology: Topology | None, cell: dict) -> Run:
                 ("chi_first", report.chi_first),
                 ("chi_second", report.chi_second),
                 ("chi_serial", report.chi_serial),
-                ("chi_switch", phy_effective_rate((first, second), "switch")),
+                ("chi_switch", phy_effective_rate(first, second)),
                 ("bottleneck_holds", report.holds),
             ]
         )
 
     return run
+
+
+def _node_index_pair(params: Fields, label: str, item: Any) -> tuple[int, ...]:
+    if not isinstance(item, list) or len(item) != 2:
+        raise params.error(f"{label} must be a list of two integers, got {item!r}")
+    return tuple(params.check_integer(f"{label}[{k}]", v) for k, v in enumerate(item))
 
 
 def _prepare_mac_compare(topology: Topology | None, cell: dict) -> Run:
@@ -256,7 +262,7 @@ def _prepare_mac_compare(topology: Topology | None, cell: dict) -> Run:
         w_refresh_cost=params.integer("w_refresh_cost", 0),
         backoff_window=params.integer("backoff_window", 0),
         carrier_sensing=params.flag("carrier_sensing", True),
-        hidden_pairs=tuple(tuple(p) for p in params.items("hidden_pairs", [])),
+        hidden_pairs=tuple(params.items("hidden_pairs", [], partial(_node_index_pair, params))),
     )
     params.done()
 

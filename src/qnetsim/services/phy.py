@@ -1,41 +1,13 @@
-"""Physical-layer rate estimates for link channels and their combinations."""
+"""Physical-layer rate of a link channel or of two links in the switch."""
 
 from __future__ import annotations
 
-from ..channels import (
-    ChannelModel,
-    PLUS_MINUS_BASIS,
-    QuantumState,
-    compose_serial,
-    holevo_information,
-    quantum_switch,
-)
-
-import numpy as np
-
-# |+><+| control used for every superposed-order rate estimate.
-PLUS_CONTROL = QuantumState(1, np.full((2, 2), 0.5, dtype=complex))
+from ..channels import ChannelModel, holevo_information, switch_holevo_information
 
 
-def phy_effective_rate(
-    channels: ChannelModel | tuple[ChannelModel, ChannelModel], mode: str = "direct"
-) -> float:
-    """Holevo rate in bits per use for a link or a pair of links.
-
-    Modes: ``direct`` (one channel), ``serial`` (definite-order traversal
-    of two channels) and ``switch`` (superposed traversal order with a
-    ``|+>`` control measured in the ``|+>/|->`` basis).
-    """
-    if mode == "direct":
-        if isinstance(channels, tuple):
-            raise ValueError("direct mode takes a single channel")
-        return holevo_information(channels).holevo_bits
-    if not isinstance(channels, tuple) or len(channels) != 2:
-        raise ValueError(f"mode {mode!r} takes a pair of channels")
-    first, second = channels
-    if mode == "serial":
-        return holevo_information(compose_serial(first, second)).holevo_bits
-    if mode == "switch":
-        switch = quantum_switch(first, second, PLUS_CONTROL)
-        return holevo_information(switch, control_measurement=PLUS_MINUS_BASIS).holevo_bits
-    raise ValueError(f"unknown mode {mode!r}")
+def phy_effective_rate(first: ChannelModel, second: ChannelModel | None = None) -> float:
+    """Holevo rate in bits per use of ``first``, or of ``first`` and
+    ``second`` traversed in superposed order through the switch."""
+    if second is None:
+        return holevo_information(first)
+    return switch_holevo_information(first, second)

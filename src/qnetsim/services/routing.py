@@ -17,15 +17,9 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from ..channels import (
-    ChannelModel,
-    SwitchChannel,
-    compose_serial,
-    quantum_switch,
-    reduce_kraus,
-)
+from ..channels import ChannelModel, compose_serial, reduce_kraus
 from ..engine import Topology, adjacency
-from .phy import PLUS_CONTROL, phy_effective_rate
+from .phy import phy_effective_rate
 
 RATE_EPS = 1e-9
 
@@ -41,18 +35,13 @@ class TrajectoryPlan:
     paths: tuple[tuple[str, ...], ...]
     effective_rate: float
     unreachable: bool = False
-    merged_channel: SwitchChannel | None = None
 
 
 def _link_rates(topology: Topology) -> dict[frozenset[str], float]:
-    rates: dict[frozenset[str], float] = {}
-    cache: dict[int, float] = {}
-    for link in topology.quantum_links:
-        key = id(link.channel)
-        if key not in cache:
-            cache[key] = phy_effective_rate(link.channel, "direct")
-        rates[frozenset((link.a, link.b))] = cache[key]
-    return rates
+    return {
+        frozenset((link.a, link.b)): phy_effective_rate(link.channel)
+        for link in topology.quantum_links
+    }
 
 
 def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPlan:
@@ -145,13 +134,8 @@ def route_with_switch_merging(topology: Topology, src: str, dst: str) -> Traject
                 continue
             key = tuple(sorted((fingerprints[i], fingerprints[j])))
             if key not in switch_rates:
-                switch_rates[key] = phy_effective_rate((channels[i], channels[j]), "switch")
+                switch_rates[key] = phy_effective_rate(channels[i], channels[j])
             rate = switch_rates[key]
             if rate > best.effective_rate + RATE_EPS:
-                best = TrajectoryPlan(
-                    PlanMode.SUPERPOSED_PAIR,
-                    (paths[i], paths[j]),
-                    rate,
-                    merged_channel=quantum_switch(channels[i], channels[j], PLUS_CONTROL),
-                )
+                best = TrajectoryPlan(PlanMode.SUPERPOSED_PAIR, (paths[i], paths[j]), rate)
     return best

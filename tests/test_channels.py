@@ -1,4 +1,4 @@
-"""Kraus channels, serial/switch composition, Holevo capacity estimates."""
+"""Kraus channels, serial/switch composition, Holevo rates."""
 
 import math
 
@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 
 from qnetsim.channels import (
     ChannelModel,
-    Ensemble,
-    PLUS_MINUS_BASIS,
     apply_channel,
     bottleneck_check,
     channel_from_spec,
     compose_serial,
-    computational_ensemble,
     depolarizing_channel,
     holevo_information,
     identity_channel,
     quantum_switch,
     reduce_kraus,
+    switch_holevo_information,
 )
 from qnetsim import qstate
 from qnetsim.errors import UnsupportedDimensionError
 from qnetsim.qstate import QuantumState, new_register, random_pure_state
+from qnetsim.services.phy import phy_effective_rate
 
 # independent single-qubit references
 I2 = np.eye(2, dtype=complex)
@@ -87,7 +86,7 @@ def test_depolarizing_zero_is_identity():
     rng = np.random.default_rng(1)
     channel = depolarizing_channel(0.0)
     state = random_pure_state(rng)
-    assert np.allclose(apply_channel(channel, state).matrix, state.matrix, atol=1e-12)
+    assert np.allclose(apply_channel(channel, state, targets=(0,)).matrix, state.matrix, atol=1e-12)
 
 
 def test_depolarizing_one_is_constant():
@@ -95,7 +94,7 @@ def test_depolarizing_one_is_constant():
     channel = depolarizing_channel(1.0)
     for _ in range(5):
         state = random_pure_state(rng)
-        assert np.allclose(apply_channel(channel, state).matrix, I2 / 2, atol=1e-12)
+        assert np.allclose(apply_channel(channel, state, targets=(0,)).matrix, I2 / 2, atol=1e-12)
 
 
 def test_depolarizing_half_on_zero_matches_kraus_sum():
@@ -110,7 +109,7 @@ def test_depolarizing_half_on_zero_matches_kraus_sum():
         + k1 * k1 * (Z @ rho @ Z)
     )
     assert np.allclose(oracle, np.diag([0.75, 0.25]), atol=1e-15)
-    out = apply_channel(depolarizing_channel(0.5), new_register(1, "0"))
+    out = apply_channel(depolarizing_channel(0.5), new_register(1, "0"), targets=(0,))
     assert np.allclose(out.matrix, oracle, atol=1e-12)
 
 
@@ -153,8 +152,6 @@ def test_depolarizing_half_of_bell_gives_product():
 
 
 def test_apply_channel_dimension_checks():
-    with pytest.raises(ValueError):
-        apply_channel(depolarizing_channel(0.1), new_register(2, "00"))
     with pytest.raises(ValueError):
         apply_channel(depolarizing_channel(0.1), new_register(2, "00"), targets=(0, 0))
     with pytest.raises(IndexError):
@@ -200,7 +197,7 @@ def test_switch_with_definite_control_reduces_to_serial():
     rng = np.random.default_rng(5)
     c1, c2 = _random_cptp(rng), _random_cptp(rng)
     for control_bits, serial in (("0", compose_serial(c1, c2)), ("1", compose_serial(c2, c1))):
-        switch = quantum_switch(c1, c2, new_register(1, control_bits))
+        switch = quantum_switch(c1, c2)
         for probe in PROBES:
             control = new_register(1, control_bits).matrix
             joint_out = switch.apply_matrix(np.kron(probe, control))
@@ -209,24 +206,19 @@ def test_switch_with_definite_control_reduces_to_serial():
 
 
 def test_switch_joint_completeness_and_lift():
-    switch = quantum_switch(depolarizing_channel(1.0), depolarizing_channel(1.0),
-                            QuantumState(1, PLUS))
+    switch = quantum_switch(depolarizing_channel(1.0), depolarizing_channel(1.0))
     total = sum(k.conj().T @ k for k in switch.kraus_ops)
     assert np.allclose(total, np.eye(4), atol=1e-10)
-    lifted = switch.lift(new_register(1, "0"))
-    assert lifted.num_qubits == 2
-    assert np.allclose(lifted.matrix, np.kron(np.diag([1.0, 0.0]), PLUS), atol=1e-15)
 
 
 def test_switch_rejects_non_qubit_channels():
     with pytest.raises(UnsupportedDimensionError):
-        quantum_switch(identity_channel(2), identity_channel(2), new_register(1, "0"))
+        quantum_switch(identity_channel(2), identity_channel(2))
 
 
 def test_switch_of_depolarizing_outputs_are_control_correlated():
     # oracle: the 13-operator joint Kraus set built from scratch
-    switch = quantum_switch(depolarizing_channel(1.0), depolarizing_channel(1.0),
-                            QuantumState(1, PLUS))
+    switch = quantum_switch(depolarizing_channel(1.0), depolarizing_channel(1.0))
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     paulis = (I2, X, Y, Z)
@@ -253,27 +245,17 @@ def test_switch_of_depolarizing_outputs_are_control_correlated():
 
 
 def test_holevo_identity_channel_is_one_bit():
-    estimate = holevo_information(identity_channel())
-    assert estimate.holevo_bits == pytest.approx(1.0, abs=1e-9)
-    assert estimate.is_lower_bound
+    assert holevo_information(identity_channel()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_holevo_fully_depolarizing_is_zero():
-    estimate = holevo_information(depolarizing_channel(1.0))
-    assert estimate.holevo_bits == pytest.approx(0.0, abs=1e-9)
+    assert holevo_information(depolarizing_channel(1.0)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_holevo_matches_analytic_depolarizing_curve():
     for p in (0.2, 0.5, 0.8):
-        estimate = holevo_information(depolarizing_channel(p))
-        assert estimate.holevo_bits == pytest.approx(_dep_holevo(p), abs=1e-9)
-
-
-def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        Ensemble(((0.7, new_register(1, "0")), (0.7, new_register(1, "1"))))
-    with pytest.raises(ValueError):
-        Ensemble(((-0.5, new_register(1, "0")), (1.5, new_register(1, "1"))))
+        chi = holevo_information(depolarizing_channel(p))
+        assert chi == pytest.approx(_dep_holevo(p), abs=1e-9)
 
 
 SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914
@@ -316,19 +298,48 @@ def _switch_activation_oracle():
 def test_switch_activation_against_brute_force_oracle():
     oracle = _switch_activation_oracle()
     assert abs(oracle - SWITCH_ACTIVATION_GOLDEN) < 1e-9
-    switch = quantum_switch(depolarizing_channel(1.0), depolarizing_channel(1.0),
-                            QuantumState(1, PLUS))
-    estimate = holevo_information(switch, control_measurement=PLUS_MINUS_BASIS)
-    assert abs(estimate.holevo_bits - oracle) < 1e-6
-    assert estimate.holevo_bits > 0.02
+    chi = switch_holevo_information(depolarizing_channel(1.0), depolarizing_channel(1.0))
+    assert abs(chi - oracle) < 1e-6
+    assert chi > 0.02
 
 
 def test_switch_with_traced_control_stays_zero():
     # discarding the control kills the activation
-    switch = quantum_switch(depolarizing_channel(1.0), depolarizing_channel(1.0),
-                            QuantumState(1, PLUS))
-    estimate = holevo_information(switch, control_measurement=None)
-    assert estimate.holevo_bits == pytest.approx(0.0, abs=1e-9)
+    switch = quantum_switch(depolarizing_channel(1.0), depolarizing_channel(1.0))
+    outputs = []
+    for rho_sys in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+        joint = np.kron(rho_sys.astype(complex), PLUS)
+        out = sum(k @ joint @ k.conj().T for k in switch.kraus_ops)
+        outputs.append(out[0::2, 0::2] + out[1::2, 1::2])
+    avg = 0.5 * outputs[0] + 0.5 * outputs[1]
+    chi = _entropy_bits(avg) - 0.5 * _entropy_bits(outputs[0]) - 0.5 * _entropy_bits(outputs[1])
+    assert chi == pytest.approx(0.0, abs=1e-9)
+
+
+# -- link rates -----------------------------------------------------------------
+
+
+def test_phy_rate_of_one_link_is_its_holevo_information():
+    rng = np.random.default_rng(11)
+    for channel in (identity_channel(), depolarizing_channel(0.4), _random_cptp(rng)):
+        assert phy_effective_rate(channel) == holevo_information(channel)
+    with pytest.raises(UnsupportedDimensionError):
+        phy_effective_rate(identity_channel(2))
+
+
+def test_phy_rate_of_two_fully_depolarizing_links_is_switch_activation():
+    oracle = _switch_activation_oracle()
+    rate = phy_effective_rate(depolarizing_channel(1.0), depolarizing_channel(1.0))
+    assert abs(oracle - SWITCH_ACTIVATION_GOLDEN) < 1e-9
+    assert abs(rate - oracle) < 1e-6
+
+
+def test_phy_switch_rate_is_symmetric_in_link_order():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        first, second = _random_cptp(rng), _random_cptp(rng)
+        forward = phy_effective_rate(first, second)
+        assert abs(forward - phy_effective_rate(second, first)) < 1e-12
 
 
 # -- bottleneck ---------------------------------------------------------------
@@ -373,8 +384,7 @@ def test_composition_preserves_completeness(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_holevo_bounded_by_output_dimension(seed):
     rng = np.random.default_rng(seed)
-    estimate = holevo_information(_random_cptp(rng))
-    assert -1e-9 <= estimate.holevo_bits <= 1.0 + 1e-9
+    assert -1e-9 <= holevo_information(_random_cptp(rng)) <= 1.0 + 1e-9
 
 
 # -- Kraus reduction ----------------------------------------------------------
@@ -444,10 +454,3 @@ def test_channel_spec_round_trip_kraus_list():
 def test_channel_spec_rejects_unknown_type():
     with pytest.raises(ValueError):
         channel_from_spec({"type": "amplitude_damping", "gamma": 0.5})
-
-
-def test_default_ensemble_is_uniform_computational():
-    ensemble = computational_ensemble()
-    assert len(ensemble.entries) == 2
-    probs = [p for p, _ in ensemble.entries]
-    assert probs == [0.5, 0.5]

