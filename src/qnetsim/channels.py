@@ -29,9 +29,7 @@ from .qstate import (
     SCALAR_ATOL,
     STRUCTURAL_ATOL,
     EIGENVALUE_FLOOR,
-    EMBED_QUBIT_LIMIT,
     QuantumState,
-    apply_on_targets,
     embedded_operators,
     von_neumann_entropy,
 )
@@ -129,12 +127,8 @@ def apply_channel(
             raise IndexError(f"target {q} outside register of {state.num_qubits} qubits")
     n = state.num_qubits
     out = np.zeros_like(state.matrix)
-    if n <= EMBED_QUBIT_LIMIT:
-        for kraus in embedded_operators(channel, lambda: channel.kraus_ops, targets, n):
-            out += kraus @ state.matrix @ kraus.conj().T
-    else:
-        for kraus in channel.kraus_ops:
-            out += apply_on_targets(state.matrix, kraus, targets, n)
+    for kraus in embedded_operators(channel, lambda: channel.kraus_ops, targets, n):
+        out += kraus @ state.matrix @ kraus.conj().T
     return QuantumState(n, out)
 
 

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import yaml
 
-from .channels import channel_from_spec
+from .channels import ChannelModel, channel_from_spec
 from .engine import ClassicalLink, QuantumLink, Topology
 from .errors import ConfigError
 from .fields import Fields
@@ -33,6 +33,17 @@ class ExperimentConfig:
     sweep: dict[str, list] = field(default_factory=dict)
 
 
+def _link_channel(entry: Fields) -> ChannelModel:
+    """The channel of a quantum link, which carries one qubit."""
+    channel = channel_from_spec(entry.value("channel"), entry.at("channel"))
+    if (channel.dim_in, channel.dim_out) != (2, 2):
+        raise entry.error(
+            f"channel: a link carries one qubit, so its channel must be 2x2, "
+            f"got {channel.dim_out}x{channel.dim_in}"
+        )
+    return channel
+
+
 def _parse_topology(raw: Any) -> Topology:
     topology = Fields(raw, "topology")
     nodes = tuple(topology.items("nodes", [], topology.check_text))
@@ -46,7 +57,7 @@ def _parse_topology(raw: Any) -> Topology:
         QuantumLink(
             e.node(nodes, "a"),
             e.node(nodes, "b"),
-            channel_from_spec(e.value("channel"), e.at("channel")),
+            _link_channel(e),
             e.probability("gen_success_prob", 1.0),
             e.integer("attempt_period", 1, low=1),
         )
@@ -104,13 +115,14 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     return config
 
 
-class _RepeatedKeyError(yaml.MarkedYAMLError):
-    """A mapping key written twice; ``problem_mark`` locates the second."""
+class _RejectedError(yaml.MarkedYAMLError):
+    """A value the loader rejects; ``problem_mark`` locates it."""
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """Safe loader that rejects a key written twice in one mapping, where
-    ``yaml.safe_load`` would keep the last value without a word."""
+    ``yaml.safe_load`` would keep the last value without a word, and
+    reports a date-shaped scalar that is not a date where it stands."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -122,9 +134,21 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                 continue  # the base loader reports an unhashable key
             if key in seen:
                 mark = key_node.start_mark
-                raise _RepeatedKeyError(problem=f"repeated key {key!r}", problem_mark=mark)
+                raise _RejectedError(problem=f"repeated key {key!r}", problem_mark=mark)
             seen.add(key)
         return super().construct_mapping(node, deep=deep)
+
+    def construct_yaml_timestamp(self, node):
+        try:
+            return super().construct_yaml_timestamp(node)
+        except ValueError as exc:
+            problem = f"{node.value!r} is not a date: {exc}"
+            raise _RejectedError(problem=problem, problem_mark=node.start_mark) from exc
+
+
+_UniqueKeyLoader.add_constructor(
+    "tag:yaml.org,2002:timestamp", _UniqueKeyLoader.construct_yaml_timestamp
+)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -138,7 +162,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        if isinstance(exc, _RepeatedKeyError):
+        if isinstance(exc, _RejectedError):
             raise ConfigError([f"{path}: {exc.problem}{where}"]) from exc
         raise ConfigError([f"{path}: YAML syntax error{where}: {exc}"]) from exc
     return parse_config(data, source=str(path))

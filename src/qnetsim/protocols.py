@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError
 from .qstate import (
-    I2,
-    PAULI_X,
-    PAULI_Z,
     GateSpec,
     QuantumState,
     apply_unitary,
@@ -174,19 +171,25 @@ def teleport(
     return message, partial_trace(post, (2,))
 
 
-# Message (z, x) -> I, X, Z or XZ on the sender's half.
-_ENCODINGS = {(0, 0): I2, (0, 1): PAULI_X, (1, 0): PAULI_Z, (1, 1): PAULI_X @ PAULI_Z}
+# Message (z, x) -> gates applied in order to the sender's half (qubit 0):
+# I, X, Z or XZ.
+_ENCODINGS = {(0, 0): (), (0, 1): ("X",), (1, 0): ("Z",), (1, 1): ("Z", "X")}
 
 
-def _bell_projector(u: np.ndarray) -> np.ndarray:
-    lifted = np.kron(u, np.eye(2))
-    projector = lifted @ _BELL_MATRIX @ lifted.conj().T
+def _encode(bits: tuple[int, int], state: QuantumState) -> QuantumState:
+    for name in _ENCODINGS[bits]:
+        state = apply_unitary(state, GateSpec(name, (0,)))
+    return state
+
+
+def _bell_projector(bits: tuple[int, int]) -> np.ndarray:
+    projector = _encode(bits, phi_plus_state()).matrix
     projector.flags.writeable = False
     return projector
 
 
 # Message -> projector on the Bell state its encoding produces.
-_BELL_PROJECTORS = {bits: _bell_projector(u) for bits, u in _ENCODINGS.items()}
+_BELL_PROJECTORS = {bits: _bell_projector(bits) for bits in _ENCODINGS}
 
 
 def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -199,7 +202,7 @@ def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> QuantumState:
-    """Encode two bits on the sender's half of a Bell pair.
+    """Encode two bits on the sender's half of a Bell pair and consume it.
 
     Returns the joint two-qubit state as handed to the receiver, who then
     holds both halves.
@@ -210,9 +213,8 @@ def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> Qua
         raise ValueError("superdense coding needs a Bell-pair resource")
     if resource.consumed:
         raise ConsumedResourceError("superdense resource already consumed")
-    u = _ENCODINGS[tuple(bits)]
-    matrix = np.kron(u, np.eye(2)) @ resource.state.matrix @ np.kron(u, np.eye(2)).conj().T
-    return QuantumState(2, matrix)
+    resource.consumed = True
+    return _encode(tuple(bits), resource.state)
 
 
 def superdense_decode(

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import CapacityError, RenormalizationError
 
-MAX_QUBITS = 12
+# The largest register anything may build or apply an operator to: an
+# embedded operator on it is a 256 x 256 matrix.
+MAX_QUBITS = 8
 
 # Tolerance policy: structural invariants (trace, hermiticity, positivity
 # dust) at 1e-10, unitarity at 1e-12, derived scalars at 1e-9.
@@ -41,8 +43,6 @@ _SINGLE_QUBIT_GATES = {
 }
 _CONTROLLED_GATES = {
     "CNOT": PAULI_X,
-    "CX": PAULI_X,
-    "CY": PAULI_Y,
     "CZ": PAULI_Z,
 }
 GATE_NAMES = tuple(_SINGLE_QUBIT_GATES) + tuple(_CONTROLLED_GATES)
@@ -54,31 +54,6 @@ class QuantumState:
 
     num_qubits: int
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, *, validate: bool = True) -> "QuantumState":
-        matrix = np.asarray(matrix, dtype=complex)
-        dim = matrix.shape[0]
-        num_qubits = int(dim).bit_length() - 1
-        if matrix.shape != (dim, dim) or 2**num_qubits != dim:
-            raise ValueError(f"matrix shape {matrix.shape} is not a square power of two")
-        state = cls(num_qubits, matrix)
-        if validate:
-            state.check()
-        return state
-
-    @classmethod
-    def from_vector(cls, amplitudes: np.ndarray) -> "QuantumState":
-        """Build the pure state ``|psi><psi|`` from a normalized amplitude vector."""
-        v = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > STRUCTURAL_ATOL:
-            raise ValueError(f"amplitude vector has norm {norm}, expected 1")
-        return cls.from_matrix(np.outer(v, v.conj()), validate=False)
 
     def check(self) -> "QuantumState":
         """Validate trace, hermiticity and positivity; return self."""
@@ -145,10 +120,14 @@ class MeasurementOutcome:
     probability: float
 
 
-def new_register(num_qubits: int, init: str) -> QuantumState:
-    """Allocate a register in the computational basis state ``|init>``."""
+def _check_register_size(num_qubits: int) -> None:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(f"register size {num_qubits} outside [1, {MAX_QUBITS}]")
+
+
+def new_register(num_qubits: int, init: str) -> QuantumState:
+    """Allocate a register in the computational basis state ``|init>``."""
+    _check_register_size(num_qubits)
     if len(init) != num_qubits or set(init) - {"0", "1"}:
         raise ValueError(f"init {init!r} must be {num_qubits} characters of 0/1")
     dim = 2**num_qubits
@@ -170,35 +149,8 @@ def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> n
     return full.transpose(axes).reshape(2**n, 2**n)
 
 
-def apply_on_targets(
-    rho: np.ndarray, op: np.ndarray, targets: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Return ``(op on targets) rho (op^dagger on targets)`` without embedding
-    ``op`` into the full register dimension."""
-    n = num_qubits
-    k = len(targets)
-    op_t = op.reshape((2,) * (2 * k))
-    rho_t = rho.reshape((2,) * (2 * n))
-    rho_labels = list(range(2 * n))
-    op_out = [2 * n + j for j in range(k)]
-    op_in = [targets[j] for j in range(k)]
-    conj_out = [2 * n + k + j for j in range(k)]
-    conj_in = [n + targets[j] for j in range(k)]
-    out_labels = []
-    for q in range(n):
-        out_labels.append(op_out[targets.index(q)] if q in targets else q)
-    for q in range(n):
-        out_labels.append(conj_out[targets.index(q)] if q in targets else n + q)
-    result = np.einsum(
-        op_t, op_out + op_in, rho_t, rho_labels, op_t.conj(), conj_out + conj_in, out_labels
-    )
-    return result.reshape(2**n, 2**n)
-
-
-# Up to this register size an operator is applied embedded in the full
-# register, as two matmuls: 5-6x faster than contracting on the targets at
-# n <= 4.  Above it the 4^n-sized embedding is not built.
-EMBED_QUBIT_LIMIT = 6
+# Every gate and channel is applied as its operators embedded in the full
+# register, so an entry holds up to 1 MiB per operator at MAX_QUBITS.
 # Keys are (gate name or channel, targets, register size); a channel hashes
 # by identity and stays alive while cached.  Oldest out beyond the size.
 EMBED_CACHE_SIZE = 256
@@ -212,10 +164,12 @@ def embedded_operators(
     num_qubits: int,
 ) -> tuple[np.ndarray, ...]:
     """Read-only full-register forms of ``ops()`` on ``targets``, cached
-    under ``key``; ``ops`` is only called on a cache miss."""
+    under ``key``; ``ops`` is only called on a cache miss.  This is the one
+    way a gate or channel reaches a register."""
     cache_key = (key, targets, num_qubits)
     cached = _EMBED_CACHE.get(cache_key)
     if cached is None:
+        _check_register_size(num_qubits)
         cached = tuple(embed_operator(op, targets, num_qubits) for op in ops())
         for matrix in cached:
             matrix.flags.writeable = False
@@ -229,13 +183,8 @@ def apply_unitary(state: QuantumState, gate: GateSpec) -> QuantumState:
     for q in gate.targets:
         if not 0 <= q < state.num_qubits:
             raise IndexError(f"gate target {q} outside register of {state.num_qubits} qubits")
-    if state.num_qubits <= EMBED_QUBIT_LIMIT:
-        (u,) = embedded_operators(
-            gate.name, lambda: (gate.matrix(),), gate.targets, state.num_qubits
-        )
-        return QuantumState(state.num_qubits, u @ state.matrix @ u.conj().T)
-    new_matrix = apply_on_targets(state.matrix, gate.matrix(), gate.targets, state.num_qubits)
-    return QuantumState(state.num_qubits, new_matrix)
+    (u,) = embedded_operators(gate.name, lambda: (gate.matrix(),), gate.targets, state.num_qubits)
+    return QuantumState(state.num_qubits, u @ state.matrix @ u.conj().T)
 
 
 def _bit_of_index(num_qubits: int, qubit: int) -> np.ndarray:

@@ -7,12 +7,15 @@ from the code under test.
 """
 
 import hashlib
+import importlib.util
 import math
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 from qnetsim.channels import (
@@ -43,6 +46,7 @@ from qnetsim.services.routing import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
+BENCHMARK_DIR = REPO_ROOT / "benchmark"
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -405,8 +409,20 @@ def _digest_run(config_path, out_dir):
     return digests
 
 
-def test_criterion_6_determinism(tmp_path):
+def _load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_criterion_6_determinism(tmp_path, monkeypatch):
+    # The benchmark's closed-form output checker, loaded unchanged from its
+    # file; it does ``from workloads import cell_count``.
+    monkeypatch.setitem(sys.modules, "workloads", _load_benchmark_module("workloads"))
+    oracles = _load_benchmark_module("oracles")
     mismatches = []
+    cells = 0
     for config_path in sorted(CONFIG_DIR.glob("*.yaml")):
         first = _digest_run(config_path, tmp_path / f"{config_path.stem}_a")
         second = _digest_run(config_path, tmp_path / f"{config_path.stem}_b")
@@ -414,11 +430,18 @@ def test_criterion_6_determinism(tmp_path):
             mismatches.append(config_path.name)
         if "metrics.csv" not in first:
             mismatches.append(f"{config_path.name}: no metrics.csv")
+            continue
+        spec = yaml.safe_load(config_path.read_text())
+        csv_text = (tmp_path / f"{config_path.stem}_a" / "metrics.csv").read_text()
+        attempted, problems = oracles.check_csv(spec, csv_text)
+        cells += attempted
+        mismatches.extend(problems)
     ok = not mismatches
     line = _verdict(
         6,
-        "byte-identical CSV and trace hashes on rerun of every canned config",
+        "byte-identical CSV and trace hashes on rerun of every canned config, "
+        "every cell within the benchmark's closed-form oracles",
         ok,
-        "all six scenarios" if ok else f"mismatches: {mismatches}",
+        f"all six scenarios, {cells} cells" if ok else f"mismatches: {mismatches}",
     )
     assert ok, line

@@ -21,7 +21,7 @@ from qnetsim.channels import (
     switch_holevo_information,
 )
 from qnetsim import qstate
-from qnetsim.errors import UnsupportedDimensionError
+from qnetsim.errors import CapacityError, UnsupportedDimensionError
 from qnetsim.qstate import QuantumState, new_register, random_pure_state
 from qnetsim.services.phy import phy_effective_rate
 
@@ -126,6 +126,24 @@ def test_apply_channel_embedded_matches_kron_oracle():
         out = apply_channel(channel, state, targets=(target,))
         assert np.allclose(out.matrix, oracle, atol=1e-12)
         out.check()
+
+
+def test_apply_channel_on_full_register_matches_kron_oracle():
+    rng = np.random.default_rng(8)
+    channel = _random_cptp(rng)
+    state = random_pure_state(rng, 8)
+    # qubit 5 of 8: five identity factors before it, two after
+    lifted = [np.kron(np.kron(np.eye(2**5), k), np.eye(2**2)) for k in channel.kraus_ops]
+    oracle = sum(m @ state.matrix @ m.conj().T for m in lifted)
+    out = apply_channel(channel, state, targets=(5,))
+    assert np.allclose(out.matrix, oracle, atol=1e-12)
+    out.check()
+
+
+def test_apply_channel_rejects_register_above_cap():
+    state = QuantumState(9, np.eye(2**9, dtype=complex) / 2**9)
+    with pytest.raises(CapacityError):
+        apply_channel(depolarizing_channel(0.1), state, targets=(0,))
 
 
 def test_embed_cache_is_bounded_and_keyed_by_channel():

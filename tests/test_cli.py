@@ -157,6 +157,10 @@ def test_validate_rejects_mac_cell_the_runner_would_reject(tmp_path, capsys):
 PAIR = "\ntopology: {nodes: [a, b], classical_links: [{a: a, b: b, latency: 1}]}\n"
 LEFT = "{a: l, b: m, channel: {type: depolarizing, p: 0.1}}"
 RIGHT = "{a: m, b: r, channel: {type: depolarizing, p: 0.1}}"
+# A 4x4 identity as a kraus-list channel: a two-qubit channel.
+KRAUS_ID4 = "{type: kraus-list, kraus: [[%s]]}" % ", ".join(
+    "[%s]" % ", ".join("[1, 0]" if i == j else "[0, 0]" for j in range(4)) for i in range(4)
+)
 MAC = (
     "scenario: mac_compare\n"
     "params: {protocol: slotted_contention, n_nodes: 3, slots: 9, offered_load: 0.5"
@@ -284,6 +288,13 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "topology: quantum_links[1]: channel: unknown parameter(s) ['gamma']"),
         (SWAP + chain("{a: l, b: m, channel: {type: kraus-list, kraus: []}}", RIGHT),
          "topology: quantum_links[0]: channel: kraus: channel needs at least one Kraus operator"),
+        (SWAP + chain(LEFT, RIGHT.replace("{type: depolarizing, p: 0.1}", KRAUS_ID4)),
+         "topology: quantum_links[1]: channel: a link carries one qubit, so its channel must "
+         "be 2x2, got 4x4"),
+        ("scenario: multipath_routing\nparams: {src: a, dst: b}\ntopology: {nodes: [a, b], "
+         f"quantum_links: [{{a: a, b: b, channel: {KRAUS_ID4}}}]}}\n",
+         "topology: quantum_links[0]: channel: a link carries one qubit, so its channel must "
+         "be 2x2, got 4x4"),
         ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("b: b", "b: ghost"),
          "topology: classical_links[0]: b 'ghost' is not a topology node"),
         ("seeds: [1.5]\nscenario: superdense\nparams: {n_trials: 8}",
@@ -296,6 +307,8 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "repeated key 'n_trials' at line 3, column 23"),
         (SWAP + chain(LEFT.replace("b: m,", "b: m, b: r,"), RIGHT),
          "repeated key 'b' at line 7, column 32"),
+        ("scenario: superdense\nparams: {n_trials: 8, when: 2020-13-45}\n",
+         "'2020-13-45' is not a date: month must be in 1..12 at line 3, column 29"),
     ],
     ids=[
         "misspelt-link-key-and-topology-key",
@@ -309,12 +322,15 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "channel-p-string",
         "channel-unknown-key",
         "channel-no-kraus-operators",
+        "swap-two-qubit-link-channel",
+        "multipath-two-qubit-link-channel",
         "link-to-unknown-node",
         "fractional-seed",
         "bool-seed",
         "param-also-swept",
         "repeated-key-in-flow-mapping",
         "repeated-key-in-link-entry",
+        "date-that-is-not-a-date",
     ],
 )
 def test_validate_rejects_misread_topology_seeds_and_sweep(tmp_path, capsys, text, message):

@@ -239,6 +239,14 @@ def test_superdense_encoding_images():
     )
 
 
+def test_superdense_encode_consumes_the_pair():
+    resource = make_bell_pair()
+    superdense_encode((0, 1), resource)
+    assert resource.consumed
+    with pytest.raises(ConsumedResourceError):
+        superdense_encode((1, 0), resource)
+
+
 def test_superdense_werner_statistics_match_born_oracle():
     w = 0.9
     rng = np.random.default_rng(32)

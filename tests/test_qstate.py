@@ -1,5 +1,6 @@
 """Register construction, gates, measurement, partial trace, entropy."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnetsim import qstate
 from qnetsim.errors import CapacityError, RenormalizationError
 from qnetsim.qstate import (
     GateSpec,
@@ -25,6 +27,14 @@ from qnetsim.qstate import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+I2 = np.eye(2, dtype=complex)
+P0 = np.diag([1, 0]).astype(complex)
+P1 = np.diag([0, 1]).astype(complex)
+
+
+def kron_of(factors, num_qubits):
+    """Explicit Kronecker product: ``factors[q]`` on qubit q, identity elsewhere."""
+    return functools.reduce(np.kron, [factors.get(q, I2) for q in range(num_qubits)])
 
 
 def bell_phi_plus():
@@ -51,7 +61,7 @@ def test_new_register_projects_onto_bitstring():
 
 def test_new_register_rejects_oversized():
     with pytest.raises(CapacityError):
-        new_register(13, "0" * 13)
+        new_register(9, "0" * 9)
     with pytest.raises(CapacityError):
         new_register(0, "")
 
@@ -122,6 +132,27 @@ def test_gate_spec_validation():
         GateSpec("CNOT", (1, 1))
 
 
+@pytest.mark.parametrize("num_qubits", [7, 8])
+def test_cnot_on_reversed_distant_targets_matches_kron_oracle(num_qubits):
+    # control 6, target 1: the control is the less significant of the two
+    rng = np.random.default_rng(num_qubits)
+    state = random_pure_state(rng, num_qubits)
+    u = kron_of({6: P0}, num_qubits) + kron_of({6: P1, 1: X}, num_qubits)
+    out = apply_unitary(state, GateSpec("CNOT", (6, 1)))
+    assert np.allclose(out.matrix, u @ state.matrix @ u.conj().T, atol=1e-12)
+    out.check()
+
+
+def test_gate_on_register_above_cap_raises_before_embedding(monkeypatch):
+    def embed_forbidden(*args):
+        raise AssertionError("embedded an operator for an oversized register")
+
+    monkeypatch.setattr(qstate, "embed_operator", embed_forbidden)
+    state = QuantumState(9, np.eye(2**9, dtype=complex) / 2**9)
+    with pytest.raises(CapacityError):
+        apply_unitary(state, GateSpec("X", (0,)))
+
+
 def test_embed_operator_places_action_on_target():
     full = embed_operator(X, (1,), 2)
     state = new_register(2, "00")
@@ -160,7 +191,7 @@ def test_measure_frequency_on_plus_state():
 def test_measure_frequency_within_binomial_bounds():
     # skewed state: p(1) = sin^2(0.8) from a rotated amplitude vector
     amp = np.array([math.cos(0.8), math.sin(0.8)])
-    state = QuantumState.from_vector(amp)
+    state = QuantumState(1, np.outer(amp, amp))
     p = math.sin(0.8) ** 2
     n = 100_000
     rng = np.random.default_rng(23)
