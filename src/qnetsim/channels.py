@@ -39,6 +39,10 @@ PLUS_MINUS_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
 _PLUS = np.full((2, 2), 0.5, dtype=complex)
+# Switch inputs: system |0> or |1>, control |+>.
+_SWITCH_INPUTS = tuple(np.kron(p, _PLUS) for p in (_P0, _P1))
+# Projectors of the control factor onto |+> and |->.
+_CONTROL_PROJECTORS = tuple(np.kron(I2, np.outer(v, v.conj())) for v in PLUS_MINUS_BASIS.T)
 
 
 @dataclass(eq=False)
@@ -62,6 +66,10 @@ class ChannelModel:
                 raise ValueError(
                     f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
                 )
+        # A NaN entry would make the completeness error NaN, which passes
+        # the tolerance test below.
+        if not np.isfinite(self.kraus_ops).all():
+            raise ValueError("Kraus operators have a non-finite entry")
         total = sum(k.conj().T @ k for k in self.kraus_ops)
         err = float(np.max(np.abs(total - np.eye(self.dim_in))))
         if err > STRUCTURAL_ATOL:
@@ -147,7 +155,9 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
 
     The returned channel acts on (system, control); Kraus operators are
     ``W_ij = K2_i K1_j (x) |0><0| + K1_j K2_i (x) |1><1|``, so a control in
-    ``|0>`` applies ``first`` then ``second`` and ``|1>`` the reverse.
+    ``|0>`` applies ``first`` then ``second`` and ``|1>`` the reverse.  With
+    the control as the last factor, the even rows and columns of ``W_ij``
+    hold ``K2_i K1_j`` and the odd ones ``K1_j K2_i``.
     """
     for c in (first, second):
         if c.dim_in != 2 or c.dim_out != 2:
@@ -155,17 +165,18 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     ops = []
     for ki in second.kraus_ops:
         for kj in first.kraus_ops:
-            ops.append(np.kron(ki @ kj, _P0) + np.kron(kj @ ki, _P1))
+            w = np.zeros((4, 4), dtype=complex)
+            w[0::2, 0::2] = ki @ kj
+            w[1::2, 1::2] = kj @ ki
+            ops.append(w)
     return ChannelModel(tuple(ops), 4, 4)
 
 
-def _measure_control_blocks(joint: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Measure the control factor in ``basis`` (columns) and keep the
+def _measure_control_blocks(joint: np.ndarray) -> np.ndarray:
+    """Measure the control factor in the ``|+>/|->`` basis and keep the
     classical outcome: returns the block-diagonal flag (x) system state."""
     out = np.zeros((4, 4), dtype=complex)
-    for m in range(2):
-        v = basis[:, m]
-        proj = np.kron(I2, np.outer(v, v.conj()))
+    for m, proj in enumerate(_CONTROL_PROJECTORS):
         block = np.einsum("abcb->ac", (proj @ joint @ proj).reshape(2, 2, 2, 2))
         out[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
     return out
@@ -206,10 +217,7 @@ def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> floa
     """
     switch = quantum_switch(first, second)
     return _holevo_bits(
-        [
-            _measure_control_blocks(switch.apply_matrix(np.kron(p, _PLUS)), PLUS_MINUS_BASIS)
-            for p in (_P0, _P1)
-        ]
+        [_measure_control_blocks(switch.apply_matrix(joint)) for joint in _SWITCH_INPUTS]
     )
 
 

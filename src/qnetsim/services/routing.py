@@ -7,6 +7,10 @@ causal-order switch; a pair of individually useless paths can then still
 carry information, so the merged plan is never worse than the best single
 path.  Exactly one packet instance traverses a merged plan: the switched
 channel acts on a single system qubit plus the order-control qubit.
+
+A path's serial channel is folded only when a link-disjoint pair first
+needs it, and once per shared prefix: paths from the source that share
+their first hops share the channel of those hops.
 """
 
 from __future__ import annotations
@@ -95,15 +99,25 @@ def _path_links(path: tuple[str, ...]) -> set[frozenset[str]]:
     return {frozenset(pair) for pair in zip(path, path[1:])}
 
 
-def _path_channel(topology: Topology, path: tuple[str, ...]) -> ChannelModel:
-    channel: ChannelModel | None = None
-    for a, b in zip(path, path[1:]):
-        link = topology.quantum_link(a, b)
+def _path_channel(
+    topology: Topology,
+    path: tuple[str, ...],
+    prefixes: dict[tuple[str, ...], ChannelModel],
+) -> ChannelModel:
+    """Serial channel of ``path``, folded on from its longest prefix in
+    ``prefixes``; the channel of every prefix folded here is added to it."""
+    start = len(path)
+    while start > 1 and path[:start] not in prefixes:
+        start -= 1
+    channel = prefixes.get(path[:start])
+    for end in range(start + 1, len(path) + 1):
+        link = topology.quantum_link(path[end - 2], path[end - 1])
         assert link is not None
         channel = link.channel if channel is None else compose_serial(channel, link.channel)
         # Keep the Kraus count bounded as links accumulate.
         if len(channel.kraus_ops) > 4:
             channel = reduce_kraus(channel)
+        prefixes[path[:end]] = channel
     assert channel is not None
     return channel
 
@@ -122,19 +136,26 @@ def route_with_switch_merging(topology: Topology, src: str, dst: str) -> Traject
     """
     best = route_max_bottleneck(topology, src, dst)
     paths = _simple_paths(topology, src, dst)
-    channels = [_path_channel(topology, p) for p in paths]
-    fingerprints = [_channel_fingerprint(c) for c in channels]
     links = [_path_links(p) for p in paths]
-    # Paths with equal channels recur within one plan; the cache lives only
-    # as long as the plan, since other plans rarely share its entries.
+    # These caches live only as long as the plan, since other plans rarely
+    # share their entries; the plan's paths and their prefixes bound them.
+    prefixes: dict[tuple[str, ...], ChannelModel] = {}
+    fingerprints: dict[int, bytes] = {}
+
+    def fingerprint(i: int) -> bytes:
+        if i not in fingerprints:
+            fingerprints[i] = _channel_fingerprint(_path_channel(topology, paths[i], prefixes))
+        return fingerprints[i]
+
+    # Paths with equal channels recur within one plan.
     switch_rates: dict[tuple[bytes, bytes], float] = {}
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
             if links[i] & links[j]:
                 continue
-            key = tuple(sorted((fingerprints[i], fingerprints[j])))
+            key = tuple(sorted((fingerprint(i), fingerprint(j))))
             if key not in switch_rates:
-                switch_rates[key] = phy_effective_rate(channels[i], channels[j])
+                switch_rates[key] = phy_effective_rate(prefixes[paths[i]], prefixes[paths[j]])
             rate = switch_rates[key]
             if rate > best.effective_rate + RATE_EPS:
                 best = TrajectoryPlan(PlanMode.SUPERPOSED_PAIR, (paths[i], paths[j]), rate)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qnetsim.channels import (
     ChannelModel,
+    _holevo_bits,
     apply_channel,
     bottleneck_check,
     channel_from_spec,
@@ -73,6 +74,17 @@ def test_completeness_enforced_at_construction():
         ChannelModel((0.5 * I2,), 2, 2)
     with pytest.raises(ValueError):
         ChannelModel((), 2, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0, math.nan), complex(1, math.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+def test_non_finite_kraus_entry_is_rejected(bad, where):
+    # a NaN makes the completeness error NaN, which compares False with
+    # any tolerance, so completeness alone would let this set through
+    op = np.zeros((2, 2), dtype=complex)
+    op[where] = bad
+    with pytest.raises(ValueError, match="^Kraus operators have a non-finite entry$"):
+        ChannelModel((I2, op), 2, 2)
 
 
 def test_depolarizing_parameter_range():
@@ -232,6 +244,47 @@ def test_switch_joint_completeness_and_lift():
 def test_switch_rejects_non_qubit_channels():
     with pytest.raises(UnsupportedDimensionError):
         quantum_switch(identity_channel(2), identity_channel(2))
+
+
+def _switch_pairs():
+    rng = np.random.default_rng(17)
+    pairs = [(depolarizing_channel(1.0), depolarizing_channel(0.3))]
+    for n_first, n_second in ((1, 1), (1, 4), (2, 3), (4, 4)):
+        pairs.append((_random_cptp(rng, n_first), _random_cptp(rng, n_second)))
+    return pairs
+
+
+def test_switch_kraus_ops_equal_kron_formula():
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    for first, second in _switch_pairs():
+        oracle = [
+            np.kron(ki @ kj, p0) + np.kron(kj @ ki, p1)
+            for ki in second.kraus_ops
+            for kj in first.kraus_ops
+        ]
+        ops = quantum_switch(first, second).kraus_ops
+        assert len(ops) == len(oracle)
+        for op, expected in zip(ops, oracle):
+            assert np.array_equal(op, expected)
+
+
+def test_switch_holevo_equals_kron_measurement_path():
+    # builds the switch inputs and the control projectors with np.kron per call
+    plus_minus = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    for first, second in _switch_pairs():
+        switch = quantum_switch(first, second)
+        outputs = []
+        for p in (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)):
+            joint = switch.apply_matrix(np.kron(p, PLUS))
+            flagged = np.zeros((4, 4), dtype=complex)
+            for m in range(2):
+                v = plus_minus[:, m]
+                proj = np.kron(I2, np.outer(v, v.conj()))
+                block = np.einsum("abcb->ac", (proj @ joint @ proj).reshape(2, 2, 2, 2))
+                flagged[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
+            outputs.append(flagged)
+        assert switch_holevo_information(first, second) == _holevo_bits(outputs)
 
 
 def test_switch_of_depolarizing_outputs_are_control_correlated():

@@ -295,6 +295,10 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          f"quantum_links: [{{a: a, b: b, channel: {KRAUS_ID4}}}]}}\n",
          "topology: quantum_links[0]: channel: a link carries one qubit, so its channel must "
          "be 2x2, got 4x4"),
+        ("scenario: multipath_routing\nparams: {src: a, dst: b}\ntopology: {nodes: [a, b], "
+         "quantum_links: [{a: a, b: b, channel: {type: kraus-list, "
+         "kraus: [[[[.nan, 0], [0, 0]], [[0, 0], [1, 0]]]]}}]}\n",
+         "topology: quantum_links[0]: channel: kraus: Kraus operators have a non-finite entry"),
         ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("b: b", "b: ghost"),
          "topology: classical_links[0]: b 'ghost' is not a topology node"),
         ("seeds: [1.5]\nscenario: superdense\nparams: {n_trials: 8}",
@@ -324,6 +328,7 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "channel-no-kraus-operators",
         "swap-two-qubit-link-channel",
         "multipath-two-qubit-link-channel",
+        "multipath-nan-kraus-entry",
         "link-to-unknown-node",
         "fractional-seed",
         "bool-seed",

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qnetsim.channels import depolarizing_channel
+from qnetsim.channels import ChannelModel, compose_serial, depolarizing_channel, reduce_kraus
 from qnetsim.engine import QuantumLink, Topology
+from qnetsim.services.phy import phy_effective_rate
 from qnetsim.services.routing import (
     PlanMode,
+    TrajectoryPlan,
     route_max_bottleneck,
     route_with_switch_merging,
 )
@@ -223,3 +225,99 @@ def test_plans_are_deterministic():
     assert first.paths == second.paths
     assert first.effective_rate == second.effective_rate
     assert first.mode is second.mode
+
+
+# -- merged plan against a fold-every-path reference ---------------------------
+
+
+def random_kraus_channel(rng):
+    """Ginibre Kraus set of 2 to 4 operators normalized to completeness:
+    a generic, non-Pauli qubit channel."""
+    raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(rng.integers(2, 5))]
+    w, v = np.linalg.eigh(sum(k.conj().T @ k for k in raw))
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return ChannelModel.from_kraus([k @ inv_sqrt for k in raw])
+
+
+def random_channel_topology(rng):
+    """Random graph of 3 to 8 nodes: a spanning tree plus up to 2n - 1
+    chord draws, so that many simple paths share prefixes.  One in three
+    links is fully depolarizing and one in three a random Kraus channel.
+    Returns the channels by link, the random Kraus links and the topology."""
+    n = int(rng.integers(3, 9))
+    nodes = [f"n{i}" for i in range(n)]
+    pairs = {tuple(sorted((nodes[int(rng.integers(0, i))], nodes[i]))) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        i, j = rng.choice(n, size=2, replace=False)
+        pairs.add(tuple(sorted((nodes[int(i)], nodes[int(j)]))))
+    channels = {}
+    kraus_links = set()
+    for pair in sorted(pairs):
+        kind = rng.random()
+        if kind < 1 / 3:
+            channels[pair] = depolarizing_channel(1.0)
+        elif kind < 2 / 3:
+            channels[pair] = random_kraus_channel(rng)
+            kraus_links.add(frozenset(pair))
+        else:
+            channels[pair] = depolarizing_channel(float(np.round(rng.uniform(0.0, 0.9), 3)))
+    links = tuple(QuantumLink(a, b, c, 1.0, 1) for (a, b), c in channels.items())
+    return channels, kraus_links, Topology(tuple(nodes), (), links)
+
+
+def reference_merged_plan(channels, topology, src, dst):
+    """The merge planner before prefix sharing: fold every simple path
+    link by link, then rate every link-disjoint pair.  Also returns the
+    paths whose fold ran ``reduce_kraus`` at their third hop or later."""
+    best = route_max_bottleneck(topology, src, dst)
+    paths = enumerate_paths(channels, src, dst)
+    folded = []
+    reduced_late = []
+    for path in paths:
+        channel = None
+        for hop, (a, b) in enumerate(zip(path, path[1:]), start=1):
+            link = topology.quantum_link(a, b).channel
+            channel = link if channel is None else compose_serial(channel, link)
+            if len(channel.kraus_ops) > 4:
+                channel = reduce_kraus(channel)
+                if hop >= 3 and path not in reduced_late:
+                    reduced_late.append(path)
+        folded.append(channel)
+    prints = [
+        np.round(np.concatenate([k.reshape(-1) for k in c.kraus_ops]), 12).tobytes()
+        for c in folded
+    ]
+    links = [{frozenset(pair) for pair in zip(p, p[1:])} for p in paths]
+    rates = {}
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            if links[i] & links[j]:
+                continue
+            key = tuple(sorted((prints[i], prints[j])))
+            if key not in rates:
+                rates[key] = phy_effective_rate(folded[i], folded[j])
+            if rates[key] > best.effective_rate + 1e-9:
+                best = TrajectoryPlan(PlanMode.SUPERPOSED_PAIR, (paths[i], paths[j]), rates[key])
+    return best, reduced_late
+
+
+def test_merged_plan_equals_fold_every_path_reference():
+    rng = np.random.default_rng(29)
+    merged_pairs = late_kraus_reductions = 0
+    for trial in range(40):
+        channels, kraus_links, topo = random_channel_topology(rng)
+        src, dst = topo.nodes[0], topo.nodes[-1]
+        plan = route_with_switch_merging(topo, src, dst)
+        reference, reduced_late = reference_merged_plan(channels, topo, src, dst)
+        assert plan.mode is reference.mode, (trial, channels)
+        assert plan.paths == reference.paths, (trial, channels)
+        assert plan.effective_rate == reference.effective_rate, (trial, channels)
+        assert plan.unreachable == reference.unreachable, (trial, channels)
+        merged_pairs += plan.mode is PlanMode.SUPERPOSED_PAIR
+        late_kraus_reductions += any(
+            kraus_links & {frozenset(l) for l in zip(path, path[1:])} for path in reduced_late
+        )
+    # the trials reach both plan modes, and reduce_kraus runs past the
+    # second hop of paths through random Kraus links
+    assert 0 < merged_pairs < 40
+    assert late_kraus_reductions > 0
