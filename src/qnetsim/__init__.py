@@ -26,8 +26,10 @@ from .protocols import (
     make_bell_pair,
     make_w_state,
     superdense_decode,
+    superdense_distribution,
     superdense_encode,
     teleport,
+    w_election_probabilities,
     w_election_round,
     werner_pair,
 )
@@ -77,8 +79,10 @@ __all__ = [
     "make_bell_pair",
     "make_w_state",
     "superdense_decode",
+    "superdense_distribution",
     "superdense_encode",
     "teleport",
+    "w_election_probabilities",
     "w_election_round",
     "werner_pair",
     "GateSpec",

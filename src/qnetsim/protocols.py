@@ -10,6 +10,11 @@ delivered message turns that state into the protocol's output, so a
 destination that never hears from the sender never guesses.  Leader
 election is the opposite extreme: it resolves without any classical
 exchange.
+
+Superdense decoding and leader election also give their exact outcome
+distribution (``superdense_distribution``, ``w_election_probabilities``),
+so that many trials of one resource can be drawn at once; the per-trial
+``superdense_decode`` and ``w_election_round`` draw from the same physics.
 """
 
 from __future__ import annotations
@@ -83,7 +88,6 @@ def _phi_plus_matrix() -> np.ndarray:
 
 
 _BELL_MATRIX = _phi_plus_matrix()
-_W_MATRIX_CACHE: dict[int, np.ndarray] = {}
 
 
 def phi_plus_state() -> QuantumState:
@@ -103,21 +107,28 @@ def werner_pair(w: float, holders: tuple[str, str] = ("a", "b")) -> EntangledRes
     return EntangledResource(QuantumState(2, matrix), ResourceKind.BELL_PHI_PLUS, holders)
 
 
-def make_w_state(n: int, holders: tuple[str, ...] | None = None) -> EntangledResource:
-    """Equal superposition of all weight-one bitstrings over ``n`` nodes."""
+def _one_hot_indices(n: int) -> list[int]:
+    """Basis index of the bitstring whose only 1 is on qubit ``q``, for each ``q``."""
+    return [1 << (n - 1 - q) for q in range(n)]
+
+
+def _w_amplitudes(n: int) -> np.ndarray:
+    """State vector of the ``n``-node W state: ``1/sqrt(n)`` on each
+    weight-one bitstring, qubit 0 the most significant bit."""
     if not 2 <= n <= W_STATE_MAX_NODES:
         raise CapacityError(f"W state size {n} outside [2, {W_STATE_MAX_NODES}]")
-    if n not in _W_MATRIX_CACHE:
-        dim = 2**n
-        amplitudes = np.zeros(dim, dtype=complex)
-        for q in range(n):
-            amplitudes[1 << (n - 1 - q)] = 1.0 / np.sqrt(n)
-        matrix = np.outer(amplitudes, amplitudes.conj())
-        matrix.flags.writeable = False
-        _W_MATRIX_CACHE[n] = matrix
+    amplitudes = np.zeros(2**n, dtype=complex)
+    amplitudes[_one_hot_indices(n)] = 1.0 / np.sqrt(n)
+    return amplitudes
+
+
+def make_w_state(n: int, holders: tuple[str, ...] | None = None) -> EntangledResource:
+    """Equal superposition of all weight-one bitstrings over ``n`` nodes."""
+    amplitudes = _w_amplitudes(n)
     if holders is None:
         holders = tuple(f"n{i}" for i in range(n))
-    return EntangledResource(QuantumState(n, _W_MATRIX_CACHE[n]), ResourceKind.W_STATE, holders)
+    matrix = np.outer(amplitudes, amplitudes.conj())
+    return EntangledResource(QuantumState(n, matrix), ResourceKind.W_STATE, holders)
 
 
 def bell_basis_measure(
@@ -188,8 +199,10 @@ def _bell_projector(bits: tuple[int, int]) -> np.ndarray:
     return projector
 
 
+# The four two-bit messages, in the order of superdense_distribution.
+SUPERDENSE_MESSAGES: tuple[tuple[int, int], ...] = tuple(_ENCODINGS)
 # Message -> projector on the Bell state its encoding produces.
-_BELL_PROJECTORS = {bits: _bell_projector(bits) for bits in _ENCODINGS}
+_BELL_PROJECTORS = {bits: _bell_projector(bits) for bits in SUPERDENSE_MESSAGES}
 
 
 def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -217,26 +230,33 @@ def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> Qua
     return _encode(tuple(bits), resource.state)
 
 
-def superdense_decode(
-    joint: QuantumState, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Bell-basis measurement of the received pair, returning the message.
+def superdense_distribution(joint: QuantumState) -> np.ndarray:
+    """Probabilities of the four Bell outcomes of the received pair, in
+    ``SUPERDENSE_MESSAGES`` order, clipped at 0 and normalised.
 
     Raises a decode-ambiguity error (carrying the best guess) when the
     joint state is not within fidelity 0.5 of any Bell state.
     """
     if joint.num_qubits != 2:
         raise ValueError("superdense decoding needs the two-qubit joint state")
-    messages = [(0, 0), (0, 1), (1, 0), (1, 1)]
     overlaps = np.array(
-        [np.real(np.trace(joint.matrix @ _BELL_PROJECTORS[m])) for m in messages]
+        [np.real(np.trace(joint.matrix @ _BELL_PROJECTORS[m])) for m in SUPERDENSE_MESSAGES]
     )
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.5:
         raise DecodeAmbiguityError(
-            f"best Bell overlap {overlaps[best]:.4f} below 0.5", messages[best]
+            f"best Bell overlap {overlaps[best]:.4f} below 0.5", SUPERDENSE_MESSAGES[best]
         )
-    return messages[_draw_index(overlaps, rng)]
+    probabilities = np.clip(overlaps, 0.0, None)
+    return probabilities / probabilities.sum()
+
+
+def superdense_decode(
+    joint: QuantumState, rng: np.random.Generator
+) -> tuple[int, int]:
+    """Bell-basis measurement of the received pair, returning the message
+    drawn from ``superdense_distribution(joint)``."""
+    return SUPERDENSE_MESSAGES[_draw_index(superdense_distribution(joint), rng)]
 
 
 def entanglement_swap(
@@ -289,3 +309,18 @@ def w_election_round(
     if sum(outcomes) != 1:
         raise RuntimeError(f"election produced non one-hot outcome {outcomes}")
     return outcomes.index(1), outcomes
+
+
+def w_election_probabilities(n: int) -> np.ndarray:
+    """Win probability of each of ``n`` nodes in one W-state election round.
+
+    Reads the Born weights of the W state's amplitudes at the weight-one
+    bitstrings.  Raises if any weight falls on another bitstring, the
+    check ``w_election_round`` makes on each outcome.
+    """
+    weights = np.abs(_w_amplitudes(n)) ** 2
+    one_hot = _one_hot_indices(n)
+    if np.any(np.delete(weights, one_hot) != 0.0):
+        raise RuntimeError(f"W state of {n} nodes has weight off the one-hot strings")
+    wins = weights[one_hot]
+    return wins / wins.sum()

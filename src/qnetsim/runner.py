@@ -3,7 +3,9 @@ executes the scenario for each cell and serializes metric rows to CSV.
 
 Row order is deterministic (seeds outer, grid cells inner) and all values
 are emitted with full float precision, so identical configs replay to
-byte-identical CSV files and traces.
+byte-identical CSV files and traces.  A cell's random stream derives from
+its seed and its params label only, never from its place in the sweep, so
+adding a sweep entry leaves the rows of the other cells unchanged.
 """
 
 from __future__ import annotations
@@ -44,6 +46,17 @@ def _params_label(cell: dict[str, Any]) -> str:
     return "|".join(f"{k}={cell[k]}" for k in sorted(cell))
 
 
+def _label_key(label: str) -> int:
+    """A params label's UTF-8 bytes read as one big-endian integer.
+
+    It is the same on every run and machine, and distinct labels give
+    distinct keys.  NumPy's ``SeedSequence`` hashes seed words of any
+    number, so no digest is taken here; ``hashlib`` would load OpenSSL,
+    3.6 MB of resident memory, for one key per cell.
+    """
+    return int.from_bytes(label.encode(), "big")
+
+
 def _format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -76,7 +89,7 @@ def run_experiment(
         for cell_idx, cell in enumerate(cells):
             label = _params_label(cell)
             try:
-                result = prepare(config.topology, cell)([seed, cell_idx])
+                result = prepare(config.topology, cell)([seed, _label_key(label)])
             except Exception as exc:  # noqa: BLE001 - one failed cell must not lose the sweep
                 aborted += 1
                 in_engine = isinstance(exc, EngineAborted)

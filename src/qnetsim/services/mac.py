@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..protocols import W_STATE_MAX_NODES, make_w_state, w_election_round
+from ..protocols import W_STATE_MAX_NODES, w_election_probabilities
 
 _BACKOFF_WINDOW_CAP = 1024
 
@@ -91,26 +91,17 @@ def run_mac_sim(config: MacConfig, seed) -> MacMetrics:
 
 def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> MacMetrics:
     n = config.n_nodes
-    successes = np.zeros(n, dtype=np.int64)
-    refresh_debt = 0
-    idle = 0
-    consumed = 0
-    for _ in range(config.slots):
-        if refresh_debt > 0:
-            refresh_debt -= 1
-            idle += 1
-            continue
-        resource = make_w_state(n)
-        winner, _ = w_election_round(resource, rng)
-        consumed += 1
-        refresh_debt = config.w_refresh_cost
-        # Only the winner may transmit, and only if it has traffic; every
-        # other node observed a 0 on its own qubit and nothing else, so no
-        # contention message ever crosses the classical plane.
-        if rng.random() < config.offered_load:
-            successes[winner] += 1
-        else:
-            idle += 1
+    # A W resource is consumed in the first slot and then in every slot
+    # after its w_refresh_cost idle refresh slots.  Only the winner may
+    # transmit, and only if it has traffic; every other node observed a 0
+    # on its own qubit and nothing else, so no contention message ever
+    # crosses the classical plane.  The winner and the traffic draw are
+    # independent, so the slots that carry a packet are one binomial draw
+    # and their winners one multinomial draw.
+    consumed = -(-config.slots // (1 + config.w_refresh_cost))
+    sent = int(rng.binomial(consumed, config.offered_load))
+    successes = rng.multinomial(sent, w_election_probabilities(n))
+    idle = config.slots - sent
     total_success = int(successes.sum())
     return MacMetrics(
         protocol=MacProtocol.W_STATE_ACCESS,
@@ -118,7 +109,7 @@ def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> MacMetri
         throughput=total_success / config.slots,
         collision_rate=0.0,
         fairness=jain_fairness(successes),
-        privacy_ok=True,  # w_election_round raises on a non one-hot outcome
+        privacy_ok=True,  # w_election_probabilities raises on a non one-hot string
         per_node_successes=tuple(int(s) for s in successes),
         successes=total_success,
         collisions=0,
@@ -130,7 +121,7 @@ def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> MacMetri
 
 def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> MacMetrics:
     n = config.n_nodes
-    hidden = {frozenset(pair) for pair in config.hidden_pairs}
+    hidden = {(a, b) for i, j in config.hidden_pairs for a, b in ((i, j), (j, i))}
     successes = np.zeros(n, dtype=np.int64)
     backoff = np.zeros(n, dtype=np.int64)
     collision_streak = np.zeros(n, dtype=np.int64)
@@ -139,21 +130,18 @@ def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> MacM
     for _ in range(config.slots):
         ready = backoff == 0
         backoff[~ready] -= 1
-        intenders = np.flatnonzero(ready & (rng.random(n) < config.offered_load))
+        intenders = (ready & (rng.random(n) < config.offered_load)).nonzero()[0]
         if config.carrier_sensing and len(intenders) > 1:
             # Within-slot jitter: a node defers if it can hear someone who
             # already started.  Hidden pairs cannot hear each other.
             order = rng.permutation(len(intenders))
             transmitting: list[int] = []
-            for idx in order:
-                node = int(intenders[idx])
-                senses_busy = any(
-                    frozenset((node, other)) not in hidden for other in transmitting
-                )
+            for node in intenders[order].tolist():
+                senses_busy = any((node, other) not in hidden for other in transmitting)
                 if not senses_busy:
                     transmitting.append(node)
         else:
-            transmitting = [int(i) for i in intenders]
+            transmitting = intenders.tolist()
         if len(transmitting) == 0:
             idle += 1
         elif len(transmitting) == 1:

@@ -48,6 +48,13 @@ def _link_rates(topology: Topology) -> dict[frozenset[str], float]:
     }
 
 
+def _check_endpoints(topology: Topology, src: str, dst: str) -> None:
+    if src not in topology.nodes or dst not in topology.nodes:
+        raise ValueError(f"unknown endpoint in ({src}, {dst})")
+    if src == dst:
+        raise ValueError("source and destination must differ")
+
+
 def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPlan:
     """Best-first search for the path with the largest bottleneck rate.
 
@@ -55,10 +62,7 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
     complete path popped has the maximum rate and, among equals, the
     lexicographically smallest node sequence.
     """
-    if src not in topology.nodes or dst not in topology.nodes:
-        raise ValueError(f"unknown endpoint in ({src}, {dst})")
-    if src == dst:
-        raise ValueError("source and destination must differ")
+    _check_endpoints(topology, src, dst)
     rates = _link_rates(topology)
     neighbors = adjacency(topology.nodes, topology.quantum_links)
     queue: list[tuple[float, tuple[str, ...]]] = [(-np.inf, (src,))]
@@ -127,14 +131,19 @@ def _channel_fingerprint(channel: ChannelModel) -> bytes:
     return np.round(stacked, 12).tobytes()
 
 
-def route_with_switch_merging(topology: Topology, src: str, dst: str) -> TrajectoryPlan:
+def route_with_switch_merging(
+    topology: Topology, src: str, dst: str, single: TrajectoryPlan
+) -> TrajectoryPlan:
     """Best plan over single paths and switch-merged link-disjoint pairs.
 
-    Pair candidates serialize each path into one channel and rate the
-    superposed traversal of the two; the best single path is kept as the
-    starting candidate, so the result never falls below it.
+    ``single`` is the widest path, ``route_max_bottleneck(topology, src,
+    dst)``, which the caller has planned already.  Pair candidates
+    serialize each path into one channel and rate the superposed traversal
+    of the two; ``single`` is kept as the starting candidate, so the
+    result never falls below it.
     """
-    best = route_max_bottleneck(topology, src, dst)
+    _check_endpoints(topology, src, dst)
+    best = single
     paths = _simple_paths(topology, src, dst)
     links = [_path_links(p) for p in paths]
     # These caches live only as long as the plan, since other plans rarely

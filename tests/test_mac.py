@@ -105,6 +105,43 @@ def test_w_access_win_uniformity_chi_square():
     assert result.pvalue >= 0.01
 
 
+def slot_loop_consumed(slots, refresh):
+    """W resources a slot-by-slot run consumes: one in a slot, then
+    ``refresh`` idle slots while the next is distributed."""
+    consumed = debt = 0
+    for _ in range(slots):
+        if debt > 0:
+            debt -= 1
+            continue
+        consumed += 1
+        debt = refresh
+    return consumed
+
+
+@pytest.mark.parametrize(
+    "slots, refresh", [(1, 0), (1, 3), (7, 0), (7, 1), (7, 2), (10, 3), (12, 3), (1001, 4)]
+)
+def test_w_access_counts_match_slot_loop(slots, refresh):
+    n = 3
+    saturated = run_mac_sim(w_config(n_nodes=n, slots=slots, w_refresh_cost=refresh), seed=16)
+    consumed = slot_loop_consumed(slots, refresh)
+    assert saturated.herald_bits_host_to_host == consumed * n
+    # with traffic every round sends, so the successes are the rounds
+    assert saturated.successes == consumed
+    assert saturated.idle_slots == slots - consumed
+    silent = run_mac_sim(
+        w_config(n_nodes=n, slots=slots, w_refresh_cost=refresh, offered_load=0.0), seed=16
+    )
+    assert silent.herald_bits_host_to_host == consumed * n
+    assert silent.successes == 0
+    assert silent.idle_slots == slots
+    loaded = run_mac_sim(
+        w_config(n_nodes=n, slots=slots, w_refresh_cost=refresh, offered_load=0.5), seed=16
+    )
+    assert loaded.successes == sum(loaded.per_node_successes) <= consumed
+    assert loaded.successes + loaded.idle_slots == slots
+
+
 # -- slotted contention -------------------------------------------------------
 
 

@@ -17,8 +17,10 @@ from qnetsim.protocols import (
     make_w_state,
     phi_plus_state,
     superdense_decode,
+    superdense_distribution,
     superdense_encode,
     teleport,
+    w_election_probabilities,
     w_election_round,
     werner_pair,
 )
@@ -120,10 +122,11 @@ def test_w_state_purity_across_range():
 
 
 def test_w_state_node_count_bounds():
-    with pytest.raises(CapacityError):
-        make_w_state(1)
-    with pytest.raises(CapacityError):
-        make_w_state(11)
+    for build in (make_w_state, w_election_probabilities):
+        with pytest.raises(CapacityError):
+            build(1)
+        with pytest.raises(CapacityError):
+            build(11)
 
 
 # -- teleportation ------------------------------------------------------------
@@ -271,6 +274,17 @@ def test_superdense_werner_statistics_match_born_oracle():
         assert abs(ok / per_message - born) < 0.01
 
 
+def test_superdense_distribution_is_werner_closed_form():
+    # A Werner pair of weight w decodes to the sent message with probability
+    # (1 + 3w) / 4 and to each other message with (1 - w) / 4.
+    messages = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for w in (1.0, 0.9, 0.7, 0.34):
+        for bits in messages:
+            distribution = superdense_distribution(superdense_encode(bits, werner_pair(w)))
+            expected = [(1 + 3 * w) / 4 if m == bits else (1 - w) / 4 for m in messages]
+            assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), (w, bits)
+
+
 def test_superdense_decode_ambiguity_on_maximally_mixed():
     rng = np.random.default_rng(33)
     mixed = QuantumState(2, np.eye(4, dtype=complex) / 4)
@@ -358,15 +372,22 @@ def test_election_one_hot_and_uniform_across_million_rounds():
     rng = np.random.default_rng(51)
     n = 4
     rounds = 1_000_000
-    wins = np.zeros(n, dtype=np.int64)
-    for _ in range(rounds):
-        winner, outcomes = w_election_round(make_w_state(n), rng)
-        # zero tolerance for non one-hot outcomes
-        assert sum(outcomes) == 1
-        assert outcomes[winner] == 1
-        wins[winner] += 1
+    # w_election_probabilities raises on any weight off the one-hot
+    # strings, so every round has exactly one winner
+    wins = rng.multinomial(rounds, w_election_probabilities(n))
+    assert wins.shape == (n,)
+    assert wins.sum() == rounds
     for node in range(n):
         assert abs(wins[node] / rounds - 1 / n) < 0.01
+
+
+def test_election_probabilities_are_w_state_diagonal():
+    for n in range(2, 11):
+        diagonal = np.real(np.diag(make_w_state(n).state.matrix))
+        one_hot = [1 << (n - 1 - q) for q in range(n)]
+        probabilities = w_election_probabilities(n)
+        assert np.allclose(probabilities, diagonal[one_hot], rtol=0.0, atol=1e-12), n
+        assert diagonal[one_hot].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_election_two_nodes_is_fair_coin():

@@ -152,7 +152,7 @@ def blocked_square():
 def test_merging_activates_blocked_topology():
     topo = topology_from_links(blocked_square())
     single = route_max_bottleneck(topo, "a", "d")
-    merged = route_with_switch_merging(topo, "a", "d")
+    merged = route_with_switch_merging(topo, "a", "d", single)
     assert single.unreachable and single.effective_rate == 0.0
     assert merged.mode is PlanMode.SUPERPOSED_PAIR
     assert merged.effective_rate > 0.02
@@ -162,7 +162,7 @@ def test_merging_activates_blocked_topology():
 
 def test_merged_plan_keeps_one_packet_instance():
     topo = topology_from_links(blocked_square())
-    merged = route_with_switch_merging(topo, "a", "d")
+    merged = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
     assert len(merged.paths) == 2
     links_first = set(zip(merged.paths[0], merged.paths[0][1:]))
     links_second = set(zip(merged.paths[1], merged.paths[1][1:]))
@@ -173,7 +173,8 @@ def test_merged_plan_keeps_one_packet_instance():
 
 def test_clean_identity_path_dominates_merging():
     links = {("a", "b"): 0.0, ("b", "d"): 0.0, ("a", "c"): 0.8, ("c", "d"): 0.8}
-    merged = route_with_switch_merging(topology_from_links(links), "a", "d")
+    topo = topology_from_links(links)
+    merged = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
     assert merged.mode is PlanMode.SINGLE_PATH
     assert merged.effective_rate == pytest.approx(1.0, abs=1e-9)
     assert merged.paths == (("a", "b", "d"),)
@@ -187,7 +188,7 @@ def test_merging_never_below_single_path():
         nodes = topo.nodes
         src, dst = nodes[0], nodes[-1]
         single = route_max_bottleneck(topo, src, dst)
-        merged = route_with_switch_merging(topo, src, dst)
+        merged = route_with_switch_merging(topo, src, dst, single)
         assert merged.effective_rate >= single.effective_rate - 1e-9, (trial, links)
         oracle_rate, oracle_path = oracle_best(links, src, dst)
         assert single.effective_rate == pytest.approx(oracle_rate, abs=1e-9), (trial, links)
@@ -220,8 +221,8 @@ def draw_noise(rng):
 
 def test_plans_are_deterministic():
     topo = topology_from_links(blocked_square())
-    first = route_with_switch_merging(topo, "a", "d")
-    second = route_with_switch_merging(topo, "a", "d")
+    first = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
+    second = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
     assert first.paths == second.paths
     assert first.effective_rate == second.effective_rate
     assert first.mode is second.mode
@@ -307,7 +308,7 @@ def test_merged_plan_equals_fold_every_path_reference():
     for trial in range(40):
         channels, kraus_links, topo = random_channel_topology(rng)
         src, dst = topo.nodes[0], topo.nodes[-1]
-        plan = route_with_switch_merging(topo, src, dst)
+        plan = route_with_switch_merging(topo, src, dst, route_max_bottleneck(topo, src, dst))
         reference, reduced_late = reference_merged_plan(channels, topo, src, dst)
         assert plan.mode is reference.mode, (trial, channels)
         assert plan.paths == reference.paths, (trial, channels)

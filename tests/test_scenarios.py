@@ -72,3 +72,26 @@ def test_swap_fidelity_is_depolarizing_closed_form(reverse_links):
     assert m["fidelity_mean"] == pytest.approx((1 + 3 * (1 - p) ** 4) / 4, abs=1e-9)
     assert m["swaps"] == 6
     assert m["bits_per_swap"] == 2.0
+
+
+def test_cell_rows_do_not_depend_on_sweep_position():
+    # A cell's stream derives from its seed and params label, so adding,
+    # removing or reordering other sweep entries leaves its rows unchanged.
+    def rows_for(werner_ws):
+        rows, aborted = run_experiment(
+            parse_config(
+                {
+                    "scenario": "superdense",
+                    "seeds": [7],
+                    "params": {"n_trials": 400},
+                    "sweep": {"werner_w": werner_ws},
+                }
+            )
+        )
+        assert aborted == 0
+        return [row for row in rows if row.params.endswith("werner_w=0.9")]
+
+    alone = rows_for([0.9])
+    assert alone
+    assert rows_for([1.0, 0.9]) == alone
+    assert rows_for([0.9, 1.0]) == alone
