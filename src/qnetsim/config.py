@@ -10,7 +10,7 @@ scenario's own ``prepare``, so a config that validates also runs.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -101,6 +101,13 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     read(top.done, None)
 
     sweep = {str(k): v for k, v in sweep.items()}
+    # Cells are told apart by seed and params label, so a repeated seed or
+    # sweep value would write a second block of rows under the same key.
+    for seed in _repeated(seeds or (), str):
+        violations.append(f"seeds: repeats {seed}")
+    for name, values in sweep.items():
+        for value in _repeated(values, lambda v: params_label({name: v})):
+            violations.append(f"sweep: {name} repeats {value}")
     config = ExperimentConfig(scenario, seeds or (), params, topology, sweep)
     # A topology that failed to parse is reported above; its cells are not.
     if prepare is not None and (topology_raw is None or topology is not None):
@@ -166,6 +173,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError([f"{path}: {exc.problem}{where}"]) from exc
         raise ConfigError([f"{path}: YAML syntax error{where}: {exc}"]) from exc
     return parse_config(data, source=str(path))
+
+
+def _repeated(values: Iterable[Any], key: Callable[[Any], str]) -> list[Any]:
+    """Each value whose key an earlier value already had, once per key."""
+    seen: set[str] = set()
+    repeated: dict[str, Any] = {}
+    for value in values:
+        k = key(value)
+        if k in seen:
+            repeated.setdefault(k, value)
+        seen.add(k)
+    return list(repeated.values())
+
+
+def params_label(cell: dict[str, Any]) -> str:
+    """The cell's parameters as ``name=value`` pairs in name order; with the
+    seed it names the cell in ``metrics.csv`` and keys its random stream."""
+    return "|".join(f"{k}={cell[k]}" for k in sorted(cell))
 
 
 def expand_grid(config: ExperimentConfig) -> list[dict[str, Any]]:

@@ -236,34 +236,38 @@ class EventEngine:
 
     # -- quantum plane ---------------------------------------------------
 
-    def attempt_entanglement(self, link: QuantumLink) -> EntangledResource | None:
-        """One Bernoulli generation attempt on a quantum link.
+    def attempt_entanglement(self, link: QuantumLink) -> tuple[int, EntangledResource]:
+        """All of a link's generation attempts, up to its first success.
 
-        On success both halves of a fresh Bell pair are degraded by the
-        link channel and a one-bit heralding message is charged to the
-        host-to-host ledger.
+        The attempts are independent Bernoulli trials, so their number is
+        one geometric draw.  Both halves of a fresh Bell pair are degraded
+        by the link channel, and the one-bit heralding message is charged
+        to the host-to-host ledger at the tick of the successful attempt,
+        ``now + (attempts - 1) * attempt_period``.  Returns
+        ``(attempts, resource)``.
         """
-        if self.rng.random() >= link.gen_success_prob:
-            return None
+        attempts = int(self.rng.geometric(link.gen_success_prob))
         pair = make_bell_pair(holders=(link.a, link.b))
         state = pair.state
         for qubit in (0, 1):
             state = apply_channel(link.channel, state, targets=(qubit,))
         resource = EntangledResource(state, pair.kind, pair.holders)
+        herald_time = self.now + (attempts - 1) * link.attempt_period
         self.ledger.append(
-            LedgerEntry(self.now, 1, SignalingScope.HOST_TO_HOST, "herald", link.a, link.b)
+            LedgerEntry(herald_time, 1, SignalingScope.HOST_TO_HOST, "herald", link.a, link.b)
         )
-        return resource
+        return attempts, resource
 
     # -- main loop -------------------------------------------------------
 
-    def run_until(self, t_end: int) -> RunResult:
-        """Fire all events with ``time <= t_end``.
+    def run_until(self, t_end: int | None = None) -> RunResult:
+        """Fire all events with ``time <= t_end``, or, without ``t_end``,
+        every event until the queue is empty.
 
         A handler exception aborts the run; the trace prefix accumulated
         so far is preserved on the raised error.
         """
-        while self._queue and self._queue[0][0] <= t_end:
+        while self._queue and (t_end is None or self._queue[0][0] <= t_end):
             _, _, event = heapq.heappop(self._queue)
             self.now = event.time
             self.trace.append(
@@ -275,7 +279,8 @@ class EventEngine:
                     event.handler(self, event)
                 except Exception as exc:  # noqa: BLE001 - wrapped with trace context
                     raise EngineAborted(exc, tuple(self.trace)) from exc
-        self.now = max(self.now, t_end)
+        if t_end is not None:
+            self.now = max(self.now, t_end)
         return RunResult(
             tuple(self.trace),
             self.events_processed,

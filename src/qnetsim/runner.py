@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .config import ExperimentConfig, expand_grid
+from .config import ExperimentConfig, expand_grid, params_label
 from .errors import EngineAborted
 from .scenarios import SCENARIOS, ScenarioResult
 
@@ -40,10 +40,6 @@ class MetricsRecord:
     value: Any
     classical_bits_host_to_host: int
     classical_bits_end_to_end: int
-
-
-def _params_label(cell: dict[str, Any]) -> str:
-    return "|".join(f"{k}={cell[k]}" for k in sorted(cell))
 
 
 def _label_key(label: str) -> int:
@@ -87,7 +83,7 @@ def run_experiment(
         out_path.mkdir(parents=True, exist_ok=True)
     for seed in config.seeds:
         for cell_idx, cell in enumerate(cells):
-            label = _params_label(cell)
+            label = params_label(cell)
             try:
                 result = prepare(config.topology, cell)([seed, _label_key(label)])
             except Exception as exc:  # noqa: BLE001 - one failed cell must not lose the sweep

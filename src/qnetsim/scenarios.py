@@ -77,7 +77,6 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
     route = topology.shortest_classical_route(src, dst)
     if route is None:
         raise ValueError(f"no classical route from src {src!r} to dst {dst!r}")
-    horizon = n_teleports + sum(l.latency for l in topology.classical_links) * len(topology.nodes)
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         engine = EventEngine(topology, rng_seed)
@@ -99,7 +98,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
             engine.schedule(
                 k, EventKind.PROTOCOL_STEP, payload=f"teleport {k}", handler=teleport_step
             )
-        result = engine.run_until(horizon)
+        result = engine.run_until()
         return ScenarioResult(
             metrics=[
                 ("fidelity_mean", float(np.mean(fidelities))),
@@ -155,7 +154,6 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
     params.done()
     left_link = _swap_link(topology, "src", src, "mid", mid)
     right_link = _swap_link(topology, "mid", mid, "dst", dst)
-    period = max(left_link.attempt_period, right_link.attempt_period)
     route = topology.shortest_classical_route(mid, dst)
     if route is None:
         raise ValueError(f"no classical route from mid {mid!r} to dst {dst!r}")
@@ -166,25 +164,8 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
         fidelities: list[float] = []
         outcome_counts = {m: 0 for m in [(0, 0), (0, 1), (1, 0), (1, 1)]}
 
-        def attempt_step(eng: EventEngine, event) -> None:
-            st = event.payload
-            if st["left"] is None:
-                st["left"] = eng.attempt_entanglement(left_link)
-            if st["right"] is None:
-                st["right"] = eng.attempt_entanglement(right_link)
-            if st["left"] is None or st["right"] is None:
-                eng.schedule(
-                    eng.now + period,
-                    EventKind.ENTANGLEMENT_ATTEMPT,
-                    payload=st,
-                    handler=attempt_step,
-                )
-                return
-            # A link puts the same channel on both halves of a symmetric Bell
-            # pair, so naming the holders in chain order is exact however it
-            # is written.
-            st["left"].holders, st["right"].holders = (src, mid), (mid, dst)
-            message, end_pair = entanglement_swap(st["left"], st["right"], eng.rng)
+        def swap_step(left, right, eng: EventEngine, _event) -> None:
+            message, end_pair = entanglement_swap(left, right, eng.rng)
             outcome_counts[message.bits] += 1
             eng.send_classical(
                 message,
@@ -195,14 +176,31 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
                 ),
             )
 
+        def attempt_step(eng: EventEngine, event) -> None:
+            # A stored pair does not decohere, so only the tick at which
+            # both links have succeeded matters, not when each pair was made.
+            left_attempts, left = eng.attempt_entanglement(left_link)
+            right_attempts, right = eng.attempt_entanglement(right_link)
+            # A link puts the same channel on both halves of a symmetric Bell
+            # pair, so naming the holders in chain order is exact however it
+            # is written.
+            left.holders, right.holders = (src, mid), (mid, dst)
+            ready = eng.now + max(
+                (left_attempts - 1) * left_link.attempt_period,
+                (right_attempts - 1) * right_link.attempt_period,
+            )
+            eng.schedule(
+                ready,
+                EventKind.PROTOCOL_STEP,
+                payload=event.payload,
+                handler=partial(swap_step, left, right),
+            )
+
         for k in range(n_swaps):
             engine.schedule(
-                k,
-                EventKind.ENTANGLEMENT_ATTEMPT,
-                payload={"left": None, "right": None},
-                handler=attempt_step,
+                k, EventKind.ENTANGLEMENT_ATTEMPT, payload=f"swap {k}", handler=attempt_step
             )
-        result = engine.run_until(10_000_000)
+        result = engine.run_until()
         if len(fidelities) != n_swaps:
             raise UnreachableError(f"only {len(fidelities)} of {n_swaps} swaps completed")
         metrics: list[tuple[str, Any]] = [

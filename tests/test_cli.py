@@ -307,6 +307,10 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "seeds[0] must be an integer, got True"),
         ("scenario: superdense\nparams: {n_trials: 8, werner_w: 1.0}\nsweep: {werner_w: [0.9]}",
          "sweep: werner_w is also set in params, which the sweep overrides"),
+        ("seeds: [5, 7, 5, 5]\nscenario: superdense\nparams: {n_trials: 8}",
+         "seeds: repeats 5"),
+        ("scenario: superdense\nparams: {n_trials: 8}\nsweep: {werner_w: [0.9, 1.0, 0.90]}",
+         "sweep: werner_w repeats 0.9"),
         ("scenario: superdense\nparams: {n_trials: 0, n_trials: 8}\n",
          "repeated key 'n_trials' at line 3, column 23"),
         (SWAP + chain(LEFT.replace("b: m,", "b: m, b: r,"), RIGHT),
@@ -333,6 +337,8 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "fractional-seed",
         "bool-seed",
         "param-also-swept",
+        "repeated-seed",
+        "repeated-sweep-value",
         "repeated-key-in-flow-mapping",
         "repeated-key-in-link-entry",
         "date-that-is-not-a-date",

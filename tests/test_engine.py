@@ -1,6 +1,7 @@
 """Event ordering, classical signaling ledger, entanglement attempts."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -167,12 +168,12 @@ def test_shortest_classical_route_by_hop_count():
 # -- quantum plane ------------------------------------------------------------
 
 
-def quantum_topology(p_link, gen_prob):
+def quantum_topology(p_link, gen_prob, period=1):
     channel = depolarizing_channel(p_link)
     return Topology(
         ("u", "v"),
         (ClassicalLink("u", "v", 1),),
-        (QuantumLink("u", "v", channel, gen_prob, 1),),
+        (QuantumLink("u", "v", channel, gen_prob, period),),
     )
 
 
@@ -180,17 +181,27 @@ def test_attempt_entanglement_certain_success():
     topo = quantum_topology(0.0, 1.0)
     engine = EventEngine(topo, seed=1)
     for _ in range(20):
-        resource = engine.attempt_entanglement(topo.quantum_links[0])
-        assert resource is not None
+        attempts, resource = engine.attempt_entanglement(topo.quantum_links[0])
+        assert attempts == 1
         assert fidelity(resource.state, phi_plus_state()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_attempt_entanglement_success_rate():
-    topo = quantum_topology(0.0, 0.3)
+    # Attempts up to the first success are geometric: mean 1/p, variance
+    # (1 - p)/p^2, and the sample variance has variance (mu4 - sigma^4)/n
+    # with mu4 = sigma^4 (9 + p^2/(1 - p)) for the geometric law.
+    p = 0.3
+    topo = quantum_topology(0.0, p)
     engine = EventEngine(topo, seed=2)
-    n = 100_000
-    hits = sum(engine.attempt_entanglement(topo.quantum_links[0]) is not None for _ in range(n))
-    assert abs(hits / n - 0.3) < 0.01
+    n = 4000
+    attempts = np.array(
+        [engine.attempt_entanglement(topo.quantum_links[0])[0] for _ in range(n)]
+    )
+    assert attempts.min() >= 1
+    variance = (1 - p) / p**2
+    assert abs(attempts.mean() - 1 / p) < 5 * math.sqrt(variance / n)
+    sigma_var = variance * math.sqrt((8 + p * p / (1 - p)) / n)
+    assert abs(attempts.var(ddof=1) - variance) < 5 * sigma_var
 
 
 def test_degraded_pair_fidelity_matches_channel_oracle():
@@ -199,48 +210,102 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
     p = 0.2
     lam = 1 - p
     oracle = (1 + 3 * lam * lam) / 4
-    topo = quantum_topology(p, 1.0)
+    topo = quantum_topology(p, 0.5)
     engine = EventEngine(topo, seed=3)
-    resource = engine.attempt_entanglement(topo.quantum_links[0])
-    assert resource is not None
-    assert fidelity(resource.state, phi_plus_state()) == pytest.approx(oracle, abs=1e-9)
+    for _ in range(5):
+        _, resource = engine.attempt_entanglement(topo.quantum_links[0])
+        assert fidelity(resource.state, phi_plus_state()) == pytest.approx(oracle, abs=1e-9)
     assert oracle == pytest.approx(0.73, abs=1e-12)
 
 
 def test_heralding_charges_one_bit_per_success():
-    topo = quantum_topology(0.0, 0.5)
+    # One call covers every attempt up to the first success, so it charges
+    # exactly one herald, at the tick of that success.
+    period = 3
+    topo = quantum_topology(0.0, 0.5, period)
+    link = topo.quantum_links[0]
     engine = EventEngine(topo, seed=4)
-    successes = sum(
-        engine.attempt_entanglement(topo.quantum_links[0]) is not None for _ in range(500)
-    )
-    herald_entries = [e for e in engine.ledger if e.purpose == "herald"]
-    assert len(herald_entries) == successes
-    assert all(e.bits == 1 and e.scope is SignalingScope.HOST_TO_HOST for e in herald_entries)
-    assert engine.bits_host_to_host == successes
+    calls = []
+
+    def attempt(eng, event):
+        before = len(eng.ledger)
+        attempts, _ = eng.attempt_entanglement(link)
+        assert len(eng.ledger) == before + 1
+        calls.append((eng.now, attempts))
+
+    for t in range(0, 200, 4):
+        engine.schedule(t, EventKind.ENTANGLEMENT_ATTEMPT, handler=attempt)
+    engine.run_until()
+    assert len(calls) == 50
+    assert any(attempts > 1 for _, attempts in calls)
+    assert [(e.time, e.bits, e.scope, e.purpose, e.origin, e.target) for e in engine.ledger] == [
+        (now + (attempts - 1) * period, 1, SignalingScope.HOST_TO_HOST, "herald", "u", "v")
+        for now, attempts in calls
+    ]
+    assert engine.bits_host_to_host == 50
+
+
+def test_run_until_without_horizon_empties_the_queue():
+    engine = EventEngine(chain_topology((2,)), seed=0)
+    fired = []
+    for t in (0, 10**12, 3):
+        engine.schedule(t, EventKind.PROTOCOL_STEP, handler=lambda eng, ev: fired.append(eng.now))
+    result = engine.run_until()
+    assert fired == [0, 3, 10**12]
+    assert result.events_processed == 3
+    assert engine.now == 10**12
 
 
 # -- determinism and aborts ---------------------------------------------------
 
 
+N_STOCHASTIC = 20
+
+
 def _stochastic_run(seed):
-    topo = quantum_topology(0.1, 0.6)
+    # Each attempt event makes a pair, then teleports a random state over
+    # it at the pair's success tick and signals the correction.
+    topo = quantum_topology(0.1, 0.3, 2)
+    link = topo.quantum_links[0]
     engine = EventEngine(topo, seed=seed)
+    fidelities = []
+
+    def use_pair(resource, eng, event):
+        payload = random_pure_state(eng.rng)
+        message, pending = teleport(payload, resource, eng.rng)
+        eng.send_classical(
+            message,
+            ("u", "v"),
+            SignalingScope.END_TO_END,
+            lambda delivered: fidelities.append(
+                fidelity(apply_correction(pending, delivered), payload)
+            ),
+        )
 
     def attempt(eng, event):
-        resource = eng.attempt_entanglement(topo.quantum_links[0])
-        if resource is None and eng.now < 50:
-            eng.schedule(eng.now + 1, EventKind.ENTANGLEMENT_ATTEMPT, handler=attempt)
+        attempts, resource = eng.attempt_entanglement(link)
+        eng.schedule(
+            eng.now + (attempts - 1) * link.attempt_period,
+            EventKind.PROTOCOL_STEP,
+            payload=f"{event.payload} attempts={attempts}",
+            handler=partial(use_pair, resource),
+        )
 
-    engine.schedule(0, EventKind.ENTANGLEMENT_ATTEMPT, handler=attempt)
-    return engine.run_until(100)
+    for k in range(N_STOCHASTIC):
+        engine.schedule(k, EventKind.ENTANGLEMENT_ATTEMPT, payload=f"pair {k}", handler=attempt)
+    return engine.run_until(), fidelities
 
 
 def test_identical_seeds_reproduce_traces():
-    first = _stochastic_run(99)
-    second = _stochastic_run(99)
+    (first, first_fids), (second, second_fids) = _stochastic_run(99), _stochastic_run(99)
+    assert first.events_processed == 3 * N_STOCHASTIC
+    assert first.bits_host_to_host == N_STOCHASTIC
+    assert first.bits_end_to_end == 2 * N_STOCHASTIC
+    assert len(first_fids) == N_STOCHASTIC
     assert first.trace == second.trace
-    assert hash(first.trace) == hash(second.trace)
+    assert first_fids == second_fids
     assert first.bits_host_to_host == second.bits_host_to_host
+    assert _stochastic_run(100)[0].trace != first.trace
 
 
 def test_handler_exception_aborts_with_trace_prefix():

@@ -1,9 +1,13 @@
 """Scenario runners end to end, pinned to closed forms."""
 
+import time
+
+import numpy as np
 import pytest
 
 from qnetsim.config import parse_config
 from qnetsim.runner import run_experiment
+from qnetsim.scenarios import SCENARIOS
 
 
 def metrics_by_cell(config):
@@ -95,3 +99,104 @@ def test_cell_rows_do_not_depend_on_sweep_position():
     assert alone
     assert rows_for([1.0, 0.9]) == alone
     assert rows_for([0.9, 1.0]) == alone
+
+
+SWAP_CHANNEL_P = 0.05
+SWAP_FIDELITY = (1 + 3 * (1 - SWAP_CHANNEL_P) ** 4) / 4
+
+
+def run_swap_cell(p_left, p_right, n_swaps, seed):
+    """The swap scenario's result on an l-m-r chain whose links succeed
+    with ``p_left`` and ``p_right`` per attempt, one attempt per tick."""
+    config = parse_config(
+        {
+            "scenario": "swap",
+            "seeds": [seed],
+            "params": {"n_swaps": n_swaps},
+            "topology": {
+                "nodes": ["l", "m", "r"],
+                "classical_links": [
+                    {"a": "l", "b": "m", "latency": 1},
+                    {"a": "m", "b": "r", "latency": 2},
+                ],
+                "quantum_links": [
+                    {
+                        "a": a,
+                        "b": b,
+                        "channel": {"type": "depolarizing", "p": SWAP_CHANNEL_P},
+                        "gen_success_prob": p,
+                    }
+                    for a, b, p in (("l", "m", p_left), ("m", "r", p_right))
+                ],
+            },
+        }
+    )
+    return SCENARIOS["swap"](config.topology, config.params)([seed, 0])
+
+
+def ready_delays(trace):
+    """Ticks from each swap's attempt event to its swap step, read from
+    the trace lines ``t=<tick> ... kind=<kind> swap <k>``."""
+    ticks = {}
+    for line in trace:
+        fields = line.split()
+        if fields[-2] == "swap":
+            ticks.setdefault(fields[2], {})[int(fields[-1])] = int(fields[0][2:])
+    attempted = ticks["kind=entanglement_attempt"]
+    ready = ticks["kind=protocol_step"]
+    assert sorted(attempted) == sorted(ready)
+    return np.array([ready[k] - attempted[k] for k in sorted(attempted)])
+
+
+SWAP_STAT_N = 2000
+
+
+@pytest.fixture(scope="module", params=[(0.3, 0.3), (0.1, 0.6)], ids=["equal-p", "unequal-p"])
+def swap_stat_run(request):
+    p_left, p_right = request.param
+    return p_left, p_right, run_swap_cell(p_left, p_right, SWAP_STAT_N, seed=31)
+
+
+def test_swap_outcome_fractions_are_uniform(swap_stat_run):
+    # The Bell measurement of the middle node gives each of its four
+    # outcomes with probability 1/4, whatever the pairs' noise.
+    _, _, result = swap_stat_run
+    m = dict(result.metrics)
+    sigma = np.sqrt(0.25 * 0.75 / SWAP_STAT_N)
+    for bits in ("00", "01", "10", "11"):
+        assert abs(m[f"outcome_frac_{bits}"] - 0.25) < 5 * sigma, (bits, m)
+    assert m["swaps"] == SWAP_STAT_N
+    assert m["bits_per_swap"] == 2.0
+    assert m["fidelity_mean"] == pytest.approx(SWAP_FIDELITY, abs=1e-9)
+
+
+def test_swap_ready_delay_is_max_of_two_geometric_waits(swap_stat_run):
+    # A swap is ready at the later of its links' first successes, so in
+    # attempts its delay is M = max(G_L, G_R) with G geometric, and
+    # E[M] = 1/p_L + 1/p_R - 1/(1 - q_L q_R).  Var[M] sums the tail
+    # P(M >= m) = 1 - (1 - q_L^(m-1)) (1 - q_R^(m-1)).
+    p_left, p_right, result = swap_stat_run
+    q_left, q_right = 1 - p_left, 1 - p_right
+    mean = 1 / p_left + 1 / p_right - 1 / (1 - q_left * q_right)
+    m = np.arange(1, 5000)
+    tail = 1 - (1 - q_left ** (m - 1)) * (1 - q_right ** (m - 1))
+    variance = float(np.sum((2 * m - 1) * tail)) - mean**2
+    attempts = ready_delays(result.trace) + 1
+    assert attempts.min() >= 1
+    assert abs(attempts.mean() - mean) < 5 * np.sqrt(variance / SWAP_STAT_N)
+    # One attempt event, one swap step and one correction delivery per swap.
+    assert len(result.trace) == 3 * SWAP_STAT_N
+
+
+def test_swap_over_near_dead_links_completes_without_a_horizon():
+    # At 1e-9 per attempt the first success comes about 1e9 ticks later;
+    # the engine jumps there instead of stepping through every tick.
+    start = time.perf_counter()
+    result = run_swap_cell(1e-9, 1e-9, 5, seed=3)
+    elapsed = time.perf_counter() - start
+    m = dict(result.metrics)
+    assert m["swaps"] == 5
+    assert m["fidelity_mean"] == pytest.approx(SWAP_FIDELITY, abs=1e-9)
+    assert len(result.trace) == 15
+    assert ready_delays(result.trace).max() > 10_000_000
+    assert elapsed < 1.0
