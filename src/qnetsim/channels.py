@@ -1,11 +1,12 @@
 """CPTP channel models: Kraus sets, serial composition, a causal-order
 switch, and Holevo rates.
 
-A channel is a tuple of Kraus operators satisfying completeness
-``sum(K^dag K) = I`` within 1e-10.  The switch places two qubit channels
-in a superposition of application orders selected by a control qubit;
-measuring that control in the ``|+>/|->`` basis and keeping the classical
-outcome is what distinguishes it from a definite-order composition.
+A channel on k qubits is a tuple of square ``2^k x 2^k`` Kraus operators
+satisfying completeness ``sum(K^dag K) = I`` within 1e-10.  The switch
+places two qubit channels in a superposition of application orders
+selected by a control qubit; measuring that control in the ``|+>/|->``
+basis and keeping the classical outcome is what distinguishes it from a
+definite-order composition.
 
 A rate is the Holevo information of the equiprobable ``{|0>, |1>}``
 source: ``holevo_information`` for one qubit channel and
@@ -47,43 +48,36 @@ _CONTROL_PROJECTORS = tuple(np.kron(I2, np.outer(v, v.conj())) for v in PLUS_MIN
 
 @dataclass(eq=False)
 class ChannelModel:
-    """Kraus representation of a completely positive trace-preserving map.
+    """Kraus representation of a completely positive trace-preserving map
+    on k >= 1 qubits; its operators share one ``dim x dim`` shape, ``dim = 2^k``.
 
     Compared and hashed by identity, so a channel can key the embed cache
     in ``qstate``.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
-    dim_in: int
-    dim_out: int
 
     def __post_init__(self):
         self.kraus_ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
         if not self.kraus_ops:
             raise ValueError("channel needs at least one Kraus operator")
+        shape = self.kraus_ops[0].shape
+        self.dim = dim = shape[0] if shape else 0
         for k in self.kraus_ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
-                )
+            if k.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+                raise ValueError(f"Kraus operators must share one 2^k x 2^k shape, got {k.shape}")
         # A NaN entry would make the completeness error NaN, which passes
         # the tolerance test below.
         if not np.isfinite(self.kraus_ops).all():
             raise ValueError("Kraus operators have a non-finite entry")
         total = sum(k.conj().T @ k for k in self.kraus_ops)
-        err = float(np.max(np.abs(total - np.eye(self.dim_in))))
+        err = float(np.max(np.abs(total - np.eye(self.dim))))
         if err > STRUCTURAL_ATOL:
             raise ValueError(f"Kraus completeness violated by {err}")
 
-    @classmethod
-    def from_kraus(cls, ops: Sequence[np.ndarray]) -> "ChannelModel":
-        mats = [np.asarray(k, dtype=complex) for k in ops]
-        dim_out, dim_in = mats[0].shape if mats else (0, 0)
-        return cls(tuple(mats), dim_in, dim_out)
-
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Kraus sum on a raw density matrix of dimension ``dim_in``."""
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
+        """Kraus sum on a raw density matrix of dimension ``dim``."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
         for k in self.kraus_ops:
             out += k @ rho @ k.conj().T
         return out
@@ -100,8 +94,7 @@ class BottleneckReport:
 
 
 def identity_channel(num_qubits: int = 1) -> ChannelModel:
-    dim = 2**num_qubits
-    return ChannelModel((np.eye(dim, dtype=complex),), dim, dim)
+    return ChannelModel((np.eye(2**num_qubits, dtype=complex),))
 
 
 def depolarizing_channel(p: float) -> ChannelModel:
@@ -115,18 +108,16 @@ def depolarizing_channel(p: float) -> ChannelModel:
         np.sqrt(p / 4.0) * PAULI_Y,
         np.sqrt(p / 4.0) * PAULI_Z,
     )
-    return ChannelModel(ops, 2, 2)
+    return ChannelModel(ops)
 
 
 def apply_channel(
     channel: ChannelModel, state: QuantumState, targets: Sequence[int]
 ) -> QuantumState:
-    """Apply a square channel to the qubits ``targets`` of a register."""
+    """Apply a channel to the qubits ``targets`` of a register."""
     targets = tuple(targets)
-    if channel.dim_in != channel.dim_out:
-        raise UnsupportedDimensionError("embedded application needs a square channel")
-    k = int(channel.dim_in).bit_length() - 1
-    if 2**k != channel.dim_in or len(targets) != k:
+    k = channel.dim.bit_length() - 1
+    if len(targets) != k:
         raise ValueError(f"channel acts on {k} qubit(s), got targets {targets}")
     if len(set(targets)) != len(targets):
         raise ValueError(f"targets must be distinct, got {targets}")
@@ -142,12 +133,9 @@ def apply_channel(
 
 def compose_serial(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     """Channel applying ``first`` then ``second``; Kraus set ``{K2 K1}``."""
-    if first.dim_out != second.dim_in:
-        raise ValueError(
-            f"cannot compose: first output dim {first.dim_out} != second input dim {second.dim_in}"
-        )
-    ops = tuple(k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops)
-    return ChannelModel(ops, first.dim_in, second.dim_out)
+    if first.dim != second.dim:
+        raise ValueError(f"cannot compose: first dim {first.dim} != second dim {second.dim}")
+    return ChannelModel(tuple(k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops))
 
 
 def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
@@ -160,7 +148,7 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     hold ``K2_i K1_j`` and the odd ones ``K1_j K2_i``.
     """
     for c in (first, second):
-        if c.dim_in != 2 or c.dim_out != 2:
+        if c.dim != 2:
             raise UnsupportedDimensionError("switch requires single-qubit channels")
     ops = []
     for ki in second.kraus_ops:
@@ -169,7 +157,7 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
             w[0::2, 0::2] = ki @ kj
             w[1::2, 1::2] = kj @ ki
             ops.append(w)
-    return ChannelModel(tuple(ops), 4, 4)
+    return ChannelModel(tuple(ops))
 
 
 def _measure_control_blocks(joint: np.ndarray) -> np.ndarray:
@@ -200,10 +188,10 @@ def _holevo_bits(outputs: list[np.ndarray]) -> float:
 
 
 def holevo_information(channel: ChannelModel) -> float:
-    """Holevo rate in bits of a qubit-input channel fed ``|0>`` or ``|1>``."""
-    if channel.dim_in != 2:
+    """Holevo rate in bits of a qubit channel fed ``|0>`` or ``|1>``."""
+    if channel.dim != 2:
         raise UnsupportedDimensionError(
-            f"Holevo rate needs a qubit-input channel, got input dimension {channel.dim_in}"
+            f"Holevo rate needs a qubit channel, got dimension {channel.dim}"
         )
     return _holevo_bits([channel.apply_matrix(p) for p in (_P0, _P1)])
 
@@ -235,10 +223,10 @@ def reduce_kraus(channel: ChannelModel) -> ChannelModel:
     """Minimal Kraus set via eigendecomposition of the Choi matrix.
 
     Serial composition multiplies Kraus counts; this keeps long path
-    channels at no more than ``dim_in * dim_out`` operators.
+    channels at no more than ``dim**2`` operators.
     """
-    d_in, d_out = channel.dim_in, channel.dim_out
-    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    dim = channel.dim
+    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
     for k in channel.kraus_ops:
         v = k.reshape(-1)
         choi += np.outer(v, v.conj())
@@ -246,8 +234,8 @@ def reduce_kraus(channel: ChannelModel) -> ChannelModel:
     ops = []
     for lam, vec in zip(evals, evecs.T):
         if lam > EIGENVALUE_FLOOR:
-            ops.append(np.sqrt(lam) * vec.reshape(d_out, d_in))
-    return ChannelModel(tuple(ops), d_in, d_out)
+            ops.append(np.sqrt(lam) * vec.reshape(dim, dim))
+    return ChannelModel(tuple(ops))
 
 
 def channel_from_spec(spec: Any, where: str = "channel") -> ChannelModel:
@@ -264,8 +252,8 @@ def channel_from_spec(spec: Any, where: str = "channel") -> ChannelModel:
     elif kind == "kraus-list":
         kraus = fields.items("kraus")
         try:
-            channel = ChannelModel.from_kraus(
-                [[[complex(re, im) for re, im in row] for row in op] for op in kraus]
+            channel = ChannelModel(
+                tuple([[complex(re, im) for re, im in row] for row in op] for op in kraus)
             )
         except (TypeError, ValueError) as exc:
             raise fields.error(f"kraus: {exc}") from exc

@@ -36,10 +36,10 @@ class ExperimentConfig:
 def _link_channel(entry: Fields) -> ChannelModel:
     """The channel of a quantum link, which carries one qubit."""
     channel = channel_from_spec(entry.value("channel"), entry.at("channel"))
-    if (channel.dim_in, channel.dim_out) != (2, 2):
+    if channel.dim != 2:
         raise entry.error(
             f"channel: a link carries one qubit, so its channel must be 2x2, "
-            f"got {channel.dim_out}x{channel.dim_in}"
+            f"got {channel.dim}x{channel.dim}"
         )
     return channel
 
@@ -65,7 +65,10 @@ def _parse_topology(raw: Any) -> Topology:
     )
     for fields in (*classical_entries, *quantum_entries, topology):
         fields.done()
-    return Topology(nodes, classical, quantum)
+    try:
+        return Topology(nodes, classical, quantum)
+    except ValueError as exc:
+        raise topology.error(str(exc)) from exc
 
 
 def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:

@@ -59,17 +59,27 @@ class QuantumLink:
             raise ValueError(f"attempt period must be >= 1, got {self.attempt_period}")
 
 
-def adjacency(
-    nodes: tuple[str, ...], links: Iterable[ClassicalLink | QuantumLink]
-) -> dict[str, list[str]]:
-    """Sorted neighbour lists of every node over undirected ``links``."""
+def _index_links(
+    nodes: tuple[str, ...], name: str, links: Iterable[ClassicalLink | QuantumLink]
+) -> tuple[dict[frozenset[str], Any], dict[str, list[str]]]:
+    """``links`` keyed by their unordered node pair, which only one of them
+    may link, and the sorted neighbour list of every node."""
+    index: dict[frozenset[str], Any] = {}
     neighbors: dict[str, list[str]] = {n: [] for n in nodes}
-    for link in links:
+    for i, link in enumerate(links):
+        if link.a not in neighbors or link.b not in neighbors:
+            raise ValueError(f"link {link.a}-{link.b} references unknown node")
+        if link.a == link.b:
+            raise ValueError(f"self-link on node {link.a}")
+        pair = frozenset((link.a, link.b))
+        if pair in index:
+            raise ValueError(f"{name}[{i}]: {link.a}-{link.b} is linked already")
+        index[pair] = link
         neighbors[link.a].append(link.b)
         neighbors[link.b].append(link.a)
     for adj in neighbors.values():
         adj.sort()
-    return neighbors
+    return index, neighbors
 
 
 @dataclass
@@ -81,16 +91,13 @@ class Topology:
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node ids in topology")
-        known = set(self.nodes)
-        for link in list(self.classical_links) + list(self.quantum_links):
-            if link.a not in known or link.b not in known:
-                raise ValueError(f"link {link.a}-{link.b} references unknown node")
-            if link.a == link.b:
-                raise ValueError(f"self-link on node {link.a}")
-        self._latency: dict[frozenset[str], int] = {}
-        for link in self.classical_links:
-            self._latency[frozenset((link.a, link.b))] = link.latency
-        self._classical_neighbors = adjacency(self.nodes, self.classical_links)
+        classical, self._classical_neighbors = _index_links(
+            self.nodes, "classical_links", self.classical_links
+        )
+        self._latency = {pair: link.latency for pair, link in classical.items()}
+        self._quantum_links, self.quantum_neighbors = _index_links(
+            self.nodes, "quantum_links", self.quantum_links
+        )
 
     def classical_latency(self, a: str, b: str) -> int | None:
         return self._latency.get(frozenset((a, b)))
@@ -120,10 +127,7 @@ class Topology:
         return None
 
     def quantum_link(self, a: str, b: str) -> QuantumLink | None:
-        for link in self.quantum_links:
-            if {link.a, link.b} == {a, b}:
-                return link
-        return None
+        return self._quantum_links.get(frozenset((a, b)))
 
 
 @dataclass
@@ -247,6 +251,11 @@ class EventEngine:
         ``(attempts, resource)``.
         """
         attempts = int(self.rng.geometric(link.gen_success_prob))
+        if attempts == np.iinfo(np.int64).max:
+            raise OverflowError(
+                f"link {link.a}-{link.b}: at gen_success_prob {link.gen_success_prob} the "
+                "attempt count reached the geometric draw's cap of 2^63 - 1"
+            )
         pair = make_bell_pair(holders=(link.a, link.b))
         state = pair.state
         for qubit in (0, 1):

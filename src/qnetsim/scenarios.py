@@ -27,7 +27,6 @@ from .protocols import (
     SUPERDENSE_MESSAGES,
     apply_correction,
     entanglement_swap,
-    make_bell_pair,
     phi_plus_state,
     superdense_distribution,
     superdense_encode,
@@ -62,6 +61,11 @@ def _swap_link(topology: Topology, a_name: str, a: str, b_name: str, b: str) -> 
         raise ValueError(f"no quantum link between {a_name} {a!r} and {b_name} {b!r}")
     if link.gen_success_prob == 0.0:
         raise ValueError(f"quantum link {a}-{b} has gen_success_prob 0: it never makes a pair")
+    # Below 2^-56 a geometric draw reaches NumPy's cap of 2^63 - 1 with probability over e^-128.
+    if link.gen_success_prob < 2.0**-56:
+        raise ValueError(
+            f"quantum link {a}-{b} has gen_success_prob {link.gen_success_prob}, below 2^-56"
+        )
     return link
 
 
@@ -70,7 +74,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
     params = Fields(cell)
     n_teleports = params.integer("n_teleports", low=1)
     werner_w = params.probability("werner_w", 1.0)
-    make_pair = make_bell_pair if werner_w == 1.0 else partial(werner_pair, werner_w)
+    make_pair = partial(werner_pair, werner_w)
     src = params.node(topology.nodes, "src", topology.nodes[0])
     dst = params.node(topology.nodes, "dst", topology.nodes[-1])
     params.done()
@@ -122,7 +126,7 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
     # Decoding needs a Bell overlap above 0.5; a Werner pair's best is (1 + 3w) / 4.
     if (1.0 + 3.0 * werner_w) / 4.0 < 0.5 + SCALAR_ATOL:
         raise ValueError(f"werner_w {werner_w} must exceed 1/3 for superdense decoding")
-    make_pair = make_bell_pair if werner_w == 1.0 else partial(werner_pair, werner_w)
+    make_pair = partial(werner_pair, werner_w)
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         rng = np.random.default_rng(rng_seed)

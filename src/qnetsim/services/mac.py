@@ -82,14 +82,35 @@ def jain_fairness(shares) -> float:
     return total_sq / denom
 
 
+# Per-node successes, collisions and herald bits of one run of a protocol.
+_Counts = tuple[np.ndarray, int, int]
+
+
 def run_mac_sim(config: MacConfig, seed) -> MacMetrics:
     rng = np.random.default_rng(seed)
-    if config.protocol is MacProtocol.W_STATE_ACCESS:
-        return _run_w_state_access(config, rng)
-    return _run_slotted_contention(config, rng)
+    w_access = config.protocol is MacProtocol.W_STATE_ACCESS
+    protocol = _run_w_state_access if w_access else _run_slotted_contention
+    successes, collisions, herald_bits = protocol(config, rng)
+    total_success = int(successes.sum())
+    return MacMetrics(
+        protocol=config.protocol,
+        slots=config.slots,
+        throughput=total_success / config.slots,
+        collision_rate=collisions / config.slots,
+        fairness=jain_fairness(successes),
+        # A W-election loser reads a 0 on its own qubit only; a contender's transmission is sensed.
+        privacy_ok=w_access,
+        per_node_successes=tuple(int(s) for s in successes),
+        successes=total_success,
+        collisions=collisions,
+        idle_slots=config.slots - total_success - collisions,
+        # Neither protocol sends a coordination message; W heralds are counted apart.
+        contention_signaling_bits=0,
+        herald_bits_host_to_host=herald_bits,
+    )
 
 
-def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> MacMetrics:
+def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> _Counts:
     n = config.n_nodes
     # A W resource is consumed in the first slot and then in every slot
     # after its w_refresh_cost idle refresh slots.  Only the winner may
@@ -101,32 +122,16 @@ def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> MacMetri
     consumed = -(-config.slots // (1 + config.w_refresh_cost))
     sent = int(rng.binomial(consumed, config.offered_load))
     successes = rng.multinomial(sent, w_election_probabilities(n))
-    idle = config.slots - sent
-    total_success = int(successes.sum())
-    return MacMetrics(
-        protocol=MacProtocol.W_STATE_ACCESS,
-        slots=config.slots,
-        throughput=total_success / config.slots,
-        collision_rate=0.0,
-        fairness=jain_fairness(successes),
-        privacy_ok=True,  # w_election_probabilities raises on a non one-hot string
-        per_node_successes=tuple(int(s) for s in successes),
-        successes=total_success,
-        collisions=0,
-        idle_slots=idle,
-        contention_signaling_bits=0,
-        herald_bits_host_to_host=consumed * n,
-    )
+    return successes, 0, consumed * n
 
 
-def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> MacMetrics:
+def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> _Counts:
     n = config.n_nodes
     hidden = {(a, b) for i, j in config.hidden_pairs for a, b in ((i, j), (j, i))}
     successes = np.zeros(n, dtype=np.int64)
     backoff = np.zeros(n, dtype=np.int64)
     collision_streak = np.zeros(n, dtype=np.int64)
     collisions = 0
-    idle = 0
     for _ in range(config.slots):
         ready = backoff == 0
         backoff[~ready] -= 1
@@ -142,12 +147,10 @@ def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> MacM
                     transmitting.append(node)
         else:
             transmitting = intenders.tolist()
-        if len(transmitting) == 0:
-            idle += 1
-        elif len(transmitting) == 1:
+        if len(transmitting) == 1:
             successes[transmitting[0]] += 1
             collision_streak[transmitting[0]] = 0
-        else:
+        elif len(transmitting) > 1:
             collisions += 1
             for node in transmitting:
                 collision_streak[node] += 1
@@ -157,18 +160,4 @@ def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> MacM
                         _BACKOFF_WINDOW_CAP,
                     )
                     backoff[node] = rng.integers(0, window)
-    total_success = int(successes.sum())
-    return MacMetrics(
-        protocol=MacProtocol.SLOTTED_CONTENTION,
-        slots=config.slots,
-        throughput=total_success / config.slots,
-        collision_rate=collisions / config.slots,
-        fairness=jain_fairness(successes),
-        privacy_ok=False,
-        per_node_successes=tuple(int(s) for s in successes),
-        successes=total_success,
-        collisions=collisions,
-        idle_slots=idle,
-        contention_signaling_bits=0,
-        herald_bits_host_to_host=0,
-    )
+    return successes, collisions, 0

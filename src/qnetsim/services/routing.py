@@ -22,7 +22,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from ..channels import ChannelModel, compose_serial, reduce_kraus
-from ..engine import Topology, adjacency
+from ..engine import Topology
 from .phy import phy_effective_rate
 
 RATE_EPS = 1e-9
@@ -64,7 +64,7 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
     """
     _check_endpoints(topology, src, dst)
     rates = _link_rates(topology)
-    neighbors = adjacency(topology.nodes, topology.quantum_links)
+    neighbors = topology.quantum_neighbors
     queue: list[tuple[float, tuple[str, ...]]] = [(-np.inf, (src,))]
     while queue:
         neg_rate, path = heappop(queue)
@@ -83,7 +83,7 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
 
 
 def _simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
-    neighbors = adjacency(topology.nodes, topology.quantum_links)
+    neighbors = topology.quantum_neighbors
     found: list[tuple[str, ...]] = []
     stack: list[tuple[str, ...]] = [(src,)]
     while stack:

@@ -1,6 +1,7 @@
 """Kraus channels, serial/switch composition, Holevo rates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def _random_cptp(rng, n_kraus=3):
     gram = sum(k.conj().T @ k for k in raw)
     w, v = np.linalg.eigh(gram)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return ChannelModel.from_kraus([k @ inv_sqrt for k in raw])
+    return ChannelModel(tuple(k @ inv_sqrt for k in raw))
 
 
 def _dep_holevo(p):
@@ -71,9 +72,22 @@ def _dep_holevo(p):
 
 def test_completeness_enforced_at_construction():
     with pytest.raises(ValueError):
-        ChannelModel((0.5 * I2,), 2, 2)
+        ChannelModel((0.5 * I2,))
     with pytest.raises(ValueError):
-        ChannelModel((), 2, 2)
+        ChannelModel(())
+
+
+@pytest.mark.parametrize(
+    "ops",
+    # a complete 2x4 set (it traces out one qubit of two), a qutrit identity,
+    # and a one-qubit operator beside a two-qubit one
+    [(np.eye(4)[:2], np.eye(4)[2:]), (np.eye(3),), (np.eye(2) / 2, np.eye(4))],
+    ids=["2x4", "3x3", "2x2-and-4x4"],
+)
+def test_kraus_operators_must_be_square_on_qubits(ops):
+    message = f"Kraus operators must share one 2^k x 2^k shape, got {ops[-1].shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChannelModel(ops)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0, math.nan), complex(1, math.inf)])
@@ -84,7 +98,7 @@ def test_non_finite_kraus_entry_is_rejected(bad, where):
     op = np.zeros((2, 2), dtype=complex)
     op[where] = bad
     with pytest.raises(ValueError, match="^Kraus operators have a non-finite entry$"):
-        ChannelModel((I2, op), 2, 2)
+        ChannelModel((I2, op))
 
 
 def test_depolarizing_parameter_range():

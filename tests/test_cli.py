@@ -161,6 +161,11 @@ RIGHT = "{a: m, b: r, channel: {type: depolarizing, p: 0.1}}"
 KRAUS_ID4 = "{type: kraus-list, kraus: [[%s]]}" % ", ".join(
     "[%s]" % ", ".join("[1, 0]" if i == j else "[0, 0]" for j in range(4)) for i in range(4)
 )
+# A kraus-list channel whose one operator is 2x4.
+KRAUS_2X4 = (
+    "{type: kraus-list, kraus: [[[[1, 0], [0, 0], [0, 0], [0, 0]], "
+    "[[0, 0], [1, 0], [0, 0], [0, 0]]]]}"
+)
 MAC = (
     "scenario: mac_compare\n"
     "params: {protocol: slotted_contention, n_nodes: 3, slots: 9, offered_load: 0.5"
@@ -190,6 +195,9 @@ def chain(*quantum_links):
         ("scenario: swap\nparams: {n_swaps: 5}"
          + chain(LEFT.replace("}}", "}, gen_success_prob: 0}"), RIGHT),
          "quantum link l-m has gen_success_prob 0"),
+        ("scenario: swap\nparams: {n_swaps: 5}"
+         + chain(LEFT.replace("}}", "}, gen_success_prob: 1.0e-300}"), RIGHT),
+         "quantum link l-m has gen_success_prob 1e-300, below 2^-56"),
         ("scenario: multipath_routing\nparams: {src: a, dst: ghost}" + PAIR,
          "dst 'ghost' is not a topology node"),
         ("scenario: multipath_routing\nparams: {src: a, dst: a}" + PAIR,
@@ -228,6 +236,7 @@ def chain(*quantum_links):
         "swap-missing-link",
         "swap-two-nodes",
         "swap-dead-link",
+        "swap-link-below-geometric-cap",
         "multipath-unknown-dst",
         "multipath-dst-is-src",
         "switch-p1-above-1",
@@ -299,6 +308,14 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "quantum_links: [{a: a, b: b, channel: {type: kraus-list, "
          "kraus: [[[[.nan, 0], [0, 0]], [[0, 0], [1, 0]]]]}}]}\n",
          "topology: quantum_links[0]: channel: kraus: Kraus operators have a non-finite entry"),
+        (SWAP + chain(LEFT, RIGHT.replace("{type: depolarizing, p: 0.1}", KRAUS_2X4)),
+         "topology: quantum_links[1]: channel: kraus: Kraus operators must share one "
+         "2^k x 2^k shape, got (2, 4)"),
+        ("scenario: teleport\nparams: {n_teleports: 5}"
+         + PAIR.replace("latency: 1}", "latency: 1}, {a: a, b: b, latency: 7}"),
+         "topology: classical_links[1]: a-b is linked already"),
+        (SWAP + chain(LEFT, LEFT.replace("a: l, b: m", "a: m, b: l"), RIGHT),
+         "topology: quantum_links[1]: m-l is linked already"),
         ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("b: b", "b: ghost"),
          "topology: classical_links[0]: b 'ghost' is not a topology node"),
         ("seeds: [1.5]\nscenario: superdense\nparams: {n_trials: 8}",
@@ -333,6 +350,9 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "swap-two-qubit-link-channel",
         "multipath-two-qubit-link-channel",
         "multipath-nan-kraus-entry",
+        "link-channel-not-square",
+        "repeated-classical-link",
+        "repeated-quantum-link-reversed",
         "link-to-unknown-node",
         "fractional-seed",
         "bool-seed",

@@ -245,6 +245,23 @@ def test_heralding_charges_one_bit_per_success():
     assert engine.bits_host_to_host == 50
 
 
+def test_attempt_at_the_geometric_cap_aborts_with_its_cause():
+    # NumPy clamps a geometric draw at 2^63 - 1, which every draw at
+    # p = 1e-300 reaches; that is no waiting time, so the attempt raises.
+    topo = quantum_topology(0.0, 1e-300)
+    engine = EventEngine(topo, seed=5)
+    engine.schedule(
+        0,
+        EventKind.ENTANGLEMENT_ATTEMPT,
+        handler=lambda eng, _: eng.attempt_entanglement(topo.quantum_links[0]),
+    )
+    with pytest.raises(EngineAborted) as info:
+        engine.run_until()
+    assert isinstance(info.value.cause, OverflowError)
+    assert "cap of 2^63 - 1" in str(info.value.cause)
+    assert engine.ledger == []
+
+
 def test_run_until_without_horizon_empties_the_queue():
     engine = EventEngine(chain_topology((2,)), seed=0)
     fired = []

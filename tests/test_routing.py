@@ -237,7 +237,7 @@ def random_kraus_channel(rng):
     raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(rng.integers(2, 5))]
     w, v = np.linalg.eigh(sum(k.conj().T @ k for k in raw))
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return ChannelModel.from_kraus([k @ inv_sqrt for k in raw])
+    return ChannelModel(tuple(k @ inv_sqrt for k in raw))
 
 
 def random_channel_topology(rng):
