@@ -10,6 +10,7 @@ scenario's own ``prepare``, so a config that validates also runs.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -159,6 +160,9 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 _UniqueKeyLoader.add_constructor(
     "tag:yaml.org,2002:timestamp", _UniqueKeyLoader.construct_yaml_timestamp
 )
+# YAML 1.1 reads 1e-3 as a string; read it as YAML 1.2 does, as a float.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$")
+_UniqueKeyLoader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, "-+0123456789")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

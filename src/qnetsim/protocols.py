@@ -24,15 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError
-from .qstate import (
-    GateSpec,
-    QuantumState,
-    apply_unitary,
-    measure,
-    new_register,
-    partial_trace,
-)
+from .errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError, RenormalizationError
+from .qstate import EIGENVALUE_FLOOR, GateSpec, QuantumState, apply_unitary
 
 W_STATE_MAX_NODES = 10
 
@@ -79,15 +72,16 @@ class CorrectionMessage:
             raise ValueError(f"correction message needs exactly 2 bits, got {self.bits}")
 
 
-def _phi_plus_matrix() -> np.ndarray:
-    state = new_register(2, "00")
-    state = apply_unitary(state, GateSpec("H", (0,)))
-    state = apply_unitary(state, GateSpec("CNOT", (0, 1)))
-    state.matrix.flags.writeable = False
-    return state.matrix
-
-
-_BELL_MATRIX = _phi_plus_matrix()
+# A Bell outcome (z, x), phase bit then parity bit, is also the superdense
+# message.  Its ket (|0 x> + (-1)^z |1 (1-x)>) / sqrt(2) is Z^z X^x on the
+# first qubit of phi+ up to a global phase: phi+, psi+, phi-, psi-.
+SUPERDENSE_MESSAGES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+_BELL_KETS = np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=complex
+) / np.sqrt(2)
+_BELL_KETS.flags.writeable = False
+_BELL_MATRIX = np.outer(_BELL_KETS[0], _BELL_KETS[0].conj())
+_BELL_MATRIX.flags.writeable = False
 
 
 def phi_plus_state() -> QuantumState:
@@ -95,7 +89,7 @@ def phi_plus_state() -> QuantumState:
 
 
 def make_bell_pair(holders: tuple[str, str] = ("a", "b")) -> EntangledResource:
-    """Maximally entangled pair prepared by H then CNOT on ``|00>``."""
+    """Maximally entangled pair phi+ = ``(|00> + |11>) / sqrt(2)``."""
     return EntangledResource(phi_plus_state(), ResourceKind.BELL_PHI_PLUS, holders)
 
 
@@ -131,20 +125,54 @@ def make_w_state(n: int, holders: tuple[str, ...] | None = None) -> EntangledRes
     return EntangledResource(QuantumState(n, matrix), ResourceKind.W_STATE, holders)
 
 
+def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to the clipped ``weights``
+    from exactly one ``rng.random()`` draw."""
+    cumulative = np.cumsum(np.clip(weights, 0.0, None))
+    cumulative /= cumulative[-1]
+    drawn = int(np.searchsorted(cumulative, rng.random(), side="right"))
+    return min(drawn, len(weights) - 1)
+
+
+def _bell_branches(state: QuantumState, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """``<B|rho|B>`` for each Bell ket ``B`` on the pair ``(qubit_a, qubit_b)``:
+    the unnormalised state of the other qubits (ascending order) after each
+    outcome, stacked in ``SUPERDENSE_MESSAGES`` order.  Its trace is the
+    outcome's probability."""
+    n = state.num_qubits
+    if qubit_a == qubit_b or not (0 <= qubit_a < n and 0 <= qubit_b < n):
+        raise IndexError(f"Bell pair ({qubit_a}, {qubit_b}) is not two qubits of {n}")
+    order = [qubit_a, qubit_b] + [q for q in range(n) if q not in (qubit_a, qubit_b)]
+    rest_dim = 2 ** (n - 2)
+    pair_first = state.matrix.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+    pair_rows = pair_first.reshape(4, rest_dim, 4, rest_dim)
+    return np.einsum("kr,rxsy,ks->kxy", _BELL_KETS.conj(), pair_rows, _BELL_KETS)
+
+
 def bell_basis_measure(
     state: QuantumState, qubit_a: int, qubit_b: int, rng: np.random.Generator
 ) -> tuple[tuple[int, int], QuantumState]:
-    """Measure a qubit pair in the Bell basis via CNOT, H, then two
-    computational measurements.  Returns ``(phase_bit, parity_bit)``."""
-    state = apply_unitary(state, GateSpec("CNOT", (qubit_a, qubit_b)))
-    state = apply_unitary(state, GateSpec("H", (qubit_a,)))
-    out_a, state = measure(state, qubit_a, rng)
-    out_b, state = measure(state, qubit_b, rng)
-    return (out_a.bit, out_b.bit), state
+    """Measure a qubit pair in the Bell basis with one ``rng.random()`` draw.
+
+    Returns the outcome ``(phase_bit, parity_bit)`` and the renormalised
+    state of the other qubits in ascending order.
+    """
+    branches = _bell_branches(state, qubit_a, qubit_b)
+    weights = np.real(np.trace(branches, axis1=1, axis2=2))
+    index = _draw_index(weights, rng)
+    bits = SUPERDENSE_MESSAGES[index]
+    if weights[index] < EIGENVALUE_FLOOR:
+        raise RenormalizationError(
+            f"Bell outcome {bits} on qubits ({qubit_a}, {qubit_b}) has weight {weights[index]}"
+        )
+    return bits, QuantumState(state.num_qubits - 2, branches[index] / weights[index])
 
 
 def pauli_correct(state: QuantumState, qubit: int, bits: tuple[int, int]) -> QuantumState:
-    """Undo the Bell-outcome Pauli frame: X if parity bit, then Z if phase bit."""
+    """Apply the Pauli frame ``Z^z X^x`` of ``bits = (z, x)`` to ``qubit``:
+    X if the parity bit, then Z if the phase bit.  It undoes the frame a
+    Bell outcome leaves and writes a superdense message; on a density
+    matrix the order of X and Z does not matter."""
     if bits[1]:
         state = apply_unitary(state, GateSpec("X", (qubit,)))
     if bits[0]:
@@ -179,39 +207,7 @@ def teleport(
     message = CorrectionMessage(
         bits, origin=resource.holders[0], target=resource.holders[1], purpose=Purpose.TELEPORT
     )
-    return message, partial_trace(post, (2,))
-
-
-# Message (z, x) -> gates applied in order to the sender's half (qubit 0):
-# I, X, Z or XZ.
-_ENCODINGS = {(0, 0): (), (0, 1): ("X",), (1, 0): ("Z",), (1, 1): ("Z", "X")}
-
-
-def _encode(bits: tuple[int, int], state: QuantumState) -> QuantumState:
-    for name in _ENCODINGS[bits]:
-        state = apply_unitary(state, GateSpec(name, (0,)))
-    return state
-
-
-def _bell_projector(bits: tuple[int, int]) -> np.ndarray:
-    projector = _encode(bits, phi_plus_state()).matrix
-    projector.flags.writeable = False
-    return projector
-
-
-# The four two-bit messages, in the order of superdense_distribution.
-SUPERDENSE_MESSAGES: tuple[tuple[int, int], ...] = tuple(_ENCODINGS)
-# Message -> projector on the Bell state its encoding produces.
-_BELL_PROJECTORS = {bits: _bell_projector(bits) for bits in SUPERDENSE_MESSAGES}
-
-
-def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn with probability proportional to the clipped ``weights``
-    from exactly one ``rng.random()`` draw."""
-    cumulative = np.cumsum(np.clip(weights, 0.0, None))
-    cumulative /= cumulative[-1]
-    drawn = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(drawn, len(weights) - 1)
+    return message, post
 
 
 def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> QuantumState:
@@ -227,7 +223,7 @@ def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> Qua
     if resource.consumed:
         raise ConsumedResourceError("superdense resource already consumed")
     resource.consumed = True
-    return _encode(tuple(bits), resource.state)
+    return pauli_correct(resource.state, 0, bits)
 
 
 def superdense_distribution(joint: QuantumState) -> np.ndarray:
@@ -239,9 +235,7 @@ def superdense_distribution(joint: QuantumState) -> np.ndarray:
     """
     if joint.num_qubits != 2:
         raise ValueError("superdense decoding needs the two-qubit joint state")
-    overlaps = np.array(
-        [np.real(np.trace(joint.matrix @ _BELL_PROJECTORS[m])) for m in SUPERDENSE_MESSAGES]
-    )
+    overlaps = np.real(np.trace(_bell_branches(joint, 0, 1), axis1=1, axis2=2))
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.5:
         raise DecodeAmbiguityError(
@@ -285,7 +279,7 @@ def entanglement_swap(
     message = CorrectionMessage(
         bits, origin=left.holders[1], target=right.holders[1], purpose=Purpose.SWAP
     )
-    return message, partial_trace(post, (0, 3))
+    return message, post
 
 
 def w_election_round(

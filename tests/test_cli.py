@@ -373,6 +373,23 @@ def test_validate_rejects_misread_topology_seeds_and_sweep(tmp_path, capsys, tex
     assert err.count("invalid:") == 1
 
 
+@pytest.mark.parametrize("p1", ["1e-3", "1E-3", "10e-4"])
+def test_yaml_exponent_without_a_dot_is_a_number(tmp_path, capsys, p1):
+    # YAML 1.1 would read these as strings; they must run as 1.0e-3 does
+    csvs = []
+    for name, spelling in enumerate((p1, "1.0e-3")):
+        path = tmp_path / f"exp{name}.yaml"
+        path.write_text(
+            f"seeds: [1]\nscenario: switch_activation\nparams: {{p1: {spelling}, p2: 0.5}}\n"
+        )
+        assert main(["validate", str(path)]) == 0
+        assert "ok" in capsys.readouterr().out
+        assert main(["run", str(path), "--out", str(tmp_path / f"out{name}")]) == 0
+        csvs.append((tmp_path / f"out{name}" / "metrics.csv").read_text())
+    assert "p1=0.001|p2=0.5" in csvs[0]
+    assert csvs[0] == csvs[1]
+
+
 def test_failed_cell_aborts_alone_with_its_cause(tmp_path, capsys, monkeypatch):
     config = small_teleport_config()
     config["seeds"] = [3]

@@ -5,13 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from qnetsim.errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError
+from qnetsim.errors import (
+    CapacityError,
+    ConsumedResourceError,
+    DecodeAmbiguityError,
+    RenormalizationError,
+)
 from qnetsim.protocols import (
     CorrectionMessage,
     EntangledResource,
     Purpose,
     ResourceKind,
+    _bell_branches,
     apply_correction,
+    bell_basis_measure,
     entanglement_swap,
     make_bell_pair,
     make_w_state,
@@ -32,11 +39,18 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
-def bell_matrix(phase, parity):
-    """Hand-built Bell projector |B_zp><B_zp| without package helpers."""
+def bell_ket(phase, parity):
+    """Hand-built Bell ket (|0 p> + (-1)^z |1 (1-p)>) / sqrt(2), z the phase
+    and p the parity, without package helpers."""
     v = np.zeros(4, dtype=complex)
     v[parity] = 1 / math.sqrt(2)
     v[3 - parity] = (-1 if phase else 1) / math.sqrt(2)
+    return v
+
+
+def bell_matrix(phase, parity):
+    """Hand-built Bell projector |B_zp><B_zp| without package helpers."""
+    v = bell_ket(phase, parity)
     return np.outer(v, v.conj())
 
 
@@ -127,6 +141,100 @@ def test_w_state_node_count_bounds():
             build(1)
         with pytest.raises(CapacityError):
             build(11)
+
+
+# -- Bell measurement ---------------------------------------------------------
+
+
+class _ForcedDraw:
+    """Stub generator whose random() returns a fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class _CountingDraw:
+    """Generator wrapper that counts its random() calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.rng.random()
+
+
+def test_bell_measure_on_a_pair_inside_a_register_names_the_bell_state():
+    # Qubits (3, 1) hold a Bell state, qubit 3 first; qubits 0 and 2 hold
+    # the product u (x) v, which the measurement must hand back untouched.
+    u = np.array([math.cos(0.3), np.exp(0.7j) * math.sin(0.3)])
+    v = np.array([math.cos(1.1), np.exp(-2.0j) * math.sin(1.1)])
+    rest = np.outer(np.kron(u, v), np.kron(u, v).conj())
+    for phase in (0, 1):
+        for parity in (0, 1):
+            pair = bell_ket(phase, parity).reshape(2, 2)  # [qubit 3, qubit 1]
+            ket = np.einsum("i,k,ab->ibka", u, v, pair).reshape(16)
+            state = QuantumState(4, np.outer(ket, ket.conj()))
+            for draw in (0.0, 0.5, 1.0 - 1e-9):
+                bits, post = bell_basis_measure(state, 3, 1, _ForcedDraw(draw))
+                assert bits == (phase, parity)
+                assert post.num_qubits == 2
+                assert np.allclose(post.matrix, rest, rtol=0.0, atol=1e-12)
+
+
+def _hand_built_bell_weights(rho, a, b, n):
+    """Outcome weights of CNOT(a, b), then H(a), then reading a and b."""
+    dim = 2**n
+
+    def bit(index, q):
+        return (index >> (n - 1 - q)) & 1
+
+    cnot = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        cnot[i ^ (bit(i, a) << (n - 1 - b)), i] = 1
+    h_a = np.kron(np.kron(np.eye(2**a), H), np.eye(2 ** (n - 1 - a)))
+    u = h_a @ cnot
+    diagonal = np.real(np.diag(u @ rho @ u.conj().T))
+    weights = np.zeros(4)
+    for i in range(dim):
+        weights[2 * bit(i, a) + bit(i, b)] += diagonal[i]
+    return weights
+
+
+def test_bell_branch_weights_match_cnot_h_circuit_on_mixed_states():
+    rng = np.random.default_rng(61)
+    pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+    for trial in range(20):
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho)
+        a, b = pairs[trial % len(pairs)]
+        branches = _bell_branches(QuantumState(3, rho), a, b)
+        weights = np.real(np.trace(branches, axis1=1, axis2=2))
+        expected = _hand_built_bell_weights(rho, a, b, 3)
+        assert np.allclose(weights, expected, rtol=0.0, atol=1e-12), (a, b)
+
+
+def test_bell_measure_draws_once():
+    counting = _CountingDraw(62)
+    state = random_pure_state(np.random.default_rng(63), 3)
+    bell_basis_measure(state, 0, 2, counting)
+    assert counting.calls == 1
+
+
+def test_bell_measure_guards_a_branch_below_the_floor():
+    # phi+ (x) |0>: only outcome (0, 0) has weight; a draw >= 1 selects the
+    # last outcome, (1, 1), whose weight is 0
+    state = QuantumState(3, np.kron(bell_matrix(0, 0), np.diag([1.0, 0.0])))
+    with pytest.raises(RenormalizationError):
+        bell_basis_measure(state, 0, 1, _ForcedDraw(1.5))
+    for a, b in ((1, 1), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError):
+            bell_basis_measure(state, a, b, _ForcedDraw(0.5))
 
 
 # -- teleportation ------------------------------------------------------------
