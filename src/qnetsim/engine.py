@@ -13,13 +13,15 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from .channels import ChannelModel, apply_channel
 from .errors import EngineAborted, SchedulingError, UnreachableError
-from .protocols import CorrectionMessage, EntangledResource, make_bell_pair
+from .protocols import CorrectionMessage, EntangledResource, ResourceKind, phi_plus_state
+from .qstate import QuantumState
 
 
 class EventKind(enum.Enum):
@@ -44,7 +46,7 @@ class ClassicalLink:
             raise ValueError(f"classical link latency must be >= 1, got {self.latency}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumLink:
     a: str
     b: str
@@ -57,6 +59,17 @@ class QuantumLink:
             raise ValueError(f"generation probability {self.gen_success_prob} outside [0, 1]")
         if self.attempt_period < 1:
             raise ValueError(f"attempt period must be >= 1, got {self.attempt_period}")
+
+    @cached_property
+    def pair_state(self) -> QuantumState:
+        """The pair the link delivers: phi+ with the link channel on each
+        half.  A stored pair does not decohere, so it is built once, on
+        first use, and its matrix is read-only."""
+        state = phi_plus_state()
+        for qubit in (0, 1):
+            state = apply_channel(self.channel, state, targets=(qubit,))
+        state.matrix.flags.writeable = False
+        return state
 
 
 def _index_links(
@@ -244,10 +257,10 @@ class EventEngine:
         """All of a link's generation attempts, up to its first success.
 
         The attempts are independent Bernoulli trials, so their number is
-        one geometric draw.  Both halves of a fresh Bell pair are degraded
-        by the link channel, and the one-bit heralding message is charged
-        to the host-to-host ledger at the tick of the successful attempt,
-        ``now + (attempts - 1) * attempt_period``.  Returns
+        one geometric draw.  The resource is a fresh, unconsumed wrapper of
+        the link's ``pair_state``, and the one-bit heralding message is
+        charged to the host-to-host ledger at the tick of the successful
+        attempt, ``now + (attempts - 1) * attempt_period``.  Returns
         ``(attempts, resource)``.
         """
         attempts = int(self.rng.geometric(link.gen_success_prob))
@@ -256,11 +269,7 @@ class EventEngine:
                 f"link {link.a}-{link.b}: at gen_success_prob {link.gen_success_prob} the "
                 "attempt count reached the geometric draw's cap of 2^63 - 1"
             )
-        pair = make_bell_pair(holders=(link.a, link.b))
-        state = pair.state
-        for qubit in (0, 1):
-            state = apply_channel(link.channel, state, targets=(qubit,))
-        resource = EntangledResource(state, pair.kind, pair.holders)
+        resource = EntangledResource(link.pair_state, ResourceKind.BELL_PHI_PLUS, (link.a, link.b))
         herald_time = self.now + (attempts - 1) * link.attempt_period
         self.ledger.append(
             LedgerEntry(herald_time, 1, SignalingScope.HOST_TO_HOST, "herald", link.a, link.b)

@@ -15,6 +15,9 @@ Superdense decoding and leader election also give their exact outcome
 distribution (``superdense_distribution``, ``w_election_probabilities``),
 so that many trials of one resource can be drawn at once; the per-trial
 ``superdense_decode`` and ``w_election_round`` draw from the same physics.
+A Bell measurement likewise splits into its outcome table
+(``bell_outcome_table``) and one draw from it (``draw_bell_outcome``), so
+that many swaps of one state build the table once.
 """
 
 from __future__ import annotations
@@ -149,6 +152,35 @@ def _bell_branches(state: QuantumState, qubit_a: int, qubit_b: int) -> np.ndarra
     return np.einsum("kr,rxsy,ks->kxy", _BELL_KETS.conj(), pair_rows, _BELL_KETS)
 
 
+def bell_outcome_table(
+    state: QuantumState, qubit_a: int, qubit_b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The four outcomes of a Bell measurement of ``(qubit_a, qubit_b)``, in
+    ``SUPERDENSE_MESSAGES`` order: their weights and their unnormalised
+    branches, the state of the other qubits (ascending order) after each.
+
+    The table has no random part, so a caller that measures one state many
+    times builds it once and draws each outcome with ``draw_bell_outcome``.
+    """
+    branches = _bell_branches(state, qubit_a, qubit_b)
+    return np.real(np.trace(branches, axis1=1, axis2=2)), branches
+
+
+def draw_bell_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of one outcome of a ``bell_outcome_table``, drawn from its
+    ``weights`` with one ``rng.random()`` draw.
+
+    Raises ``RenormalizationError`` when the drawn weight is below
+    ``EIGENVALUE_FLOOR``: that branch cannot be normalised.
+    """
+    index = _draw_index(weights, rng)
+    if weights[index] < EIGENVALUE_FLOOR:
+        raise RenormalizationError(
+            f"Bell outcome {SUPERDENSE_MESSAGES[index]} has weight {weights[index]}"
+        )
+    return index
+
+
 def bell_basis_measure(
     state: QuantumState, qubit_a: int, qubit_b: int, rng: np.random.Generator
 ) -> tuple[tuple[int, int], QuantumState]:
@@ -157,15 +189,11 @@ def bell_basis_measure(
     Returns the outcome ``(phase_bit, parity_bit)`` and the renormalised
     state of the other qubits in ascending order.
     """
-    branches = _bell_branches(state, qubit_a, qubit_b)
-    weights = np.real(np.trace(branches, axis1=1, axis2=2))
-    index = _draw_index(weights, rng)
-    bits = SUPERDENSE_MESSAGES[index]
-    if weights[index] < EIGENVALUE_FLOOR:
-        raise RenormalizationError(
-            f"Bell outcome {bits} on qubits ({qubit_a}, {qubit_b}) has weight {weights[index]}"
-        )
-    return bits, QuantumState(state.num_qubits - 2, branches[index] / weights[index])
+    weights, branches = bell_outcome_table(state, qubit_a, qubit_b)
+    index = draw_bell_outcome(weights, rng)
+    return SUPERDENSE_MESSAGES[index], QuantumState(
+        state.num_qubits - 2, branches[index] / weights[index]
+    )
 
 
 def pauli_correct(state: QuantumState, qubit: int, bits: tuple[int, int]) -> QuantumState:
@@ -235,7 +263,7 @@ def superdense_distribution(joint: QuantumState) -> np.ndarray:
     """
     if joint.num_qubits != 2:
         raise ValueError("superdense decoding needs the two-qubit joint state")
-    overlaps = np.real(np.trace(_bell_branches(joint, 0, 1), axis1=1, axis2=2))
+    overlaps, _ = bell_outcome_table(joint, 0, 1)
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.5:
         raise DecodeAmbiguityError(

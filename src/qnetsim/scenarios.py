@@ -25,15 +25,20 @@ from .errors import UnreachableError
 from .fields import Fields
 from .protocols import (
     SUPERDENSE_MESSAGES,
+    CorrectionMessage,
+    EntangledResource,
+    Purpose,
+    ResourceKind,
     apply_correction,
-    entanglement_swap,
+    bell_outcome_table,
+    draw_bell_outcome,
     phi_plus_state,
     superdense_distribution,
     superdense_encode,
     teleport,
     werner_pair,
 )
-from .qstate import SCALAR_ATOL, fidelity, random_pure_state
+from .qstate import EIGENVALUE_FLOOR, SCALAR_ATOL, QuantumState, fidelity, random_pure_state
 from .services.mac import MacConfig, MacProtocol, run_mac_sim
 from .services.phy import phy_effective_rate
 from .services.routing import PlanMode, route_max_bottleneck, route_with_switch_merging
@@ -74,7 +79,6 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
     params = Fields(cell)
     n_teleports = params.integer("n_teleports", low=1)
     werner_w = params.probability("werner_w", 1.0)
-    make_pair = partial(werner_pair, werner_w)
     src = params.node(topology.nodes, "src", topology.nodes[0])
     dst = params.node(topology.nodes, "dst", topology.nodes[-1])
     params.done()
@@ -85,10 +89,15 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
     def run(rng_seed: list[int]) -> ScenarioResult:
         engine = EventEngine(topology, rng_seed)
         fidelities: list[float] = []
+        # Every trial uses up a pair of the same state, so the state is
+        # built once and each trial wraps it in a resource of its own.
+        pair_state = werner_pair(werner_w).state
+        pair_state.matrix.flags.writeable = False
 
         def teleport_step(eng: EventEngine, _event) -> None:
             payload = random_pure_state(eng.rng)
-            message, destination = teleport(payload, make_pair((src, dst)), eng.rng)
+            resource = EntangledResource(pair_state, ResourceKind.BELL_PHI_PLUS, (src, dst))
+            message, destination = teleport(payload, resource, eng.rng)
             eng.send_classical(
                 message,
                 route,
@@ -166,39 +175,44 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
     def run(rng_seed: list[int]) -> ScenarioResult:
         engine = EventEngine(topology, rng_seed)
         fidelities: list[float] = []
-        outcome_counts = {m: 0 for m in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+        outcome_counts = {m: 0 for m in SUPERDENSE_MESSAGES}
+        # A stored pair does not decohere, so every swap Bell-measures the
+        # same (src, mid, mid, dst) state: its outcome table and each
+        # outcome's corrected end-pair fidelity are built once per cell.  A
+        # link puts the same channel on both halves of a symmetric Bell
+        # pair, so the state is the same however a link is written.
+        joint = left_link.pair_state.tensor(right_link.pair_state)
+        weights, branches = bell_outcome_table(joint, 1, 2)
+        messages = [CorrectionMessage(m, mid, dst, Purpose.SWAP) for m in SUPERDENSE_MESSAGES]
+        end_fidelity: dict[tuple[int, int], float] = {}
+        for message, weight, branch in zip(messages, weights, branches):
+            # draw_bell_outcome raises on an outcome below the floor, so
+            # only the others are normalised.
+            if weight >= EIGENVALUE_FLOOR:
+                end_pair = QuantumState(2, branch / weight)
+                end_fidelity[message.bits] = fidelity(apply_correction(end_pair, message), phi)
 
-        def swap_step(left, right, eng: EventEngine, _event) -> None:
-            message, end_pair = entanglement_swap(left, right, eng.rng)
+        def swap_step(eng: EventEngine, _event) -> None:
+            message = messages[draw_bell_outcome(weights, eng.rng)]
             outcome_counts[message.bits] += 1
+            # The destination corrects by the bits it is delivered.
             eng.send_classical(
                 message,
                 route,
                 SignalingScope.END_TO_END,
-                lambda delivered: fidelities.append(
-                    fidelity(apply_correction(end_pair, delivered), phi)
-                ),
+                lambda delivered: fidelities.append(end_fidelity[delivered.bits]),
             )
 
         def attempt_step(eng: EventEngine, event) -> None:
-            # A stored pair does not decohere, so only the tick at which
-            # both links have succeeded matters, not when each pair was made.
-            left_attempts, left = eng.attempt_entanglement(left_link)
-            right_attempts, right = eng.attempt_entanglement(right_link)
-            # A link puts the same channel on both halves of a symmetric Bell
-            # pair, so naming the holders in chain order is exact however it
-            # is written.
-            left.holders, right.holders = (src, mid), (mid, dst)
+            # Only the tick at which both links have succeeded matters, not
+            # when each pair was made.
+            left_attempts, _ = eng.attempt_entanglement(left_link)
+            right_attempts, _ = eng.attempt_entanglement(right_link)
             ready = eng.now + max(
                 (left_attempts - 1) * left_link.attempt_period,
                 (right_attempts - 1) * right_link.attempt_period,
             )
-            eng.schedule(
-                ready,
-                EventKind.PROTOCOL_STEP,
-                payload=event.payload,
-                handler=partial(swap_step, left, right),
-            )
+            eng.schedule(ready, EventKind.PROTOCOL_STEP, payload=event.payload, handler=swap_step)
 
         for k in range(n_swaps):
             engine.schedule(

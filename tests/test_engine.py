@@ -1,11 +1,13 @@
 """Event ordering, classical signaling ledger, entanglement attempts."""
 
+import dataclasses
 import math
 from functools import partial
 
 import numpy as np
 import pytest
 
+import qnetsim.engine
 from qnetsim.engine import (
     ClassicalLink,
     EventEngine,
@@ -14,7 +16,7 @@ from qnetsim.engine import (
     SignalingScope,
     Topology,
 )
-from qnetsim.channels import depolarizing_channel
+from qnetsim.channels import apply_channel, depolarizing_channel
 from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
 from qnetsim.protocols import (
     CorrectionMessage,
@@ -216,6 +218,40 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
         _, resource = engine.attempt_entanglement(topo.quantum_links[0])
         assert fidelity(resource.state, phi_plus_state()) == pytest.approx(oracle, abs=1e-9)
     assert oracle == pytest.approx(0.73, abs=1e-12)
+
+
+def test_link_channel_runs_once_per_link_not_per_attempt(monkeypatch):
+    # A stored pair does not decohere, so a link degrades its pair once,
+    # one channel application per half, and every attempt hands out a
+    # fresh resource over that state.
+    calls = []
+
+    def counting_apply_channel(channel, state, targets):
+        calls.append(targets)
+        return apply_channel(channel, state, targets)
+
+    monkeypatch.setattr(qnetsim.engine, "apply_channel", counting_apply_channel)
+    p = 0.3
+    oracle = (1 + 3 * (1 - p) ** 2) / 4
+    topo = quantum_topology(p, 0.5)
+    engine = EventEngine(topo, seed=8)
+    resources = [engine.attempt_entanglement(topo.quantum_links[0])[1] for _ in range(200)]
+    assert len(calls) == 2
+    assert len({id(r) for r in resources}) == 200
+    assert not any(r.consumed for r in resources)
+    teleport(random_pure_state(engine.rng), resources[0], engine.rng)
+    assert resources[0].consumed
+    assert not resources[1].consumed
+    for resource in resources:
+        assert fidelity(resource.state, phi_plus_state()) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_quantum_link_is_frozen_and_its_pair_read_only():
+    link = quantum_topology(0.2, 1.0).quantum_links[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        link.channel = depolarizing_channel(0.5)
+    with pytest.raises(ValueError):
+        link.pair_state.matrix[0, 0] = 1.0
 
 
 def test_heralding_charges_one_bit_per_success():

@@ -12,6 +12,7 @@ from qnetsim.errors import (
     RenormalizationError,
 )
 from qnetsim.protocols import (
+    SUPERDENSE_MESSAGES,
     CorrectionMessage,
     EntangledResource,
     Purpose,
@@ -19,6 +20,7 @@ from qnetsim.protocols import (
     _bell_branches,
     apply_correction,
     bell_basis_measure,
+    bell_outcome_table,
     entanglement_swap,
     make_bell_pair,
     make_w_state,
@@ -465,6 +467,42 @@ def test_swap_uncorrected_pair_is_pauli_frame_of_phi_plus():
         assert overlap == pytest.approx(1.0 if message.bits == (0, 0) else 0.0, abs=1e-10)
         seen.add(message.bits)
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def _random_mixed(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def test_swap_outcome_table_agrees_with_entanglement_swap():
+    # A cell that swaps one pair state many times reads each outcome's
+    # weight and corrected end pair from one table; forcing each outcome
+    # through entanglement_swap must give the same pair.
+    rng = np.random.default_rng(65)
+    for _ in range(20):
+        left_rho, right_rho = _random_mixed(rng, 4), _random_mixed(rng, 4)
+        joint = QuantumState(2, left_rho).tensor(QuantumState(2, right_rho))
+        weights, branches = bell_outcome_table(joint, 1, 2)
+        expected_weights = _hand_built_bell_weights(joint.matrix, 1, 2, 4)
+        assert np.allclose(weights, expected_weights, rtol=0.0, atol=1e-12)
+        upper = np.cumsum(weights) / weights.sum()
+        lower = np.concatenate(([0.0], upper[:-1]))
+        for index, bits in enumerate(SUPERDENSE_MESSAGES):
+            left, right = (
+                EntangledResource(QuantumState(2, rho), ResourceKind.BELL_PHI_PLUS, holders)
+                for rho, holders in ((left_rho, ("A", "B")), (right_rho, ("B", "C")))
+            )
+            draw = _ForcedDraw((lower[index] + upper[index]) / 2)
+            message, pending = entanglement_swap(left, right, draw)
+            assert message.bits == bits
+            from_table = QuantumState(2, branches[index] / weights[index])
+            assert np.allclose(
+                apply_correction(from_table, message).matrix,
+                apply_correction(pending, message).matrix,
+                rtol=0.0,
+                atol=1e-12,
+            )
 
 
 def test_swap_requires_shared_middle_node():

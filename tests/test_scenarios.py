@@ -200,3 +200,84 @@ def test_swap_over_near_dead_links_completes_without_a_horizon():
     assert len(result.trace) == 15
     assert ready_delays(result.trace).max() > 10_000_000
     assert elapsed < 1.0
+
+
+def amplitude_damping_kraus(gamma):
+    return [
+        np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
+        np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
+    ]
+
+
+def swap_circuit_oracle(kraus):
+    """Born weight and corrected phi+ fidelity of each swap outcome (z, x),
+    from a hand-built circuit: the channel on every half of two phi+ pairs,
+    then CNOT(1, 2) and H(1) on the middle qubits, read out as z = qubit 1
+    and x = qubit 2, and Z^z X^x on qubit 3."""
+    phi = np.zeros(4, dtype=complex)
+    phi[[0, 3]] = 1 / np.sqrt(2)
+    phi = np.outer(phi, phi.conj())
+    pair = sum(np.kron(a, b) @ phi @ np.kron(a, b).conj().T for a in kraus for b in kraus)
+    joint = np.kron(pair, pair)
+    cnot = np.zeros((16, 16))
+    for i in range(16):
+        cnot[i ^ (((i >> 2) & 1) << 1), i] = 1
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    u = np.kron(np.kron(np.eye(2), h), np.eye(4)) @ cnot
+    after = (u @ joint @ u.conj().T).reshape((2,) * 8)
+    x_gate, z_gate = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    oracle = {}
+    for z in (0, 1):
+        for x in (0, 1):
+            branch = after[:, z, x, :, :, z, x, :].reshape(4, 4)
+            weight = float(np.real(np.trace(branch)))
+            fid = 0.0
+            if weight > 0:
+                frame = np.linalg.matrix_power(z_gate, z) @ np.linalg.matrix_power(x_gate, x)
+                frame = np.kron(np.eye(2), frame)
+                corrected = frame @ (branch / weight) @ frame.conj().T
+                fid = float(np.real(np.trace(corrected @ phi)))
+            oracle[f"{z}{x}"] = (weight, fid)
+    return oracle
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0])
+def test_swap_over_amplitude_damping_links_matches_circuit_oracle(gamma):
+    # Amplitude damping leaves a pair that is not Bell-diagonal: the four
+    # outcomes have unequal weights and corrected fidelities, and at
+    # gamma = 1 both psi outcomes have weight 0 and must never be drawn.
+    n_swaps = 4000
+    kraus = amplitude_damping_kraus(gamma)
+    spec = {
+        "type": "kraus-list",
+        "kraus": [[[[v.real, v.imag] for v in row] for row in op] for op in kraus],
+    }
+    cells = metrics_by_cell(
+        {
+            "scenario": "swap",
+            "seeds": [13],
+            "params": {"n_swaps": n_swaps},
+            "topology": {
+                "nodes": ["l", "m", "r"],
+                "classical_links": [
+                    {"a": "l", "b": "m", "latency": 1},
+                    {"a": "m", "b": "r", "latency": 2},
+                ],
+                "quantum_links": [
+                    {"a": a, "b": b, "channel": spec, "gen_success_prob": 0.5}
+                    for a, b in (("l", "m"), ("m", "r"))
+                ],
+            },
+        }
+    )
+    (m,) = cells.values()
+    oracle = swap_circuit_oracle(kraus)
+    for bits, (weight, _) in oracle.items():
+        sigma = np.sqrt(weight * (1 - weight) / n_swaps)
+        assert abs(m[f"outcome_frac_{bits}"] - weight) <= 5 * sigma, (bits, m)
+        if weight == 0.0:
+            assert m[f"outcome_frac_{bits}"] == 0.0
+    mean = sum(w * f for w, f in oracle.values())
+    variance = sum(w * f * f for w, f in oracle.values()) - mean**2
+    assert abs(m["fidelity_mean"] - mean) <= 5 * np.sqrt(max(variance, 0.0) / n_swaps) + 1e-12
+    assert m["swaps"] == n_swaps
