@@ -8,14 +8,21 @@ selected by a control qubit; measuring that control in the ``|+>/|->``
 basis and keeping the classical outcome is what distinguishes it from a
 definite-order composition.
 
+A qubit channel also has its Pauli transfer matrix (PTM), the real 4x4
+``R_ij = tr(P_i E(P_j)) / 2`` over ``P = (I, X, Y, Z)``: serial
+composition is ``R2 @ R1``, and the matrix is the same for every Kraus
+set of one channel.  ``channel_from_ptm`` rebuilds a Kraus set from it.
+
 A rate is the Holevo information of the equiprobable ``{|0>, |1>}``
 source: ``holevo_information`` for one qubit channel and
-``switch_holevo_information`` for two of them in the switch.
+``switch_holevo_information`` for two of them in the switch.  Both read
+their output spectra in closed form, with no eigensolver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -32,18 +39,9 @@ from .qstate import (
     EIGENVALUE_FLOOR,
     QuantumState,
     embedded_operators,
-    von_neumann_entropy,
 )
 
-PLUS_MINUS_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-_P0 = np.diag([1.0, 0.0]).astype(complex)
-_P1 = np.diag([0.0, 1.0]).astype(complex)
-_PLUS = np.full((2, 2), 0.5, dtype=complex)
-# Switch inputs: system |0> or |1>, control |+>.
-_SWITCH_INPUTS = tuple(np.kron(p, _PLUS) for p in (_P0, _P1))
-# Projectors of the control factor onto |+> and |->.
-_CONTROL_PROJECTORS = tuple(np.kron(I2, np.outer(v, v.conj())) for v in PLUS_MINUS_BASIS.T)
+_PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass(eq=False)
@@ -74,6 +72,20 @@ class ChannelModel:
         err = float(np.max(np.abs(total - np.eye(self.dim))))
         if err > STRUCTURAL_ATOL:
             raise ValueError(f"Kraus completeness violated by {err}")
+
+    @cached_property
+    def ptm(self) -> np.ndarray:
+        """Read-only Pauli transfer matrix ``R_ij = tr(P_i E(P_j)) / 2`` of
+        a qubit channel, computed on first use."""
+        if self.dim != 2:
+            raise UnsupportedDimensionError(
+                f"a Pauli transfer matrix needs a qubit channel, got dimension {self.dim}"
+            )
+        kraus = np.array(self.kraus_ops)
+        images = np.einsum("kab,jbc,kdc->jad", kraus, _PAULIS, kraus.conj())
+        ptm = np.einsum("iba,jab->ij", _PAULIS, images).real / 2
+        ptm.flags.writeable = False
+        return ptm
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Kraus sum on a raw density matrix of dimension ``dim``."""
@@ -160,24 +172,24 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     return ChannelModel(tuple(ops))
 
 
-def _measure_control_blocks(joint: np.ndarray) -> np.ndarray:
-    """Measure the control factor in the ``|+>/|->`` basis and keep the
-    classical outcome: returns the block-diagonal flag (x) system state."""
-    out = np.zeros((4, 4), dtype=complex)
-    for m, proj in enumerate(_CONTROL_PROJECTORS):
-        block = np.einsum("abcb->ac", (proj @ joint @ proj).reshape(2, 2, 2, 2))
-        out[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
-    return out
+def _entropy_bits(spectra: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each state whose eigenvalues lie along the last
+    axis of ``spectra``.  Eigenvalues below the floor contribute zero;
+    anything below the structural negativity budget is rejected."""
+    lowest = float(spectra.min())
+    if lowest < -STRUCTURAL_ATOL:
+        raise ValueError(f"state has eigenvalue {lowest} below -{STRUCTURAL_ATOL}")
+    lam = np.clip(spectra, 0.0, 1.0)
+    lam = np.where(lam >= EIGENVALUE_FLOOR, lam, 1.0)  # 1 log2(1) = 0
+    return -(lam * np.log2(lam)).sum(axis=-1)
 
 
-def _holevo_bits(outputs: list[np.ndarray]) -> float:
-    """Holevo quantity ``S(avg) - avg S`` in bits of equiprobable outputs."""
-    dim = outputs[0].shape[0]
-    num_qubits = dim.bit_length() - 1
-    avg = sum(0.5 * out for out in outputs)
-    chi = von_neumann_entropy(QuantumState(num_qubits, avg))
-    for out in outputs:
-        chi -= 0.5 * von_neumann_entropy(QuantumState(num_qubits, out))
+def _holevo_from_spectra(spectra: np.ndarray) -> float:
+    """Holevo quantity ``S(avg) - avg S`` in bits of two equiprobable
+    outputs, from the ascending spectra of their average and of each."""
+    dim = spectra.shape[-1]
+    avg, first, second = _entropy_bits(spectra)
+    chi = float(avg - 0.5 * first - 0.5 * second)
     if chi < -SCALAR_ATOL:
         raise ArithmeticError(f"Holevo information {chi} is negative beyond tolerance")
     chi = max(chi, 0.0)
@@ -187,13 +199,38 @@ def _holevo_bits(outputs: list[np.ndarray]) -> float:
     return min(chi, bound)
 
 
+def _ptm_holevo(ptm: np.ndarray) -> float:
+    """Holevo rate in bits of the qubit channel with Pauli transfer matrix
+    ``ptm``, fed ``|0>`` or ``|1>``.
+
+    The outputs have Bloch vectors ``R[1:, 0] +- R[1:, 3]`` and their
+    average ``R[1:, 0]``; a qubit with Bloch vector ``r`` has eigenvalues
+    ``(1 -+ |r|) / 2``.
+    """
+    centre, offset = ptm[1:, 0], ptm[1:, 3]
+    norms = np.linalg.norm(np.array([centre, centre + offset, centre - offset]), axis=1)
+    longest = float(norms.max())
+    if longest > 1.0 + STRUCTURAL_ATOL:
+        raise ValueError(f"output Bloch vector of length {longest} lies outside the Bloch ball")
+    return _holevo_from_spectra(np.stack(((1.0 - norms) / 2, (1.0 + norms) / 2), axis=-1))
+
+
 def holevo_information(channel: ChannelModel) -> float:
     """Holevo rate in bits of a qubit channel fed ``|0>`` or ``|1>``."""
     if channel.dim != 2:
         raise UnsupportedDimensionError(
             f"Holevo rate needs a qubit channel, got dimension {channel.dim}"
         )
-    return _holevo_bits([channel.apply_matrix(p) for p in (_P0, _P1)])
+    return _ptm_holevo(channel.ptm)
+
+
+def _hermitian_eigenvalues_2x2(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues ``mean -+ sqrt(half_gap^2 + |off|^2)`` of
+    Hermitian 2x2 matrices stacked on the leading axes."""
+    top, bottom = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+    mean = 0.5 * (top + bottom)
+    spread = np.hypot(0.5 * (top - bottom), np.abs(blocks[..., 0, 1]))
+    return np.stack((mean - spread, mean + spread), axis=-1)
 
 
 def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> float:
@@ -201,12 +238,25 @@ def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> floa
 
     The control starts in ``|+>`` and is measured in the ``|+>/|->``
     basis after the switch; its outcome is kept as a classical flag
-    beside the system's output.
+    beside the system's output.  With ``a = K2_i K1_j`` and
+    ``b = K1_j K2_i``, input ``|s>`` and outcome ``+-`` leave the system
+    in ``1/4 sum (a +- b)|s><s|(a +- b)^dag``, so the flagged output is
+    block diagonal and its spectrum is that of its 2x2 blocks.  The rate
+    does not depend on which Kraus set stands for either channel.
     """
-    switch = quantum_switch(first, second)
-    return _holevo_bits(
-        [_measure_control_blocks(switch.apply_matrix(joint)) for joint in _SWITCH_INPUTS]
-    )
+    for c in (first, second):
+        if c.dim != 2:
+            raise UnsupportedDimensionError("switch requires single-qubit channels")
+    k1, k2 = np.array(first.kraus_ops), np.array(second.kraus_ops)
+    a = np.einsum("iab,jbc->ijac", k2, k1).reshape(-1, 2, 2)
+    b = np.einsum("jab,ibc->ijac", k1, k2).reshape(-1, 2, 2)
+    # [outcome, Kraus pair, row, input]: column s is the branch of input |s>.
+    branches = np.stack((a + b, a - b))
+    # [input, outcome, 2, 2]
+    blocks = 0.25 * np.einsum("mkas,mkbs->smab", branches, branches.conj())
+    states = np.stack((0.5 * (blocks[0] + blocks[1]), blocks[0], blocks[1]))
+    spectra = np.sort(_hermitian_eigenvalues_2x2(states).reshape(3, 4), axis=-1)
+    return _holevo_from_spectra(spectra)
 
 
 def bottleneck_check(first: ChannelModel, second: ChannelModel) -> BottleneckReport:
@@ -214,28 +264,57 @@ def bottleneck_check(first: ChannelModel, second: ChannelModel) -> BottleneckRep
     stage alone: ``chi(second . first) <= min(chi(first), chi(second))``."""
     chi_first = holevo_information(first)
     chi_second = holevo_information(second)
-    chi_serial = holevo_information(compose_serial(first, second))
+    chi_serial = _ptm_holevo(second.ptm @ first.ptm)
     holds = chi_serial <= min(chi_first, chi_second) + SCALAR_ATOL
     return BottleneckReport(chi_first, chi_second, chi_serial, holds)
+
+
+def _channel_from_choi(choi: np.ndarray, dim: int) -> ChannelModel:
+    """Minimal Kraus set of the channel with Choi matrix
+    ``sum vec(K) vec(K)^dag`` (``vec`` row-major): one operator per
+    eigenvalue above the floor.
+
+    Raises ``ValueError`` when an eigenvalue is below ``-STRUCTURAL_ATOL``:
+    the map is not completely positive.
+    """
+    evals, evecs = np.linalg.eigh(choi)
+    if evals[0] < -STRUCTURAL_ATOL:
+        raise ValueError(
+            f"Choi matrix has eigenvalue {evals[0]}: the map is not completely positive"
+        )
+    return ChannelModel(
+        tuple(
+            np.sqrt(lam) * vec.reshape(dim, dim)
+            for lam, vec in zip(evals, evecs.T)
+            if lam > EIGENVALUE_FLOOR
+        )
+    )
 
 
 def reduce_kraus(channel: ChannelModel) -> ChannelModel:
     """Minimal Kraus set via eigendecomposition of the Choi matrix.
 
-    Serial composition multiplies Kraus counts; this keeps long path
-    channels at no more than ``dim**2`` operators.
+    Serial composition multiplies Kraus counts; this keeps a composed
+    channel at no more than ``dim**2`` operators.
     """
     dim = channel.dim
     choi = np.zeros((dim * dim, dim * dim), dtype=complex)
     for k in channel.kraus_ops:
         v = k.reshape(-1)
         choi += np.outer(v, v.conj())
-    evals, evecs = np.linalg.eigh(choi)
-    ops = []
-    for lam, vec in zip(evals, evecs.T):
-        if lam > EIGENVALUE_FLOOR:
-            ops.append(np.sqrt(lam) * vec.reshape(dim, dim))
-    return ChannelModel(tuple(ops))
+    return _channel_from_choi(choi, dim)
+
+
+def channel_from_ptm(ptm: np.ndarray) -> ChannelModel:
+    """A qubit channel with at most four Kraus operators, rebuilt from its
+    Pauli transfer matrix through its Choi matrix.
+
+    Raises ``ValueError`` when the map is not completely positive.
+    """
+    # Entry (a, b, c, d) is <a| E(|b><d|) |c>, and |b><d| = sum_j P_j[d, b] P_j / 2.
+    return _channel_from_choi(
+        0.5 * np.einsum("ij,jdb,iac->abcd", ptm, _PAULIS, _PAULIS).reshape(4, 4), 2
+    )
 
 
 def channel_from_spec(spec: Any, where: str = "channel") -> ChannelModel:

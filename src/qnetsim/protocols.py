@@ -16,8 +16,9 @@ distribution (``superdense_distribution``, ``w_election_probabilities``),
 so that many trials of one resource can be drawn at once; the per-trial
 ``superdense_decode`` and ``w_election_round`` draw from the same physics.
 A Bell measurement likewise splits into its outcome table
-(``bell_outcome_table``) and one draw from it (``draw_bell_outcome``), so
-that many swaps of one state build the table once.
+(``bell_outcome_table``, with ``cumulative_weights`` of its weights) and
+one draw from it (``draw_bell_outcome``), so that many swaps of one state
+build both tables once.
 """
 
 from __future__ import annotations
@@ -128,13 +129,20 @@ def make_w_state(n: int, holders: tuple[str, ...] | None = None) -> EntangledRes
     return EntangledResource(QuantumState(n, matrix), ResourceKind.W_STATE, holders)
 
 
-def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn with probability proportional to the clipped ``weights``
-    from exactly one ``rng.random()`` draw."""
+def cumulative_weights(weights: np.ndarray) -> np.ndarray:
+    """The table a draw from ``weights`` searches: the weights clipped at
+    0, summed cumulatively and normalised to end at 1.  A caller that
+    draws from one set of weights many times builds it once."""
     cumulative = np.cumsum(np.clip(weights, 0.0, None))
     cumulative /= cumulative[-1]
+    return cumulative
+
+
+def _draw_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn from a ``cumulative_weights`` table with exactly one
+    ``rng.random()`` draw."""
     drawn = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(drawn, len(weights) - 1)
+    return min(drawn, len(cumulative) - 1)
 
 
 def _bell_branches(state: QuantumState, qubit_a: int, qubit_b: int) -> np.ndarray:
@@ -166,14 +174,17 @@ def bell_outcome_table(
     return np.real(np.trace(branches, axis1=1, axis2=2)), branches
 
 
-def draw_bell_outcome(weights: np.ndarray, rng: np.random.Generator) -> int:
+def draw_bell_outcome(
+    weights: np.ndarray, cumulative: np.ndarray, rng: np.random.Generator
+) -> int:
     """Index of one outcome of a ``bell_outcome_table``, drawn from its
-    ``weights`` with one ``rng.random()`` draw.
+    ``weights`` with one ``rng.random()`` draw; ``cumulative`` is
+    ``cumulative_weights(weights)``.
 
     Raises ``RenormalizationError`` when the drawn weight is below
     ``EIGENVALUE_FLOOR``: that branch cannot be normalised.
     """
-    index = _draw_index(weights, rng)
+    index = _draw_index(cumulative, rng)
     if weights[index] < EIGENVALUE_FLOOR:
         raise RenormalizationError(
             f"Bell outcome {SUPERDENSE_MESSAGES[index]} has weight {weights[index]}"
@@ -190,7 +201,7 @@ def bell_basis_measure(
     state of the other qubits in ascending order.
     """
     weights, branches = bell_outcome_table(state, qubit_a, qubit_b)
-    index = draw_bell_outcome(weights, rng)
+    index = draw_bell_outcome(weights, cumulative_weights(weights), rng)
     return SUPERDENSE_MESSAGES[index], QuantumState(
         state.num_qubits - 2, branches[index] / weights[index]
     )
@@ -278,7 +289,8 @@ def superdense_decode(
 ) -> tuple[int, int]:
     """Bell-basis measurement of the received pair, returning the message
     drawn from ``superdense_distribution(joint)``."""
-    return SUPERDENSE_MESSAGES[_draw_index(superdense_distribution(joint), rng)]
+    distribution = superdense_distribution(joint)
+    return SUPERDENSE_MESSAGES[_draw_index(cumulative_weights(distribution), rng)]
 
 
 def entanglement_swap(
@@ -325,7 +337,8 @@ def w_election_round(
     if resource.consumed:
         raise ConsumedResourceError("W resource already consumed by a previous round")
     n = resource.state.num_qubits
-    index = _draw_index(np.real(np.diag(resource.state.matrix)), rng)
+    weights = np.real(np.diag(resource.state.matrix))
+    index = _draw_index(cumulative_weights(weights), rng)
     outcomes = tuple((index >> (n - 1 - q)) & 1 for q in range(n))
     resource.consumed = True
     if sum(outcomes) != 1:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .config import ExperimentConfig, expand_grid, params_label
 from .errors import EngineAborted
 from .scenarios import SCENARIOS, ScenarioResult
@@ -54,8 +56,12 @@ def _label_key(label: str) -> int:
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
+    # A NumPy float is a float subclass whose repr on NumPy 2 is
+    # "np.float64(...)", and a NumPy bool is no bool subclass.
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
+    if isinstance(value, np.floating):
+        return repr(float(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -31,6 +31,7 @@ from .protocols import (
     ResourceKind,
     apply_correction,
     bell_outcome_table,
+    cumulative_weights,
     draw_bell_outcome,
     phi_plus_state,
     superdense_distribution,
@@ -177,12 +178,14 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
         fidelities: list[float] = []
         outcome_counts = {m: 0 for m in SUPERDENSE_MESSAGES}
         # A stored pair does not decohere, so every swap Bell-measures the
-        # same (src, mid, mid, dst) state: its outcome table and each
-        # outcome's corrected end-pair fidelity are built once per cell.  A
-        # link puts the same channel on both halves of a symmetric Bell
-        # pair, so the state is the same however a link is written.
+        # same (src, mid, mid, dst) state: its outcome table, the table its
+        # draws search and each outcome's corrected end-pair fidelity are
+        # built once per cell.  A link puts the same channel on both halves
+        # of a symmetric Bell pair, so the state is the same however a link
+        # is written.
         joint = left_link.pair_state.tensor(right_link.pair_state)
         weights, branches = bell_outcome_table(joint, 1, 2)
+        cumulative = cumulative_weights(weights)
         messages = [CorrectionMessage(m, mid, dst, Purpose.SWAP) for m in SUPERDENSE_MESSAGES]
         end_fidelity: dict[tuple[int, int], float] = {}
         for message, weight, branch in zip(messages, weights, branches):
@@ -193,7 +196,7 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
                 end_fidelity[message.bits] = fidelity(apply_correction(end_pair, message), phi)
 
         def swap_step(eng: EventEngine, _event) -> None:
-            message = messages[draw_bell_outcome(weights, eng.rng)]
+            message = messages[draw_bell_outcome(weights, cumulative, eng.rng)]
             outcome_counts[message.bits] += 1
             # The destination corrects by the bits it is delivered.
             eng.send_classical(

@@ -8,9 +8,12 @@ carry information, so the merged plan is never worse than the best single
 path.  Exactly one packet instance traverses a merged plan: the switched
 channel acts on a single system qubit plus the order-control qubit.
 
-A path's serial channel is folded only when a link-disjoint pair first
-needs it, and once per shared prefix: paths from the source that share
-their first hops share the channel of those hops.
+A path's serial channel is its Pauli transfer matrix (PTM), folded as
+``R_link @ R_prefix`` only when a link-disjoint pair first needs it, and
+once per shared prefix: paths from the source that share their first hops
+share the matrix of those hops.  A path is keyed by its PTM's exact bytes,
+so two different channels never share a rate, and each distinct key gets
+one Kraus set rebuilt from its PTM for the switch.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from ..channels import ChannelModel, compose_serial, reduce_kraus
+from ..channels import ChannelModel, channel_from_ptm
 from ..engine import Topology
 from .phy import phy_effective_rate
 
@@ -99,36 +102,25 @@ def _simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...
     return found
 
 
-def _path_links(path: tuple[str, ...]) -> set[frozenset[str]]:
-    return {frozenset(pair) for pair in zip(path, path[1:])}
-
-
-def _path_channel(
+def _path_ptm(
     topology: Topology,
     path: tuple[str, ...],
-    prefixes: dict[tuple[str, ...], ChannelModel],
-) -> ChannelModel:
-    """Serial channel of ``path``, folded on from its longest prefix in
-    ``prefixes``; the channel of every prefix folded here is added to it."""
+    prefixes: dict[tuple[str, ...], np.ndarray],
+) -> np.ndarray:
+    """Pauli transfer matrix of ``path``'s serial channel, folded on from
+    its longest prefix in ``prefixes``; the matrix of every prefix folded
+    here is added to it."""
     start = len(path)
     while start > 1 and path[:start] not in prefixes:
         start -= 1
-    channel = prefixes.get(path[:start])
+    ptm = prefixes.get(path[:start])
     for end in range(start + 1, len(path) + 1):
         link = topology.quantum_link(path[end - 2], path[end - 1])
         assert link is not None
-        channel = link.channel if channel is None else compose_serial(channel, link.channel)
-        # Keep the Kraus count bounded as links accumulate.
-        if len(channel.kraus_ops) > 4:
-            channel = reduce_kraus(channel)
-        prefixes[path[:end]] = channel
-    assert channel is not None
-    return channel
-
-
-def _channel_fingerprint(channel: ChannelModel) -> bytes:
-    stacked = np.concatenate([k.reshape(-1) for k in channel.kraus_ops])
-    return np.round(stacked, 12).tobytes()
+        ptm = link.channel.ptm if ptm is None else link.channel.ptm @ ptm
+        prefixes[path[:end]] = ptm
+    assert ptm is not None
+    return ptm
 
 
 def route_with_switch_merging(
@@ -145,27 +137,34 @@ def route_with_switch_merging(
     _check_endpoints(topology, src, dst)
     best = single
     paths = _simple_paths(topology, src, dst)
-    links = [_path_links(p) for p in paths]
+    links = topology.quantum_links
+    link_bits = {frozenset((link.a, link.b)): 1 << k for k, link in enumerate(links)}
+    # A simple path crosses each link once, so the sum of its bits is their union.
+    masks = [sum(link_bits[frozenset(pair)] for pair in zip(p, p[1:])) for p in paths]
     # These caches live only as long as the plan, since other plans rarely
     # share their entries; the plan's paths and their prefixes bound them.
-    prefixes: dict[tuple[str, ...], ChannelModel] = {}
-    fingerprints: dict[int, bytes] = {}
+    prefixes: dict[tuple[str, ...], np.ndarray] = {}
+    keys: dict[int, bytes] = {}
+    channels: dict[bytes, ChannelModel] = {}
 
-    def fingerprint(i: int) -> bytes:
-        if i not in fingerprints:
-            fingerprints[i] = _channel_fingerprint(_path_channel(topology, paths[i], prefixes))
-        return fingerprints[i]
+    def key(i: int) -> bytes:
+        if i not in keys:
+            ptm = _path_ptm(topology, paths[i], prefixes)
+            keys[i] = ptm.tobytes()
+            if keys[i] not in channels:
+                channels[keys[i]] = channel_from_ptm(ptm)
+        return keys[i]
 
     # Paths with equal channels recur within one plan.
     switch_rates: dict[tuple[bytes, bytes], float] = {}
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
-            if links[i] & links[j]:
+            if masks[i] & masks[j]:
                 continue
-            key = tuple(sorted((fingerprint(i), fingerprint(j))))
-            if key not in switch_rates:
-                switch_rates[key] = phy_effective_rate(prefixes[paths[i]], prefixes[paths[j]])
-            rate = switch_rates[key]
+            pair = tuple(sorted((key(i), key(j))))
+            if pair not in switch_rates:
+                switch_rates[pair] = phy_effective_rate(channels[pair[0]], channels[pair[1]])
+            rate = switch_rates[pair]
             if rate > best.effective_rate + RATE_EPS:
                 best = TrajectoryPlan(PlanMode.SUPERPOSED_PAIR, (paths[i], paths[j]), rate)
     return best

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from qnetsim.channels import (
     ChannelModel,
-    _holevo_bits,
     apply_channel,
     bottleneck_check,
+    channel_from_ptm,
     channel_from_spec,
     compose_serial,
     depolarizing_channel,
@@ -33,6 +33,7 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+PLUS_MINUS = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 # tomographically complete probe set for action-equality checks
 PROBES = (
@@ -50,6 +51,12 @@ def _entropy_bits(matrix):
     return float(-(evals * np.log2(evals)).sum())
 
 
+def _holevo_oracle(outputs):
+    """Holevo quantity in bits of equiprobable outputs, from eigvalsh."""
+    avg = 0.5 * outputs[0] + 0.5 * outputs[1]
+    return _entropy_bits(avg) - 0.5 * _entropy_bits(outputs[0]) - 0.5 * _entropy_bits(outputs[1])
+
+
 def _random_cptp(rng, n_kraus=3):
     """Ginibre Kraus set normalized to completeness."""
     raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n_kraus)]
@@ -57,6 +64,44 @@ def _random_cptp(rng, n_kraus=3):
     w, v = np.linalg.eigh(gram)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return ChannelModel(tuple(k @ inv_sqrt for k in raw))
+
+
+def _qr_channel(rng, n_kraus):
+    """Random CPTP qubit channel of ``n_kraus`` operators: the 2x2 blocks of
+    a random isometry from QR, so that sum K^dag K = V^dag V = I."""
+    raw = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
+    isometry, _ = np.linalg.qr(raw)
+    return ChannelModel(tuple(isometry[2 * k : 2 * k + 2] for k in range(n_kraus)))
+
+
+def _amplitude_damping(gamma):
+    return ChannelModel(
+        (
+            np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
+            np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex),
+        )
+    )
+
+
+def _unitary_channel(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return ChannelModel((q,))
+
+
+def _oracle_ptm(channel):
+    """tr(P_i E(P_j)) / 2 from test-local Kraus sums."""
+    paulis = (I2, X, Y, Z)
+    images = [sum(k @ pj @ k.conj().T for k in channel.kraus_ops) for pj in paulis]
+    return np.array([[np.trace(pi @ image).real / 2 for image in images] for pi in paulis])
+
+
+def _unitarily_mixed(channel, rng, extra=1):
+    """The same channel written with another Kraus set: the operators,
+    padded with ``extra`` zero operators, mixed by a random unitary."""
+    ops = list(channel.kraus_ops) + [np.zeros((2, 2), dtype=complex)] * extra
+    n = len(ops)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return ChannelModel(tuple(sum(u[i, j] * ops[j] for j in range(n)) for i in range(n)))
 
 
 def _dep_holevo(p):
@@ -283,22 +328,44 @@ def test_switch_kraus_ops_equal_kron_formula():
             assert np.array_equal(op, expected)
 
 
+def _kron_switch_outputs(first, second):
+    """Flagged switch outputs for inputs |0> and |1>: the 16-operator
+    switch applied to system (x) |+>, then the control measured through
+    np.kron projectors and its outcome kept as a block index."""
+    switch = quantum_switch(first, second)
+    outputs = []
+    for p in (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)):
+        joint = switch.apply_matrix(np.kron(p, PLUS))
+        flagged = np.zeros((4, 4), dtype=complex)
+        for m in range(2):
+            v = PLUS_MINUS[:, m]
+            proj = np.kron(I2, np.outer(v, v.conj()))
+            block = np.einsum("abcb->ac", (proj @ joint @ proj).reshape(2, 2, 2, 2))
+            flagged[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
+        outputs.append(flagged)
+    return outputs
+
+
 def test_switch_holevo_equals_kron_measurement_path():
-    # builds the switch inputs and the control projectors with np.kron per call
-    plus_minus = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     for first, second in _switch_pairs():
-        switch = quantum_switch(first, second)
-        outputs = []
-        for p in (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)):
-            joint = switch.apply_matrix(np.kron(p, PLUS))
-            flagged = np.zeros((4, 4), dtype=complex)
-            for m in range(2):
-                v = plus_minus[:, m]
-                proj = np.kron(I2, np.outer(v, v.conj()))
-                block = np.einsum("abcb->ac", (proj @ joint @ proj).reshape(2, 2, 2, 2))
-                flagged[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
-            outputs.append(flagged)
-        assert switch_holevo_information(first, second) == _holevo_bits(outputs)
+        oracle = _holevo_oracle(_kron_switch_outputs(first, second))
+        assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
+
+
+def test_switch_rate_does_not_depend_on_the_kraus_sets():
+    # Each channel is also written with another Kraus set, of one operator
+    # more; the kron path on the original sets is the oracle.
+    rng = np.random.default_rng(41)
+    pairs = _switch_pairs() + [(_amplitude_damping(0.6), _unitary_channel(rng))]
+    pairs += [(_qr_channel(rng, 2), _qr_channel(rng, 3)) for _ in range(5)]
+    for first, second in pairs:
+        oracle = _holevo_oracle(_kron_switch_outputs(first, second))
+        for a, b in (
+            (first, _unitarily_mixed(second, rng)),
+            (_unitarily_mixed(first, rng), second),
+            (channel_from_ptm(first.ptm), channel_from_ptm(second.ptm)),
+        ):
+            assert abs(switch_holevo_information(a, b) - oracle) <= 1e-12
 
 
 def test_switch_of_depolarizing_outputs_are_control_correlated():
@@ -341,6 +408,61 @@ def test_holevo_matches_analytic_depolarizing_curve():
     for p in (0.2, 0.5, 0.8):
         chi = holevo_information(depolarizing_channel(p))
         assert chi == pytest.approx(_dep_holevo(p), abs=1e-9)
+
+
+def _oracle_channels():
+    rng = np.random.default_rng(23)
+    channels = [_qr_channel(rng, n) for n in (1, 2, 3, 4) for _ in range(5)]
+    channels += [_amplitude_damping(g) for g in (0.0, 0.3, 0.9, 1.0)]
+    channels += [depolarizing_channel(p) for p in (0.0, 0.25, 0.7, 1.0)]
+    channels += [_unitary_channel(rng) for _ in range(3)] + [ChannelModel((PLUS_MINUS,))]
+    return channels
+
+
+def test_closed_form_holevo_equals_eigvalsh_holevo():
+    inputs = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    for channel in _oracle_channels():
+        outputs = [sum(k @ rho @ k.conj().T for k in channel.kraus_ops) for rho in inputs]
+        assert abs(holevo_information(channel) - _holevo_oracle(outputs)) <= 1e-12
+
+
+def test_ptm_matches_pauli_traces_and_is_cached_read_only():
+    for channel in _oracle_channels():
+        assert "ptm" not in vars(channel)  # not built at construction
+        ptm = channel.ptm
+        assert np.allclose(ptm, _oracle_ptm(channel), rtol=0.0, atol=1e-14)
+        assert channel.ptm is ptm and not ptm.flags.writeable
+    assert np.allclose(depolarizing_channel(0.4).ptm, np.diag([1, 0.6, 0.6, 0.6]), atol=1e-15)
+    with pytest.raises(UnsupportedDimensionError):
+        identity_channel(2).ptm
+
+
+def test_ptm_of_serial_composition_is_the_matrix_product():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        first = _qr_channel(rng, int(rng.integers(1, 5)))
+        second = _qr_channel(rng, int(rng.integers(1, 5)))
+        composed = compose_serial(first, second)
+        assert np.allclose(composed.ptm, second.ptm @ first.ptm, rtol=0.0, atol=1e-13)
+
+
+def test_kraus_set_rebuilt_from_ptm_reproduces_it():
+    rng = np.random.default_rng(37)
+    channels = _oracle_channels()
+    channels += [compose_serial(_qr_channel(rng, 4), _qr_channel(rng, 4)) for _ in range(5)]
+    for channel in channels:
+        rebuilt = channel_from_ptm(channel.ptm)
+        assert 1 <= len(rebuilt.kraus_ops) <= 4
+        total = sum(k.conj().T @ k for k in rebuilt.kraus_ops)
+        assert np.allclose(total, I2, rtol=0.0, atol=1e-10)
+        assert np.allclose(_oracle_ptm(rebuilt), channel.ptm, rtol=0.0, atol=1e-12)
+
+
+def test_ptm_of_a_map_that_is_not_completely_positive_is_rejected():
+    # The transpose is positive and trace preserving, but its Choi matrix
+    # is the swap, with eigenvalue -1.
+    with pytest.raises(ValueError, match="not completely positive"):
+        channel_from_ptm(np.diag([1.0, 1.0, -1.0, 1.0]))
 
 
 SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914

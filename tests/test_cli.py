@@ -3,6 +3,7 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -10,7 +11,7 @@ from qnetsim.cli import main
 from qnetsim.config import ExperimentConfig, load_config
 from qnetsim.engine import EventEngine, EventKind, Topology
 from qnetsim.errors import UnreachableError
-from qnetsim.runner import CSV_HEADER, csv_text, run_experiment
+from qnetsim.runner import CSV_HEADER, MetricsRecord, csv_text, run_experiment
 from qnetsim.scenarios import SCENARIOS, ScenarioResult
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -449,6 +450,22 @@ def test_run_experiment_rows_match_csv_text(tmp_path):
     text = csv_text(rows)
     assert text.startswith(",".join(CSV_HEADER))
     assert text.count("\n") == len(rows) + 1
+
+
+def test_csv_text_writes_numpy_scalars_as_their_python_values():
+    def rows(values):
+        return [MetricsRecord("s", 1, "p", f"m{k}", v, 0, 0) for k, v in enumerate(values)]
+
+    numpy_values = [np.float64(0.1875), np.float64(1 / 3), np.bool_(True), np.bool_(False)]
+    python_values = [0.1875, 1 / 3, True, False]
+    text = csv_text(rows(numpy_values))
+    assert text == csv_text(rows(python_values))
+    assert [line.split(",")[4] for line in text.splitlines()[1:]] == [
+        "0.1875",
+        "0.3333333333333333",
+        "1",
+        "0",
+    ]
 
 
 def test_mac_compare_row_cardinality(tmp_path):
