@@ -11,12 +11,13 @@ definite-order composition.
 A qubit channel also has its Pauli transfer matrix (PTM), the real 4x4
 ``R_ij = tr(P_i E(P_j)) / 2`` over ``P = (I, X, Y, Z)``: serial
 composition is ``R2 @ R1``, and the matrix is the same for every Kraus
-set of one channel.  ``channel_from_ptm`` rebuilds a Kraus set from it.
+set of one channel.
 
 A rate is the Holevo information of the equiprobable ``{|0>, |1>}``
 source: ``holevo_information`` for one qubit channel and
-``switch_holevo_information`` for two of them in the switch.  Both read
-their output spectra in closed form, with no eigensolver.
+``switch_holevo_information`` for two of them in the switch.  Both are
+computed from PTMs alone (``switch_holevo_from_ptms`` for the switch),
+and both read their output spectra in closed form, with no eigensolver.
 """
 
 from __future__ import annotations
@@ -39,9 +40,26 @@ from .qstate import (
     EIGENVALUE_FLOOR,
     QuantumState,
     embedded_operators,
+    spectral_entropy,
 )
 
 _PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
+# Pauli vectors of the source states |0><0| and |1><1| as columns; a qubit
+# operator sum_n v_n P_n / 2 has Pauli vector v.
+_SOURCE = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+# The switch's cross term sum_ij (K2_i K1_j rho K2_i^dag K1_j^dag + h.c.) has
+# the PTM X_mn = 1/4 sum Re tr(P_m P_a P_f P_n P_b P_e) R2_ab R1_ef.  Taken on
+# the two source vectors, it is this [(m, s), (a, b, e, f)] matrix applied to
+# the outer product of R2 and R1.
+_SWITCH_CROSS = (
+    0.25
+    * np.einsum(
+        "mij,ajk,fkl,nlo,bop,epi,ns->msabef",
+        *[_PAULIS] * 6,
+        _SOURCE,
+        optimize=True,
+    ).real.reshape(8, 256)
+)
 
 
 @dataclass(eq=False)
@@ -172,23 +190,20 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     return ChannelModel(tuple(ops))
 
 
-def _entropy_bits(spectra: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each state whose eigenvalues lie along the last
-    axis of ``spectra``.  Eigenvalues below the floor contribute zero;
-    anything below the structural negativity budget is rejected."""
-    lowest = float(spectra.min())
-    if lowest < -STRUCTURAL_ATOL:
-        raise ValueError(f"state has eigenvalue {lowest} below -{STRUCTURAL_ATOL}")
-    lam = np.clip(spectra, 0.0, 1.0)
-    lam = np.where(lam >= EIGENVALUE_FLOOR, lam, 1.0)  # 1 log2(1) = 0
-    return -(lam * np.log2(lam)).sum(axis=-1)
+def _pauli_holevo(outputs: np.ndarray) -> float:
+    """Holevo quantity ``S(avg) - avg S`` in bits of the outputs of the
+    equiprobable inputs ``|0>`` and ``|1>``.
 
-
-def _holevo_from_spectra(spectra: np.ndarray) -> float:
-    """Holevo quantity ``S(avg) - avg S`` in bits of two equiprobable
-    outputs, from the ascending spectra of their average and of each."""
+    Each output is block diagonal in 2x2 blocks ``sum_m c_m P_m / 2``, and
+    ``outputs[..., m, s]`` is ``c_m`` of a block of input ``s``.  A block has
+    eigenvalues ``(c_0 -+ |c_xyz|) / 2``.
+    """
+    states = np.stack((outputs.mean(axis=-1), outputs[..., 0], outputs[..., 1]))
+    norms = np.linalg.norm(states[..., 1:], axis=-1)
+    spectra = np.stack(((states[..., 0] - norms) / 2, (states[..., 0] + norms) / 2), axis=-1)
+    spectra = spectra.reshape(3, -1)
     dim = spectra.shape[-1]
-    avg, first, second = _entropy_bits(spectra)
+    avg, first, second = spectral_entropy(spectra)
     chi = float(avg - 0.5 * first - 0.5 * second)
     if chi < -SCALAR_ATOL:
         raise ArithmeticError(f"Holevo information {chi} is negative beyond tolerance")
@@ -201,18 +216,13 @@ def _holevo_from_spectra(spectra: np.ndarray) -> float:
 
 def _ptm_holevo(ptm: np.ndarray) -> float:
     """Holevo rate in bits of the qubit channel with Pauli transfer matrix
-    ``ptm``, fed ``|0>`` or ``|1>``.
-
-    The outputs have Bloch vectors ``R[1:, 0] +- R[1:, 3]`` and their
-    average ``R[1:, 0]``; a qubit with Bloch vector ``r`` has eigenvalues
-    ``(1 -+ |r|) / 2``.
-    """
-    centre, offset = ptm[1:, 0], ptm[1:, 3]
-    norms = np.linalg.norm(np.array([centre, centre + offset, centre - offset]), axis=1)
-    longest = float(norms.max())
+    ``ptm``, fed ``|0>`` or ``|1>``: the outputs have Pauli vectors
+    ``ptm @ v_s``, with Bloch vectors ``R[1:, 0] +- R[1:, 3]``."""
+    outputs = ptm @ _SOURCE
+    longest = float(np.linalg.norm(outputs[1:], axis=0).max())
     if longest > 1.0 + STRUCTURAL_ATOL:
         raise ValueError(f"output Bloch vector of length {longest} lies outside the Bloch ball")
-    return _holevo_from_spectra(np.stack(((1.0 - norms) / 2, (1.0 + norms) / 2), axis=-1))
+    return _pauli_holevo(outputs)
 
 
 def holevo_information(channel: ChannelModel) -> float:
@@ -224,39 +234,30 @@ def holevo_information(channel: ChannelModel) -> float:
     return _ptm_holevo(channel.ptm)
 
 
-def _hermitian_eigenvalues_2x2(blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues ``mean -+ sqrt(half_gap^2 + |off|^2)`` of
-    Hermitian 2x2 matrices stacked on the leading axes."""
-    top, bottom = blocks[..., 0, 0].real, blocks[..., 1, 1].real
-    mean = 0.5 * (top + bottom)
-    spread = np.hypot(0.5 * (top - bottom), np.abs(blocks[..., 0, 1]))
-    return np.stack((mean - spread, mean + spread), axis=-1)
-
-
-def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> float:
-    """Holevo rate in bits of the switch of two qubit channels.
+def switch_holevo_from_ptms(first: np.ndarray, second: np.ndarray) -> float:
+    """Holevo rate in bits of the switch of the qubit channels with Pauli
+    transfer matrices ``first`` and ``second``.
 
     The control starts in ``|+>`` and is measured in the ``|+>/|->``
     basis after the switch; its outcome is kept as a classical flag
     beside the system's output.  With ``a = K2_i K1_j`` and
     ``b = K1_j K2_i``, input ``|s>`` and outcome ``+-`` leave the system
-    in ``1/4 sum (a +- b)|s><s|(a +- b)^dag``, so the flagged output is
-    block diagonal and its spectrum is that of its 2x2 blocks.  The rate
-    does not depend on which Kraus set stands for either channel.
+    in the block ``1/4 sum (a +- b)|s><s|(a +- b)^dag``, whose Pauli vector
+    is ``1/4 (R2 R1 + R1 R2 +- X) v_s`` with ``X`` the PTM of the cross
+    term.  Neither term depends on which Kraus set stands for a channel.
     """
+    serial = (second @ first + first @ second) @ _SOURCE
+    cross = (_SWITCH_CROSS @ np.multiply.outer(second, first).reshape(-1)).reshape(4, 2)
+    return _pauli_holevo(0.25 * np.stack((serial + cross, serial - cross)))
+
+
+def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> float:
+    """Holevo rate in bits of the switch of two qubit channels; see
+    ``switch_holevo_from_ptms``."""
     for c in (first, second):
         if c.dim != 2:
             raise UnsupportedDimensionError("switch requires single-qubit channels")
-    k1, k2 = np.array(first.kraus_ops), np.array(second.kraus_ops)
-    a = np.einsum("iab,jbc->ijac", k2, k1).reshape(-1, 2, 2)
-    b = np.einsum("jab,ibc->ijac", k1, k2).reshape(-1, 2, 2)
-    # [outcome, Kraus pair, row, input]: column s is the branch of input |s>.
-    branches = np.stack((a + b, a - b))
-    # [input, outcome, 2, 2]
-    blocks = 0.25 * np.einsum("mkas,mkbs->smab", branches, branches.conj())
-    states = np.stack((0.5 * (blocks[0] + blocks[1]), blocks[0], blocks[1]))
-    spectra = np.sort(_hermitian_eigenvalues_2x2(states).reshape(3, 4), axis=-1)
-    return _holevo_from_spectra(spectra)
+    return switch_holevo_from_ptms(first.ptm, second.ptm)
 
 
 def bottleneck_check(first: ChannelModel, second: ChannelModel) -> BottleneckReport:
@@ -267,28 +268,6 @@ def bottleneck_check(first: ChannelModel, second: ChannelModel) -> BottleneckRep
     chi_serial = _ptm_holevo(second.ptm @ first.ptm)
     holds = chi_serial <= min(chi_first, chi_second) + SCALAR_ATOL
     return BottleneckReport(chi_first, chi_second, chi_serial, holds)
-
-
-def _channel_from_choi(choi: np.ndarray, dim: int) -> ChannelModel:
-    """Minimal Kraus set of the channel with Choi matrix
-    ``sum vec(K) vec(K)^dag`` (``vec`` row-major): one operator per
-    eigenvalue above the floor.
-
-    Raises ``ValueError`` when an eigenvalue is below ``-STRUCTURAL_ATOL``:
-    the map is not completely positive.
-    """
-    evals, evecs = np.linalg.eigh(choi)
-    if evals[0] < -STRUCTURAL_ATOL:
-        raise ValueError(
-            f"Choi matrix has eigenvalue {evals[0]}: the map is not completely positive"
-        )
-    return ChannelModel(
-        tuple(
-            np.sqrt(lam) * vec.reshape(dim, dim)
-            for lam, vec in zip(evals, evecs.T)
-            if lam > EIGENVALUE_FLOOR
-        )
-    )
 
 
 def reduce_kraus(channel: ChannelModel) -> ChannelModel:
@@ -302,18 +281,13 @@ def reduce_kraus(channel: ChannelModel) -> ChannelModel:
     for k in channel.kraus_ops:
         v = k.reshape(-1)
         choi += np.outer(v, v.conj())
-    return _channel_from_choi(choi, dim)
-
-
-def channel_from_ptm(ptm: np.ndarray) -> ChannelModel:
-    """A qubit channel with at most four Kraus operators, rebuilt from its
-    Pauli transfer matrix through its Choi matrix.
-
-    Raises ``ValueError`` when the map is not completely positive.
-    """
-    # Entry (a, b, c, d) is <a| E(|b><d|) |c>, and |b><d| = sum_j P_j[d, b] P_j / 2.
-    return _channel_from_choi(
-        0.5 * np.einsum("ij,jdb,iac->abcd", ptm, _PAULIS, _PAULIS).reshape(4, 4), 2
+    evals, evecs = np.linalg.eigh(choi)
+    return ChannelModel(
+        tuple(
+            np.sqrt(lam) * vec.reshape(dim, dim)
+            for lam, vec in zip(evals, evecs.T)
+            if lam > EIGENVALUE_FLOOR
+        )
     )
 
 

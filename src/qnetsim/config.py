@@ -13,6 +13,7 @@ import itertools
 import re
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -90,7 +91,7 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     prepare = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
     if prepare is None:
         violations.append(f"scenario: {scenario!r} is not one of {tuple(SCENARIOS)}")
-    seeds = read(lambda: tuple(top.items("seeds", each=top.check_integer)), None)
+    seeds = read(lambda: tuple(top.items("seeds", each=partial(top.check_integer, low=0))), None)
     if seeds == ():
         violations.append("seeds: must be a nonempty list of integers")
     params = read(lambda: top.mapping("params", {}), {})

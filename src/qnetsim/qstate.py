@@ -239,20 +239,24 @@ def partial_trace(state: QuantumState, keep: Sequence[int]) -> QuantumState:
     return QuantumState(k, reduced.reshape(2**k, 2**k))
 
 
-def von_neumann_entropy(state: QuantumState) -> float:
-    """Entropy in bits: ``-sum(lambda * log2(lambda))`` over the spectrum.
+def spectral_entropy(spectra: np.ndarray) -> np.ndarray:
+    """Entropy in bits, ``-sum(lambda * log2(lambda))``, of each state whose
+    eigenvalues lie along the last axis of ``spectra``.
 
     Eigenvalues below the floor contribute zero; anything below the
     structural negativity budget is rejected as an invalid state.
     """
-    evals = np.linalg.eigvalsh(state.matrix)
-    if float(evals.min()) < -STRUCTURAL_ATOL:
-        raise ValueError(f"state has eigenvalue {evals.min()} below -{STRUCTURAL_ATOL}")
-    evals = np.clip(evals, 0.0, 1.0)
-    lam = evals[evals >= EIGENVALUE_FLOOR]
-    if lam.size == 0:
-        return 0.0
-    return float(-(lam * np.log2(lam)).sum())
+    lowest = float(spectra.min())
+    if lowest < -STRUCTURAL_ATOL:
+        raise ValueError(f"state has eigenvalue {lowest} below -{STRUCTURAL_ATOL}")
+    lam = np.clip(spectra, 0.0, 1.0)
+    lam = np.where(lam >= EIGENVALUE_FLOOR, lam, 1.0)  # 1 log2(1) = 0
+    return -(lam * np.log2(lam)).sum(axis=-1)
+
+
+def von_neumann_entropy(state: QuantumState) -> float:
+    """Entropy in bits of a register's state, from its spectrum."""
+    return float(spectral_entropy(np.linalg.eigvalsh(state.matrix)))
 
 
 def fidelity(state: QuantumState, reference: QuantumState) -> float:

@@ -12,8 +12,8 @@ A path's serial channel is its Pauli transfer matrix (PTM), folded as
 ``R_link @ R_prefix`` only when a link-disjoint pair first needs it, and
 once per shared prefix: paths from the source that share their first hops
 share the matrix of those hops.  A path is keyed by its PTM's exact bytes,
-so two different channels never share a rate, and each distinct key gets
-one Kraus set rebuilt from its PTM for the switch.
+so two different channels never share a rate, and each distinct pair of
+keys is rated once by the switch kernel on the two PTMs the keys hold.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from ..channels import ChannelModel, channel_from_ptm
+from ..channels import switch_holevo_from_ptms
 from ..engine import Topology
 from .phy import phy_effective_rate
 
@@ -145,14 +145,10 @@ def route_with_switch_merging(
     # share their entries; the plan's paths and their prefixes bound them.
     prefixes: dict[tuple[str, ...], np.ndarray] = {}
     keys: dict[int, bytes] = {}
-    channels: dict[bytes, ChannelModel] = {}
 
     def key(i: int) -> bytes:
         if i not in keys:
-            ptm = _path_ptm(topology, paths[i], prefixes)
-            keys[i] = ptm.tobytes()
-            if keys[i] not in channels:
-                channels[keys[i]] = channel_from_ptm(ptm)
+            keys[i] = _path_ptm(topology, paths[i], prefixes).tobytes()
         return keys[i]
 
     # Paths with equal channels recur within one plan.
@@ -163,7 +159,8 @@ def route_with_switch_merging(
                 continue
             pair = tuple(sorted((key(i), key(j))))
             if pair not in switch_rates:
-                switch_rates[pair] = phy_effective_rate(channels[pair[0]], channels[pair[1]])
+                first, second = (np.frombuffer(k).reshape(4, 4) for k in pair)
+                switch_rates[pair] = switch_holevo_from_ptms(first, second)
             rate = switch_rates[pair]
             if rate > best.effective_rate + RATE_EPS:
                 best = TrajectoryPlan(PlanMode.SUPERPOSED_PAIR, (paths[i], paths[j]), rate)

@@ -14,8 +14,10 @@ import sys
 from pathlib import Path
 
 import qnetsim  # noqa: F401  (imports every module the tracer patches)
+from qnetsim.channels import ChannelModel
 from qnetsim.config import load_config
 from qnetsim.runner import csv_text, run_experiment
+from qnetsim.services.routing import route_max_bottleneck, route_with_switch_merging
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -42,19 +44,60 @@ def test_every_traced_function_resolves_in_qnetsim():
     assert missing == []
 
 
-def test_routing_grid_multipath_passes_its_oracle(tmp_path, monkeypatch):
-    # oracles.py does ``from workloads import cell_count``
+def _routing_grid_config(name, tmp_path):
+    """The spec of ``routing_grid``'s config ``name`` at the held-out seed,
+    and the path of its YAML text."""
     workloads = _load_benchmark_module("workloads")
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    oracles = _load_benchmark_module("oracles")
     configs = workloads.generate("routing_grid", workloads.HELD_OUT_SEED)
-    [(name, spec, text)] = [c for c in configs if c[0] == "multipath_routing"]
+    [(spec, text)] = [(spec, text) for config, spec, text in configs if config == name]
     path = tmp_path / f"{name}.yaml"
     path.write_text(text)
+    return spec, path
+
+
+def _oracle_check(spec, path, monkeypatch):
+    """Run the config at ``path`` and check its csv with the benchmark's
+    oracle: ``(cells attempted, problems, csv text)``."""
+    # oracles.py does ``from workloads import cell_count``
+    monkeypatch.setitem(sys.modules, "workloads", _load_benchmark_module("workloads"))
+    oracles = _load_benchmark_module("oracles")
     rows, aborted = run_experiment(load_config(path))
     assert aborted == 0
     text = csv_text(rows)
-    attempted, problems = oracles.check_csv(spec, text)
+    return (*oracles.check_csv(spec, text), text)
+
+
+def test_routing_grid_switch_activation_passes_its_oracle(tmp_path, monkeypatch):
+    spec, path = _routing_grid_config("switch_activation", tmp_path)
+    attempted, problems, _ = _oracle_check(spec, path, monkeypatch)
+    assert attempted == 100 and problems == []
+
+
+def test_routing_grid_merge_planner_builds_no_kraus_sets(tmp_path, monkeypatch):
+    # The planner folds and rates Pauli transfer matrices only.
+    _, path = _routing_grid_config("multipath_routing", tmp_path)
+    config = load_config(path)
+    src = config.params["src"]
+    singles = {dst: route_max_bottleneck(config.topology, src, dst) for dst in config.sweep["dst"]}
+    built = []
+    post_init = ChannelModel.__post_init__
+
+    def counted(channel):
+        built.append(channel)
+        post_init(channel)
+
+    monkeypatch.setattr(ChannelModel, "__post_init__", counted)
+    modes = {
+        route_with_switch_merging(config.topology, src, dst, single).mode.value
+        for dst, single in singles.items()
+    }
+    assert modes == {"single_path", "superposed_pair"}
+    assert built == []
+
+
+def test_routing_grid_multipath_passes_its_oracle(tmp_path, monkeypatch):
+    spec, path = _routing_grid_config("multipath_routing", tmp_path)
+    attempted, problems, text = _oracle_check(spec, path, monkeypatch)
     assert attempted == 2 and problems == []
     # The walled corner is the destination whose every link is fully
     # depolarizing; only a switch-merged pair of dead paths reaches it.

@@ -12,7 +12,6 @@ from qnetsim.channels import (
     ChannelModel,
     apply_channel,
     bottleneck_check,
-    channel_from_ptm,
     channel_from_spec,
     compose_serial,
     depolarizing_channel,
@@ -354,7 +353,8 @@ def test_switch_holevo_equals_kron_measurement_path():
 
 def test_switch_rate_does_not_depend_on_the_kraus_sets():
     # Each channel is also written with another Kraus set, of one operator
-    # more; the kron path on the original sets is the oracle.
+    # more, and with the minimal set rebuilt through its Choi matrix; the
+    # kron path on the original sets is the oracle.
     rng = np.random.default_rng(41)
     pairs = _switch_pairs() + [(_amplitude_damping(0.6), _unitary_channel(rng))]
     pairs += [(_qr_channel(rng, 2), _qr_channel(rng, 3)) for _ in range(5)]
@@ -363,7 +363,7 @@ def test_switch_rate_does_not_depend_on_the_kraus_sets():
         for a, b in (
             (first, _unitarily_mixed(second, rng)),
             (_unitarily_mixed(first, rng), second),
-            (channel_from_ptm(first.ptm), channel_from_ptm(second.ptm)),
+            (reduce_kraus(first), reduce_kraus(second)),
         ):
             assert abs(switch_holevo_information(a, b) - oracle) <= 1e-12
 
@@ -444,25 +444,6 @@ def test_ptm_of_serial_composition_is_the_matrix_product():
         second = _qr_channel(rng, int(rng.integers(1, 5)))
         composed = compose_serial(first, second)
         assert np.allclose(composed.ptm, second.ptm @ first.ptm, rtol=0.0, atol=1e-13)
-
-
-def test_kraus_set_rebuilt_from_ptm_reproduces_it():
-    rng = np.random.default_rng(37)
-    channels = _oracle_channels()
-    channels += [compose_serial(_qr_channel(rng, 4), _qr_channel(rng, 4)) for _ in range(5)]
-    for channel in channels:
-        rebuilt = channel_from_ptm(channel.ptm)
-        assert 1 <= len(rebuilt.kraus_ops) <= 4
-        total = sum(k.conj().T @ k for k in rebuilt.kraus_ops)
-        assert np.allclose(total, I2, rtol=0.0, atol=1e-10)
-        assert np.allclose(_oracle_ptm(rebuilt), channel.ptm, rtol=0.0, atol=1e-12)
-
-
-def test_ptm_of_a_map_that_is_not_completely_positive_is_rejected():
-    # The transpose is positive and trace preserving, but its Choi matrix
-    # is the swap, with eigenvalue -1.
-    with pytest.raises(ValueError, match="not completely positive"):
-        channel_from_ptm(np.diag([1.0, 1.0, -1.0, 1.0]))
 
 
 SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914

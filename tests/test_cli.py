@@ -323,6 +323,7 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "seeds[0] must be an integer, got 1.5"),
         ("seeds: [true]\nscenario: superdense\nparams: {n_trials: 8}",
          "seeds[0] must be an integer, got True"),
+        ("seeds: [-1]\n" + MAC + "}", "seeds[0] must be at least 0, got -1"),
         ("scenario: superdense\nparams: {n_trials: 8, werner_w: 1.0}\nsweep: {werner_w: [0.9]}",
          "sweep: werner_w is also set in params, which the sweep overrides"),
         ("seeds: [5, 7, 5, 5]\nscenario: superdense\nparams: {n_trials: 8}",
@@ -357,6 +358,7 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "link-to-unknown-node",
         "fractional-seed",
         "bool-seed",
+        "negative-seed",
         "param-also-swept",
         "repeated-seed",
         "repeated-sweep-value",
