@@ -48,8 +48,10 @@ class MacConfig:
             raise ValueError(f"offered load {self.offered_load} outside [0, 1]")
         if self.w_refresh_cost < 0:
             raise ValueError(f"refresh cost {self.w_refresh_cost} is negative")
-        if self.backoff_window < 0:
-            raise ValueError(f"backoff window {self.backoff_window} is negative")
+        if not 0 <= self.backoff_window <= _BACKOFF_WINDOW_CAP:
+            raise ValueError(
+                f"backoff window {self.backoff_window} outside [0, {_BACKOFF_WINDOW_CAP}]"
+            )
         for pair in self.hidden_pairs:
             i, j = pair
             if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
@@ -126,38 +128,64 @@ def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> _Counts:
 
 
 def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> _Counts:
+    # Per-node state is kept in Python lists: on 2 to 10 nodes a numpy
+    # call costs more than the loop it replaces.  The draws are one
+    # rng.random(n) per slot, then the sensing order, then one backoff per
+    # colliding node in transmission order.
     n = config.n_nodes
-    hidden = {(a, b) for i, j in config.hidden_pairs for a, b in ((i, j), (j, i))}
-    successes = np.zeros(n, dtype=np.int64)
-    backoff = np.zeros(n, dtype=np.int64)
-    collision_streak = np.zeros(n, dtype=np.int64)
+    load = config.offered_load
+    sensing = config.carrier_sensing
+    base_window = config.backoff_window
+    # deaf[i] has bit j set when node i cannot hear node j.
+    deaf = [0] * n
+    for i, j in config.hidden_pairs:
+        deaf[i] |= 1 << j
+        deaf[j] |= 1 << i
+    successes = [0] * n
+    backoff = [0] * n
+    # The window of a node's next backoff: base_window after a success,
+    # doubled by each collision up to _BACKOFF_WINDOW_CAP.
+    window = [base_window] * n
+    waiting = 0  # nodes with a nonzero backoff
     collisions = 0
     for _ in range(config.slots):
-        ready = backoff == 0
-        backoff[~ready] -= 1
-        intenders = (ready & (rng.random(n) < config.offered_load)).nonzero()[0]
-        if config.carrier_sensing and len(intenders) > 1:
-            # Within-slot jitter: a node defers if it can hear someone who
-            # already started.  Hidden pairs cannot hear each other.
-            order = rng.permutation(len(intenders))
-            transmitting: list[int] = []
-            for node in intenders[order].tolist():
-                senses_busy = any((node, other) not in hidden for other in transmitting)
-                if not senses_busy:
-                    transmitting.append(node)
+        draws = rng.random(n).tolist()
+        if waiting:
+            intenders = []
+            for node in range(n):
+                if backoff[node]:
+                    backoff[node] -= 1
+                    if not backoff[node]:
+                        waiting -= 1
+                elif draws[node] < load:
+                    intenders.append(node)
         else:
-            transmitting = intenders.tolist()
+            # Nobody is backing off, which is every slot without backoff:
+            # one comprehension is faster on many nodes (slotted ALOHA).
+            intenders = [node for node, draw in enumerate(draws) if draw < load]
+        if sensing and len(intenders) > 1:
+            # Within-slot jitter: a node defers if it can hear someone who
+            # already started.  Shuffling the intenders makes the same swaps
+            # as rng.permutation(len(intenders)).
+            rng.shuffle(intenders)
+            transmitting = []
+            busy = 0
+            for node in intenders:
+                if not busy & ~deaf[node]:
+                    transmitting.append(node)
+                    busy |= 1 << node
+        else:
+            transmitting = intenders
         if len(transmitting) == 1:
-            successes[transmitting[0]] += 1
-            collision_streak[transmitting[0]] = 0
-        elif len(transmitting) > 1:
+            node = transmitting[0]
+            successes[node] += 1
+            window[node] = base_window
+        elif transmitting:
             collisions += 1
-            for node in transmitting:
-                collision_streak[node] += 1
-                if config.backoff_window > 0:
-                    window = min(
-                        config.backoff_window * 2 ** (int(collision_streak[node]) - 1),
-                        _BACKOFF_WINDOW_CAP,
-                    )
-                    backoff[node] = rng.integers(0, window)
-    return successes, collisions, 0
+            if base_window:
+                for node in transmitting:
+                    backoff[node] = int(rng.integers(0, window[node]))
+                    if backoff[node]:
+                        waiting += 1
+                    window[node] = min(2 * window[node], _BACKOFF_WINDOW_CAP)
+    return np.array(successes, dtype=np.int64), collisions, 0

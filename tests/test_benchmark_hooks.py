@@ -44,11 +44,11 @@ def test_every_traced_function_resolves_in_qnetsim():
     assert missing == []
 
 
-def _routing_grid_config(name, tmp_path):
-    """The spec of ``routing_grid``'s config ``name`` at the held-out seed,
-    and the path of its YAML text."""
+def _workload_config(workload, name, tmp_path):
+    """The spec of ``workload``'s config ``name`` at the held-out seed, and
+    the path of its YAML text."""
     workloads = _load_benchmark_module("workloads")
-    configs = workloads.generate("routing_grid", workloads.HELD_OUT_SEED)
+    configs = workloads.generate(workload, workloads.HELD_OUT_SEED)
     [(spec, text)] = [(spec, text) for config, spec, text in configs if config == name]
     path = tmp_path / f"{name}.yaml"
     path.write_text(text)
@@ -68,14 +68,14 @@ def _oracle_check(spec, path, monkeypatch):
 
 
 def test_routing_grid_switch_activation_passes_its_oracle(tmp_path, monkeypatch):
-    spec, path = _routing_grid_config("switch_activation", tmp_path)
+    spec, path = _workload_config("routing_grid", "switch_activation", tmp_path)
     attempted, problems, _ = _oracle_check(spec, path, monkeypatch)
     assert attempted == 100 and problems == []
 
 
 def test_routing_grid_merge_planner_builds_no_kraus_sets(tmp_path, monkeypatch):
     # The planner folds and rates Pauli transfer matrices only.
-    _, path = _routing_grid_config("multipath_routing", tmp_path)
+    _, path = _workload_config("routing_grid", "multipath_routing", tmp_path)
     config = load_config(path)
     src = config.params["src"]
     singles = {dst: route_max_bottleneck(config.topology, src, dst) for dst in config.sweep["dst"]}
@@ -96,7 +96,7 @@ def test_routing_grid_merge_planner_builds_no_kraus_sets(tmp_path, monkeypatch):
 
 
 def test_routing_grid_multipath_passes_its_oracle(tmp_path, monkeypatch):
-    spec, path = _routing_grid_config("multipath_routing", tmp_path)
+    spec, path = _workload_config("routing_grid", "multipath_routing", tmp_path)
     attempted, problems, text = _oracle_check(spec, path, monkeypatch)
     assert attempted == 2 and problems == []
     # The walled corner is the destination whose every link is fully
@@ -118,3 +118,13 @@ def test_routing_grid_multipath_passes_its_oracle(tmp_path, monkeypatch):
         and f"dst={walled[0]}" in row["params"].split("|")
     ]
     assert superposed == ["1"]
+
+
+def test_protocol_trials_passes_its_oracle(tmp_path, monkeypatch):
+    cells = {}
+    for name in ("superdense", "mac_compare"):
+        spec, path = _workload_config("protocol_trials", name, tmp_path)
+        attempted, problems, _ = _oracle_check(spec, path, monkeypatch)
+        assert problems == []
+        cells[name] = attempted
+    assert cells == {"superdense": 3, "mac_compare": 4}

@@ -230,6 +230,7 @@ def chain(*quantum_links):
         (MAC + ", hidden_pairs: [[0, 1, 2]]}",
          "hidden_pairs[0] must be a list of two integers, got [0, 1, 2]"),
         (MAC + ", hidden_pairs: [1]}", "hidden_pairs[0] must be a list of two integers, got 1"),
+        (MAC + ", backoff_window: 5000}", "backoff window 5000 outside [0, 1024]"),
     ],
     ids=[
         "teleport-unknown-dst",
@@ -255,6 +256,7 @@ def chain(*quantum_links):
         "mac-hidden-pair-bool",
         "mac-hidden-pair-triple",
         "mac-hidden-pair-not-a-list",
+        "mac-backoff-window-above-cap",
     ],
 )
 def test_validate_rejects_cells_run_would_abort_or_misread(tmp_path, capsys, text, message):

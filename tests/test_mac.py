@@ -1,5 +1,6 @@
 """W-state channel access versus the slotted contention baseline."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import stats
 
 from qnetsim.services.mac import (
+    _BACKOFF_WINDOW_CAP,
     MacConfig,
     MacProtocol,
     jain_fairness,
@@ -55,6 +57,10 @@ def test_config_rejects_bad_values():
         contention_config(hidden_pairs=((0, 0),))
     with pytest.raises(ValueError):
         contention_config(hidden_pairs=((0, 9),))
+    with pytest.raises(ValueError):
+        contention_config(backoff_window=-1)
+    with pytest.raises(ValueError):
+        contention_config(backoff_window=_BACKOFF_WINDOW_CAP + 1)
 
 
 def test_jain_fairness_values():
@@ -196,3 +202,97 @@ def test_same_seed_reproduces_metrics():
     a = run_mac_sim(contention_config(offered_load=0.7, carrier_sensing=False), seed=25)
     b = run_mac_sim(contention_config(offered_load=0.7, carrier_sensing=False), seed=25)
     assert a == b
+
+
+def test_sensing_without_hidden_pairs_matches_closed_form():
+    # Everyone hears everyone: a slot carries a packet unless all n nodes
+    # stay silent, and never two.  Without collisions nobody backs off, so
+    # slots are independent Bernoulli trials.
+    n, load, slots = 3, 0.3, 20_000
+    metrics = run_mac_sim(contention_config(n_nodes=n, offered_load=load, slots=slots), seed=26)
+    assert metrics.collisions == 0
+    expected = 1.0 - (1.0 - load) ** n
+    sigma = math.sqrt(expected * (1.0 - expected) / slots)
+    assert abs(metrics.throughput - expected) <= 5 * sigma
+
+
+def test_two_deaf_nodes_match_closed_form():
+    # Two nodes that cannot hear each other and never back off: both send
+    # with probability load^2, exactly one with 2 load (1 - load).
+    load, slots = 0.6, 20_000
+    metrics = run_mac_sim(
+        contention_config(n_nodes=2, offered_load=load, slots=slots, hidden_pairs=((0, 1),)),
+        seed=27,
+    )
+    for rate, expected in (
+        (metrics.collision_rate, load * load),
+        (metrics.throughput, 2 * load * (1.0 - load)),
+    ):
+        sigma = math.sqrt(expected * (1.0 - expected) / slots)
+        assert abs(rate - expected) <= 5 * sigma
+
+
+def numpy_slotted_contention(config, seed):
+    """The contention loop on numpy arrays, kept as the reference for the
+    draw stream: per-node successes and the collision count."""
+    rng = np.random.default_rng(seed)
+    n = config.n_nodes
+    hidden = {(a, b) for i, j in config.hidden_pairs for a, b in ((i, j), (j, i))}
+    successes = np.zeros(n, dtype=np.int64)
+    backoff = np.zeros(n, dtype=np.int64)
+    collision_streak = np.zeros(n, dtype=np.int64)
+    collisions = 0
+    for _ in range(config.slots):
+        ready = backoff == 0
+        backoff[~ready] -= 1
+        intenders = (ready & (rng.random(n) < config.offered_load)).nonzero()[0]
+        if config.carrier_sensing and len(intenders) > 1:
+            order = rng.permutation(len(intenders))
+            transmitting = []
+            for node in intenders[order].tolist():
+                if not any((node, other) not in hidden for other in transmitting):
+                    transmitting.append(node)
+        else:
+            transmitting = intenders.tolist()
+        if len(transmitting) == 1:
+            successes[transmitting[0]] += 1
+            collision_streak[transmitting[0]] = 0
+        elif len(transmitting) > 1:
+            collisions += 1
+            for node in transmitting:
+                collision_streak[node] += 1
+                if config.backoff_window > 0:
+                    window = min(
+                        config.backoff_window * 2 ** (int(collision_streak[node]) - 1),
+                        _BACKOFF_WINDOW_CAP,
+                    )
+                    backoff[node] = rng.integers(0, window)
+    return tuple(int(s) for s in successes), collisions
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_contention_draws_match_numpy_reference(n):
+    # Pins the draw stream: the order of the random, shuffle and integers
+    # calls, and rng.shuffle of a list making rng.permutation's swaps.
+    hidden_choices = {
+        "none": (),
+        "one": ((0, 1),),
+        # two pairs that share node 1; on two nodes, the one pair twice
+        "two": ((0, 1), (1, n - 1)) if n > 2 else ((0, 1), (1, 0)),
+    }
+    grid = itertools.product(
+        (0.0, 0.5, 0.8, 1.0), (0, 2, 3, _BACKOFF_WINDOW_CAP), (True, False), hidden_choices.values()
+    )
+    for seed, (load, window, sensing, hidden) in enumerate(grid):
+        config = contention_config(
+            n_nodes=n,
+            slots=300,
+            offered_load=load,
+            backoff_window=window,
+            carrier_sensing=sensing,
+            hidden_pairs=hidden,
+        )
+        metrics = run_mac_sim(config, seed)
+        assert (metrics.per_node_successes, metrics.collisions) == numpy_slotted_contention(
+            config, seed
+        ), (load, window, sensing, hidden)
