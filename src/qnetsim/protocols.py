@@ -18,18 +18,35 @@ so that many trials of one resource can be drawn at once; the per-trial
 A Bell measurement likewise splits into its outcome table
 (``bell_outcome_table``, with ``cumulative_weights`` of its weights) and
 one draw from it (``draw_bell_outcome``), so that many swaps of one state
-build both tables once.
+build both tables once.  Teleporting over one resource state is linear in
+the payload, so it too is a table built once, ``teleport_table``: one real
+4x4 Pauli-transfer map per Bell outcome, built by passing the Paulis
+through ``teleport``'s Bell measurement and ``apply_correction``.  A
+payload's outcome weights (``teleport_weights``) and corrected fidelity
+(``teleport_fidelity``) are then a few plain-float products with its
+Bloch vector, with no density matrix per trial.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError, RenormalizationError
-from .qstate import EIGENVALUE_FLOOR, GateSpec, QuantumState, apply_unitary
+from .qstate import (
+    EIGENVALUE_FLOOR,
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    GateSpec,
+    QuantumState,
+    apply_unitary,
+)
 
 W_STATE_MAX_NODES = 10
 
@@ -129,20 +146,23 @@ def make_w_state(n: int, holders: tuple[str, ...] | None = None) -> EntangledRes
     return EntangledResource(QuantumState(n, matrix), ResourceKind.W_STATE, holders)
 
 
-def cumulative_weights(weights: np.ndarray) -> np.ndarray:
+def cumulative_weights(weights: Iterable[float]) -> tuple[float, ...]:
     """The table a draw from ``weights`` searches: the weights clipped at
-    0, summed cumulatively and normalised to end at 1.  A caller that
-    draws from one set of weights many times builds it once."""
-    cumulative = np.cumsum(np.clip(weights, 0.0, None))
-    cumulative /= cumulative[-1]
-    return cumulative
+    0, summed cumulatively in order and normalised to end at 1, as plain
+    floats.  A caller that draws from one set of weights many times
+    builds it once."""
+    total = 0.0
+    running = []
+    for weight in weights:
+        total += max(float(weight), 0.0)
+        running.append(total)
+    return tuple([value / total for value in running])
 
 
-def _draw_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
+def _draw_index(cumulative: Sequence[float], rng: np.random.Generator) -> int:
     """Index drawn from a ``cumulative_weights`` table with exactly one
-    ``rng.random()`` draw."""
-    drawn = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(drawn, len(cumulative) - 1)
+    ``rng.random()`` draw: the first entry above the draw."""
+    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def _bell_branches(state: QuantumState, qubit_a: int, qubit_b: int) -> np.ndarray:
@@ -175,11 +195,11 @@ def bell_outcome_table(
 
 
 def draw_bell_outcome(
-    weights: np.ndarray, cumulative: np.ndarray, rng: np.random.Generator
+    weights: Sequence[float], cumulative: Sequence[float], rng: np.random.Generator
 ) -> int:
-    """Index of one outcome of a ``bell_outcome_table``, drawn from its
-    ``weights`` with one ``rng.random()`` draw; ``cumulative`` is
-    ``cumulative_weights(weights)``.
+    """Index of one Bell outcome, drawn from its ``weights`` (of a
+    ``bell_outcome_table`` or ``teleport_weights``) with one ``rng.random()``
+    draw; ``cumulative`` is ``cumulative_weights(weights)``.
 
     Raises ``RenormalizationError`` when the drawn weight is below
     ``EIGENVALUE_FLOOR``: that branch cannot be normalised.
@@ -247,6 +267,56 @@ def teleport(
         bits, origin=resource.holders[0], target=resource.holders[1], purpose=Purpose.TELEPORT
     )
     return message, post
+
+
+_PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
+
+
+def teleport_table(pair: QuantumState) -> np.ndarray:
+    """Teleportation over ``pair`` as one real 4x4 map per Bell outcome.
+
+    Teleporting is linear in the payload, so for a payload with Pauli
+    vector ``v = (1, r)``, outcome ``m``'s corrected, unnormalised output
+    has Pauli vector ``table[m] @ v``: its entry 0 is the outcome's
+    weight and entries 1-3 its unnormalised Bloch vector.  Column ``j``
+    is the image of ``P_j / 2`` (``P = I, X, Y, Z``) under the Bell
+    measurement of ``teleport`` and the correction of ``apply_correction``,
+    so the table holds for any two-qubit resource.
+    """
+    if pair.num_qubits != 2:
+        raise ValueError("teleport needs a two-qubit resource")
+    table = np.empty((4, 4, 4))
+    for j, pauli in enumerate(_PAULIS):
+        _, branches = bell_outcome_table(QuantumState(3, np.kron(pauli / 2, pair.matrix)), 0, 1)
+        for m, (bits, branch) in enumerate(zip(SUPERDENSE_MESSAGES, branches)):
+            corrected = pauli_correct(QuantumState(1, branch), 0, bits).matrix
+            table[m, :, j] = [np.real(np.trace(p @ corrected)) for p in _PAULIS]
+    return table
+
+
+def teleport_weights(
+    table: Sequence[Sequence[Sequence[float]]], r: tuple[float, float, float]
+) -> tuple[float, ...]:
+    """Weight ``(table[m] @ (1, r))[0]`` of each Bell outcome when a payload
+    of Bloch vector ``r`` is teleported; plain floats, ``table`` a
+    ``teleport_table`` as nested lists."""
+    x, y, z = r
+    weights = []
+    for branch in table:
+        t0, t1, t2, t3 = branch[0]
+        weights.append(t0 + t1 * x + t2 * y + t3 * z)
+    return tuple(weights)
+
+
+def teleport_fidelity(branch: Sequence[Sequence[float]], r: tuple[float, float, float]) -> float:
+    """Fidelity with the pure payload of Bloch vector ``r`` of the
+    corrected output of one outcome, ``branch = table[m]``: with
+    ``(w, s) = branch @ (1, r)``, it is ``(1 + r . s / w) / 2``, clipped
+    to [0, 1] as ``fidelity`` clips."""
+    x, y, z = r
+    weight, s_x, s_y, s_z = (t0 + t1 * x + t2 * y + t3 * z for t0, t1, t2, t3 in branch)
+    value = (1.0 + (x * s_x + y * s_y + z * s_z) / weight) / 2.0
+    return min(max(value, 0.0), 1.0)
 
 
 def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> QuantumState:

@@ -269,9 +269,27 @@ def fidelity(state: QuantumState, reference: QuantumState) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def gaussian_ket(rng: np.random.Generator, num_qubits: int = 1) -> np.ndarray:
+    """Unnormalised ket of independent complex normal amplitudes, real
+    parts drawn first, then imaginary parts.  Its direction is
+    Haar-random, so this is the one place a Haar payload is drawn."""
+    dim = 2**num_qubits
+    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
 def random_pure_state(rng: np.random.Generator, num_qubits: int = 1) -> QuantumState:
     """Haar-random pure state drawn from the given generator."""
-    dim = 2**num_qubits
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = gaussian_ket(rng, num_qubits)
     v /= np.linalg.norm(v)
     return QuantumState(num_qubits, np.outer(v, v.conj()))
+
+
+def bloch_vector(ket: np.ndarray) -> tuple[float, float, float]:
+    """``(<X>, <Y>, <Z>)`` of the pure qubit state along a nonzero ket,
+    which need not be normalised, as plain floats."""
+    a, b = ket.tolist()
+    cross = a.conjugate() * b
+    weight_0 = a.real * a.real + a.imag * a.imag
+    weight_1 = b.real * b.real + b.imag * b.imag
+    norm = weight_0 + weight_1
+    return 2.0 * cross.real / norm, 2.0 * cross.imag / norm, (weight_0 - weight_1) / norm

@@ -26,9 +26,7 @@ from .fields import Fields
 from .protocols import (
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
-    EntangledResource,
     Purpose,
-    ResourceKind,
     apply_correction,
     bell_outcome_table,
     cumulative_weights,
@@ -36,10 +34,19 @@ from .protocols import (
     phi_plus_state,
     superdense_distribution,
     superdense_encode,
-    teleport,
+    teleport_fidelity,
+    teleport_table,
+    teleport_weights,
     werner_pair,
 )
-from .qstate import EIGENVALUE_FLOOR, SCALAR_ATOL, QuantumState, fidelity, random_pure_state
+from .qstate import (
+    EIGENVALUE_FLOOR,
+    SCALAR_ATOL,
+    QuantumState,
+    bloch_vector,
+    fidelity,
+    gaussian_ket,
+)
 from .services.mac import MacConfig, MacProtocol, run_mac_sim
 from .services.phy import phy_effective_rate
 from .services.routing import PlanMode, route_max_bottleneck, route_with_switch_merging
@@ -90,21 +97,24 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
     def run(rng_seed: list[int]) -> ScenarioResult:
         engine = EventEngine(topology, rng_seed)
         fidelities: list[float] = []
-        # Every trial uses up a pair of the same state, so the state is
-        # built once and each trial wraps it in a resource of its own.
-        pair_state = werner_pair(werner_w).state
-        pair_state.matrix.flags.writeable = False
+        # Every trial uses up a pair of the same state, so teleporting over
+        # it is one branch table, built once per cell; a trial reads its
+        # payload's outcome weights and corrected fidelity off the table
+        # as plain floats, with the draws teleport makes.
+        table = teleport_table(werner_pair(werner_w).state).tolist()
+        messages = [CorrectionMessage(m, src, dst, Purpose.TELEPORT) for m in SUPERDENSE_MESSAGES]
 
         def teleport_step(eng: EventEngine, _event) -> None:
-            payload = random_pure_state(eng.rng)
-            resource = EntangledResource(pair_state, ResourceKind.BELL_PHI_PLUS, (src, dst))
-            message, destination = teleport(payload, resource, eng.rng)
+            r = bloch_vector(gaussian_ket(eng.rng))
+            weights = teleport_weights(table, r)
+            message = messages[draw_bell_outcome(weights, cumulative_weights(weights), eng.rng)]
+            # The destination corrects by the bits it is delivered.
             eng.send_classical(
                 message,
                 route,
                 SignalingScope.END_TO_END,
                 lambda delivered: fidelities.append(
-                    fidelity(apply_correction(destination, delivered), payload)
+                    teleport_fidelity(table[SUPERDENSE_MESSAGES.index(delivered.bits)], r)
                 ),
             )
 

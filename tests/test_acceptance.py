@@ -81,10 +81,24 @@ def _entropy_bits(matrix):
 
 def test_criterion_1_teleport_dual_resource():
     from qnetsim.engine import ClassicalLink, Topology
+    from qnetsim.scenarios import SCENARIOS
 
     n_teleports = 1000
+    seed = [20_260_814]
     topo = Topology(("alice", "bob"), (ClassicalLink("alice", "bob", 1),), ())
-    engine = EventEngine(topo, seed=20_260_814)
+
+    started = time.perf_counter()
+    cell = {"n_teleports": n_teleports, "werner_w": 1.0, "src": "alice", "dst": "bob"}
+    result = SCENARIOS["teleport"](topo, cell)(seed)
+    elapsed = time.perf_counter() - started
+    m = dict(result.metrics)
+    # One delivery line per teleport, each carrying its own bit count.
+    deliveries = [line for line in result.trace if "kind=classical_deliver" in line]
+    assert all("purpose=teleport" in d and "scope=end_to_end" in d for d in deliveries)
+    e2e_bits = [int(line.split(" bits=")[1].split()[0]) for line in deliveries]
+
+    # Oracle: the same draws through the per-trial density-matrix path.
+    engine = EventEngine(topo, seed=seed)
     fidelities = []
 
     def step(eng, _event):
@@ -96,23 +110,34 @@ def test_criterion_1_teleport_dual_resource():
 
         eng.send_classical(message, ("alice", "bob"), SignalingScope.END_TO_END, on_deliver)
 
-    started = time.perf_counter()
     for k in range(n_teleports):
         engine.schedule(k, EventKind.PROTOCOL_STEP, handler=step)
     engine.run_until(n_teleports + 10)
-    elapsed = time.perf_counter() - started
+    oracle_bits = [e.bits for e in engine.ledger if e.scope is SignalingScope.END_TO_END]
 
-    e2e_bits = [e.bits for e in engine.ledger if e.scope is SignalingScope.END_TO_END]
-    fidelity_ok = len(fidelities) == n_teleports and all(
-        abs(f - 1.0) <= 1e-9 for f in fidelities
+    fidelity_ok = (
+        m["teleports"] == n_teleports
+        and abs(m["fidelity_min"] - 1.0) <= 1e-9
+        and abs(m["fidelity_mean"] - 1.0) <= 1e-9
+        and len(fidelities) == n_teleports
+        and all(abs(f - 1.0) <= 1e-9 for f in fidelities)
+        and abs(m["fidelity_min"] - min(fidelities)) <= 1e-9
     )
-    ledger_ok = len(e2e_bits) == n_teleports and set(e2e_bits) == {2}
+    ledger_ok = (
+        len(e2e_bits) == n_teleports
+        and set(e2e_bits) == {2}
+        and result.bits_end_to_end == 2 * n_teleports
+        and result.bits_host_to_host == 0
+        and m["bits_per_teleport"] == 2.0
+        and oracle_bits == e2e_bits
+    )
     time_ok = elapsed < 10.0
     line = _verdict(
         1,
         "teleportation fidelity 1.0 and exactly 2 end-to-end bits each",
         fidelity_ok and ledger_ok and time_ok,
-        f"min fidelity {min(fidelities):.12f}, bits per teleport {set(e2e_bits)}, {elapsed:.2f}s",
+        f"min fidelity {m['fidelity_min']:.12f} (per-trial oracle {min(fidelities):.12f}), "
+        f"bits per teleport {set(e2e_bits)}, {elapsed:.2f}s",
     )
     assert fidelity_ok and ledger_ok and time_ok, line
 

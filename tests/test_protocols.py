@@ -1,9 +1,12 @@
 """Bell/W preparation, teleportation, superdense coding, swapping, election."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qnetsim.errors import (
     CapacityError,
@@ -18,9 +21,12 @@ from qnetsim.protocols import (
     Purpose,
     ResourceKind,
     _bell_branches,
+    _draw_index,
     apply_correction,
     bell_basis_measure,
     bell_outcome_table,
+    cumulative_weights,
+    draw_bell_outcome,
     entanglement_swap,
     make_bell_pair,
     make_w_state,
@@ -29,6 +35,9 @@ from qnetsim.protocols import (
     superdense_distribution,
     superdense_encode,
     teleport,
+    teleport_fidelity,
+    teleport_table,
+    teleport_weights,
     w_election_probabilities,
     w_election_round,
     werner_pair,
@@ -37,6 +46,7 @@ from qnetsim.qstate import QuantumState, fidelity, measure, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -188,6 +198,17 @@ def test_bell_measure_on_a_pair_inside_a_register_names_the_bell_state():
                 assert np.allclose(post.matrix, rest, rtol=0.0, atol=1e-12)
 
 
+@functools.cache
+def _cnot_then_h(a, b, n):
+    """The matrix of CNOT(a, b), then H(a), on ``n`` qubits."""
+    dim = 2**n
+    cnot = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        cnot[i ^ (((i >> (n - 1 - a)) & 1) << (n - 1 - b)), i] = 1
+    h_a = np.kron(np.kron(np.eye(2**a), H), np.eye(2 ** (n - 1 - a)))
+    return h_a @ cnot
+
+
 def _hand_built_bell_weights(rho, a, b, n):
     """Outcome weights of CNOT(a, b), then H(a), then reading a and b."""
     dim = 2**n
@@ -195,11 +216,7 @@ def _hand_built_bell_weights(rho, a, b, n):
     def bit(index, q):
         return (index >> (n - 1 - q)) & 1
 
-    cnot = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        cnot[i ^ (bit(i, a) << (n - 1 - b)), i] = 1
-    h_a = np.kron(np.kron(np.eye(2**a), H), np.eye(2 ** (n - 1 - a)))
-    u = h_a @ cnot
+    u = _cnot_then_h(a, b, n)
     diagonal = np.real(np.diag(u @ rho @ u.conj().T))
     weights = np.zeros(4)
     for i in range(dim):
@@ -237,6 +254,39 @@ def test_bell_measure_guards_a_branch_below_the_floor():
     for a, b in ((1, 1), (0, 3), (-1, 0)):
         with pytest.raises(IndexError):
             bell_basis_measure(state, a, b, _ForcedDraw(0.5))
+
+
+def test_draw_index_matches_numpy_search_on_random_tables():
+    # The numpy form of the draw (clip, cumulative sum, normalise, first
+    # entry above the draw) on over 10^4 tables of 2 to 10 weights mixing
+    # ordinary, zero, tied, sub-floor and slightly negative entries; draws
+    # at random, at every table entry (where "first entry above" matters),
+    # at 0 and beyond 1.
+    rng = np.random.default_rng(71)
+    specials = np.array([0.0, 1e-13, -1e-17, 0.25])
+    tables = 0
+    for size in range(2, 11):
+        count = 1200
+        weights = rng.random((count, size))
+        kinds = rng.integers(0, 4, (count, size))
+        special = kinds == 1
+        weights[special] = specials[rng.integers(0, len(specials), special.sum())]
+        tied = kinds == 2
+        rows = np.nonzero(tied)[0]
+        weights[tied] = weights[rows, rng.integers(0, size, len(rows))]
+        weights = weights[np.clip(weights, 0.0, None).sum(axis=1) > 0.0]
+        expected = np.cumsum(np.clip(weights, 0.0, None), axis=1)
+        expected /= expected[:, -1:]
+        randoms = rng.random(len(weights))
+        for row, table, draw in zip(weights, expected, randoms):
+            cumulative = cumulative_weights(row)
+            assert cumulative == tuple(table.tolist())
+            draws = [draw, 0.0, 1.5, *cumulative]
+            indices = np.minimum(np.searchsorted(table, draws, side="right"), size - 1)
+            assert [_draw_index(cumulative, _ForcedDraw(d)) for d in draws] == indices.tolist()
+            tables += 1
+    assert tables >= 10_000
+    assert all(type(value) is float for value in cumulative_weights(np.array([0.5, 0.25])))
 
 
 # -- teleportation ------------------------------------------------------------
@@ -330,6 +380,93 @@ def test_teleport_werner_fidelity_matches_oracle():
     assert abs(np.mean(observed) - oracle) < 0.01
     # the Werner output fidelity is payload independent: (1 + w) / 2
     assert oracle == pytest.approx((1 + w) / 2, abs=1e-9)
+
+
+def amplitude_damped_pair(gamma, halves=(0, 1)):
+    """Hand-built phi+ with amplitude damping on the given halves: not
+    Bell-diagonal.  Damping one half only also makes the two halves'
+    marginals differ, so each outcome's transfer matrix is not symmetric."""
+    damping = [
+        np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
+        np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex),
+    ]
+    first, second = (damping if half in halves else [I2] for half in (0, 1))
+    phi = bell_matrix(0, 0)
+    return sum(np.kron(a, b) @ phi @ np.kron(a, b).conj().T for a in first for b in second)
+
+
+def _check_teleport_table_against_per_trial_path(pair_matrix, n_payloads, seed):
+    """For each payload and each outcome: the table's weight against the
+    hand-built CNOT-H circuit, and its fidelity against ``teleport`` forced
+    onto that outcome, then ``apply_correction`` and ``fidelity``."""
+    pair = QuantumState(2, pair_matrix)
+    table = teleport_table(pair).tolist()
+    rng = np.random.default_rng(seed)
+    for _ in range(n_payloads):
+        payload = random_pure_state(rng)
+        r = tuple(float(np.real(np.trace(p @ payload.matrix))) for p in (X, Y, Z))
+        weights = teleport_weights(table, r)
+        expected = _hand_built_bell_weights(np.kron(payload.matrix, pair_matrix), 0, 1, 3)
+        assert np.max(np.abs(np.subtract(weights, expected))) <= 1e-12
+        upper = np.cumsum(expected) / expected.sum()
+        lower = np.concatenate(([0.0], upper[:-1]))
+        for index, bits in enumerate(SUPERDENSE_MESSAGES):
+            if expected[index] < 1e-9:
+                continue
+            resource = EntangledResource(pair, ResourceKind.BELL_PHI_PLUS, ("s", "d"))
+            draw = _ForcedDraw((lower[index] + upper[index]) / 2)
+            message, pending = teleport(payload, resource, draw)
+            assert message.bits == bits
+            oracle = fidelity(apply_correction(pending, message), payload)
+            assert abs(teleport_fidelity(table[index], r) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "pair_matrix",
+    [werner_matrix(0.8), amplitude_damped_pair(0.3), amplitude_damped_pair(0.3, halves=(1,))],
+    ids=["werner-0.8", "amplitude-damped-0.3", "one-half-damped-0.3"],
+)
+def test_teleport_table_matches_per_trial_teleport(pair_matrix):
+    _check_teleport_table_against_per_trial_path(pair_matrix, 200, 81)
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=32, max_size=32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_teleport_table_matches_per_trial_teleport_on_mixed_resources(entries, seed):
+    g = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+    rho = g @ g.conj().T
+    assume(np.real(np.trace(rho)) > 1e-3)
+    _check_teleport_table_against_per_trial_path(rho / np.trace(rho), 200, seed)
+
+
+def test_teleport_table_of_phi_plus_is_identity_per_outcome():
+    # An ideal pair teleports any payload exactly: each outcome, weight 1/4,
+    # passes the Pauli vector through unchanged.
+    table = teleport_table(phi_plus_state())
+    assert np.allclose(table, np.broadcast_to(np.eye(4) / 4, (4, 4, 4)), rtol=0.0, atol=1e-15)
+
+
+def test_teleport_table_draw_guards_a_branch_below_the_floor():
+    # Over the product resource |00> a payload |0> never yields a psi
+    # outcome; a draw >= 1 selects (1, 1), which the table path must refuse
+    # as the per-trial path does.
+    pair = QuantumState(2, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    weights = teleport_weights(teleport_table(pair).tolist(), (0.0, 0.0, 1.0))
+    assert weights == pytest.approx((0.5, 0.0, 0.5, 0.0), abs=1e-15)
+    with pytest.raises(RenormalizationError):
+        draw_bell_outcome(weights, cumulative_weights(weights), _ForcedDraw(1.5))
+    payload = QuantumState(1, np.diag([1.0, 0.0]).astype(complex))
+    resource = EntangledResource(pair, ResourceKind.BELL_PHI_PLUS, ("s", "d"))
+    with pytest.raises(RenormalizationError):
+        teleport(payload, resource, _ForcedDraw(1.5))
+
+
+def test_teleport_table_needs_a_two_qubit_resource():
+    with pytest.raises(ValueError):
+        teleport_table(QuantumState(1, np.eye(2, dtype=complex) / 2))
 
 
 # -- superdense coding --------------------------------------------------------

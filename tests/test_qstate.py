@@ -14,8 +14,10 @@ from qnetsim.qstate import (
     GateSpec,
     QuantumState,
     apply_unitary,
+    bloch_vector,
     embed_operator,
     fidelity,
+    gaussian_ket,
     measure,
     new_register,
     partial_trace,
@@ -311,6 +313,43 @@ def test_fidelity_rejects_mixed_reference():
         fidelity(new_register(1, "0"), mixed)
     with pytest.raises(ValueError):
         fidelity(new_register(1, "0"), QuantumState(2, bell_phi_plus()))
+
+
+# -- Haar payloads -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_gaussian_ket_makes_the_normal_draws_of_a_haar_state(num_qubits):
+    # Real parts then imaginary parts, one normal draw of 2^n each: the
+    # generator ends where two such draws leave it, and random_pure_state
+    # is that ket normalised.
+    dim = 2**num_qubits
+    reference = np.random.default_rng(91)
+    real, imag = reference.normal(size=dim), reference.normal(size=dim)
+    rng = np.random.default_rng(91)
+    ket = gaussian_ket(rng, num_qubits)
+    assert np.array_equal(ket, real + 1j * imag)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    rng = np.random.default_rng(91)
+    state = random_pure_state(rng, num_qubits)
+    unit = (real + 1j * imag) / np.linalg.norm(real + 1j * imag)
+    assert np.array_equal(state.matrix, np.outer(unit, unit.conj()))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_bloch_vector_is_pauli_expectation_of_the_normalised_ket():
+    rng = np.random.default_rng(92)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    for scale in (1.0, 1e-3, 7.5):
+        for _ in range(50):
+            ket = scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            rho = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+            expected = [np.real(np.trace(p @ rho)) for p in (X, y, Z)]
+            r = bloch_vector(ket)
+            assert all(type(value) is float for value in r)
+            assert np.allclose(r, expected, rtol=0.0, atol=1e-14)
+    assert bloch_vector(np.array([1, 0], dtype=complex)) == (0.0, 0.0, 1.0)
+    assert bloch_vector(np.array([1, 1j], dtype=complex)) == (0.0, 1.0, 0.0)
 
 
 # -- invariant properties -----------------------------------------------------

@@ -1,13 +1,21 @@
 """Scenario runners end to end, pinned to closed forms."""
 
+import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnetsim.config import parse_config
+from qnetsim import scenarios
+from qnetsim.config import load_config, parse_config
+from qnetsim.engine import ClassicalLink, EventEngine, Topology
+from qnetsim.protocols import teleport, werner_pair
+from qnetsim.qstate import random_pure_state
 from qnetsim.runner import run_experiment
 from qnetsim.scenarios import SCENARIOS
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def metrics_by_cell(config):
@@ -43,6 +51,42 @@ def test_teleport_fidelity_is_werner_closed_form():
         assert m["fidelity_mean"] == pytest.approx((1 + w) / 2, abs=1e-9)
         assert m["fidelity_min"] == pytest.approx((1 + w) / 2, abs=1e-9)
         assert m["bits_per_teleport"] == 2.0
+
+
+@pytest.mark.parametrize("werner_w", [1.0, 0.8])
+def test_teleport_cell_leaves_the_stream_where_per_trial_teleport_does(werner_w, monkeypatch):
+    # Each trial draws a Haar payload's normals and then one outcome, as
+    # teleport does, so the next cell's draws do not shift.
+    engines = []
+
+    class RecordingEngine(EventEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(scenarios, "EventEngine", RecordingEngine)
+    topology = Topology(("a", "b", "c"), (ClassicalLink("a", "b", 2), ClassicalLink("b", "c", 1)))
+    n_teleports = 60
+    SCENARIOS["teleport"](topology, {"n_teleports": n_teleports, "werner_w": werner_w})([17, 3])
+    per_trial = np.random.default_rng([17, 3])
+    for _ in range(n_teleports):
+        teleport(random_pure_state(per_trial), werner_pair(werner_w, ("a", "c")), per_trial)
+    (engine,) = engines
+    assert engine.rng.bit_generator.state == per_trial.bit_generator.state
+
+
+# sha256 of each trace file of configs/teleport.yaml, as the per-trial
+# density-matrix path wrote them.
+TELEPORT_TRACE_SHA256 = "66cdd31d97bb6bce86db21a7c282d33c8afa46426809c736864fc605d7ffc1a4"
+
+
+def test_shipped_teleport_config_writes_the_pinned_traces(tmp_path):
+    _, aborted = run_experiment(load_config(CONFIG_DIR / "teleport.yaml"), tmp_path, trace=True)
+    assert aborted == 0
+    traces = sorted(tmp_path.glob("*.trace"))
+    assert [t.name for t in traces] == ["teleport_s101_t0.trace", "teleport_s102_t0.trace"]
+    for path in traces:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TELEPORT_TRACE_SHA256, path.name
 
 
 @pytest.mark.parametrize("reverse_links", [False, True])
