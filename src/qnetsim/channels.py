@@ -11,17 +11,20 @@ definite-order composition.
 A qubit channel also has its Pauli transfer matrix (PTM), the real 4x4
 ``R_ij = tr(P_i E(P_j)) / 2`` over ``P = (I, X, Y, Z)``: serial
 composition is ``R2 @ R1``, and the matrix is the same for every Kraus
-set of one channel.
+set of one channel.  It is one constant matrix applied to the Kraus Gram
+matrix ``sum_k vec(K) vec(K)^*``.
 
 A rate is the Holevo information of the equiprobable ``{|0>, |1>}``
 source: ``holevo_information`` for one qubit channel and
 ``switch_holevo_information`` for two of them in the switch.  Both are
 computed from PTMs alone (``switch_holevo_from_ptms`` for the switch),
-and both read their output spectra in closed form, with no eigensolver.
+and both read their output spectra in closed form, with no eigensolver,
+on plain Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
@@ -40,13 +43,17 @@ from .qstate import (
     EIGENVALUE_FLOOR,
     QuantumState,
     embedded_operators,
-    spectral_entropy,
+    spectrum_entropy,
 )
 
 _PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 # Pauli vectors of the source states |0><0| and |1><1| as columns; a qubit
 # operator sum_n v_n P_n / 2 has Pauli vector v.
 _SOURCE = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+# R_ij = 1/2 sum_k tr(P_i K P_j K^dag) is linear in the Kraus Gram matrix
+# G = sum_k vec(K) vec(K)^dag, with vec row-major: this [(i, j), (b, c, a, d)]
+# matrix applied to G[(b, c), (a, d)] = sum_k K_bc K_ad^*.
+_PTM_FROM_GRAM = 0.5 * np.einsum("iab,jcd->ijbcad", _PAULIS, _PAULIS).reshape(16, 16)
 # The switch's cross term sum_ij (K2_i K1_j rho K2_i^dag K1_j^dag + h.c.) has
 # the PTM X_mn = 1/4 sum Re tr(P_m P_a P_f P_n P_b P_e) R2_ab R1_ef.  Taken on
 # the two source vectors, it is this [(m, s), (a, b, e, f)] matrix applied to
@@ -99,9 +106,9 @@ class ChannelModel:
             raise UnsupportedDimensionError(
                 f"a Pauli transfer matrix needs a qubit channel, got dimension {self.dim}"
             )
-        kraus = np.array(self.kraus_ops)
-        images = np.einsum("kab,jbc,kdc->jad", kraus, _PAULIS, kraus.conj())
-        ptm = np.einsum("iba,jab->ij", _PAULIS, images).real / 2
+        vecs = np.array(self.kraus_ops).reshape(-1, 4)
+        gram = vecs.T @ vecs.conj()
+        ptm = (_PTM_FROM_GRAM @ gram.reshape(16)).real.reshape(4, 4).copy()
         ptm.flags.writeable = False
         return ptm
 
@@ -190,25 +197,33 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     return ChannelModel(tuple(ops))
 
 
-def _pauli_holevo(outputs: np.ndarray) -> float:
+def _block_spectrum(c0: float, c1: float, c2: float, c3: float) -> tuple[float, float]:
+    """Eigenvalues ``(c_0 -+ |c_xyz|) / 2`` of the 2x2 block ``sum_m c_m P_m / 2``."""
+    norm = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+    return (c0 - norm) / 2, (c0 + norm) / 2
+
+
+def _pauli_holevo(blocks: Sequence[Sequence[Sequence[float]]]) -> float:
     """Holevo quantity ``S(avg) - avg S`` in bits of the outputs of the
     equiprobable inputs ``|0>`` and ``|1>``.
 
     Each output is block diagonal in 2x2 blocks ``sum_m c_m P_m / 2``, and
-    ``outputs[..., m, s]`` is ``c_m`` of a block of input ``s``.  A block has
-    eigenvalues ``(c_0 -+ |c_xyz|) / 2``.
+    ``blocks[b][m][s]`` is ``c_m`` of block ``b`` of input ``s``, given as
+    plain floats.
     """
-    states = np.stack((outputs.mean(axis=-1), outputs[..., 0], outputs[..., 1]))
-    norms = np.linalg.norm(states[..., 1:], axis=-1)
-    spectra = np.stack(((states[..., 0] - norms) / 2, (states[..., 0] + norms) / 2), axis=-1)
-    spectra = spectra.reshape(3, -1)
-    dim = spectra.shape[-1]
-    avg, first, second = spectral_entropy(spectra)
-    chi = float(avg - 0.5 * first - 0.5 * second)
+    mean: list[float] = []
+    zero: list[float] = []
+    one: list[float] = []
+    for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in blocks:
+        mean += _block_spectrum((a0 + b0) / 2, (a1 + b1) / 2, (a2 + b2) / 2, (a3 + b3) / 2)
+        zero += _block_spectrum(a0, a1, a2, a3)
+        one += _block_spectrum(b0, b1, b2, b3)
+    dim = len(mean)
+    chi = spectrum_entropy(mean) - 0.5 * spectrum_entropy(zero) - 0.5 * spectrum_entropy(one)
     if chi < -SCALAR_ATOL:
         raise ArithmeticError(f"Holevo information {chi} is negative beyond tolerance")
     chi = max(chi, 0.0)
-    bound = np.log2(dim)
+    bound = math.log2(dim)
     if chi > bound + SCALAR_ATOL:
         raise ArithmeticError(f"Holevo information {chi} exceeds log2({dim})")
     return min(chi, bound)
@@ -218,11 +233,12 @@ def _ptm_holevo(ptm: np.ndarray) -> float:
     """Holevo rate in bits of the qubit channel with Pauli transfer matrix
     ``ptm``, fed ``|0>`` or ``|1>``: the outputs have Pauli vectors
     ``ptm @ v_s``, with Bloch vectors ``R[1:, 0] +- R[1:, 3]``."""
-    outputs = ptm @ _SOURCE
-    longest = float(np.linalg.norm(outputs[1:], axis=0).max())
+    outputs = [[r0 + r3, r0 - r3] for r0, _, _, r3 in ptm.tolist()]
+    _, (x0, x1), (y0, y1), (z0, z1) = outputs
+    longest = math.sqrt(max(x0 * x0 + y0 * y0 + z0 * z0, x1 * x1 + y1 * y1 + z1 * z1))
     if longest > 1.0 + STRUCTURAL_ATOL:
         raise ValueError(f"output Bloch vector of length {longest} lies outside the Bloch ball")
-    return _pauli_holevo(outputs)
+    return _pauli_holevo((outputs,))
 
 
 def holevo_information(channel: ChannelModel) -> float:
@@ -248,7 +264,7 @@ def switch_holevo_from_ptms(first: np.ndarray, second: np.ndarray) -> float:
     """
     serial = (second @ first + first @ second) @ _SOURCE
     cross = (_SWITCH_CROSS @ np.multiply.outer(second, first).reshape(-1)).reshape(4, 2)
-    return _pauli_holevo(0.25 * np.stack((serial + cross, serial - cross)))
+    return _pauli_holevo((0.25 * np.stack((serial + cross, serial - cross))).tolist())
 
 
 def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> float:

@@ -9,8 +9,9 @@ a single read-only matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -239,24 +240,28 @@ def partial_trace(state: QuantumState, keep: Sequence[int]) -> QuantumState:
     return QuantumState(k, reduced.reshape(2**k, 2**k))
 
 
-def spectral_entropy(spectra: np.ndarray) -> np.ndarray:
-    """Entropy in bits, ``-sum(lambda * log2(lambda))``, of each state whose
-    eigenvalues lie along the last axis of ``spectra``.
+def spectrum_entropy(eigenvalues: Iterable[float]) -> float:
+    """Entropy in bits, ``-sum(lambda * log2(lambda))``, of a state with
+    these eigenvalues, given as plain floats.
 
-    Eigenvalues below the floor contribute zero; anything below the
-    structural negativity budget is rejected as an invalid state.
+    Eigenvalues are clipped to [0, 1], and those below the floor
+    contribute zero; anything below the structural negativity budget is
+    rejected as an invalid state.  This is the one entropy rule.
     """
-    lowest = float(spectra.min())
-    if lowest < -STRUCTURAL_ATOL:
-        raise ValueError(f"state has eigenvalue {lowest} below -{STRUCTURAL_ATOL}")
-    lam = np.clip(spectra, 0.0, 1.0)
-    lam = np.where(lam >= EIGENVALUE_FLOOR, lam, 1.0)  # 1 log2(1) = 0
-    return -(lam * np.log2(lam)).sum(axis=-1)
+    total = 0.0
+    for lam in eigenvalues:
+        if lam < -STRUCTURAL_ATOL:
+            raise ValueError(f"state has eigenvalue {lam} below -{STRUCTURAL_ATOL}")
+        if lam >= EIGENVALUE_FLOOR:
+            if lam > 1.0:
+                lam = 1.0
+            total -= lam * math.log2(lam)
+    return total
 
 
 def von_neumann_entropy(state: QuantumState) -> float:
     """Entropy in bits of a register's state, from its spectrum."""
-    return float(spectral_entropy(np.linalg.eigvalsh(state.matrix)))
+    return spectrum_entropy(np.linalg.eigvalsh(state.matrix).tolist())
 
 
 def fidelity(state: QuantumState, reference: QuantumState) -> float:

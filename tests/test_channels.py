@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from qnetsim.channels import (
     ChannelModel,
+    _pauli_holevo,
+    _ptm_holevo,
     apply_channel,
     bottleneck_check,
     channel_from_spec,
@@ -19,6 +21,7 @@ from qnetsim.channels import (
     identity_channel,
     quantum_switch,
     reduce_kraus,
+    switch_holevo_from_ptms,
     switch_holevo_information,
 )
 from qnetsim import qstate
@@ -54,6 +57,12 @@ def _holevo_oracle(outputs):
     """Holevo quantity in bits of equiprobable outputs, from eigvalsh."""
     avg = 0.5 * outputs[0] + 0.5 * outputs[1]
     return _entropy_bits(avg) - 0.5 * _entropy_bits(outputs[0]) - 0.5 * _entropy_bits(outputs[1])
+
+
+def _channel_outputs(channel):
+    """Outputs of a qubit channel for the inputs |0> and |1>, by Kraus sums."""
+    inputs = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    return [sum(k @ rho @ k.conj().T for k in channel.kraus_ops) for rho in inputs]
 
 
 def _random_cptp(rng, n_kraus=3):
@@ -420,10 +429,8 @@ def _oracle_channels():
 
 
 def test_closed_form_holevo_equals_eigvalsh_holevo():
-    inputs = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     for channel in _oracle_channels():
-        outputs = [sum(k @ rho @ k.conj().T for k in channel.kraus_ops) for rho in inputs]
-        assert abs(holevo_information(channel) - _holevo_oracle(outputs)) <= 1e-12
+        assert abs(holevo_information(channel) - _holevo_oracle(_channel_outputs(channel))) <= 1e-12
 
 
 def test_ptm_matches_pauli_traces_and_is_cached_read_only():
@@ -444,6 +451,133 @@ def test_ptm_of_serial_composition_is_the_matrix_product():
         second = _qr_channel(rng, int(rng.integers(1, 5)))
         composed = compose_serial(first, second)
         assert np.allclose(composed.ptm, second.ptm @ first.ptm, rtol=0.0, atol=1e-13)
+
+
+# -- rating kernel: guards and accuracy at the boundaries ----------------------
+
+
+def _block_outputs(blocks):
+    """Block-diagonal output matrices for inputs 0 and 1 of Pauli-vector
+    blocks ``blocks[b][m][s]``, each block ``sum_m c_m P_m / 2``."""
+    paulis = (I2, X, Y, Z)
+    outputs = []
+    for s in (0, 1):
+        out = np.zeros((2 * len(blocks), 2 * len(blocks)), dtype=complex)
+        for b, rows in enumerate(blocks):
+            out[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = sum(
+                row[s] * p / 2 for row, p in zip(rows, paulis)
+            )
+        outputs.append(out)
+    return outputs
+
+
+def test_ptm_holevo_rejects_an_output_outside_the_bloch_ball():
+    with pytest.raises(ValueError, match="outside the Bloch ball"):
+        _ptm_holevo(np.diag([1.0, 1.1, 1.1, 1.1]))
+
+
+def test_switch_rate_rejects_a_negative_output_eigenvalue():
+    with pytest.raises(ValueError, match=r"below -1e-10$"):
+        switch_holevo_from_ptms(np.diag([1.0, 2.0, 2.0, 2.0]), np.eye(4))
+
+
+# Crafted unnormalised blocks ``[m][s]`` (the kernel takes any nested
+# sequence of floats).  Input 0 has spectrum (1/2, 1/2), input 1 (3/2, 3/2)
+# clipped to 1, and their mean (1, 1): chi = 0 - 1/2 - 0.
+NEGATIVE_CHI_BLOCKS = [[[1.0, 3.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]
+# Three blocks, each pure and opposite for the two inputs: the mean has six
+# eigenvalues 1/2, so chi = 3 bits on a dimension of 6.
+OVERFULL_CHI_BLOCKS = [[[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]]] * 3
+
+
+def test_holevo_kernel_rejects_negative_chi():
+    with pytest.raises(ArithmeticError, match="negative beyond tolerance"):
+        _pauli_holevo(np.array(NEGATIVE_CHI_BLOCKS))
+
+
+def test_holevo_kernel_rejects_chi_above_log2_dim():
+    with pytest.raises(ArithmeticError, match=r"exceeds log2\(6\)$"):
+        _pauli_holevo(np.array(OVERFULL_CHI_BLOCKS))
+
+
+def test_rates_of_pure_outputs_match_eigvalsh_oracles():
+    # eigenvalues exactly 0 and 1: the identity, and amplitude damping at
+    # gamma = 1, which sends both inputs to |0>
+    identity, damping = identity_channel(), _amplitude_damping(1.0)
+    assert holevo_information(identity) == 1.0
+    assert holevo_information(damping) == 0.0
+    for first, second in ((identity, identity), (damping, damping), (identity, damping)):
+        for channel in (first, second):
+            oracle = _holevo_oracle(_channel_outputs(channel))
+            assert abs(holevo_information(channel) - oracle) <= 1e-12
+        oracle = _holevo_oracle(_kron_switch_outputs(first, second))
+        assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e-12 - 1e-13, 1e-12 + 1e-13])
+def test_rates_with_an_eigenvalue_at_the_floor_match_eigvalsh_oracles(gamma):
+    # input |1> leaves diag(gamma, 1 - gamma); counting gamma or not moves
+    # the rate by about 2e-11, so a rule that puts it on the wrong side of
+    # the floor fails here
+    damping = _amplitude_damping(gamma)
+    oracle = _holevo_oracle(_channel_outputs(damping))
+    assert abs(holevo_information(damping) - oracle) <= 1e-12
+    serial = bottleneck_check(damping, identity_channel()).chi_serial
+    assert abs(serial - oracle) <= 1e-12
+    for second in (identity_channel(), damping):
+        oracle = _holevo_oracle(_kron_switch_outputs(damping, second))
+        assert abs(switch_holevo_information(damping, second) - oracle) <= 1e-12
+
+
+def test_holevo_kernel_clips_rounding_negatives():
+    # block + has c_0 = 0.1 and |c_z| one ulp above it, so its lower
+    # eigenvalue rounds to about -7e-18; block - is pure with weight 0.9
+    above = math.nextafter(0.1, 1.0)
+    assert -1e-17 < (0.1 - above) / 2 < 0.0
+    blocks = [
+        [[0.1, 0.1], [0.0, 0.0], [0.0, 0.0], [above, -above]],
+        [[0.9, 0.9], [0.0, 0.0], [0.9, 0.0], [0.0, 0.9]],
+    ]
+    oracle = _holevo_oracle(_block_outputs(blocks))
+    assert abs(_pauli_holevo(np.array(blocks)) - oracle) <= 1e-12
+
+
+def test_switch_of_unitaries_matches_kron_oracle():
+    # every flagged block is rank one, so its lower eigenvalue is rounding
+    # dust of either sign
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        first, second = _unitary_channel(rng), _unitary_channel(rng)
+        oracle = _holevo_oracle(_kron_switch_outputs(first, second))
+        assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_switch_with_a_fully_depolarizing_channel_matches_kron_oracle(p):
+    first, second = depolarizing_channel(1.0), depolarizing_channel(p)
+    for a, b in ((first, second), (second, first)):
+        oracle = _holevo_oracle(_kron_switch_outputs(a, b))
+        assert abs(switch_holevo_information(a, b) - oracle) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_first=st.integers(1, 4),
+    n_second=st.integers(1, 4),
+)
+def test_rates_of_random_channel_pairs_match_eigvalsh_oracles(seed, n_first, n_second):
+    rng = np.random.default_rng(seed)
+    first, second = _qr_channel(rng, n_first), _qr_channel(rng, n_second)
+    report = bottleneck_check(first, second)
+    for chi, channel in (
+        (report.chi_first, first),
+        (report.chi_second, second),
+        (report.chi_serial, compose_serial(first, second)),
+    ):
+        assert abs(chi - _holevo_oracle(_channel_outputs(channel))) <= 1e-12
+    oracle = _holevo_oracle(_kron_switch_outputs(first, second))
+    assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
 
 
 SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914

@@ -290,6 +290,19 @@ def test_entropy_rejects_negative_spectrum():
         von_neumann_entropy(bad)
 
 
+def test_spectrum_entropy_rule_on_plain_floats():
+    # oracle: plain evaluation of -sum(p log2 p) over the kept eigenvalues
+    assert qstate.spectrum_entropy([0.5, 0.5]) == 1.0
+    # rounding dust around a pure state: clipped to [0, 1], so it adds nothing
+    assert qstate.spectrum_entropy([-1e-17, 1.0 + 2e-16]) == 0.0
+    # the floor is inclusive: 1e-12 counts, anything just under it does not
+    assert qstate.spectrum_entropy([1e-12 - 1e-13, 0.5]) == 0.5
+    assert qstate.spectrum_entropy([1e-12]) == pytest.approx(-1e-12 * math.log2(1e-12), rel=1e-15)
+    assert qstate.spectrum_entropy([]) == 0.0
+    with pytest.raises(ValueError, match=r"eigenvalue -2e-10 below -1e-10"):
+        qstate.spectrum_entropy([0.5, -2e-10, 0.5])
+
+
 def test_fidelity_self_and_mixed():
     rng = np.random.default_rng(8)
     psi = random_pure_state(rng, 1)
