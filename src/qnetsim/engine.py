@@ -2,19 +2,26 @@
 
 Time is an integer tick counter.  Events fire in ``(time, sequence)``
 order, so simultaneous events keep FIFO scheduling order and a fixed
-``(topology, seed)`` pair replays to a bit-identical trace.  All classical
+``(topology, seed)`` pair replays to an identical trace.  All classical
 traffic passes through ``send_classical``, which charges every message to
 a ledger tagged with its signaling scope: host-to-host for link-local
 coordination (heralding), end-to-end for route-wide corrections.
+
+The trace is plain data: one ``(time, seq, kind, detail)`` record per
+fired event, whose detail is the event's payload string, or
+``(CorrectionMessage, SignalingScope)`` for a classical delivery.  An
+event costs its heap operation and its handler only; ``format_record``
+turns a record into its trace line where a trace file is written.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +40,13 @@ class EventKind(enum.Enum):
 class SignalingScope(enum.Enum):
     HOST_TO_HOST = "host_to_host"
     END_TO_END = "end_to_end"
+
+
+# NumPy clamps a geometric draw at this value.
+_GEOMETRIC_CAP = int(np.iinfo(np.int64).max)
+
+# (time, seq, kind, detail) of one fired event.
+TraceRecord = tuple[int, int, EventKind, Any]
 
 
 @dataclass(frozen=True)
@@ -143,28 +157,31 @@ class Topology:
         return self._quantum_links.get(frozenset((a, b)))
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     time: int
     kind: EventKind
     payload: Any = None
     handler: Callable[["EventEngine", "Event"], None] | None = None
     seq: int = -1
-
-    def summary(self) -> str:
-        if self.kind is EventKind.CLASSICAL_DELIVER and self.payload is not None:
-            msg, _, scope = self.payload
-            return (
-                f"purpose={msg.purpose.value} bits={len(msg.bits)} "
-                f"origin={msg.origin} target={msg.target} scope={scope.value}"
-            )
-        if isinstance(self.payload, str):
-            return self.payload
-        return ""
+    # What the event's trace record shows of its payload: the payload
+    # string, ``(message, scope)`` for a delivery, or "".
+    detail: Any = ""
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+def format_record(record: TraceRecord) -> str:
+    """The trace line of one record."""
+    time, seq, kind, detail = record
+    if isinstance(detail, tuple):
+        message, scope = detail
+        detail = (
+            f"purpose={message.purpose.value} bits={len(message.bits)} "
+            f"origin={message.origin} target={message.target} scope={scope.value}"
+        )
+    return f"t={time} seq={seq} kind={kind.value} {detail}".rstrip()
+
+
+class LedgerEntry(NamedTuple):
     time: int
     bits: int
     scope: SignalingScope
@@ -175,14 +192,18 @@ class LedgerEntry:
 
 @dataclass
 class RunResult:
-    trace: tuple[str, ...]
+    trace: tuple[TraceRecord, ...]
     events_processed: int
     bits_host_to_host: int
     bits_end_to_end: int
 
 
 class EventEngine:
-    """Deterministic event loop with a classical-bit ledger."""
+    """Deterministic event loop with a classical-bit ledger.
+
+    ``bits_host_to_host`` and ``bits_end_to_end`` are the ledger's running
+    totals per scope, kept as each message is charged.
+    """
 
     def __init__(self, topology: Topology, seed):
         self.topology = topology
@@ -190,9 +211,16 @@ class EventEngine:
         self.now = 0
         self._seq = 0
         self._queue: list[tuple[int, int, Event]] = []
-        self.trace: list[str] = []
+        self.trace: list[TraceRecord] = []
         self.ledger: list[LedgerEntry] = []
-        self.events_processed = 0
+        self.bits_host_to_host = 0
+        self.bits_end_to_end = 0
+        # Summed latency of each route sent over, checked on its first use.
+        self._route_delay: dict[tuple[str, ...], int] = {}
+
+    @property
+    def events_processed(self) -> int:
+        return len(self.trace)
 
     # -- scheduling ------------------------------------------------------
 
@@ -205,12 +233,28 @@ class EventEngine:
     ) -> Event:
         if time < self.now:
             raise SchedulingError(f"cannot schedule at t={time}, current time is {self.now}")
-        event = Event(int(time), kind, payload, handler, self._seq)
+        if kind is EventKind.CLASSICAL_DELIVER and payload is not None:
+            message, _, scope = payload
+            detail = (message, scope)
+        else:
+            detail = payload if isinstance(payload, str) else ""
+        event = Event(int(time), kind, payload, handler, self._seq, detail)
         self._seq += 1
         heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
     # -- classical plane -------------------------------------------------
+
+    def _route_latency(self, route: tuple[str, ...]) -> int:
+        """Sum of the per-hop link latencies along ``route``, kept per route."""
+        delay = 0
+        for a, b in zip(route, route[1:]):
+            latency = self.topology.classical_latency(a, b)
+            if latency is None:
+                raise UnreachableError(f"no classical link between {a} and {b}")
+            delay += latency
+        self._route_delay[route] = delay
+        return delay
 
     def send_classical(
         self,
@@ -225,31 +269,23 @@ class EventEngine:
             raise ValueError(f"route {route} needs at least two nodes")
         if scope is SignalingScope.HOST_TO_HOST and len(route) != 2:
             raise ValueError("host-to-host messages may only cross a single link")
-        delay = 0
-        for a, b in zip(route, route[1:]):
-            latency = self.topology.classical_latency(a, b)
-            if latency is None:
-                raise UnreachableError(f"no classical link between {a} and {b}")
-            delay += latency
+        delay = self._route_delay.get(route)
+        if delay is None:
+            delay = self._route_latency(route)
+        bits = len(message.bits)
         self.ledger.append(
-            LedgerEntry(
-                self.now, len(message.bits), scope, message.purpose.value, route[0], route[-1]
-            )
+            LedgerEntry(self.now, bits, scope, message.purpose.value, route[0], route[-1])
         )
+        if scope is SignalingScope.HOST_TO_HOST:
+            self.bits_host_to_host += bits
+        else:
+            self.bits_end_to_end += bits
         return self.schedule(
             self.now + delay,
             EventKind.CLASSICAL_DELIVER,
             payload=(message, on_deliver, scope),
             handler=_deliver_classical,
         )
-
-    @property
-    def bits_host_to_host(self) -> int:
-        return sum(e.bits for e in self.ledger if e.scope is SignalingScope.HOST_TO_HOST)
-
-    @property
-    def bits_end_to_end(self) -> int:
-        return sum(e.bits for e in self.ledger if e.scope is SignalingScope.END_TO_END)
 
     # -- quantum plane ---------------------------------------------------
 
@@ -264,7 +300,7 @@ class EventEngine:
         ``(attempts, resource)``.
         """
         attempts = int(self.rng.geometric(link.gen_success_prob))
-        if attempts == np.iinfo(np.int64).max:
+        if attempts == _GEOMETRIC_CAP:
             raise OverflowError(
                 f"link {link.a}-{link.b}: at gen_success_prob {link.gen_success_prob} the "
                 "attempt count reached the geometric draw's cap of 2^63 - 1"
@@ -274,6 +310,7 @@ class EventEngine:
         self.ledger.append(
             LedgerEntry(herald_time, 1, SignalingScope.HOST_TO_HOST, "herald", link.a, link.b)
         )
+        self.bits_host_to_host += 1
         return attempts, resource
 
     # -- main loop -------------------------------------------------------
@@ -282,26 +319,27 @@ class EventEngine:
         """Fire all events with ``time <= t_end``, or, without ``t_end``,
         every event until the queue is empty.
 
-        A handler exception aborts the run; the trace prefix accumulated
-        so far is preserved on the raised error.
+        A handler exception aborts the run; the trace records accumulated
+        so far are preserved on the raised error.
         """
-        while self._queue and (t_end is None or self._queue[0][0] <= t_end):
-            _, _, event = heapq.heappop(self._queue)
-            self.now = event.time
-            self.trace.append(
-                f"t={event.time} seq={event.seq} kind={event.kind.value} {event.summary()}".rstrip()
-            )
-            self.events_processed += 1
+        queue = self._queue
+        trace = self.trace
+        pop = heapq.heappop
+        horizon = math.inf if t_end is None else t_end
+        while queue and queue[0][0] <= horizon:
+            time, seq, event = pop(queue)
+            self.now = time
+            trace.append((time, seq, event.kind, event.detail))
             if event.handler is not None:
                 try:
                     event.handler(self, event)
                 except Exception as exc:  # noqa: BLE001 - wrapped with trace context
-                    raise EngineAborted(exc, tuple(self.trace)) from exc
+                    raise EngineAborted(exc, tuple(trace)) from exc
         if t_end is not None:
             self.now = max(self.now, t_end)
         return RunResult(
-            tuple(self.trace),
-            self.events_processed,
+            tuple(trace),
+            len(trace),
             self.bits_host_to_host,
             self.bits_end_to_end,
         )

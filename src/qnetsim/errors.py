@@ -36,9 +36,9 @@ class UnsupportedDimensionError(ValueError):
 
 
 class EngineAborted(RuntimeError):
-    """An event handler raised; the trace prefix up to the abort is kept."""
+    """An event handler raised; the trace records up to the abort are kept."""
 
-    def __init__(self, cause: BaseException, trace: tuple[str, ...]):
+    def __init__(self, cause: BaseException, trace: tuple):
         super().__init__(f"engine aborted: {cause!r}")
         self.cause = cause
         self.trace = trace

@@ -289,12 +289,16 @@ def random_pure_state(rng: np.random.Generator, num_qubits: int = 1) -> QuantumS
     return QuantumState(num_qubits, np.outer(v, v.conj()))
 
 
-def bloch_vector(ket: np.ndarray) -> tuple[float, float, float]:
-    """``(<X>, <Y>, <Z>)`` of the pure qubit state along a nonzero ket,
-    which need not be normalised, as plain floats."""
-    a, b = ket.tolist()
-    cross = a.conjugate() * b
-    weight_0 = a.real * a.real + a.imag * a.imag
-    weight_1 = b.real * b.real + b.imag * b.imag
+def haar_bloch_vector(rng: np.random.Generator) -> tuple[float, float, float]:
+    """``(<X>, <Y>, <Z>)`` of a Haar-random pure qubit state, as plain floats.
+
+    One normal draw of four makes the ``gaussian_ket`` amplitudes, real
+    parts first, so the generator moves as it does for ``gaussian_ket``."""
+    a_re, b_re, a_im, b_im = rng.normal(size=4).tolist()
+    weight_0 = a_re * a_re + a_im * a_im
+    weight_1 = b_re * b_re + b_im * b_im
     norm = weight_0 + weight_1
-    return 2.0 * cross.real / norm, 2.0 * cross.imag / norm, (weight_0 - weight_1) / norm
+    # conj(a) * b, component by component
+    cross_re = a_re * b_re + a_im * b_im
+    cross_im = a_re * b_im - a_im * b_re
+    return 2.0 * cross_re / norm, 2.0 * cross_im / norm, (weight_0 - weight_1) / norm

@@ -19,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from .config import ExperimentConfig, expand_grid, params_label
+from .engine import TraceRecord, format_record
 from .errors import EngineAborted
 from .scenarios import SCENARIOS, ScenarioResult
 
@@ -120,10 +121,18 @@ def run_experiment(
 
 
 def _write_trace(
-    out_path: Path, scenario: str, seed: int, cell_idx: int, lines: tuple[str, ...]
+    out_path: Path,
+    scenario: str,
+    seed: int,
+    cell_idx: int,
+    trace: tuple[TraceRecord | str, ...],
 ) -> None:
+    """One line per record or line of ``trace``, formatted as it is written."""
     target = out_path / f"{scenario}_s{seed}_t{cell_idx}.trace"
-    target.write_text("\n".join(lines) + ("\n" if lines else ""))
+    with target.open("w") as out:
+        for entry in trace:
+            out.write(entry if isinstance(entry, str) else format_record(entry))
+            out.write("\n")
 
 
 def csv_text(rows: list[MetricsRecord]) -> str:

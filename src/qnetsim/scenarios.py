@@ -20,7 +20,14 @@ from typing import Any, Callable
 import numpy as np
 
 from .channels import bottleneck_check, depolarizing_channel
-from .engine import EventEngine, EventKind, QuantumLink, SignalingScope, Topology
+from .engine import (
+    EventEngine,
+    EventKind,
+    QuantumLink,
+    SignalingScope,
+    Topology,
+    TraceRecord,
+)
 from .errors import UnreachableError
 from .fields import Fields
 from .protocols import (
@@ -43,9 +50,8 @@ from .qstate import (
     EIGENVALUE_FLOOR,
     SCALAR_ATOL,
     QuantumState,
-    bloch_vector,
     fidelity,
-    gaussian_ket,
+    haar_bloch_vector,
 )
 from .services.mac import MacConfig, MacProtocol, run_mac_sim
 from .services.phy import phy_effective_rate
@@ -57,7 +63,9 @@ class ScenarioResult:
     metrics: list[tuple[str, Any]]
     bits_host_to_host: int = 0
     bits_end_to_end: int = 0
-    trace: tuple[str, ...] = ()
+    # The engine's trace records, or trace lines for a scenario without
+    # an engine.
+    trace: tuple[TraceRecord | str, ...] = ()
 
 
 Run = Callable[[list[int]], ScenarioResult]
@@ -105,7 +113,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
         messages = [CorrectionMessage(m, src, dst, Purpose.TELEPORT) for m in SUPERDENSE_MESSAGES]
 
         def teleport_step(eng: EventEngine, _event) -> None:
-            r = bloch_vector(gaussian_ket(eng.rng))
+            r = haar_bloch_vector(eng.rng)
             weights = teleport_weights(table, r)
             message = messages[draw_bell_outcome(weights, cumulative_weights(weights), eng.rng)]
             # The destination corrects by the bits it is delivered.

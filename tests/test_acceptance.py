@@ -29,6 +29,7 @@ from qnetsim.config import load_config
 from qnetsim.engine import EventEngine, EventKind, SignalingScope
 from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
+    Purpose,
     apply_correction,
     make_bell_pair,
     superdense_decode,
@@ -92,10 +93,15 @@ def test_criterion_1_teleport_dual_resource():
     result = SCENARIOS["teleport"](topo, cell)(seed)
     elapsed = time.perf_counter() - started
     m = dict(result.metrics)
-    # One delivery line per teleport, each carrying its own bit count.
-    deliveries = [line for line in result.trace if "kind=classical_deliver" in line]
-    assert all("purpose=teleport" in d and "scope=end_to_end" in d for d in deliveries)
-    e2e_bits = [int(line.split(" bits=")[1].split()[0]) for line in deliveries]
+    # One delivery record per teleport, each carrying its own message.
+    deliveries = [
+        detail for _, _, kind, detail in result.trace if kind is EventKind.CLASSICAL_DELIVER
+    ]
+    assert all(
+        message.purpose is Purpose.TELEPORT and scope is SignalingScope.END_TO_END
+        for message, scope in deliveries
+    )
+    e2e_bits = [len(message.bits) for message, _ in deliveries]
 
     # Oracle: the same draws through the per-trial density-matrix path.
     engine = EventEngine(topo, seed=seed)

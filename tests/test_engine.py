@@ -15,6 +15,7 @@ from qnetsim.engine import (
     QuantumLink,
     SignalingScope,
     Topology,
+    format_record,
 )
 from qnetsim.channels import apply_channel, depolarizing_channel
 from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
@@ -117,6 +118,21 @@ def test_multi_hop_latency_is_additive():
     assert arrived == [9]
 
 
+def test_each_route_is_delayed_by_its_own_latency_sum():
+    # A route's latency is summed once per engine; every later message
+    # over it, and every other route, still arrives after its own sum.
+    engine = EventEngine(chain_topology((2, 3, 4)), seed=0)
+    arrived = []
+    routes = [("n0", "n1"), ("n1", "n2", "n3"), ("n0", "n1", "n2", "n3"), ("n3", "n2")]
+    for route in routes * 2:
+        engine.send_classical(
+            msg(route[0], route[-1]), route, SignalingScope.END_TO_END,
+            on_deliver=lambda m, route=route: arrived.append((route, engine.now)),
+        )
+    engine.run_until()
+    assert sorted(arrived) == sorted([(r, d) for r, d in zip(routes, (2, 7, 9, 4))] * 2)
+
+
 def test_no_delivery_before_latency_elapses():
     engine = EventEngine(chain_topology((5,)), seed=0)
     arrived = []
@@ -151,6 +167,32 @@ def test_ledger_records_bits_and_scopes():
         SignalingScope.HOST_TO_HOST,
         SignalingScope.END_TO_END,
     }
+
+
+def test_bit_totals_are_the_ledger_sums_at_every_horizon():
+    # The totals run as bits are charged, so each run_until reports the
+    # sum of the ledger so far, per scope.
+    engine = EventEngine(chain_topology((2, 3)), seed=0)
+    link_route, chain_route = ("n0", "n1"), ("n0", "n1", "n2")
+
+    def send(eng, event):
+        if event.payload % 3 == 0:
+            eng.send_classical(msg(), link_route, SignalingScope.HOST_TO_HOST)
+        else:
+            eng.send_classical(msg("n0", "n2"), chain_route, SignalingScope.END_TO_END)
+
+    for t in range(12):
+        engine.schedule(t, EventKind.PROTOCOL_STEP, payload=t, handler=send)
+    for horizon in (0, 1, 4, 9, 20):
+        result = engine.run_until(horizon)
+        for scope, total in (
+            (SignalingScope.HOST_TO_HOST, result.bits_host_to_host),
+            (SignalingScope.END_TO_END, result.bits_end_to_end),
+        ):
+            assert total == sum(e.bits for e in engine.ledger if e.scope is scope)
+        assert result.bits_host_to_host == engine.bits_host_to_host
+        assert result.bits_end_to_end == engine.bits_end_to_end
+    assert (engine.bits_host_to_host, engine.bits_end_to_end) == (8, 16)
 
 
 def test_shortest_classical_route_by_hop_count():
@@ -356,6 +398,15 @@ def test_identical_seeds_reproduce_traces():
     assert first.bits_end_to_end == 2 * N_STOCHASTIC
     assert len(first_fids) == N_STOCHASTIC
     assert first.trace == second.trace
+    # Records are plain data: a payload string, or the delivered message
+    # and its scope; never a handler.
+    for _, _, kind, detail in first.trace:
+        if kind is EventKind.CLASSICAL_DELIVER:
+            message, scope = detail
+            assert isinstance(message, CorrectionMessage) and scope is SignalingScope.END_TO_END
+        else:
+            assert isinstance(detail, str)
+    assert [format_record(r) for r in first.trace] == [format_record(r) for r in second.trace]
     assert first_fids == second_fids
     assert first.bits_host_to_host == second.bits_host_to_host
     assert _stochastic_run(100)[0].trace != first.trace
@@ -373,8 +424,8 @@ def test_handler_exception_aborts_with_trace_prefix():
         engine.run_until(10)
     assert isinstance(info.value.cause, RuntimeError)
     assert len(info.value.trace) == 2
-    assert "t=1" in info.value.trace[0]
-    assert "t=2" in info.value.trace[1]
+    assert info.value.trace[0][0] == 1
+    assert info.value.trace[1][0] == 2
 
 
 def test_severed_classical_link_aborts_teleport_uncorrected():

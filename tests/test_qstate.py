@@ -14,10 +14,10 @@ from qnetsim.qstate import (
     GateSpec,
     QuantumState,
     apply_unitary,
-    bloch_vector,
     embed_operator,
     fidelity,
     gaussian_ket,
+    haar_bloch_vector,
     measure,
     new_register,
     partial_trace,
@@ -350,19 +350,26 @@ def test_gaussian_ket_makes_the_normal_draws_of_a_haar_state(num_qubits):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_bloch_vector_is_pauli_expectation_of_the_normalised_ket():
+def test_haar_bloch_vector_is_pauli_expectation_of_the_gaussian_ket():
+    # The same draws as gaussian_ket, and to the last bit the complex
+    # arithmetic on that ket's amplitudes.
     rng = np.random.default_rng(92)
+    reference = np.random.default_rng(92)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    for scale in (1.0, 1e-3, 7.5):
-        for _ in range(50):
-            ket = scale * (rng.normal(size=2) + 1j * rng.normal(size=2))
-            rho = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
-            expected = [np.real(np.trace(p @ rho)) for p in (X, y, Z)]
-            r = bloch_vector(ket)
-            assert all(type(value) is float for value in r)
-            assert np.allclose(r, expected, rtol=0.0, atol=1e-14)
-    assert bloch_vector(np.array([1, 0], dtype=complex)) == (0.0, 0.0, 1.0)
-    assert bloch_vector(np.array([1, 1j], dtype=complex)) == (0.0, 1.0, 0.0)
+    for _ in range(150):
+        r = haar_bloch_vector(rng)
+        ket = gaussian_ket(reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert all(type(value) is float for value in r)
+        rho = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+        expected = [np.real(np.trace(p @ rho)) for p in (X, y, Z)]
+        assert np.allclose(r, expected, rtol=0.0, atol=1e-14)
+        a, b = ket.tolist()
+        cross = a.conjugate() * b
+        weight_0 = a.real * a.real + a.imag * a.imag
+        weight_1 = b.real * b.real + b.imag * b.imag
+        norm = weight_0 + weight_1
+        assert r == (2.0 * cross.real / norm, 2.0 * cross.imag / norm, (weight_0 - weight_1) / norm)
 
 
 # -- invariant properties -----------------------------------------------------

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnetsim import scenarios
+import qnetsim.engine
+from qnetsim import runner, scenarios
 from qnetsim.config import load_config, parse_config
-from qnetsim.engine import ClassicalLink, EventEngine, Topology
+from qnetsim.engine import ClassicalLink, EventEngine, EventKind, Topology
 from qnetsim.protocols import teleport, werner_pair
 from qnetsim.qstate import random_pure_state
 from qnetsim.runner import run_experiment
@@ -78,6 +79,10 @@ def test_teleport_cell_leaves_the_stream_where_per_trial_teleport_does(werner_w,
 # sha256 of each trace file of configs/teleport.yaml, as the per-trial
 # density-matrix path wrote them.
 TELEPORT_TRACE_SHA256 = "66cdd31d97bb6bce86db21a7c282d33c8afa46426809c736864fc605d7ffc1a4"
+# sha256 of the trace file of configs/swap.yaml, as the engine wrote it
+# when it formatted every event into a line as it fired: attempt, step
+# and delivery lines.
+SWAP_TRACE_SHA256 = "e0919df2fc401864bf92c2c5f5ea69e4b2db6dc529c9b235ff27680d68193d6e"
 
 
 def test_shipped_teleport_config_writes_the_pinned_traces(tmp_path):
@@ -87,6 +92,32 @@ def test_shipped_teleport_config_writes_the_pinned_traces(tmp_path):
     assert [t.name for t in traces] == ["teleport_s101_t0.trace", "teleport_s102_t0.trace"]
     for path in traces:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == TELEPORT_TRACE_SHA256, path.name
+
+
+def test_shipped_swap_config_writes_the_pinned_trace(tmp_path):
+    _, aborted = run_experiment(load_config(CONFIG_DIR / "swap.yaml"), tmp_path, trace=True)
+    assert aborted == 0
+    traces = sorted(tmp_path.glob("*.trace"))
+    assert [t.name for t in traces] == ["swap_s21_t0.trace"]
+    assert hashlib.sha256(traces[0].read_bytes()).hexdigest() == SWAP_TRACE_SHA256
+
+
+@pytest.mark.parametrize("name", ["teleport", "swap"])
+def test_trace_records_are_formatted_only_when_written(tmp_path, monkeypatch, name):
+    config = load_config(CONFIG_DIR / f"{name}.yaml")
+    unpatched, _ = run_experiment(config)
+
+    def refuse(record):
+        raise AssertionError(f"formatted {record!r}")
+
+    for module in (qnetsim.engine, runner):
+        monkeypatch.setattr(module, "format_record", refuse)
+    rows, aborted = run_experiment(config, tmp_path / "plain", trace=False)
+    assert aborted == 0
+    assert rows == unpatched
+    assert not list((tmp_path / "plain").glob("*.trace"))
+    with pytest.raises(AssertionError, match="formatted"):
+        run_experiment(config, tmp_path / "traced", trace=True)
 
 
 @pytest.mark.parametrize("reverse_links", [False, True])
@@ -180,14 +211,13 @@ def run_swap_cell(p_left, p_right, n_swaps, seed):
 
 def ready_delays(trace):
     """Ticks from each swap's attempt event to its swap step, read from
-    the trace lines ``t=<tick> ... kind=<kind> swap <k>``."""
+    the trace records ``(tick, seq, kind, "swap <k>")``."""
     ticks = {}
-    for line in trace:
-        fields = line.split()
-        if fields[-2] == "swap":
-            ticks.setdefault(fields[2], {})[int(fields[-1])] = int(fields[0][2:])
-    attempted = ticks["kind=entanglement_attempt"]
-    ready = ticks["kind=protocol_step"]
+    for tick, _, kind, detail in trace:
+        if isinstance(detail, str) and detail.startswith("swap "):
+            ticks.setdefault(kind, {})[int(detail.split()[1])] = tick
+    attempted = ticks[EventKind.ENTANGLEMENT_ATTEMPT]
+    ready = ticks[EventKind.PROTOCOL_STEP]
     assert sorted(attempted) == sorted(ready)
     return np.array([ready[k] - attempted[k] for k in sorted(attempted)])
 
