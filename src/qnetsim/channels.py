@@ -42,7 +42,7 @@ from .qstate import (
     STRUCTURAL_ATOL,
     EIGENVALUE_FLOOR,
     QuantumState,
-    embedded_operators,
+    apply_operators,
     spectrum_entropy,
 )
 
@@ -72,10 +72,10 @@ _SWITCH_CROSS = (
 @dataclass(eq=False)
 class ChannelModel:
     """Kraus representation of a completely positive trace-preserving map
-    on k >= 1 qubits; its operators share one ``dim x dim`` shape, ``dim = 2^k``.
+    on k >= 1 qubits; its operators share one ``dim x dim`` shape, ``dim = 2^k``,
+    and ``stack`` holds them as one read-only ``(m, dim, dim)`` array.
 
-    Compared and hashed by identity, so a channel can key the embed cache
-    in ``qstate``.
+    Compared and hashed by identity, since ``==`` on its arrays is elementwise.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -91,7 +91,9 @@ class ChannelModel:
                 raise ValueError(f"Kraus operators must share one 2^k x 2^k shape, got {k.shape}")
         # A NaN entry would make the completeness error NaN, which passes
         # the tolerance test below.
-        if not np.isfinite(self.kraus_ops).all():
+        self.stack = np.array(self.kraus_ops)
+        self.stack.flags.writeable = False
+        if not np.isfinite(self.stack).all():
             raise ValueError("Kraus operators have a non-finite entry")
         total = sum(k.conj().T @ k for k in self.kraus_ops)
         err = float(np.max(np.abs(total - np.eye(self.dim))))
@@ -106,7 +108,7 @@ class ChannelModel:
             raise UnsupportedDimensionError(
                 f"a Pauli transfer matrix needs a qubit channel, got dimension {self.dim}"
             )
-        vecs = np.array(self.kraus_ops).reshape(-1, 4)
+        vecs = self.stack.reshape(-1, 4)
         gram = vecs.T @ vecs.conj()
         ptm = (_PTM_FROM_GRAM @ gram.reshape(16)).real.reshape(4, 4).copy()
         ptm.flags.writeable = False
@@ -114,10 +116,8 @@ class ChannelModel:
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Kraus sum on a raw density matrix of dimension ``dim``."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
+        k = self.dim.bit_length() - 1
+        return apply_operators(QuantumState(k, rho), self.stack, range(k)).matrix
 
 
 @dataclass(frozen=True)
@@ -156,16 +156,7 @@ def apply_channel(
     k = channel.dim.bit_length() - 1
     if len(targets) != k:
         raise ValueError(f"channel acts on {k} qubit(s), got targets {targets}")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"targets must be distinct, got {targets}")
-    for q in targets:
-        if not 0 <= q < state.num_qubits:
-            raise IndexError(f"target {q} outside register of {state.num_qubits} qubits")
-    n = state.num_qubits
-    out = np.zeros_like(state.matrix)
-    for kraus in embedded_operators(channel, lambda: channel.kraus_ops, targets, n):
-        out += kraus @ state.matrix @ kraus.conj().T
-    return QuantumState(n, out)
+    return apply_operators(state, channel.stack, targets)
 
 
 def compose_serial(first: ChannelModel, second: ChannelModel) -> ChannelModel:

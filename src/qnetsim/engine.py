@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import ChannelModel, apply_channel
 from .errors import EngineAborted, SchedulingError, UnreachableError
-from .protocols import CorrectionMessage, EntangledResource, ResourceKind, phi_plus_state
+from .protocols import CorrectionMessage, phi_plus_state
 from .qstate import QuantumState
 
 
@@ -289,15 +289,14 @@ class EventEngine:
 
     # -- quantum plane ---------------------------------------------------
 
-    def attempt_entanglement(self, link: QuantumLink) -> tuple[int, EntangledResource]:
+    def attempt_entanglement(self, link: QuantumLink) -> int:
         """All of a link's generation attempts, up to its first success.
 
         The attempts are independent Bernoulli trials, so their number is
-        one geometric draw.  The resource is a fresh, unconsumed wrapper of
-        the link's ``pair_state``, and the one-bit heralding message is
-        charged to the host-to-host ledger at the tick of the successful
-        attempt, ``now + (attempts - 1) * attempt_period``.  Returns
-        ``(attempts, resource)``.
+        one geometric draw, which this returns.  The pair they make is the
+        link's ``pair_state``.  The one-bit heralding message is charged to
+        the host-to-host ledger at the tick of the successful attempt,
+        ``now + (attempts - 1) * attempt_period``.
         """
         attempts = int(self.rng.geometric(link.gen_success_prob))
         if attempts == _GEOMETRIC_CAP:
@@ -305,13 +304,12 @@ class EventEngine:
                 f"link {link.a}-{link.b}: at gen_success_prob {link.gen_success_prob} the "
                 "attempt count reached the geometric draw's cap of 2^63 - 1"
             )
-        resource = EntangledResource(link.pair_state, ResourceKind.BELL_PHI_PLUS, (link.a, link.b))
         herald_time = self.now + (attempts - 1) * link.attempt_period
         self.ledger.append(
             LedgerEntry(herald_time, 1, SignalingScope.HOST_TO_HOST, "herald", link.a, link.b)
         )
         self.bits_host_to_host += 1
-        return attempts, resource
+        return attempts
 
     # -- main loop -------------------------------------------------------
 

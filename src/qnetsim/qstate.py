@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, RenormalizationError
 
-# The largest register anything may build or apply an operator to: an
-# embedded operator on it is a 256 x 256 matrix.
+# The largest register anything may build or apply an operator to: its
+# density matrix is 256 x 256, 1 MiB of complex entries.
 MAX_QUBITS = 8
 
 # Tolerance policy: structural invariants (trace, hermiticity, positivity
@@ -35,18 +35,34 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-_SINGLE_QUBIT_GATES = {
-    "I": I2,
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-    "H": HADAMARD,
-}
-_CONTROLLED_GATES = {
-    "CNOT": PAULI_X,
-    "CZ": PAULI_Z,
-}
-GATE_NAMES = tuple(_SINGLE_QUBIT_GATES) + tuple(_CONTROLLED_GATES)
+
+def _controlled(pauli: np.ndarray) -> np.ndarray:
+    """The gate applying ``pauli`` to the second qubit when the first is 1."""
+    return np.kron(np.diag([1.0, 0.0]), I2) + np.kron(np.diag([0.0, 1.0]), pauli)
+
+
+def _read_only_unitaries(gates: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    for name, u in gates.items():
+        if float(np.max(np.abs(u @ u.conj().T - np.eye(len(u))))) > UNITARY_ATOL:
+            raise ValueError(f"gate {name} is not unitary within {UNITARY_ATOL}")
+        u.flags.writeable = False
+    return gates
+
+
+# Every gate as one constant matrix, checked for unitarity once, here.  A
+# controlled gate takes its control as the first target.
+_GATES = _read_only_unitaries(
+    {
+        "I": I2,
+        "X": PAULI_X,
+        "Y": PAULI_Y,
+        "Z": PAULI_Z,
+        "H": HADAMARD,
+        "CNOT": _controlled(PAULI_X),
+        "CZ": _controlled(PAULI_Z),
+    }
+)
+GATE_NAMES = tuple(_GATES)
 
 
 @dataclass
@@ -90,26 +106,17 @@ class GateSpec:
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        if self.name not in GATE_NAMES:
+        if self.name not in _GATES:
             raise ValueError(f"unknown gate {self.name!r}; supported: {GATE_NAMES}")
-        arity = 1 if self.name in _SINGLE_QUBIT_GATES else 2
+        arity = len(_GATES[self.name]).bit_length() - 1
         if len(self.targets) != arity:
             raise ValueError(f"gate {self.name} takes {arity} target(s), got {self.targets}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"gate targets must be distinct, got {self.targets}")
 
     def matrix(self) -> np.ndarray:
-        if self.name in _SINGLE_QUBIT_GATES:
-            u = _SINGLE_QUBIT_GATES[self.name]
-        else:
-            pauli = _CONTROLLED_GATES[self.name]
-            p0 = np.diag([1.0, 0.0]).astype(complex)
-            p1 = np.diag([0.0, 1.0]).astype(complex)
-            u = np.kron(p0, I2) + np.kron(p1, pauli)
-        unit_err = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-        if unit_err > UNITARY_ATOL:
-            raise ValueError(f"gate {self.name} is not unitary within {UNITARY_ATOL}")
-        return u
+        """The gate's read-only matrix on its targets, in their order."""
+        return _GATES[self.name]
 
 
 @dataclass(frozen=True)
@@ -138,54 +145,40 @@ def new_register(num_qubits: int, init: str) -> QuantumState:
     return QuantumState(num_qubits, matrix)
 
 
-def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Lift an operator on ``targets`` to the full register dimension."""
-    n = num_qubits
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex)).reshape((2,) * (2 * n))
-    order = list(targets) + rest
-    inverse = np.argsort(order)
-    axes = list(inverse) + [n + i for i in inverse]
-    return full.transpose(axes).reshape(2**n, 2**n)
+def apply_operators(
+    state: QuantumState, ops: np.ndarray, targets: Sequence[int]
+) -> QuantumState:
+    """``sum_m K_m rho K_m^dag`` for the ``(m, d, d)`` stack ``ops`` acting
+    on the distinct qubits ``targets``, in their order, of a register.
 
-
-# Every gate and channel is applied as its operators embedded in the full
-# register, so an entry holds up to 1 MiB per operator at MAX_QUBITS.
-# Keys are (gate name or channel, targets, register size); a channel hashes
-# by identity and stays alive while cached.  Oldest out beyond the size.
-EMBED_CACHE_SIZE = 256
-_EMBED_CACHE: dict[tuple[Hashable, tuple[int, ...], int], tuple[np.ndarray, ...]] = {}
-
-
-def embedded_operators(
-    key: Hashable,
-    ops: Callable[[], Sequence[np.ndarray]],
-    targets: tuple[int, ...],
-    num_qubits: int,
-) -> tuple[np.ndarray, ...]:
-    """Read-only full-register forms of ``ops()`` on ``targets``, cached
-    under ``key``; ``ops`` is only called on a cache miss.  This is the one
-    way a gate or channel reaches a register."""
-    cache_key = (key, targets, num_qubits)
-    cached = _EMBED_CACHE.get(cache_key)
-    if cached is None:
-        _check_register_size(num_qubits)
-        cached = tuple(embed_operator(op, targets, num_qubits) for op in ops())
-        for matrix in cached:
-            matrix.flags.writeable = False
-        if len(_EMBED_CACHE) >= EMBED_CACHE_SIZE:
-            del _EMBED_CACHE[next(iter(_EMBED_CACHE))]
-        _EMBED_CACHE[cache_key] = cached
-    return cached
+    The density matrix is transposed so the targets come first on both
+    sides, as ``(d, r, d, r)``; then one matmul applies ``K`` on the row
+    side and one ``conj(K)`` on the column side, and the ``m`` results are
+    summed.  No operator is lifted to the full register.  This is the one
+    way a gate or channel reaches a register.
+    """
+    n = state.num_qubits
+    _check_register_size(n)
+    for q in targets:
+        if not 0 <= q < n:
+            raise IndexError(f"target {q} outside register of {n} qubits")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"targets must be distinct, got {tuple(targets)}")
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    axes = order + [q + n for q in order]
+    d = 2 ** len(targets)
+    r = 2**n // d
+    shape = (2,) * (2 * n)
+    rho = state.matrix.reshape(shape).transpose(axes).reshape(d, r * d * r)
+    out = ops.conj()[:, None] @ (ops @ rho).reshape(-1, d * r, d, r)
+    if len(out) > 1:
+        out = out.sum(axis=0)
+    inverse = sorted(range(2 * n), key=axes.__getitem__)
+    return QuantumState(n, out.reshape(shape).transpose(inverse).reshape(2**n, 2**n))
 
 
 def apply_unitary(state: QuantumState, gate: GateSpec) -> QuantumState:
-    for q in gate.targets:
-        if not 0 <= q < state.num_qubits:
-            raise IndexError(f"gate target {q} outside register of {state.num_qubits} qubits")
-    (u,) = embedded_operators(gate.name, lambda: (gate.matrix(),), gate.targets, state.num_qubits)
-    return QuantumState(state.num_qubits, u @ state.matrix @ u.conj().T)
+    return apply_operators(state, gate.matrix()[None], gate.targets)
 
 
 def _bit_of_index(num_qubits: int, qubit: int) -> np.ndarray:

@@ -227,8 +227,8 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
         def attempt_step(eng: EventEngine, event) -> None:
             # Only the tick at which both links have succeeded matters, not
             # when each pair was made.
-            left_attempts, _ = eng.attempt_entanglement(left_link)
-            right_attempts, _ = eng.attempt_entanglement(right_link)
+            left_attempts = eng.attempt_entanglement(left_link)
+            right_attempts = eng.attempt_entanglement(right_link)
             ready = eng.now + max(
                 (left_attempts - 1) * left_link.attempt_period,
                 (right_attempts - 1) * right_link.attempt_period,

@@ -10,6 +10,8 @@ import csv
 import importlib
 import importlib.util
 import io
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +21,8 @@ from qnetsim.config import load_config
 from qnetsim.runner import csv_text, run_experiment
 from qnetsim.services.routing import route_max_bottleneck, route_with_switch_merging
 
-BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK_DIR = ROOT / "benchmark"
 
 
 def _load_benchmark_module(name):
@@ -128,3 +131,17 @@ def test_protocol_trials_passes_its_oracle(tmp_path, monkeypatch):
         assert problems == []
         cells[name] = attempted
     assert cells == {"superdense": 3, "mac_compare": 4}
+
+
+def test_kernel_sweep_times_every_declared_kernel():
+    # The sweep runs the real qstate and channels kernels; each of the 16
+    # kernel metrics the benchmark declares must come out finite and positive.
+    declared = {
+        metric["name"]
+        for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        if metric["name"].startswith("qstate.kernel.")
+    }
+    assert len(declared) == 16
+    sweep = _load_benchmark_module("layers").kernel_sweep()
+    assert set(sweep) == declared
+    assert all(math.isfinite(value) and value > 0 for value in sweep.values())

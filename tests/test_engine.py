@@ -21,7 +21,9 @@ from qnetsim.channels import apply_channel, depolarizing_channel
 from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
 from qnetsim.protocols import (
     CorrectionMessage,
+    EntangledResource,
     Purpose,
+    ResourceKind,
     apply_correction,
     make_bell_pair,
     phi_plus_state,
@@ -223,11 +225,11 @@ def quantum_topology(p_link, gen_prob, period=1):
 
 def test_attempt_entanglement_certain_success():
     topo = quantum_topology(0.0, 1.0)
+    link = topo.quantum_links[0]
     engine = EventEngine(topo, seed=1)
     for _ in range(20):
-        attempts, resource = engine.attempt_entanglement(topo.quantum_links[0])
-        assert attempts == 1
-        assert fidelity(resource.state, phi_plus_state()) == pytest.approx(1.0, abs=1e-12)
+        assert engine.attempt_entanglement(link) == 1
+        assert fidelity(link.pair_state, phi_plus_state()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_attempt_entanglement_success_rate():
@@ -238,9 +240,7 @@ def test_attempt_entanglement_success_rate():
     topo = quantum_topology(0.0, p)
     engine = EventEngine(topo, seed=2)
     n = 4000
-    attempts = np.array(
-        [engine.attempt_entanglement(topo.quantum_links[0])[0] for _ in range(n)]
-    )
+    attempts = np.array([engine.attempt_entanglement(topo.quantum_links[0]) for _ in range(n)])
     assert attempts.min() >= 1
     variance = (1 - p) / p**2
     assert abs(attempts.mean() - 1 / p) < 5 * math.sqrt(variance / n)
@@ -255,17 +255,18 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
     lam = 1 - p
     oracle = (1 + 3 * lam * lam) / 4
     topo = quantum_topology(p, 0.5)
+    link = topo.quantum_links[0]
     engine = EventEngine(topo, seed=3)
     for _ in range(5):
-        _, resource = engine.attempt_entanglement(topo.quantum_links[0])
-        assert fidelity(resource.state, phi_plus_state()) == pytest.approx(oracle, abs=1e-9)
+        engine.attempt_entanglement(link)
+        assert fidelity(link.pair_state, phi_plus_state()) == pytest.approx(oracle, abs=1e-9)
     assert oracle == pytest.approx(0.73, abs=1e-12)
 
 
 def test_link_channel_runs_once_per_link_not_per_attempt(monkeypatch):
     # A stored pair does not decohere, so a link degrades its pair once,
-    # one channel application per half, and every attempt hands out a
-    # fresh resource over that state.
+    # one channel application per half, however many attempts succeed.
+    # A resource wrapped around that pair is consumed on its own.
     calls = []
 
     def counting_apply_channel(channel, state, targets):
@@ -276,16 +277,21 @@ def test_link_channel_runs_once_per_link_not_per_attempt(monkeypatch):
     p = 0.3
     oracle = (1 + 3 * (1 - p) ** 2) / 4
     topo = quantum_topology(p, 0.5)
+    link = topo.quantum_links[0]
     engine = EventEngine(topo, seed=8)
-    resources = [engine.attempt_entanglement(topo.quantum_links[0])[1] for _ in range(200)]
+    pairs = []
+    for _ in range(200):
+        engine.attempt_entanglement(link)
+        pairs.append(link.pair_state)
     assert len(calls) == 2
-    assert len({id(r) for r in resources}) == 200
-    assert not any(r.consumed for r in resources)
+    assert all(pair is pairs[0] for pair in pairs)
+    resources = [
+        EntangledResource(pair, ResourceKind.BELL_PHI_PLUS, (link.a, link.b)) for pair in pairs[:2]
+    ]
     teleport(random_pure_state(engine.rng), resources[0], engine.rng)
     assert resources[0].consumed
     assert not resources[1].consumed
-    for resource in resources:
-        assert fidelity(resource.state, phi_plus_state()) == pytest.approx(oracle, abs=1e-12)
+    assert fidelity(link.pair_state, phi_plus_state()) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_quantum_link_is_frozen_and_its_pair_read_only():
@@ -307,7 +313,7 @@ def test_heralding_charges_one_bit_per_success():
 
     def attempt(eng, event):
         before = len(eng.ledger)
-        attempts, _ = eng.attempt_entanglement(link)
+        attempts = eng.attempt_entanglement(link)
         assert len(eng.ledger) == before + 1
         calls.append((eng.now, attempts))
 
@@ -378,7 +384,8 @@ def _stochastic_run(seed):
         )
 
     def attempt(eng, event):
-        attempts, resource = eng.attempt_entanglement(link)
+        attempts = eng.attempt_entanglement(link)
+        resource = EntangledResource(link.pair_state, ResourceKind.BELL_PHI_PLUS, (link.a, link.b))
         eng.schedule(
             eng.now + (attempts - 1) * link.attempt_period,
             EventKind.PROTOCOL_STEP,

@@ -13,8 +13,8 @@ from qnetsim.errors import CapacityError, RenormalizationError
 from qnetsim.qstate import (
     GateSpec,
     QuantumState,
+    apply_operators,
     apply_unitary,
-    embed_operator,
     fidelity,
     gaussian_ket,
     haar_bloch_vector,
@@ -27,11 +27,22 @@ from qnetsim.qstate import (
 
 # Hand-built references, kept independent of the package constants.
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1, 0]).astype(complex)
 P1 = np.diag([0, 1]).astype(complex)
+# Each gate's matrix on its targets in order; a controlled gate's control first.
+GATES = {
+    "I": I2,
+    "X": X,
+    "Y": Y,
+    "Z": Z,
+    "H": H,
+    "CNOT": np.kron(P0, I2) + np.kron(P1, X),
+    "CZ": np.kron(P0, I2) + np.kron(P1, Z),
+}
 
 
 def kron_of(factors, num_qubits):
@@ -145,21 +156,75 @@ def test_cnot_on_reversed_distant_targets_matches_kron_oracle(num_qubits):
     out.check()
 
 
-def test_gate_on_register_above_cap_raises_before_embedding(monkeypatch):
-    def embed_forbidden(*args):
-        raise AssertionError("embedded an operator for an oversized register")
-
-    monkeypatch.setattr(qstate, "embed_operator", embed_forbidden)
+def test_gate_on_register_above_cap_raises_before_embedding():
     state = QuantumState(9, np.eye(2**9, dtype=complex) / 2**9)
     with pytest.raises(CapacityError):
         apply_unitary(state, GateSpec("X", (0,)))
 
 
-def test_embed_operator_places_action_on_target():
-    full = embed_operator(X, (1,), 2)
-    state = new_register(2, "00")
-    out = full @ state.matrix @ full.conj().T
-    assert np.allclose(out, new_register(2, "01").matrix)
+def test_gate_matrices_are_one_read_only_table():
+    for name in qstate.GATE_NAMES:
+        targets = (0,) if len(GATES[name]) == 2 else (0, 1)
+        u = GateSpec(name, targets).matrix()
+        assert u is GateSpec(name, targets[::-1]).matrix()
+        assert np.array_equal(u, GATES[name])
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
+
+def _kron_embedding(op, targets, num_qubits):
+    """``op`` on ``targets``, in their order, as a full-register matrix: the
+    sum over its entries ``op[i, j] |i><j|``, each matrix unit a Kronecker
+    product of single-qubit units on the targets and identities elsewhere."""
+    k = len(targets)
+    full = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
+    for i in range(2**k):
+        for j in range(2**k):
+            units = {}
+            for t, q in enumerate(targets):
+                units[q] = np.zeros((2, 2), dtype=complex)
+                units[q][(i >> (k - 1 - t)) & 1, (j >> (k - 1 - t)) & 1] = 1.0
+            full += op[i, j] * kron_of(units, num_qubits)
+    return full
+
+
+def _random_kraus(rng, num_ops, dim):
+    """The Kraus set of a random channel as an ``(num_ops, dim, dim)`` stack:
+    the blocks of one ``(num_ops * dim, dim)`` isometry."""
+    g = rng.normal(size=(num_ops * dim, dim)) + 1j * rng.normal(size=(num_ops * dim, dim))
+    isometry, _ = np.linalg.qr(g)
+    return isometry.reshape(num_ops, dim, dim)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(1, 5),
+    num_ops=st.integers(1, 4),
+    order=st.permutations(range(5)),
+)
+def test_gates_and_kraus_sets_match_kron_embedding_oracle(seed, num_qubits, num_ops, order):
+    rng = np.random.default_rng(seed)
+    dim = 2**num_qubits
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    state = QuantumState(num_qubits, g @ g.conj().T / np.trace(g @ g.conj().T))
+    # every gate, and a random Kraus set on one and on two targets, the
+    # two-qubit ones on a pair of distinct qubits in either order
+    a, *rest = [q for q in order if q < num_qubits]
+    placements = [(a,)] + [(a, b) for b in rest[:1]] + [(b, a) for b in rest[:1]]
+    for targets in placements:
+        for name, u in GATES.items():
+            if len(u) == 2 ** len(targets):
+                full = _kron_embedding(u, targets, num_qubits)
+                out = apply_unitary(state, GateSpec(name, targets))
+                assert np.max(np.abs(out.matrix - full @ state.matrix @ full.conj().T)) <= 1e-12
+        kraus = _random_kraus(rng, num_ops, 2 ** len(targets))
+        oracle = sum(
+            full @ state.matrix @ full.conj().T
+            for full in (_kron_embedding(k, targets, num_qubits) for k in kraus)
+        )
+        out = apply_operators(state, kraus, targets)
+        assert np.max(np.abs(out.matrix - oracle)) <= 1e-12
 
 
 # -- measurement --------------------------------------------------------------
