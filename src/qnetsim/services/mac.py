@@ -7,6 +7,13 @@ next one is distributed.  The contention baseline is a slotted carrier-
 sensing protocol with binary exponential backoff; node pairs listed in
 ``hidden_pairs`` cannot sense each other and collide regardless.  With
 sensing disabled and backoff off it reduces to slotted ALOHA.
+
+The contention loop draws its randomness in blocks of slots, one
+``rng.random((rows, n + 1))`` per block: column j < n is node j's traffic
+draw and column n the slot's sensing pick.  A backoff is one
+``rng.integers(0, window)`` per colliding node, and a sensing choice among
+two or more mutually deaf nodes one ``rng.random()``, both drawn when they
+happen.
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ import numpy as np
 from ..protocols import W_STATE_MAX_NODES, w_election_probabilities
 
 _BACKOFF_WINDOW_CAP = 1024
+# Uniforms in one block of contention draws, so the working set does not
+# grow with the number of slots.
+_BLOCK_UNIFORMS = 2048
+# 2**j at column j: a boolean row times these is the int with bit j set.
+_BIT_WEIGHTS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 class MacProtocol(enum.Enum):
@@ -76,16 +88,16 @@ class MacMetrics:
 
 def jain_fairness(shares) -> float:
     """Jain index ``(sum x)^2 / (n sum x^2)``; 1.0 when nothing was sent."""
-    xs = np.asarray(shares, dtype=float)
-    total_sq = float(xs.sum()) ** 2
-    denom = len(xs) * float((xs**2).sum())
+    xs = [float(x) for x in shares]
+    total_sq = sum(xs) ** 2
+    denom = len(xs) * sum(x * x for x in xs)
     if denom == 0.0:
         return 1.0
     return total_sq / denom
 
 
 # Per-node successes, collisions and herald bits of one run of a protocol.
-_Counts = tuple[np.ndarray, int, int]
+_Counts = tuple[list[int], int, int]
 
 
 def run_mac_sim(config: MacConfig, seed) -> MacMetrics:
@@ -93,7 +105,7 @@ def run_mac_sim(config: MacConfig, seed) -> MacMetrics:
     w_access = config.protocol is MacProtocol.W_STATE_ACCESS
     protocol = _run_w_state_access if w_access else _run_slotted_contention
     successes, collisions, herald_bits = protocol(config, rng)
-    total_success = int(successes.sum())
+    total_success = sum(successes)
     return MacMetrics(
         protocol=config.protocol,
         slots=config.slots,
@@ -102,7 +114,7 @@ def run_mac_sim(config: MacConfig, seed) -> MacMetrics:
         fairness=jain_fairness(successes),
         # A W-election loser reads a 0 on its own qubit only; a contender's transmission is sensed.
         privacy_ok=w_access,
-        per_node_successes=tuple(int(s) for s in successes),
+        per_node_successes=tuple(successes),
         successes=total_success,
         collisions=collisions,
         idle_slots=config.slots - total_success - collisions,
@@ -123,15 +135,54 @@ def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> _Counts:
     # and their winners one multinomial draw.
     consumed = -(-config.slots // (1 + config.w_refresh_cost))
     sent = int(rng.binomial(consumed, config.offered_load))
-    successes = rng.multinomial(sent, w_election_probabilities(n))
+    successes = rng.multinomial(sent, w_election_probabilities(n)).tolist()
     return successes, 0, consumed * n
 
 
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean ``(rows, n)`` array as an int with bit j set
+    where column j is True."""
+    n = bits.shape[1]
+    packed = (bits[:, :64] @ _BIT_WEIGHTS[: min(n, 64)]).tolist()
+    for k in range(64, n, 64):
+        word = (bits[:, k : k + 64] @ _BIT_WEIGHTS[: min(n - k, 64)]).tolist()
+        packed = [low | high << k for low, high in zip(packed, word)]
+    return packed
+
+
+def _sensing_order(want: int, deaf: list[int], pick: float, rng: np.random.Generator) -> list[int]:
+    """The nodes of the bitmask ``want`` that transmit, in the order they start.
+
+    Within-slot jitter: the first to start is uniform among ``want``, chosen
+    by the uniform ``pick``.  Every node that hears a transmitter defers, so
+    each later one is uniform among what is left of ``want`` that is deaf
+    (``deaf[i]`` is the bitmask of the nodes node i cannot hear) to every
+    transmitter so far; a choice among two or more draws ``rng.random()``.
+    This is the law of greedy deferral in a uniformly random order of
+    ``want``: shuffle, then send unless someone audible already sends.
+    ``int(u * k)`` is a uniform choice among k up to float rounding, less
+    than 2**-53 per choice.
+    """
+    order = []
+    while True:
+        rest = want
+        for _ in range(int(pick * want.bit_count())):
+            rest &= rest - 1  # clear the lowest set bit
+        node = (rest & -rest).bit_length() - 1
+        order.append(node)
+        want &= deaf[node]
+        if not want & (want - 1):
+            if want:
+                order.append(want.bit_length() - 1)
+            return order
+        pick = rng.random()
+
+
 def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> _Counts:
-    # Per-node state is kept in Python lists: on 2 to 10 nodes a numpy
-    # call costs more than the loop it replaces.  The draws are one
-    # rng.random(n) per slot, then the sensing order, then one backoff per
-    # colliding node in transmission order.
+    # Per-slot state is Python ints used as bitmasks over the nodes and
+    # per-node state is Python lists: on 2 to 10 nodes a numpy call costs
+    # more than the work it does, so numpy is called once per block of
+    # slots and once per backoff or extra sensing pick.
     n = config.n_nodes
     load = config.offered_load
     sensing = config.carrier_sensing
@@ -142,50 +193,46 @@ def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> _Cou
         deaf[i] |= 1 << j
         deaf[j] |= 1 << i
     successes = [0] * n
-    backoff = [0] * n
     # The window of a node's next backoff: base_window after a success,
     # doubled by each collision up to _BACKOFF_WINDOW_CAP.
     window = [base_window] * n
-    waiting = 0  # nodes with a nonzero backoff
+    eligible = (1 << n) - 1  # nodes that are not backing off
+    release = {}  # slot -> nodes whose backoff ends just before it
+    next_free = config.slots  # release's earliest slot; no slot reaches it when empty
     collisions = 0
-    for _ in range(config.slots):
-        draws = rng.random(n).tolist()
-        if waiting:
-            intenders = []
-            for node in range(n):
-                if backoff[node]:
-                    backoff[node] -= 1
-                    if not backoff[node]:
-                        waiting -= 1
-                elif draws[node] < load:
-                    intenders.append(node)
-        else:
-            # Nobody is backing off, which is every slot without backoff:
-            # one comprehension is faster on many nodes (slotted ALOHA).
-            intenders = [node for node, draw in enumerate(draws) if draw < load]
-        if sensing and len(intenders) > 1:
-            # Within-slot jitter: a node defers if it can hear someone who
-            # already started.  Shuffling the intenders makes the same swaps
-            # as rng.permutation(len(intenders)).
-            rng.shuffle(intenders)
-            transmitting = []
-            busy = 0
-            for node in intenders:
-                if not busy & ~deaf[node]:
-                    transmitting.append(node)
-                    busy |= 1 << node
-        else:
-            transmitting = intenders
-        if len(transmitting) == 1:
-            node = transmitting[0]
+    rows = max(1, _BLOCK_UNIFORMS // (n + 1))
+    for start in range(0, config.slots, rows):
+        uniforms = rng.random((min(rows, config.slots - start), n + 1))
+        traffic = _pack_rows(uniforms[:, :n] < load)
+        picks = uniforms[:, n].tolist()
+        for slot, intends, pick in zip(range(start, start + rows), traffic, picks):
+            if slot == next_free:
+                eligible |= release.pop(slot)
+                next_free = min(release, default=config.slots)
+            want = intends & eligible
+            if want & (want - 1):  # two or more nodes want to send
+                order = _sensing_order(want, deaf, pick, rng) if sensing else None
+                if order is None or len(order) > 1:
+                    collisions += 1
+                    if not base_window:
+                        continue
+                    if order is None:
+                        order = [node for node in range(n) if want >> node & 1]
+                    for node in order:
+                        wait = int(rng.integers(0, window[node]))
+                        if wait:
+                            bit = 1 << node
+                            eligible ^= bit
+                            free = slot + wait + 1
+                            release[free] = release.get(free, 0) | bit
+                            next_free = min(next_free, free)
+                        window[node] = min(2 * window[node], _BACKOFF_WINDOW_CAP)
+                    continue
+                node = order[0]
+            elif want:
+                node = want.bit_length() - 1
+            else:
+                continue
             successes[node] += 1
             window[node] = base_window
-        elif transmitting:
-            collisions += 1
-            if base_window:
-                for node in transmitting:
-                    backoff[node] = int(rng.integers(0, window[node]))
-                    if backoff[node]:
-                        waiting += 1
-                    window[node] = min(2 * window[node], _BACKOFF_WINDOW_CAP)
-    return np.array(successes, dtype=np.int64), collisions, 0
+    return successes, collisions, 0

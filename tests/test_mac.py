@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import tracemalloc
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ from scipy import stats
 
 from qnetsim.services.mac import (
     _BACKOFF_WINDOW_CAP,
+    _BLOCK_UNIFORMS,
     MacConfig,
     MacProtocol,
+    _sensing_order,
     jain_fairness,
     run_mac_sim,
 )
@@ -232,48 +237,153 @@ def test_two_deaf_nodes_match_closed_form():
         assert abs(rate - expected) <= 5 * sigma
 
 
-def numpy_slotted_contention(config, seed):
-    """The contention loop on numpy arrays, kept as the reference for the
-    draw stream: per-node successes and the collision count."""
+def test_hidden_pair_order_matches_closed_form():
+    # Nodes 0 and 1 cannot hear each other; node 2 hears both.  With no
+    # backoff the slots are independent.  0 and 1 collide when both want to
+    # send, unless node 2 also does and starts first (probability 1/3), in
+    # which case both hear it and defer.
+    q, slots = 0.8, 20_000
+    metrics = run_mac_sim(
+        contention_config(n_nodes=3, offered_load=q, slots=slots, hidden_pairs=((0, 1),)),
+        seed=28,
+    )
+    collision = q * q * (1.0 - q / 3.0)
+    for rate, expected in (
+        (metrics.collision_rate, collision),
+        (metrics.throughput, 1.0 - (1.0 - q) ** 3 - collision),
+    ):
+        sigma = math.sqrt(expected * (1.0 - expected) / slots)
+        assert abs(rate - expected) <= 5 * sigma
+
+
+class _MorePicks(Exception):
+    pass
+
+
+class _ScriptedPicks:
+    """Stands in for the generator: hands out a fixed list of uniforms."""
+
+    def __init__(self, picks):
+        self._picks = iter(picks)
+
+    def random(self):
+        try:
+            return next(self._picks)
+        except StopIteration:
+            raise _MorePicks from None
+
+
+# Midpoints of 12 equal cells of [0, 1): int(u * k) is uniform on range(k)
+# for every k dividing 12, so for every choice among at most 4 nodes.
+_PICK_GRID = [(2 * i + 1) / 24 for i in range(12)]
+
+
+def sensing_law(want, deaf):
+    """Law of the transmitting set ``_sensing_order`` gives, as exact
+    fractions, with every sequence of picks enumerated."""
+    law = defaultdict(Fraction)
+    pending = [[u] for u in _PICK_GRID]
+    while pending:
+        picks = pending.pop()
+        try:
+            order = _sensing_order(want, deaf, picks[0], _ScriptedPicks(picks[1:]))
+        except _MorePicks:
+            pending.extend(picks + [u] for u in _PICK_GRID)
+            continue
+        assert len(set(order)) == len(order)
+        law[frozenset(order)] += Fraction(1, len(_PICK_GRID)) ** len(picks)
+    return law
+
+
+def greedy_deferral_law(want, deaf):
+    """Law of the transmitting set when the nodes of ``want`` start in a
+    uniformly random order and each defers if it hears a transmitter."""
+    nodes = [node for node in range(len(deaf)) if want >> node & 1]
+    law = defaultdict(Fraction)
+    for order in itertools.permutations(nodes):
+        sending = []
+        for node in order:
+            if all(deaf[node] >> other & 1 for other in sending):
+                sending.append(node)
+        law[frozenset(sending)] += Fraction(1, math.factorial(len(nodes)))
+    return law
+
+
+def test_sensing_order_is_greedy_deferral_in_a_random_order():
+    n = 4
+    pairs = list(itertools.combinations(range(n), 2))
+    for size in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, size):
+            deaf = [0] * n
+            for i, j in edges:
+                deaf[i] |= 1 << j
+                deaf[j] |= 1 << i
+            for want in range(1, 1 << n):
+                law = sensing_law(want, deaf)
+                assert sum(law.values()) == 1
+                assert law == greedy_deferral_law(want, deaf), (edges, bin(want))
+
+
+def reference_slotted_contention(config, seed):
+    """The contention loop slot by slot on sets and per-node countdowns.
+
+    It reads the draws in the simulator's layout: one ``rng.random((rows,
+    n + 1))`` per block of ``rows`` slots, whose column j < n is node j's
+    traffic draw and column n the slot's first sensing pick; then, in the
+    order they are needed, one ``rng.random()`` per later choice among two
+    or more deaf nodes and one ``rng.integers(0, window)`` per colliding
+    node in transmission order.  Returns per-node successes, the collision
+    count and every backoff as ``(slot, wait)``.
+    """
     rng = np.random.default_rng(seed)
     n = config.n_nodes
     hidden = {(a, b) for i, j in config.hidden_pairs for a, b in ((i, j), (j, i))}
-    successes = np.zeros(n, dtype=np.int64)
-    backoff = np.zeros(n, dtype=np.int64)
-    collision_streak = np.zeros(n, dtype=np.int64)
+    rows = max(1, _BLOCK_UNIFORMS // (n + 1))
+    successes = [0] * n
+    countdown = [0] * n
+    streak = [0] * n  # collisions since the node's last success
     collisions = 0
-    for _ in range(config.slots):
-        ready = backoff == 0
-        backoff[~ready] -= 1
-        intenders = (ready & (rng.random(n) < config.offered_load)).nonzero()[0]
+    backoffs = []
+    for slot in range(config.slots):
+        if slot % rows == 0:
+            block = rng.random((min(rows, config.slots - slot), n + 1)).tolist()
+        draws = block[slot % rows]
+        intenders = set()
+        for node in range(n):
+            if countdown[node]:
+                countdown[node] -= 1
+            elif draws[node] < config.offered_load:
+                intenders.add(node)
         if config.carrier_sensing and len(intenders) > 1:
-            order = rng.permutation(len(intenders))
             transmitting = []
-            for node in intenders[order].tolist():
-                if not any((node, other) not in hidden for other in transmitting):
-                    transmitting.append(node)
+            candidates = sorted(intenders)
+            pick = draws[n]
+            while candidates:
+                node = candidates[int(pick * len(candidates))]
+                transmitting.append(node)
+                candidates = [other for other in candidates if (other, node) in hidden]
+                if len(candidates) > 1:
+                    pick = rng.random()
         else:
-            transmitting = intenders.tolist()
+            transmitting = sorted(intenders)
         if len(transmitting) == 1:
             successes[transmitting[0]] += 1
-            collision_streak[transmitting[0]] = 0
+            streak[transmitting[0]] = 0
         elif len(transmitting) > 1:
             collisions += 1
             for node in transmitting:
-                collision_streak[node] += 1
+                streak[node] += 1
                 if config.backoff_window > 0:
-                    window = min(
-                        config.backoff_window * 2 ** (int(collision_streak[node]) - 1),
-                        _BACKOFF_WINDOW_CAP,
-                    )
-                    backoff[node] = rng.integers(0, window)
-    return tuple(int(s) for s in successes), collisions
+                    window = min(config.backoff_window * 2 ** (streak[node] - 1), _BACKOFF_WINDOW_CAP)
+                    countdown[node] = int(rng.integers(0, window))
+                    backoffs.append((slot, countdown[node]))
+    return tuple(successes), collisions, backoffs
 
 
 @pytest.mark.parametrize("n", [2, 4, 10])
 def test_contention_draws_match_numpy_reference(n):
-    # Pins the draw stream: the order of the random, shuffle and integers
-    # calls, and rng.shuffle of a list making rng.permutation's swaps.
+    # Pins the draw stream: the block layout of the traffic draws and
+    # sensing picks, and the order of the extra picks and backoff draws.
     hidden_choices = {
         "none": (),
         "one": ((0, 1),),
@@ -293,6 +403,45 @@ def test_contention_draws_match_numpy_reference(n):
             hidden_pairs=hidden,
         )
         metrics = run_mac_sim(config, seed)
-        assert (metrics.per_node_successes, metrics.collisions) == numpy_slotted_contention(
-            config, seed
-        ), (load, window, sensing, hidden)
+        successes, collisions, _ = reference_slotted_contention(config, seed)
+        assert (metrics.per_node_successes, metrics.collisions) == (successes, collisions), (
+            load,
+            window,
+            sensing,
+            hidden,
+        )
+
+
+def test_contention_draws_match_reference_across_blocks():
+    # Four blocks of draws on three nodes, with backoffs that end in a
+    # later block than the collision that started them.
+    rows = _BLOCK_UNIFORMS // 4  # slots per block on three nodes
+    config = contention_config(
+        n_nodes=3,
+        slots=3 * rows + rows // 2,
+        offered_load=0.9,
+        backoff_window=8,
+        hidden_pairs=((0, 1), (1, 2)),
+    )
+    metrics = run_mac_sim(config, seed=29)
+    successes, collisions, backoffs = reference_slotted_contention(config, seed=29)
+    assert any(slot // rows < (slot + wait) // rows for slot, wait in backoffs)
+    assert collisions > 0
+    assert (metrics.per_node_successes, metrics.collisions) == (successes, collisions)
+
+
+def test_contention_memory_does_not_grow_with_slots():
+    # All draws at once would be a (slots, n) float array of 3.2 MB.  A
+    # hidden pair under saturation backs off for up to 1023 slots.
+    slots, n = 200_000, 2
+    config = contention_config(
+        n_nodes=n, slots=slots, backoff_window=_BACKOFF_WINDOW_CAP, hidden_pairs=((0, 1),)
+    )
+    run_mac_sim(contention_config(n_nodes=n, slots=10), seed=30)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        run_mac_sim(config, seed=30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < slots * n * 8
