@@ -20,10 +20,8 @@ from .config import ExperimentConfig, load_config
 from .engine import EventEngine, SignalingScope, Topology
 from .protocols import (
     CorrectionMessage,
-    EntangledResource,
     apply_correction,
     entanglement_swap,
-    make_bell_pair,
     make_w_state,
     superdense_decode,
     superdense_distribution,
@@ -73,10 +71,8 @@ __all__ = [
     "SignalingScope",
     "Topology",
     "CorrectionMessage",
-    "EntangledResource",
     "apply_correction",
     "entanglement_swap",
-    "make_bell_pair",
     "make_w_state",
     "superdense_decode",
     "superdense_distribution",

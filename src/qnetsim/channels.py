@@ -25,6 +25,7 @@ on plain Python floats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
@@ -298,6 +299,14 @@ def reduce_kraus(channel: ChannelModel) -> ChannelModel:
     )
 
 
+def _kraus_entry(re: Any, im: Any) -> complex:
+    # complex() would read a YAML true as 1.
+    for part in (re, im):
+        if isinstance(part, bool) or not isinstance(part, numbers.Real):
+            raise TypeError(f"an entry's [re, im] must be two real numbers, got {[re, im]!r}")
+    return complex(re, im)
+
+
 def channel_from_spec(spec: Any, where: str = "channel") -> ChannelModel:
     """Build a channel from its structured-text description at ``where``.
 
@@ -313,7 +322,7 @@ def channel_from_spec(spec: Any, where: str = "channel") -> ChannelModel:
         kraus = fields.items("kraus")
         try:
             channel = ChannelModel(
-                tuple([[complex(re, im) for re, im in row] for row in op] for op in kraus)
+                tuple([[_kraus_entry(re, im) for re, im in row] for row in op] for op in kraus)
             )
         except (TypeError, ValueError) as exc:
             raise fields.error(f"kraus: {exc}") from exc

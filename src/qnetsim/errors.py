@@ -11,10 +11,6 @@ class RenormalizationError(ArithmeticError):
     """A measurement branch with vanishing probability was selected."""
 
 
-class ConsumedResourceError(RuntimeError):
-    """An entangled resource was used after it had already been consumed."""
-
-
 class DecodeAmbiguityError(RuntimeError):
     """Joint state is too far from every Bell state to decode reliably."""
 

@@ -1,15 +1,14 @@
 """Entanglement-based protocols: teleportation, superdense coding,
 entanglement swapping and W-state leader election.
 
-Protocols that move quantum information (teleport, swap) run in two
-steps.  The first Bell-measures at the sending node, consumes its inputs
-and returns the two-bit ``CorrectionMessage`` together with the
-destination's state before correction.  The caller delivers the message
-however its classical plane allows; only ``apply_correction`` on a
-delivered message turns that state into the protocol's output, so a
-destination that never hears from the sender never guesses.  Leader
-election is the opposite extreme: it resolves without any classical
-exchange.
+Every protocol reads plain ``QuantumState``s, never changes them, and
+returns new states and bits.  Teleport and swap run in two steps.  The
+first Bell-measures at the sending node and returns the two outcome bits
+with the destination's state before correction.  The caller sends the
+bits as a ``CorrectionMessage`` however its classical plane allows; only
+``apply_correction`` with the delivered bits turns that state into the
+protocol's output, so a destination that never hears from the sender
+never guesses.  Leader election resolves without any classical exchange.
 
 Superdense decoding and leader election also give their exact outcome
 distribution (``superdense_distribution``, ``w_election_probabilities``),
@@ -36,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConsumedResourceError, DecodeAmbiguityError, RenormalizationError
+from .errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from .qstate import (
     EIGENVALUE_FLOOR,
     I2,
@@ -51,32 +50,9 @@ from .qstate import (
 W_STATE_MAX_NODES = 10
 
 
-class ResourceKind(enum.Enum):
-    BELL_PHI_PLUS = "bell_phi_plus"
-    W_STATE = "w_state"
-
-
 class Purpose(enum.Enum):
     TELEPORT = "teleport"
     SWAP = "swap"
-
-
-@dataclass
-class EntangledResource:
-    """A shared multi-qubit state plus the node that holds each qubit."""
-
-    state: QuantumState
-    kind: ResourceKind
-    holders: tuple[str, ...]
-    consumed: bool = False
-
-    def __post_init__(self):
-        if len(self.holders) != self.state.num_qubits:
-            raise ValueError(
-                f"{len(self.holders)} holders for {self.state.num_qubits} qubits"
-            )
-        if self.kind is ResourceKind.BELL_PHI_PLUS and self.state.num_qubits != 2:
-            raise ValueError("Bell resource must span exactly two qubits")
 
 
 @dataclass(frozen=True)
@@ -106,20 +82,15 @@ _BELL_MATRIX.flags.writeable = False
 
 
 def phi_plus_state() -> QuantumState:
+    """Maximally entangled pair phi+ = ``(|00> + |11>) / sqrt(2)``."""
     return QuantumState(2, _BELL_MATRIX)
 
 
-def make_bell_pair(holders: tuple[str, str] = ("a", "b")) -> EntangledResource:
-    """Maximally entangled pair phi+ = ``(|00> + |11>) / sqrt(2)``."""
-    return EntangledResource(phi_plus_state(), ResourceKind.BELL_PHI_PLUS, holders)
-
-
-def werner_pair(w: float, holders: tuple[str, str] = ("a", "b")) -> EntangledResource:
+def werner_pair(w: float) -> QuantumState:
     """Bell pair mixed with white noise: ``w |phi+><phi+| + (1-w) I/4``."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner weight {w} outside [0, 1]")
-    matrix = w * _BELL_MATRIX + (1.0 - w) * np.eye(4) / 4.0
-    return EntangledResource(QuantumState(2, matrix), ResourceKind.BELL_PHI_PLUS, holders)
+    return QuantumState(2, w * _BELL_MATRIX + (1.0 - w) * np.eye(4) / 4.0)
 
 
 def _one_hot_indices(n: int) -> list[int]:
@@ -137,13 +108,10 @@ def _w_amplitudes(n: int) -> np.ndarray:
     return amplitudes
 
 
-def make_w_state(n: int, holders: tuple[str, ...] | None = None) -> EntangledResource:
+def make_w_state(n: int) -> QuantumState:
     """Equal superposition of all weight-one bitstrings over ``n`` nodes."""
     amplitudes = _w_amplitudes(n)
-    if holders is None:
-        holders = tuple(f"n{i}" for i in range(n))
-    matrix = np.outer(amplitudes, amplitudes.conj())
-    return EntangledResource(QuantumState(n, matrix), ResourceKind.W_STATE, holders)
+    return QuantumState(n, np.outer(amplitudes, amplitudes.conj()))
 
 
 def cumulative_weights(weights: Iterable[float]) -> tuple[float, ...]:
@@ -239,34 +207,26 @@ def pauli_correct(state: QuantumState, qubit: int, bits: tuple[int, int]) -> Qua
     return state
 
 
-def apply_correction(state: QuantumState, message: CorrectionMessage) -> QuantumState:
-    """Second step of teleport and swap: apply a delivered correction to
-    the destination's qubit, which is the last qubit of ``state``."""
-    return pauli_correct(state, state.num_qubits - 1, message.bits)
+def apply_correction(state: QuantumState, bits: tuple[int, int]) -> QuantumState:
+    """Second step of teleport and swap: apply the delivered ``bits`` to
+    the destination's qubit, the last qubit of ``state``."""
+    return pauli_correct(state, state.num_qubits - 1, bits)
 
 
 def teleport(
-    payload: QuantumState, resource: EntangledResource, rng: np.random.Generator
-) -> tuple[CorrectionMessage, QuantumState]:
-    """First step of teleporting a one-qubit payload over a Bell resource.
+    payload: QuantumState, pair: QuantumState, rng: np.random.Generator
+) -> tuple[tuple[int, int], QuantumState]:
+    """First step of teleporting a one-qubit payload over a pair.
 
-    Bell-measures the payload with the sender's half and consumes the
-    resource.  Returns the two-bit correction addressed to the
-    destination and the destination's qubit before correction.
+    Bell-measures the payload with the sender's half, the pair's first
+    qubit.  Returns the two correction bits for the destination and the
+    destination's qubit before correction.
     """
     if payload.num_qubits != 1:
         raise ValueError("payload must be a single qubit")
-    if resource.kind is not ResourceKind.BELL_PHI_PLUS:
-        raise ValueError("teleport needs a Bell-pair resource")
-    if resource.consumed:
-        raise ConsumedResourceError("teleport resource already consumed")
-    joint = payload.tensor(resource.state)
-    bits, post = bell_basis_measure(joint, 0, 1, rng)
-    resource.consumed = True
-    message = CorrectionMessage(
-        bits, origin=resource.holders[0], target=resource.holders[1], purpose=Purpose.TELEPORT
-    )
-    return message, post
+    if pair.num_qubits != 2:
+        raise ValueError("teleport needs a two-qubit pair")
+    return bell_basis_measure(payload.tensor(pair), 0, 1, rng)
 
 
 _PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
@@ -319,20 +279,17 @@ def teleport_fidelity(branch: Sequence[Sequence[float]], r: tuple[float, float, 
     return min(max(value, 0.0), 1.0)
 
 
-def superdense_encode(bits: tuple[int, int], resource: EntangledResource) -> QuantumState:
-    """Encode two bits on the sender's half of a Bell pair and consume it.
+def superdense_encode(bits: tuple[int, int], pair: QuantumState) -> QuantumState:
+    """Encode two bits on the sender's half, the first qubit, of a pair.
 
     Returns the joint two-qubit state as handed to the receiver, who then
     holds both halves.
     """
     if len(bits) != 2 or set(bits) - {0, 1}:
         raise ValueError(f"message must be two bits, got {bits}")
-    if resource.kind is not ResourceKind.BELL_PHI_PLUS:
-        raise ValueError("superdense coding needs a Bell-pair resource")
-    if resource.consumed:
-        raise ConsumedResourceError("superdense resource already consumed")
-    resource.consumed = True
-    return pauli_correct(resource.state, 0, bits)
+    if pair.num_qubits != 2:
+        raise ValueError("superdense coding needs a two-qubit pair")
+    return pauli_correct(pair, 0, bits)
 
 
 def superdense_distribution(joint: QuantumState) -> np.ndarray:
@@ -364,64 +321,46 @@ def superdense_decode(
 
 
 def entanglement_swap(
-    left: EntangledResource, right: EntangledResource, rng: np.random.Generator
-) -> tuple[CorrectionMessage, QuantumState]:
-    """First step of splicing two Bell pairs at their shared node.
+    left: QuantumState, right: QuantumState, rng: np.random.Generator
+) -> tuple[tuple[int, int], QuantumState]:
+    """First step of splicing two pairs at their shared node.
 
     ``left`` is held as ``(a, mid)`` and ``right`` as ``(mid, c)``.  The
-    middle node Bell-measures its two halves and consumes both pairs.
-    Returns the two-bit correction addressed to ``c`` and the ``(a, c)``
-    pair before correction.
+    middle node Bell-measures its two halves.  Returns the two correction
+    bits for ``c`` and the ``(a, c)`` pair before correction.
     """
-    for res in (left, right):
-        if res.kind is not ResourceKind.BELL_PHI_PLUS:
-            raise ValueError("swap needs two Bell-pair resources")
-        if res.consumed:
-            raise ConsumedResourceError("swap input already consumed")
-    if left.holders[1] != right.holders[0]:
-        raise ValueError(
-            f"pairs do not share a node: {left.holders} vs {right.holders}"
-        )
-    joint = left.state.tensor(right.state)  # qubits: A, B_left, B_right, C
-    bits, post = bell_basis_measure(joint, 1, 2, rng)
-    left.consumed = True
-    right.consumed = True
-    message = CorrectionMessage(
-        bits, origin=left.holders[1], target=right.holders[1], purpose=Purpose.SWAP
-    )
-    return message, post
+    if left.num_qubits != 2 or right.num_qubits != 2:
+        raise ValueError("swap needs two two-qubit pairs")
+    joint = left.tensor(right)  # qubits: A, B_left, B_right, C
+    return bell_basis_measure(joint, 1, 2, rng)
 
 
 def w_election_round(
-    resource: EntangledResource, rng: np.random.Generator
+    state: QuantumState, rng: np.random.Generator
 ) -> tuple[int, tuple[int, ...]]:
     """One leader-election round: measure every qubit of a W state.
 
-    All qubits are read out in the computational basis, which for a W
-    state always yields a weight-one bitstring; the node holding the 1
-    wins.  No classical messages are exchanged and the resource is
-    consumed.
+    All qubits are read out in the computational basis; the node holding
+    the only 1 wins, and no classical message is exchanged.  A state with
+    weight of at least ``EIGENVALUE_FLOOR`` off the weight-one bitstrings
+    raises ``ValueError`` before any draw.
     """
-    if resource.kind is not ResourceKind.W_STATE:
-        raise ValueError("election needs a W-state resource")
-    if resource.consumed:
-        raise ConsumedResourceError("W resource already consumed by a previous round")
-    n = resource.state.num_qubits
-    weights = np.real(np.diag(resource.state.matrix))
-    index = _draw_index(cumulative_weights(weights), rng)
-    outcomes = tuple((index >> (n - 1 - q)) & 1 for q in range(n))
-    resource.consumed = True
-    if sum(outcomes) != 1:
-        raise RuntimeError(f"election produced non one-hot outcome {outcomes}")
-    return outcomes.index(1), outcomes
+    n = state.num_qubits
+    weights = np.real(np.diag(state.matrix))
+    one_hot = _one_hot_indices(n)
+    if np.delete(weights, one_hot).sum() >= EIGENVALUE_FLOOR:
+        raise ValueError("election needs a W state: it has weight off the one-hot strings")
+    # In basis order the one-hot strings run from the last node to the first.
+    winner = n - 1 - _draw_index(cumulative_weights(weights[one_hot[::-1]]), rng)
+    return winner, tuple(int(q == winner) for q in range(n))
 
 
 def w_election_probabilities(n: int) -> np.ndarray:
     """Win probability of each of ``n`` nodes in one W-state election round.
 
     Reads the Born weights of the W state's amplitudes at the weight-one
-    bitstrings.  Raises if any weight falls on another bitstring, the
-    check ``w_election_round`` makes on each outcome.
+    bitstrings.  Raises if any weight falls on another bitstring, as
+    ``w_election_round`` does before its draw.
     """
     weights = np.abs(_w_amplitudes(n)) ** 2
     one_hot = _one_hot_indices(n)

@@ -109,7 +109,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
         # it is one branch table, built once per cell; a trial reads its
         # payload's outcome weights and corrected fidelity off the table
         # as plain floats, with the draws teleport makes.
-        table = teleport_table(werner_pair(werner_w).state).tolist()
+        table = teleport_table(werner_pair(werner_w)).tolist()
         messages = [CorrectionMessage(m, src, dst, Purpose.TELEPORT) for m in SUPERDENSE_MESSAGES]
 
         def teleport_step(eng: EventEngine, _event) -> None:
@@ -154,10 +154,10 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
     # Decoding needs a Bell overlap above 0.5; a Werner pair's best is (1 + 3w) / 4.
     if (1.0 + 3.0 * werner_w) / 4.0 < 0.5 + SCALAR_ATOL:
         raise ValueError(f"werner_w {werner_w} must exceed 1/3 for superdense decoding")
-    make_pair = partial(werner_pair, werner_w)
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         rng = np.random.default_rng(rng_seed)
+        pair = werner_pair(werner_w)
         per_message = max(n_trials // len(SUPERDENSE_MESSAGES), 1)
         trials = per_message * len(SUPERDENSE_MESSAGES)
         metrics: list[tuple[str, Any]] = []
@@ -165,7 +165,7 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
         for index, message in enumerate(SUPERDENSE_MESSAGES):
             # Every trial of a message decodes the same state, so the
             # number decoded right is one binomial draw.
-            distribution = superdense_distribution(superdense_encode(message, make_pair()))
+            distribution = superdense_distribution(superdense_encode(message, pair))
             ok = int(rng.binomial(per_message, distribution[index]))
             total_ok += ok
             metrics.append((f"success_rate_{message[0]}{message[1]}", ok / per_message))
@@ -211,7 +211,7 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
             # only the others are normalised.
             if weight >= EIGENVALUE_FLOOR:
                 end_pair = QuantumState(2, branch / weight)
-                end_fidelity[message.bits] = fidelity(apply_correction(end_pair, message), phi)
+                end_fidelity[message.bits] = fidelity(apply_correction(end_pair, message.bits), phi)
 
         def swap_step(eng: EventEngine, _event) -> None:
             message = messages[draw_bell_outcome(weights, cumulative, eng.rng)]

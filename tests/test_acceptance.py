@@ -29,9 +29,10 @@ from qnetsim.config import load_config
 from qnetsim.engine import EventEngine, EventKind, SignalingScope
 from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
+    CorrectionMessage,
     Purpose,
     apply_correction,
-    make_bell_pair,
+    phi_plus_state,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
@@ -109,10 +110,11 @@ def test_criterion_1_teleport_dual_resource():
 
     def step(eng, _event):
         payload = random_pure_state(eng.rng)
-        message, destination = teleport(payload, make_bell_pair(("alice", "bob")), eng.rng)
+        bits, destination = teleport(payload, phi_plus_state(), eng.rng)
+        message = CorrectionMessage(bits, "alice", "bob", Purpose.TELEPORT)
 
         def on_deliver(delivered):
-            fidelities.append(fidelity(apply_correction(destination, delivered), payload))
+            fidelities.append(fidelity(apply_correction(destination, delivered.bits), payload))
 
         eng.send_classical(message, ("alice", "bob"), SignalingScope.END_TO_END, on_deliver)
 
@@ -154,7 +156,7 @@ def test_criterion_1_teleport_dual_resource():
 def test_criterion_2_superdense_coding():
     rng = np.random.default_rng(2)
     ideal_ok = all(
-        superdense_decode(superdense_encode(bits, make_bell_pair()), rng) == bits
+        superdense_decode(superdense_encode(bits, phi_plus_state()), rng) == bits
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1))
     )
 

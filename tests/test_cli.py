@@ -311,6 +311,11 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "quantum_links: [{a: a, b: b, channel: {type: kraus-list, "
          "kraus: [[[[.nan, 0], [0, 0]], [[0, 0], [1, 0]]]]}}]}\n",
          "topology: quantum_links[0]: channel: kraus: Kraus operators have a non-finite entry"),
+        ("scenario: multipath_routing\nparams: {src: a, dst: b}\ntopology: {nodes: [a, b], "
+         "quantum_links: [{a: a, b: b, channel: {type: kraus-list, "
+         "kraus: [[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]]}}]}\n",
+         "topology: quantum_links[0]: channel: kraus: an entry's [re, im] must be two real "
+         "numbers, got [True, 0]"),
         (SWAP + chain(LEFT, RIGHT.replace("{type: depolarizing, p: 0.1}", KRAUS_2X4)),
          "topology: quantum_links[1]: channel: kraus: Kraus operators must share one "
          "2^k x 2^k shape, got (2, 4)"),
@@ -354,6 +359,7 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "swap-two-qubit-link-channel",
         "multipath-two-qubit-link-channel",
         "multipath-nan-kraus-entry",
+        "multipath-boolean-kraus-entry",
         "link-channel-not-square",
         "repeated-classical-link",
         "repeated-quantum-link-reversed",

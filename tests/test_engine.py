@@ -21,11 +21,8 @@ from qnetsim.channels import apply_channel, depolarizing_channel
 from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
 from qnetsim.protocols import (
     CorrectionMessage,
-    EntangledResource,
     Purpose,
-    ResourceKind,
     apply_correction,
-    make_bell_pair,
     phi_plus_state,
     teleport,
 )
@@ -266,7 +263,6 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
 def test_link_channel_runs_once_per_link_not_per_attempt(monkeypatch):
     # A stored pair does not decohere, so a link degrades its pair once,
     # one channel application per half, however many attempts succeed.
-    # A resource wrapped around that pair is consumed on its own.
     calls = []
 
     def counting_apply_channel(channel, state, targets):
@@ -285,12 +281,6 @@ def test_link_channel_runs_once_per_link_not_per_attempt(monkeypatch):
         pairs.append(link.pair_state)
     assert len(calls) == 2
     assert all(pair is pairs[0] for pair in pairs)
-    resources = [
-        EntangledResource(pair, ResourceKind.BELL_PHI_PLUS, (link.a, link.b)) for pair in pairs[:2]
-    ]
-    teleport(random_pure_state(engine.rng), resources[0], engine.rng)
-    assert resources[0].consumed
-    assert not resources[1].consumed
     assert fidelity(link.pair_state, phi_plus_state()) == pytest.approx(oracle, abs=1e-12)
 
 
@@ -371,26 +361,25 @@ def _stochastic_run(seed):
     engine = EventEngine(topo, seed=seed)
     fidelities = []
 
-    def use_pair(resource, eng, event):
+    def use_pair(pair, eng, event):
         payload = random_pure_state(eng.rng)
-        message, pending = teleport(payload, resource, eng.rng)
+        bits, pending = teleport(payload, pair, eng.rng)
         eng.send_classical(
-            message,
+            CorrectionMessage(bits, link.a, link.b, Purpose.TELEPORT),
             ("u", "v"),
             SignalingScope.END_TO_END,
             lambda delivered: fidelities.append(
-                fidelity(apply_correction(pending, delivered), payload)
+                fidelity(apply_correction(pending, delivered.bits), payload)
             ),
         )
 
     def attempt(eng, event):
         attempts = eng.attempt_entanglement(link)
-        resource = EntangledResource(link.pair_state, ResourceKind.BELL_PHI_PLUS, (link.a, link.b))
         eng.schedule(
             eng.now + (attempts - 1) * link.attempt_period,
             EventKind.PROTOCOL_STEP,
             payload=f"{event.payload} attempts={attempts}",
-            handler=partial(use_pair, resource),
+            handler=partial(use_pair, link.pair_state),
         )
 
     for k in range(N_STOCHASTIC):
@@ -446,12 +435,12 @@ def test_severed_classical_link_aborts_teleport_uncorrected():
 
     def step(eng, event):
         payload = random_pure_state(eng.rng)
-        message, pending = teleport(payload, make_bell_pair(("u", "v")), eng.rng)
+        bits, pending = teleport(payload, phi_plus_state(), eng.rng)
         eng.send_classical(
-            message,
+            CorrectionMessage(bits, "u", "v", Purpose.TELEPORT),
             ("u", "v"),
             SignalingScope.END_TO_END,
-            lambda delivered: corrected.append(apply_correction(pending, delivered)),
+            lambda delivered: corrected.append(apply_correction(pending, delivered.bits)),
         )
 
     engine.schedule(0, EventKind.PROTOCOL_STEP, handler=step)

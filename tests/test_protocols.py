@@ -8,18 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qnetsim.errors import (
-    CapacityError,
-    ConsumedResourceError,
-    DecodeAmbiguityError,
-    RenormalizationError,
-)
+from qnetsim.errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
-    EntangledResource,
     Purpose,
-    ResourceKind,
     _bell_branches,
     _draw_index,
     apply_correction,
@@ -28,7 +21,6 @@ from qnetsim.protocols import (
     cumulative_weights,
     draw_bell_outcome,
     entanglement_swap,
-    make_bell_pair,
     make_w_state,
     phi_plus_state,
     superdense_decode,
@@ -42,7 +34,7 @@ from qnetsim.protocols import (
     w_election_round,
     werner_pair,
 )
-from qnetsim.qstate import QuantumState, fidelity, measure, random_pure_state
+from qnetsim.qstate import EIGENVALUE_FLOOR, QuantumState, fidelity, measure, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,31 +67,28 @@ def pauli_frame(bits):
     return (Z if bits[0] else I2) @ (X if bits[1] else I2)
 
 
-def teleported(payload, resource, rng):
+def teleported(payload, pair, rng):
     """Both steps back to back: the correction is always delivered."""
-    message, pending = teleport(payload, resource, rng)
-    return apply_correction(pending, message)
+    bits, pending = teleport(payload, pair, rng)
+    return apply_correction(pending, bits)
 
 
 def swapped(left, right, rng):
-    message, pending = entanglement_swap(left, right, rng)
-    return apply_correction(pending, message)
+    bits, pending = entanglement_swap(left, right, rng)
+    return apply_correction(pending, bits)
 
 
 # -- resource preparation -----------------------------------------------------
 
 
 def test_bell_pair_is_exact_phi_plus():
-    pair = make_bell_pair(("alice", "bob"))
-    assert np.allclose(pair.state.matrix, bell_matrix(0, 0), atol=1e-15)
-    assert pair.kind is ResourceKind.BELL_PHI_PLUS
-    assert pair.holders == ("alice", "bob")
-    assert fidelity(pair.state, phi_plus_state()) == pytest.approx(1.0, abs=1e-12)
+    pair = phi_plus_state()
+    assert np.allclose(pair.matrix, bell_matrix(0, 0), atol=1e-15)
+    assert fidelity(pair, QuantumState(2, bell_matrix(0, 0))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_pair_marginals_are_maximally_mixed():
-    pair = make_bell_pair()
-    tensor = pair.state.matrix.reshape(2, 2, 2, 2)
+    tensor = phi_plus_state().matrix.reshape(2, 2, 2, 2)
     marg0 = np.einsum("abcb->ac", tensor)
     marg1 = np.einsum("abad->bd", tensor)
     assert np.allclose(marg0, I2 / 2, atol=1e-12)
@@ -110,8 +99,9 @@ def test_bell_measurement_statistics():
     rng = np.random.default_rng(13)
     counts = {"00": 0, "01": 0, "10": 0, "11": 0}
     n = 100_000
+    pair = phi_plus_state()
     for _ in range(n):
-        out0, post = measure(make_bell_pair().state, 0, rng)
+        out0, post = measure(pair, 0, rng)
         out1, _ = measure(post, 1, rng)
         counts[f"{out0.bit}{out1.bit}"] += 1
     assert counts["01"] == 0 and counts["10"] == 0
@@ -122,29 +112,28 @@ def test_bell_measurement_statistics():
 def test_werner_pair_matrix_and_fidelity():
     for w in (0.0, 0.37, 1.0):
         pair = werner_pair(w)
-        assert np.allclose(pair.state.matrix, werner_matrix(w), atol=1e-12)
-        assert fidelity(pair.state, phi_plus_state()) == pytest.approx((1 + 3 * w) / 4, abs=1e-12)
+        assert np.allclose(pair.matrix, werner_matrix(w), atol=1e-12)
+        assert fidelity(pair, phi_plus_state()) == pytest.approx((1 + 3 * w) / 4, abs=1e-12)
 
 
 def test_w_state_two_nodes():
-    res = make_w_state(2)
     v = np.array([0, 1, 1, 0]) / math.sqrt(2)
-    assert np.allclose(res.state.matrix, np.outer(v, v), atol=1e-15)
+    assert np.allclose(make_w_state(2).matrix, np.outer(v, v), atol=1e-15)
 
 
 def test_w_state_three_nodes_amplitudes():
-    res = make_w_state(3)
+    state = make_w_state(3)
     one_hot = (1, 2, 4)  # |001>, |010>, |100>
-    diag = np.real(np.diag(res.state.matrix))
+    diag = np.real(np.diag(state.matrix))
     for idx in range(8):
         expected = 1 / 3 if idx in one_hot else 0.0
         assert diag[idx] == pytest.approx(expected, abs=1e-12)
-    assert res.state.purity() == pytest.approx(1.0, abs=1e-12)
+    assert state.purity() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_w_state_purity_across_range():
     for n in range(2, 11):
-        assert make_w_state(n).state.purity() == pytest.approx(1.0, abs=1e-9)
+        assert make_w_state(n).purity() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_w_state_node_count_bounds():
@@ -296,17 +285,14 @@ def test_teleport_ideal_resource_is_exact():
     rng = np.random.default_rng(21)
     for _ in range(50):
         payload = random_pure_state(rng)
-        out = teleported(payload, make_bell_pair(), rng)
+        out = teleported(payload, phi_plus_state(), rng)
         assert np.allclose(out.matrix, payload.matrix, atol=1e-10)
 
 
 def test_teleport_emits_exactly_one_two_bit_message():
     rng = np.random.default_rng(22)
-    message, pending = teleport(random_pure_state(rng), make_bell_pair(("s", "d")), rng)
-    assert isinstance(message, CorrectionMessage)
-    assert len(message.bits) == 2
-    assert message.purpose is Purpose.TELEPORT
-    assert (message.origin, message.target) == ("s", "d")
+    bits, pending = teleport(random_pure_state(rng), phi_plus_state(), rng)
+    assert bits in SUPERDENSE_MESSAGES
     assert pending.num_qubits == 1
 
 
@@ -316,32 +302,21 @@ def test_teleport_uncorrected_state_is_pauli_frame_of_payload():
     # outcomes that is I/2, so the destination cannot guess the payload.
     rng = np.random.default_rng(23)
     payload = random_pure_state(rng)
+    pair = phi_plus_state()
     seen = {}
     for _ in range(200):
-        message, pending = teleport(payload, make_bell_pair(), rng)
-        p = pauli_frame(message.bits)
+        bits, pending = teleport(payload, pair, rng)
+        p = pauli_frame(bits)
         assert np.allclose(pending.matrix, p @ payload.matrix @ p.conj().T, atol=1e-10)
-        seen[message.bits] = pending.matrix
+        seen[bits] = pending.matrix
     assert set(seen) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert np.allclose(sum(seen.values()) / 4, I2 / 2, atol=1e-10)
-
-
-def test_teleport_rejects_consumed_resource():
-    rng = np.random.default_rng(24)
-    resource = make_bell_pair()
-    teleport(random_pure_state(rng), resource, rng)
-    with pytest.raises(ConsumedResourceError):
-        teleport(random_pure_state(rng), resource, rng)
 
 
 def test_teleport_with_product_resource_degrades_to_mixed():
     rng = np.random.default_rng(25)
     payload = random_pure_state(rng)
-    product = EntangledResource(
-        QuantumState(2, np.eye(4, dtype=complex) / 4),
-        ResourceKind.BELL_PHI_PLUS,
-        ("a", "b"),
-    )
+    product = QuantumState(2, np.eye(4, dtype=complex) / 4)
     out = teleported(payload, product, rng)
     assert np.allclose(out.matrix, I2 / 2, atol=1e-10)
     assert float(np.real(np.trace(out.matrix @ payload.matrix))) == pytest.approx(0.5, abs=1e-9)
@@ -372,10 +347,11 @@ def test_teleport_werner_fidelity_matches_oracle():
         [_teleport_fidelity_oracle(random_pure_state(rng_oracle).matrix, w) for _ in range(200)]
     )
     rng = np.random.default_rng(202)
+    pair = werner_pair(w)
     observed = []
     for _ in range(200):
         payload = random_pure_state(rng)
-        out = teleported(payload, werner_pair(w), rng)
+        out = teleported(payload, pair, rng)
         observed.append(float(np.real(np.trace(out.matrix @ payload.matrix))))
     assert abs(np.mean(observed) - oracle) < 0.01
     # the Werner output fidelity is payload independent: (1 + w) / 2
@@ -413,11 +389,10 @@ def _check_teleport_table_against_per_trial_path(pair_matrix, n_payloads, seed):
         for index, bits in enumerate(SUPERDENSE_MESSAGES):
             if expected[index] < 1e-9:
                 continue
-            resource = EntangledResource(pair, ResourceKind.BELL_PHI_PLUS, ("s", "d"))
             draw = _ForcedDraw((lower[index] + upper[index]) / 2)
-            message, pending = teleport(payload, resource, draw)
-            assert message.bits == bits
-            oracle = fidelity(apply_correction(pending, message), payload)
+            drawn, pending = teleport(payload, pair, draw)
+            assert drawn == bits
+            oracle = fidelity(apply_correction(pending, bits), payload)
             assert abs(teleport_fidelity(table[index], r) - oracle) <= 1e-12
 
 
@@ -459,9 +434,8 @@ def test_teleport_table_draw_guards_a_branch_below_the_floor():
     with pytest.raises(RenormalizationError):
         draw_bell_outcome(weights, cumulative_weights(weights), _ForcedDraw(1.5))
     payload = QuantumState(1, np.diag([1.0, 0.0]).astype(complex))
-    resource = EntangledResource(pair, ResourceKind.BELL_PHI_PLUS, ("s", "d"))
     with pytest.raises(RenormalizationError):
-        teleport(payload, resource, _ForcedDraw(1.5))
+        teleport(payload, pair, _ForcedDraw(1.5))
 
 
 def test_teleport_table_needs_a_two_qubit_resource():
@@ -475,31 +449,23 @@ def test_teleport_table_needs_a_two_qubit_resource():
 def test_superdense_round_trip_all_messages():
     rng = np.random.default_rng(31)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        joint = superdense_encode(bits, make_bell_pair())
+        joint = superdense_encode(bits, phi_plus_state())
         assert superdense_decode(joint, rng) == bits
 
 
 def test_superdense_encoding_images():
     psi_plus = bell_matrix(0, 1)
     phi_minus = bell_matrix(1, 0)
-    assert np.allclose(superdense_encode((0, 1), make_bell_pair()).matrix, psi_plus, atol=1e-12)
-    assert np.allclose(superdense_encode((1, 0), make_bell_pair()).matrix, phi_minus, atol=1e-12)
-    assert np.allclose(
-        superdense_encode((0, 0), make_bell_pair()).matrix, bell_matrix(0, 0), atol=1e-12
-    )
-
-
-def test_superdense_encode_consumes_the_pair():
-    resource = make_bell_pair()
-    superdense_encode((0, 1), resource)
-    assert resource.consumed
-    with pytest.raises(ConsumedResourceError):
-        superdense_encode((1, 0), resource)
+    pair = phi_plus_state()
+    assert np.allclose(superdense_encode((0, 1), pair).matrix, psi_plus, atol=1e-12)
+    assert np.allclose(superdense_encode((1, 0), pair).matrix, phi_minus, atol=1e-12)
+    assert np.allclose(superdense_encode((0, 0), pair).matrix, bell_matrix(0, 0), atol=1e-12)
 
 
 def test_superdense_werner_statistics_match_born_oracle():
     w = 0.9
     rng = np.random.default_rng(32)
+    pair = werner_pair(w)
     per_message = 25_000
     encodings = {
         (0, 0): I2,
@@ -515,7 +481,7 @@ def test_superdense_werner_statistics_match_born_oracle():
         assert born == pytest.approx(w + (1 - w) / 4, abs=1e-12)
         ok = 0
         for _ in range(per_message):
-            joint = superdense_encode(bits, werner_pair(w))
+            joint = superdense_encode(bits, pair)
             if superdense_decode(joint, rng) == bits:
                 ok += 1
         assert abs(ok / per_message - born) < 0.01
@@ -545,32 +511,27 @@ def test_superdense_decode_ambiguity_on_maximally_mixed():
 
 def test_swap_ideal_inputs_yield_phi_plus():
     rng = np.random.default_rng(41)
+    pair = phi_plus_state()
     for _ in range(200):
-        left = make_bell_pair(("A", "B"))
-        right = make_bell_pair(("B", "C"))
-        out = swapped(left, right, rng)
+        out = swapped(pair, pair, rng)
         assert np.allclose(out.matrix, bell_matrix(0, 0), atol=1e-10)
-        assert left.consumed and right.consumed
 
 
 def test_swap_signals_even_for_trivial_outcome():
     rng = np.random.default_rng(42)
-    # force many swaps; every single one must emit a message to the far end
-    sent = [
-        entanglement_swap(make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), rng)[0]
-        for _ in range(40)
-    ]
-    assert all(m.purpose is Purpose.SWAP and len(m.bits) == 2 for m in sent)
-    assert all((m.origin, m.target) == ("B", "C") for m in sent)
-    assert any(m.bits == (0, 0) for m in sent)
+    # force many swaps; every single one must return two bits for the far end
+    pair = phi_plus_state()
+    sent = [entanglement_swap(pair, pair, rng)[0] for _ in range(40)]
+    assert all(bits in SUPERDENSE_MESSAGES for bits in sent)
+    assert any(bits == (0, 0) for bits in sent)
 
 
 def test_swap_preserves_werner_parameter():
     rng = np.random.default_rng(43)
     w = 0.7
+    left = werner_pair(w)
+    right = phi_plus_state()
     for _ in range(20):
-        left = werner_pair(w, ("A", "B"))
-        right = make_bell_pair(("B", "C"))
         out = swapped(left, right, rng)
         assert np.allclose(out.matrix, werner_matrix(w), atol=1e-9)
 
@@ -579,11 +540,10 @@ def test_swap_outcome_distribution():
     rng = np.random.default_rng(44)
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     n = 100_000
+    pair = phi_plus_state()
     for _ in range(n):
-        message, _ = entanglement_swap(
-            make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), rng
-        )
-        counts[message.bits] += 1
+        bits, _ = entanglement_swap(pair, pair, rng)
+        counts[bits] += 1
     for bits, count in counts.items():
         assert abs(count / n - 0.25) < 0.01, (bits, count / n)
 
@@ -592,17 +552,16 @@ def test_swap_uncorrected_pair_is_pauli_frame_of_phi_plus():
     # Without the correction the end pair is the Bell state the outcome
     # names, orthogonal to phi+ unless the outcome is (0, 0).
     rng = np.random.default_rng(45)
+    pair = phi_plus_state()
     seen = set()
     for _ in range(100):
-        message, pending = entanglement_swap(
-            make_bell_pair(("A", "B")), make_bell_pair(("B", "C")), rng
-        )
-        lifted = np.kron(I2, pauli_frame(message.bits))
+        bits, pending = entanglement_swap(pair, pair, rng)
+        lifted = np.kron(I2, pauli_frame(bits))
         expected = lifted @ bell_matrix(0, 0) @ lifted.conj().T
         assert np.allclose(pending.matrix, expected, atol=1e-10)
         overlap = float(np.real(np.trace(pending.matrix @ bell_matrix(0, 0))))
-        assert overlap == pytest.approx(1.0 if message.bits == (0, 0) else 0.0, abs=1e-10)
-        seen.add(message.bits)
+        assert overlap == pytest.approx(1.0 if bits == (0, 0) else 0.0, abs=1e-10)
+        seen.add(bits)
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
@@ -625,27 +584,35 @@ def test_swap_outcome_table_agrees_with_entanglement_swap():
         assert np.allclose(weights, expected_weights, rtol=0.0, atol=1e-12)
         upper = np.cumsum(weights) / weights.sum()
         lower = np.concatenate(([0.0], upper[:-1]))
+        left, right = QuantumState(2, left_rho), QuantumState(2, right_rho)
         for index, bits in enumerate(SUPERDENSE_MESSAGES):
-            left, right = (
-                EntangledResource(QuantumState(2, rho), ResourceKind.BELL_PHI_PLUS, holders)
-                for rho, holders in ((left_rho, ("A", "B")), (right_rho, ("B", "C")))
-            )
             draw = _ForcedDraw((lower[index] + upper[index]) / 2)
-            message, pending = entanglement_swap(left, right, draw)
-            assert message.bits == bits
+            drawn, pending = entanglement_swap(left, right, draw)
+            assert drawn == bits
             from_table = QuantumState(2, branches[index] / weights[index])
             assert np.allclose(
-                apply_correction(from_table, message).matrix,
-                apply_correction(pending, message).matrix,
+                apply_correction(from_table, bits).matrix,
+                apply_correction(pending, bits).matrix,
                 rtol=0.0,
                 atol=1e-12,
             )
 
 
-def test_swap_requires_shared_middle_node():
+def test_protocols_reject_a_pair_that_is_not_two_qubits():
     rng = np.random.default_rng(46)
-    with pytest.raises(ValueError):
-        entanglement_swap(make_bell_pair(("A", "B")), make_bell_pair(("X", "C")), rng)
+    payload = random_pure_state(rng)
+    pair = phi_plus_state()
+    for wrong in (payload, make_w_state(3)):
+        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
+            teleport(payload, wrong, rng)
+        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
+            superdense_encode((0, 1), wrong)
+        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
+            entanglement_swap(wrong, pair, rng)
+        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
+            entanglement_swap(pair, wrong, rng)
+    with pytest.raises(ValueError, match="payload must be a single qubit"):
+        teleport(pair, pair, rng)
 
 
 # -- W-state election ---------------------------------------------------------
@@ -666,7 +633,7 @@ def test_election_one_hot_and_uniform_across_million_rounds():
 
 def test_election_probabilities_are_w_state_diagonal():
     for n in range(2, 11):
-        diagonal = np.real(np.diag(make_w_state(n).state.matrix))
+        diagonal = np.real(np.diag(make_w_state(n).matrix))
         one_hot = [1 << (n - 1 - q) for q in range(n)]
         probabilities = w_election_probabilities(n)
         assert np.allclose(probabilities, diagonal[one_hot], rtol=0.0, atol=1e-12), n
@@ -676,23 +643,73 @@ def test_election_probabilities_are_w_state_diagonal():
 def test_election_two_nodes_is_fair_coin():
     rng = np.random.default_rng(52)
     rounds = 100_000
-    wins = sum(w_election_round(make_w_state(2), rng)[0] for _ in range(rounds))
+    state = make_w_state(2)
+    wins = sum(w_election_round(state, rng)[0] for _ in range(rounds))
     assert abs(wins / rounds - 0.5) < 0.01
-
-
-def test_election_consumes_resource():
-    rng = np.random.default_rng(53)
-    resource = make_w_state(3)
-    w_election_round(resource, rng)
-    assert resource.consumed
-    with pytest.raises(ConsumedResourceError):
-        w_election_round(resource, rng)
 
 
 def test_election_requires_w_resource():
     rng = np.random.default_rng(54)
     with pytest.raises(ValueError):
-        w_election_round(make_bell_pair(), rng)
+        w_election_round(phi_plus_state(), rng)
+
+
+def test_election_checks_the_state_before_its_draw():
+    # Weight at |000> just below the floor is read as a W state and the
+    # round draws once; weight at the floor is refused before any draw.
+    w = make_w_state(3).matrix
+    zero = np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex)
+    below = QuantumState(3, (1 - EIGENVALUE_FLOOR / 2) * w + EIGENVALUE_FLOOR / 2 * zero)
+    counting = _CountingDraw(55)
+    winner, outcomes = w_election_round(below, counting)
+    assert counting.calls == 1
+    assert sum(outcomes) == 1 and outcomes[winner] == 1
+    at_floor = QuantumState(3, (1 - EIGENVALUE_FLOOR) * w + EIGENVALUE_FLOOR * zero)
+    with pytest.raises(ValueError):
+        w_election_round(at_floor, counting)
+    assert counting.calls == 1
+
+
+# -- inputs are left alone ----------------------------------------------------
+
+
+def _read_only(state):
+    matrix = state.matrix.copy()
+    matrix.flags.writeable = False
+    return QuantumState(state.num_qubits, matrix)
+
+
+def _plain(result):
+    """A protocol's result with every state replaced by its matrix as lists."""
+    if isinstance(result, QuantumState):
+        return (result.num_qubits, result.matrix.tolist())
+    if isinstance(result, tuple):
+        return tuple(_plain(item) for item in result)
+    return result
+
+
+def test_protocols_leave_their_inputs_alone():
+    # A protocol reads its states and returns new ones, so a state serves
+    # any number of calls: with equal seeds two calls agree, and the input
+    # matrices (read-only here, so a write in place raises) are unchanged.
+    payload = _read_only(random_pure_state(np.random.default_rng(91)))
+    pair = _read_only(werner_pair(0.8))
+    joint = _read_only(payload.tensor(pair))
+    w_state = _read_only(make_w_state(3))
+    calls = {
+        "teleport": (lambda rng: teleport(payload, pair, rng), (payload, pair)),
+        "entanglement_swap": (lambda rng: entanglement_swap(pair, pair, rng), (pair,)),
+        "superdense_encode": (lambda rng: superdense_encode((1, 1), pair), (pair,)),
+        "bell_basis_measure": (lambda rng: bell_basis_measure(joint, 0, 2, rng), (joint,)),
+        "w_election_round": (lambda rng: w_election_round(w_state, rng), (w_state,)),
+    }
+    for name, (call, inputs) in calls.items():
+        before = [state.matrix.copy() for state in inputs]
+        first = _plain(call(np.random.default_rng(92)))
+        second = _plain(call(np.random.default_rng(92)))
+        assert first == second, name
+        for state, matrix in zip(inputs, before):
+            assert np.array_equal(state.matrix, matrix), name
 
 
 def test_correction_message_validates_bits():

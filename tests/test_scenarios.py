@@ -70,8 +70,9 @@ def test_teleport_cell_leaves_the_stream_where_per_trial_teleport_does(werner_w,
     n_teleports = 60
     SCENARIOS["teleport"](topology, {"n_teleports": n_teleports, "werner_w": werner_w})([17, 3])
     per_trial = np.random.default_rng([17, 3])
+    pair = werner_pair(werner_w)
     for _ in range(n_teleports):
-        teleport(random_pure_state(per_trial), werner_pair(werner_w, ("a", "c")), per_trial)
+        teleport(random_pure_state(per_trial), pair, per_trial)
     (engine,) = engines
     assert engine.rng.bit_generator.state == per_trial.bit_generator.state
 
