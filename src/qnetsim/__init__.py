@@ -14,7 +14,6 @@ from .channels import (
     depolarizing_channel,
     holevo_information,
     quantum_switch,
-    switch_holevo_information,
 )
 from .config import ExperimentConfig, load_config
 from .engine import EventEngine, SignalingScope, Topology
@@ -64,7 +63,6 @@ __all__ = [
     "depolarizing_channel",
     "holevo_information",
     "quantum_switch",
-    "switch_holevo_information",
     "ExperimentConfig",
     "load_config",
     "EventEngine",

@@ -16,10 +16,9 @@ matrix ``sum_k vec(K) vec(K)^*``.
 
 A rate is the Holevo information of the equiprobable ``{|0>, |1>}``
 source: ``holevo_information`` for one qubit channel and
-``switch_holevo_information`` for two of them in the switch.  Both are
-computed from PTMs alone (``switch_holevo_from_ptms`` for the switch),
-and both read their output spectra in closed form, with no eigensolver,
-on plain Python floats.
+``switch_holevo_from_ptms`` for two of them in the switch.  Both are
+computed from PTMs alone, and both read their output spectra in closed
+form, with no eigensolver, on plain Python floats.
 """
 
 from __future__ import annotations
@@ -235,10 +234,6 @@ def _ptm_holevo(ptm: np.ndarray) -> float:
 
 def holevo_information(channel: ChannelModel) -> float:
     """Holevo rate in bits of a qubit channel fed ``|0>`` or ``|1>``."""
-    if channel.dim != 2:
-        raise UnsupportedDimensionError(
-            f"Holevo rate needs a qubit channel, got dimension {channel.dim}"
-        )
     return _ptm_holevo(channel.ptm)
 
 
@@ -257,15 +252,6 @@ def switch_holevo_from_ptms(first: np.ndarray, second: np.ndarray) -> float:
     serial = (second @ first + first @ second) @ _SOURCE
     cross = (_SWITCH_CROSS @ np.multiply.outer(second, first).reshape(-1)).reshape(4, 2)
     return _pauli_holevo((0.25 * np.stack((serial + cross, serial - cross))).tolist())
-
-
-def switch_holevo_information(first: ChannelModel, second: ChannelModel) -> float:
-    """Holevo rate in bits of the switch of two qubit channels; see
-    ``switch_holevo_from_ptms``."""
-    for c in (first, second):
-        if c.dim != 2:
-            raise UnsupportedDimensionError("switch requires single-qubit channels")
-    return switch_holevo_from_ptms(first.ptm, second.ptm)
 
 
 def bottleneck_check(first: ChannelModel, second: ChannelModel) -> BottleneckReport:

@@ -1,24 +1,23 @@
 """Single-threaded discrete-event engine over a static topology.
 
-Time is an integer tick counter.  Events fire in ``(time, sequence)``
+Time is an integer tick counter.  An event is a queue entry
+``(time, seq, kind, detail, handler)``; events fire in ``(time, seq)``
 order, so simultaneous events keep FIFO scheduling order and a fixed
-``(topology, seed)`` pair replays to an identical trace.  All classical
-traffic passes through ``send_classical``, which charges every message to
-a ledger tagged with its signaling scope: host-to-host for link-local
-coordination (heralding), end-to-end for route-wide corrections.
-
-The trace is plain data: one ``(time, seq, kind, detail)`` record per
-fired event, whose detail is the event's payload string, or
-``(CorrectionMessage, SignalingScope)`` for a classical delivery.  An
-event costs its heap operation and its handler only; ``format_record``
-turns a record into its trace line where a trace file is written.
+``(topology, seed)`` pair replays to an identical trace.  Firing an event
+appends its trace record ``(time, seq, kind, detail)`` and calls
+``handler(engine, detail)``, so a handler gets exactly what its record
+shows.  All classical traffic passes through ``send_classical``, which
+charges every message to a ledger tagged with its signaling scope:
+host-to-host for link-local coordination (heralding), end-to-end for
+route-wide corrections.  A delivery's detail is
+``(CorrectionMessage, SignalingScope)``; ``format_record`` turns a record
+into its trace line where a trace file is written.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple
@@ -47,6 +46,9 @@ _GEOMETRIC_CAP = int(np.iinfo(np.int64).max)
 
 # (time, seq, kind, detail) of one fired event.
 TraceRecord = tuple[int, int, EventKind, Any]
+
+# Called as handler(engine, detail) when its event fires.
+Handler = Callable[["EventEngine", Any], None]
 
 
 @dataclass(frozen=True)
@@ -157,22 +159,10 @@ class Topology:
         return self._quantum_links.get(frozenset((a, b)))
 
 
-@dataclass(slots=True)
-class Event:
-    time: int
-    kind: EventKind
-    payload: Any = None
-    handler: Callable[["EventEngine", "Event"], None] | None = None
-    seq: int = -1
-    # What the event's trace record shows of its payload: the payload
-    # string, ``(message, scope)`` for a delivery, or "".
-    detail: Any = ""
-
-
 def format_record(record: TraceRecord) -> str:
     """The trace line of one record."""
     time, seq, kind, detail = record
-    if isinstance(detail, tuple):
+    if kind is EventKind.CLASSICAL_DELIVER:
         message, scope = detail
         detail = (
             f"purpose={message.purpose.value} bits={len(message.bits)} "
@@ -210,7 +200,7 @@ class EventEngine:
         self.rng = np.random.default_rng(seed)
         self.now = 0
         self._seq = 0
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[tuple[int, int, EventKind, Any, Handler]] = []
         self.trace: list[TraceRecord] = []
         self.ledger: list[LedgerEntry] = []
         self.bits_host_to_host = 0
@@ -224,24 +214,12 @@ class EventEngine:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(
-        self,
-        time: int,
-        kind: EventKind,
-        payload: Any = None,
-        handler: Callable[["EventEngine", Event], None] | None = None,
-    ) -> Event:
+    def schedule(self, time: int, kind: EventKind, detail: Any, handler: Handler) -> None:
+        """Fire ``handler(engine, detail)`` at ``time``, recorded as ``detail``."""
         if time < self.now:
             raise SchedulingError(f"cannot schedule at t={time}, current time is {self.now}")
-        if kind is EventKind.CLASSICAL_DELIVER and payload is not None:
-            message, _, scope = payload
-            detail = (message, scope)
-        else:
-            detail = payload if isinstance(payload, str) else ""
-        event = Event(int(time), kind, payload, handler, self._seq, detail)
+        heapq.heappush(self._queue, (int(time), self._seq, kind, detail, handler))
         self._seq += 1
-        heapq.heappush(self._queue, (event.time, event.seq, event))
-        return event
 
     # -- classical plane -------------------------------------------------
 
@@ -261,10 +239,11 @@ class EventEngine:
         message: CorrectionMessage,
         route: tuple[str, ...],
         scope: SignalingScope,
-        on_deliver: Callable[[CorrectionMessage], None] | None = None,
-    ) -> Event:
-        """Queue a classical message along ``route``; delivery takes the sum
-        of per-hop link latencies."""
+        on_deliver: Callable[[CorrectionMessage], None],
+    ) -> None:
+        """Queue a classical message along ``route`` and call
+        ``on_deliver(message)`` once it arrives, after the sum of the
+        per-hop link latencies."""
         if len(route) < 2:
             raise ValueError(f"route {route} needs at least two nodes")
         if scope is SignalingScope.HOST_TO_HOST and len(route) != 2:
@@ -280,11 +259,11 @@ class EventEngine:
             self.bits_host_to_host += bits
         else:
             self.bits_end_to_end += bits
-        return self.schedule(
+        self.schedule(
             self.now + delay,
             EventKind.CLASSICAL_DELIVER,
-            payload=(message, on_deliver, scope),
-            handler=_deliver_classical,
+            (message, scope),
+            lambda _engine, _detail: on_deliver(message),
         )
 
     # -- quantum plane ---------------------------------------------------
@@ -313,9 +292,8 @@ class EventEngine:
 
     # -- main loop -------------------------------------------------------
 
-    def run_until(self, t_end: int | None = None) -> RunResult:
-        """Fire all events with ``time <= t_end``, or, without ``t_end``,
-        every event until the queue is empty.
+    def run_until(self) -> RunResult:
+        """Fire every event until the queue is empty.
 
         A handler exception aborts the run; the trace records accumulated
         so far are preserved on the raised error.
@@ -323,27 +301,17 @@ class EventEngine:
         queue = self._queue
         trace = self.trace
         pop = heapq.heappop
-        horizon = math.inf if t_end is None else t_end
-        while queue and queue[0][0] <= horizon:
-            time, seq, event = pop(queue)
+        while queue:
+            time, seq, kind, detail, handler = pop(queue)
             self.now = time
-            trace.append((time, seq, event.kind, event.detail))
-            if event.handler is not None:
-                try:
-                    event.handler(self, event)
-                except Exception as exc:  # noqa: BLE001 - wrapped with trace context
-                    raise EngineAborted(exc, tuple(trace)) from exc
-        if t_end is not None:
-            self.now = max(self.now, t_end)
+            trace.append((time, seq, kind, detail))
+            try:
+                handler(self, detail)
+            except Exception as exc:  # noqa: BLE001 - wrapped with trace context
+                raise EngineAborted(exc, tuple(trace)) from exc
         return RunResult(
             tuple(trace),
             len(trace),
             self.bits_host_to_host,
             self.bits_end_to_end,
         )
-
-
-def _deliver_classical(engine: EventEngine, event: Event) -> None:
-    message, on_deliver, _ = event.payload
-    if on_deliver is not None:
-        on_deliver(message)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..channels import ChannelModel, holevo_information, switch_holevo_information
+from ..channels import ChannelModel, holevo_information, switch_holevo_from_ptms
 
 
 def phy_effective_rate(first: ChannelModel, second: ChannelModel | None = None) -> float:
@@ -10,4 +10,4 @@ def phy_effective_rate(first: ChannelModel, second: ChannelModel | None = None) 
     ``second`` traversed in superposed order through the switch."""
     if second is None:
         return holevo_information(first)
-    return switch_holevo_information(first, second)
+    return switch_holevo_from_ptms(first.ptm, second.ptm)

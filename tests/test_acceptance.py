@@ -7,11 +7,9 @@ from the code under test.
 """
 
 import hashlib
-import importlib.util
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from qnetsim.channels import (
     compose_serial,
     depolarizing_channel,
     holevo_information,
-    switch_holevo_information,
 )
 from qnetsim.config import load_config
 from qnetsim.engine import EventEngine, EventKind, SignalingScope
@@ -42,20 +39,21 @@ from qnetsim.protocols import (
 from qnetsim.qstate import fidelity, random_pure_state
 from qnetsim.runner import run_experiment
 from qnetsim.services.mac import MacConfig, MacProtocol, run_mac_sim
+from qnetsim.services.phy import phy_effective_rate
 from qnetsim.services.routing import (
     PlanMode,
     route_max_bottleneck,
     route_with_switch_merging,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-CONFIG_DIR = REPO_ROOT / "configs"
-BENCHMARK_DIR = REPO_ROOT / "benchmark"
-
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from reference import (
+    CONFIG_DIR,
+    I2,
+    SWITCH_ACTIVATION_GOLDEN,
+    X,
+    Z,
+    load_benchmark_module,
+    switch_activation_oracle,
+)
 
 
 def _verdict(num, label, ok, detail=""):
@@ -70,12 +68,6 @@ def _bell(phase, parity):
     v[parity] = 1 / math.sqrt(2)
     v[3 - parity] = (-1 if phase else 1) / math.sqrt(2)
     return np.outer(v, v.conj())
-
-
-def _entropy_bits(matrix):
-    evals = np.linalg.eigvalsh(matrix)
-    evals = evals[evals > 1e-12]
-    return float(-(evals * np.log2(evals)).sum())
 
 
 # -- criterion 1: teleportation consumes one Bell pair and two bits -----------
@@ -108,7 +100,7 @@ def test_criterion_1_teleport_dual_resource():
     engine = EventEngine(topo, seed=seed)
     fidelities = []
 
-    def step(eng, _event):
+    def step(eng, _label):
         payload = random_pure_state(eng.rng)
         bits, destination = teleport(payload, phi_plus_state(), eng.rng)
         message = CorrectionMessage(bits, "alice", "bob", Purpose.TELEPORT)
@@ -119,8 +111,8 @@ def test_criterion_1_teleport_dual_resource():
         eng.send_classical(message, ("alice", "bob"), SignalingScope.END_TO_END, on_deliver)
 
     for k in range(n_teleports):
-        engine.schedule(k, EventKind.PROTOCOL_STEP, handler=step)
-    engine.run_until(n_teleports + 10)
+        engine.schedule(k, EventKind.PROTOCOL_STEP, f"teleport {k}", step)
+    engine.run_until()
     oracle_bits = [e.bits for e in engine.ledger if e.scope is SignalingScope.END_TO_END]
 
     fidelity_ok = (
@@ -186,46 +178,15 @@ def test_criterion_2_superdense_coding():
 
 # -- criterion 3: zero-capacity activation through the switch -----------------
 
-SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914
-
-
-def _switch_activation_oracle():
-    """Independent evaluation from the explicit 13-operator Kraus set."""
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    paulis = (I2, X, Y, Z)
-    ops = [0.5 * np.eye(4, dtype=complex)]
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            if i != j:
-                ops.append(np.kron(si @ sj / 4.0, p0) + np.kron(sj @ si / 4.0, p1))
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    flagged = []
-    for rho_sys in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-        joint = np.kron(rho_sys.astype(complex), np.full((2, 2), 0.5))
-        out = sum(k @ joint @ k.conj().T for k in ops)
-        conditional = np.zeros((8, 8), dtype=complex)
-        for b, v in enumerate((plus, minus)):
-            meas = np.kron(I2, np.outer(v, v.conj()))
-            block = meas @ out @ meas.conj().T
-            conditional[4 * b : 4 * b + 2, 4 * b : 4 * b + 2] = (
-                block[0::2, 0::2] + block[1::2, 1::2]
-            )
-        flagged.append(conditional)
-    avg = 0.5 * flagged[0] + 0.5 * flagged[1]
-    return _entropy_bits(avg) - 0.5 * _entropy_bits(flagged[0]) - 0.5 * _entropy_bits(flagged[1])
-
-
 def test_criterion_3_zero_capacity_activation():
     dep1 = depolarizing_channel(1.0)
     chi_direct = holevo_information(dep1)
     chi_serial = holevo_information(compose_serial(dep1, dep1))
     zeros_ok = abs(chi_direct) <= 1e-9 and abs(chi_serial) <= 1e-9
 
-    oracle = _switch_activation_oracle()
+    oracle = switch_activation_oracle()
     oracle_ok = abs(oracle - SWITCH_ACTIVATION_GOLDEN) < 1e-9
-    chi_switch = switch_holevo_information(dep1, dep1)
+    chi_switch = phy_effective_rate(dep1, dep1)
     switch_ok = chi_switch > 0.02 and abs(chi_switch - oracle) < 1e-6
 
     grid_ok = True
@@ -444,18 +405,11 @@ def _digest_run(config_path, out_dir):
     return digests
 
 
-def _load_benchmark_module(name):
-    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK_DIR / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_criterion_6_determinism(tmp_path, monkeypatch):
     # The benchmark's closed-form output checker, loaded unchanged from its
     # file; it does ``from workloads import cell_count``.
-    monkeypatch.setitem(sys.modules, "workloads", _load_benchmark_module("workloads"))
-    oracles = _load_benchmark_module("oracles")
+    monkeypatch.setitem(sys.modules, "workloads", load_benchmark_module("workloads"))
+    oracles = load_benchmark_module("oracles")
     mismatches = []
     cells = 0
     for config_path in sorted(CONFIG_DIR.glob("*.yaml")):

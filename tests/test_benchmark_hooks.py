@@ -8,32 +8,21 @@ these tests load its files, unchanged, and run them against qnetsim here.
 
 import csv
 import importlib
-import importlib.util
 import io
 import json
 import math
 import sys
-from pathlib import Path
 
 import qnetsim  # noqa: F401  (imports every module the tracer patches)
 from qnetsim.channels import ChannelModel
 from qnetsim.config import load_config
 from qnetsim.runner import csv_text, run_experiment
 from qnetsim.services.routing import route_max_bottleneck, route_with_switch_merging
-
-ROOT = Path(__file__).resolve().parent.parent
-BENCHMARK_DIR = ROOT / "benchmark"
-
-
-def _load_benchmark_module(name):
-    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK_DIR / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from reference import REPO_ROOT, load_benchmark_module
 
 
 def test_every_traced_function_resolves_in_qnetsim():
-    layers = _load_benchmark_module("layers")
+    layers = load_benchmark_module("layers")
     assert layers.TRACED
     missing = []
     for name, module_name, attr in layers.TRACED:
@@ -50,7 +39,7 @@ def test_every_traced_function_resolves_in_qnetsim():
 def _workload_config(workload, name, tmp_path):
     """The spec of ``workload``'s config ``name`` at the held-out seed, and
     the path of its YAML text."""
-    workloads = _load_benchmark_module("workloads")
+    workloads = load_benchmark_module("workloads")
     configs = workloads.generate(workload, workloads.HELD_OUT_SEED)
     [(spec, text)] = [(spec, text) for config, spec, text in configs if config == name]
     path = tmp_path / f"{name}.yaml"
@@ -62,8 +51,8 @@ def _oracle_check(spec, path, monkeypatch):
     """Run the config at ``path`` and check its csv with the benchmark's
     oracle: ``(cells attempted, problems, csv text)``."""
     # oracles.py does ``from workloads import cell_count``
-    monkeypatch.setitem(sys.modules, "workloads", _load_benchmark_module("workloads"))
-    oracles = _load_benchmark_module("oracles")
+    monkeypatch.setitem(sys.modules, "workloads", load_benchmark_module("workloads"))
+    oracles = load_benchmark_module("oracles")
     rows, aborted = run_experiment(load_config(path))
     assert aborted == 0
     text = csv_text(rows)
@@ -138,10 +127,10 @@ def test_kernel_sweep_times_every_declared_kernel():
     # kernel metrics the benchmark declares must come out finite and positive.
     declared = {
         metric["name"]
-        for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        for metric in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]
         if metric["name"].startswith("qstate.kernel.")
     }
     assert len(declared) == 16
-    sweep = _load_benchmark_module("layers").kernel_sweep()
+    sweep = load_benchmark_module("layers").kernel_sweep()
     assert set(sweep) == declared
     assert all(math.isfinite(value) and value > 0 for value in sweep.values())

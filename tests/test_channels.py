@@ -22,17 +22,20 @@ from qnetsim.channels import (
     quantum_switch,
     reduce_kraus,
     switch_holevo_from_ptms,
-    switch_holevo_information,
 )
 from qnetsim.errors import CapacityError, UnsupportedDimensionError
 from qnetsim.qstate import QuantumState, new_register, random_pure_state
 from qnetsim.services.phy import phy_effective_rate
+from reference import (
+    I2,
+    SWITCH_ACTIVATION_GOLDEN,
+    X,
+    Y,
+    Z,
+    entropy_bits,
+    switch_activation_oracle,
+)
 
-# independent single-qubit references
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 PLUS_MINUS = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -45,17 +48,10 @@ PROBES = (
 )
 
 
-def _entropy_bits(matrix):
-    """Test-local entropy, independent of the package implementation."""
-    evals = np.linalg.eigvalsh(matrix)
-    evals = evals[evals > 1e-12]
-    return float(-(evals * np.log2(evals)).sum())
-
-
 def _holevo_oracle(outputs):
     """Holevo quantity in bits of equiprobable outputs, from eigvalsh."""
     avg = 0.5 * outputs[0] + 0.5 * outputs[1]
-    return _entropy_bits(avg) - 0.5 * _entropy_bits(outputs[0]) - 0.5 * _entropy_bits(outputs[1])
+    return entropy_bits(avg) - 0.5 * entropy_bits(outputs[0]) - 0.5 * entropy_bits(outputs[1])
 
 
 def _channel_outputs(channel):
@@ -355,7 +351,7 @@ def _kron_switch_outputs(first, second):
 def test_switch_holevo_equals_kron_measurement_path():
     for first, second in _switch_pairs():
         oracle = _holevo_oracle(_kron_switch_outputs(first, second))
-        assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
+        assert abs(phy_effective_rate(first, second) - oracle) <= 1e-12
 
 
 def test_switch_rate_does_not_depend_on_the_kraus_sets():
@@ -372,7 +368,7 @@ def test_switch_rate_does_not_depend_on_the_kraus_sets():
             (_unitarily_mixed(first, rng), second),
             (reduce_kraus(first), reduce_kraus(second)),
         ):
-            assert abs(switch_holevo_information(a, b) - oracle) <= 1e-12
+            assert abs(phy_effective_rate(a, b) - oracle) <= 1e-12
 
 
 def test_switch_of_depolarizing_outputs_are_control_correlated():
@@ -509,7 +505,7 @@ def test_rates_of_pure_outputs_match_eigvalsh_oracles():
             oracle = _holevo_oracle(_channel_outputs(channel))
             assert abs(holevo_information(channel) - oracle) <= 1e-12
         oracle = _holevo_oracle(_kron_switch_outputs(first, second))
-        assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
+        assert abs(phy_effective_rate(first, second) - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [1e-12 - 1e-13, 1e-12 + 1e-13])
@@ -524,7 +520,7 @@ def test_rates_with_an_eigenvalue_at_the_floor_match_eigvalsh_oracles(gamma):
     assert abs(serial - oracle) <= 1e-12
     for second in (identity_channel(), damping):
         oracle = _holevo_oracle(_kron_switch_outputs(damping, second))
-        assert abs(switch_holevo_information(damping, second) - oracle) <= 1e-12
+        assert abs(phy_effective_rate(damping, second) - oracle) <= 1e-12
 
 
 def test_holevo_kernel_clips_rounding_negatives():
@@ -547,7 +543,7 @@ def test_switch_of_unitaries_matches_kron_oracle():
     for _ in range(20):
         first, second = _unitary_channel(rng), _unitary_channel(rng)
         oracle = _holevo_oracle(_kron_switch_outputs(first, second))
-        assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
+        assert abs(phy_effective_rate(first, second) - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
@@ -555,7 +551,7 @@ def test_switch_with_a_fully_depolarizing_channel_matches_kron_oracle(p):
     first, second = depolarizing_channel(1.0), depolarizing_channel(p)
     for a, b in ((first, second), (second, first)):
         oracle = _holevo_oracle(_kron_switch_outputs(a, b))
-        assert abs(switch_holevo_information(a, b) - oracle) <= 1e-12
+        assert abs(phy_effective_rate(a, b) - oracle) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -575,50 +571,13 @@ def test_rates_of_random_channel_pairs_match_eigvalsh_oracles(seed, n_first, n_s
     ):
         assert abs(chi - _holevo_oracle(_channel_outputs(channel))) <= 1e-12
     oracle = _holevo_oracle(_kron_switch_outputs(first, second))
-    assert abs(switch_holevo_information(first, second) - oracle) <= 1e-12
-
-
-SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914
-
-
-def _switch_activation_oracle():
-    """chi of the measured-control switch of two fully depolarizing channels,
-    computed from the explicit 13-operator Kraus set and direct
-    eigendecompositions; no package code on the expected side."""
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    paulis = (I2, X, Y, Z)
-    ops = [0.5 * np.eye(4, dtype=complex)]
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            if i != j:
-                ops.append(np.kron(si @ sj / 4.0, p0) + np.kron(sj @ si / 4.0, p1))
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    projectors = [np.outer(v, v.conj()) for v in (plus, minus)]
-
-    flagged = []
-    for rho_sys in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-        joint = np.kron(rho_sys.astype(complex), np.full((2, 2), 0.5))
-        out = sum(k @ joint @ k.conj().T for k in ops)
-        # measure the control, keep the outcome as a classical flag
-        blocks = []
-        for proj in projectors:
-            meas = np.kron(I2, proj)
-            blocks.append(meas @ out @ meas.conj().T)
-        conditional = np.zeros((8, 8), dtype=complex)
-        for b, block in enumerate(blocks):
-            sys_block = block[0::2, 0::2] + block[1::2, 1::2]
-            conditional[4 * b : 4 * b + 2, 4 * b : 4 * b + 2] = sys_block
-        flagged.append(conditional)
-    avg = 0.5 * flagged[0] + 0.5 * flagged[1]
-    return _entropy_bits(avg) - 0.5 * _entropy_bits(flagged[0]) - 0.5 * _entropy_bits(flagged[1])
+    assert abs(phy_effective_rate(first, second) - oracle) <= 1e-12
 
 
 def test_switch_activation_against_brute_force_oracle():
-    oracle = _switch_activation_oracle()
+    oracle = switch_activation_oracle()
     assert abs(oracle - SWITCH_ACTIVATION_GOLDEN) < 1e-9
-    chi = switch_holevo_information(depolarizing_channel(1.0), depolarizing_channel(1.0))
+    chi = phy_effective_rate(depolarizing_channel(1.0), depolarizing_channel(1.0))
     assert abs(chi - oracle) < 1e-6
     assert chi > 0.02
 
@@ -632,7 +591,7 @@ def test_switch_with_traced_control_stays_zero():
         out = sum(k @ joint @ k.conj().T for k in switch.kraus_ops)
         outputs.append(out[0::2, 0::2] + out[1::2, 1::2])
     avg = 0.5 * outputs[0] + 0.5 * outputs[1]
-    chi = _entropy_bits(avg) - 0.5 * _entropy_bits(outputs[0]) - 0.5 * _entropy_bits(outputs[1])
+    chi = entropy_bits(avg) - 0.5 * entropy_bits(outputs[0]) - 0.5 * entropy_bits(outputs[1])
     assert chi == pytest.approx(0.0, abs=1e-9)
 
 
@@ -645,10 +604,12 @@ def test_phy_rate_of_one_link_is_its_holevo_information():
         assert phy_effective_rate(channel) == holevo_information(channel)
     with pytest.raises(UnsupportedDimensionError):
         phy_effective_rate(identity_channel(2))
+    with pytest.raises(UnsupportedDimensionError):
+        phy_effective_rate(depolarizing_channel(0.4), identity_channel(2))
 
 
 def test_phy_rate_of_two_fully_depolarizing_links_is_switch_activation():
-    oracle = _switch_activation_oracle()
+    oracle = switch_activation_oracle()
     rate = phy_effective_rate(depolarizing_channel(1.0), depolarizing_channel(1.0))
     assert abs(oracle - SWITCH_ACTIVATION_GOLDEN) < 1e-9
     assert abs(rate - oracle) < 1e-6

@@ -1,7 +1,6 @@
 """CLI surface and the CSV/trace emission contract."""
 
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +12,7 @@ from qnetsim.engine import EventEngine, EventKind, Topology
 from qnetsim.errors import UnreachableError
 from qnetsim.runner import CSV_HEADER, MetricsRecord, csv_text, run_experiment
 from qnetsim.scenarios import SCENARIOS, ScenarioResult
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from reference import REPO_ROOT
 
 
 def write_config(tmp_path, data, name="exp.yaml"):
@@ -40,14 +38,14 @@ def engine_fault_scenario(topology, cell):
     fail = bool(cell["fail"])
 
     def run(rng_seed):
-        def step(eng, event):
-            if fail and event.payload == "step 1":
+        def step(eng, label):
+            if fail and label == "step 1":
                 raise UnreachableError("far side went dark")
 
         engine = EventEngine(Topology(("a",)), rng_seed)
         for k in range(2):
-            engine.schedule(k, EventKind.PROTOCOL_STEP, payload=f"step {k}", handler=step)
-        result = engine.run_until(10)
+            engine.schedule(k, EventKind.PROTOCOL_STEP, f"step {k}", step)
+        result = engine.run_until()
         return ScenarioResult([("steps", result.events_processed)], trace=result.trace)
 
     return run

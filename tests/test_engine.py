@@ -41,14 +41,18 @@ def msg(origin="n0", target="n1"):
     return CorrectionMessage((0, 1), origin, target, Purpose.TELEPORT)
 
 
+def ignore(*_):
+    pass
+
+
 # -- scheduling ---------------------------------------------------------------
 
 
 def test_events_fire_at_scheduled_time():
     engine = EventEngine(chain_topology(), seed=0)
     fired = []
-    engine.schedule(5, EventKind.PROTOCOL_STEP, handler=lambda eng, ev: fired.append(eng.now))
-    engine.run_until(10)
+    engine.schedule(5, EventKind.PROTOCOL_STEP, "", lambda eng, _: fired.append(eng.now))
+    engine.run_until()
     assert fired == [5]
 
 
@@ -56,27 +60,33 @@ def test_equal_time_events_fire_in_insertion_order():
     engine = EventEngine(chain_topology(), seed=0)
     order = []
     for tag in ("first", "second", "third"):
-        engine.schedule(
-            7,
-            EventKind.PROTOCOL_STEP,
-            payload=tag,
-            handler=lambda eng, ev: order.append(ev.payload),
-        )
-    engine.run_until(7)
+        engine.schedule(7, EventKind.PROTOCOL_STEP, tag, lambda eng, tag: order.append(tag))
+    engine.run_until()
     assert order == ["first", "second", "third"]
+
+
+def test_handler_receives_the_detail_its_record_shows():
+    engine = EventEngine(chain_topology(), seed=0)
+    detail = ["any", "object"]
+    received = []
+    engine.schedule(4, EventKind.PROTOCOL_STEP, detail, lambda eng, d: received.append(d))
+    result = engine.run_until()
+    assert len(received) == 1 and received[0] is detail
+    assert result.trace == ((4, 0, EventKind.PROTOCOL_STEP, detail),)
+    assert result.trace[0][3] is detail
 
 
 def test_past_time_scheduling_rejected():
     engine = EventEngine(chain_topology(), seed=0)
-    engine.schedule(3, EventKind.PROTOCOL_STEP, handler=lambda eng, ev: None)
-    engine.run_until(3)
+    engine.schedule(3, EventKind.PROTOCOL_STEP, "", ignore)
+    engine.run_until()
     with pytest.raises(SchedulingError):
-        engine.schedule(2, EventKind.PROTOCOL_STEP)
+        engine.schedule(2, EventKind.PROTOCOL_STEP, "", ignore)
 
 
 def test_empty_queue_terminates_immediately():
     engine = EventEngine(chain_topology(), seed=0)
-    result = engine.run_until(100)
+    result = engine.run_until()
     assert result.trace == ()
     assert result.events_processed == 0
 
@@ -102,7 +112,7 @@ def test_single_hop_delivery_latency():
         msg(), ("n0", "n1"), SignalingScope.HOST_TO_HOST,
         on_deliver=lambda m: arrived.append(engine.now),
     )
-    engine.run_until(10)
+    engine.run_until()
     assert arrived == [4]
 
 
@@ -113,7 +123,7 @@ def test_multi_hop_latency_is_additive():
         msg("n0", "n3"), ("n0", "n1", "n2", "n3"), SignalingScope.END_TO_END,
         on_deliver=lambda m: arrived.append(engine.now),
     )
-    engine.run_until(20)
+    engine.run_until()
     assert arrived == [9]
 
 
@@ -133,32 +143,43 @@ def test_each_route_is_delayed_by_its_own_latency_sum():
 
 
 def test_no_delivery_before_latency_elapses():
-    engine = EventEngine(chain_topology((5,)), seed=0)
+    # The delivery fires, and is recorded, at the route's summed latency.
+    engine = EventEngine(chain_topology((2, 3)), seed=0)
     arrived = []
     engine.send_classical(
-        msg(), ("n0", "n1"), SignalingScope.HOST_TO_HOST,
+        msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.END_TO_END,
         on_deliver=lambda m: arrived.append(engine.now),
     )
-    engine.run_until(4)
-    assert arrived == []
-    engine.run_until(5)
+    result = engine.run_until()
+    assert [time for time, _, _, _ in result.trace] == [5]
     assert arrived == [5]
+
+
+def test_delivery_record_is_message_and_scope_and_handler_gets_message():
+    engine = EventEngine(chain_topology((2,)), seed=0)
+    message = msg()
+    delivered = []
+    engine.send_classical(message, ("n0", "n1"), SignalingScope.HOST_TO_HOST, delivered.append)
+    ((time, seq, kind, detail),) = engine.run_until().trace
+    assert (time, seq, kind) == (2, 0, EventKind.CLASSICAL_DELIVER)
+    assert detail == (message, SignalingScope.HOST_TO_HOST) and detail[0] is message
+    assert len(delivered) == 1 and delivered[0] is message
 
 
 def test_send_requires_existing_links():
     engine = EventEngine(chain_topology((2,)), seed=0)
     with pytest.raises(UnreachableError):
-        engine.send_classical(msg("n0", "n1"), ("n1", "n0x"), SignalingScope.HOST_TO_HOST)
+        engine.send_classical(msg("n0", "n1"), ("n1", "n0x"), SignalingScope.HOST_TO_HOST, ignore)
     with pytest.raises(ValueError):
         engine.send_classical(
-            msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.HOST_TO_HOST
+            msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.HOST_TO_HOST, ignore
         )
 
 
 def test_ledger_records_bits_and_scopes():
     engine = EventEngine(chain_topology((2, 3)), seed=0)
-    engine.send_classical(msg(), ("n0", "n1"), SignalingScope.HOST_TO_HOST)
-    engine.send_classical(msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.END_TO_END)
+    engine.send_classical(msg(), ("n0", "n1"), SignalingScope.HOST_TO_HOST, ignore)
+    engine.send_classical(msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.END_TO_END, ignore)
     assert engine.bits_host_to_host == 2
     assert engine.bits_end_to_end == 2
     assert len(engine.ledger) == 2
@@ -168,29 +189,28 @@ def test_ledger_records_bits_and_scopes():
     }
 
 
-def test_bit_totals_are_the_ledger_sums_at_every_horizon():
-    # The totals run as bits are charged, so each run_until reports the
-    # sum of the ledger so far, per scope.
+def test_bit_totals_are_the_ledger_sums():
+    # The totals run as bits are charged, so run_until reports the sum of
+    # the ledger, per scope.
     engine = EventEngine(chain_topology((2, 3)), seed=0)
     link_route, chain_route = ("n0", "n1"), ("n0", "n1", "n2")
 
-    def send(eng, event):
-        if event.payload % 3 == 0:
-            eng.send_classical(msg(), link_route, SignalingScope.HOST_TO_HOST)
+    def send(eng, t):
+        if t % 3 == 0:
+            eng.send_classical(msg(), link_route, SignalingScope.HOST_TO_HOST, ignore)
         else:
-            eng.send_classical(msg("n0", "n2"), chain_route, SignalingScope.END_TO_END)
+            eng.send_classical(msg("n0", "n2"), chain_route, SignalingScope.END_TO_END, ignore)
 
     for t in range(12):
-        engine.schedule(t, EventKind.PROTOCOL_STEP, payload=t, handler=send)
-    for horizon in (0, 1, 4, 9, 20):
-        result = engine.run_until(horizon)
-        for scope, total in (
-            (SignalingScope.HOST_TO_HOST, result.bits_host_to_host),
-            (SignalingScope.END_TO_END, result.bits_end_to_end),
-        ):
-            assert total == sum(e.bits for e in engine.ledger if e.scope is scope)
-        assert result.bits_host_to_host == engine.bits_host_to_host
-        assert result.bits_end_to_end == engine.bits_end_to_end
+        engine.schedule(t, EventKind.PROTOCOL_STEP, t, send)
+    result = engine.run_until()
+    for scope, total in (
+        (SignalingScope.HOST_TO_HOST, result.bits_host_to_host),
+        (SignalingScope.END_TO_END, result.bits_end_to_end),
+    ):
+        assert total == sum(e.bits for e in engine.ledger if e.scope is scope)
+    assert result.bits_host_to_host == engine.bits_host_to_host
+    assert result.bits_end_to_end == engine.bits_end_to_end
     assert (engine.bits_host_to_host, engine.bits_end_to_end) == (8, 16)
 
 
@@ -301,14 +321,14 @@ def test_heralding_charges_one_bit_per_success():
     engine = EventEngine(topo, seed=4)
     calls = []
 
-    def attempt(eng, event):
+    def attempt(eng, _detail):
         before = len(eng.ledger)
         attempts = eng.attempt_entanglement(link)
         assert len(eng.ledger) == before + 1
         calls.append((eng.now, attempts))
 
     for t in range(0, 200, 4):
-        engine.schedule(t, EventKind.ENTANGLEMENT_ATTEMPT, handler=attempt)
+        engine.schedule(t, EventKind.ENTANGLEMENT_ATTEMPT, "", attempt)
     engine.run_until()
     assert len(calls) == 50
     assert any(attempts > 1 for _, attempts in calls)
@@ -327,7 +347,8 @@ def test_attempt_at_the_geometric_cap_aborts_with_its_cause():
     engine.schedule(
         0,
         EventKind.ENTANGLEMENT_ATTEMPT,
-        handler=lambda eng, _: eng.attempt_entanglement(topo.quantum_links[0]),
+        "",
+        lambda eng, _: eng.attempt_entanglement(topo.quantum_links[0]),
     )
     with pytest.raises(EngineAborted) as info:
         engine.run_until()
@@ -340,7 +361,7 @@ def test_run_until_without_horizon_empties_the_queue():
     engine = EventEngine(chain_topology((2,)), seed=0)
     fired = []
     for t in (0, 10**12, 3):
-        engine.schedule(t, EventKind.PROTOCOL_STEP, handler=lambda eng, ev: fired.append(eng.now))
+        engine.schedule(t, EventKind.PROTOCOL_STEP, "", lambda eng, _: fired.append(eng.now))
     result = engine.run_until()
     assert fired == [0, 3, 10**12]
     assert result.events_processed == 3
@@ -361,7 +382,7 @@ def _stochastic_run(seed):
     engine = EventEngine(topo, seed=seed)
     fidelities = []
 
-    def use_pair(pair, eng, event):
+    def use_pair(pair, eng, _label):
         payload = random_pure_state(eng.rng)
         bits, pending = teleport(payload, pair, eng.rng)
         eng.send_classical(
@@ -373,17 +394,17 @@ def _stochastic_run(seed):
             ),
         )
 
-    def attempt(eng, event):
+    def attempt(eng, label):
         attempts = eng.attempt_entanglement(link)
         eng.schedule(
             eng.now + (attempts - 1) * link.attempt_period,
             EventKind.PROTOCOL_STEP,
-            payload=f"{event.payload} attempts={attempts}",
-            handler=partial(use_pair, link.pair_state),
+            f"{label} attempts={attempts}",
+            partial(use_pair, link.pair_state),
         )
 
     for k in range(N_STOCHASTIC):
-        engine.schedule(k, EventKind.ENTANGLEMENT_ATTEMPT, payload=f"pair {k}", handler=attempt)
+        engine.schedule(k, EventKind.ENTANGLEMENT_ATTEMPT, f"pair {k}", attempt)
     return engine.run_until(), fidelities
 
 
@@ -394,7 +415,7 @@ def test_identical_seeds_reproduce_traces():
     assert first.bits_end_to_end == 2 * N_STOCHASTIC
     assert len(first_fids) == N_STOCHASTIC
     assert first.trace == second.trace
-    # Records are plain data: a payload string, or the delivered message
+    # Records are plain data: a label string, or the delivered message
     # and its scope; never a handler.
     for _, _, kind, detail in first.trace:
         if kind is EventKind.CLASSICAL_DELIVER:
@@ -410,14 +431,14 @@ def test_identical_seeds_reproduce_traces():
 
 def test_handler_exception_aborts_with_trace_prefix():
     engine = EventEngine(chain_topology(), seed=0)
-    engine.schedule(1, EventKind.PROTOCOL_STEP, payload="ok", handler=lambda eng, ev: None)
+    engine.schedule(1, EventKind.PROTOCOL_STEP, "ok", ignore)
 
-    def boom(eng, ev):
+    def boom(eng, _label):
         raise RuntimeError("handler exploded")
 
-    engine.schedule(2, EventKind.PROTOCOL_STEP, payload="boom", handler=boom)
+    engine.schedule(2, EventKind.PROTOCOL_STEP, "boom", boom)
     with pytest.raises(EngineAborted) as info:
-        engine.run_until(10)
+        engine.run_until()
     assert isinstance(info.value.cause, RuntimeError)
     assert len(info.value.trace) == 2
     assert info.value.trace[0][0] == 1
@@ -433,7 +454,7 @@ def test_severed_classical_link_aborts_teleport_uncorrected():
     engine = EventEngine(topo, seed=7)
     corrected = []
 
-    def step(eng, event):
+    def step(eng, _label):
         payload = random_pure_state(eng.rng)
         bits, pending = teleport(payload, phi_plus_state(), eng.rng)
         eng.send_classical(
@@ -443,9 +464,9 @@ def test_severed_classical_link_aborts_teleport_uncorrected():
             lambda delivered: corrected.append(apply_correction(pending, delivered.bits)),
         )
 
-    engine.schedule(0, EventKind.PROTOCOL_STEP, handler=step)
+    engine.schedule(0, EventKind.PROTOCOL_STEP, "", step)
     with pytest.raises(EngineAborted) as info:
-        engine.run_until(5)
+        engine.run_until()
     assert isinstance(info.value.cause, UnreachableError)
     assert len(info.value.trace) == 1
     assert corrected == []

@@ -24,13 +24,10 @@ from qnetsim.qstate import (
     random_pure_state,
     von_neumann_entropy,
 )
+from reference import I2, X, Y, Z
 
 # Hand-built references, kept independent of the package constants.
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-I2 = np.eye(2, dtype=complex)
 P0 = np.diag([1, 0]).astype(complex)
 P1 = np.diag([0, 1]).astype(complex)
 # Each gate's matrix on its targets in order; a controlled gate's control first.

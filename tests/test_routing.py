@@ -14,8 +14,7 @@ from qnetsim.services.routing import (
     route_max_bottleneck,
     route_with_switch_merging,
 )
-
-SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914
+from reference import SWITCH_ACTIVATION_GOLDEN
 
 
 def dep_rate(p):

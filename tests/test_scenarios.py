@@ -2,7 +2,6 @@
 
 import hashlib
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +14,7 @@ from qnetsim.protocols import teleport, werner_pair
 from qnetsim.qstate import random_pure_state
 from qnetsim.runner import run_experiment
 from qnetsim.scenarios import SCENARIOS
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from reference import CONFIG_DIR
 
 
 def metrics_by_cell(config):
