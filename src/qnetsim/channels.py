@@ -38,6 +38,7 @@ from .qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PAULIS,
     SCALAR_ATOL,
     STRUCTURAL_ATOL,
     EIGENVALUE_FLOOR,
@@ -46,14 +47,13 @@ from .qstate import (
     spectrum_entropy,
 )
 
-_PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 # Pauli vectors of the source states |0><0| and |1><1| as columns; a qubit
 # operator sum_n v_n P_n / 2 has Pauli vector v.
 _SOURCE = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
 # R_ij = 1/2 sum_k tr(P_i K P_j K^dag) is linear in the Kraus Gram matrix
 # G = sum_k vec(K) vec(K)^dag, with vec row-major: this [(i, j), (b, c, a, d)]
 # matrix applied to G[(b, c), (a, d)] = sum_k K_bc K_ad^*.
-_PTM_FROM_GRAM = 0.5 * np.einsum("iab,jcd->ijbcad", _PAULIS, _PAULIS).reshape(16, 16)
+_PTM_FROM_GRAM = 0.5 * np.einsum("iab,jcd->ijbcad", PAULIS, PAULIS).reshape(16, 16)
 # The switch's cross term sum_ij (K2_i K1_j rho K2_i^dag K1_j^dag + h.c.) has
 # the PTM X_mn = 1/4 sum Re tr(P_m P_a P_f P_n P_b P_e) R2_ab R1_ef.  Taken on
 # the two source vectors, it is this [(m, s), (a, b, e, f)] matrix applied to
@@ -62,7 +62,7 @@ _SWITCH_CROSS = (
     0.25
     * np.einsum(
         "mij,ajk,fkl,nlo,bop,epi,ns->msabef",
-        *[_PAULIS] * 6,
+        *[PAULIS] * 6,
         _SOURCE,
         optimize=True,
     ).real.reshape(8, 256)

@@ -3,8 +3,9 @@
 A config names a scenario, the seeds to replay it under, scenario
 parameters, an optional topology and an optional inline sweep grid.
 Validation collects every violation before failing so a bad file is
-reported in one pass, and it prepares every cell of the sweep with the
-scenario's own ``prepare``, so a config that validates also runs.
+reported in one pass.  ``parse_config``, the one way to a config,
+prepares every cell of the sweep with the scenario's own ``prepare`` and
+keeps the ``run`` it returns, so the runner runs what was validated.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -23,16 +24,20 @@ from .channels import ChannelModel, channel_from_spec
 from .engine import ClassicalLink, QuantumLink, Topology
 from .errors import ConfigError
 from .fields import Fields
-from .scenarios import SCENARIOS
+from .scenarios import SCENARIOS, Run
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment; ``cells`` holds each sweep cell's params
+    label and prepared ``run``, in grid order."""
+
     scenario: str
     seeds: tuple[int, ...]
-    params: dict[str, Any] = field(default_factory=dict)
-    topology: Topology | None = None
-    sweep: dict[str, list] = field(default_factory=dict)
+    params: dict[str, Any]
+    topology: Topology | None
+    sweep: dict[str, list]
+    cells: tuple[tuple[str, Run], ...]
 
 
 def _link_channel(entry: Fields) -> ChannelModel:
@@ -113,18 +118,21 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     for name, values in sweep.items():
         for value in _repeated(values, lambda v: params_label({name: v})):
             violations.append(f"sweep: {name} repeats {value}")
-    config = ExperimentConfig(scenario, seeds or (), params, topology, sweep)
+    cells: list[tuple[str, Run]] = []
     # A topology that failed to parse is reported above; its cells are not.
     if prepare is not None and (topology_raw is None or topology is not None):
-        for cell in expand_grid(config):
+        # The sweep grid over the base params, names sorted, row-major.
+        names = sorted(sweep)
+        for values in itertools.product(*(sweep[n] for n in names)):
+            cell = {**params, **dict(zip(names, values))}
             try:
-                prepare(topology, cell)
+                cells.append((params_label(cell), prepare(topology, cell)))
             except (TypeError, ValueError) as exc:
                 if f"params: {exc}" not in violations:
                     violations.append(f"params: {exc}")
     if violations:
         raise ConfigError([f"{source}: {v}" for v in violations])
-    return config
+    return ExperimentConfig(scenario, seeds, params, topology, sweep, tuple(cells))
 
 
 class _RejectedError(yaml.MarkedYAMLError):
@@ -200,18 +208,3 @@ def params_label(cell: dict[str, Any]) -> str:
     seed it names the cell in ``metrics.csv`` and keys its random stream."""
     return "|".join(f"{k}={cell[k]}" for k in sorted(cell))
 
-
-def expand_grid(config: ExperimentConfig) -> list[dict[str, Any]]:
-    """Cartesian product of the sweep grid merged over the base params.
-
-    Without a sweep this is a single tuple holding the base params.
-    """
-    if not config.sweep:
-        return [dict(config.params)]
-    names = sorted(config.sweep)
-    cells = []
-    for values in itertools.product(*(config.sweep[n] for n in names)):
-        cell = dict(config.params)
-        cell.update(dict(zip(names, values)))
-        cells.append(cell)
-    return cells

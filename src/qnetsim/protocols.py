@@ -38,10 +38,7 @@ import numpy as np
 from .errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from .qstate import (
     EIGENVALUE_FLOOR,
-    I2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULIS,
     GateSpec,
     QuantumState,
     apply_unitary,
@@ -229,9 +226,6 @@ def teleport(
     return bell_basis_measure(payload.tensor(pair), 0, 1, rng)
 
 
-_PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
-
-
 def teleport_table(pair: QuantumState) -> np.ndarray:
     """Teleportation over ``pair`` as one real 4x4 map per Bell outcome.
 
@@ -246,11 +240,11 @@ def teleport_table(pair: QuantumState) -> np.ndarray:
     if pair.num_qubits != 2:
         raise ValueError("teleport needs a two-qubit resource")
     table = np.empty((4, 4, 4))
-    for j, pauli in enumerate(_PAULIS):
+    for j, pauli in enumerate(PAULIS):
         _, branches = bell_outcome_table(QuantumState(3, np.kron(pauli / 2, pair.matrix)), 0, 1)
         for m, (bits, branch) in enumerate(zip(SUPERDENSE_MESSAGES, branches)):
             corrected = pauli_correct(QuantumState(1, branch), 0, bits).matrix
-            table[m, :, j] = [np.real(np.trace(p @ corrected)) for p in _PAULIS]
+            table[m, :, j] = [np.real(np.trace(p @ corrected)) for p in PAULIS]
     return table
 
 

@@ -34,6 +34,9 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# The Pauli basis I, X, Y, Z as one read-only (4, 2, 2) array.
+PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
+PAULIS.flags.writeable = False
 
 
 def _controlled(pauli: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Experiment runner: expands a config into (seed, parameter-tuple) cells,
-executes the scenario for each cell and serializes metric rows to CSV.
+"""Experiment runner: calls each prepared cell of a validated config under
+every seed and serializes metric rows to CSV.
 
 Row order is deterministic (seeds outer, grid cells inner) and all values
 are emitted with full float precision, so identical configs replay to
@@ -18,10 +18,10 @@ from typing import Any
 
 import numpy as np
 
-from .config import ExperimentConfig, expand_grid, params_label
+from .config import ExperimentConfig
 from .engine import TraceRecord, format_record
 from .errors import EngineAborted
-from .scenarios import SCENARIOS, ScenarioResult
+from .scenarios import ScenarioResult
 
 CSV_HEADER = (
     "scenario",
@@ -73,27 +73,25 @@ def run_experiment(
     out_dir: str | Path | None = None,
     trace: bool = False,
 ) -> tuple[list[MetricsRecord], int]:
-    """Run every (seed, grid cell) combination.
+    """Call every cell's prepared ``run`` under every seed, seeds outer.
 
-    Returns the metric rows and the number of aborted cells.  A cell whose
-    scenario raises, in ``prepare`` or in its run, gets a ``status,aborted``
-    row and an ``abort_cause`` row naming the exception, and the remaining
-    cells still run.  When ``out_dir`` is given, writes ``metrics.csv``
-    and, with ``trace``, one trace file per cell.
+    ``parse_config`` prepared the cells when it validated the config, so
+    this only runs them.  Returns the metric rows and the number of
+    aborted runs.  A run that raises gets a ``status,aborted`` row and an
+    ``abort_cause`` row naming the exception, and the remaining runs still
+    go.  When ``out_dir`` is given, writes ``metrics.csv`` and, with
+    ``trace``, one trace file per run.
     """
-    prepare = SCENARIOS[config.scenario]
-    cells = expand_grid(config)
     rows: list[MetricsRecord] = []
     aborted = 0
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
     for seed in config.seeds:
-        for cell_idx, cell in enumerate(cells):
-            label = params_label(cell)
+        for cell_idx, (label, run) in enumerate(config.cells):
             try:
-                result = prepare(config.topology, cell)([seed, _label_key(label)])
-            except Exception as exc:  # noqa: BLE001 - one failed cell must not lose the sweep
+                result = run([seed, _label_key(label)])
+            except Exception as exc:  # noqa: BLE001 - one failed run must not lose the sweep
                 aborted += 1
                 in_engine = isinstance(exc, EngineAborted)
                 cause = exc.cause if in_engine else exc
@@ -101,18 +99,9 @@ def run_experiment(
                     [("status", "aborted"), ("abort_cause", f"{type(cause).__name__}: {cause}")],
                     trace=exc.trace if in_engine else (),
                 )
+            bits = (result.bits_host_to_host, result.bits_end_to_end)
             for metric, value in result.metrics:
-                rows.append(
-                    MetricsRecord(
-                        config.scenario,
-                        seed,
-                        label,
-                        metric,
-                        value,
-                        result.bits_host_to_host,
-                        result.bits_end_to_end,
-                    )
-                )
+                rows.append(MetricsRecord(config.scenario, seed, label, metric, value, *bits))
             if out_path is not None and trace:
                 _write_trace(out_path, config.scenario, seed, cell_idx, result.trace)
     if out_path is not None:

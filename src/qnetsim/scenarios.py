@@ -1,14 +1,13 @@
 """Scenarios: one ``prepare`` function each, and the registry of them.
 
-``prepare(topology, cell)`` reads every parameter of one expanded cell,
-checks it, and returns the cell's ``run(rng_seed) -> ScenarioResult``.
-It reads the cell through a ``fields.Fields`` reader and raises
-``ValueError`` for anything ``run`` would reject, before any random
-draw or engine event.
-Config validation prepares every cell and the experiment runner
-prepares each cell it runs, so one code path decides whether a cell can
-run.  Routes and links are looked up once, in ``prepare``; the event
-handlers keep only the engine wiring.
+``prepare(topology, cell)`` reads every parameter of one expanded cell
+through a ``fields.Fields`` reader, raises ``ValueError`` for anything
+``run`` would reject, before any random draw or engine event, and returns
+the cell's ``run(rng_seed) -> ScenarioResult``.  Config validation
+prepares each cell once and keeps its ``run``, which the runner calls
+under every seed, so what validates is exactly what runs.  Routes and
+links are looked up once, in ``prepare``; the event handlers keep only
+the engine wiring.
 """
 
 from __future__ import annotations
@@ -54,7 +53,12 @@ from .qstate import (
 )
 from .services.mac import MacConfig, MacProtocol, run_mac_sim
 from .services.phy import phy_effective_rate
-from .services.routing import PlanMode, route_max_bottleneck, route_with_switch_merging
+from .services.routing import (
+    PlanMode,
+    route_max_bottleneck,
+    route_with_switch_merging,
+    simple_paths,
+)
 
 
 @dataclass
@@ -105,7 +109,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
         engine = EventEngine(topology, rng_seed)
         fidelities: list[float] = []
         # Every trial uses up a pair of the same state, so teleporting over
-        # it is one branch table, built once per cell; a trial reads its
+        # it is one branch table, built once per run; a trial reads its
         # payload's outcome weights and corrected fidelity off the table
         # as plain floats, with the draws teleport makes.
         table = teleport_table(werner_pair(werner_w)).tolist()
@@ -195,7 +199,7 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
         # A stored pair does not decohere, so every swap Bell-measures the
         # same (src, mid, mid, dst) state: its outcome table, the table its
         # draws search and each outcome's corrected end-pair fidelity are
-        # built once per cell.  A link puts the same channel on both halves
+        # built once per run.  A link puts the same channel on both halves
         # of a symmetric Bell pair, so the state is the same however a link
         # is written.
         joint = left_link.pair_state.tensor(right_link.pair_state)
@@ -259,7 +263,6 @@ def _prepare_switch_activation(topology: Topology | None, cell: dict) -> Run:
     params.done()
 
     def run(rng_seed: list[int]) -> ScenarioResult:
-        # Built here, not in prepare: validation prepares every cell of a sweep.
         first = depolarizing_channel(p1)
         second = depolarizing_channel(p2)
         report = bottleneck_check(first, second)
@@ -284,9 +287,13 @@ def _node_index_pair(params: Fields, label: str, item: Any) -> tuple[int, ...]:
 
 def _prepare_mac_compare(topology: Topology | None, cell: dict) -> Run:
     params = Fields(cell)
+    protocol = params.text("protocol")
+    protocols = tuple(p.value for p in MacProtocol)
+    if protocol not in protocols:
+        raise params.error(f"protocol {protocol!r} is not one of {protocols}")
     config = MacConfig(
         n_nodes=params.integer("n_nodes"),
-        protocol=MacProtocol(params.text("protocol")),
+        protocol=MacProtocol(protocol),
         slots=params.integer("slots"),
         offered_load=params.probability("offered_load"),
         w_refresh_cost=params.integer("w_refresh_cost", 0),
@@ -318,6 +325,9 @@ def _prepare_multipath_routing(topology: Topology | None, cell: dict) -> Run:
     src = params.node(topology.nodes, "src")
     dst = params.node(topology.nodes, "dst")
     params.done()
+    # The planner's enumeration raises past its path cap, so a cell it
+    # would abort fails here.
+    simple_paths(topology, src, dst)
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         single = route_max_bottleneck(topology, src, dst)

@@ -51,23 +51,25 @@ class MacConfig:
 
     def __post_init__(self):
         if self.n_nodes < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
+            raise ValueError(f"n_nodes: need at least 2 nodes, got {self.n_nodes}")
         if self.protocol is MacProtocol.W_STATE_ACCESS and self.n_nodes > W_STATE_MAX_NODES:
-            raise ValueError(f"W states span at most {W_STATE_MAX_NODES} nodes, got {self.n_nodes}")
+            raise ValueError(
+                f"n_nodes: W states span at most {W_STATE_MAX_NODES} nodes, got {self.n_nodes}"
+            )
         if self.slots < 1:
-            raise ValueError(f"need at least 1 slot, got {self.slots}")
+            raise ValueError(f"slots: need at least 1 slot, got {self.slots}")
         if not 0.0 <= self.offered_load <= 1.0:
-            raise ValueError(f"offered load {self.offered_load} outside [0, 1]")
+            raise ValueError(f"offered_load: offered load {self.offered_load} outside [0, 1]")
         if self.w_refresh_cost < 0:
-            raise ValueError(f"refresh cost {self.w_refresh_cost} is negative")
+            raise ValueError(f"w_refresh_cost: refresh cost {self.w_refresh_cost} is negative")
         if not 0 <= self.backoff_window <= _BACKOFF_WINDOW_CAP:
             raise ValueError(
-                f"backoff window {self.backoff_window} outside [0, {_BACKOFF_WINDOW_CAP}]"
+                f"backoff_window: backoff window {self.backoff_window} outside "
+                f"[0, {_BACKOFF_WINDOW_CAP}]"
             )
-        for pair in self.hidden_pairs:
-            i, j = pair
+        for k, (i, j) in enumerate(self.hidden_pairs):
             if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"hidden pair {pair} is not two distinct node indices")
+                raise ValueError(f"hidden_pairs[{k}]: {(i, j)} is not two distinct node indices")
 
 
 @dataclass

@@ -29,6 +29,9 @@ from ..engine import Topology
 from .phy import phy_effective_rate
 
 RATE_EPS = 1e-9
+# Corner to corner, a 4x4 grid has 184 simple paths, 5x5 8 512 and 6x6
+# 1 262 816; enumerating them stops past this many.
+_SIMPLE_PATH_CAP = 10_000
 
 
 class PlanMode(enum.Enum):
@@ -85,7 +88,9 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
     return TrajectoryPlan(PlanMode.SINGLE_PATH, ((),), 0.0, unreachable=True)
 
 
-def _simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
+def simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
+    """Every simple path of quantum links from ``src`` to ``dst``, sorted;
+    raises ``ValueError`` past the cap of ``_SIMPLE_PATH_CAP`` paths."""
     neighbors = topology.quantum_neighbors
     found: list[tuple[str, ...]] = []
     stack: list[tuple[str, ...]] = [(src,)]
@@ -94,6 +99,10 @@ def _simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...
         node = path[-1]
         if node == dst:
             found.append(path)
+            if len(found) > _SIMPLE_PATH_CAP:
+                raise ValueError(
+                    f"more than {_SIMPLE_PATH_CAP} simple paths from src {src!r} to dst {dst!r}"
+                )
             continue
         for other in neighbors[node]:
             if other not in path:
@@ -136,7 +145,7 @@ def route_with_switch_merging(
     """
     _check_endpoints(topology, src, dst)
     best = single
-    paths = _simple_paths(topology, src, dst)
+    paths = simple_paths(topology, src, dst)
     links = topology.quantum_links
     link_bits = {frozenset((link.a, link.b)): 1 << k for k, link in enumerate(links)}
     # A simple path crosses each link once, so the sum of its bits is their union.

@@ -7,11 +7,12 @@ import pytest
 import yaml
 
 from qnetsim.cli import main
-from qnetsim.config import ExperimentConfig, load_config
+from qnetsim.config import load_config
 from qnetsim.engine import EventEngine, EventKind, Topology
 from qnetsim.errors import UnreachableError
 from qnetsim.runner import CSV_HEADER, MetricsRecord, csv_text, run_experiment
 from qnetsim.scenarios import SCENARIOS, ScenarioResult
+from qnetsim.services import routing
 from reference import REPO_ROOT
 
 
@@ -148,7 +149,7 @@ def test_validate_rejects_mac_cell_the_runner_would_reject(tmp_path, capsys):
     path = write_config(tmp_path, config)
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "need at least 2 nodes, got 1" in err
+    assert f"invalid: {path}: params: n_nodes: need at least 2 nodes, got 1" in err
     # one violation, not one per protocol cell of the sweep
     assert err.count("invalid:") == 1
 
@@ -220,7 +221,9 @@ def chain(*quantum_links):
         ("scenario: teleport\nparams: {n_teleports: 5, werner_W: 0.5}" + PAIR,
          "unknown parameter(s) ['werner_W']"),
         ("scenario: mac_compare\nparams: {protocol: w_state_access, n_nodes: 11, slots: 9,"
-         " offered_load: 0.5}", "W states span at most 10 nodes, got 11"),
+         " offered_load: 0.5}", "n_nodes: W states span at most 10 nodes, got 11"),
+        (MAC.replace("slotted_contention", "aloha") + "}",
+         "protocol 'aloha' is not one of ('w_state_access', 'slotted_contention')"),
         ("scenario: mac_compare\nparams: {protocol: slotted_contention, n_nodes: 3, slots: 9,"
          " offered_load: 0.5, carrier_sensing: 'no'}", "carrier_sensing must be true or false"),
         (MAC + ", hidden_pairs: [[0.5, 1]]}", "hidden_pairs[0][0] must be an integer, got 0.5"),
@@ -228,7 +231,9 @@ def chain(*quantum_links):
         (MAC + ", hidden_pairs: [[0, 1, 2]]}",
          "hidden_pairs[0] must be a list of two integers, got [0, 1, 2]"),
         (MAC + ", hidden_pairs: [1]}", "hidden_pairs[0] must be a list of two integers, got 1"),
-        (MAC + ", backoff_window: 5000}", "backoff window 5000 outside [0, 1024]"),
+        (MAC + ", backoff_window: 5000}", "backoff_window: backoff window 5000 outside [0, 1024]"),
+        (MAC + ", hidden_pairs: [[0, 1], [2, 2]]}",
+         "hidden_pairs[1]: (2, 2) is not two distinct node indices"),
     ],
     ids=[
         "teleport-unknown-dst",
@@ -249,12 +254,14 @@ def chain(*quantum_links):
         "superdense-w-below-third",
         "misspelt-parameter",
         "mac-w-state-too-large",
+        "mac-unknown-protocol",
         "mac-carrier-sensing-not-bool",
         "mac-hidden-pair-fraction",
         "mac-hidden-pair-bool",
         "mac-hidden-pair-triple",
         "mac-hidden-pair-not-a-list",
         "mac-backoff-window-above-cap",
+        "mac-hidden-pair-repeats-a-node",
     ],
 )
 def test_validate_rejects_cells_run_would_abort_or_misread(tmp_path, capsys, text, message):
@@ -435,12 +442,6 @@ def test_scenario_error_outside_engine_becomes_aborted_row(tmp_path, capsys, mon
         "topology": {"nodes": ["a", "b"]},
     }
     assert_run_rejects(tmp_path, capsys, config, "requires a topology of at least 3 nodes")
-    # a config built in code skips validation; prepare then fails per cell
-    built = ExperimentConfig("swap", (1, 2), {"n_swaps": 3}, Topology(("a", "b")))
-    rows, aborted = run_experiment(built)
-    assert aborted == 2
-    causes = [r.value for r in rows if r.metric == "abort_cause"]
-    assert causes == ["ValueError: scenario swap requires a topology of at least 3 nodes"] * 2
 
     monkeypatch.setitem(SCENARIOS, "outside_fault", outside_fault_scenario)
     path = write_config(tmp_path, {"scenario": "outside_fault", "seeds": [1, 2]})
@@ -477,9 +478,10 @@ def test_csv_text_writes_numpy_scalars_as_their_python_values():
 
 
 def test_mac_compare_row_cardinality(tmp_path):
-    config = load_config(REPO_ROOT / "configs" / "mac_compare.yaml")
+    data = yaml.safe_load((REPO_ROOT / "configs" / "mac_compare.yaml").read_text())
     # shrink for speed but keep the 2-protocol sweep and all seeds
-    config.params["slots"] = 500
+    data["params"]["slots"] = 500
+    config = load_config(write_config(tmp_path, data))
     rows, aborted = run_experiment(config)
     assert aborted == 0
     groups = {(r.seed, r.params) for r in rows}
@@ -501,3 +503,91 @@ def test_switch_activation_emits_chi_metrics(tmp_path):
     assert metrics["chi_serial"] == 0.0
     assert metrics["chi_switch"] > 0.02
     assert metrics["bottleneck_holds"] is True
+
+
+def test_each_cell_is_prepared_once_by_load_config(tmp_path, monkeypatch):
+    superdense = SCENARIOS["superdense"]
+    prepared = []
+
+    def counting_prepare(topology, cell):
+        prepared.append(dict(cell))
+        return superdense(topology, cell)
+
+    monkeypatch.setitem(SCENARIOS, "superdense", counting_prepare)
+    path = write_config(
+        tmp_path,
+        {
+            "scenario": "superdense",
+            "seeds": [5, 6],
+            "params": {"n_trials": 40},
+            "sweep": {"werner_w": [0.8, 1.0]},
+        },
+    )
+    config = load_config(path)
+    assert prepared == [{"n_trials": 40, "werner_w": 0.8}, {"n_trials": 40, "werner_w": 1.0}]
+    rows, aborted = run_experiment(config)
+    assert aborted == 0
+    assert len({(r.seed, r.params) for r in rows}) == 4
+    assert len(prepared) == 2
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (REPO_ROOT / "configs").glob("*.yaml")))
+def test_one_loaded_config_runs_twice_byte_identical(tmp_path, name):
+    # Every seed calls the same prepared runs, so a run must keep no state
+    # from one call to the next.
+    config = load_config(REPO_ROOT / "configs" / f"{name}.yaml")
+    first, _ = run_experiment(config, tmp_path / "one", trace=True)
+    second, _ = run_experiment(config, tmp_path / "two", trace=True)
+    assert first == second
+    files = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "two").iterdir())
+    for file in files:
+        assert (tmp_path / "one" / file).read_bytes() == (tmp_path / "two" / file).read_bytes()
+
+
+def grid_config(side):
+    """A multipath_routing config from corner to corner of a side x side
+    grid of depolarizing links."""
+    nodes = [f"n{r}{c}" for r in range(side) for c in range(side)]
+    links = [
+        {"a": f"n{r}{c}", "b": f"n{r + dr}{c + dc}", "channel": {"type": "depolarizing", "p": 0.1}}
+        for r in range(side)
+        for c in range(side)
+        for dr, dc in ((0, 1), (1, 0))
+        if r + dr < side and c + dc < side
+    ]
+    return {
+        "scenario": "multipath_routing",
+        "seeds": [1],
+        "params": {"src": nodes[0], "dst": nodes[-1]},
+        "topology": {"nodes": nodes, "quantum_links": links},
+    }
+
+
+def test_grid_past_the_path_cap_is_rejected_before_it_runs(tmp_path, capsys):
+    # Corner to corner, a 5x5 grid has 8 512 simple paths and a 6x6 grid
+    # 1 262 816 (OEIS A007764); the cap is 10 000.
+    assert main(["validate", str(write_config(tmp_path, grid_config(5), "five.yaml"))]) == 0
+    path = write_config(tmp_path, grid_config(6), "six.yaml")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    message = "params: more than 10000 simple paths from src 'n00' to dst 'n55'"
+    assert f"invalid: {path}: {message}" in err
+    assert err.count("invalid:") == 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "invalid:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cap, status", [(3, 0), (2, 1)])
+def test_path_cap_admits_exactly_its_count(tmp_path, capsys, monkeypatch, cap, status):
+    # The shipped routing config has three simple paths from a to f:
+    # a-b-f, a-c-f and a-d-e-f.
+    monkeypatch.setattr(routing, "_SIMPLE_PATH_CAP", cap)
+    path = REPO_ROOT / "configs" / "multipath_routing.yaml"
+    assert main(["validate", str(path)]) == status
+    if status:
+        message = "params: more than 2 simple paths from src 'a' to dst 'f'"
+        assert f"invalid: {path}: {message}" in capsys.readouterr().err
+    else:
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0

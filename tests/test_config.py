@@ -5,12 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from qnetsim.config import (
-    SCENARIOS,
-    expand_grid,
-    load_config,
-    parse_config,
-)
+from qnetsim.config import SCENARIOS, load_config, parse_config
 from qnetsim.errors import ConfigError
 
 MINIMAL_TELEPORT = {
@@ -114,10 +109,8 @@ def test_grid_expansion_cardinality():
             "sweep": {"p1": [round(0.1 * k, 1) for k in range(11)]},
         }
     )
-    cells = expand_grid(config)
-    assert len(cells) == 11
-    assert all(cell["p2"] == 1.0 for cell in cells)
-    assert [cell["p1"] for cell in cells] == [round(0.1 * k, 1) for k in range(11)]
+    labels = [label for label, _ in config.cells]
+    assert labels == [f"p1={round(0.1 * k, 1)}|p2=1.0" for k in range(11)]
 
 
 def test_grid_expansion_orders_cells_deterministically():
@@ -128,13 +121,12 @@ def test_grid_expansion_orders_cells_deterministically():
             "sweep": {"p2": [0.1, 0.2], "p1": [0.3, 0.4]},
         }
     )
-    cells = expand_grid(config)
     # sweep names sorted, cartesian product row-major
-    assert cells == [
-        {"p1": 0.3, "p2": 0.1},
-        {"p1": 0.3, "p2": 0.2},
-        {"p1": 0.4, "p2": 0.1},
-        {"p1": 0.4, "p2": 0.2},
+    assert [label for label, _ in config.cells] == [
+        "p1=0.3|p2=0.1",
+        "p1=0.3|p2=0.2",
+        "p1=0.4|p2=0.1",
+        "p1=0.4|p2=0.2",
     ]
 
 

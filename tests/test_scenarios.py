@@ -205,7 +205,8 @@ def run_swap_cell(p_left, p_right, n_swaps, seed):
             },
         }
     )
-    return SCENARIOS["swap"](config.topology, config.params)([seed, 0])
+    ((_, run),) = config.cells
+    return run([seed, 0])
 
 
 def ready_delays(trace):
