@@ -18,7 +18,10 @@ A rate is the Holevo information of the equiprobable ``{|0>, |1>}``
 source: ``holevo_information`` for one qubit channel and
 ``switch_holevo_from_ptms`` for two of them in the switch.  Both are
 computed from PTMs alone, and both read their output spectra in closed
-form, with no eigensolver, on plain Python floats.
+form, with no eigensolver, on plain Python floats.  The switch's flagged
+output blocks are bilinear in the two PTMs, so all 16 of their
+coefficients come from one constant (16, 256) matrix applied to the outer
+product of the two.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ import numpy as np
 from .errors import UnsupportedDimensionError
 from .fields import Fields
 from .qstate import (
-    I2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PAULIS,
     SCALAR_ATOL,
     STRUCTURAL_ATOL,
@@ -54,26 +53,37 @@ _SOURCE = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
 # G = sum_k vec(K) vec(K)^dag, with vec row-major: this [(i, j), (b, c, a, d)]
 # matrix applied to G[(b, c), (a, d)] = sum_k K_bc K_ad^*.
 _PTM_FROM_GRAM = 0.5 * np.einsum("iab,jcd->ijbcad", PAULIS, PAULIS).reshape(16, 16)
-# The switch's cross term sum_ij (K2_i K1_j rho K2_i^dag K1_j^dag + h.c.) has
-# the PTM X_mn = 1/4 sum Re tr(P_m P_a P_f P_n P_b P_e) R2_ab R1_ef.  Taken on
-# the two source vectors, it is this [(m, s), (a, b, e, f)] matrix applied to
-# the outer product of R2 and R1.
-_SWITCH_CROSS = (
-    0.25
-    * np.einsum(
-        "mij,ajk,fkl,nlo,bop,epi,ns->msabef",
-        *[PAULIS] * 6,
-        _SOURCE,
-        optimize=True,
-    ).real.reshape(8, 256)
-)
+
+
+def _switch_blocks() -> np.ndarray:
+    """The (16, 256) matrix that maps the outer product of two PTMs to the
+    switch's flagged blocks.
+
+    Input ``|s>`` and control outcome ``+-`` leave the block with Pauli
+    vector ``1/4 (R2 R1 + R1 R2 +- X) v_s``, where ``X_mn = 1/4 sum Re
+    tr(P_m P_a P_f P_n P_b P_e) R2_ab R1_ef`` is the PTM of the cross term
+    ``sum_ij (K2_i K1_j rho K2_i^dag K1_j^dag + h.c.)``.  Every term is
+    bilinear in ``R2`` and ``R1``, so the 16 coefficients ``[(+-, m, s)]``
+    are one matrix applied to ``R2_ab R1_ef`` flattened as ``(a, b, e, f)``.
+    """
+    eye = np.eye(4)
+    serial = np.einsum("am,be,fs->msabef", eye, eye, _SOURCE)
+    serial += np.einsum("em,fa,bs->msabef", eye, eye, _SOURCE)
+    cross = 0.25 * np.einsum(
+        "mij,ajk,fkl,nlo,bop,epi,ns->msabef", *[PAULIS] * 6, _SOURCE, optimize=True
+    ).real
+    return 0.25 * np.stack((serial + cross, serial - cross)).reshape(16, 256)
+
+
+_SWITCH_BLOCKS = _switch_blocks()
 
 
 @dataclass(eq=False)
 class ChannelModel:
     """Kraus representation of a completely positive trace-preserving map
     on k >= 1 qubits; its operators share one ``dim x dim`` shape, ``dim = 2^k``,
-    and ``stack`` holds them as one read-only ``(m, dim, dim)`` array.
+    and ``stack`` holds them as one read-only ``(m, dim, dim)`` array, of
+    which ``kraus_ops`` are the views.
 
     Compared and hashed by identity, since ``==`` on its arrays is elementwise.
     """
@@ -81,22 +91,25 @@ class ChannelModel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        self.kraus_ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        if not self.kraus_ops:
+        ops = [np.asarray(k, dtype=complex) for k in self.kraus_ops]
+        if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        shape = self.kraus_ops[0].shape
+        shape = ops[0].shape
         self.dim = dim = shape[0] if shape else 0
-        for k in self.kraus_ops:
+        for k in ops:
             if k.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
                 raise ValueError(f"Kraus operators must share one 2^k x 2^k shape, got {k.shape}")
-        # A NaN entry would make the completeness error NaN, which passes
-        # the tolerance test below.
-        self.stack = np.array(self.kraus_ops)
-        self.stack.flags.writeable = False
-        if not np.isfinite(self.stack).all():
+        self.stack = stack = np.array(ops, dtype=complex)
+        stack.flags.writeable = False
+        self.kraus_ops = tuple(stack)
+        # A NaN entry would pass the completeness test below, since no
+        # comparison with NaN is true.
+        if not np.isfinite(stack).all():
             raise ValueError("Kraus operators have a non-finite entry")
-        total = sum(k.conj().T @ k for k in self.kraus_ops)
-        err = float(np.max(np.abs(total - np.eye(self.dim))))
+        # sum_k K^dag K as one batched product, summed over k in order, so
+        # that the error is the same float as a sum of per-operator products.
+        total = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
+        err = float(np.abs(total - np.eye(dim)).max())
         if err > STRUCTURAL_ATOL:
             raise ValueError(f"Kraus completeness violated by {err}")
 
@@ -139,13 +152,8 @@ def depolarizing_channel(p: float) -> ChannelModel:
     ``{sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z}``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
-    ops = (
-        np.sqrt(1.0 - 3.0 * p / 4.0) * I2,
-        np.sqrt(p / 4.0) * PAULI_X,
-        np.sqrt(p / 4.0) * PAULI_Y,
-        np.sqrt(p / 4.0) * PAULI_Z,
-    )
-    return ChannelModel(ops)
+    weights = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
+    return ChannelModel(weights[:, None, None] * PAULIS)
 
 
 def apply_channel(
@@ -247,11 +255,12 @@ def switch_holevo_from_ptms(first: np.ndarray, second: np.ndarray) -> float:
     ``b = K1_j K2_i``, input ``|s>`` and outcome ``+-`` leave the system
     in the block ``1/4 sum (a +- b)|s><s|(a +- b)^dag``, whose Pauli vector
     is ``1/4 (R2 R1 + R1 R2 +- X) v_s`` with ``X`` the PTM of the cross
-    term.  Neither term depends on which Kraus set stands for a channel.
+    term.  Neither term depends on which Kraus set stands for a channel,
+    and both are bilinear in ``R2`` and ``R1``: the 16 coefficients are
+    ``_SWITCH_BLOCKS`` applied to ``R2_ab R1_ef`` flattened.
     """
-    serial = (second @ first + first @ second) @ _SOURCE
-    cross = (_SWITCH_CROSS @ np.multiply.outer(second, first).reshape(-1)).reshape(4, 2)
-    return _pauli_holevo((0.25 * np.stack((serial + cross, serial - cross))).tolist())
+    blocks = _SWITCH_BLOCKS @ (second.reshape(16, 1) * first.reshape(16)).reshape(256)
+    return _pauli_holevo(blocks.reshape(2, 4, 2).tolist())
 
 
 def bottleneck_check(first: ChannelModel, second: ChannelModel) -> BottleneckReport:

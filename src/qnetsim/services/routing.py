@@ -1,13 +1,18 @@
 """Trajectory planning over the quantum links of a topology.
 
 Single-path selection is a widest-path search: maximize the minimum
-per-link Holevo rate along the route.  The merging planner additionally
-considers every pair of link-disjoint simple paths combined through the
-causal-order switch; a pair of individually useless paths can then still
-carry information, so the merged plan is never worse than the best single
-path.  Exactly one packet instance traverses a merged plan: the switched
-channel acts on a single system qubit plus the order-control qubit.
+per-link Holevo rate along the route.  A node-label Dijkstra finds that
+bottleneck, and among the paths that reach it the lexicographically
+smallest is built hop by hop.  The merging planner additionally considers
+every pair of link-disjoint simple paths combined through the causal-order
+switch; a pair of individually useless paths can then still carry
+information, so the merged plan is never worse than the best single path.
+Exactly one packet instance traverses a merged plan: the switched channel
+acts on a single system qubit plus the order-control qubit.
 
+Link-disjoint pairs come from per-link path bitsets: bit ``i`` of a link's
+int is set when path ``i`` crosses that link, so the paths that share no
+link with path ``i`` are the complement of the union of its links' ints.
 A path's serial channel is its Pauli transfer matrix (PTM), folded as
 ``R_link @ R_prefix`` only when a link-disjoint pair first needs it, and
 once per shared prefix: paths from the source that share their first hops
@@ -19,6 +24,8 @@ keys is rated once by the switch kernel on the two PTMs the keys hold.
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -47,11 +54,14 @@ class TrajectoryPlan:
     unreachable: bool = False
 
 
-def _link_rates(topology: Topology) -> dict[frozenset[str], float]:
-    return {
-        frozenset((link.a, link.b)): phy_effective_rate(link.channel)
-        for link in topology.quantum_links
-    }
+def _usable_rates(topology: Topology) -> dict[str, dict[str, float]]:
+    """Rate of every link that rates above ``RATE_EPS``, under both its ends."""
+    rates: dict[str, dict[str, float]] = {node: {} for node in topology.nodes}
+    for link in topology.quantum_links:
+        rate = phy_effective_rate(link.channel)
+        if rate > RATE_EPS:
+            rates[link.a][link.b] = rates[link.b][link.a] = rate
+    return rates
 
 
 def _check_endpoints(topology: Topology, src: str, dst: str) -> None:
@@ -61,37 +71,77 @@ def _check_endpoints(topology: Topology, src: str, dst: str) -> None:
         raise ValueError("source and destination must differ")
 
 
-def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPlan:
-    """Best-first search for the path with the largest bottleneck rate.
+def _component(
+    neighbors: Mapping[str, Sequence[str]], start: str, blocked: Collection[str] = ()
+) -> set[str]:
+    """The nodes reachable from ``start`` without entering ``blocked``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for other in neighbors[node]:
+            if other not in seen and other not in blocked:
+                seen.add(other)
+                frontier.append(other)
+    return seen
 
-    States are whole paths ordered by ``(-bottleneck, path)``, so the first
-    complete path popped has the maximum rate and, among equals, the
-    lexicographically smallest node sequence.
+
+def _widest_bottleneck(rates: dict[str, dict[str, float]], src: str, dst: str) -> float | None:
+    """The largest bottleneck rate of a path from ``src`` to ``dst``, by a
+    node-label Dijkstra that settles nodes in falling width, or ``None``
+    when no path of usable links joins them."""
+    width = {src: math.inf}
+    queue = [(-math.inf, src)]
+    settled: set[str] = set()
+    while queue:
+        neg_width, node = heappop(queue)
+        if node == dst:
+            return -neg_width
+        if node in settled:
+            continue
+        settled.add(node)
+        for other, rate in rates[node].items():
+            through = min(-neg_width, rate)
+            if through > width.get(other, 0.0):
+                width[other] = through
+                heappush(queue, (-through, other))
+    return None
+
+
+def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPlan:
+    """The path with the largest bottleneck rate over links that rate above
+    ``RATE_EPS``; among equals, the lexicographically smallest node sequence.
+
+    Dijkstra gives the bottleneck ``B``.  The paths that reach it are the
+    simple paths over links rated ``>= B``, and the smallest of them is
+    built greedily: from each node it takes the smallest neighbour from
+    which ``dst`` can still be reached over those links without revisiting
+    a node, one search per hop.
     """
     _check_endpoints(topology, src, dst)
-    rates = _link_rates(topology)
-    neighbors = topology.quantum_neighbors
-    queue: list[tuple[float, tuple[str, ...]]] = [(-np.inf, (src,))]
-    while queue:
-        neg_rate, path = heappop(queue)
-        node = path[-1]
-        if node == dst:
-            return TrajectoryPlan(PlanMode.SINGLE_PATH, (path,), -neg_rate)
-        for other in neighbors[node]:
-            if other in path:
-                continue
-            rate = rates[frozenset((node, other))]
-            if rate <= RATE_EPS:
-                continue
-            bottleneck = min(-neg_rate, rate)
-            heappush(queue, (-bottleneck, path + (other,)))
-    return TrajectoryPlan(PlanMode.SINGLE_PATH, ((),), 0.0, unreachable=True)
+    rates = _usable_rates(topology)
+    bottleneck = _widest_bottleneck(rates, src, dst)
+    if bottleneck is None:
+        return TrajectoryPlan(PlanMode.SINGLE_PATH, ((),), 0.0, unreachable=True)
+    wide = {
+        node: [other for other in adj if rates[node].get(other, 0.0) >= bottleneck]
+        for node, adj in topology.quantum_neighbors.items()
+    }
+    path = [src]
+    while path[-1] != dst:
+        onward = _component(wide, dst, path)
+        path.append(next(other for other in wide[path[-1]] if other in onward))
+    return TrajectoryPlan(PlanMode.SINGLE_PATH, (tuple(path),), bottleneck)
 
 
 def simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
     """Every simple path of quantum links from ``src`` to ``dst``, sorted;
     raises ``ValueError`` past the cap of ``_SIMPLE_PATH_CAP`` paths."""
     neighbors = topology.quantum_neighbors
+    # Without a path to dst the walk below would visit every simple path
+    # from src and find none.
+    if dst not in _component(neighbors, src):
+        return []
     found: list[tuple[str, ...]] = []
     stack: list[tuple[str, ...]] = [(src,)]
     while stack:
@@ -109,6 +159,36 @@ def simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]
                 stack.append(path + (other,))
     found.sort()
     return found
+
+
+def _disjoint_pairs(
+    topology: Topology, paths: Sequence[tuple[str, ...]]
+) -> Iterator[tuple[int, int]]:
+    """Every pair ``i < j`` of link-disjoint paths, in ascending ``(i, j)``.
+
+    ``through[k]`` has bit ``i`` set when path ``i`` crosses link ``k``;
+    path ``i``'s partners are the paths outside the union of its links'
+    bitsets.
+    """
+    link_index: dict[tuple[str, str], int] = {}
+    for k, link in enumerate(topology.quantum_links):
+        link_index[link.a, link.b] = link_index[link.b, link.a] = k
+    hops = [[link_index[hop] for hop in zip(path, path[1:])] for path in paths]
+    through = [0] * len(topology.quantum_links)
+    for i, links in enumerate(hops):
+        for k in links:
+            through[k] |= 1 << i
+    everyone = (1 << len(paths)) - 1
+    for i, links in enumerate(hops):
+        shared = 0
+        for k in links:
+            shared |= through[k]
+        # Bit 0 of ``partners`` is path i + 1.
+        partners = (everyone & ~shared) >> (i + 1)
+        while partners:
+            lowest = partners & -partners
+            partners ^= lowest
+            yield i, i + lowest.bit_length()
 
 
 def _path_ptm(
@@ -138,18 +218,17 @@ def route_with_switch_merging(
     """Best plan over single paths and switch-merged link-disjoint pairs.
 
     ``single`` is the widest path, ``route_max_bottleneck(topology, src,
-    dst)``, which the caller has planned already.  Pair candidates
-    serialize each path into one channel and rate the superposed traversal
-    of the two; ``single`` is kept as the starting candidate, so the
-    result never falls below it.
+    dst)``, which the caller has planned already, and it is kept as the
+    starting candidate, so the result never falls below it.  The
+    link-disjoint pairs of simple paths come from ``_disjoint_pairs`` in
+    ascending ``(i, j)`` over the sorted paths, so among pairs of equal
+    rate the first one wins.  Each pair's paths are serialized into their
+    PTMs and the superposed traversal of the two is rated by the switch
+    kernel.
     """
     _check_endpoints(topology, src, dst)
     best = single
     paths = simple_paths(topology, src, dst)
-    links = topology.quantum_links
-    link_bits = {frozenset((link.a, link.b)): 1 << k for k, link in enumerate(links)}
-    # A simple path crosses each link once, so the sum of its bits is their union.
-    masks = [sum(link_bits[frozenset(pair)] for pair in zip(p, p[1:])) for p in paths]
     # These caches live only as long as the plan, since other plans rarely
     # share their entries; the plan's paths and their prefixes bound them.
     prefixes: dict[tuple[str, ...], np.ndarray] = {}
@@ -162,15 +241,12 @@ def route_with_switch_merging(
 
     # Paths with equal channels recur within one plan.
     switch_rates: dict[tuple[bytes, bytes], float] = {}
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            if masks[i] & masks[j]:
-                continue
-            pair = tuple(sorted((key(i), key(j))))
-            if pair not in switch_rates:
-                first, second = (np.frombuffer(k).reshape(4, 4) for k in pair)
-                switch_rates[pair] = switch_holevo_from_ptms(first, second)
-            rate = switch_rates[pair]
-            if rate > best.effective_rate + RATE_EPS:
-                best = TrajectoryPlan(PlanMode.SUPERPOSED_PAIR, (paths[i], paths[j]), rate)
+    for i, j in _disjoint_pairs(topology, paths):
+        pair = tuple(sorted((key(i), key(j))))
+        if pair not in switch_rates:
+            first, second = (np.frombuffer(k).reshape(4, 4) for k in pair)
+            switch_rates[pair] = switch_holevo_from_ptms(first, second)
+        rate = switch_rates[pair]
+        if rate > best.effective_rate + RATE_EPS:
+            best = TrajectoryPlan(PlanMode.SUPERPOSED_PAIR, (paths[i], paths[j]), rate)
     return best

@@ -4,7 +4,9 @@ Everything here is built by hand from numpy, independent of the package,
 so a test can check package results against it.
 """
 
+import functools
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -18,6 +20,9 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# Pauli vectors of the inputs |0><0| and |1><1| as columns.
+SOURCE_PAULI_VECTORS = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
 
 # Holevo rate of the measured-control switch of two fully depolarizing
 # channels, from ``switch_activation_oracle``.
@@ -71,3 +76,25 @@ def switch_activation_oracle():
         flagged.append(conditional)
     avg = 0.5 * flagged[0] + 0.5 * flagged[1]
     return entropy_bits(avg) - 0.5 * entropy_bits(flagged[0]) - 0.5 * entropy_bits(flagged[1])
+
+
+@functools.cache
+def _cross_term_map():
+    """``C[m, n, a, b, e, f] = 1/4 Re tr(P_m P_a P_f P_n P_b P_e)``: the PTM
+    of the switch's cross term is ``X_mn = sum C R2_ab R1_ef``."""
+    paulis = (I2, X, Y, Z)
+    table = np.zeros((4,) * 6)
+    for m, n, a, b, e, f in itertools.product(range(4), repeat=6):
+        product = paulis[m] @ paulis[a] @ paulis[f] @ paulis[n] @ paulis[b] @ paulis[e]
+        table[m, n, a, b, e, f] = np.trace(product).real / 4
+    return table
+
+
+def switch_blocks_reference(first, second):
+    """Flagged switch blocks ``[outcome][m][s]`` of two qubit channels given
+    by their PTMs ``first`` (R1) and ``second`` (R2): input ``|s>`` and
+    control outcome ``+-`` leave the block with Pauli vector
+    ``1/4 (R2 R1 + R1 R2 +- X) v_s``, where ``X`` is the cross term's PTM."""
+    serial = (second @ first + first @ second) @ SOURCE_PAULI_VECTORS
+    cross = np.einsum("mnabef,ab,ef->mn", _cross_term_map(), second, first) @ SOURCE_PAULI_VECTORS
+    return 0.25 * np.stack((serial + cross, serial - cross))

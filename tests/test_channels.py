@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetsim.channels import (
+    _SWITCH_BLOCKS,
     ChannelModel,
     _pauli_holevo,
     _ptm_holevo,
@@ -34,6 +35,7 @@ from reference import (
     Z,
     entropy_bits,
     switch_activation_oracle,
+    switch_blocks_reference,
 )
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -369,6 +371,26 @@ def test_switch_rate_does_not_depend_on_the_kraus_sets():
             (reduce_kraus(first), reduce_kraus(second)),
         ):
             assert abs(phy_effective_rate(a, b) - oracle) <= 1e-12
+
+
+def test_switch_map_equals_serial_plus_cross_reference():
+    # The constant map against the two-term formula it replaced, on PTMs of
+    # random CPTP channels and of depolarizing and damping channels.
+    rng = np.random.default_rng(47)
+    channels = [_random_cptp(rng, n) for n in (1, 2, 3, 4) for _ in range(10)]
+    channels += [_qr_channel(rng, n) for n in (1, 2, 3, 4) for _ in range(5)]
+    channels += [depolarizing_channel(p) for p in (0.0, 0.3, 1.0)] + [_amplitude_damping(0.6)]
+    worst_block = worst_rate = 0.0
+    for first in channels:
+        for second in channels[::3]:
+            r1, r2 = first.ptm, second.ptm
+            reference = switch_blocks_reference(r1, r2)
+            blocks = (_SWITCH_BLOCKS @ np.multiply.outer(r2, r1).reshape(-1)).reshape(2, 4, 2)
+            worst_block = max(worst_block, float(np.max(np.abs(blocks - reference))))
+            rate = switch_holevo_from_ptms(r1, r2)
+            worst_rate = max(worst_rate, abs(rate - _pauli_holevo(reference.tolist())))
+    assert worst_block <= 1e-15
+    assert worst_rate <= 1e-14
 
 
 def test_switch_of_depolarizing_outputs_are_control_correlated():

@@ -1,6 +1,9 @@
 """CLI surface and the CSV/trace emission contract."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -591,3 +594,34 @@ def test_path_cap_admits_exactly_its_count(tmp_path, capsys, monkeypatch, cap, s
         assert f"invalid: {path}: {message}" in capsys.readouterr().err
     else:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_destination_off_the_quantum_links_validates_and_runs(tmp_path):
+    # The island has no quantum link, so no path reaches it; a walk over
+    # every simple path from the corner of a 6x6 grid would not end.  Each
+    # command runs in its own process so that a spin fails on the timeout.
+    config = grid_config(6)
+    config["topology"]["nodes"].append("island")
+    config["params"]["dst"] = "island"
+    path = write_config(tmp_path, config)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "qnetsim.cli", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=5,
+        )
+
+    validated = cli("validate", str(path))
+    assert validated.returncode == 0, validated.stderr
+    assert validated.stdout.startswith("ok:")
+    out = tmp_path / "out"
+    ran = cli("run", str(path), "--out", str(out))
+    assert ran.returncode == 0, ran.stderr
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert "multipath_routing,1,dst=island|src=n00,single_unreachable,1,0,0" in rows
+    assert "multipath_routing,1,dst=island|src=n00,merged_rate,0.0,0,0" in rows

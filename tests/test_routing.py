@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from qnetsim.channels import ChannelModel, compose_serial, depolarizing_channel, reduce_kraus
+from qnetsim.config import parse_config
 from qnetsim.engine import QuantumLink, Topology
 from qnetsim.services.phy import phy_effective_rate
 from qnetsim.services.routing import (
     PlanMode,
     TrajectoryPlan,
+    _disjoint_pairs,
     route_max_bottleneck,
     route_with_switch_merging,
+    simple_paths,
 )
-from reference import SWITCH_ACTIVATION_GOLDEN
+from reference import SWITCH_ACTIVATION_GOLDEN, load_benchmark_module
 
 
 def dep_rate(p):
@@ -124,6 +127,66 @@ def test_tie_break_is_lexicographic():
     links = {("a", "b"): 0.2, ("b", "d"): 0.2, ("a", "c"): 0.2, ("c", "d"): 0.2}
     plan = route_max_bottleneck(topology_from_links(links), "a", "d")
     assert plan.paths[0] == ("a", "b", "d")
+
+
+def routing_grid(seed):
+    """The 4x4 grid of the benchmark's ``routing_grid`` workload at ``seed``:
+    its topology, source, two destinations and ``{(a, b): p}`` link noise.
+    The seed picks one of the grid's two mirrors: 7919 one and 1 the other."""
+    configs = load_benchmark_module("workloads").generate("routing_grid", seed)
+    [spec] = [spec for name, spec, _ in configs if name == "multipath_routing"]
+    config = parse_config(spec)
+    links = spec["topology"]["quantum_links"]
+    link_params = {(link["a"], link["b"]): link["channel"]["p"] for link in links}
+    return config.topology, config.params["src"], config.sweep["dst"], link_params
+
+
+def tie_heavy_link_params(rng):
+    """Random graph of 3 to 8 nodes, a spanning tree plus up to 2n - 1
+    chord draws, whose link noise takes two or three values, so that many
+    paths share the best bottleneck.  Node names are shuffled, so that the
+    tie-break order is not the order the graph was built in."""
+    n = int(rng.integers(3, 9))
+    nodes = [str(name) for name in rng.permutation(list("abcdefgh"))[:n]]
+    noise = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0], size=int(rng.integers(2, 4)), replace=False)
+    pairs = {tuple(sorted((nodes[int(rng.integers(0, i))], nodes[i]))) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        i, j = rng.choice(n, size=2, replace=False)
+        pairs.add(tuple(sorted((nodes[int(i)], nodes[int(j)]))))
+    return {pair: float(rng.choice(noise)) for pair in sorted(pairs)}
+
+
+def test_widest_path_matches_oracle_on_tie_heavy_graphs():
+    rng = np.random.default_rng(83)
+    tied_plans = unreachable = 0
+    for trial in range(240):
+        links = tie_heavy_link_params(rng)
+        topo = topology_from_links(links)
+        src, dst = (str(node) for node in rng.choice(topo.nodes, size=2, replace=False))
+        plan = route_max_bottleneck(topo, src, dst)
+        oracle_rate, oracle_path = oracle_best(links, src, dst)
+        if not oracle_path:
+            assert plan.unreachable and plan.paths == ((),), (trial, links)
+            unreachable += 1
+            continue
+        assert plan.paths == (oracle_path,), (trial, links, src, dst)
+        assert abs(plan.effective_rate - oracle_rate) <= 1e-12, (trial, links)
+        usable = [p for p in enumerate_paths(links, src, dst) if rate_of(links, p) > 1e-9]
+        tied_plans += sum(abs(rate_of(links, p) - oracle_rate) <= 1e-12 for p in usable) > 1
+    # a third of the plans are decided by the tie-break, and some endpoints
+    # are cut off
+    assert tied_plans > 60
+    assert unreachable > 0
+
+
+@pytest.mark.parametrize("seed", [7919, 1])
+def test_widest_path_matches_oracle_on_routing_grid(seed):
+    topo, src, destinations, links = routing_grid(seed)
+    for dst in destinations:
+        plan = route_max_bottleneck(topo, src, dst)
+        oracle_rate, oracle_path = oracle_best(links, src, dst)
+        assert plan.paths == (oracle_path,), dst
+        assert abs(plan.effective_rate - oracle_rate) <= 1e-12, dst
 
 
 def test_endpoint_validation():
@@ -314,19 +377,26 @@ def reference_merged_plan(channels, topology, src, dst):
     return best, reduced_late
 
 
+def assert_plan_equals_reference(channels, topo, src, dst):
+    """The merged plan equals the fold-every-path reference; returns the
+    plan and the paths the reference reduced past their second hop."""
+    plan = route_with_switch_merging(topo, src, dst, route_max_bottleneck(topo, src, dst))
+    reference, reduced_late = reference_merged_plan(channels, topo, src, dst)
+    assert plan.mode is reference.mode, (src, dst, channels)
+    assert plan.paths == reference.paths, (src, dst, channels)
+    # The planner folds PTMs and the reference Kraus sets: equal to rounding.
+    assert abs(plan.effective_rate - reference.effective_rate) <= 1e-12, (src, dst, channels)
+    assert plan.unreachable == reference.unreachable, (src, dst, channels)
+    return plan, reduced_late
+
+
 def test_merged_plan_equals_fold_every_path_reference():
     rng = np.random.default_rng(29)
     merged_pairs = late_kraus_reductions = 0
     for trial in range(40):
         channels, kraus_links, topo = random_channel_topology(rng)
         src, dst = topo.nodes[0], topo.nodes[-1]
-        plan = route_with_switch_merging(topo, src, dst, route_max_bottleneck(topo, src, dst))
-        reference, reduced_late = reference_merged_plan(channels, topo, src, dst)
-        assert plan.mode is reference.mode, (trial, channels)
-        assert plan.paths == reference.paths, (trial, channels)
-        # The planner folds PTMs and the reference Kraus sets: equal to rounding.
-        assert abs(plan.effective_rate - reference.effective_rate) <= 1e-12, (trial, channels)
-        assert plan.unreachable == reference.unreachable, (trial, channels)
+        plan, reduced_late = assert_plan_equals_reference(channels, topo, src, dst)
         merged_pairs += plan.mode is PlanMode.SUPERPOSED_PAIR
         late_kraus_reductions += any(
             kraus_links & {frozenset(l) for l in zip(path, path[1:])} for path in reduced_late
@@ -335,3 +405,49 @@ def test_merged_plan_equals_fold_every_path_reference():
     # second hop of paths through random Kraus links
     assert 0 < merged_pairs < 40
     assert late_kraus_reductions > 0
+
+
+@pytest.mark.parametrize("seed", [7919, 1])
+def test_merged_plan_equals_fold_every_path_reference_on_routing_grid(seed):
+    topo, src, destinations, _ = routing_grid(seed)
+    channels = {(link.a, link.b): link.channel for link in topo.quantum_links}
+    modes = [assert_plan_equals_reference(channels, topo, src, dst)[0].mode for dst in destinations]
+    # the walled corner needs a merged pair; the far corner has a clean lane
+    assert set(modes) == {PlanMode.SINGLE_PATH, PlanMode.SUPERPOSED_PAIR}
+
+
+def brute_force_disjoint_pairs(paths):
+    """Every pair i < j of paths that share no link, by testing all pairs."""
+    links = [{frozenset(hop) for hop in zip(p, p[1:])} for p in paths]
+    return [
+        (i, j)
+        for i in range(len(paths))
+        for j in range(i + 1, len(paths))
+        if not links[i] & links[j]
+    ]
+
+
+def test_disjoint_pairs_equal_brute_force_on_random_graphs():
+    rng = np.random.default_rng(37)
+    pairs_seen = 0
+    for _ in range(40):
+        _, _, topo = random_channel_topology(rng)
+        paths = simple_paths(topo, topo.nodes[0], topo.nodes[-1])
+        pairs = list(_disjoint_pairs(topo, paths))
+        assert pairs == brute_force_disjoint_pairs(paths)
+        pairs_seen += len(pairs)
+    assert pairs_seen > 100
+
+
+@pytest.mark.parametrize("seed", [7919, 1])
+def test_disjoint_pairs_equal_brute_force_on_routing_grid(seed):
+    topo, src, destinations, _ = routing_grid(seed)
+    found = []
+    for dst in destinations:
+        paths = simple_paths(topo, src, dst)
+        pairs = list(_disjoint_pairs(topo, paths))
+        assert pairs == brute_force_disjoint_pairs(paths), dst
+        found.append(len(pairs))
+    # the walled corner (178 paths, 15 753 pairs), then the far one (184
+    # paths, 16 836 pairs)
+    assert found == [99, 100]
