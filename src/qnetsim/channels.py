@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -78,14 +78,16 @@ def _switch_blocks() -> np.ndarray:
 _SWITCH_BLOCKS = _switch_blocks()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ChannelModel:
     """Kraus representation of a completely positive trace-preserving map
     on k >= 1 qubits; its operators share one ``dim x dim`` shape, ``dim = 2^k``,
     and ``stack`` holds them as one read-only ``(m, dim, dim)`` array, of
     which ``kraus_ops`` are the views.
 
-    Compared and hashed by identity, since ``==`` on its arrays is elementwise.
+    Frozen, so that one instance can be shared, as ``depolarizing_channel``
+    shares it.  Compared and hashed by identity, since ``==`` on its arrays
+    is elementwise.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -95,13 +97,15 @@ class ChannelModel:
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         shape = ops[0].shape
-        self.dim = dim = shape[0] if shape else 0
+        dim = shape[0] if shape else 0
+        object.__setattr__(self, "dim", dim)
         for k in ops:
             if k.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
                 raise ValueError(f"Kraus operators must share one 2^k x 2^k shape, got {k.shape}")
-        self.stack = stack = np.array(ops, dtype=complex)
+        stack = np.array(ops, dtype=complex)
         stack.flags.writeable = False
-        self.kraus_ops = tuple(stack)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus_ops", tuple(stack))
         # A NaN entry would pass the completeness test below, since no
         # comparison with NaN is true.
         if not np.isfinite(stack).all():
@@ -147,9 +151,13 @@ def identity_channel(num_qubits: int = 1) -> ChannelModel:
     return ChannelModel((np.eye(2**num_qubits, dtype=complex),))
 
 
+# A 10x10 sweep of switch cells asks for 200 channels of at most 20 values
+# of p, and each build takes about 25 us.
+@lru_cache(maxsize=256)
 def depolarizing_channel(p: float) -> ChannelModel:
     """Qubit depolarizing channel with Kraus weights
-    ``{sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z}``."""
+    ``{sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z}``; equal
+    ``p`` give the one shared, frozen instance, and with it its ``ptm``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
     weights = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])

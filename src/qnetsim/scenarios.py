@@ -7,7 +7,8 @@ the cell's ``run(rng_seed) -> ScenarioResult``.  Config validation
 prepares each cell once and keeps its ``run``, which the runner calls
 under every seed, so what validates is exactly what runs.  Routes and
 links are looked up once, in ``prepare``; the event handlers keep only
-the engine wiring.
+the engine wiring.  A ``multipath_routing`` cell enumerates its simple
+paths once, in ``prepare``, and every run plans over that list.
 """
 
 from __future__ import annotations
@@ -325,13 +326,13 @@ def _prepare_multipath_routing(topology: Topology | None, cell: dict) -> Run:
     src = params.node(topology.nodes, "src")
     dst = params.node(topology.nodes, "dst")
     params.done()
-    # The planner's enumeration raises past its path cap, so a cell it
-    # would abort fails here.
-    simple_paths(topology, src, dst)
+    # Enumerating raises past its caps, so a cell that cannot be planned
+    # fails here, and every run plans over this one list.
+    paths = simple_paths(topology, src, dst)
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         single = route_max_bottleneck(topology, src, dst)
-        merged = route_with_switch_merging(topology, src, dst, single)
+        merged = route_with_switch_merging(topology, paths, single)
         trace = [
             f"single rate={single.effective_rate!r} path={'-'.join(single.paths[0])}",
             f"merged rate={merged.effective_rate!r} mode={merged.mode.value} "

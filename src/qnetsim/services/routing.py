@@ -10,6 +10,12 @@ information, so the merged plan is never worse than the best single path.
 Exactly one packet instance traverses a merged plan: the switched channel
 acts on a single system qubit plus the order-control qubit.
 
+``simple_paths`` enumerates those paths, checking the endpoints and
+stopping past a cap on the paths it finds and one on the partial paths it
+walks.  The merging planner does not enumerate: it plans over the list its
+caller enumerated once, so a scenario cell validated with that list runs
+every seed over it.
+
 Link-disjoint pairs come from per-link path bitsets: bit ``i`` of a link's
 int is set when path ``i`` crosses that link, so the paths that share no
 link with path ``i`` are the complement of the union of its links' ints.
@@ -39,6 +45,10 @@ RATE_EPS = 1e-9
 # Corner to corner, a 4x4 grid has 184 simple paths, 5x5 8 512 and 6x6
 # 1 262 816; enumerating them stops past this many.
 _SIMPLE_PATH_CAP = 10_000
+# The walk also stops past this many partial paths, so a dst reachable only
+# past a large dead end fails fast: the worst pair of a 5x5 grid walks
+# 90 398 of them, and 250 000 take about half a second.
+_PARTIAL_PATH_CAP = 250_000
 
 
 class PlanMode(enum.Enum):
@@ -135,8 +145,13 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
 
 
 def simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
-    """Every simple path of quantum links from ``src`` to ``dst``, sorted;
-    raises ``ValueError`` past the cap of ``_SIMPLE_PATH_CAP`` paths."""
+    """Every simple path of quantum links from ``src`` to ``dst``, sorted.
+
+    Raises ``ValueError`` for an unknown endpoint or ``src == dst``, past
+    ``_SIMPLE_PATH_CAP`` paths found, and past ``_PARTIAL_PATH_CAP``
+    partial paths walked.
+    """
+    _check_endpoints(topology, src, dst)
     neighbors = topology.quantum_neighbors
     # Without a path to dst the walk below would visit every simple path
     # from src and find none.
@@ -144,8 +159,15 @@ def simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]
         return []
     found: list[tuple[str, ...]] = []
     stack: list[tuple[str, ...]] = [(src,)]
+    walked = 0
     while stack:
         path = stack.pop()
+        walked += 1
+        if walked > _PARTIAL_PATH_CAP:
+            raise ValueError(
+                f"more than {_PARTIAL_PATH_CAP} partial paths walked from src {src!r} "
+                f"to dst {dst!r}"
+            )
         node = path[-1]
         if node == dst:
             found.append(path)
@@ -213,22 +235,21 @@ def _path_ptm(
 
 
 def route_with_switch_merging(
-    topology: Topology, src: str, dst: str, single: TrajectoryPlan
+    topology: Topology, paths: Sequence[tuple[str, ...]], single: TrajectoryPlan
 ) -> TrajectoryPlan:
     """Best plan over single paths and switch-merged link-disjoint pairs.
 
-    ``single`` is the widest path, ``route_max_bottleneck(topology, src,
-    dst)``, which the caller has planned already, and it is kept as the
+    ``paths`` are the sorted simple paths of one source and destination,
+    ``simple_paths(topology, src, dst)``, and ``single`` is their widest
+    path, ``route_max_bottleneck(topology, src, dst)``; the caller has
+    enumerated and planned both already.  ``single`` is kept as the
     starting candidate, so the result never falls below it.  The
-    link-disjoint pairs of simple paths come from ``_disjoint_pairs`` in
-    ascending ``(i, j)`` over the sorted paths, so among pairs of equal
-    rate the first one wins.  Each pair's paths are serialized into their
-    PTMs and the superposed traversal of the two is rated by the switch
-    kernel.
+    link-disjoint pairs come from ``_disjoint_pairs`` in ascending
+    ``(i, j)``, so among pairs of equal rate the first one wins.  Each
+    pair's paths are serialized into their PTMs and the superposed
+    traversal of the two is rated by the switch kernel.
     """
-    _check_endpoints(topology, src, dst)
     best = single
-    paths = simple_paths(topology, src, dst)
     # These caches live only as long as the plan, since other plans rarely
     # share their entries; the plan's paths and their prefixes bound them.
     prefixes: dict[tuple[str, ...], np.ndarray] = {}

@@ -44,6 +44,7 @@ from qnetsim.services.routing import (
     PlanMode,
     route_max_bottleneck,
     route_with_switch_merging,
+    simple_paths,
 )
 from reference import (
     CONFIG_DIR,
@@ -357,7 +358,9 @@ def test_criterion_5_multipath_service():
     assert config.topology is not None
     src, dst = str(config.params["src"]), str(config.params["dst"])
     single = route_max_bottleneck(config.topology, src, dst)
-    merged = route_with_switch_merging(config.topology, src, dst, single)
+    merged = route_with_switch_merging(
+        config.topology, simple_paths(config.topology, src, dst), single
+    )
     canned_ok = (
         single.unreachable
         and single.effective_rate == 0.0
@@ -371,7 +374,7 @@ def test_criterion_5_multipath_service():
     for _ in range(200):
         topo, link_params, g_src, g_dst = _random_topology(rng)
         plan = route_max_bottleneck(topo, g_src, g_dst)
-        merged_plan = route_with_switch_merging(topo, g_src, g_dst, plan)
+        merged_plan = route_with_switch_merging(topo, simple_paths(topo, g_src, g_dst), plan)
         oracle_rate, oracle_path = _enumeration_oracle(link_params, g_src, g_dst)
         if abs(plan.effective_rate - oracle_rate) > 1e-9:
             enumeration_ok = False

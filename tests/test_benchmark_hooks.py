@@ -14,10 +14,14 @@ import math
 import sys
 
 import qnetsim  # noqa: F401  (imports every module the tracer patches)
-from qnetsim.channels import ChannelModel
+from qnetsim.channels import ChannelModel, depolarizing_channel
 from qnetsim.config import load_config
 from qnetsim.runner import csv_text, run_experiment
-from qnetsim.services.routing import route_max_bottleneck, route_with_switch_merging
+from qnetsim.services.routing import (
+    route_max_bottleneck,
+    route_with_switch_merging,
+    simple_paths,
+)
 from reference import REPO_ROOT, load_benchmark_module
 
 
@@ -65,12 +69,8 @@ def test_routing_grid_switch_activation_passes_its_oracle(tmp_path, monkeypatch)
     assert attempted == 100 and problems == []
 
 
-def test_routing_grid_merge_planner_builds_no_kraus_sets(tmp_path, monkeypatch):
-    # The planner folds and rates Pauli transfer matrices only.
-    _, path = _workload_config("routing_grid", "multipath_routing", tmp_path)
-    config = load_config(path)
-    src = config.params["src"]
-    singles = {dst: route_max_bottleneck(config.topology, src, dst) for dst in config.sweep["dst"]}
+def _count_channel_builds(monkeypatch):
+    """The list that every ``ChannelModel`` built from here on joins."""
     built = []
     post_init = ChannelModel.__post_init__
 
@@ -79,8 +79,30 @@ def test_routing_grid_merge_planner_builds_no_kraus_sets(tmp_path, monkeypatch):
         post_init(channel)
 
     monkeypatch.setattr(ChannelModel, "__post_init__", counted)
+    return built
+
+
+def test_routing_grid_switch_sweep_builds_each_channel_once(tmp_path, monkeypatch):
+    # 100 cells ask for 200 depolarizing channels of at most 20 values of p.
+    spec, path = _workload_config("routing_grid", "switch_activation", tmp_path)
+    depolarizing_channel.cache_clear()
+    built = _count_channel_builds(monkeypatch)
+    rows, aborted = run_experiment(load_config(path))
+    assert aborted == 0 and len(rows) == 500
+    p_values = set(spec["sweep"]["p1"]) | set(spec["sweep"]["p2"])
+    assert len(built) == len(p_values) <= 20
+
+
+def test_routing_grid_merge_planner_builds_no_kraus_sets(tmp_path, monkeypatch):
+    # The planner folds and rates Pauli transfer matrices only.
+    _, path = _workload_config("routing_grid", "multipath_routing", tmp_path)
+    config = load_config(path)
+    src = config.params["src"]
+    singles = {dst: route_max_bottleneck(config.topology, src, dst) for dst in config.sweep["dst"]}
+    paths = {dst: simple_paths(config.topology, src, dst) for dst in singles}
+    built = _count_channel_builds(monkeypatch)
     modes = {
-        route_with_switch_merging(config.topology, src, dst, single).mode.value
+        route_with_switch_merging(config.topology, paths[dst], single).mode.value
         for dst, single in singles.items()
     }
     assert modes == {"single_path", "superposed_pair"}

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -156,6 +157,21 @@ def test_depolarizing_parameter_range():
         depolarizing_channel(-0.1)
     with pytest.raises(ValueError):
         depolarizing_channel(1.1)
+
+
+def test_depolarizing_channel_is_shared_and_frozen():
+    depolarizing_channel.cache_clear()
+    channel = depolarizing_channel(0.3)
+    assert depolarizing_channel(0.3) is channel
+    assert depolarizing_channel(0.4) is not channel
+    assert depolarizing_channel.cache_info().maxsize == 256
+    assert depolarizing_channel.cache_info().currsize == 2
+    for name in ("kraus_ops", "stack", "dim"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(channel, name, getattr(channel, name))
+    assert not channel.stack.flags.writeable
+    # The shared instance keeps its ptm once built.
+    assert depolarizing_channel(0.3).ptm is channel.ptm
 
 
 def test_depolarizing_zero_is_identity():
@@ -450,6 +466,8 @@ def test_closed_form_holevo_equals_eigvalsh_holevo():
 
 
 def test_ptm_matches_pauli_traces_and_is_cached_read_only():
+    # A shared depolarizing channel may hold its ptm from an earlier test.
+    depolarizing_channel.cache_clear()
     for channel in _oracle_channels():
         assert "ptm" not in vars(channel)  # not built at construction
         ptm = channel.ptm

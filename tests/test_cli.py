@@ -596,32 +596,80 @@ def test_path_cap_admits_exactly_its_count(tmp_path, capsys, monkeypatch, cap, s
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("cap, status", [(8, 0), (7, 1)])
+def test_partial_path_cap_admits_exactly_its_count(tmp_path, capsys, monkeypatch, cap, status):
+    # From a to f the shipped routing config's walk takes 8 partial paths:
+    # a, a-b, a-b-f, a-c, a-c-f, a-d, a-d-e and a-d-e-f.
+    monkeypatch.setattr(routing, "_PARTIAL_PATH_CAP", cap)
+    path = REPO_ROOT / "configs" / "multipath_routing.yaml"
+    assert main(["validate", str(path)]) == status
+    if status:
+        message = "params: more than 7 partial paths walked from src 'a' to dst 'f'"
+        assert f"invalid: {path}: {message}" in capsys.readouterr().err
+    else:
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_worst_pair_of_a_5x5_grid_validates(tmp_path):
+    # Of every pair of a 5x5 grid's nodes, two corners of one side make the
+    # walk take the most partial paths: 90 398, well below the cap.
+    config = grid_config(5)
+    config["params"]["dst"] = "n04"
+    path = write_config(tmp_path, config)
+    assert main(["validate", str(path)]) == 0
+
+
+def cli_in_subprocess(*args):
+    """``python -m qnetsim.cli *args`` in its own process, so that a spin
+    fails on the 5 s timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qnetsim.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=5,
+    )
+
+
 def test_destination_off_the_quantum_links_validates_and_runs(tmp_path):
     # The island has no quantum link, so no path reaches it; a walk over
-    # every simple path from the corner of a 6x6 grid would not end.  Each
-    # command runs in its own process so that a spin fails on the timeout.
+    # every simple path from the corner of a 6x6 grid would not end.
     config = grid_config(6)
     config["topology"]["nodes"].append("island")
     config["params"]["dst"] = "island"
     path = write_config(tmp_path, config)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
-
-    def cli(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "qnetsim.cli", *args],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=5,
-        )
-
-    validated = cli("validate", str(path))
+    validated = cli_in_subprocess("validate", str(path))
     assert validated.returncode == 0, validated.stderr
     assert validated.stdout.startswith("ok:")
     out = tmp_path / "out"
-    ran = cli("run", str(path), "--out", str(out))
+    ran = cli_in_subprocess("run", str(path), "--out", str(out))
     assert ran.returncode == 0, ran.stderr
     rows = (out / "metrics.csv").read_text().splitlines()
     assert "multipath_routing,1,dst=island|src=n00,single_unreachable,1,0,0" in rows
     assert "multipath_routing,1,dst=island|src=n00,merged_rate,0.0,0,0" in rows
+
+
+def test_dead_end_past_the_partial_path_cap_is_rejected_fast(tmp_path):
+    # s and t share a link, and a 6x6 grid hangs off s at its corner: the
+    # only path is s-t, but a walk of every partial path into the grid
+    # would not end.
+    config = grid_config(6)
+    config["topology"]["nodes"] += ["s", "t"]
+    config["topology"]["quantum_links"] += [
+        {"a": "s", "b": "t", "channel": {"type": "depolarizing", "p": 0.1}},
+        {"a": "s", "b": "n00", "channel": {"type": "depolarizing", "p": 0.1}},
+    ]
+    config["params"] = {"src": "s", "dst": "t"}
+    path = write_config(tmp_path, config)
+    validated = cli_in_subprocess("validate", str(path))
+    assert validated.returncode == 1
+    message = "params: more than 250000 partial paths walked from src 's' to dst 't'"
+    assert f"invalid: {path}: {message}" in validated.stderr
+    assert validated.stderr.count("invalid:") == 1
+    out = tmp_path / "out"
+    ran = cli_in_subprocess("run", str(path), "--out", str(out))
+    assert ran.returncode == 1
+    assert "invalid:" in ran.stderr
+    assert not out.exists()

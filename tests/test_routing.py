@@ -1,13 +1,18 @@
 """Widest-path planning and switch-merged superposed trajectories."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import yaml
 
+from qnetsim import scenarios
 from qnetsim.channels import ChannelModel, compose_serial, depolarizing_channel, reduce_kraus
-from qnetsim.config import parse_config
+from qnetsim.config import load_config, parse_config
 from qnetsim.engine import QuantumLink, Topology
+from qnetsim.runner import run_experiment
+from qnetsim.services import routing
 from qnetsim.services.phy import phy_effective_rate
 from qnetsim.services.routing import (
     PlanMode,
@@ -17,7 +22,7 @@ from qnetsim.services.routing import (
     route_with_switch_merging,
     simple_paths,
 )
-from reference import SWITCH_ACTIVATION_GOLDEN, load_benchmark_module
+from reference import CONFIG_DIR, SWITCH_ACTIVATION_GOLDEN, load_benchmark_module
 
 
 def dep_rate(p):
@@ -191,10 +196,11 @@ def test_widest_path_matches_oracle_on_routing_grid(seed):
 
 def test_endpoint_validation():
     topo = topology_from_links({("a", "b"): 0.1})
-    with pytest.raises(ValueError):
-        route_max_bottleneck(topo, "a", "a")
-    with pytest.raises(ValueError):
-        route_max_bottleneck(topo, "a", "ghost")
+    for search in (route_max_bottleneck, simple_paths):
+        with pytest.raises(ValueError, match="source and destination must differ"):
+            search(topo, "a", "a")
+        with pytest.raises(ValueError, match="unknown endpoint"):
+            search(topo, "a", "ghost")
 
 
 # -- switch merging -----------------------------------------------------------
@@ -211,10 +217,17 @@ def blocked_square():
     }
 
 
+def merge_plan(topo, src, dst):
+    """The merged plan over the simple paths from ``src`` to ``dst``,
+    starting from their widest path."""
+    single = route_max_bottleneck(topo, src, dst)
+    return route_with_switch_merging(topo, simple_paths(topo, src, dst), single)
+
+
 def test_merging_activates_blocked_topology():
     topo = topology_from_links(blocked_square())
     single = route_max_bottleneck(topo, "a", "d")
-    merged = route_with_switch_merging(topo, "a", "d", single)
+    merged = route_with_switch_merging(topo, simple_paths(topo, "a", "d"), single)
     assert single.unreachable and single.effective_rate == 0.0
     assert merged.mode is PlanMode.SUPERPOSED_PAIR
     assert merged.effective_rate > 0.02
@@ -230,14 +243,14 @@ def test_nearly_equal_path_channels_are_rated_apart():
     links = {("a", "s"): 0.9996, ("a", "t"): 0.0}
     links.update({(n, end): 1.0 for n in ("b", "c") for end in ("s", "t")})
     topo = topology_from_links(links)
-    merged = route_with_switch_merging(topo, "s", "t", route_max_bottleneck(topo, "s", "t"))
+    merged = merge_plan(topo, "s", "t")
     assert merged.paths == (("s", "b", "t"), ("s", "c", "t"))
     assert merged.effective_rate == pytest.approx(SWITCH_ACTIVATION_GOLDEN, abs=1e-12)
 
 
 def test_merged_plan_keeps_one_packet_instance():
     topo = topology_from_links(blocked_square())
-    merged = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
+    merged = merge_plan(topo, "a", "d")
     assert len(merged.paths) == 2
     links_first = set(zip(merged.paths[0], merged.paths[0][1:]))
     links_second = set(zip(merged.paths[1], merged.paths[1][1:]))
@@ -249,7 +262,7 @@ def test_merged_plan_keeps_one_packet_instance():
 def test_clean_identity_path_dominates_merging():
     links = {("a", "b"): 0.0, ("b", "d"): 0.0, ("a", "c"): 0.8, ("c", "d"): 0.8}
     topo = topology_from_links(links)
-    merged = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
+    merged = merge_plan(topo, "a", "d")
     assert merged.mode is PlanMode.SINGLE_PATH
     assert merged.effective_rate == pytest.approx(1.0, abs=1e-9)
     assert merged.paths == (("a", "b", "d"),)
@@ -263,7 +276,7 @@ def test_merging_never_below_single_path():
         nodes = topo.nodes
         src, dst = nodes[0], nodes[-1]
         single = route_max_bottleneck(topo, src, dst)
-        merged = route_with_switch_merging(topo, src, dst, single)
+        merged = route_with_switch_merging(topo, simple_paths(topo, src, dst), single)
         assert merged.effective_rate >= single.effective_rate - 1e-9, (trial, links)
         oracle_rate, oracle_path = oracle_best(links, src, dst)
         assert single.effective_rate == pytest.approx(oracle_rate, abs=1e-9), (trial, links)
@@ -296,8 +309,8 @@ def draw_noise(rng):
 
 def test_plans_are_deterministic():
     topo = topology_from_links(blocked_square())
-    first = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
-    second = route_with_switch_merging(topo, "a", "d", route_max_bottleneck(topo, "a", "d"))
+    first = merge_plan(topo, "a", "d")
+    second = merge_plan(topo, "a", "d")
     assert first.paths == second.paths
     assert first.effective_rate == second.effective_rate
     assert first.mode is second.mode
@@ -380,7 +393,7 @@ def reference_merged_plan(channels, topology, src, dst):
 def assert_plan_equals_reference(channels, topo, src, dst):
     """The merged plan equals the fold-every-path reference; returns the
     plan and the paths the reference reduced past their second hop."""
-    plan = route_with_switch_merging(topo, src, dst, route_max_bottleneck(topo, src, dst))
+    plan = merge_plan(topo, src, dst)
     reference, reduced_late = reference_merged_plan(channels, topo, src, dst)
     assert plan.mode is reference.mode, (src, dst, channels)
     assert plan.paths == reference.paths, (src, dst, channels)
@@ -451,3 +464,80 @@ def test_disjoint_pairs_equal_brute_force_on_routing_grid(seed):
     # the walled corner (178 paths, 15 753 pairs), then the far one (184
     # paths, 16 836 pairs)
     assert found == [99, 100]
+
+
+# -- one enumeration per cell, and the bytes it writes -------------------------
+
+
+def test_each_cell_enumerates_its_paths_once(tmp_path, monkeypatch):
+    # Two destinations under two seeds: validation enumerates each cell's
+    # paths once, and the four runs plan over those lists.
+    calls = []
+
+    def counted(topology, src, dst):
+        calls.append((src, dst))
+        return simple_paths(topology, src, dst)
+
+    # Both bindings: the scenario's, and the planner module's own.
+    monkeypatch.setattr(scenarios, "simple_paths", counted)
+    monkeypatch.setattr(routing, "simple_paths", counted)
+    spec = yaml.safe_load((CONFIG_DIR / "multipath_routing.yaml").read_text())
+    spec["seeds"] = [1, 2]
+    del spec["params"]["dst"]
+    spec["sweep"] = {"dst": ["e", "f"]}
+    path = tmp_path / "two_cells.yaml"
+    path.write_text(yaml.safe_dump(spec))
+    rows, aborted = run_experiment(load_config(path))
+    assert aborted == 0
+    assert sum(row.metric == "merged_rate" for row in rows) == 4
+    assert sorted(calls) == [("a", "e"), ("a", "f")]
+
+
+# SHA-256 of the metrics.csv and of the trace files (one "<name> <sha256>"
+# line each, by name) that a traced run writes, recorded before the cell
+# kept its enumerated paths and the depolarizing channels were shared.
+# Seeds 7919 and 11 give the two mirrors of the routing_grid workload.
+ROUTING_OUTPUT_DIGESTS = {
+    ("routing_grid", 7919, "multipath_routing"): (
+        "75828d594d6068c81244ebb1136652dffbd34a3cc65c1ea48d3da01e30cb7348",
+        "92eb33bf03e978847a571c7919a8e26c6e96042d215e25815aced8078fdbd89f",
+    ),
+    ("routing_grid", 7919, "switch_activation"): (
+        "beb6cd76ef4815e41971ebb3aefb0686cf348e57c568df601f69c998dee82643",
+        "523f2a2487508288191688c9cd8c7911c33327024a5bb784fc505b445e829434",
+    ),
+    ("routing_grid", 11, "multipath_routing"): (
+        "d8ccd338b7daf26bfe770285d0300788b595c86345fd91d297159d5fedf7bd7e",
+        "f9597dc8b5f6df6e7dc4c372d5d2a2bb463f224245a20023fe4a8610a82dec64",
+    ),
+    ("routing_grid", 11, "switch_activation"): (
+        "47b2f2143d29a037363cf826a5f03f9c2ea564926488a93b008a046980d52338",
+        "3ed253ee5befeaf3fd960b6b655d7288ca864654afb526a169538d5ca8722db8",
+    ),
+    ("configs", None, "multipath_routing"): (
+        "49dc9ea6097d501a633ae52ce27d0a013fe8535e888666aa73f2748780cfc874",
+        "0a089f963dacb4d53422a8b78d600b706a8f052b1718e840d6dfbb69361f637c",
+    ),
+    ("configs", None, "switch_activation"): (
+        "9d5c7e9cccdbda8821d4d875c6fb9c17469c4ff803979b7bb871857d32f5ab30",
+        "1e0e286fb5b102c95d2f0305b9494ba8d59363090d6ced5cf83200da210ea938",
+    ),
+}
+
+
+@pytest.mark.parametrize("source, seed, name", sorted(ROUTING_OUTPUT_DIGESTS, key=str))
+def test_routing_outputs_keep_their_bytes(tmp_path, source, seed, name):
+    if source == "configs":
+        path = CONFIG_DIR / f"{name}.yaml"
+    else:
+        configs = load_benchmark_module("workloads").generate(source, seed)
+        [text] = [text for config, _, text in configs if config == name]
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text)
+    out = tmp_path / "out"
+    run_experiment(load_config(path), out, trace=True)
+    traces = hashlib.sha256()
+    for trace in sorted(out.glob("*.trace")):
+        traces.update(f"{trace.name} {hashlib.sha256(trace.read_bytes()).hexdigest()}\n".encode())
+    metrics = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    assert (metrics, traces.hexdigest()) == ROUTING_OUTPUT_DIGESTS[source, seed, name]
