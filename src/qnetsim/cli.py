@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError
@@ -50,6 +51,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ok: scenario={config.scenario} seeds={list(config.seeds)}")
         return 0
 
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make output directory {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
     rows, aborted = run_experiment(config, out_dir=args.out, trace=args.trace)
     print(f"wrote {len(rows)} metric rows to {args.out}/metrics.csv")
     if aborted:

@@ -14,16 +14,14 @@ Superdense decoding and leader election also give their exact outcome
 distribution (``superdense_distribution``, ``w_election_probabilities``),
 so that many trials of one resource can be drawn at once; the per-trial
 ``superdense_decode`` and ``w_election_round`` draw from the same physics.
-A Bell measurement likewise splits into its outcome table
-(``bell_outcome_table``, with ``cumulative_weights`` of its weights) and
-one draw from it (``draw_bell_outcome``), so that many swaps of one state
-build both tables once.  Teleporting over one resource state is linear in
-the payload, so it too is a table built once, ``teleport_table``: one real
-4x4 Pauli-transfer map per Bell outcome, built by passing the Paulis
-through ``teleport``'s Bell measurement and ``apply_correction``.  A
-payload's outcome weights (``teleport_weights``) and corrected fidelity
-(``teleport_fidelity``) are then a few plain-float products with its
-Bloch vector, with no density matrix per trial.
+A Bell measurement of a pair is linear in its real 4x4 correlation matrix
+``T`` (``pair_correlations``), so teleport, swap and superdense decoding
+are closed forms of ``T``.  Teleporting over a resource is one 4x4
+Pauli-transfer map per Bell outcome (``teleport_table``); a payload's
+outcome weights and corrected fidelity (``teleport_weights``,
+``teleport_fidelity``) are plain-float products with its Bloch vector.  A
+swap teleports half of one pair over the other (``swap_outcome_table``).
+Each draws its outcome with ``draw_bell_outcome``.
 """
 
 from __future__ import annotations
@@ -76,6 +74,14 @@ _BELL_KETS = np.array(
 _BELL_KETS.flags.writeable = False
 _BELL_MATRIX = np.outer(_BELL_KETS[0], _BELL_KETS[0].conj())
 _BELL_MATRIX.flags.writeable = False
+# The signs S_m of I, X, Y, Z under each outcome's frame Z^z X^x, and phi+
+# = (II + XX - YY + ZZ) / 4 as the diagonal D of its correlation matrix.
+# Bell state m is then the diagonal S_m D.
+_FRAME_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], float)
+_PHI_PLUS_DIAGONAL = np.array([1.0, 1.0, -1.0, 1.0])
+_BELL_DIAGONALS = _FRAME_SIGNS * _PHI_PLUS_DIAGONAL
+# T = _CORRELATIONS_FROM_PAIR @ vec(rho): row (i, j) is vec((P_i (x) P_j)^T).
+_CORRELATIONS_FROM_PAIR = np.einsum("iab,jcd->ijbdac", PAULIS, PAULIS).reshape(16, 16)
 
 
 def phi_plus_state() -> QuantumState:
@@ -145,26 +151,13 @@ def _bell_branches(state: QuantumState, qubit_a: int, qubit_b: int) -> np.ndarra
     return np.einsum("kr,rxsy,ks->kxy", _BELL_KETS.conj(), pair_rows, _BELL_KETS)
 
 
-def bell_outcome_table(
-    state: QuantumState, qubit_a: int, qubit_b: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The four outcomes of a Bell measurement of ``(qubit_a, qubit_b)``, in
-    ``SUPERDENSE_MESSAGES`` order: their weights and their unnormalised
-    branches, the state of the other qubits (ascending order) after each.
-
-    The table has no random part, so a caller that measures one state many
-    times builds it once and draws each outcome with ``draw_bell_outcome``.
-    """
-    branches = _bell_branches(state, qubit_a, qubit_b)
-    return np.real(np.trace(branches, axis1=1, axis2=2)), branches
-
-
 def draw_bell_outcome(
     weights: Sequence[float], cumulative: Sequence[float], rng: np.random.Generator
 ) -> int:
-    """Index of one Bell outcome, drawn from its ``weights`` (of a
-    ``bell_outcome_table`` or ``teleport_weights``) with one ``rng.random()``
-    draw; ``cumulative`` is ``cumulative_weights(weights)``.
+    """Index of one Bell outcome, drawn from its ``weights`` (of
+    ``teleport_weights``, ``swap_outcome_table`` or a register's Bell
+    branches) with one ``rng.random()`` draw; ``cumulative`` is
+    ``cumulative_weights(weights)``.
 
     Raises ``RenormalizationError`` when the drawn weight is below
     ``EIGENVALUE_FLOOR``: that branch cannot be normalised.
@@ -185,7 +178,8 @@ def bell_basis_measure(
     Returns the outcome ``(phase_bit, parity_bit)`` and the renormalised
     state of the other qubits in ascending order.
     """
-    weights, branches = bell_outcome_table(state, qubit_a, qubit_b)
+    branches = _bell_branches(state, qubit_a, qubit_b)
+    weights = np.real(np.trace(branches, axis1=1, axis2=2))
     index = draw_bell_outcome(weights, cumulative_weights(weights), rng)
     return SUPERDENSE_MESSAGES[index], QuantumState(
         state.num_qubits - 2, branches[index] / weights[index]
@@ -226,26 +220,26 @@ def teleport(
     return bell_basis_measure(payload.tensor(pair), 0, 1, rng)
 
 
+def pair_correlations(pair: QuantumState) -> np.ndarray:
+    """The real 4x4 correlation matrix ``T_ij = tr(rho P_i (x) P_j)`` of a
+    two-qubit state, ``P = I, X, Y, Z``; ``rho = sum_ij T_ij P_i (x) P_j / 4``."""
+    if pair.num_qubits != 2:
+        raise ValueError(f"correlations need a two-qubit pair, got {pair.num_qubits} qubits")
+    return (_CORRELATIONS_FROM_PAIR @ pair.matrix.reshape(16)).real.reshape(4, 4)
+
+
 def teleport_table(pair: QuantumState) -> np.ndarray:
     """Teleportation over ``pair`` as one real 4x4 map per Bell outcome.
 
     Teleporting is linear in the payload, so for a payload with Pauli
     vector ``v = (1, r)``, outcome ``m``'s corrected, unnormalised output
     has Pauli vector ``table[m] @ v``: its entry 0 is the outcome's
-    weight and entries 1-3 its unnormalised Bloch vector.  Column ``j``
-    is the image of ``P_j / 2`` (``P = I, X, Y, Z``) under the Bell
-    measurement of ``teleport`` and the correction of ``apply_correction``,
-    so the table holds for any two-qubit resource.
+    weight and entries 1-3 its unnormalised Bloch vector.  With ``T`` the
+    pair's ``pair_correlations``, ``table[m] = S_m T^T S_m D / 4`` for
+    the frame signs ``S_m`` and phi+'s diagonal ``D``, as diagonal
+    matrices, for any two-qubit resource.
     """
-    if pair.num_qubits != 2:
-        raise ValueError("teleport needs a two-qubit resource")
-    table = np.empty((4, 4, 4))
-    for j, pauli in enumerate(PAULIS):
-        _, branches = bell_outcome_table(QuantumState(3, np.kron(pauli / 2, pair.matrix)), 0, 1)
-        for m, (bits, branch) in enumerate(zip(SUPERDENSE_MESSAGES, branches)):
-            corrected = pauli_correct(QuantumState(1, branch), 0, bits).matrix
-            table[m, :, j] = [np.real(np.trace(p @ corrected)) for p in PAULIS]
-    return table
+    return 0.25 * _FRAME_SIGNS[:, :, None] * pair_correlations(pair).T * _BELL_DIAGONALS[:, None, :]
 
 
 def teleport_weights(
@@ -293,9 +287,7 @@ def superdense_distribution(joint: QuantumState) -> np.ndarray:
     Raises a decode-ambiguity error (carrying the best guess) when the
     joint state is not within fidelity 0.5 of any Bell state.
     """
-    if joint.num_qubits != 2:
-        raise ValueError("superdense decoding needs the two-qubit joint state")
-    overlaps, _ = bell_outcome_table(joint, 0, 1)
+    overlaps = 0.25 * _BELL_DIAGONALS @ np.diag(pair_correlations(joint))
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.5:
         raise DecodeAmbiguityError(
@@ -327,6 +319,29 @@ def entanglement_swap(
         raise ValueError("swap needs two two-qubit pairs")
     joint = left.tensor(right)  # qubits: A, B_left, B_right, C
     return bell_basis_measure(joint, 1, 2, rng)
+
+
+def swap_outcome_table(
+    left: QuantumState, right: QuantumState
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Each outcome's weight and corrected phi+ fidelity of the end pair
+    of ``entanglement_swap(left, right)``, in ``SUPERDENSE_MESSAGES``
+    order, as plain floats.
+
+    The swap teleports the middle node's half of ``left`` over ``right``,
+    so outcome ``m`` leaves the unnormalised end pair of correlations
+    ``C = T_left @ teleport_table(right)[m]^T``: weight ``C[0, 0]``,
+    fidelity ``D . diag(C) / (4 C[0, 0])`` clipped to [0, 1], and NaN for
+    an outcome below ``EIGENVALUE_FLOOR``, which is never normalised.
+    """
+    ends = pair_correlations(left) @ teleport_table(right).transpose(0, 2, 1)
+    weights = ends[:, 0, 0].tolist()
+    overlaps = (np.diagonal(ends, axis1=1, axis2=2) @ _PHI_PLUS_DIAGONAL / 4.0).tolist()
+    fidelities = [
+        min(max(overlap / weight, 0.0), 1.0) if weight >= EIGENVALUE_FLOOR else float("nan")
+        for weight, overlap in zip(weights, overlaps)
+    ]
+    return tuple(weights), tuple(fidelities)
 
 
 def w_election_round(

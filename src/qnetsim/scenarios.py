@@ -33,25 +33,17 @@ from .protocols import (
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
     Purpose,
-    apply_correction,
-    bell_outcome_table,
     cumulative_weights,
     draw_bell_outcome,
-    phi_plus_state,
     superdense_distribution,
     superdense_encode,
+    swap_outcome_table,
     teleport_fidelity,
     teleport_table,
     teleport_weights,
     werner_pair,
 )
-from .qstate import (
-    EIGENVALUE_FLOOR,
-    SCALAR_ATOL,
-    QuantumState,
-    fidelity,
-    haar_bloch_vector,
-)
+from .qstate import SCALAR_ATOL, haar_bloch_vector
 from .services.mac import MacConfig, MacProtocol, run_mac_sim
 from .services.phy import phy_effective_rate
 from .services.routing import (
@@ -191,29 +183,19 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
     route = topology.shortest_classical_route(mid, dst)
     if route is None:
         raise ValueError(f"no classical route from mid {mid!r} to dst {dst!r}")
-    phi = phi_plus_state()
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         engine = EventEngine(topology, rng_seed)
         fidelities: list[float] = []
         outcome_counts = {m: 0 for m in SUPERDENSE_MESSAGES}
-        # A stored pair does not decohere, so every swap Bell-measures the
-        # same (src, mid, mid, dst) state: its outcome table, the table its
-        # draws search and each outcome's corrected end-pair fidelity are
-        # built once per run.  A link puts the same channel on both halves
-        # of a symmetric Bell pair, so the state is the same however a link
-        # is written.
-        joint = left_link.pair_state.tensor(right_link.pair_state)
-        weights, branches = bell_outcome_table(joint, 1, 2)
+        # A stored pair does not decohere, so every swap splices the same
+        # two pair states: each outcome's weight and corrected end-pair
+        # fidelity, and the table its draws search, are built once per
+        # run.  A link puts the same channel on both halves of a symmetric
+        # Bell pair, so its pair is the same however a link is written.
+        weights, end_fidelity = swap_outcome_table(left_link.pair_state, right_link.pair_state)
         cumulative = cumulative_weights(weights)
         messages = [CorrectionMessage(m, mid, dst, Purpose.SWAP) for m in SUPERDENSE_MESSAGES]
-        end_fidelity: dict[tuple[int, int], float] = {}
-        for message, weight, branch in zip(messages, weights, branches):
-            # draw_bell_outcome raises on an outcome below the floor, so
-            # only the others are normalised.
-            if weight >= EIGENVALUE_FLOOR:
-                end_pair = QuantumState(2, branch / weight)
-                end_fidelity[message.bits] = fidelity(apply_correction(end_pair, message.bits), phi)
 
         def swap_step(eng: EventEngine, _label: str) -> None:
             message = messages[draw_bell_outcome(weights, cumulative, eng.rng)]
@@ -223,7 +205,9 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
                 message,
                 route,
                 SignalingScope.END_TO_END,
-                lambda delivered: fidelities.append(end_fidelity[delivered.bits]),
+                lambda delivered: fidelities.append(
+                    end_fidelity[SUPERDENSE_MESSAGES.index(delivered.bits)]
+                ),
             )
 
         def attempt_step(eng: EventEngine, label: str) -> None:

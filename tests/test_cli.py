@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from qnetsim import cli
 from qnetsim.cli import main
 from qnetsim.config import load_config
 from qnetsim.engine import EventEngine, EventKind, Topology
@@ -129,6 +130,21 @@ def test_run_invalid_config_fails(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out_dir)]) == 1
     assert "invalid" in capsys.readouterr().err
+
+
+def test_run_into_a_file_prints_one_error_line_before_any_cell(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, small_teleport_config())
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    for out in (taken, taken / "sub"):
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err, err
+        assert len(err.splitlines()) == 1, err
+    assert calls == []
+    assert taken.read_text() == "keep\n"
 
 
 def test_aborted_run_yields_nonzero_exit_and_status_row(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qnetsim.channels import ChannelModel, depolarizing_channel
+from qnetsim.engine import QuantumLink
 from qnetsim.errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
@@ -17,15 +19,16 @@ from qnetsim.protocols import (
     _draw_index,
     apply_correction,
     bell_basis_measure,
-    bell_outcome_table,
     cumulative_weights,
     draw_bell_outcome,
     entanglement_swap,
     make_w_state,
+    pair_correlations,
     phi_plus_state,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
+    swap_outcome_table,
     teleport,
     teleport_fidelity,
     teleport_table,
@@ -275,6 +278,52 @@ def test_draw_index_matches_numpy_search_on_random_tables():
     assert all(type(value) is float for value in cumulative_weights(np.array([0.5, 0.25])))
 
 
+# -- correlation matrix -------------------------------------------------------
+
+PHI_PLUS_DIAGONAL = np.diag([1.0, 1.0, -1.0, 1.0])
+
+
+def test_pair_correlations_are_the_pauli_expectations():
+    rng = np.random.default_rng(67)
+    paulis = (I2, X, Y, Z)
+    for _ in range(20):
+        rho = _random_mixed(rng, 4)
+        expected = [[np.real(np.trace(rho @ np.kron(p, q))) for q in paulis] for p in paulis]
+        correlations = pair_correlations(QuantumState(2, rho))
+        assert np.allclose(correlations, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("w", [0.0, 0.34, 0.8, 1.0])
+def test_pair_correlations_of_werner_pairs_are_diagonal(w):
+    # phi+ = (II + XX - YY + ZZ) / 4, and white noise scales every
+    # correlation but the trace.
+    expected = np.diag([1.0, w, -w, w])
+    assert np.allclose(pair_correlations(werner_pair(w)), expected, rtol=0.0, atol=1e-15)
+    assert np.allclose(pair_correlations(phi_plus_state()), PHI_PLUS_DIAGONAL, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        depolarizing_channel(0.05),
+        depolarizing_channel(0.6),
+        ChannelModel((np.diag([1.0, math.sqrt(0.7)]), np.array([[0.0, math.sqrt(0.3)], [0, 0]]))),
+    ],
+    ids=["depolarizing-0.05", "depolarizing-0.6", "amplitude-damping-0.3"],
+)
+def test_link_pair_correlations_are_its_ptm_on_both_halves(channel):
+    # The link's channel acts on each half of phi+, so the pair's
+    # correlations are R D R^T for the channel's Pauli transfer matrix R.
+    link = QuantumLink("a", "b", channel, 1.0, 1)
+    expected = channel.ptm @ PHI_PLUS_DIAGONAL @ channel.ptm.T
+    assert np.allclose(pair_correlations(link.pair_state), expected, rtol=0.0, atol=1e-14)
+
+
+def test_pair_correlations_need_two_qubits():
+    with pytest.raises(ValueError, match="two-qubit pair"):
+        pair_correlations(QuantumState(1, np.eye(2, dtype=complex) / 2))
+
+
 # -- teleportation ------------------------------------------------------------
 
 
@@ -495,6 +544,19 @@ def test_superdense_distribution_is_werner_closed_form():
             assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), (w, bits)
 
 
+def test_superdense_distribution_matches_cnot_h_circuit_near_phi_plus():
+    # Mixed pairs that are not Bell-diagonal, all within fidelity 0.5 of
+    # phi+, so every message decodes without ambiguity.
+    rng = np.random.default_rng(66)
+    for _ in range(20):
+        pair = QuantumState(2, 0.7 * bell_matrix(0, 0) + 0.3 * _random_mixed(rng, 4))
+        for bits in SUPERDENSE_MESSAGES:
+            joint = superdense_encode(bits, pair)
+            expected = _hand_built_bell_weights(joint.matrix, 0, 1, 2)
+            distribution = superdense_distribution(joint)
+            assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), bits
+
+
 def test_superdense_decode_ambiguity_on_maximally_mixed():
     rng = np.random.default_rng(33)
     mixed = QuantumState(2, np.eye(4, dtype=complex) / 4)
@@ -570,29 +632,23 @@ def _random_mixed(rng, dim):
 
 def test_swap_outcome_table_agrees_with_entanglement_swap():
     # A cell that swaps one pair state many times reads each outcome's
-    # weight and corrected end pair from one table; forcing each outcome
-    # through entanglement_swap must give the same pair.
+    # weight and corrected end-pair fidelity from one table; forcing each
+    # outcome through entanglement_swap must give the same weight and pair.
     rng = np.random.default_rng(65)
+    phi = phi_plus_state()
     for _ in range(20):
-        left_rho, right_rho = _random_mixed(rng, 4), _random_mixed(rng, 4)
-        joint = QuantumState(2, left_rho).tensor(QuantumState(2, right_rho))
-        weights, branches = bell_outcome_table(joint, 1, 2)
-        expected_weights = _hand_built_bell_weights(joint.matrix, 1, 2, 4)
+        left, right = QuantumState(2, _random_mixed(rng, 4)), QuantumState(2, _random_mixed(rng, 4))
+        weights, fidelities = swap_outcome_table(left, right)
+        expected_weights = _hand_built_bell_weights(left.tensor(right).matrix, 1, 2, 4)
         assert np.allclose(weights, expected_weights, rtol=0.0, atol=1e-12)
-        upper = np.cumsum(weights) / weights.sum()
+        upper = np.cumsum(weights) / sum(weights)
         lower = np.concatenate(([0.0], upper[:-1]))
-        left, right = QuantumState(2, left_rho), QuantumState(2, right_rho)
         for index, bits in enumerate(SUPERDENSE_MESSAGES):
             draw = _ForcedDraw((lower[index] + upper[index]) / 2)
             drawn, pending = entanglement_swap(left, right, draw)
             assert drawn == bits
-            from_table = QuantumState(2, branches[index] / weights[index])
-            assert np.allclose(
-                apply_correction(from_table, bits).matrix,
-                apply_correction(pending, bits).matrix,
-                rtol=0.0,
-                atol=1e-12,
-            )
+            oracle = fidelity(apply_correction(pending, bits), phi)
+            assert abs(fidelities[index] - oracle) <= 1e-12
 
 
 def test_protocols_reject_a_pair_that_is_not_two_qubits():

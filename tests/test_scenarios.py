@@ -1,6 +1,7 @@
 """Scenario runners end to end, pinned to closed forms."""
 
 import hashlib
+import math
 import time
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 import qnetsim.engine
 from qnetsim import runner, scenarios
+from qnetsim.channels import ChannelModel, depolarizing_channel
 from qnetsim.config import load_config, parse_config
-from qnetsim.engine import ClassicalLink, EventEngine, EventKind, Topology
-from qnetsim.protocols import teleport, werner_pair
+from qnetsim.engine import ClassicalLink, EventEngine, EventKind, QuantumLink, Topology
+from qnetsim.protocols import swap_outcome_table, teleport, werner_pair
 from qnetsim.qstate import random_pure_state
 from qnetsim.runner import run_experiment
 from qnetsim.scenarios import SCENARIOS
@@ -82,6 +84,25 @@ TELEPORT_TRACE_SHA256 = "66cdd31d97bb6bce86db21a7c282d33c8afa46426809c736864fc60
 # when it formatted every event into a line as it fired: attempt, step
 # and delivery lines.
 SWAP_TRACE_SHA256 = "e0919df2fc401864bf92c2c5f5ea69e4b2db6dc529c9b235ff27680d68193d6e"
+
+
+# sha256 of the metrics.csv of each shipped config whose rows come from a
+# Bell measurement, recorded when teleport, swap and superdense decoding
+# became closed forms of the pair's correlation matrix.  A change that
+# moves any of these rows, even in the last digit, must re-record them.
+BELL_METRICS_SHA256 = {
+    "teleport": "62ddd7e6e1809a08b9c20bc0ef0c6cb3a5728280b5f5b6337dd3547e5f089fb1",
+    "swap": "a5b2d3da83314f2e772faa898fa6fbadb7156743577b7f9d8d45b94cacfb7f60",
+    "superdense": "e96b065fd0479afbeac9dbe27905630ec394353c8e5ed139b31a51b18eec44a0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BELL_METRICS_SHA256))
+def test_shipped_bell_configs_write_the_pinned_metrics(tmp_path, name):
+    _, aborted = run_experiment(load_config(CONFIG_DIR / f"{name}.yaml"), tmp_path)
+    assert aborted == 0
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == BELL_METRICS_SHA256[name]
 
 
 def test_shipped_teleport_config_writes_the_pinned_traces(tmp_path):
@@ -313,6 +334,26 @@ def swap_circuit_oracle(kraus):
                 fid = float(np.real(np.trace(corrected @ phi)))
             oracle[f"{z}{x}"] = (weight, fid)
     return oracle
+
+
+@pytest.mark.parametrize(
+    "kraus",
+    [depolarizing_channel(0.05).kraus_ops, amplitude_damping_kraus(0.3), amplitude_damping_kraus(1.0)],
+    ids=["depolarizing-0.05", "amplitude-damping-0.3", "amplitude-damping-1.0"],
+)
+def test_swap_outcome_table_matches_circuit_oracle(kraus):
+    # At gamma = 1 both psi outcomes have weight 0: they are never drawn,
+    # so their end pair is never normalised and has no fidelity.
+    pair = QuantumLink("l", "m", ChannelModel(tuple(kraus)), 0.5, 1).pair_state
+    weights, fidelities = swap_outcome_table(pair, pair)
+    oracle = swap_circuit_oracle(kraus)
+    for (z, x), weight, fid in zip([(0, 0), (0, 1), (1, 0), (1, 1)], weights, fidelities):
+        oracle_weight, oracle_fid = oracle[f"{z}{x}"]
+        assert abs(weight - oracle_weight) <= 1e-12
+        if oracle_weight == 0.0:
+            assert math.isnan(fid)
+        else:
+            assert abs(fid - oracle_fid) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [0.3, 1.0])
