@@ -22,6 +22,7 @@ from .protocols import (
     apply_correction,
     entanglement_swap,
     make_w_state,
+    pair_correlations,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
@@ -72,6 +73,7 @@ __all__ = [
     "apply_correction",
     "entanglement_swap",
     "make_w_state",
+    "pair_correlations",
     "superdense_decode",
     "superdense_distribution",
     "superdense_encode",

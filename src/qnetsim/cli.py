@@ -51,10 +51,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ok: scenario={config.scenario} seeds={list(config.seeds)}")
         return 0
 
+    out = Path(args.out)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot make output directory {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    # A run writes only the trace files it asks for, so an earlier run's
+    # files left beside the new metrics.csv would describe another run.
+    earlier = [out / "metrics.csv"] if (out / "metrics.csv").exists() else []
+    earlier += sorted(out.glob("*.trace"))
+    if earlier:
+        print(f"error: output directory {args.out} already holds {earlier[0]}", file=sys.stderr)
         return 1
     rows, aborted = run_experiment(config, out_dir=args.out, trace=args.trace)
     print(f"wrote {len(rows)} metric rows to {args.out}/metrics.csv")

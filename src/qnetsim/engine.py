@@ -11,7 +11,8 @@ charges every message to a ledger tagged with its signaling scope:
 host-to-host for link-local coordination (heralding), end-to-end for
 route-wide corrections.  A delivery's detail is
 ``(CorrectionMessage, SignalingScope)``; ``format_record`` turns a record
-into its trace line where a trace file is written.
+into its trace line where a trace file is written.  A link's pair is
+only its correlation matrix ``QuantumLink.pair_correlations``.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelModel, apply_channel
+from .channels import ChannelModel
 from .errors import EngineAborted, SchedulingError, UnreachableError
-from .protocols import CorrectionMessage, phi_plus_state
-from .qstate import QuantumState
+from .protocols import PHI_PLUS_DIAGONAL, CorrectionMessage
 
 
 class EventKind(enum.Enum):
@@ -76,16 +75,13 @@ class QuantumLink:
         if self.attempt_period < 1:
             raise ValueError(f"attempt period must be >= 1, got {self.attempt_period}")
 
-    @cached_property
-    def pair_state(self) -> QuantumState:
-        """The pair the link delivers: phi+ with the link channel on each
-        half.  A stored pair does not decohere, so it is built once, on
-        first use, and its matrix is read-only."""
-        state = phi_plus_state()
-        for qubit in (0, 1):
-            state = apply_channel(self.channel, state, targets=(qubit,))
-        state.matrix.flags.writeable = False
-        return state
+    @property
+    def pair_correlations(self) -> np.ndarray:
+        """Correlation matrix ``R D R^T`` of the pair the link delivers,
+        phi+ (correlations ``D``) with the link channel, of Pauli transfer
+        matrix ``R``, on each half.  A stored pair does not decohere."""
+        ptm = self.channel.ptm
+        return (ptm * PHI_PLUS_DIAGONAL) @ ptm.T
 
 
 def _index_links(
@@ -208,10 +204,6 @@ class EventEngine:
         # Summed latency of each route sent over, checked on its first use.
         self._route_delay: dict[tuple[str, ...], int] = {}
 
-    @property
-    def events_processed(self) -> int:
-        return len(self.trace)
-
     # -- scheduling ------------------------------------------------------
 
     def schedule(self, time: int, kind: EventKind, detail: Any, handler: Handler) -> None:
@@ -273,7 +265,7 @@ class EventEngine:
 
         The attempts are independent Bernoulli trials, so their number is
         one geometric draw, which this returns.  The pair they make is the
-        link's ``pair_state``.  The one-bit heralding message is charged to
+        link's ``pair_correlations``.  The one-bit heralding message is charged to
         the host-to-host ledger at the tick of the successful attempt,
         ``now + (attempts - 1) * attempt_period``.
         """

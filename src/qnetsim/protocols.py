@@ -1,27 +1,24 @@
 """Entanglement-based protocols: teleportation, superdense coding,
 entanglement swapping and W-state leader election.
 
-Every protocol reads plain ``QuantumState``s, never changes them, and
-returns new states and bits.  Teleport and swap run in two steps.  The
-first Bell-measures at the sending node and returns the two outcome bits
-with the destination's state before correction.  The caller sends the
-bits as a ``CorrectionMessage`` however its classical plane allows; only
-``apply_correction`` with the delivered bits turns that state into the
-protocol's output, so a destination that never hears from the sender
-never guesses.  Leader election resolves without any classical exchange.
+The Bell services compute on a pair's real 4x4 correlation matrix
+``T_ij = tr(rho P_i (x) P_j)``, ``P = I, X, Y, Z``, since a Bell
+measurement is linear in ``T``; ``pair_correlations`` is the one bridge
+from a two-qubit ``QuantumState``.  Teleporting over a pair is one 4x4
+Pauli-transfer map per Bell outcome (``teleport_table``), which gives a
+payload's outcome weights and corrected fidelity as plain floats
+(``teleport_weights``, ``teleport_fidelity``).  A swap teleports half of
+one pair over the other (``swap_outcome_table``).  Superdense encoding
+flips the signs of rows of ``T``, and decoding reads the Bell overlaps
+off its diagonal (``superdense_distribution``).  ``draw_bell_outcome``
+draws an outcome; the caller sends its bits as a ``CorrectionMessage``,
+and only the delivered bits select the corrected output.
 
-Superdense decoding and leader election also give their exact outcome
-distribution (``superdense_distribution``, ``w_election_probabilities``),
-so that many trials of one resource can be drawn at once; the per-trial
-``superdense_decode`` and ``w_election_round`` draw from the same physics.
-A Bell measurement of a pair is linear in its real 4x4 correlation matrix
-``T`` (``pair_correlations``), so teleport, swap and superdense decoding
-are closed forms of ``T``.  Teleporting over a resource is one 4x4
-Pauli-transfer map per Bell outcome (``teleport_table``); a payload's
-outcome weights and corrected fidelity (``teleport_weights``,
-``teleport_fidelity``) are plain-float products with its Bloch vector.  A
-swap teleports half of one pair over the other (``swap_outcome_table``).
-Each draws its outcome with ``draw_bell_outcome``.
+The per-trial ``teleport`` and ``entanglement_swap`` measure a register
+(``bell_basis_measure``), then ``apply_correction``; they are the
+reference the closed forms are checked against.  Leader election samples
+a W state's diagonal with no classical exchange, and
+``w_election_probabilities`` is its exact distribution.
 """
 
 from __future__ import annotations
@@ -73,20 +70,15 @@ _BELL_KETS = np.array(
 ) / np.sqrt(2)
 _BELL_KETS.flags.writeable = False
 _BELL_MATRIX = np.outer(_BELL_KETS[0], _BELL_KETS[0].conj())
-_BELL_MATRIX.flags.writeable = False
 # The signs S_m of I, X, Y, Z under each outcome's frame Z^z X^x, and phi+
 # = (II + XX - YY + ZZ) / 4 as the diagonal D of its correlation matrix.
 # Bell state m is then the diagonal S_m D.
 _FRAME_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], float)
-_PHI_PLUS_DIAGONAL = np.array([1.0, 1.0, -1.0, 1.0])
-_BELL_DIAGONALS = _FRAME_SIGNS * _PHI_PLUS_DIAGONAL
+PHI_PLUS_DIAGONAL = np.array([1.0, 1.0, -1.0, 1.0])
+PHI_PLUS_DIAGONAL.flags.writeable = False
+_BELL_DIAGONALS = _FRAME_SIGNS * PHI_PLUS_DIAGONAL
 # T = _CORRELATIONS_FROM_PAIR @ vec(rho): row (i, j) is vec((P_i (x) P_j)^T).
 _CORRELATIONS_FROM_PAIR = np.einsum("iab,jcd->ijbdac", PAULIS, PAULIS).reshape(16, 16)
-
-
-def phi_plus_state() -> QuantumState:
-    """Maximally entangled pair phi+ = ``(|00> + |11>) / sqrt(2)``."""
-    return QuantumState(2, _BELL_MATRIX)
 
 
 def werner_pair(w: float) -> QuantumState:
@@ -189,8 +181,8 @@ def bell_basis_measure(
 def pauli_correct(state: QuantumState, qubit: int, bits: tuple[int, int]) -> QuantumState:
     """Apply the Pauli frame ``Z^z X^x`` of ``bits = (z, x)`` to ``qubit``:
     X if the parity bit, then Z if the phase bit.  It undoes the frame a
-    Bell outcome leaves and writes a superdense message; on a density
-    matrix the order of X and Z does not matter."""
+    Bell outcome leaves, and it is the frame a superdense message writes;
+    on a density matrix the order of X and Z does not matter."""
     if bits[1]:
         state = apply_unitary(state, GateSpec("X", (qubit,)))
     if bits[0]:
@@ -224,22 +216,22 @@ def pair_correlations(pair: QuantumState) -> np.ndarray:
     """The real 4x4 correlation matrix ``T_ij = tr(rho P_i (x) P_j)`` of a
     two-qubit state, ``P = I, X, Y, Z``; ``rho = sum_ij T_ij P_i (x) P_j / 4``."""
     if pair.num_qubits != 2:
-        raise ValueError(f"correlations need a two-qubit pair, got {pair.num_qubits} qubits")
+        raise ValueError(f"pair_correlations needs a two-qubit pair, got {pair.num_qubits} qubits")
     return (_CORRELATIONS_FROM_PAIR @ pair.matrix.reshape(16)).real.reshape(4, 4)
 
 
-def teleport_table(pair: QuantumState) -> np.ndarray:
-    """Teleportation over ``pair`` as one real 4x4 map per Bell outcome.
+def teleport_table(correlations: np.ndarray) -> np.ndarray:
+    """Teleportation over a pair of ``correlations`` ``T`` as one real 4x4
+    map per Bell outcome.
 
     Teleporting is linear in the payload, so for a payload with Pauli
     vector ``v = (1, r)``, outcome ``m``'s corrected, unnormalised output
     has Pauli vector ``table[m] @ v``: its entry 0 is the outcome's
-    weight and entries 1-3 its unnormalised Bloch vector.  With ``T`` the
-    pair's ``pair_correlations``, ``table[m] = S_m T^T S_m D / 4`` for
-    the frame signs ``S_m`` and phi+'s diagonal ``D``, as diagonal
-    matrices, for any two-qubit resource.
+    weight and entries 1-3 its unnormalised Bloch vector.  It is
+    ``table[m] = S_m T^T S_m D / 4`` for the frame signs ``S_m`` and
+    phi+'s diagonal ``D``, as diagonal matrices, for any two-qubit resource.
     """
-    return 0.25 * _FRAME_SIGNS[:, :, None] * pair_correlations(pair).T * _BELL_DIAGONALS[:, None, :]
+    return 0.25 * _FRAME_SIGNS[:, :, None] * correlations.T * _BELL_DIAGONALS[:, None, :]
 
 
 def teleport_weights(
@@ -267,27 +259,28 @@ def teleport_fidelity(branch: Sequence[Sequence[float]], r: tuple[float, float, 
     return min(max(value, 0.0), 1.0)
 
 
-def superdense_encode(bits: tuple[int, int], pair: QuantumState) -> QuantumState:
-    """Encode two bits on the sender's half, the first qubit, of a pair.
+def superdense_encode(bits: tuple[int, int], correlations: np.ndarray) -> np.ndarray:
+    """Encode two bits on the sender's half, the first qubit, of a pair of
+    ``correlations``.
 
-    Returns the joint two-qubit state as handed to the receiver, who then
-    holds both halves.
+    Returns the correlations of the pair as handed to the receiver, who
+    then holds both halves: the frame ``Z^z X^x`` on the first qubit flips
+    the sign of each row ``i`` whose Pauli ``P_i`` it anticommutes with.
     """
     if len(bits) != 2 or set(bits) - {0, 1}:
         raise ValueError(f"message must be two bits, got {bits}")
-    if pair.num_qubits != 2:
-        raise ValueError("superdense coding needs a two-qubit pair")
-    return pauli_correct(pair, 0, bits)
+    return _FRAME_SIGNS[2 * bits[0] + bits[1]][:, None] * correlations
 
 
-def superdense_distribution(joint: QuantumState) -> np.ndarray:
-    """Probabilities of the four Bell outcomes of the received pair, in
-    ``SUPERDENSE_MESSAGES`` order, clipped at 0 and normalised.
+def superdense_distribution(joint: np.ndarray) -> np.ndarray:
+    """Probabilities of the four Bell outcomes of the received pair of
+    correlations ``joint``, in ``SUPERDENSE_MESSAGES`` order, clipped at 0
+    and normalised.
 
     Raises a decode-ambiguity error (carrying the best guess) when the
-    joint state is not within fidelity 0.5 of any Bell state.
+    pair is not within fidelity 0.5 of any Bell state.
     """
-    overlaps = 0.25 * _BELL_DIAGONALS @ np.diag(pair_correlations(joint))
+    overlaps = 0.25 * _BELL_DIAGONALS @ np.diag(joint)
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.5:
         raise DecodeAmbiguityError(
@@ -297,9 +290,7 @@ def superdense_distribution(joint: QuantumState) -> np.ndarray:
     return probabilities / probabilities.sum()
 
 
-def superdense_decode(
-    joint: QuantumState, rng: np.random.Generator
-) -> tuple[int, int]:
+def superdense_decode(joint: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
     """Bell-basis measurement of the received pair, returning the message
     drawn from ``superdense_distribution(joint)``."""
     distribution = superdense_distribution(joint)
@@ -322,21 +313,22 @@ def entanglement_swap(
 
 
 def swap_outcome_table(
-    left: QuantumState, right: QuantumState
+    left: np.ndarray, right: np.ndarray
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Each outcome's weight and corrected phi+ fidelity of the end pair
-    of ``entanglement_swap(left, right)``, in ``SUPERDENSE_MESSAGES``
+    when the pairs of correlations ``left`` and ``right`` are swapped, as
+    ``entanglement_swap`` swaps their states, in ``SUPERDENSE_MESSAGES``
     order, as plain floats.
 
     The swap teleports the middle node's half of ``left`` over ``right``,
     so outcome ``m`` leaves the unnormalised end pair of correlations
-    ``C = T_left @ teleport_table(right)[m]^T``: weight ``C[0, 0]``,
+    ``C = left @ teleport_table(right)[m]^T``: weight ``C[0, 0]``,
     fidelity ``D . diag(C) / (4 C[0, 0])`` clipped to [0, 1], and NaN for
     an outcome below ``EIGENVALUE_FLOOR``, which is never normalised.
     """
-    ends = pair_correlations(left) @ teleport_table(right).transpose(0, 2, 1)
+    ends = left @ teleport_table(right).transpose(0, 2, 1)
     weights = ends[:, 0, 0].tolist()
-    overlaps = (np.diagonal(ends, axis1=1, axis2=2) @ _PHI_PLUS_DIAGONAL / 4.0).tolist()
+    overlaps = (np.diagonal(ends, axis1=1, axis2=2) @ PHI_PLUS_DIAGONAL / 4.0).tolist()
     fidelities = [
         min(max(overlap / weight, 0.0), 1.0) if weight >= EIGENVALUE_FLOOR else float("nan")
         for weight, overlap in zip(weights, overlaps)

@@ -35,6 +35,7 @@ from .protocols import (
     Purpose,
     cumulative_weights,
     draw_bell_outcome,
+    pair_correlations,
     superdense_distribution,
     superdense_encode,
     swap_outcome_table,
@@ -105,7 +106,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
         # it is one branch table, built once per run; a trial reads its
         # payload's outcome weights and corrected fidelity off the table
         # as plain floats, with the draws teleport makes.
-        table = teleport_table(werner_pair(werner_w)).tolist()
+        table = teleport_table(pair_correlations(werner_pair(werner_w))).tolist()
         messages = [CorrectionMessage(m, src, dst, Purpose.TELEPORT) for m in SUPERDENSE_MESSAGES]
 
         def teleport_step(eng: EventEngine, _label: str) -> None:
@@ -151,7 +152,7 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         rng = np.random.default_rng(rng_seed)
-        pair = werner_pair(werner_w)
+        pair = pair_correlations(werner_pair(werner_w))
         per_message = max(n_trials // len(SUPERDENSE_MESSAGES), 1)
         trials = per_message * len(SUPERDENSE_MESSAGES)
         metrics: list[tuple[str, Any]] = []
@@ -189,11 +190,13 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
         fidelities: list[float] = []
         outcome_counts = {m: 0 for m in SUPERDENSE_MESSAGES}
         # A stored pair does not decohere, so every swap splices the same
-        # two pair states: each outcome's weight and corrected end-pair
+        # two pairs: each outcome's weight and corrected end-pair
         # fidelity, and the table its draws search, are built once per
         # run.  A link puts the same channel on both halves of a symmetric
         # Bell pair, so its pair is the same however a link is written.
-        weights, end_fidelity = swap_outcome_table(left_link.pair_state, right_link.pair_state)
+        weights, end_fidelity = swap_outcome_table(
+            left_link.pair_correlations, right_link.pair_correlations
+        )
         cumulative = cumulative_weights(weights)
         messages = [CorrectionMessage(m, mid, dst, Purpose.SWAP) for m in SUPERDENSE_MESSAGES]
 

@@ -98,3 +98,28 @@ def switch_blocks_reference(first, second):
     serial = (second @ first + first @ second) @ SOURCE_PAULI_VECTORS
     cross = np.einsum("mnabef,ab,ef->mn", _cross_term_map(), second, first) @ SOURCE_PAULI_VECTORS
     return 0.25 * np.stack((serial + cross, serial - cross))
+
+
+def hand_built_correlations(rho):
+    """``T_ij = Re tr(rho P_i (x) P_j)`` of a 4x4 density matrix, by a
+    trace per Pauli pair."""
+    paulis = (I2, X, Y, Z)
+    return np.array([[np.real(np.trace(rho @ np.kron(p, q))) for q in paulis] for p in paulis])
+
+
+def link_pair_matrix(kraus_ops):
+    """The pair a link delivers: phi+ with the channel of ``kraus_ops`` on
+    each half, as the Kraus sum ``sum_kl (K_k (x) K_l) phi+ (K_k (x) K_l)^dag``."""
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[np.ix_((0, 3), (0, 3))] = 0.5
+    return sum(
+        np.kron(a, b) @ phi @ np.kron(a, b).conj().T for a in kraus_ops for b in kraus_ops
+    )
+
+
+def random_kraus(rng, count):
+    """``count`` Kraus operators of a random qubit channel: the 2x2 blocks
+    of a random ``(2 count) x 2`` isometry."""
+    g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
+    isometry, _ = np.linalg.qr(g)
+    return [isometry[2 * k : 2 * k + 2] for k in range(count)]

@@ -29,7 +29,7 @@ from qnetsim.protocols import (
     CorrectionMessage,
     Purpose,
     apply_correction,
-    phi_plus_state,
+    pair_correlations,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
@@ -103,7 +103,7 @@ def test_criterion_1_teleport_dual_resource():
 
     def step(eng, _label):
         payload = random_pure_state(eng.rng)
-        bits, destination = teleport(payload, phi_plus_state(), eng.rng)
+        bits, destination = teleport(payload, werner_pair(1.0), eng.rng)
         message = CorrectionMessage(bits, "alice", "bob", Purpose.TELEPORT)
 
         def on_deliver(delivered):
@@ -148,8 +148,9 @@ def test_criterion_1_teleport_dual_resource():
 
 def test_criterion_2_superdense_coding():
     rng = np.random.default_rng(2)
+    ideal = pair_correlations(werner_pair(1.0))
     ideal_ok = all(
-        superdense_decode(superdense_encode(bits, phi_plus_state()), rng) == bits
+        superdense_decode(superdense_encode(bits, ideal), rng) == bits
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1))
     )
 
@@ -164,7 +165,8 @@ def test_criterion_2_superdense_coding():
         born = float(np.real(np.trace(encoded @ _bell(*bits))))
         # Every trial decodes the same state, so all of a message's trials
         # are one draw from its exact outcome distribution.
-        distribution = superdense_distribution(superdense_encode(bits, werner_pair(w)))
+        pair = pair_correlations(werner_pair(w))
+        distribution = superdense_distribution(superdense_encode(bits, pair))
         ok_count = rng.multinomial(per_message, distribution)[SUPERDENSE_MESSAGES.index(bits)]
         worst_gap = max(worst_gap, abs(ok_count / per_message - born))
     noisy_ok = worst_gap < 0.01

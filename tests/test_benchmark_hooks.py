@@ -14,6 +14,8 @@ import math
 import sys
 
 import qnetsim  # noqa: F401  (imports every module the tracer patches)
+import qnetsim.channels
+import qnetsim.qstate
 from qnetsim.channels import ChannelModel, depolarizing_channel
 from qnetsim.config import load_config
 from qnetsim.runner import csv_text, run_experiment
@@ -22,7 +24,7 @@ from qnetsim.services.routing import (
     route_with_switch_merging,
     simple_paths,
 )
-from reference import REPO_ROOT, load_benchmark_module
+from reference import CONFIG_DIR, REPO_ROOT, load_benchmark_module
 
 
 def test_every_traced_function_resolves_in_qnetsim():
@@ -142,6 +144,31 @@ def test_protocol_trials_passes_its_oracle(tmp_path, monkeypatch):
         assert problems == []
         cells[name] = attempted
     assert cells == {"superdense": 3, "mac_compare": 4}
+
+
+def test_no_run_touches_the_density_matrix_register(tmp_path, monkeypatch):
+    # The Bell services compute on correlation matrices and a link's pair
+    # is read off its channel's transfer matrix, so no run of a shipped
+    # config or of a workload's config at the held-out seed applies a gate
+    # or a channel to a register.  Both bindings of the one contraction
+    # that would do it raise.
+    workloads = load_benchmark_module("workloads")
+    paths = sorted(CONFIG_DIR.glob("*.yaml"))
+    for workload in ("engine_chain", "protocol_trials", "routing_grid"):
+        for name, _, text in workloads.generate(workload, workloads.HELD_OUT_SEED):
+            path = tmp_path / f"{workload}_{name}.yaml"
+            path.write_text(text)
+            paths.append(path)
+
+    def no_register(*args, **kwargs):
+        raise AssertionError("a run applied an operator to the density-matrix register")
+
+    for module in (qnetsim.qstate, qnetsim.channels):
+        monkeypatch.setattr(module, "apply_operators", no_register)
+    assert len(paths) == 12
+    for path in paths:
+        rows, aborted = run_experiment(load_config(path))
+        assert aborted == 0 and rows, path.name
 
 
 def test_kernel_sweep_times_every_declared_kernel():

@@ -147,6 +147,33 @@ def test_run_into_a_file_prints_one_error_line_before_any_cell(tmp_path, capsys,
     assert taken.read_text() == "keep\n"
 
 
+def test_run_into_an_earlier_runs_output_prints_one_error_line(tmp_path, capsys, monkeypatch):
+    # A traced run and then an untraced run with other seeds into the same
+    # --out would leave the first run's traces beside the second's csv.
+    config = small_teleport_config()
+    out_dir = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out_dir), "--trace"]) == 0
+    capsys.readouterr()
+    written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert "metrics.csv" in written and "teleport_s3_t0.trace" in written
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    config["seeds"] = [101]
+    path = write_config(tmp_path, config, "other.yaml")
+    assert main(["run", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {out_dir} already holds {out_dir / 'metrics.csv'}\n"
+    # a trace file alone is refused as well
+    (out_dir / "metrics.csv").unlink()
+    assert main(["run", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_dir / "teleport_s3_t0.trace") in err, err
+    assert len(err.splitlines()) == 1, err
+    assert calls == []
+    written.pop("metrics.csv")
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == written
+
+
 def test_aborted_run_yields_nonzero_exit_and_status_row(tmp_path, capsys, monkeypatch):
     config = small_teleport_config()
     # a severed classical plane is caught before any cell runs

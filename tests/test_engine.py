@@ -7,7 +7,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-import qnetsim.engine
+import qnetsim.channels
+import qnetsim.qstate
 from qnetsim.engine import (
     ClassicalLink,
     EventEngine,
@@ -17,16 +18,17 @@ from qnetsim.engine import (
     Topology,
     format_record,
 )
-from qnetsim.channels import apply_channel, depolarizing_channel
+from qnetsim.channels import depolarizing_channel
 from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
 from qnetsim.protocols import (
     CorrectionMessage,
     Purpose,
     apply_correction,
-    phi_plus_state,
     teleport,
+    werner_pair,
 )
-from qnetsim.qstate import fidelity, random_pure_state
+from qnetsim.qstate import QuantumState, fidelity, random_pure_state
+from reference import link_pair_matrix
 
 
 def chain_topology(latencies=(2, 3, 4)):
@@ -231,6 +233,12 @@ def test_shortest_classical_route_by_hop_count():
 # -- quantum plane ------------------------------------------------------------
 
 
+def phi_plus_fidelity(t):
+    """``tr(rho phi+)`` of a pair from its correlations ``t``: phi+ is
+    ``(II + XX - YY + ZZ) / 4``."""
+    return (t[0, 0] + t[1, 1] - t[2, 2] + t[3, 3]) / 4
+
+
 def quantum_topology(p_link, gen_prob, period=1):
     channel = depolarizing_channel(p_link)
     return Topology(
@@ -246,7 +254,7 @@ def test_attempt_entanglement_certain_success():
     engine = EventEngine(topo, seed=1)
     for _ in range(20):
         assert engine.attempt_entanglement(link) == 1
-        assert fidelity(link.pair_state, phi_plus_state()) == pytest.approx(1.0, abs=1e-12)
+        assert phi_plus_fidelity(link.pair_correlations) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_attempt_entanglement_success_rate():
@@ -276,20 +284,19 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
     engine = EventEngine(topo, seed=3)
     for _ in range(5):
         engine.attempt_entanglement(link)
-        assert fidelity(link.pair_state, phi_plus_state()) == pytest.approx(oracle, abs=1e-9)
+        assert phi_plus_fidelity(link.pair_correlations) == pytest.approx(oracle, abs=1e-9)
     assert oracle == pytest.approx(0.73, abs=1e-12)
 
 
-def test_link_channel_runs_once_per_link_not_per_attempt(monkeypatch):
-    # A stored pair does not decohere, so a link degrades its pair once,
-    # one channel application per half, however many attempts succeed.
-    calls = []
+def test_link_pair_is_read_off_its_channel_without_a_register(monkeypatch):
+    # A stored pair does not decohere, so every attempt that succeeds
+    # delivers the same pair, and the link applies no gate or channel to
+    # a density matrix to make it.
+    def no_register(*args, **kwargs):
+        raise AssertionError("a link pair touched the density-matrix register")
 
-    def counting_apply_channel(channel, state, targets):
-        calls.append(targets)
-        return apply_channel(channel, state, targets)
-
-    monkeypatch.setattr(qnetsim.engine, "apply_channel", counting_apply_channel)
+    monkeypatch.setattr(qnetsim.qstate, "apply_operators", no_register)
+    monkeypatch.setattr(qnetsim.channels, "apply_operators", no_register)
     p = 0.3
     oracle = (1 + 3 * (1 - p) ** 2) / 4
     topo = quantum_topology(p, 0.5)
@@ -298,18 +305,18 @@ def test_link_channel_runs_once_per_link_not_per_attempt(monkeypatch):
     pairs = []
     for _ in range(200):
         engine.attempt_entanglement(link)
-        pairs.append(link.pair_state)
-    assert len(calls) == 2
-    assert all(pair is pairs[0] for pair in pairs)
-    assert fidelity(link.pair_state, phi_plus_state()) == pytest.approx(oracle, abs=1e-12)
+        pairs.append(link.pair_correlations)
+    assert all(np.array_equal(pair, pairs[0]) for pair in pairs)
+    assert phi_plus_fidelity(pairs[0]) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_quantum_link_is_frozen_and_its_pair_read_only():
+    # A write into the correlations a link returned leaves its pair alone.
     link = quantum_topology(0.2, 1.0).quantum_links[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         link.channel = depolarizing_channel(0.5)
-    with pytest.raises(ValueError):
-        link.pair_state.matrix[0, 0] = 1.0
+    link.pair_correlations[0, 0] = 5.0
+    assert link.pair_correlations[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_heralding_charges_one_bit_per_success():
@@ -381,6 +388,7 @@ def _stochastic_run(seed):
     link = topo.quantum_links[0]
     engine = EventEngine(topo, seed=seed)
     fidelities = []
+    link_pair = QuantumState(2, link_pair_matrix(link.channel.kraus_ops))
 
     def use_pair(pair, eng, _label):
         payload = random_pure_state(eng.rng)
@@ -400,7 +408,7 @@ def _stochastic_run(seed):
             eng.now + (attempts - 1) * link.attempt_period,
             EventKind.PROTOCOL_STEP,
             f"{label} attempts={attempts}",
-            partial(use_pair, link.pair_state),
+            partial(use_pair, link_pair),
         )
 
     for k in range(N_STOCHASTIC):
@@ -456,7 +464,7 @@ def test_severed_classical_link_aborts_teleport_uncorrected():
 
     def step(eng, _label):
         payload = random_pure_state(eng.rng)
-        bits, pending = teleport(payload, phi_plus_state(), eng.rng)
+        bits, pending = teleport(payload, werner_pair(1.0), eng.rng)
         eng.send_classical(
             CorrectionMessage(bits, "u", "v", Purpose.TELEPORT),
             ("u", "v"),

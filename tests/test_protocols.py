@@ -24,7 +24,7 @@ from qnetsim.protocols import (
     entanglement_swap,
     make_w_state,
     pair_correlations,
-    phi_plus_state,
+    pauli_correct,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
@@ -38,7 +38,15 @@ from qnetsim.protocols import (
     werner_pair,
 )
 from qnetsim.qstate import EIGENVALUE_FLOOR, QuantumState, fidelity, measure, random_pure_state
-from reference import I2, X, Y, Z
+from reference import (
+    I2,
+    X,
+    Y,
+    Z,
+    hand_built_correlations,
+    link_pair_matrix,
+    random_kraus,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -82,13 +90,13 @@ def swapped(left, right, rng):
 
 
 def test_bell_pair_is_exact_phi_plus():
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     assert np.allclose(pair.matrix, bell_matrix(0, 0), atol=1e-15)
     assert fidelity(pair, QuantumState(2, bell_matrix(0, 0))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_pair_marginals_are_maximally_mixed():
-    tensor = phi_plus_state().matrix.reshape(2, 2, 2, 2)
+    tensor = werner_pair(1.0).matrix.reshape(2, 2, 2, 2)
     marg0 = np.einsum("abcb->ac", tensor)
     marg1 = np.einsum("abad->bd", tensor)
     assert np.allclose(marg0, I2 / 2, atol=1e-12)
@@ -99,7 +107,7 @@ def test_bell_measurement_statistics():
     rng = np.random.default_rng(13)
     counts = {"00": 0, "01": 0, "10": 0, "11": 0}
     n = 100_000
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     for _ in range(n):
         out0, post = measure(pair, 0, rng)
         out1, _ = measure(post, 1, rng)
@@ -113,7 +121,9 @@ def test_werner_pair_matrix_and_fidelity():
     for w in (0.0, 0.37, 1.0):
         pair = werner_pair(w)
         assert np.allclose(pair.matrix, werner_matrix(w), atol=1e-12)
-        assert fidelity(pair, phi_plus_state()) == pytest.approx((1 + 3 * w) / 4, abs=1e-12)
+        assert fidelity(pair, QuantumState(2, bell_matrix(0, 0))) == pytest.approx(
+            (1 + 3 * w) / 4, abs=1e-12
+        )
 
 
 def test_w_state_two_nodes():
@@ -285,12 +295,10 @@ PHI_PLUS_DIAGONAL = np.diag([1.0, 1.0, -1.0, 1.0])
 
 def test_pair_correlations_are_the_pauli_expectations():
     rng = np.random.default_rng(67)
-    paulis = (I2, X, Y, Z)
     for _ in range(20):
         rho = _random_mixed(rng, 4)
-        expected = [[np.real(np.trace(rho @ np.kron(p, q))) for q in paulis] for p in paulis]
         correlations = pair_correlations(QuantumState(2, rho))
-        assert np.allclose(correlations, expected, rtol=0.0, atol=1e-15)
+        assert np.allclose(correlations, hand_built_correlations(rho), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("w", [0.0, 0.34, 0.8, 1.0])
@@ -299,7 +307,14 @@ def test_pair_correlations_of_werner_pairs_are_diagonal(w):
     # correlation but the trace.
     expected = np.diag([1.0, w, -w, w])
     assert np.allclose(pair_correlations(werner_pair(w)), expected, rtol=0.0, atol=1e-15)
-    assert np.allclose(pair_correlations(phi_plus_state()), PHI_PLUS_DIAGONAL, rtol=0.0, atol=1e-15)
+    phi = QuantumState(2, bell_matrix(0, 0))
+    assert np.allclose(pair_correlations(phi), PHI_PLUS_DIAGONAL, rtol=0.0, atol=1e-15)
+
+
+_RANDOM_CHANNELS = [
+    ChannelModel(tuple(random_kraus(np.random.default_rng(seed), count)))
+    for seed, count in ((71, 1), (72, 2), (73, 3), (74, 4))
+]
 
 
 @pytest.mark.parametrize(
@@ -308,15 +323,22 @@ def test_pair_correlations_of_werner_pairs_are_diagonal(w):
         depolarizing_channel(0.05),
         depolarizing_channel(0.6),
         ChannelModel((np.diag([1.0, math.sqrt(0.7)]), np.array([[0.0, math.sqrt(0.3)], [0, 0]]))),
+        *_RANDOM_CHANNELS,
     ],
-    ids=["depolarizing-0.05", "depolarizing-0.6", "amplitude-damping-0.3"],
+    ids=[
+        "depolarizing-0.05",
+        "depolarizing-0.6",
+        "amplitude-damping-0.3",
+        *(f"random-cptp-{len(c.kraus_ops)}-kraus" for c in _RANDOM_CHANNELS),
+    ],
 )
 def test_link_pair_correlations_are_its_ptm_on_both_halves(channel):
     # The link's channel acts on each half of phi+, so the pair's
-    # correlations are R D R^T for the channel's Pauli transfer matrix R.
+    # correlations are R D R^T for the channel's Pauli transfer matrix R;
+    # the oracle builds that pair by its Kraus sum.
     link = QuantumLink("a", "b", channel, 1.0, 1)
-    expected = channel.ptm @ PHI_PLUS_DIAGONAL @ channel.ptm.T
-    assert np.allclose(pair_correlations(link.pair_state), expected, rtol=0.0, atol=1e-14)
+    expected = hand_built_correlations(link_pair_matrix(channel.kraus_ops))
+    assert np.allclose(link.pair_correlations, expected, rtol=0.0, atol=1e-14)
 
 
 def test_pair_correlations_need_two_qubits():
@@ -331,13 +353,13 @@ def test_teleport_ideal_resource_is_exact():
     rng = np.random.default_rng(21)
     for _ in range(50):
         payload = random_pure_state(rng)
-        out = teleported(payload, phi_plus_state(), rng)
+        out = teleported(payload, werner_pair(1.0), rng)
         assert np.allclose(out.matrix, payload.matrix, atol=1e-10)
 
 
 def test_teleport_emits_exactly_one_two_bit_message():
     rng = np.random.default_rng(22)
-    bits, pending = teleport(random_pure_state(rng), phi_plus_state(), rng)
+    bits, pending = teleport(random_pure_state(rng), werner_pair(1.0), rng)
     assert bits in SUPERDENSE_MESSAGES
     assert pending.num_qubits == 1
 
@@ -348,7 +370,7 @@ def test_teleport_uncorrected_state_is_pauli_frame_of_payload():
     # outcomes that is I/2, so the destination cannot guess the payload.
     rng = np.random.default_rng(23)
     payload = random_pure_state(rng)
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     seen = {}
     for _ in range(200):
         bits, pending = teleport(payload, pair, rng)
@@ -422,7 +444,7 @@ def _check_teleport_table_against_per_trial_path(pair_matrix, n_payloads, seed):
     hand-built CNOT-H circuit, and its fidelity against ``teleport`` forced
     onto that outcome, then ``apply_correction`` and ``fidelity``."""
     pair = QuantumState(2, pair_matrix)
-    table = teleport_table(pair).tolist()
+    table = teleport_table(pair_correlations(pair)).tolist()
     rng = np.random.default_rng(seed)
     for _ in range(n_payloads):
         payload = random_pure_state(rng)
@@ -466,7 +488,7 @@ def test_teleport_table_matches_per_trial_teleport_on_mixed_resources(entries, s
 def test_teleport_table_of_phi_plus_is_identity_per_outcome():
     # An ideal pair teleports any payload exactly: each outcome, weight 1/4,
     # passes the Pauli vector through unchanged.
-    table = teleport_table(phi_plus_state())
+    table = teleport_table(pair_correlations(werner_pair(1.0)))
     assert np.allclose(table, np.broadcast_to(np.eye(4) / 4, (4, 4, 4)), rtol=0.0, atol=1e-15)
 
 
@@ -475,7 +497,7 @@ def test_teleport_table_draw_guards_a_branch_below_the_floor():
     # outcome; a draw >= 1 selects (1, 1), which the table path must refuse
     # as the per-trial path does.
     pair = QuantumState(2, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    weights = teleport_weights(teleport_table(pair).tolist(), (0.0, 0.0, 1.0))
+    weights = teleport_weights(teleport_table(pair_correlations(pair)).tolist(), (0.0, 0.0, 1.0))
     assert weights == pytest.approx((0.5, 0.0, 0.5, 0.0), abs=1e-15)
     with pytest.raises(RenormalizationError):
         draw_bell_outcome(weights, cumulative_weights(weights), _ForcedDraw(1.5))
@@ -486,7 +508,7 @@ def test_teleport_table_draw_guards_a_branch_below_the_floor():
 
 def test_teleport_table_needs_a_two_qubit_resource():
     with pytest.raises(ValueError):
-        teleport_table(QuantumState(1, np.eye(2, dtype=complex) / 2))
+        teleport_table(pair_correlations(QuantumState(1, np.eye(2, dtype=complex) / 2)))
 
 
 # -- superdense coding --------------------------------------------------------
@@ -495,23 +517,36 @@ def test_teleport_table_needs_a_two_qubit_resource():
 def test_superdense_round_trip_all_messages():
     rng = np.random.default_rng(31)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        joint = superdense_encode(bits, phi_plus_state())
+        joint = superdense_encode(bits, pair_correlations(werner_pair(1.0)))
         assert superdense_decode(joint, rng) == bits
 
 
 def test_superdense_encoding_images():
-    psi_plus = bell_matrix(0, 1)
-    phi_minus = bell_matrix(1, 0)
-    pair = phi_plus_state()
-    assert np.allclose(superdense_encode((0, 1), pair).matrix, psi_plus, atol=1e-12)
-    assert np.allclose(superdense_encode((1, 0), pair).matrix, phi_minus, atol=1e-12)
-    assert np.allclose(superdense_encode((0, 0), pair).matrix, bell_matrix(0, 0), atol=1e-12)
+    psi_plus = hand_built_correlations(bell_matrix(0, 1))
+    phi_minus = hand_built_correlations(bell_matrix(1, 0))
+    pair = pair_correlations(werner_pair(1.0))
+    assert np.allclose(superdense_encode((0, 1), pair), psi_plus, atol=1e-12)
+    assert np.allclose(superdense_encode((1, 0), pair), phi_minus, atol=1e-12)
+    phi_plus = hand_built_correlations(bell_matrix(0, 0))
+    assert np.allclose(superdense_encode((0, 0), pair), phi_plus, atol=1e-12)
+
+
+def test_superdense_encode_is_the_frame_on_the_first_half():
+    # Flipping the rows of T is the Pauli frame of the message applied to
+    # the sender's qubit of the register.
+    rng = np.random.default_rng(68)
+    for _ in range(20):
+        state = QuantumState(2, _random_mixed(rng, 4))
+        for bits in SUPERDENSE_MESSAGES:
+            encoded = superdense_encode(bits, pair_correlations(state))
+            expected = pair_correlations(pauli_correct(state, 0, bits))
+            assert np.max(np.abs(encoded - expected)) <= 1e-15, bits
 
 
 def test_superdense_werner_statistics_match_born_oracle():
     w = 0.9
     rng = np.random.default_rng(32)
-    pair = werner_pair(w)
+    pair = pair_correlations(werner_pair(w))
     per_message = 25_000
     encodings = {
         (0, 0): I2,
@@ -539,7 +574,8 @@ def test_superdense_distribution_is_werner_closed_form():
     messages = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for w in (1.0, 0.9, 0.7, 0.34):
         for bits in messages:
-            distribution = superdense_distribution(superdense_encode(bits, werner_pair(w)))
+            pair = pair_correlations(werner_pair(w))
+            distribution = superdense_distribution(superdense_encode(bits, pair))
             expected = [(1 + 3 * w) / 4 if m == bits else (1 - w) / 4 for m in messages]
             assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), (w, bits)
 
@@ -549,11 +585,12 @@ def test_superdense_distribution_matches_cnot_h_circuit_near_phi_plus():
     # phi+, so every message decodes without ambiguity.
     rng = np.random.default_rng(66)
     for _ in range(20):
-        pair = QuantumState(2, 0.7 * bell_matrix(0, 0) + 0.3 * _random_mixed(rng, 4))
+        rho = 0.7 * bell_matrix(0, 0) + 0.3 * _random_mixed(rng, 4)
+        pair = pair_correlations(QuantumState(2, rho))
         for bits in SUPERDENSE_MESSAGES:
-            joint = superdense_encode(bits, pair)
-            expected = _hand_built_bell_weights(joint.matrix, 0, 1, 2)
-            distribution = superdense_distribution(joint)
+            frame = np.kron(pauli_frame(bits), I2)
+            expected = _hand_built_bell_weights(frame @ rho @ frame.conj().T, 0, 1, 2)
+            distribution = superdense_distribution(superdense_encode(bits, pair))
             assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), bits
 
 
@@ -561,7 +598,7 @@ def test_superdense_decode_ambiguity_on_maximally_mixed():
     rng = np.random.default_rng(33)
     mixed = QuantumState(2, np.eye(4, dtype=complex) / 4)
     with pytest.raises(DecodeAmbiguityError) as info:
-        superdense_decode(mixed, rng)
+        superdense_decode(pair_correlations(mixed), rng)
     assert info.value.best_guess in [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -570,7 +607,7 @@ def test_superdense_decode_ambiguity_on_maximally_mixed():
 
 def test_swap_ideal_inputs_yield_phi_plus():
     rng = np.random.default_rng(41)
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     for _ in range(200):
         out = swapped(pair, pair, rng)
         assert np.allclose(out.matrix, bell_matrix(0, 0), atol=1e-10)
@@ -579,7 +616,7 @@ def test_swap_ideal_inputs_yield_phi_plus():
 def test_swap_signals_even_for_trivial_outcome():
     rng = np.random.default_rng(42)
     # force many swaps; every single one must return two bits for the far end
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     sent = [entanglement_swap(pair, pair, rng)[0] for _ in range(40)]
     assert all(bits in SUPERDENSE_MESSAGES for bits in sent)
     assert any(bits == (0, 0) for bits in sent)
@@ -589,7 +626,7 @@ def test_swap_preserves_werner_parameter():
     rng = np.random.default_rng(43)
     w = 0.7
     left = werner_pair(w)
-    right = phi_plus_state()
+    right = werner_pair(1.0)
     for _ in range(20):
         out = swapped(left, right, rng)
         assert np.allclose(out.matrix, werner_matrix(w), atol=1e-9)
@@ -599,7 +636,7 @@ def test_swap_outcome_distribution():
     rng = np.random.default_rng(44)
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     n = 100_000
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     for _ in range(n):
         bits, _ = entanglement_swap(pair, pair, rng)
         counts[bits] += 1
@@ -611,7 +648,7 @@ def test_swap_uncorrected_pair_is_pauli_frame_of_phi_plus():
     # Without the correction the end pair is the Bell state the outcome
     # names, orthogonal to phi+ unless the outcome is (0, 0).
     rng = np.random.default_rng(45)
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     seen = set()
     for _ in range(100):
         bits, pending = entanglement_swap(pair, pair, rng)
@@ -635,10 +672,10 @@ def test_swap_outcome_table_agrees_with_entanglement_swap():
     # weight and corrected end-pair fidelity from one table; forcing each
     # outcome through entanglement_swap must give the same weight and pair.
     rng = np.random.default_rng(65)
-    phi = phi_plus_state()
+    phi = QuantumState(2, bell_matrix(0, 0))
     for _ in range(20):
         left, right = QuantumState(2, _random_mixed(rng, 4)), QuantumState(2, _random_mixed(rng, 4))
-        weights, fidelities = swap_outcome_table(left, right)
+        weights, fidelities = swap_outcome_table(pair_correlations(left), pair_correlations(right))
         expected_weights = _hand_built_bell_weights(left.tensor(right).matrix, 1, 2, 4)
         assert np.allclose(weights, expected_weights, rtol=0.0, atol=1e-12)
         upper = np.cumsum(weights) / sum(weights)
@@ -654,12 +691,12 @@ def test_swap_outcome_table_agrees_with_entanglement_swap():
 def test_protocols_reject_a_pair_that_is_not_two_qubits():
     rng = np.random.default_rng(46)
     payload = random_pure_state(rng)
-    pair = phi_plus_state()
+    pair = werner_pair(1.0)
     for wrong in (payload, make_w_state(3)):
         with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
             teleport(payload, wrong, rng)
         with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
-            superdense_encode((0, 1), wrong)
+            superdense_encode((0, 1), pair_correlations(wrong))
         with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
             entanglement_swap(wrong, pair, rng)
         with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
@@ -704,7 +741,7 @@ def test_election_two_nodes_is_fair_coin():
 def test_election_requires_w_resource():
     rng = np.random.default_rng(54)
     with pytest.raises(ValueError):
-        w_election_round(phi_plus_state(), rng)
+        w_election_round(werner_pair(1.0), rng)
 
 
 def test_election_checks_the_state_before_its_draw():
@@ -733,36 +770,42 @@ def _read_only(state):
 
 
 def _plain(result):
-    """A protocol's result with every state replaced by its matrix as lists."""
+    """A protocol's result with every state replaced by its matrix and
+    every array by its entries, as lists."""
     if isinstance(result, QuantumState):
         return (result.num_qubits, result.matrix.tolist())
+    if isinstance(result, np.ndarray):
+        return result.tolist()
     if isinstance(result, tuple):
         return tuple(_plain(item) for item in result)
     return result
 
 
 def test_protocols_leave_their_inputs_alone():
-    # A protocol reads its states and returns new ones, so a state serves
-    # any number of calls: with equal seeds two calls agree, and the input
-    # matrices (read-only here, so a write in place raises) are unchanged.
+    # A protocol reads its states and correlations and returns new ones,
+    # so one input serves any number of calls: with equal seeds two calls
+    # agree, and the inputs (read-only here, so a write in place raises)
+    # are unchanged.
     payload = _read_only(random_pure_state(np.random.default_rng(91)))
     pair = _read_only(werner_pair(0.8))
+    correlations = pair_correlations(pair)
+    correlations.flags.writeable = False
     joint = _read_only(payload.tensor(pair))
     w_state = _read_only(make_w_state(3))
     calls = {
-        "teleport": (lambda rng: teleport(payload, pair, rng), (payload, pair)),
-        "entanglement_swap": (lambda rng: entanglement_swap(pair, pair, rng), (pair,)),
-        "superdense_encode": (lambda rng: superdense_encode((1, 1), pair), (pair,)),
-        "bell_basis_measure": (lambda rng: bell_basis_measure(joint, 0, 2, rng), (joint,)),
-        "w_election_round": (lambda rng: w_election_round(w_state, rng), (w_state,)),
+        "teleport": (lambda rng: teleport(payload, pair, rng), (payload.matrix, pair.matrix)),
+        "entanglement_swap": (lambda rng: entanglement_swap(pair, pair, rng), (pair.matrix,)),
+        "superdense_encode": (lambda rng: superdense_encode((1, 1), correlations), (correlations,)),
+        "bell_basis_measure": (lambda rng: bell_basis_measure(joint, 0, 2, rng), (joint.matrix,)),
+        "w_election_round": (lambda rng: w_election_round(w_state, rng), (w_state.matrix,)),
     }
     for name, (call, inputs) in calls.items():
-        before = [state.matrix.copy() for state in inputs]
+        before = [array.copy() for array in inputs]
         first = _plain(call(np.random.default_rng(92)))
         second = _plain(call(np.random.default_rng(92)))
         assert first == second, name
-        for state, matrix in zip(inputs, before):
-            assert np.array_equal(state.matrix, matrix), name
+        for array, copy in zip(inputs, before):
+            assert np.array_equal(array, copy), name
 
 
 def test_correction_message_validates_bits():

@@ -344,7 +344,7 @@ def swap_circuit_oracle(kraus):
 def test_swap_outcome_table_matches_circuit_oracle(kraus):
     # At gamma = 1 both psi outcomes have weight 0: they are never drawn,
     # so their end pair is never normalised and has no fidelity.
-    pair = QuantumLink("l", "m", ChannelModel(tuple(kraus)), 0.5, 1).pair_state
+    pair = QuantumLink("l", "m", ChannelModel(tuple(kraus)), 0.5, 1).pair_correlations
     weights, fidelities = swap_outcome_table(pair, pair)
     oracle = swap_circuit_oracle(kraus)
     for (z, x), weight, fid in zip([(0, 0), (0, 1), (1, 0), (1, 1)], weights, fidelities):
