@@ -1,9 +1,11 @@
 """Discrete-event network simulation with exact quantum services.
 
-The package layers a classical event engine (topology, latencies, a
-classical-bit ledger) over a dense density-matrix core, and builds
-entanglement protocols, capacity estimates, medium access control and
-trajectory routing on top.
+The package pairs a classical event engine (topology, latencies, a
+classical-bit ledger) with exact quantum services: Bell services that
+compute on a pair's 4x4 correlation matrix, capacity estimates on Pauli
+transfer matrices, medium access control and trajectory routing.  A
+small density-matrix register (``qstate``) holds the states they start
+from.
 """
 
 from .channels import (
@@ -19,14 +21,11 @@ from .config import ExperimentConfig, load_config
 from .engine import EventEngine, SignalingScope, Topology
 from .protocols import (
     CorrectionMessage,
-    apply_correction,
-    entanglement_swap,
     make_w_state,
     pair_correlations,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
-    teleport,
     w_election_probabilities,
     w_election_round,
     werner_pair,
@@ -38,7 +37,6 @@ from .qstate import (
     apply_unitary,
     fidelity,
     measure,
-    new_register,
     partial_trace,
     von_neumann_entropy,
 )
@@ -70,14 +68,11 @@ __all__ = [
     "SignalingScope",
     "Topology",
     "CorrectionMessage",
-    "apply_correction",
-    "entanglement_swap",
     "make_w_state",
     "pair_correlations",
     "superdense_decode",
     "superdense_distribution",
     "superdense_encode",
-    "teleport",
     "w_election_probabilities",
     "w_election_round",
     "werner_pair",
@@ -87,7 +82,6 @@ __all__ = [
     "apply_unitary",
     "fidelity",
     "measure",
-    "new_register",
     "partial_trace",
     "von_neumann_entropy",
     "MetricsRecord",

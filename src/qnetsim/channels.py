@@ -131,11 +131,6 @@ class ChannelModel:
         ptm.flags.writeable = False
         return ptm
 
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Kraus sum on a raw density matrix of dimension ``dim``."""
-        k = self.dim.bit_length() - 1
-        return apply_operators(QuantumState(k, rho), self.stack, range(k)).matrix
-
 
 @dataclass(frozen=True)
 class BottleneckReport:
@@ -145,10 +140,6 @@ class BottleneckReport:
     chi_second: float
     chi_serial: float
     holds: bool
-
-
-def identity_channel(num_qubits: int = 1) -> ChannelModel:
-    return ChannelModel((np.eye(2**num_qubits, dtype=complex),))
 
 
 # A 10x10 sweep of switch cells asks for 200 channels of at most 20 values

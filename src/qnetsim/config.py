@@ -104,13 +104,20 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     if any(not isinstance(v, list) or len(v) == 0 for v in sweep.values()):
         violations.append("sweep: must map parameter names to nonempty lists")
         sweep = {}
-    for name in sorted(set(params) & set(sweep), key=str):
+    # A name labels its cell's rows and keys its stream, so it is text; a
+    # YAML key such as 1 or true is dropped here and reported by name.
+    for where, mapping in (("params", params), ("sweep", sweep)):
+        for name in mapping:
+            if not isinstance(name, str):
+                violations.append(f"{where}: parameter names must be strings, got {name!r}")
+    params = {k: v for k, v in params.items() if isinstance(k, str)}
+    sweep = {k: v for k, v in sweep.items() if isinstance(k, str)}
+    for name in sorted(set(params) & set(sweep)):
         violations.append(f"sweep: {name} is also set in params, which the sweep overrides")
     topology_raw = top.value("topology", None)
     topology = None if topology_raw is None else read(lambda: _parse_topology(topology_raw), None)
     read(top.done, None)
 
-    sweep = {str(k): v for k, v in sweep.items()}
     # Cells are told apart by seed and params label, so a repeated seed or
     # sweep value would write a second block of rows under the same key.
     for seed in _repeated(seeds or (), str):

@@ -14,11 +14,8 @@ off its diagonal (``superdense_distribution``).  ``draw_bell_outcome``
 draws an outcome; the caller sends its bits as a ``CorrectionMessage``,
 and only the delivered bits select the corrected output.
 
-The per-trial ``teleport`` and ``entanglement_swap`` measure a register
-(``bell_basis_measure``), then ``apply_correction``; they are the
-reference the closed forms are checked against.  Leader election samples
-a W state's diagonal with no classical exchange, and
-``w_election_probabilities`` is its exact distribution.
+Leader election samples a W state's diagonal with no classical exchange,
+and ``w_election_probabilities`` is its exact distribution.
 """
 
 from __future__ import annotations
@@ -190,28 +187,6 @@ def pauli_correct(state: QuantumState, qubit: int, bits: tuple[int, int]) -> Qua
     return state
 
 
-def apply_correction(state: QuantumState, bits: tuple[int, int]) -> QuantumState:
-    """Second step of teleport and swap: apply the delivered ``bits`` to
-    the destination's qubit, the last qubit of ``state``."""
-    return pauli_correct(state, state.num_qubits - 1, bits)
-
-
-def teleport(
-    payload: QuantumState, pair: QuantumState, rng: np.random.Generator
-) -> tuple[tuple[int, int], QuantumState]:
-    """First step of teleporting a one-qubit payload over a pair.
-
-    Bell-measures the payload with the sender's half, the pair's first
-    qubit.  Returns the two correction bits for the destination and the
-    destination's qubit before correction.
-    """
-    if payload.num_qubits != 1:
-        raise ValueError("payload must be a single qubit")
-    if pair.num_qubits != 2:
-        raise ValueError("teleport needs a two-qubit pair")
-    return bell_basis_measure(payload.tensor(pair), 0, 1, rng)
-
-
 def pair_correlations(pair: QuantumState) -> np.ndarray:
     """The real 4x4 correlation matrix ``T_ij = tr(rho P_i (x) P_j)`` of a
     two-qubit state, ``P = I, X, Y, Z``; ``rho = sum_ij T_ij P_i (x) P_j / 4``."""
@@ -297,28 +272,13 @@ def superdense_decode(joint: np.ndarray, rng: np.random.Generator) -> tuple[int,
     return SUPERDENSE_MESSAGES[_draw_index(cumulative_weights(distribution), rng)]
 
 
-def entanglement_swap(
-    left: QuantumState, right: QuantumState, rng: np.random.Generator
-) -> tuple[tuple[int, int], QuantumState]:
-    """First step of splicing two pairs at their shared node.
-
-    ``left`` is held as ``(a, mid)`` and ``right`` as ``(mid, c)``.  The
-    middle node Bell-measures its two halves.  Returns the two correction
-    bits for ``c`` and the ``(a, c)`` pair before correction.
-    """
-    if left.num_qubits != 2 or right.num_qubits != 2:
-        raise ValueError("swap needs two two-qubit pairs")
-    joint = left.tensor(right)  # qubits: A, B_left, B_right, C
-    return bell_basis_measure(joint, 1, 2, rng)
-
-
 def swap_outcome_table(
     left: np.ndarray, right: np.ndarray
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Each outcome's weight and corrected phi+ fidelity of the end pair
-    when the pairs of correlations ``left`` and ``right`` are swapped, as
-    ``entanglement_swap`` swaps their states, in ``SUPERDENSE_MESSAGES``
-    order, as plain floats.
+    """Each outcome's weight and corrected phi+ fidelity of the end pair,
+    in ``SUPERDENSE_MESSAGES`` order and as plain floats, when the middle
+    node Bell-measures its halves of the pairs of correlations ``left``
+    and ``right``.
 
     The swap teleports the middle node's half of ``left`` over ``right``,
     so outcome ``m`` leaves the unnormalised end pair of correlations

@@ -2,9 +2,7 @@
 
 States are dense ``2^n x 2^n`` complex matrices with qubit 0 as the most
 significant tensor factor, so ``int(bits, 2)`` is the basis index of the
-ket ``|bits>``.  Every operation returns a new state; nothing is mutated
-in place, which lets large constant states (Bell pairs, W states) share
-a single read-only matrix.
+ket ``|bits>``.  No operation changes a state in place.
 """
 
 from __future__ import annotations
@@ -75,27 +73,8 @@ class QuantumState:
     num_qubits: int
     matrix: np.ndarray
 
-    def check(self) -> "QuantumState":
-        """Validate trace, hermiticity and positivity; return self."""
-        tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > STRUCTURAL_ATOL:
-            raise ValueError(f"trace is {tr}, expected 1 within {STRUCTURAL_ATOL}")
-        herm_err = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if herm_err > STRUCTURAL_ATOL:
-            raise ValueError(f"matrix deviates from hermiticity by {herm_err}")
-        min_eig = float(np.linalg.eigvalsh(self.matrix).min())
-        if min_eig < -STRUCTURAL_ATOL:
-            raise ValueError(f"minimum eigenvalue {min_eig} below -{STRUCTURAL_ATOL}")
-        return self
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def tensor(self, other: "QuantumState") -> "QuantumState":
-        return QuantumState(
-            self.num_qubits + other.num_qubits,
-            np.kron(self.matrix, other.matrix),
-        )
 
 
 @dataclass(frozen=True)
@@ -134,18 +113,6 @@ class MeasurementOutcome:
 def _check_register_size(num_qubits: int) -> None:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(f"register size {num_qubits} outside [1, {MAX_QUBITS}]")
-
-
-def new_register(num_qubits: int, init: str) -> QuantumState:
-    """Allocate a register in the computational basis state ``|init>``."""
-    _check_register_size(num_qubits)
-    if len(init) != num_qubits or set(init) - {"0", "1"}:
-        raise ValueError(f"init {init!r} must be {num_qubits} characters of 0/1")
-    dim = 2**num_qubits
-    matrix = np.zeros((dim, dim), dtype=complex)
-    idx = int(init, 2)
-    matrix[idx, idx] = 1.0
-    return QuantumState(num_qubits, matrix)
 
 
 def apply_operators(

@@ -20,6 +20,7 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 # Pauli vectors of the inputs |0><0| and |1><1| as columns.
 SOURCE_PAULI_VECTORS = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
@@ -123,3 +124,123 @@ def random_kraus(rng, count):
     g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
     isometry, _ = np.linalg.qr(g)
     return [isometry[2 * k : 2 * k + 2] for k in range(count)]
+
+
+# -- states -------------------------------------------------------------------
+
+
+def basis_state(bits):
+    """``|bits><bits|`` for a string of 0s and 1s, qubit 0 the most
+    significant bit of the basis index."""
+    state = np.zeros((2 ** len(bits),) * 2, dtype=complex)
+    state[int(bits, 2), int(bits, 2)] = 1.0
+    return state
+
+
+def assert_density_matrix(rho, atol=1e-10):
+    """Trace 1, hermitian and no eigenvalue below ``-atol``."""
+    assert abs(np.trace(rho) - 1.0) <= atol
+    assert np.max(np.abs(rho - rho.conj().T)) <= atol
+    assert np.linalg.eigvalsh(rho).min() >= -atol
+
+
+def haar_ket(rng):
+    """Haar-random qubit ket from two ``normal(size=2)`` draws, real parts
+    first, then imaginary parts."""
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
+def bell_ket(phase, parity):
+    """Bell ket ``(|0 p> + (-1)^z |1 (1-p)>) / sqrt(2)``, ``z`` the phase
+    and ``p`` the parity: phi+, psi+, phi-, psi- for (0, 0) to (1, 1)."""
+    v = np.zeros(4, dtype=complex)
+    v[parity] = 1 / math.sqrt(2)
+    v[3 - parity] = (-1 if phase else 1) / math.sqrt(2)
+    return v
+
+
+def bell_matrix(phase, parity):
+    """Bell projector ``|B_zp><B_zp|``."""
+    v = bell_ket(phase, parity)
+    return np.outer(v, v.conj())
+
+
+def pauli_frame(bits):
+    """``Z^z X^x`` for the Bell outcome ``bits = (z, x)``: the frame it
+    leaves on the destination, and the frame a superdense message writes."""
+    return (Z if bits[0] else I2) @ (X if bits[1] else I2)
+
+
+# -- the Bell measurement as a circuit ----------------------------------------
+
+
+@functools.cache
+def _cnot_then_h(a, b, n):
+    """The matrix of CNOT(a, b), then H(a), on ``n`` qubits.  It maps the
+    Bell ket of outcome (z, x) on qubits (a, b) to ``|z x>``."""
+    dim = 2**n
+    cnot = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        cnot[i ^ (((i >> (n - 1 - a)) & 1) << (n - 1 - b)), i] = 1
+    h_a = np.kron(np.kron(np.eye(2**a), H), np.eye(2 ** (n - 1 - a)))
+    return h_a @ cnot
+
+
+def hand_built_bell_weights(rho, a, b, n):
+    """Weights of the Bell outcomes (z, x) on qubits (a, b) of an ``n``-qubit
+    ``rho``, in the order (0, 0), (0, 1), (1, 0), (1, 1): CNOT(a, b), then
+    H(a), then reading z off a and x off b."""
+    u = _cnot_then_h(a, b, n)
+    diagonal = np.real(np.diag(u @ rho @ u.conj().T))
+    weights = np.zeros(4)
+    for i in range(2**n):
+        weights[2 * ((i >> (n - 1 - a)) & 1) + ((i >> (n - 1 - b)) & 1)] += diagonal[i]
+    return weights
+
+
+def bell_measure(rho, a, b, n, rng):
+    """Bell-measure qubits (a, b) of an ``n``-qubit ``rho`` with one
+    ``rng.random()``: the outcome is the first whose cumulative weight,
+    clipped at 0 and normalised, lies above the draw (the last one for a
+    draw of 1 or more).  Returns the outcome (z, x) and the normalised
+    state of the other qubits, in ascending order."""
+    weights = hand_built_bell_weights(rho, a, b, n)
+    cumulative = np.cumsum(np.clip(weights, 0.0, None))
+    index = min(int(np.searchsorted(cumulative / cumulative[-1], rng.random(), side="right")), 3)
+    if weights[index] < 1e-12:
+        raise ValueError(f"Bell outcome {index} has weight {weights[index]}")
+    z, x = divmod(index, 2)
+    u = _cnot_then_h(a, b, n)
+    after = (u @ rho @ u.conj().T).reshape((2,) * (2 * n))
+    pick = [slice(None)] * (2 * n)
+    pick[a] = pick[n + a] = z
+    pick[b] = pick[n + b] = x
+    rest = after[tuple(pick)].reshape(2 ** (n - 2), 2 ** (n - 2))
+    return (z, x), rest / weights[index]
+
+
+def teleport_circuit(payload, pair, rng):
+    """Teleport a one-qubit ``payload`` over a two-qubit ``pair``: the
+    sender Bell-measures the payload with the pair's first qubit.  Returns
+    the outcome and the destination's qubit before correction."""
+    return bell_measure(np.kron(payload, pair), 0, 1, 3, rng)
+
+
+def swap_circuit(left, right, rng):
+    """Swap the pairs ``left`` on (a, m) and ``right`` on (m, c): the middle
+    node Bell-measures its two halves.  Returns the outcome and the (a, c)
+    pair before correction."""
+    return bell_measure(np.kron(left, right), 1, 2, 4, rng)
+
+
+def corrected(state, bits):
+    """``state`` with the frame ``Z^z X^x`` of ``bits`` on its last qubit,
+    which undoes the frame the Bell outcome ``bits`` leaves there."""
+    frame = np.kron(np.eye(len(state) // 2), pauli_frame(bits))
+    return frame @ state @ frame.conj().T
+
+
+def overlap(state, pure):
+    """``tr(state pure)``, the fidelity of ``state`` with a pure state."""
+    return float(np.real(np.trace(state @ pure)))

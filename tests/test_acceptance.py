@@ -28,15 +28,12 @@ from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
     Purpose,
-    apply_correction,
     pair_correlations,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
-    teleport,
     werner_pair,
 )
-from qnetsim.qstate import fidelity, random_pure_state
 from qnetsim.runner import run_experiment
 from qnetsim.services.mac import MacConfig, MacProtocol, run_mac_sim
 from qnetsim.services.phy import phy_effective_rate
@@ -52,8 +49,13 @@ from reference import (
     SWITCH_ACTIVATION_GOLDEN,
     X,
     Z,
+    bell_matrix,
+    corrected,
+    haar_ket,
     load_benchmark_module,
+    overlap,
     switch_activation_oracle,
+    teleport_circuit,
 )
 
 
@@ -62,13 +64,6 @@ def _verdict(num, label, ok, detail=""):
     line = f"[criterion {num}] {label}: {'PASS' if ok else 'FAIL'}{suffix}"
     print(line, flush=True)
     return line
-
-
-def _bell(phase, parity):
-    v = np.zeros(4, dtype=complex)
-    v[parity] = 1 / math.sqrt(2)
-    v[3 - parity] = (-1 if phase else 1) / math.sqrt(2)
-    return np.outer(v, v.conj())
 
 
 # -- criterion 1: teleportation consumes one Bell pair and two bits -----------
@@ -97,17 +92,18 @@ def test_criterion_1_teleport_dual_resource():
     )
     e2e_bits = [len(message.bits) for message, _ in deliveries]
 
-    # Oracle: the same draws through the per-trial density-matrix path.
+    # Oracle: the same draws through the hand-built teleport circuit.
     engine = EventEngine(topo, seed=seed)
     fidelities = []
 
     def step(eng, _label):
-        payload = random_pure_state(eng.rng)
-        bits, destination = teleport(payload, werner_pair(1.0), eng.rng)
+        ket = haar_ket(eng.rng)
+        payload = np.outer(ket, ket.conj())
+        bits, destination = teleport_circuit(payload, bell_matrix(0, 0), eng.rng)
         message = CorrectionMessage(bits, "alice", "bob", Purpose.TELEPORT)
 
         def on_deliver(delivered):
-            fidelities.append(fidelity(apply_correction(destination, delivered.bits), payload))
+            fidelities.append(overlap(corrected(destination, delivered.bits), payload))
 
         eng.send_classical(message, ("alice", "bob"), SignalingScope.END_TO_END, on_deliver)
 
@@ -157,12 +153,12 @@ def test_criterion_2_superdense_coding():
     w = 0.9
     per_message = 25_000
     encodings = {(0, 0): I2, (0, 1): X, (1, 0): Z, (1, 1): X @ Z}
-    werner = w * _bell(0, 0) + (1 - w) * np.eye(4) / 4
+    werner = w * bell_matrix(0, 0) + (1 - w) * np.eye(4) / 4
     worst_gap = 0.0
     for bits, u in encodings.items():
         lifted = np.kron(u, I2)
         encoded = lifted @ werner @ lifted.conj().T
-        born = float(np.real(np.trace(encoded @ _bell(*bits))))
+        born = float(np.real(np.trace(encoded @ bell_matrix(*bits))))
         # Every trial decodes the same state, so all of a message's trials
         # are one draw from its exact outcome distribution.
         pair = pair_correlations(werner_pair(w))

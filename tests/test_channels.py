@@ -20,13 +20,12 @@ from qnetsim.channels import (
     compose_serial,
     depolarizing_channel,
     holevo_information,
-    identity_channel,
     quantum_switch,
     reduce_kraus,
     switch_holevo_from_ptms,
 )
 from qnetsim.errors import CapacityError, UnsupportedDimensionError
-from qnetsim.qstate import QuantumState, new_register, random_pure_state
+from qnetsim.qstate import QuantumState, random_pure_state
 from qnetsim.services.phy import phy_effective_rate
 from reference import (
     I2,
@@ -34,6 +33,8 @@ from reference import (
     X,
     Y,
     Z,
+    assert_density_matrix,
+    basis_state,
     entropy_bits,
     switch_activation_oracle,
     switch_blocks_reference,
@@ -60,7 +61,16 @@ def _holevo_oracle(outputs):
 def _channel_outputs(channel):
     """Outputs of a qubit channel for the inputs |0> and |1>, by Kraus sums."""
     inputs = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    return [sum(k @ rho @ k.conj().T for k in channel.kraus_ops) for rho in inputs]
+    return [_act(channel, rho) for rho in inputs]
+
+
+def _act(channel, rho):
+    """The channel's Kraus sum on a density matrix."""
+    return sum(k @ rho @ k.conj().T for k in channel.kraus_ops)
+
+
+def _identity(num_qubits=1):
+    return ChannelModel((np.eye(2**num_qubits, dtype=complex),))
 
 
 def _random_cptp(rng, n_kraus=3):
@@ -201,7 +211,7 @@ def test_depolarizing_half_on_zero_matches_kraus_sum():
         + k1 * k1 * (Z @ rho @ Z)
     )
     assert np.allclose(oracle, np.diag([0.75, 0.25]), atol=1e-15)
-    out = apply_channel(depolarizing_channel(0.5), new_register(1, "0"), targets=(0,))
+    out = apply_channel(depolarizing_channel(0.5), QuantumState(1, basis_state("0")), targets=(0,))
     assert np.allclose(out.matrix, oracle, atol=1e-12)
 
 
@@ -217,7 +227,7 @@ def test_apply_channel_embedded_matches_kron_oracle():
         oracle = sum(embed(k) @ state.matrix @ embed(k).conj().T for k in channel.kraus_ops)
         out = apply_channel(channel, state, targets=(target,))
         assert np.allclose(out.matrix, oracle, atol=1e-12)
-        out.check()
+        assert_density_matrix(out.matrix)
 
 
 def test_apply_channel_on_full_register_matches_kron_oracle():
@@ -229,7 +239,7 @@ def test_apply_channel_on_full_register_matches_kron_oracle():
     oracle = sum(m @ state.matrix @ m.conj().T for m in lifted)
     out = apply_channel(channel, state, targets=(5,))
     assert np.allclose(out.matrix, oracle, atol=1e-12)
-    out.check()
+    assert_density_matrix(out.matrix)
 
 
 def test_apply_channel_rejects_register_above_cap():
@@ -262,9 +272,9 @@ def test_depolarizing_half_of_bell_gives_product():
 
 def test_apply_channel_dimension_checks():
     with pytest.raises(ValueError):
-        apply_channel(depolarizing_channel(0.1), new_register(2, "00"), targets=(0, 0))
+        apply_channel(depolarizing_channel(0.1), QuantumState(2, basis_state("00")), targets=(0, 0))
     with pytest.raises(IndexError):
-        apply_channel(depolarizing_channel(0.1), new_register(2, "00"), targets=(4,))
+        apply_channel(depolarizing_channel(0.1), QuantumState(2, basis_state("00")), targets=(4,))
 
 
 # -- serial composition -------------------------------------------------------
@@ -273,15 +283,15 @@ def test_apply_channel_dimension_checks():
 def test_identity_compose_keeps_action():
     rng = np.random.default_rng(4)
     channel = _random_cptp(rng)
-    composed = compose_serial(channel, identity_channel())
+    composed = compose_serial(channel, _identity())
     for probe in PROBES:
-        assert np.allclose(composed.apply_matrix(probe), channel.apply_matrix(probe), atol=1e-12)
+        assert np.allclose(_act(composed, probe), _act(channel, probe), atol=1e-12)
 
 
 def test_fully_depolarizing_absorbs_composition():
     composed = compose_serial(depolarizing_channel(0.3), depolarizing_channel(1.0))
     for probe in PROBES:
-        assert np.allclose(composed.apply_matrix(probe), I2 / 2, atol=1e-12)
+        assert np.allclose(_act(composed, probe), I2 / 2, atol=1e-12)
 
 
 def test_serial_depolarizing_parameter_rule():
@@ -291,12 +301,12 @@ def test_serial_depolarizing_parameter_rule():
     assert len(composed.kraus_ops) == 16
     effective = depolarizing_channel(p1 + p2 - p1 * p2)
     for probe in PROBES:
-        assert np.allclose(composed.apply_matrix(probe), effective.apply_matrix(probe), atol=1e-12)
+        assert np.allclose(_act(composed, probe), _act(effective, probe), atol=1e-12)
 
 
 def test_compose_serial_dimension_mismatch():
     with pytest.raises(ValueError):
-        compose_serial(depolarizing_channel(0.1), identity_channel(2))
+        compose_serial(depolarizing_channel(0.1), _identity(2))
 
 
 # -- quantum switch -----------------------------------------------------------
@@ -308,10 +318,10 @@ def test_switch_with_definite_control_reduces_to_serial():
     for control_bits, serial in (("0", compose_serial(c1, c2)), ("1", compose_serial(c2, c1))):
         switch = quantum_switch(c1, c2)
         for probe in PROBES:
-            control = new_register(1, control_bits).matrix
-            joint_out = switch.apply_matrix(np.kron(probe, control))
+            control = basis_state(control_bits)
+            joint_out = _act(switch, np.kron(probe, control))
             traced = joint_out[0::2, 0::2] + joint_out[1::2, 1::2]
-            assert np.allclose(traced, serial.apply_matrix(probe), atol=1e-10)
+            assert np.allclose(traced, _act(serial, probe), atol=1e-10)
 
 
 def test_switch_joint_completeness_and_lift():
@@ -322,7 +332,7 @@ def test_switch_joint_completeness_and_lift():
 
 def test_switch_rejects_non_qubit_channels():
     with pytest.raises(UnsupportedDimensionError):
-        quantum_switch(identity_channel(2), identity_channel(2))
+        quantum_switch(_identity(2), _identity(2))
 
 
 def _switch_pairs():
@@ -355,7 +365,7 @@ def _kron_switch_outputs(first, second):
     switch = quantum_switch(first, second)
     outputs = []
     for p in (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)):
-        joint = switch.apply_matrix(np.kron(p, PLUS))
+        joint = _act(switch, np.kron(p, PLUS))
         flagged = np.zeros((4, 4), dtype=complex)
         for m in range(2):
             v = PLUS_MINUS[:, m]
@@ -426,7 +436,7 @@ def test_switch_of_depolarizing_outputs_are_control_correlated():
 
     joint_in = np.kron(np.diag([1.0, 0.0]), PLUS)
     oracle_out = sum(k @ joint_in @ k.conj().T for k in oracle_ops)
-    impl_out = switch.apply_matrix(joint_in)
+    impl_out = _act(switch, joint_in)
     assert np.allclose(impl_out, oracle_out, atol=1e-12)
     # output is not a product of its marginals
     sys_marg = oracle_out[0::2, 0::2] + oracle_out[1::2, 1::2]
@@ -438,7 +448,7 @@ def test_switch_of_depolarizing_outputs_are_control_correlated():
 
 
 def test_holevo_identity_channel_is_one_bit():
-    assert holevo_information(identity_channel()) == pytest.approx(1.0, abs=1e-9)
+    assert holevo_information(_identity()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_holevo_fully_depolarizing_is_zero():
@@ -475,7 +485,7 @@ def test_ptm_matches_pauli_traces_and_is_cached_read_only():
         assert channel.ptm is ptm and not ptm.flags.writeable
     assert np.allclose(depolarizing_channel(0.4).ptm, np.diag([1, 0.6, 0.6, 0.6]), atol=1e-15)
     with pytest.raises(UnsupportedDimensionError):
-        identity_channel(2).ptm
+        _identity(2).ptm
 
 
 def test_ptm_of_serial_composition_is_the_matrix_product():
@@ -537,7 +547,7 @@ def test_holevo_kernel_rejects_chi_above_log2_dim():
 def test_rates_of_pure_outputs_match_eigvalsh_oracles():
     # eigenvalues exactly 0 and 1: the identity, and amplitude damping at
     # gamma = 1, which sends both inputs to |0>
-    identity, damping = identity_channel(), _amplitude_damping(1.0)
+    identity, damping = _identity(), _amplitude_damping(1.0)
     assert holevo_information(identity) == 1.0
     assert holevo_information(damping) == 0.0
     for first, second in ((identity, identity), (damping, damping), (identity, damping)):
@@ -556,9 +566,9 @@ def test_rates_with_an_eigenvalue_at_the_floor_match_eigvalsh_oracles(gamma):
     damping = _amplitude_damping(gamma)
     oracle = _holevo_oracle(_channel_outputs(damping))
     assert abs(holevo_information(damping) - oracle) <= 1e-12
-    serial = bottleneck_check(damping, identity_channel()).chi_serial
+    serial = bottleneck_check(damping, _identity()).chi_serial
     assert abs(serial - oracle) <= 1e-12
-    for second in (identity_channel(), damping):
+    for second in (_identity(), damping):
         oracle = _holevo_oracle(_kron_switch_outputs(damping, second))
         assert abs(phy_effective_rate(damping, second) - oracle) <= 1e-12
 
@@ -640,12 +650,12 @@ def test_switch_with_traced_control_stays_zero():
 
 def test_phy_rate_of_one_link_is_its_holevo_information():
     rng = np.random.default_rng(11)
-    for channel in (identity_channel(), depolarizing_channel(0.4), _random_cptp(rng)):
+    for channel in (_identity(), depolarizing_channel(0.4), _random_cptp(rng)):
         assert phy_effective_rate(channel) == holevo_information(channel)
     with pytest.raises(UnsupportedDimensionError):
-        phy_effective_rate(identity_channel(2))
+        phy_effective_rate(_identity(2))
     with pytest.raises(UnsupportedDimensionError):
-        phy_effective_rate(depolarizing_channel(0.4), identity_channel(2))
+        phy_effective_rate(depolarizing_channel(0.4), _identity(2))
 
 
 def test_phy_rate_of_two_fully_depolarizing_links_is_switch_activation():
@@ -667,7 +677,7 @@ def test_phy_switch_rate_is_symmetric_in_link_order():
 
 
 def test_bottleneck_identity_pair():
-    report = bottleneck_check(identity_channel(), identity_channel())
+    report = bottleneck_check(_identity(), _identity())
     assert report.chi_serial == pytest.approx(1.0, abs=1e-9)
     assert report.holds
 
@@ -716,7 +726,7 @@ def test_reduce_kraus_shrinks_composed_depolarizing():
     reduced = reduce_kraus(composed)
     assert len(reduced.kraus_ops) <= 4 < len(composed.kraus_ops)
     for probe in PROBES:
-        assert np.allclose(reduced.apply_matrix(probe), composed.apply_matrix(probe), atol=1e-10)
+        assert np.allclose(_act(reduced, probe), _act(composed, probe), atol=1e-10)
 
 
 def test_reduce_kraus_random_channel_action_preserved():
@@ -725,7 +735,7 @@ def test_reduce_kraus_random_channel_action_preserved():
     reduced = reduce_kraus(channel)
     assert len(reduced.kraus_ops) <= 4
     for probe in PROBES:
-        assert np.allclose(reduced.apply_matrix(probe), channel.apply_matrix(probe), atol=1e-10)
+        assert np.allclose(_act(reduced, probe), _act(channel, probe), atol=1e-10)
 
 
 # -- serialization ------------------------------------------------------------
@@ -750,7 +760,7 @@ def test_channel_spec_round_trip_depolarizing():
     oracle = depolarizing_channel(0.25)
     for probe in PROBES:
         for channel in (by_name, by_kraus):
-            assert np.allclose(channel.apply_matrix(probe), oracle.apply_matrix(probe), atol=1e-12)
+            assert np.allclose(_act(channel, probe), _act(oracle, probe), atol=1e-12)
 
 
 def test_channel_spec_round_trip_kraus_list():
@@ -768,8 +778,8 @@ def test_channel_spec_round_trip_kraus_list():
     )
     oracle = depolarizing_channel(1.0)
     for probe in PROBES:
-        assert np.allclose(channel.apply_matrix(probe), oracle.apply_matrix(probe), atol=1e-12)
-        assert np.allclose(channel.apply_matrix(probe), I2 / 2, atol=1e-12)
+        assert np.allclose(_act(channel, probe), _act(oracle, probe), atol=1e-12)
+        assert np.allclose(_act(channel, probe), I2 / 2, atol=1e-12)
 
 
 def test_channel_spec_rejects_unknown_type():

@@ -394,6 +394,10 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "repeated key 'b' at line 7, column 32"),
         ("scenario: superdense\nparams: {n_trials: 8, when: 2020-13-45}\n",
          "'2020-13-45' is not a date: month must be in 1..12 at line 3, column 29"),
+        ("scenario: superdense\nparams: {n_trials: 4, 1: 2}\n",
+         "params: parameter names must be strings, got 1"),
+        ("scenario: superdense\nparams: {n_trials: 4}\nsweep: {true: [0.9, 1.0]}\n",
+         "sweep: parameter names must be strings, got True"),
     ],
     ids=[
         "misspelt-link-key-and-topology-key",
@@ -424,6 +428,8 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "repeated-key-in-flow-mapping",
         "repeated-key-in-link-entry",
         "date-that-is-not-a-date",
+        "integer-param-name",
+        "bool-sweep-name",
     ],
 )
 def test_validate_rejects_misread_topology_seeds_and_sweep(tmp_path, capsys, text, message):

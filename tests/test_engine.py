@@ -20,15 +20,8 @@ from qnetsim.engine import (
 )
 from qnetsim.channels import depolarizing_channel
 from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
-from qnetsim.protocols import (
-    CorrectionMessage,
-    Purpose,
-    apply_correction,
-    teleport,
-    werner_pair,
-)
-from qnetsim.qstate import QuantumState, fidelity, random_pure_state
-from reference import link_pair_matrix
+from qnetsim.protocols import CorrectionMessage, Purpose
+from reference import bell_matrix, corrected, haar_ket, link_pair_matrix, overlap, teleport_circuit
 
 
 def chain_topology(latencies=(2, 3, 4)):
@@ -388,17 +381,18 @@ def _stochastic_run(seed):
     link = topo.quantum_links[0]
     engine = EventEngine(topo, seed=seed)
     fidelities = []
-    link_pair = QuantumState(2, link_pair_matrix(link.channel.kraus_ops))
+    link_pair = link_pair_matrix(link.channel.kraus_ops)
 
     def use_pair(pair, eng, _label):
-        payload = random_pure_state(eng.rng)
-        bits, pending = teleport(payload, pair, eng.rng)
+        ket = haar_ket(eng.rng)
+        payload = np.outer(ket, ket.conj())
+        bits, pending = teleport_circuit(payload, pair, eng.rng)
         eng.send_classical(
             CorrectionMessage(bits, link.a, link.b, Purpose.TELEPORT),
             ("u", "v"),
             SignalingScope.END_TO_END,
             lambda delivered: fidelities.append(
-                fidelity(apply_correction(pending, delivered.bits), payload)
+                overlap(corrected(pending, delivered.bits), payload)
             ),
         )
 
@@ -460,16 +454,17 @@ def test_severed_classical_link_aborts_teleport_uncorrected():
         ("u", "v"), (), (QuantumLink("u", "v", depolarizing_channel(0.0), 1.0, 1),)
     )
     engine = EventEngine(topo, seed=7)
-    corrected = []
+    outputs = []
 
     def step(eng, _label):
-        payload = random_pure_state(eng.rng)
-        bits, pending = teleport(payload, werner_pair(1.0), eng.rng)
+        ket = haar_ket(eng.rng)
+        payload = np.outer(ket, ket.conj())
+        bits, pending = teleport_circuit(payload, bell_matrix(0, 0), eng.rng)
         eng.send_classical(
             CorrectionMessage(bits, "u", "v", Purpose.TELEPORT),
             ("u", "v"),
             SignalingScope.END_TO_END,
-            lambda delivered: corrected.append(apply_correction(pending, delivered.bits)),
+            lambda delivered: outputs.append(corrected(pending, delivered.bits)),
         )
 
     engine.schedule(0, EventKind.PROTOCOL_STEP, "", step)
@@ -477,6 +472,6 @@ def test_severed_classical_link_aborts_teleport_uncorrected():
         engine.run_until()
     assert isinstance(info.value.cause, UnreachableError)
     assert len(info.value.trace) == 1
-    assert corrected == []
+    assert outputs == []
     assert engine.ledger == []
 

@@ -1,6 +1,5 @@
 """Bell/W preparation, teleportation, superdense coding, swapping, election."""
 
-import functools
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qnetsim.channels import ChannelModel, depolarizing_channel
-from qnetsim.engine import QuantumLink
+from qnetsim.engine import ClassicalLink, EventKind, QuantumLink, Topology
 from qnetsim.errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
@@ -17,11 +16,9 @@ from qnetsim.protocols import (
     Purpose,
     _bell_branches,
     _draw_index,
-    apply_correction,
     bell_basis_measure,
     cumulative_weights,
     draw_bell_outcome,
-    entanglement_swap,
     make_w_state,
     pair_correlations,
     pauli_correct,
@@ -29,7 +26,6 @@ from qnetsim.protocols import (
     superdense_distribution,
     superdense_encode,
     swap_outcome_table,
-    teleport,
     teleport_fidelity,
     teleport_table,
     teleport_weights,
@@ -38,52 +34,39 @@ from qnetsim.protocols import (
     werner_pair,
 )
 from qnetsim.qstate import EIGENVALUE_FLOOR, QuantumState, fidelity, measure, random_pure_state
+from qnetsim.scenarios import SCENARIOS
 from reference import (
+    H,
     I2,
     X,
     Y,
     Z,
+    bell_ket,
+    bell_matrix,
+    corrected,
+    hand_built_bell_weights,
     hand_built_correlations,
     link_pair_matrix,
+    overlap,
+    pauli_frame,
     random_kraus,
+    swap_circuit,
+    teleport_circuit,
 )
-
-H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-
-def bell_ket(phase, parity):
-    """Hand-built Bell ket (|0 p> + (-1)^z |1 (1-p)>) / sqrt(2), z the phase
-    and p the parity, without package helpers."""
-    v = np.zeros(4, dtype=complex)
-    v[parity] = 1 / math.sqrt(2)
-    v[3 - parity] = (-1 if phase else 1) / math.sqrt(2)
-    return v
-
-
-def bell_matrix(phase, parity):
-    """Hand-built Bell projector |B_zp><B_zp| without package helpers."""
-    v = bell_ket(phase, parity)
-    return np.outer(v, v.conj())
 
 
 def werner_matrix(w):
     return w * bell_matrix(0, 0) + (1 - w) * np.eye(4) / 4
 
 
-def pauli_frame(bits):
-    """Hand-built Pauli that the Bell outcome ``(phase, parity)`` leaves."""
-    return (Z if bits[0] else I2) @ (X if bits[1] else I2)
+def bloch(rho):
+    """``(<X>, <Y>, <Z>)`` of a qubit state, as plain floats."""
+    return tuple(float(np.real(np.trace(p @ rho))) for p in (X, Y, Z))
 
 
-def teleported(payload, pair, rng):
-    """Both steps back to back: the correction is always delivered."""
-    bits, pending = teleport(payload, pair, rng)
-    return apply_correction(pending, bits)
-
-
-def swapped(left, right, rng):
-    bits, pending = entanglement_swap(left, right, rng)
-    return apply_correction(pending, bits)
+def forced_outcome(index):
+    """A draw that selects outcome ``index`` of four equal weights."""
+    return _ForcedDraw((index + 0.5) / 4)
 
 
 # -- resource preparation -----------------------------------------------------
@@ -197,32 +180,6 @@ def test_bell_measure_on_a_pair_inside_a_register_names_the_bell_state():
                 assert np.allclose(post.matrix, rest, rtol=0.0, atol=1e-12)
 
 
-@functools.cache
-def _cnot_then_h(a, b, n):
-    """The matrix of CNOT(a, b), then H(a), on ``n`` qubits."""
-    dim = 2**n
-    cnot = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        cnot[i ^ (((i >> (n - 1 - a)) & 1) << (n - 1 - b)), i] = 1
-    h_a = np.kron(np.kron(np.eye(2**a), H), np.eye(2 ** (n - 1 - a)))
-    return h_a @ cnot
-
-
-def _hand_built_bell_weights(rho, a, b, n):
-    """Outcome weights of CNOT(a, b), then H(a), then reading a and b."""
-    dim = 2**n
-
-    def bit(index, q):
-        return (index >> (n - 1 - q)) & 1
-
-    u = _cnot_then_h(a, b, n)
-    diagonal = np.real(np.diag(u @ rho @ u.conj().T))
-    weights = np.zeros(4)
-    for i in range(dim):
-        weights[2 * bit(i, a) + bit(i, b)] += diagonal[i]
-    return weights
-
-
 def test_bell_branch_weights_match_cnot_h_circuit_on_mixed_states():
     rng = np.random.default_rng(61)
     pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
@@ -233,7 +190,7 @@ def test_bell_branch_weights_match_cnot_h_circuit_on_mixed_states():
         a, b = pairs[trial % len(pairs)]
         branches = _bell_branches(QuantumState(3, rho), a, b)
         weights = np.real(np.trace(branches, axis1=1, axis2=2))
-        expected = _hand_built_bell_weights(rho, a, b, 3)
+        expected = hand_built_bell_weights(rho, a, b, 3)
         assert np.allclose(weights, expected, rtol=0.0, atol=1e-12), (a, b)
 
 
@@ -350,44 +307,60 @@ def test_pair_correlations_need_two_qubits():
 
 
 def test_teleport_ideal_resource_is_exact():
+    # Over phi+ each outcome has weight 1/4 and gives the payload back.
     rng = np.random.default_rng(21)
+    table = teleport_table(pair_correlations(werner_pair(1.0))).tolist()
     for _ in range(50):
-        payload = random_pure_state(rng)
-        out = teleported(payload, werner_pair(1.0), rng)
-        assert np.allclose(out.matrix, payload.matrix, atol=1e-10)
+        r = bloch(random_pure_state(rng).matrix)
+        assert teleport_weights(table, r) == pytest.approx((0.25,) * 4, abs=1e-15)
+        for branch in table:
+            assert teleport_fidelity(branch, r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_teleport_emits_exactly_one_two_bit_message():
+    # A teleport draws its outcome with one draw; the correction is that
+    # outcome's two bits, SUPERDENSE_MESSAGES[index].
     rng = np.random.default_rng(22)
-    bits, pending = teleport(random_pure_state(rng), werner_pair(1.0), rng)
-    assert bits in SUPERDENSE_MESSAGES
-    assert pending.num_qubits == 1
+    table = teleport_table(pair_correlations(werner_pair(1.0))).tolist()
+    weights = teleport_weights(table, bloch(random_pure_state(rng).matrix))
+    counting = _CountingDraw(22)
+    index = draw_bell_outcome(weights, cumulative_weights(weights), counting)
+    assert counting.calls == 1
+    assert index in range(4) and len(SUPERDENSE_MESSAGES[index]) == 2
 
 
 def test_teleport_uncorrected_state_is_pauli_frame_of_payload():
     # Before the correction arrives the destination holds the payload under
     # the Pauli named by the outcome; averaged over the four equally likely
     # outcomes that is I/2, so the destination cannot guess the payload.
-    rng = np.random.default_rng(23)
-    payload = random_pure_state(rng)
-    pair = werner_pair(1.0)
-    seen = {}
-    for _ in range(200):
-        bits, pending = teleport(payload, pair, rng)
+    # The table's output is that state with the frame undone.
+    payload = random_pure_state(np.random.default_rng(23)).matrix
+    r = bloch(payload)
+    table = teleport_table(pair_correlations(werner_pair(1.0)))
+    pending = []
+    for index, bits in enumerate(SUPERDENSE_MESSAGES):
+        drawn, destination = teleport_circuit(payload, bell_matrix(0, 0), forced_outcome(index))
+        assert drawn == bits
         p = pauli_frame(bits)
-        assert np.allclose(pending.matrix, p @ payload.matrix @ p.conj().T, atol=1e-10)
-        seen[bits] = pending.matrix
-    assert set(seen) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert np.allclose(sum(seen.values()) / 4, I2 / 2, atol=1e-10)
+        assert np.allclose(destination, p @ payload @ p.conj().T, atol=1e-10)
+        assert np.allclose(corrected(destination, bits), payload, atol=1e-10)
+        output = table[index] @ np.array([1.0, *r])
+        assert np.allclose(output / output[0], [1.0, *r], rtol=0.0, atol=1e-12)
+        pending.append(destination)
+    assert np.allclose(sum(pending) / 4, I2 / 2, atol=1e-10)
 
 
 def test_teleport_with_product_resource_degrades_to_mixed():
     rng = np.random.default_rng(25)
-    payload = random_pure_state(rng)
-    product = QuantumState(2, np.eye(4, dtype=complex) / 4)
-    out = teleported(payload, product, rng)
-    assert np.allclose(out.matrix, I2 / 2, atol=1e-10)
-    assert float(np.real(np.trace(out.matrix @ payload.matrix))) == pytest.approx(0.5, abs=1e-9)
+    payload = random_pure_state(rng).matrix
+    r = bloch(payload)
+    product = np.eye(4, dtype=complex) / 4
+    table = teleport_table(pair_correlations(QuantumState(2, product))).tolist()
+    assert teleport_weights(table, r) == pytest.approx((0.25,) * 4, abs=1e-15)
+    for index, bits in enumerate(SUPERDENSE_MESSAGES):
+        _, destination = teleport_circuit(payload, product, forced_outcome(index))
+        assert np.allclose(corrected(destination, bits), I2 / 2, atol=1e-10)
+        assert teleport_fidelity(table[index], r) == pytest.approx(0.5, abs=1e-12)
 
 
 def _teleport_fidelity_oracle(payload_matrix, w):
@@ -403,8 +376,8 @@ def _teleport_fidelity_oracle(payload_matrix, w):
         for x in (0, 1):
             block = after[z, x, :, z, x, :]
             correction = (Z if z else I2) @ (X if x else I2)
-            corrected = correction @ block @ correction.conj().T
-            total += float(np.real(np.trace(corrected @ payload_matrix)))
+            corrected_block = correction @ block @ correction.conj().T
+            total += float(np.real(np.trace(corrected_block @ payload_matrix)))
     return total
 
 
@@ -415,12 +388,12 @@ def test_teleport_werner_fidelity_matches_oracle():
         [_teleport_fidelity_oracle(random_pure_state(rng_oracle).matrix, w) for _ in range(200)]
     )
     rng = np.random.default_rng(202)
-    pair = werner_pair(w)
+    table = teleport_table(pair_correlations(werner_pair(w))).tolist()
     observed = []
     for _ in range(200):
-        payload = random_pure_state(rng)
-        out = teleported(payload, pair, rng)
-        observed.append(float(np.real(np.trace(out.matrix @ payload.matrix))))
+        r = bloch(random_pure_state(rng).matrix)
+        weights = teleport_weights(table, r)
+        observed.append(sum(wt * teleport_fidelity(b, r) for wt, b in zip(weights, table)))
     assert abs(np.mean(observed) - oracle) < 0.01
     # the Werner output fidelity is payload independent: (1 + w) / 2
     assert oracle == pytest.approx((1 + w) / 2, abs=1e-9)
@@ -441,16 +414,15 @@ def amplitude_damped_pair(gamma, halves=(0, 1)):
 
 def _check_teleport_table_against_per_trial_path(pair_matrix, n_payloads, seed):
     """For each payload and each outcome: the table's weight against the
-    hand-built CNOT-H circuit, and its fidelity against ``teleport`` forced
-    onto that outcome, then ``apply_correction`` and ``fidelity``."""
-    pair = QuantumState(2, pair_matrix)
-    table = teleport_table(pair_correlations(pair)).tolist()
+    hand-built CNOT-H circuit, and its fidelity against that circuit forced
+    onto the outcome, then corrected by the outcome's frame."""
+    table = teleport_table(pair_correlations(QuantumState(2, pair_matrix))).tolist()
     rng = np.random.default_rng(seed)
     for _ in range(n_payloads):
-        payload = random_pure_state(rng)
-        r = tuple(float(np.real(np.trace(p @ payload.matrix))) for p in (X, Y, Z))
+        payload = random_pure_state(rng).matrix
+        r = bloch(payload)
         weights = teleport_weights(table, r)
-        expected = _hand_built_bell_weights(np.kron(payload.matrix, pair_matrix), 0, 1, 3)
+        expected = hand_built_bell_weights(np.kron(payload, pair_matrix), 0, 1, 3)
         assert np.max(np.abs(np.subtract(weights, expected))) <= 1e-12
         upper = np.cumsum(expected) / expected.sum()
         lower = np.concatenate(([0.0], upper[:-1]))
@@ -458,9 +430,9 @@ def _check_teleport_table_against_per_trial_path(pair_matrix, n_payloads, seed):
             if expected[index] < 1e-9:
                 continue
             draw = _ForcedDraw((lower[index] + upper[index]) / 2)
-            drawn, pending = teleport(payload, pair, draw)
+            drawn, destination = teleport_circuit(payload, pair_matrix, draw)
             assert drawn == bits
-            oracle = fidelity(apply_correction(pending, bits), payload)
+            oracle = overlap(corrected(destination, bits), payload)
             assert abs(teleport_fidelity(table[index], r) - oracle) <= 1e-12
 
 
@@ -494,16 +466,12 @@ def test_teleport_table_of_phi_plus_is_identity_per_outcome():
 
 def test_teleport_table_draw_guards_a_branch_below_the_floor():
     # Over the product resource |00> a payload |0> never yields a psi
-    # outcome; a draw >= 1 selects (1, 1), which the table path must refuse
-    # as the per-trial path does.
+    # outcome; a draw >= 1 selects (1, 1), which the draw must refuse.
     pair = QuantumState(2, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     weights = teleport_weights(teleport_table(pair_correlations(pair)).tolist(), (0.0, 0.0, 1.0))
     assert weights == pytest.approx((0.5, 0.0, 0.5, 0.0), abs=1e-15)
     with pytest.raises(RenormalizationError):
         draw_bell_outcome(weights, cumulative_weights(weights), _ForcedDraw(1.5))
-    payload = QuantumState(1, np.diag([1.0, 0.0]).astype(complex))
-    with pytest.raises(RenormalizationError):
-        teleport(payload, pair, _ForcedDraw(1.5))
 
 
 def test_teleport_table_needs_a_two_qubit_resource():
@@ -589,7 +557,7 @@ def test_superdense_distribution_matches_cnot_h_circuit_near_phi_plus():
         pair = pair_correlations(QuantumState(2, rho))
         for bits in SUPERDENSE_MESSAGES:
             frame = np.kron(pauli_frame(bits), I2)
-            expected = _hand_built_bell_weights(frame @ rho @ frame.conj().T, 0, 1, 2)
+            expected = hand_built_bell_weights(frame @ rho @ frame.conj().T, 0, 1, 2)
             distribution = superdense_distribution(superdense_encode(bits, pair))
             assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), bits
 
@@ -606,59 +574,74 @@ def test_superdense_decode_ambiguity_on_maximally_mixed():
 
 
 def test_swap_ideal_inputs_yield_phi_plus():
-    rng = np.random.default_rng(41)
-    pair = werner_pair(1.0)
-    for _ in range(200):
-        out = swapped(pair, pair, rng)
-        assert np.allclose(out.matrix, bell_matrix(0, 0), atol=1e-10)
+    # Each outcome of two phi+ pairs has weight 1/4, and its corrected end
+    # pair is phi+.
+    phi = pair_correlations(werner_pair(1.0))
+    weights, fidelities = swap_outcome_table(phi, phi)
+    assert weights == pytest.approx((0.25,) * 4, abs=1e-15)
+    assert fidelities == pytest.approx((1.0,) * 4, abs=1e-12)
+    for index, bits in enumerate(SUPERDENSE_MESSAGES):
+        drawn, pending = swap_circuit(bell_matrix(0, 0), bell_matrix(0, 0), forced_outcome(index))
+        assert drawn == bits
+        assert np.allclose(corrected(pending, bits), bell_matrix(0, 0), atol=1e-10)
 
 
 def test_swap_signals_even_for_trivial_outcome():
-    rng = np.random.default_rng(42)
-    # force many swaps; every single one must return two bits for the far end
-    pair = werner_pair(1.0)
-    sent = [entanglement_swap(pair, pair, rng)[0] for _ in range(40)]
+    # Every swap sends its two bits to the far end, (0, 0) included.
+    topology = Topology(
+        ("l", "m", "r"),
+        (ClassicalLink("l", "m", 1), ClassicalLink("m", "r", 1)),
+        tuple(QuantumLink(a, b, depolarizing_channel(0.0), 1.0, 1) for a, b in ("lm", "mr")),
+    )
+    result = SCENARIOS["swap"](topology, {"n_swaps": 40})([42])
+    deliveries = [d for _, _, kind, d in result.trace if kind is EventKind.CLASSICAL_DELIVER]
+    sent = [message.bits for message, _ in deliveries]
+    assert len(sent) == 40
     assert all(bits in SUPERDENSE_MESSAGES for bits in sent)
     assert any(bits == (0, 0) for bits in sent)
+    assert result.bits_end_to_end == 2 * 40
 
 
 def test_swap_preserves_werner_parameter():
-    rng = np.random.default_rng(43)
+    # Swapping a Werner pair of weight w with phi+ leaves a Werner pair of
+    # weight w after every outcome.
     w = 0.7
-    left = werner_pair(w)
-    right = werner_pair(1.0)
-    for _ in range(20):
-        out = swapped(left, right, rng)
-        assert np.allclose(out.matrix, werner_matrix(w), atol=1e-9)
+    weights, fidelities = swap_outcome_table(
+        pair_correlations(werner_pair(w)), pair_correlations(werner_pair(1.0))
+    )
+    assert weights == pytest.approx((0.25,) * 4, abs=1e-15)
+    for index, bits in enumerate(SUPERDENSE_MESSAGES):
+        _, pending = swap_circuit(werner_matrix(w), bell_matrix(0, 0), forced_outcome(index))
+        assert np.allclose(corrected(pending, bits), werner_matrix(w), atol=1e-9)
+        assert fidelities[index] == pytest.approx((1 + 3 * w) / 4, abs=1e-12)
 
 
 def test_swap_outcome_distribution():
     rng = np.random.default_rng(44)
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     n = 100_000
-    pair = werner_pair(1.0)
+    phi = pair_correlations(werner_pair(1.0))
+    weights, _ = swap_outcome_table(phi, phi)
+    cumulative = cumulative_weights(weights)
     for _ in range(n):
-        bits, _ = entanglement_swap(pair, pair, rng)
-        counts[bits] += 1
+        counts[SUPERDENSE_MESSAGES[draw_bell_outcome(weights, cumulative, rng)]] += 1
     for bits, count in counts.items():
         assert abs(count / n - 0.25) < 0.01, (bits, count / n)
 
 
 def test_swap_uncorrected_pair_is_pauli_frame_of_phi_plus():
     # Without the correction the end pair is the Bell state the outcome
-    # names, orthogonal to phi+ unless the outcome is (0, 0).
-    rng = np.random.default_rng(45)
-    pair = werner_pair(1.0)
-    seen = set()
-    for _ in range(100):
-        bits, pending = entanglement_swap(pair, pair, rng)
+    # names, orthogonal to phi+ unless the outcome is (0, 0); the table's
+    # fidelity is that of the corrected pair.
+    phi = bell_matrix(0, 0)
+    _, fidelities = swap_outcome_table(PHI_PLUS_DIAGONAL, PHI_PLUS_DIAGONAL)
+    for index, bits in enumerate(SUPERDENSE_MESSAGES):
+        drawn, pending = swap_circuit(phi, phi, forced_outcome(index))
+        assert drawn == bits
         lifted = np.kron(I2, pauli_frame(bits))
-        expected = lifted @ bell_matrix(0, 0) @ lifted.conj().T
-        assert np.allclose(pending.matrix, expected, atol=1e-10)
-        overlap = float(np.real(np.trace(pending.matrix @ bell_matrix(0, 0))))
-        assert overlap == pytest.approx(1.0 if bits == (0, 0) else 0.0, abs=1e-10)
-        seen.add(bits)
-    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert np.allclose(pending, lifted @ phi @ lifted.conj().T, atol=1e-10)
+        assert overlap(pending, phi) == pytest.approx(1.0 if bits == (0, 0) else 0.0, abs=1e-10)
+        assert fidelities[index] == pytest.approx(overlap(corrected(pending, bits), phi), abs=1e-12)
 
 
 def _random_mixed(rng, dim):
@@ -670,39 +653,32 @@ def _random_mixed(rng, dim):
 def test_swap_outcome_table_agrees_with_entanglement_swap():
     # A cell that swaps one pair state many times reads each outcome's
     # weight and corrected end-pair fidelity from one table; forcing each
-    # outcome through entanglement_swap must give the same weight and pair.
+    # outcome through the hand-built swap circuit must give the same
+    # weight and pair.
     rng = np.random.default_rng(65)
-    phi = QuantumState(2, bell_matrix(0, 0))
+    phi = bell_matrix(0, 0)
     for _ in range(20):
-        left, right = QuantumState(2, _random_mixed(rng, 4)), QuantumState(2, _random_mixed(rng, 4))
-        weights, fidelities = swap_outcome_table(pair_correlations(left), pair_correlations(right))
-        expected_weights = _hand_built_bell_weights(left.tensor(right).matrix, 1, 2, 4)
+        left, right = _random_mixed(rng, 4), _random_mixed(rng, 4)
+        weights, fidelities = swap_outcome_table(
+            pair_correlations(QuantumState(2, left)), pair_correlations(QuantumState(2, right))
+        )
+        expected_weights = hand_built_bell_weights(np.kron(left, right), 1, 2, 4)
         assert np.allclose(weights, expected_weights, rtol=0.0, atol=1e-12)
         upper = np.cumsum(weights) / sum(weights)
         lower = np.concatenate(([0.0], upper[:-1]))
         for index, bits in enumerate(SUPERDENSE_MESSAGES):
             draw = _ForcedDraw((lower[index] + upper[index]) / 2)
-            drawn, pending = entanglement_swap(left, right, draw)
+            drawn, pending = swap_circuit(left, right, draw)
             assert drawn == bits
-            oracle = fidelity(apply_correction(pending, bits), phi)
+            oracle = overlap(corrected(pending, bits), phi)
             assert abs(fidelities[index] - oracle) <= 1e-12
 
 
 def test_protocols_reject_a_pair_that_is_not_two_qubits():
-    rng = np.random.default_rng(46)
-    payload = random_pure_state(rng)
-    pair = werner_pair(1.0)
+    payload = random_pure_state(np.random.default_rng(46))
     for wrong in (payload, make_w_state(3)):
-        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
-            teleport(payload, wrong, rng)
-        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
+        with pytest.raises(ValueError, match="needs a two-qubit pair"):
             superdense_encode((0, 1), pair_correlations(wrong))
-        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
-            entanglement_swap(wrong, pair, rng)
-        with pytest.raises(ValueError, match="needs (a|two) two-qubit pair"):
-            entanglement_swap(pair, wrong, rng)
-    with pytest.raises(ValueError, match="payload must be a single qubit"):
-        teleport(pair, pair, rng)
 
 
 # -- W-state election ---------------------------------------------------------
@@ -790,11 +766,9 @@ def test_protocols_leave_their_inputs_alone():
     pair = _read_only(werner_pair(0.8))
     correlations = pair_correlations(pair)
     correlations.flags.writeable = False
-    joint = _read_only(payload.tensor(pair))
+    joint = _read_only(QuantumState(3, np.kron(payload.matrix, pair.matrix)))
     w_state = _read_only(make_w_state(3))
     calls = {
-        "teleport": (lambda rng: teleport(payload, pair, rng), (payload.matrix, pair.matrix)),
-        "entanglement_swap": (lambda rng: entanglement_swap(pair, pair, rng), (pair.matrix,)),
         "superdense_encode": (lambda rng: superdense_encode((1, 1), correlations), (correlations,)),
         "bell_basis_measure": (lambda rng: bell_basis_measure(joint, 0, 2, rng), (joint.matrix,)),
         "w_election_round": (lambda rng: w_election_round(w_state, rng), (w_state.matrix,)),

@@ -19,12 +19,11 @@ from qnetsim.qstate import (
     gaussian_ket,
     haar_bloch_vector,
     measure,
-    new_register,
     partial_trace,
     random_pure_state,
     von_neumann_entropy,
 )
-from reference import I2, X, Y, Z
+from reference import I2, X, Y, Z, assert_density_matrix, basis_state
 
 # Hand-built references, kept independent of the package constants.
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -53,41 +52,11 @@ def bell_phi_plus():
     return np.outer(v, v.conj())
 
 
-# -- new_register -------------------------------------------------------------
-
-
-def test_new_register_single_zero():
-    state = new_register(1, "0")
-    assert np.allclose(state.matrix, np.diag([1.0, 0.0]))
-
-
-def test_new_register_projects_onto_bitstring():
-    state = new_register(2, "10")
-    expected = np.zeros((4, 4))
-    expected[2, 2] = 1.0  # |10> is basis index 2
-    assert np.allclose(state.matrix, expected)
-    assert abs(state.purity() - 1.0) < 1e-12
-
-
-def test_new_register_rejects_oversized():
-    with pytest.raises(CapacityError):
-        new_register(9, "0" * 9)
-    with pytest.raises(CapacityError):
-        new_register(0, "")
-
-
-def test_new_register_rejects_bad_bitstring():
-    with pytest.raises(ValueError):
-        new_register(2, "012")
-    with pytest.raises(ValueError):
-        new_register(2, "2x")
-
-
 # -- gates --------------------------------------------------------------------
 
 
 def test_hadamard_on_zero():
-    state = apply_unitary(new_register(1, "0"), GateSpec("H", (0,)))
+    state = apply_unitary(QuantumState(1, basis_state("0")), GateSpec("H", (0,)))
     assert np.allclose(state.matrix, np.full((2, 2), 0.5), atol=1e-12)
 
 
@@ -100,7 +69,7 @@ def test_x_is_an_involution():
 
 
 def test_bell_circuit_builds_phi_plus():
-    state = new_register(2, "00")
+    state = QuantumState(2, basis_state("00"))
     state = apply_unitary(state, GateSpec("H", (0,)))
     state = apply_unitary(state, GateSpec("CNOT", (0, 1)))
     assert np.allclose(state.matrix, bell_phi_plus(), atol=1e-12)
@@ -108,10 +77,10 @@ def test_bell_circuit_builds_phi_plus():
 
 def test_cnot_truth_table():
     # control is listed first; |10> flips to |11>, |01> stays
-    flipped = apply_unitary(new_register(2, "10"), GateSpec("CNOT", (0, 1)))
-    assert np.allclose(flipped.matrix, new_register(2, "11").matrix)
-    kept = apply_unitary(new_register(2, "01"), GateSpec("CNOT", (0, 1)))
-    assert np.allclose(kept.matrix, new_register(2, "01").matrix)
+    flipped = apply_unitary(QuantumState(2, basis_state("10")), GateSpec("CNOT", (0, 1)))
+    assert np.allclose(flipped.matrix, basis_state("11"))
+    kept = apply_unitary(QuantumState(2, basis_state("01")), GateSpec("CNOT", (0, 1)))
+    assert np.allclose(kept.matrix, basis_state("01"))
 
 
 def test_cz_matches_explicit_matrix():
@@ -124,13 +93,13 @@ def test_cz_matches_explicit_matrix():
 
 def test_gate_respects_qubit_order_convention():
     # X on qubit 1 of |00> must give |01> (qubit 0 is the most significant)
-    state = apply_unitary(new_register(2, "00"), GateSpec("X", (1,)))
-    assert np.allclose(state.matrix, new_register(2, "01").matrix)
+    state = apply_unitary(QuantumState(2, basis_state("00")), GateSpec("X", (1,)))
+    assert np.allclose(state.matrix, basis_state("01"))
 
 
 def test_gate_target_out_of_range():
     with pytest.raises(IndexError):
-        apply_unitary(new_register(1, "0"), GateSpec("X", (1,)))
+        apply_unitary(QuantumState(1, basis_state("0")), GateSpec("X", (1,)))
 
 
 def test_gate_spec_validation():
@@ -150,13 +119,16 @@ def test_cnot_on_reversed_distant_targets_matches_kron_oracle(num_qubits):
     u = kron_of({6: P0}, num_qubits) + kron_of({6: P1, 1: X}, num_qubits)
     out = apply_unitary(state, GateSpec("CNOT", (6, 1)))
     assert np.allclose(out.matrix, u @ state.matrix @ u.conj().T, atol=1e-12)
-    out.check()
+    assert_density_matrix(out.matrix)
 
 
 def test_gate_on_register_above_cap_raises_before_embedding():
     state = QuantumState(9, np.eye(2**9, dtype=complex) / 2**9)
     with pytest.raises(CapacityError):
         apply_unitary(state, GateSpec("X", (0,)))
+    # a register of no qubits is outside the cap too
+    with pytest.raises(CapacityError):
+        apply_unitary(QuantumState(0, np.ones((1, 1), dtype=complex)), GateSpec("X", (0,)))
 
 
 def test_gate_matrices_are_one_read_only_table():
@@ -229,7 +201,7 @@ def test_gates_and_kraus_sets_match_kron_embedding_oracle(seed, num_qubits, num_
 
 def test_measure_eigenstate_is_deterministic():
     rng = np.random.default_rng(0)
-    outcome, post = measure(new_register(1, "1"), 0, rng)
+    outcome, post = measure(QuantumState(1, basis_state("1")), 0, rng)
     assert outcome.bit == 1
     assert outcome.probability == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(post.matrix, np.diag([0.0, 1.0]))
@@ -241,13 +213,13 @@ def test_measure_bell_collapses_partner():
     outcome, post = measure(state, 0, rng)
     assert outcome.probability == pytest.approx(0.5, abs=1e-12)
     b = outcome.bit
-    expected = new_register(2, f"{b}{b}").matrix
+    expected = basis_state(f"{b}{b}")
     assert np.allclose(post.matrix, expected, atol=1e-12)
 
 
 def test_measure_frequency_on_plus_state():
     rng = np.random.default_rng(11)
-    plus = apply_unitary(new_register(1, "0"), GateSpec("H", (0,)))
+    plus = apply_unitary(QuantumState(1, basis_state("0")), GateSpec("H", (0,)))
     hits = sum(measure(plus, 0, rng)[0].bit for _ in range(100_000))
     assert abs(hits / 100_000 - 0.5) < 0.01
 
@@ -267,7 +239,7 @@ def test_measure_frequency_within_binomial_bounds():
 def test_measure_index_error():
     rng = np.random.default_rng(0)
     with pytest.raises(IndexError):
-        measure(new_register(1, "0"), 2, rng)
+        measure(QuantumState(1, basis_state("0")), 2, rng)
 
 
 class _ForcedDraw:
@@ -283,7 +255,7 @@ class _ForcedDraw:
 def test_measure_guards_zero_probability_branch():
     # on |1> the bit-0 branch has probability 0; a draw >= 1 selects it
     with pytest.raises(RenormalizationError):
-        measure(new_register(1, "1"), 0, _ForcedDraw(1.5))
+        measure(QuantumState(1, basis_state("1")), 0, _ForcedDraw(1.5))
 
 
 # -- partial trace ------------------------------------------------------------
@@ -304,13 +276,13 @@ def test_partial_trace_keep_all_is_identity():
 def test_partial_trace_of_product_recovers_factor():
     rng = np.random.default_rng(9)
     psi = random_pure_state(rng, 1)
-    joint = psi.tensor(new_register(1, "0"))
+    joint = QuantumState(2, np.kron(psi.matrix, basis_state("0")))
     reduced = partial_trace(joint, (0,))
     assert np.allclose(reduced.matrix, psi.matrix, atol=1e-12)
 
 
 def test_partial_trace_validation():
-    state = new_register(2, "00")
+    state = QuantumState(2, basis_state("00"))
     with pytest.raises(ValueError):
         partial_trace(state, ())
     with pytest.raises(IndexError):
@@ -322,7 +294,7 @@ def test_partial_trace_preserves_trace():
     state = random_pure_state(rng, 4)
     reduced = partial_trace(state, (1, 3))
     assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
-    reduced.check()
+    assert_density_matrix(reduced.matrix)
 
 
 # -- entropy and fidelity -----------------------------------------------------
@@ -385,9 +357,9 @@ def test_fidelity_of_product_of_marginals_vs_bell():
 def test_fidelity_rejects_mixed_reference():
     mixed = QuantumState(1, np.eye(2, dtype=complex) / 2)
     with pytest.raises(ValueError):
-        fidelity(new_register(1, "0"), mixed)
+        fidelity(QuantumState(1, basis_state("0")), mixed)
     with pytest.raises(ValueError):
-        fidelity(new_register(1, "0"), QuantumState(2, bell_phi_plus()))
+        fidelity(QuantumState(1, basis_state("0")), QuantumState(2, bell_phi_plus()))
 
 
 # -- Haar payloads -------------------------------------------------------------
@@ -460,10 +432,10 @@ def _circuit(rng_seed, depth, num_qubits):
     num_qubits=st.integers(1, 4),
 )
 def test_random_circuits_preserve_state_invariants(seed, depth, num_qubits):
-    state = new_register(num_qubits, "0" * num_qubits)
+    state = QuantumState(num_qubits, basis_state("0" * num_qubits))
     for gate in _circuit(seed, depth, num_qubits):
         state = apply_unitary(state, gate)
-    state.check()
+    assert_density_matrix(state.matrix)
     # unitaries keep pure inputs pure
     assert abs(state.purity() - 1.0) < 1e-9
 
@@ -487,4 +459,4 @@ def test_measurement_keeps_trace_one():
     rng = np.random.default_rng(31)
     state = random_pure_state(rng, 3)
     _, post = measure(state, 1, rng)
-    post.check()
+    assert_density_matrix(post.matrix)

@@ -12,8 +12,7 @@ from qnetsim import runner, scenarios
 from qnetsim.channels import ChannelModel, depolarizing_channel
 from qnetsim.config import load_config, parse_config
 from qnetsim.engine import ClassicalLink, EventEngine, EventKind, QuantumLink, Topology
-from qnetsim.protocols import swap_outcome_table, teleport, werner_pair
-from qnetsim.qstate import random_pure_state
+from qnetsim.protocols import swap_outcome_table
 from qnetsim.runner import run_experiment
 from qnetsim.scenarios import SCENARIOS
 from reference import CONFIG_DIR
@@ -56,8 +55,9 @@ def test_teleport_fidelity_is_werner_closed_form():
 
 @pytest.mark.parametrize("werner_w", [1.0, 0.8])
 def test_teleport_cell_leaves_the_stream_where_per_trial_teleport_does(werner_w, monkeypatch):
-    # Each trial draws a Haar payload's normals and then one outcome, as
-    # teleport does, so the next cell's draws do not shift.
+    # Each trial draws a Haar payload's normals, real parts then imaginary
+    # parts, and then one outcome, as a per-trial teleport of a Haar
+    # payload does, so the next cell's draws do not shift.
     engines = []
 
     class RecordingEngine(EventEngine):
@@ -70,9 +70,10 @@ def test_teleport_cell_leaves_the_stream_where_per_trial_teleport_does(werner_w,
     n_teleports = 60
     SCENARIOS["teleport"](topology, {"n_teleports": n_teleports, "werner_w": werner_w})([17, 3])
     per_trial = np.random.default_rng([17, 3])
-    pair = werner_pair(werner_w)
     for _ in range(n_teleports):
-        teleport(random_pure_state(per_trial), pair, per_trial)
+        per_trial.normal(size=2)
+        per_trial.normal(size=2)
+        per_trial.random()
     (engine,) = engines
     assert engine.rng.bit_generator.state == per_trial.bit_generator.state
 
