@@ -99,11 +99,14 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
     seeds = read(lambda: tuple(top.items("seeds", each=partial(top.check_integer, low=0))), None)
     if seeds == ():
         violations.append("seeds: must be a nonempty list of integers")
-    params = read(lambda: top.mapping("params", {}), {})
-    sweep = read(lambda: top.mapping("sweep", {}), {})
-    if any(not isinstance(v, list) or len(v) == 0 for v in sweep.values()):
+    params = read(lambda: top.mapping("params", {}), None)
+    sweep = read(lambda: top.mapping("sweep", {}), None)
+    if sweep and any(not isinstance(v, list) or len(v) == 0 for v in sweep.values()):
         violations.append("sweep: must map parameter names to nonempty lists")
-        sweep = {}
+        sweep = None
+    # A params or sweep that failed to parse is reported here; its cells are not.
+    grid_read = params is not None and sweep is not None
+    params, sweep = params or {}, sweep or {}
     # A name labels its cell's rows and keys its stream, so it is text; a
     # YAML key such as 1 or true is dropped here and reported by name.
     for where, mapping in (("params", params), ("sweep", sweep)):
@@ -127,7 +130,7 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
             violations.append(f"sweep: {name} repeats {value}")
     cells: list[tuple[str, Run]] = []
     # A topology that failed to parse is reported above; its cells are not.
-    if prepare is not None and (topology_raw is None or topology is not None):
+    if prepare is not None and grid_read and (topology_raw is None or topology is not None):
         # The sweep grid over the base params, names sorted, row-major.
         names = sorted(sweep)
         for values in itertools.product(*(sweep[n] for n in names)):

@@ -12,7 +12,9 @@ one pair over the other (``swap_outcome_table``).  Superdense encoding
 flips the signs of rows of ``T``, and decoding reads the Bell overlaps
 off its diagonal (``superdense_distribution``).  ``draw_bell_outcome``
 draws an outcome; the caller sends its bits as a ``CorrectionMessage``,
-and only the delivered bits select the corrected output.
+and only the delivered bits select the corrected output.  On a register,
+``bell_basis_measure`` measures and ``pauli_correct`` corrects; no scenario
+calls either.
 
 Leader election samples a W state's diagonal with no classical exchange,
 and ``w_election_probabilities`` is its exact distribution.

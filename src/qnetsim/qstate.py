@@ -2,7 +2,9 @@
 
 States are dense ``2^n x 2^n`` complex matrices with qubit 0 as the most
 significant tensor factor, so ``int(bits, 2)`` is the basis index of the
-ket ``|bits>``.  No operation changes a state in place.
+ket ``|bits>``.  No operation changes a state in place.  No scenario run
+applies an operator to a register: these kernels build the states the
+services start from, and serve the tests and the benchmark's kernel sweep.
 """
 
 from __future__ import annotations

@@ -1,24 +1,2 @@
 """Network services built on the quantum primitives: physical-layer rate
 estimation, medium access control, and trajectory routing."""
-
-from .mac import MacConfig, MacMetrics, MacProtocol, jain_fairness, run_mac_sim
-from .phy import phy_effective_rate
-from .routing import (
-    PlanMode,
-    TrajectoryPlan,
-    route_max_bottleneck,
-    route_with_switch_merging,
-)
-
-__all__ = [
-    "MacConfig",
-    "MacMetrics",
-    "MacProtocol",
-    "jain_fairness",
-    "run_mac_sim",
-    "phy_effective_rate",
-    "PlanMode",
-    "TrajectoryPlan",
-    "route_max_bottleneck",
-    "route_with_switch_merging",
-]

@@ -11,9 +11,9 @@ sensing disabled and backoff off it reduces to slotted ALOHA.
 The contention loop draws its randomness in blocks of slots, one
 ``rng.random((rows, n + 1))`` per block: column j < n is node j's traffic
 draw and column n the slot's sensing pick.  A backoff is one
-``rng.integers(0, window)`` per colliding node, and a sensing choice among
-two or more mutually deaf nodes one ``rng.random()``, both drawn when they
-happen.
+``rng.integers(0, window)`` per colliding node, in transmission order, and
+a sensing choice among two or more mutually deaf nodes one
+``rng.random()``, both drawn when they happen.
 """
 
 from __future__ import annotations

@@ -118,6 +118,12 @@ def link_pair_matrix(kraus_ops):
     )
 
 
+def kraus_from_spec(channel):
+    """The operators of a ``kraus-list`` channel spec, read by hand from its
+    row-major ``[re, im]`` pairs."""
+    return [np.array([[complex(re, im) for re, im in row] for row in op]) for op in channel["kraus"]]
+
+
 def random_kraus(rng, count):
     """``count`` Kraus operators of a random qubit channel: the 2x2 blocks
     of a random ``(2 count) x 2`` isometry."""
@@ -210,14 +216,21 @@ def bell_measure(rho, a, b, n, rng):
     index = min(int(np.searchsorted(cumulative / cumulative[-1], rng.random(), side="right")), 3)
     if weights[index] < 1e-12:
         raise ValueError(f"Bell outcome {index} has weight {weights[index]}")
-    z, x = divmod(index, 2)
+    bits = divmod(index, 2)
+    return bits, bell_branch(rho, a, b, n, bits) / weights[index]
+
+
+def bell_branch(rho, a, b, n, bits):
+    """The unnormalised state of the other qubits of an ``n``-qubit ``rho``,
+    in ascending order, after the Bell outcome ``bits = (z, x)`` on qubits
+    (a, b): CNOT(a, b), then H(a), then projecting a on z and b on x.  Its
+    trace is the outcome's weight."""
     u = _cnot_then_h(a, b, n)
     after = (u @ rho @ u.conj().T).reshape((2,) * (2 * n))
     pick = [slice(None)] * (2 * n)
-    pick[a] = pick[n + a] = z
-    pick[b] = pick[n + b] = x
-    rest = after[tuple(pick)].reshape(2 ** (n - 2), 2 ** (n - 2))
-    return (z, x), rest / weights[index]
+    pick[a] = pick[n + a] = bits[0]
+    pick[b] = pick[n + b] = bits[1]
+    return after[tuple(pick)].reshape(2 ** (n - 2), 2 ** (n - 2))
 
 
 def teleport_circuit(payload, pair, rng):
@@ -232,6 +245,42 @@ def swap_circuit(left, right, rng):
     node Bell-measures its two halves.  Returns the outcome and the (a, c)
     pair before correction."""
     return bell_measure(np.kron(left, right), 1, 2, 4, rng)
+
+
+def swap_circuit_oracle(kraus):
+    """Born weight and corrected phi+ fidelity of each swap outcome, keyed
+    ``"zx"``, over two links whose pairs ``link_pair_matrix(kraus)`` gives:
+    ``swap_circuit``'s Bell measurement, then ``corrected``.  An outcome of
+    weight 0 gets fidelity 0, so it adds nothing to a weighted sum."""
+    pair = link_pair_matrix(kraus)
+    joint = np.kron(pair, pair)
+    oracle = {}
+    for bits in itertools.product((0, 1), repeat=2):
+        branch = bell_branch(joint, 1, 2, 4, bits)
+        weight = float(np.real(np.trace(branch)))
+        fid = overlap(corrected(branch / weight, bits), bell_matrix(0, 0)) if weight > 0 else 0.0
+        oracle[f"{bits[0]}{bits[1]}"] = (weight, fid)
+    return oracle
+
+
+def swap_circuit_problems(metrics, kraus, n_swaps):
+    """Each of a swap cell's ``metrics`` (name to value) that lies more
+    than 5 sigma from ``swap_circuit_oracle(kraus)`` over ``n_swaps``
+    swaps: every ``outcome_frac_zx`` and ``fidelity_mean``."""
+    oracle = swap_circuit_oracle(kraus)
+    problems = []
+    for bits, (weight, _) in oracle.items():
+        frac = float(metrics[f"outcome_frac_{bits}"])
+        if abs(frac - weight) > 5 * math.sqrt(weight * (1 - weight) / n_swaps):
+            problems.append(f"outcome_frac_{bits} {frac} is not within 5 sigma of {weight}")
+    mean = sum(w * f for w, f in oracle.values())
+    variance = sum(w * f * f for w, f in oracle.values()) - mean**2
+    fidelity = float(metrics["fidelity_mean"])
+    if abs(fidelity - mean) > 5 * math.sqrt(max(variance, 0.0) / n_swaps) + 1e-12:
+        problems.append(f"fidelity_mean {fidelity} is not within 5 sigma of {mean}")
+    if int(metrics["swaps"]) != n_swaps:
+        problems.append(f"swaps {metrics['swaps']} != {n_swaps}")
+    return problems
 
 
 def corrected(state, bits):

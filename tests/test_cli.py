@@ -398,6 +398,10 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "params: parameter names must be strings, got 1"),
         ("scenario: superdense\nparams: {n_trials: 4}\nsweep: {true: [0.9, 1.0]}\n",
          "sweep: parameter names must be strings, got True"),
+        ("scenario: superdense\nparams: 5\n", "params: must be a mapping"),
+        ("scenario: superdense\nsweep: 3\n", "sweep: must be a mapping"),
+        ("scenario: superdense\nsweep: {n_trials: 3}\n",
+         "sweep: must map parameter names to nonempty lists"),
     ],
     ids=[
         "misspelt-link-key-and-topology-key",
@@ -430,6 +434,9 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "date-that-is-not-a-date",
         "integer-param-name",
         "bool-sweep-name",
+        "params-not-a-mapping",
+        "sweep-not-a-mapping",
+        "sweep-value-not-a-list-without-params",
     ],
 )
 def test_validate_rejects_misread_topology_seeds_and_sweep(tmp_path, capsys, text, message):

@@ -147,7 +147,7 @@ def test_missing_file_reports_path(tmp_path):
 def test_all_canned_configs_parse():
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     paths = sorted(config_dir.glob("*.yaml"))
-    assert len(paths) == 6
+    assert len(paths) == 7
     scenarios = set()
     for path in paths:
         config = load_config(path)

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 
 import qnetsim.engine
 from qnetsim import runner, scenarios
@@ -15,7 +16,7 @@ from qnetsim.engine import ClassicalLink, EventEngine, EventKind, QuantumLink, T
 from qnetsim.protocols import swap_outcome_table
 from qnetsim.runner import run_experiment
 from qnetsim.scenarios import SCENARIOS
-from reference import CONFIG_DIR
+from reference import CONFIG_DIR, kraus_from_spec, swap_circuit_oracle, swap_circuit_problems
 
 
 def metrics_by_cell(config):
@@ -305,38 +306,6 @@ def amplitude_damping_kraus(gamma):
     ]
 
 
-def swap_circuit_oracle(kraus):
-    """Born weight and corrected phi+ fidelity of each swap outcome (z, x),
-    from a hand-built circuit: the channel on every half of two phi+ pairs,
-    then CNOT(1, 2) and H(1) on the middle qubits, read out as z = qubit 1
-    and x = qubit 2, and Z^z X^x on qubit 3."""
-    phi = np.zeros(4, dtype=complex)
-    phi[[0, 3]] = 1 / np.sqrt(2)
-    phi = np.outer(phi, phi.conj())
-    pair = sum(np.kron(a, b) @ phi @ np.kron(a, b).conj().T for a in kraus for b in kraus)
-    joint = np.kron(pair, pair)
-    cnot = np.zeros((16, 16))
-    for i in range(16):
-        cnot[i ^ (((i >> 2) & 1) << 1), i] = 1
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    u = np.kron(np.kron(np.eye(2), h), np.eye(4)) @ cnot
-    after = (u @ joint @ u.conj().T).reshape((2,) * 8)
-    x_gate, z_gate = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
-    oracle = {}
-    for z in (0, 1):
-        for x in (0, 1):
-            branch = after[:, z, x, :, :, z, x, :].reshape(4, 4)
-            weight = float(np.real(np.trace(branch)))
-            fid = 0.0
-            if weight > 0:
-                frame = np.linalg.matrix_power(z_gate, z) @ np.linalg.matrix_power(x_gate, x)
-                frame = np.kron(np.eye(2), frame)
-                corrected = frame @ (branch / weight) @ frame.conj().T
-                fid = float(np.real(np.trace(corrected @ phi)))
-            oracle[f"{z}{x}"] = (weight, fid)
-    return oracle
-
-
 @pytest.mark.parametrize(
     "kraus",
     [depolarizing_channel(0.05).kraus_ops, amplitude_damping_kraus(0.3), amplitude_damping_kraus(1.0)],
@@ -387,13 +356,23 @@ def test_swap_over_amplitude_damping_links_matches_circuit_oracle(gamma):
         }
     )
     (m,) = cells.values()
+    assert swap_circuit_problems(m, kraus, n_swaps) == []
+
+
+def test_shipped_kraus_list_swap_config_matches_circuit_oracle():
+    # The one shipped config whose links write their channel as a Kraus
+    # list: amplitude damping at gamma = 0.3, so its pairs are not
+    # Bell-diagonal and the four outcomes have unequal weights.
+    path = CONFIG_DIR / "swap_amplitude_damping.yaml"
+    spec = yaml.safe_load(path.read_text())
+    left, right = (link["channel"] for link in spec["topology"]["quantum_links"])
+    assert left == right
+    kraus = kraus_from_spec(left)
+    assert np.allclose(kraus, amplitude_damping_kraus(0.3), rtol=0, atol=1e-15)
     oracle = swap_circuit_oracle(kraus)
-    for bits, (weight, _) in oracle.items():
-        sigma = np.sqrt(weight * (1 - weight) / n_swaps)
-        assert abs(m[f"outcome_frac_{bits}"] - weight) <= 5 * sigma, (bits, m)
-        if weight == 0.0:
-            assert m[f"outcome_frac_{bits}"] == 0.0
-    mean = sum(w * f for w, f in oracle.values())
-    variance = sum(w * f * f for w, f in oracle.values()) - mean**2
-    assert abs(m["fidelity_mean"] - mean) <= 5 * np.sqrt(max(variance, 0.0) / n_swaps) + 1e-12
-    assert m["swaps"] == n_swaps
+    assert np.allclose([w for w, _ in oracle.values()], [0.2725, 0.2275] * 2, rtol=0, atol=1e-12)
+    assert np.allclose([f for _, f in oracle.values()], [0.5726, 0.5869] * 2, rtol=0, atol=5e-5)
+    rows, aborted = run_experiment(load_config(path))
+    assert aborted == 0 and len({(row.seed, row.params) for row in rows}) == 1
+    m = {row.metric: row.value for row in rows}
+    assert swap_circuit_problems(m, kraus, spec["params"]["n_swaps"]) == []
