@@ -30,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,8 +132,7 @@ class ChannelModel:
         return ptm
 
 
-@dataclass(frozen=True)
-class BottleneckReport:
+class BottleneckReport(NamedTuple):
     """Data-processing check for a serial composition."""
 
     chi_first: float

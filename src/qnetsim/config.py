@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import yaml
 
@@ -27,8 +26,7 @@ from .fields import Fields
 from .scenarios import SCENARIOS, Run
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """A validated experiment; ``cells`` holds each sweep cell's params
     label and prepared ``run``, in grid order."""
 
@@ -149,10 +147,11 @@ class _RejectedError(yaml.MarkedYAMLError):
     """A value the loader rejects; ``problem_mark`` locates it."""
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """Safe loader that rejects a key written twice in one mapping, where
-    ``yaml.safe_load`` would keep the last value without a word, and
-    reports a date-shaped scalar that is not a date where it stands."""
+class _UniqueKeyLoader(yaml.CSafeLoader):
+    """Safe loader, scanning and parsing in libyaml's C code, that rejects a
+    key written twice in one mapping, where ``yaml.safe_load`` would keep
+    the last value without a word, and reports a date-shaped scalar that
+    is not a date where it stands."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()

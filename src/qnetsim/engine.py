@@ -176,8 +176,7 @@ class LedgerEntry(NamedTuple):
     target: str
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     trace: tuple[TraceRecord, ...]
     events_processed: int
     bits_host_to_host: int

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +68,7 @@ _GATES = _read_only_unitaries(
 GATE_NAMES = tuple(_GATES)
 
 
-@dataclass
-class QuantumState:
+class QuantumState(NamedTuple):
     """Density matrix over an ``num_qubits``-sized register."""
 
     num_qubits: int
@@ -103,8 +102,7 @@ class GateSpec:
         return _GATES[self.name]
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     """Result of a single-qubit computational-basis measurement."""
 
     qubit: int

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -23,19 +22,8 @@ from .engine import TraceRecord, format_record
 from .errors import EngineAborted
 from .scenarios import ScenarioResult
 
-CSV_HEADER = (
-    "scenario",
-    "seed",
-    "params",
-    "metric",
-    "value",
-    "classical_bits_host_to_host",
-    "classical_bits_end_to_end",
-)
 
-
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     scenario: str
     seed: int
     params: str
@@ -43,6 +31,10 @@ class MetricsRecord:
     value: Any
     classical_bits_host_to_host: int
     classical_bits_end_to_end: int
+
+
+# The columns of ``metrics.csv``, one per field of a row.
+CSV_HEADER = MetricsRecord._fields
 
 
 def _label_key(label: str) -> int:
@@ -128,16 +120,8 @@ def csv_text(rows: list[MetricsRecord]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.scenario,
-                row.seed,
-                row.params,
-                row.metric,
-                _format_value(row.value),
-                row.classical_bits_host_to_host,
-                row.classical_bits_end_to_end,
-            ]
-        )
+    writer.writerows(
+        (scenario, seed, params, metric, _format_value(value), h2h, e2e)
+        for scenario, seed, params, metric, value, h2h, e2e in rows
+    )
     return buffer.getvalue()

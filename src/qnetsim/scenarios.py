@@ -13,9 +13,8 @@ paths once, in ``prepare``, and every run plans over that list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -55,8 +54,7 @@ from .services.routing import (
 )
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     metrics: list[tuple[str, Any]]
     bits_host_to_host: int = 0
     bits_end_to_end: int = 0

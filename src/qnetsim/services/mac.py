@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ class MacConfig:
                 raise ValueError(f"hidden_pairs[{k}]: {(i, j)} is not two distinct node indices")
 
 
-@dataclass
-class MacMetrics:
+class MacMetrics(NamedTuple):
     protocol: MacProtocol
     slots: int
     throughput: float

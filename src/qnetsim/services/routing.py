@@ -32,8 +32,8 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Collection, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class PlanMode(enum.Enum):
     SUPERPOSED_PAIR = "superposed_pair"
 
 
-@dataclass
-class TrajectoryPlan:
+class TrajectoryPlan(NamedTuple):
     mode: PlanMode
     paths: tuple[tuple[str, ...], ...]
     effective_rate: float

@@ -5,8 +5,15 @@ from pathlib import Path
 import pytest
 import yaml
 
-from qnetsim.config import SCENARIOS, load_config, parse_config
+from qnetsim.config import (
+    _EXPONENT_FLOAT,
+    SCENARIOS,
+    _UniqueKeyLoader,
+    load_config,
+    parse_config,
+)
 from qnetsim.errors import ConfigError
+from reference import CONFIG_DIR, load_benchmark_module
 
 MINIMAL_TELEPORT = {
     "scenario": "teleport",
@@ -136,6 +143,73 @@ def test_yaml_error_reports_location(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert any("line" in v for v in info.value.violations)
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    """PyYAML's pure-Python scanner and parser with the config loader's
+    exponent-float resolver: the reference for what libyaml reads."""
+
+
+_PurePythonLoader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, "-+0123456789")
+
+# Exponent floats with and without a dot, which YAML 1.1 alone reads as
+# strings, beside scalars they must not change.
+EXPONENT_DOCUMENT = """
+params: {a: 1e-3, b: -2E+5, c: 1.5e3, d: +7e0, e: 1.0e-300, f: 1e, g: e3, h: '1e-3', i: 12}
+"""
+
+
+def test_config_loader_reads_what_the_pure_python_loader_reads():
+    assert issubclass(_UniqueKeyLoader, yaml.CSafeLoader)
+    workloads = load_benchmark_module("workloads")
+    texts = [EXPONENT_DOCUMENT]
+    texts += [path.read_text() for path in sorted(CONFIG_DIR.glob("*.yaml"))]
+    texts += [
+        text
+        for workload in ("engine_chain", "protocol_trials", "routing_grid")
+        for seed in (7919, 1, 2, 3)
+        for _, _, text in workloads.generate(workload, seed)
+    ]
+    assert len(texts) == 1 + 7 + 24
+    for text in texts:
+        ours = yaml.load(text, Loader=_UniqueKeyLoader)
+        # repr tells 1 from 1.0 and True from 1, which == does not.
+        assert repr(ours) == repr(yaml.load(text, Loader=_PurePythonLoader))
+    params = yaml.load(EXPONENT_DOCUMENT, Loader=_UniqueKeyLoader)["params"]
+    assert list(map(type, params.values())) == [float] * 5 + [str] * 3 + [int]
+    assert list(params.values())[:5] == [1e-3, -2e5, 1.5e3, 7.0, 1e-300]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario: superdense\nparams: {n_trials: 8\nseeds: [1]\n",
+        "scenario: superdense\nn\u0153uds: [a, b}\n",
+        "scenario: superdense\n\tseeds: [1]\n",
+        "params:\n    n_trials: 8\n  seeds: [1]\n",
+        "scenario: superdense\nseeds: *x\n",
+        "scenario: superdense\n---\nseeds: [1]\n",
+    ],
+    ids=[
+        "unclosed-flow-mapping",
+        "unclosed-flow-sequence-after-non-ascii-key",
+        "tab-before-key",
+        "dedented-key",
+        "undefined-alias",
+        "two-documents",
+    ],
+)
+def test_yaml_error_location_matches_the_pure_python_loader(tmp_path, text):
+    with pytest.raises(yaml.MarkedYAMLError) as expected:
+        yaml.load(text, Loader=_PurePythonLoader)
+    mark = expected.value.problem_mark
+    path = tmp_path / "broken.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    [violation] = info.value.violations
+    where = f"at line {mark.line + 1}, column {mark.column + 1}: "
+    assert violation.startswith(f"{path}: YAML syntax error {where}")
 
 
 def test_missing_file_reports_path(tmp_path):
