@@ -183,20 +183,41 @@ _EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$")
 _UniqueKeyLoader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, "-+0123456789")
 
 
+# The line breaks YAML counts.
+_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
+
+
+def _located(before: str) -> str:
+    """Where the character after the text ``before`` stands, as a YAML
+    error mark gives it."""
+    lines = _LINE_BREAK.split(before)
+    return f" at line {len(lines)}, column {len(lines[-1]) + 1}"
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        where = _located(exc.object[: exc.start].decode("utf-8"))
+        byte = exc.object[exc.start]
+        raise ConfigError([f"{path}: not UTF-8{where}: byte 0x{byte:02x}, {exc.reason}"]) from exc
     except OSError as exc:
         raise ConfigError([f"{path}: cannot read: {exc}"]) from exc
     try:
         data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = str(exc)
+        if isinstance(exc, yaml.reader.ReaderError):
+            # libyaml gives a reader error's byte offset into the UTF-8 text.
+            where = _located(text.encode("utf-8")[: exc.position].decode("utf-8"))
+            problem = problem.partition("\n")[0]
+        else:
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         if isinstance(exc, _RejectedError):
             raise ConfigError([f"{path}: {exc.problem}{where}"]) from exc
-        raise ConfigError([f"{path}: YAML syntax error{where}: {exc}"]) from exc
+        raise ConfigError([f"{path}: YAML syntax error{where}: {problem}"]) from exc
     return parse_config(data, source=str(path))
 
 

@@ -6,11 +6,11 @@ order, so simultaneous events keep FIFO scheduling order and a fixed
 ``(topology, seed)`` pair replays to an identical trace.  Firing an event
 appends its trace record ``(time, seq, kind, detail)`` and calls
 ``handler(engine, detail)``, so a handler gets exactly what its record
-shows.  All classical traffic passes through ``send_classical``, which
-charges every message to a ledger tagged with its signaling scope:
-host-to-host for link-local coordination (heralding), end-to-end for
-route-wide corrections.  A delivery's detail is
-``(CorrectionMessage, SignalingScope)``; ``format_record`` turns a record
+shows.  Every classical bit is charged to a ledger tagged with its
+signaling scope: host-to-host for link-local heralds, which
+``attempt_entanglement`` charges, and end-to-end for the corrections
+``send_classical`` carries along a ``ClassicalRoute``.  A delivery's
+detail is its ``CorrectionMessage``; ``format_record`` turns a record
 into its trace line where a trace file is written.  A link's pair is
 only its correlation matrix ``QuantumLink.pair_correlations``.
 """
@@ -25,8 +25,8 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .channels import ChannelModel
-from .errors import EngineAborted, SchedulingError, UnreachableError
-from .protocols import PHI_PLUS_DIAGONAL, CorrectionMessage
+from .errors import EngineAborted, SchedulingError
+from .protocols import CorrectionMessage, bell_pair_correlations
 
 
 class EventKind(enum.Enum):
@@ -80,8 +80,7 @@ class QuantumLink:
         """Correlation matrix ``R D R^T`` of the pair the link delivers,
         phi+ (correlations ``D``) with the link channel, of Pauli transfer
         matrix ``R``, on each half.  A stored pair does not decohere."""
-        ptm = self.channel.ptm
-        return (ptm * PHI_PLUS_DIAGONAL) @ ptm.T
+        return bell_pair_correlations(self.channel.ptm, self.channel.ptm)
 
 
 def _index_links(
@@ -107,6 +106,13 @@ def _index_links(
     return index, neighbors
 
 
+class ClassicalRoute(NamedTuple):
+    """A hop-count shortest path and the sum of its links' latencies."""
+
+    nodes: tuple[str, ...]
+    latency: int
+
+
 @dataclass
 class Topology:
     nodes: tuple[str, ...]
@@ -124,13 +130,11 @@ class Topology:
             self.nodes, "quantum_links", self.quantum_links
         )
 
-    def classical_latency(self, a: str, b: str) -> int | None:
-        return self._latency.get(frozenset((a, b)))
-
-    def shortest_classical_route(self, src: str, dst: str) -> tuple[str, ...] | None:
-        """Hop-count shortest path over classical links (BFS), or None."""
+    def shortest_classical_route(self, src: str, dst: str) -> ClassicalRoute | None:
+        """Hop-count shortest path over classical links (BFS) with its
+        summed latency, or None."""
         if src == dst:
-            return (src,)
+            return ClassicalRoute((src,), 0)
         neighbors = self._classical_neighbors
         previous: dict[str, str] = {}
         frontier = [src]
@@ -144,9 +148,12 @@ class Topology:
                         previous[other] = node
                         if other == dst:
                             route = [dst]
+                            latency = 0
                             while route[-1] != src:
-                                route.append(previous[route[-1]])
-                            return tuple(reversed(route))
+                                hop = previous[route[-1]]
+                                latency += self._latency[frozenset((hop, route[-1]))]
+                                route.append(hop)
+                            return ClassicalRoute(tuple(reversed(route)), latency)
                         nxt.append(other)
             frontier = nxt
         return None
@@ -159,10 +166,9 @@ def format_record(record: TraceRecord) -> str:
     """The trace line of one record."""
     time, seq, kind, detail = record
     if kind is EventKind.CLASSICAL_DELIVER:
-        message, scope = detail
         detail = (
-            f"purpose={message.purpose.value} bits={len(message.bits)} "
-            f"origin={message.origin} target={message.target} scope={scope.value}"
+            f"purpose={detail.purpose.value} bits={len(detail.bits)} "
+            f"origin={detail.origin} target={detail.target} scope=end_to_end"
         )
     return f"t={time} seq={seq} kind={kind.value} {detail}".rstrip()
 
@@ -200,8 +206,6 @@ class EventEngine:
         self.ledger: list[LedgerEntry] = []
         self.bits_host_to_host = 0
         self.bits_end_to_end = 0
-        # Summed latency of each route sent over, checked on its first use.
-        self._route_delay: dict[tuple[str, ...], int] = {}
 
     # -- scheduling ------------------------------------------------------
 
@@ -214,46 +218,27 @@ class EventEngine:
 
     # -- classical plane -------------------------------------------------
 
-    def _route_latency(self, route: tuple[str, ...]) -> int:
-        """Sum of the per-hop link latencies along ``route``, kept per route."""
-        delay = 0
-        for a, b in zip(route, route[1:]):
-            latency = self.topology.classical_latency(a, b)
-            if latency is None:
-                raise UnreachableError(f"no classical link between {a} and {b}")
-            delay += latency
-        self._route_delay[route] = delay
-        return delay
-
     def send_classical(
         self,
         message: CorrectionMessage,
-        route: tuple[str, ...],
-        scope: SignalingScope,
+        route: ClassicalRoute,
         on_deliver: Callable[[CorrectionMessage], None],
     ) -> None:
-        """Queue a classical message along ``route`` and call
-        ``on_deliver(message)`` once it arrives, after the sum of the
-        per-hop link latencies."""
-        if len(route) < 2:
-            raise ValueError(f"route {route} needs at least two nodes")
-        if scope is SignalingScope.HOST_TO_HOST and len(route) != 2:
-            raise ValueError("host-to-host messages may only cross a single link")
-        delay = self._route_delay.get(route)
-        if delay is None:
-            delay = self._route_latency(route)
+        """Charge ``message`` to the end-to-end ledger and call
+        ``on_deliver(message)`` once it arrives, ``route.latency`` ticks
+        from now."""
+        if len(route.nodes) < 2:
+            raise ValueError(f"route {route.nodes} needs at least two nodes")
+        src, dst = route.nodes[0], route.nodes[-1]
         bits = len(message.bits)
         self.ledger.append(
-            LedgerEntry(self.now, bits, scope, message.purpose.value, route[0], route[-1])
+            LedgerEntry(self.now, bits, SignalingScope.END_TO_END, message.purpose.value, src, dst)
         )
-        if scope is SignalingScope.HOST_TO_HOST:
-            self.bits_host_to_host += bits
-        else:
-            self.bits_end_to_end += bits
+        self.bits_end_to_end += bits
         self.schedule(
-            self.now + delay,
+            self.now + route.latency,
             EventKind.CLASSICAL_DELIVER,
-            (message, scope),
+            message,
             lambda _engine, _detail: on_deliver(message),
         )
 

@@ -19,10 +19,6 @@ class DecodeAmbiguityError(RuntimeError):
         self.best_guess = best_guess
 
 
-class UnreachableError(RuntimeError):
-    """No classical route exists between the requested endpoints."""
-
-
 class SchedulingError(ValueError):
     """Attempt to schedule an event before the current simulation time."""
 

@@ -3,8 +3,8 @@ entanglement swapping and W-state leader election.
 
 The Bell services compute on a pair's real 4x4 correlation matrix
 ``T_ij = tr(rho P_i (x) P_j)``, ``P = I, X, Y, Z``, since a Bell
-measurement is linear in ``T``; ``pair_correlations`` is the one bridge
-from a two-qubit ``QuantumState``.  Teleporting over a pair is one 4x4
+measurement is linear in ``T``; ``bell_pair_correlations`` builds every
+pair, phi+ with a channel on each half.  Teleporting over a pair is one 4x4
 Pauli-transfer map per Bell outcome (``teleport_table``), which gives a
 payload's outcome weights and corrected fidelity as plain floats
 (``teleport_weights``, ``teleport_fidelity``).  A swap teleports half of
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from .qstate import (
     EIGENVALUE_FLOOR,
-    PAULIS,
     GateSpec,
     QuantumState,
     apply_unitary,
@@ -76,8 +75,6 @@ _FRAME_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1
 PHI_PLUS_DIAGONAL = np.array([1.0, 1.0, -1.0, 1.0])
 PHI_PLUS_DIAGONAL.flags.writeable = False
 _BELL_DIAGONALS = _FRAME_SIGNS * PHI_PLUS_DIAGONAL
-# T = _CORRELATIONS_FROM_PAIR @ vec(rho): row (i, j) is vec((P_i (x) P_j)^T).
-_CORRELATIONS_FROM_PAIR = np.einsum("iab,jcd->ijbdac", PAULIS, PAULIS).reshape(16, 16)
 
 
 def werner_pair(w: float) -> QuantumState:
@@ -189,12 +186,11 @@ def pauli_correct(state: QuantumState, qubit: int, bits: tuple[int, int]) -> Qua
     return state
 
 
-def pair_correlations(pair: QuantumState) -> np.ndarray:
-    """The real 4x4 correlation matrix ``T_ij = tr(rho P_i (x) P_j)`` of a
-    two-qubit state, ``P = I, X, Y, Z``; ``rho = sum_ij T_ij P_i (x) P_j / 4``."""
-    if pair.num_qubits != 2:
-        raise ValueError(f"pair_correlations needs a two-qubit pair, got {pair.num_qubits} qubits")
-    return (_CORRELATIONS_FROM_PAIR @ pair.matrix.reshape(16)).real.reshape(4, 4)
+def bell_pair_correlations(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Correlation matrix ``R1 D R2^T`` of phi+ (correlations ``D``) with
+    the channels of Pauli transfer matrices ``first`` (``R1``) and
+    ``second`` (``R2``) on its first and second halves."""
+    return (first * PHI_PLUS_DIAGONAL) @ second.T
 
 
 def teleport_table(correlations: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ through a ``fields.Fields`` reader, raises ``ValueError`` for anything
 ``run`` would reject, before any random draw or engine event, and returns
 the cell's ``run(rng_seed) -> ScenarioResult``.  Config validation
 prepares each cell once and keeps its ``run``, which the runner calls
-under every seed, so what validates is exactly what runs.  Routes and
-links are looked up once, in ``prepare``; the event handlers keep only
-the engine wiring.  A ``multipath_routing`` cell enumerates its simple
-paths once, in ``prepare``, and every run plans over that list.
+under every seed, so what validates is exactly what runs.  Routes, with
+their latencies, and links are looked up once, in ``prepare``; the
+event handlers keep only the engine wiring.  A ``multipath_routing``
+cell enumerates its simple paths once, in ``prepare``, and every run
+plans over that list.
 """
 
 from __future__ import annotations
@@ -19,29 +20,21 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .channels import bottleneck_check, depolarizing_channel
-from .engine import (
-    EventEngine,
-    EventKind,
-    QuantumLink,
-    SignalingScope,
-    Topology,
-    TraceRecord,
-)
+from .engine import EventEngine, EventKind, QuantumLink, Topology, TraceRecord
 from .fields import Fields
 from .protocols import (
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
     Purpose,
+    bell_pair_correlations,
     cumulative_weights,
     draw_bell_outcome,
-    pair_correlations,
     superdense_distribution,
     superdense_encode,
     swap_outcome_table,
     teleport_fidelity,
     teleport_table,
     teleport_weights,
-    werner_pair,
 )
 from .qstate import SCALAR_ATOL, haar_bloch_vector
 from .services.mac import MacConfig, MacProtocol, run_mac_sim
@@ -64,6 +57,13 @@ class ScenarioResult(NamedTuple):
 
 
 Run = Callable[[list[int]], ScenarioResult]
+
+
+def _werner_correlations(w: float) -> np.ndarray:
+    """The Werner pair ``w phi+ + (1 - w) I/4``: phi+ with the depolarizing
+    channel of Pauli transfer matrix ``diag(1, w, w, w)`` on one half."""
+    return bell_pair_correlations(np.diag([1.0, w, w, w]), np.eye(4))
+
 
 def _need_topology(topology: Topology | None, scenario: str, min_nodes: int) -> Topology:
     if topology is None or len(topology.nodes) < min_nodes:
@@ -104,7 +104,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
         # it is one branch table, built once per run; a trial reads its
         # payload's outcome weights and corrected fidelity off the table
         # as plain floats, with the draws teleport makes.
-        table = teleport_table(pair_correlations(werner_pair(werner_w))).tolist()
+        table = teleport_table(_werner_correlations(werner_w)).tolist()
         messages = [CorrectionMessage(m, src, dst, Purpose.TELEPORT) for m in SUPERDENSE_MESSAGES]
 
         def teleport_step(eng: EventEngine, _label: str) -> None:
@@ -115,7 +115,6 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
             eng.send_classical(
                 message,
                 route,
-                SignalingScope.END_TO_END,
                 lambda delivered: fidelities.append(
                     teleport_fidelity(table[SUPERDENSE_MESSAGES.index(delivered.bits)], r)
                 ),
@@ -150,7 +149,7 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         rng = np.random.default_rng(rng_seed)
-        pair = pair_correlations(werner_pair(werner_w))
+        pair = _werner_correlations(werner_w)
         per_message = max(n_trials // len(SUPERDENSE_MESSAGES), 1)
         trials = per_message * len(SUPERDENSE_MESSAGES)
         metrics: list[tuple[str, Any]] = []
@@ -205,7 +204,6 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
             eng.send_classical(
                 message,
                 route,
-                SignalingScope.END_TO_END,
                 lambda delivered: fidelities.append(
                     end_fidelity[SUPERDENSE_MESSAGES.index(delivered.bits)]
                 ),

@@ -108,13 +108,15 @@ def hand_built_correlations(rho):
     return np.array([[np.real(np.trace(rho @ np.kron(p, q))) for q in paulis] for p in paulis])
 
 
-def link_pair_matrix(kraus_ops):
+def link_pair_matrix(kraus_ops, second_ops=None):
     """The pair a link delivers: phi+ with the channel of ``kraus_ops`` on
-    each half, as the Kraus sum ``sum_kl (K_k (x) K_l) phi+ (K_k (x) K_l)^dag``."""
+    its first half and that of ``second_ops`` (by default the same) on its
+    second, as the Kraus sum ``sum_kl (K_k (x) L_l) phi+ (K_k (x) L_l)^dag``."""
     phi = np.zeros((4, 4), dtype=complex)
     phi[np.ix_((0, 3), (0, 3))] = 0.5
+    second_ops = kraus_ops if second_ops is None else second_ops
     return sum(
-        np.kron(a, b) @ phi @ np.kron(a, b).conj().T for a in kraus_ops for b in kraus_ops
+        np.kron(a, b) @ phi @ np.kron(a, b).conj().T for a in kraus_ops for b in second_ops
     )
 
 
@@ -124,12 +126,42 @@ def kraus_from_spec(channel):
     return [np.array([[complex(re, im) for re, im in row] for row in op]) for op in channel["kraus"]]
 
 
-def random_kraus(rng, count):
-    """``count`` Kraus operators of a random qubit channel: the 2x2 blocks
-    of a random ``(2 count) x 2`` isometry."""
-    g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
+def random_kraus(rng, count, dim=2):
+    """``count`` Kraus operators of a random channel on ``dim x dim``
+    matrices, as a ``(count, dim, dim)`` stack: the blocks of a random
+    ``(count dim) x dim`` isometry from QR, so that ``sum K^dag K = I``."""
+    g = rng.normal(size=(count * dim, dim)) + 1j * rng.normal(size=(count * dim, dim))
     isometry, _ = np.linalg.qr(g)
-    return [isometry[2 * k : 2 * k + 2] for k in range(count)]
+    return isometry.reshape(count, dim, dim)
+
+
+def ginibre_kraus(rng, count=3):
+    """``count`` Kraus operators of a random qubit channel: Ginibre
+    matrices ``G_k`` times ``(sum_k G_k^dag G_k)^(-1/2)``, so that they are
+    complete."""
+    raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(count)]
+    w, v = np.linalg.eigh(sum(k.conj().T @ k for k in raw))
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return [k @ inv_sqrt for k in raw]
+
+
+def dep_holevo(p):
+    """Holevo rate ``1 - H2(p / 2)`` of the depolarizing channel of
+    probability ``p`` on the computational ensemble."""
+    x = p / 2.0
+    if x == 0.0:
+        return 1.0
+    return 1.0 + x * math.log2(x) + (1 - x) * math.log2(1 - x)
+
+
+class ForcedDraw:
+    """Stub generator whose random() returns a fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 # -- states -------------------------------------------------------------------

@@ -30,11 +30,9 @@ from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
     Purpose,
-    pair_correlations,
     superdense_decode,
     superdense_distribution,
     superdense_encode,
-    werner_pair,
 )
 from qnetsim.runner import run_experiment
 from qnetsim.services.mac import MacConfig, MacProtocol, run_mac_sim
@@ -53,7 +51,9 @@ from reference import (
     Z,
     bell_matrix,
     corrected,
+    dep_holevo,
     haar_ket,
+    hand_built_correlations,
     kraus_from_spec,
     load_benchmark_module,
     overlap,
@@ -90,11 +90,8 @@ def test_criterion_1_teleport_dual_resource():
     deliveries = [
         detail for _, _, kind, detail in result.trace if kind is EventKind.CLASSICAL_DELIVER
     ]
-    assert all(
-        message.purpose is Purpose.TELEPORT and scope is SignalingScope.END_TO_END
-        for message, scope in deliveries
-    )
-    e2e_bits = [len(message.bits) for message, _ in deliveries]
+    assert all(message.purpose is Purpose.TELEPORT for message in deliveries)
+    e2e_bits = [len(message.bits) for message in deliveries]
 
     # Oracle: the same draws through the hand-built teleport circuit.
     engine = EventEngine(topo, seed=seed)
@@ -109,7 +106,7 @@ def test_criterion_1_teleport_dual_resource():
         def on_deliver(delivered):
             fidelities.append(overlap(corrected(destination, delivered.bits), payload))
 
-        eng.send_classical(message, ("alice", "bob"), SignalingScope.END_TO_END, on_deliver)
+        eng.send_classical(message, topo.shortest_classical_route("alice", "bob"), on_deliver)
 
     for k in range(n_teleports):
         engine.schedule(k, EventKind.PROTOCOL_STEP, f"teleport {k}", step)
@@ -148,7 +145,7 @@ def test_criterion_1_teleport_dual_resource():
 
 def test_criterion_2_superdense_coding():
     rng = np.random.default_rng(2)
-    ideal = pair_correlations(werner_pair(1.0))
+    ideal = hand_built_correlations(bell_matrix(0, 0))
     ideal_ok = all(
         superdense_decode(superdense_encode(bits, ideal), rng) == bits
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -165,7 +162,7 @@ def test_criterion_2_superdense_coding():
         born = float(np.real(np.trace(encoded @ bell_matrix(*bits))))
         # Every trial decodes the same state, so all of a message's trials
         # are one draw from its exact outcome distribution.
-        pair = pair_correlations(werner_pair(w))
+        pair = hand_built_correlations(werner)
         distribution = superdense_distribution(superdense_encode(bits, pair))
         ok_count = rng.multinomial(per_message, distribution)[SUPERDENSE_MESSAGES.index(bits)]
         worst_gap = max(worst_gap, abs(ok_count / per_message - born))
@@ -288,15 +285,6 @@ def test_criterion_4_w_state_channel_access():
 # -- criterion 5: multipath quantum network service ----------------------------
 
 
-def _dep_rate(p):
-    x = p / 2.0
-    if x <= 0.0:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    return 1.0 + x * math.log2(x) + (1 - x) * math.log2(1 - x)
-
-
 def _enumeration_oracle(link_params, src, dst):
     neighbors = {}
     for a, b in link_params:
@@ -310,7 +298,7 @@ def _enumeration_oracle(link_params, src, dst):
         path = stack.pop()
         if path[-1] == dst:
             rate = min(
-                _dep_rate(link_params.get((a, b), link_params.get((b, a))))
+                dep_holevo(link_params.get((a, b), link_params.get((b, a))))
                 for a, b in zip(path, path[1:])
             )
             if rate > 1e-9 and (

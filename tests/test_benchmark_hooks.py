@@ -154,11 +154,12 @@ def test_protocol_trials_passes_its_oracle(tmp_path, monkeypatch):
 
 
 def test_no_run_touches_the_density_matrix_register(tmp_path, monkeypatch):
-    # The Bell services compute on correlation matrices and a link's pair
-    # is read off its channel's transfer matrix, so no run of a shipped
-    # config or of a workload's config at the held-out seed applies a gate
-    # or a channel to a register.  Both bindings of the one contraction
-    # that would do it raise.
+    # The Bell services compute on correlation matrices, a link's pair is
+    # read off its channel's transfer matrix and a Werner pair is built
+    # from its own, so no shipped config and no workload's config at the
+    # held-out seed builds a register, calls ``werner_pair`` or applies a
+    # gate or a channel to a register, in ``prepare`` or in a run.  Each
+    # of these, at every binding, raises and is recorded.
     workloads = load_benchmark_module("workloads")
     paths = sorted(CONFIG_DIR.glob("*.yaml"))
     for workload in ("engine_chain", "protocol_trials", "routing_grid"):
@@ -166,16 +167,31 @@ def test_no_run_touches_the_density_matrix_register(tmp_path, monkeypatch):
             path = tmp_path / f"{workload}_{name}.yaml"
             path.write_text(text)
             paths.append(path)
+    touched = []
 
-    def no_register(*args, **kwargs):
-        raise AssertionError("a run applied an operator to the density-matrix register")
+    def forbid(name):
+        def no_register(*args, **kwargs):
+            touched.append(name)
+            raise AssertionError(f"a run reached {name}")
 
-    for module in (qnetsim.qstate, qnetsim.channels):
-        monkeypatch.setattr(module, "apply_operators", no_register)
+        return no_register
+
+    register = qnetsim.qstate.QuantumState
+    monkeypatch.setattr(register, "__new__", forbid("QuantumState"))
+    monkeypatch.setattr(register, "_make", forbid("QuantumState._make"))
+    forbidden = {
+        qnetsim.qstate.apply_operators: forbid("apply_operators"),
+        qnetsim.protocols.werner_pair: forbid("werner_pair"),
+    }
+    for module in [m for n, m in sys.modules.items() if n.startswith("qnetsim")]:
+        for key, value in list(vars(module).items()):
+            if callable(value) and value in forbidden:
+                monkeypatch.setattr(module, key, forbidden[value])
     assert len(paths) == 13
     for path in paths:
         rows, aborted = run_experiment(load_config(path))
         assert aborted == 0 and rows, path.name
+    assert touched == []
 
 
 def test_kernel_sweep_times_every_declared_kernel():

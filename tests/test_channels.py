@@ -35,7 +35,10 @@ from reference import (
     Z,
     assert_density_matrix,
     basis_state,
+    dep_holevo,
     entropy_bits,
+    ginibre_kraus,
+    random_kraus,
     switch_activation_oracle,
     switch_blocks_reference,
 )
@@ -73,23 +76,6 @@ def _identity(num_qubits=1):
     return ChannelModel((np.eye(2**num_qubits, dtype=complex),))
 
 
-def _random_cptp(rng, n_kraus=3):
-    """Ginibre Kraus set normalized to completeness."""
-    raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n_kraus)]
-    gram = sum(k.conj().T @ k for k in raw)
-    w, v = np.linalg.eigh(gram)
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return ChannelModel(tuple(k @ inv_sqrt for k in raw))
-
-
-def _qr_channel(rng, n_kraus):
-    """Random CPTP qubit channel of ``n_kraus`` operators: the 2x2 blocks of
-    a random isometry from QR, so that sum K^dag K = V^dag V = I."""
-    raw = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
-    isometry, _ = np.linalg.qr(raw)
-    return ChannelModel(tuple(isometry[2 * k : 2 * k + 2] for k in range(n_kraus)))
-
-
 def _amplitude_damping(gamma):
     return ChannelModel(
         (
@@ -118,14 +104,6 @@ def _unitarily_mixed(channel, rng, extra=1):
     n = len(ops)
     u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return ChannelModel(tuple(sum(u[i, j] * ops[j] for j in range(n)) for i in range(n)))
-
-
-def _dep_holevo(p):
-    """Analytic chi of dep(p) for the computational ensemble: 1 - H2(p/2)."""
-    x = p / 2.0
-    if x in (0.0, 1.0):
-        return 1.0
-    return 1.0 + x * math.log2(x) + (1 - x) * math.log2(1 - x)
 
 
 # -- constructors -------------------------------------------------------------
@@ -220,7 +198,7 @@ def test_depolarizing_half_on_zero_matches_kraus_sum():
 
 def test_apply_channel_embedded_matches_kron_oracle():
     rng = np.random.default_rng(3)
-    channel = _random_cptp(rng)
+    channel = ChannelModel(ginibre_kraus(rng))
     state = random_pure_state(rng, 2)
     # embed by explicit kron: qubit 0 is the most significant factor
     for target, embed in ((0, lambda k: np.kron(k, I2)), (1, lambda k: np.kron(I2, k))):
@@ -232,7 +210,7 @@ def test_apply_channel_embedded_matches_kron_oracle():
 
 def test_apply_channel_on_full_register_matches_kron_oracle():
     rng = np.random.default_rng(8)
-    channel = _random_cptp(rng)
+    channel = ChannelModel(ginibre_kraus(rng))
     state = random_pure_state(rng, 8)
     # qubit 5 of 8: five identity factors before it, two after
     lifted = [np.kron(np.kron(np.eye(2**5), k), np.eye(2**2)) for k in channel.kraus_ops]
@@ -254,7 +232,7 @@ def test_apply_channel_matches_kron_oracle_for_many_channels():
     rng = np.random.default_rng(5)
     state = random_pure_state(rng, 2)
     for k in range(276):
-        channel = _random_cptp(rng) if k % 2 else depolarizing_channel(k / 400)
+        channel = ChannelModel(ginibre_kraus(rng)) if k % 2 else depolarizing_channel(k / 400)
         lifted = [np.kron(I2, m) for m in channel.kraus_ops]
         oracle = sum(m @ state.matrix @ m.conj().T for m in lifted)
         out = apply_channel(channel, state, targets=(1,))
@@ -282,7 +260,7 @@ def test_apply_channel_dimension_checks():
 
 def test_identity_compose_keeps_action():
     rng = np.random.default_rng(4)
-    channel = _random_cptp(rng)
+    channel = ChannelModel(ginibre_kraus(rng))
     composed = compose_serial(channel, _identity())
     for probe in PROBES:
         assert np.allclose(_act(composed, probe), _act(channel, probe), atol=1e-12)
@@ -314,7 +292,7 @@ def test_compose_serial_dimension_mismatch():
 
 def test_switch_with_definite_control_reduces_to_serial():
     rng = np.random.default_rng(5)
-    c1, c2 = _random_cptp(rng), _random_cptp(rng)
+    c1, c2 = ChannelModel(ginibre_kraus(rng)), ChannelModel(ginibre_kraus(rng))
     for control_bits, serial in (("0", compose_serial(c1, c2)), ("1", compose_serial(c2, c1))):
         switch = quantum_switch(c1, c2)
         for probe in PROBES:
@@ -339,7 +317,8 @@ def _switch_pairs():
     rng = np.random.default_rng(17)
     pairs = [(depolarizing_channel(1.0), depolarizing_channel(0.3))]
     for n_first, n_second in ((1, 1), (1, 4), (2, 3), (4, 4)):
-        pairs.append((_random_cptp(rng, n_first), _random_cptp(rng, n_second)))
+        first = ChannelModel(ginibre_kraus(rng, n_first))
+        pairs.append((first, ChannelModel(ginibre_kraus(rng, n_second))))
     return pairs
 
 
@@ -388,7 +367,9 @@ def test_switch_rate_does_not_depend_on_the_kraus_sets():
     # kron path on the original sets is the oracle.
     rng = np.random.default_rng(41)
     pairs = _switch_pairs() + [(_amplitude_damping(0.6), _unitary_channel(rng))]
-    pairs += [(_qr_channel(rng, 2), _qr_channel(rng, 3)) for _ in range(5)]
+    pairs += [
+        (ChannelModel(random_kraus(rng, 2)), ChannelModel(random_kraus(rng, 3))) for _ in range(5)
+    ]
     for first, second in pairs:
         oracle = _holevo_oracle(_kron_switch_outputs(first, second))
         for a, b in (
@@ -403,8 +384,8 @@ def test_switch_map_equals_serial_plus_cross_reference():
     # The constant map against the two-term formula it replaced, on PTMs of
     # random CPTP channels and of depolarizing and damping channels.
     rng = np.random.default_rng(47)
-    channels = [_random_cptp(rng, n) for n in (1, 2, 3, 4) for _ in range(10)]
-    channels += [_qr_channel(rng, n) for n in (1, 2, 3, 4) for _ in range(5)]
+    channels = [ChannelModel(ginibre_kraus(rng, n)) for n in (1, 2, 3, 4) for _ in range(10)]
+    channels += [ChannelModel(random_kraus(rng, n)) for n in (1, 2, 3, 4) for _ in range(5)]
     channels += [depolarizing_channel(p) for p in (0.0, 0.3, 1.0)] + [_amplitude_damping(0.6)]
     worst_block = worst_rate = 0.0
     for first in channels:
@@ -458,12 +439,12 @@ def test_holevo_fully_depolarizing_is_zero():
 def test_holevo_matches_analytic_depolarizing_curve():
     for p in (0.2, 0.5, 0.8):
         chi = holevo_information(depolarizing_channel(p))
-        assert chi == pytest.approx(_dep_holevo(p), abs=1e-9)
+        assert chi == pytest.approx(dep_holevo(p), abs=1e-9)
 
 
 def _oracle_channels():
     rng = np.random.default_rng(23)
-    channels = [_qr_channel(rng, n) for n in (1, 2, 3, 4) for _ in range(5)]
+    channels = [ChannelModel(random_kraus(rng, n)) for n in (1, 2, 3, 4) for _ in range(5)]
     channels += [_amplitude_damping(g) for g in (0.0, 0.3, 0.9, 1.0)]
     channels += [depolarizing_channel(p) for p in (0.0, 0.25, 0.7, 1.0)]
     channels += [_unitary_channel(rng) for _ in range(3)] + [ChannelModel((PLUS_MINUS,))]
@@ -491,8 +472,8 @@ def test_ptm_matches_pauli_traces_and_is_cached_read_only():
 def test_ptm_of_serial_composition_is_the_matrix_product():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        first = _qr_channel(rng, int(rng.integers(1, 5)))
-        second = _qr_channel(rng, int(rng.integers(1, 5)))
+        first = ChannelModel(random_kraus(rng, int(rng.integers(1, 5))))
+        second = ChannelModel(random_kraus(rng, int(rng.integers(1, 5))))
         composed = compose_serial(first, second)
         assert np.allclose(composed.ptm, second.ptm @ first.ptm, rtol=0.0, atol=1e-13)
 
@@ -612,7 +593,8 @@ def test_switch_with_a_fully_depolarizing_channel_matches_kron_oracle(p):
 )
 def test_rates_of_random_channel_pairs_match_eigvalsh_oracles(seed, n_first, n_second):
     rng = np.random.default_rng(seed)
-    first, second = _qr_channel(rng, n_first), _qr_channel(rng, n_second)
+    first = ChannelModel(random_kraus(rng, n_first))
+    second = ChannelModel(random_kraus(rng, n_second))
     report = bottleneck_check(first, second)
     for chi, channel in (
         (report.chi_first, first),
@@ -650,7 +632,7 @@ def test_switch_with_traced_control_stays_zero():
 
 def test_phy_rate_of_one_link_is_its_holevo_information():
     rng = np.random.default_rng(11)
-    for channel in (_identity(), depolarizing_channel(0.4), _random_cptp(rng)):
+    for channel in (_identity(), depolarizing_channel(0.4), ChannelModel(ginibre_kraus(rng))):
         assert phy_effective_rate(channel) == holevo_information(channel)
     with pytest.raises(UnsupportedDimensionError):
         phy_effective_rate(_identity(2))
@@ -668,7 +650,7 @@ def test_phy_rate_of_two_fully_depolarizing_links_is_switch_activation():
 def test_phy_switch_rate_is_symmetric_in_link_order():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        first, second = _random_cptp(rng), _random_cptp(rng)
+        first, second = ChannelModel(ginibre_kraus(rng)), ChannelModel(ginibre_kraus(rng))
         forward = phy_effective_rate(first, second)
         assert abs(forward - phy_effective_rate(second, first)) < 1e-12
 
@@ -706,7 +688,7 @@ def test_bottleneck_holds_for_depolarizing_pairs(p1, p2):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_composition_preserves_completeness(seed):
     rng = np.random.default_rng(seed)
-    composed = compose_serial(_random_cptp(rng), _random_cptp(rng))
+    composed = compose_serial(ChannelModel(ginibre_kraus(rng)), ChannelModel(ginibre_kraus(rng)))
     total = sum(k.conj().T @ k for k in composed.kraus_ops)
     assert np.allclose(total, I2, atol=1e-10)
 
@@ -715,7 +697,7 @@ def test_composition_preserves_completeness(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_holevo_bounded_by_output_dimension(seed):
     rng = np.random.default_rng(seed)
-    assert -1e-9 <= holevo_information(_random_cptp(rng)) <= 1.0 + 1e-9
+    assert -1e-9 <= holevo_information(ChannelModel(ginibre_kraus(rng))) <= 1.0 + 1e-9
 
 
 # -- Kraus reduction ----------------------------------------------------------
@@ -731,7 +713,8 @@ def test_reduce_kraus_shrinks_composed_depolarizing():
 
 def test_reduce_kraus_random_channel_action_preserved():
     rng = np.random.default_rng(17)
-    channel = compose_serial(_random_cptp(rng, 4), _random_cptp(rng, 4))
+    first = ChannelModel(ginibre_kraus(rng, 4))
+    channel = compose_serial(first, ChannelModel(ginibre_kraus(rng, 4)))
     reduced = reduce_kraus(channel)
     assert len(reduced.kraus_ops) <= 4
     for probe in PROBES:

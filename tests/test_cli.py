@@ -13,7 +13,6 @@ from qnetsim import cli
 from qnetsim.cli import main
 from qnetsim.config import load_config
 from qnetsim.engine import EventEngine, EventKind, Topology
-from qnetsim.errors import UnreachableError
 from qnetsim.runner import CSV_HEADER, MetricsRecord, csv_text, run_experiment
 from qnetsim.scenarios import SCENARIOS, ScenarioResult
 from qnetsim.services import routing
@@ -45,7 +44,7 @@ def engine_fault_scenario(topology, cell):
     def run(rng_seed):
         def step(eng, label):
             if fail and label == "step 1":
-                raise UnreachableError("far side went dark")
+                raise ConnectionError("far side went dark")
 
         engine = EventEngine(Topology(("a",)), rng_seed)
         for k in range(2):
@@ -99,6 +98,19 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     assert "invalid:" in err
     assert "scenario" in err
     assert "seeds" in err
+
+
+def test_validate_locates_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # 0xE9 is Latin-1 for e-acute; in UTF-8 it starts a sequence the
+    # newline after it cannot continue.
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"scenario: superdense\r\nseeds: [1]  # caf\xe9\nparams: {n_trials: 8}\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"invalid: {path}: not UTF-8 at line 2, column 18: byte 0xe9, invalid continuation byte\n"
+    )
 
 
 def test_run_writes_csv_with_golden_header(tmp_path, capsys):
@@ -483,7 +495,7 @@ def test_failed_cell_aborts_alone_with_its_cause(tmp_path, capsys, monkeypatch):
     assert lines[1:] == [
         "engine_fault,3,fail=False,steps,2,0,0",
         "engine_fault,3,fail=True,status,aborted,0,0",
-        "engine_fault,3,fail=True,abort_cause,UnreachableError: far side went dark,0,0",
+        "engine_fault,3,fail=True,abort_cause,ConnectionError: far side went dark,0,0",
     ]
     # the aborted cell keeps the trace prefix up to the failing event
     aborted_trace = (out_dir / "engine_fault_s3_t1.trace").read_text().splitlines()

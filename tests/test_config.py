@@ -31,7 +31,7 @@ def test_minimal_teleport_config_is_valid():
     assert config.scenario == "teleport"
     assert config.seeds == (1,)
     assert config.topology is not None
-    assert config.topology.classical_latency("alice", "bob") == 1
+    assert config.topology.shortest_classical_route("alice", "bob").latency == 1
 
 
 def test_missing_seeds_is_named_in_error():
@@ -210,6 +210,30 @@ def test_yaml_error_location_matches_the_pure_python_loader(tmp_path, text):
     [violation] = info.value.violations
     where = f"at line {mark.line + 1}, column {mark.column + 1}: "
     assert violation.startswith(f"{path}: YAML syntax error {where}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario: superdense\nseeds: [1]\nparams: {n_trials: 8,\n  werner_w: \x01 1.0}\n",
+        "scenario: superdense  # caf\u00e9\r\nseeds: [1]\nn\u0153uds: [\u00e9, \x1f]\n",
+    ],
+    ids=["control-character", "control-character-after-non-ascii"],
+)
+def test_yaml_reader_error_is_located_by_line_and_column(tmp_path, text):
+    # libyaml reports where it met a character YAML forbids as an offset
+    # into the stream; the violation gives the line and column instead.
+    bad = next(i for i, c in enumerate(text) if c in "\x01\x1f")
+    before = text[:bad].replace("\r\n", "\n").split("\n")
+    path = tmp_path / "control.yaml"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    [violation] = info.value.violations
+    assert violation == (
+        f"{path}: YAML syntax error at line {len(before)}, column {len(before[-1]) + 1}: "
+        f"unacceptable character #x{ord(text[bad]):04x}: control characters are not allowed"
+    )
 
 
 def test_missing_file_reports_path(tmp_path):

@@ -11,6 +11,7 @@ import qnetsim.channels
 import qnetsim.qstate
 from qnetsim.engine import (
     ClassicalLink,
+    ClassicalRoute,
     EventEngine,
     EventKind,
     QuantumLink,
@@ -19,9 +20,9 @@ from qnetsim.engine import (
     format_record,
 )
 from qnetsim.channels import depolarizing_channel
-from qnetsim.errors import EngineAborted, SchedulingError, UnreachableError
+from qnetsim.errors import EngineAborted, SchedulingError
 from qnetsim.protocols import CorrectionMessage, Purpose
-from reference import bell_matrix, corrected, haar_ket, link_pair_matrix, overlap, teleport_circuit
+from reference import corrected, haar_ket, link_pair_matrix, overlap, teleport_circuit
 
 
 def chain_topology(latencies=(2, 3, 4)):
@@ -34,6 +35,10 @@ def chain_topology(latencies=(2, 3, 4)):
 
 def msg(origin="n0", target="n1"):
     return CorrectionMessage((0, 1), origin, target, Purpose.TELEPORT)
+
+
+def route(engine, src, dst):
+    return engine.topology.shortest_classical_route(src, dst)
 
 
 def ignore(*_):
@@ -104,8 +109,7 @@ def test_single_hop_delivery_latency():
     engine = EventEngine(chain_topology((4,)), seed=0)
     arrived = []
     engine.send_classical(
-        msg(), ("n0", "n1"), SignalingScope.HOST_TO_HOST,
-        on_deliver=lambda m: arrived.append(engine.now),
+        msg(), route(engine, "n0", "n1"), on_deliver=lambda m: arrived.append(engine.now)
     )
     engine.run_until()
     assert arrived == [4]
@@ -114,27 +118,29 @@ def test_single_hop_delivery_latency():
 def test_multi_hop_latency_is_additive():
     engine = EventEngine(chain_topology((2, 3, 4)), seed=0)
     arrived = []
+    chain = route(engine, "n0", "n3")
+    assert chain == ClassicalRoute(("n0", "n1", "n2", "n3"), 9)
     engine.send_classical(
-        msg("n0", "n3"), ("n0", "n1", "n2", "n3"), SignalingScope.END_TO_END,
-        on_deliver=lambda m: arrived.append(engine.now),
+        msg("n0", "n3"), chain, on_deliver=lambda m: arrived.append(engine.now)
     )
     engine.run_until()
     assert arrived == [9]
 
 
 def test_each_route_is_delayed_by_its_own_latency_sum():
-    # A route's latency is summed once per engine; every later message
-    # over it, and every other route, still arrives after its own sum.
+    # Every message over a route, and every other route, arrives after
+    # its own route's summed latency.
     engine = EventEngine(chain_topology((2, 3, 4)), seed=0)
     arrived = []
-    routes = [("n0", "n1"), ("n1", "n2", "n3"), ("n0", "n1", "n2", "n3"), ("n3", "n2")]
-    for route in routes * 2:
+    ends = [("n0", "n1"), ("n1", "n3"), ("n0", "n3"), ("n3", "n2")]
+    for src, dst in ends * 2:
         engine.send_classical(
-            msg(route[0], route[-1]), route, SignalingScope.END_TO_END,
-            on_deliver=lambda m, route=route: arrived.append((route, engine.now)),
+            msg(src, dst),
+            route(engine, src, dst),
+            on_deliver=lambda m, ends=(src, dst): arrived.append((ends, engine.now)),
         )
     engine.run_until()
-    assert sorted(arrived) == sorted([(r, d) for r, d in zip(routes, (2, 7, 9, 4))] * 2)
+    assert sorted(arrived) == sorted([(e, d) for e, d in zip(ends, (2, 7, 9, 4))] * 2)
 
 
 def test_no_delivery_before_latency_elapses():
@@ -142,59 +148,66 @@ def test_no_delivery_before_latency_elapses():
     engine = EventEngine(chain_topology((2, 3)), seed=0)
     arrived = []
     engine.send_classical(
-        msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.END_TO_END,
-        on_deliver=lambda m: arrived.append(engine.now),
+        msg("n0", "n2"), route(engine, "n0", "n2"), on_deliver=lambda m: arrived.append(engine.now)
     )
     result = engine.run_until()
     assert [time for time, _, _, _ in result.trace] == [5]
     assert arrived == [5]
 
 
-def test_delivery_record_is_message_and_scope_and_handler_gets_message():
+def test_delivery_record_is_the_message_the_handler_gets():
     engine = EventEngine(chain_topology((2,)), seed=0)
     message = msg()
     delivered = []
-    engine.send_classical(message, ("n0", "n1"), SignalingScope.HOST_TO_HOST, delivered.append)
+    engine.send_classical(message, route(engine, "n0", "n1"), delivered.append)
     ((time, seq, kind, detail),) = engine.run_until().trace
     assert (time, seq, kind) == (2, 0, EventKind.CLASSICAL_DELIVER)
-    assert detail == (message, SignalingScope.HOST_TO_HOST) and detail[0] is message
+    assert detail is message
     assert len(delivered) == 1 and delivered[0] is message
+    assert format_record((time, seq, kind, detail)) == (
+        "t=2 seq=0 kind=classical_deliver purpose=teleport bits=2 origin=n0 target=n1 "
+        "scope=end_to_end"
+    )
 
 
-def test_send_requires_existing_links():
+def test_send_requires_a_route_of_two_nodes():
     engine = EventEngine(chain_topology((2,)), seed=0)
-    with pytest.raises(UnreachableError):
-        engine.send_classical(msg("n0", "n1"), ("n1", "n0x"), SignalingScope.HOST_TO_HOST, ignore)
-    with pytest.raises(ValueError):
-        engine.send_classical(
-            msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.HOST_TO_HOST, ignore
-        )
+    with pytest.raises(ValueError, match="at least two nodes"):
+        engine.send_classical(msg("n0", "n0"), route(engine, "n0", "n0"), ignore)
+    assert engine.ledger == []
+
+
+def chain_with_quantum_link():
+    """``chain_topology((2, 3))`` with a certain, noiseless n0-n1 quantum link."""
+    chain = chain_topology((2, 3))
+    link = QuantumLink("n0", "n1", depolarizing_channel(0.0), 1.0, 1)
+    return Topology(chain.nodes, chain.classical_links, (link,))
 
 
 def test_ledger_records_bits_and_scopes():
-    engine = EventEngine(chain_topology((2, 3)), seed=0)
-    engine.send_classical(msg(), ("n0", "n1"), SignalingScope.HOST_TO_HOST, ignore)
-    engine.send_classical(msg("n0", "n2"), ("n0", "n1", "n2"), SignalingScope.END_TO_END, ignore)
-    assert engine.bits_host_to_host == 2
+    # A herald is charged host-to-host, a correction end-to-end.
+    engine = EventEngine(chain_with_quantum_link(), seed=0)
+    engine.attempt_entanglement(engine.topology.quantum_links[0])
+    engine.send_classical(msg("n0", "n2"), route(engine, "n0", "n2"), ignore)
+    assert engine.bits_host_to_host == 1
     assert engine.bits_end_to_end == 2
-    assert len(engine.ledger) == 2
-    assert {e.scope for e in engine.ledger} == {
-        SignalingScope.HOST_TO_HOST,
-        SignalingScope.END_TO_END,
-    }
+    assert [(e.bits, e.scope, e.origin, e.target) for e in engine.ledger] == [
+        (1, SignalingScope.HOST_TO_HOST, "n0", "n1"),
+        (2, SignalingScope.END_TO_END, "n0", "n2"),
+    ]
 
 
 def test_bit_totals_are_the_ledger_sums():
     # The totals run as bits are charged, so run_until reports the sum of
     # the ledger, per scope.
-    engine = EventEngine(chain_topology((2, 3)), seed=0)
-    link_route, chain_route = ("n0", "n1"), ("n0", "n1", "n2")
+    engine = EventEngine(chain_with_quantum_link(), seed=0)
+    link, chain_route = engine.topology.quantum_links[0], route(engine, "n0", "n2")
 
     def send(eng, t):
         if t % 3 == 0:
-            eng.send_classical(msg(), link_route, SignalingScope.HOST_TO_HOST, ignore)
+            eng.attempt_entanglement(link)
         else:
-            eng.send_classical(msg("n0", "n2"), chain_route, SignalingScope.END_TO_END, ignore)
+            eng.send_classical(msg("n0", "n2"), chain_route, ignore)
 
     for t in range(12):
         engine.schedule(t, EventKind.PROTOCOL_STEP, t, send)
@@ -206,7 +219,7 @@ def test_bit_totals_are_the_ledger_sums():
         assert total == sum(e.bits for e in engine.ledger if e.scope is scope)
     assert result.bits_host_to_host == engine.bits_host_to_host
     assert result.bits_end_to_end == engine.bits_end_to_end
-    assert (engine.bits_host_to_host, engine.bits_end_to_end) == (8, 16)
+    assert (engine.bits_host_to_host, engine.bits_end_to_end) == (4, 16)
 
 
 def test_shortest_classical_route_by_hop_count():
@@ -217,9 +230,13 @@ def test_shortest_classical_route_by_hop_count():
         ClassicalLink("a", "c", 1),
         ClassicalLink("c", "b", 1),
     )
-    topo = Topology(nodes, links, ())
-    # hop count decides, not latency; a-b-d is two hops
-    assert topo.shortest_classical_route("a", "d") == ("a", "b", "d")
+    topo = Topology(nodes + ("island",), links, ())
+    # hop count decides, not latency; a-b-d is two hops, and its latency
+    # is the sum over its links
+    assert topo.shortest_classical_route("a", "d") == ClassicalRoute(("a", "b", "d"), 20)
+    assert topo.shortest_classical_route("d", "c") == ClassicalRoute(("d", "b", "c"), 11)
+    assert topo.shortest_classical_route("a", "a") == ClassicalRoute(("a",), 0)
+    assert topo.shortest_classical_route("a", "island") is None
     assert topo.shortest_classical_route("a", "ghost") is None
 
 
@@ -284,12 +301,13 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
 def test_link_pair_is_read_off_its_channel_without_a_register(monkeypatch):
     # A stored pair does not decohere, so every attempt that succeeds
     # delivers the same pair, and the link applies no gate or channel to
-    # a density matrix to make it.
+    # a density matrix to make it, nor builds one.
     def no_register(*args, **kwargs):
         raise AssertionError("a link pair touched the density-matrix register")
 
     monkeypatch.setattr(qnetsim.qstate, "apply_operators", no_register)
     monkeypatch.setattr(qnetsim.channels, "apply_operators", no_register)
+    monkeypatch.setattr(qnetsim.qstate.QuantumState, "__new__", no_register)
     p = 0.3
     oracle = (1 + 3 * (1 - p) ** 2) / 4
     topo = quantum_topology(p, 0.5)
@@ -389,8 +407,7 @@ def _stochastic_run(seed):
         bits, pending = teleport_circuit(payload, pair, eng.rng)
         eng.send_classical(
             CorrectionMessage(bits, link.a, link.b, Purpose.TELEPORT),
-            ("u", "v"),
-            SignalingScope.END_TO_END,
+            route(eng, "u", "v"),
             lambda delivered: fidelities.append(
                 overlap(corrected(pending, delivered.bits), payload)
             ),
@@ -417,12 +434,11 @@ def test_identical_seeds_reproduce_traces():
     assert first.bits_end_to_end == 2 * N_STOCHASTIC
     assert len(first_fids) == N_STOCHASTIC
     assert first.trace == second.trace
-    # Records are plain data: a label string, or the delivered message
-    # and its scope; never a handler.
+    # Records are plain data: a label string, or the delivered message;
+    # never a handler.
     for _, _, kind, detail in first.trace:
         if kind is EventKind.CLASSICAL_DELIVER:
-            message, scope = detail
-            assert isinstance(message, CorrectionMessage) and scope is SignalingScope.END_TO_END
+            assert isinstance(detail, CorrectionMessage)
         else:
             assert isinstance(detail, str)
     assert [format_record(r) for r in first.trace] == [format_record(r) for r in second.trace]
@@ -445,33 +461,3 @@ def test_handler_exception_aborts_with_trace_prefix():
     assert len(info.value.trace) == 2
     assert info.value.trace[0][0] == 1
     assert info.value.trace[1][0] == 2
-
-
-def test_severed_classical_link_aborts_teleport_uncorrected():
-    # quantum link exists, classical link does not: the correction cannot
-    # be signaled, so the run aborts and the destination is never corrected
-    topo = Topology(
-        ("u", "v"), (), (QuantumLink("u", "v", depolarizing_channel(0.0), 1.0, 1),)
-    )
-    engine = EventEngine(topo, seed=7)
-    outputs = []
-
-    def step(eng, _label):
-        ket = haar_ket(eng.rng)
-        payload = np.outer(ket, ket.conj())
-        bits, pending = teleport_circuit(payload, bell_matrix(0, 0), eng.rng)
-        eng.send_classical(
-            CorrectionMessage(bits, "u", "v", Purpose.TELEPORT),
-            ("u", "v"),
-            SignalingScope.END_TO_END,
-            lambda delivered: outputs.append(corrected(pending, delivered.bits)),
-        )
-
-    engine.schedule(0, EventKind.PROTOCOL_STEP, "", step)
-    with pytest.raises(EngineAborted) as info:
-        engine.run_until()
-    assert isinstance(info.value.cause, UnreachableError)
-    assert len(info.value.trace) == 1
-    assert outputs == []
-    assert engine.ledger == []
-

@@ -17,10 +17,10 @@ from qnetsim.protocols import (
     _bell_branches,
     _draw_index,
     bell_basis_measure,
+    bell_pair_correlations,
     cumulative_weights,
     draw_bell_outcome,
     make_w_state,
-    pair_correlations,
     pauli_correct,
     superdense_decode,
     superdense_distribution,
@@ -34,13 +34,14 @@ from qnetsim.protocols import (
     werner_pair,
 )
 from qnetsim.qstate import EIGENVALUE_FLOOR, QuantumState, fidelity, measure, random_pure_state
-from qnetsim.scenarios import SCENARIOS
+from qnetsim.scenarios import SCENARIOS, _werner_correlations
 from reference import (
     H,
     I2,
     X,
     Y,
     Z,
+    ForcedDraw,
     bell_ket,
     bell_matrix,
     corrected,
@@ -59,6 +60,10 @@ def werner_matrix(w):
     return w * bell_matrix(0, 0) + (1 - w) * np.eye(4) / 4
 
 
+def werner_correlations(w):
+    return hand_built_correlations(werner_matrix(w))
+
+
 def bloch(rho):
     """``(<X>, <Y>, <Z>)`` of a qubit state, as plain floats."""
     return tuple(float(np.real(np.trace(p @ rho))) for p in (X, Y, Z))
@@ -66,7 +71,7 @@ def bloch(rho):
 
 def forced_outcome(index):
     """A draw that selects outcome ``index`` of four equal weights."""
-    return _ForcedDraw((index + 0.5) / 4)
+    return ForcedDraw((index + 0.5) / 4)
 
 
 # -- resource preparation -----------------------------------------------------
@@ -140,16 +145,6 @@ def test_w_state_node_count_bounds():
 # -- Bell measurement ---------------------------------------------------------
 
 
-class _ForcedDraw:
-    """Stub generator whose random() returns a fixed value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
 class _CountingDraw:
     """Generator wrapper that counts its random() calls."""
 
@@ -174,7 +169,7 @@ def test_bell_measure_on_a_pair_inside_a_register_names_the_bell_state():
             ket = np.einsum("i,k,ab->ibka", u, v, pair).reshape(16)
             state = QuantumState(4, np.outer(ket, ket.conj()))
             for draw in (0.0, 0.5, 1.0 - 1e-9):
-                bits, post = bell_basis_measure(state, 3, 1, _ForcedDraw(draw))
+                bits, post = bell_basis_measure(state, 3, 1, ForcedDraw(draw))
                 assert bits == (phase, parity)
                 assert post.num_qubits == 2
                 assert np.allclose(post.matrix, rest, rtol=0.0, atol=1e-12)
@@ -206,10 +201,10 @@ def test_bell_measure_guards_a_branch_below_the_floor():
     # last outcome, (1, 1), whose weight is 0
     state = QuantumState(3, np.kron(bell_matrix(0, 0), np.diag([1.0, 0.0])))
     with pytest.raises(RenormalizationError):
-        bell_basis_measure(state, 0, 1, _ForcedDraw(1.5))
+        bell_basis_measure(state, 0, 1, ForcedDraw(1.5))
     for a, b in ((1, 1), (0, 3), (-1, 0)):
         with pytest.raises(IndexError):
-            bell_basis_measure(state, a, b, _ForcedDraw(0.5))
+            bell_basis_measure(state, a, b, ForcedDraw(0.5))
 
 
 def test_draw_index_matches_numpy_search_on_random_tables():
@@ -239,7 +234,7 @@ def test_draw_index_matches_numpy_search_on_random_tables():
             assert cumulative == tuple(table.tolist())
             draws = [draw, 0.0, 1.5, *cumulative]
             indices = np.minimum(np.searchsorted(table, draws, side="right"), size - 1)
-            assert [_draw_index(cumulative, _ForcedDraw(d)) for d in draws] == indices.tolist()
+            assert [_draw_index(cumulative, ForcedDraw(d)) for d in draws] == indices.tolist()
             tables += 1
     assert tables >= 10_000
     assert all(type(value) is float for value in cumulative_weights(np.array([0.5, 0.25])))
@@ -251,25 +246,29 @@ PHI_PLUS_DIAGONAL = np.diag([1.0, 1.0, -1.0, 1.0])
 
 
 def test_pair_correlations_are_the_pauli_expectations():
+    # phi+ with a different random channel on each half has correlations
+    # R1 D R2^T; the oracle builds that pair by its Kraus sum.
     rng = np.random.default_rng(67)
     for _ in range(20):
-        rho = _random_mixed(rng, 4)
-        correlations = pair_correlations(QuantumState(2, rho))
-        assert np.allclose(correlations, hand_built_correlations(rho), rtol=0.0, atol=1e-15)
+        first, second = (random_kraus(rng, int(rng.integers(1, 5))) for _ in range(2))
+        correlations = bell_pair_correlations(ChannelModel(first).ptm, ChannelModel(second).ptm)
+        expected = hand_built_correlations(link_pair_matrix(first, second))
+        assert np.allclose(correlations, expected, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("w", [0.0, 0.34, 0.8, 1.0])
 def test_pair_correlations_of_werner_pairs_are_diagonal(w):
     # phi+ = (II + XX - YY + ZZ) / 4, and white noise scales every
-    # correlation but the trace.
+    # correlation but the trace; the scenarios' Werner pair is exactly that.
     expected = np.diag([1.0, w, -w, w])
-    assert np.allclose(pair_correlations(werner_pair(w)), expected, rtol=0.0, atol=1e-15)
-    phi = QuantumState(2, bell_matrix(0, 0))
-    assert np.allclose(pair_correlations(phi), PHI_PLUS_DIAGONAL, rtol=0.0, atol=1e-15)
+    assert np.array_equal(_werner_correlations(w), expected)
+    oracle = hand_built_correlations(werner_pair(w).matrix)
+    assert np.allclose(oracle, expected, rtol=0.0, atol=1e-15)
+    assert np.array_equal(bell_pair_correlations(np.eye(4), np.eye(4)), PHI_PLUS_DIAGONAL)
 
 
 _RANDOM_CHANNELS = [
-    ChannelModel(tuple(random_kraus(np.random.default_rng(seed), count)))
+    ChannelModel(random_kraus(np.random.default_rng(seed), count))
     for seed, count in ((71, 1), (72, 2), (73, 3), (74, 4))
 ]
 
@@ -298,18 +297,13 @@ def test_link_pair_correlations_are_its_ptm_on_both_halves(channel):
     assert np.allclose(link.pair_correlations, expected, rtol=0.0, atol=1e-14)
 
 
-def test_pair_correlations_need_two_qubits():
-    with pytest.raises(ValueError, match="two-qubit pair"):
-        pair_correlations(QuantumState(1, np.eye(2, dtype=complex) / 2))
-
-
 # -- teleportation ------------------------------------------------------------
 
 
 def test_teleport_ideal_resource_is_exact():
     # Over phi+ each outcome has weight 1/4 and gives the payload back.
     rng = np.random.default_rng(21)
-    table = teleport_table(pair_correlations(werner_pair(1.0))).tolist()
+    table = teleport_table(werner_correlations(1.0)).tolist()
     for _ in range(50):
         r = bloch(random_pure_state(rng).matrix)
         assert teleport_weights(table, r) == pytest.approx((0.25,) * 4, abs=1e-15)
@@ -321,7 +315,7 @@ def test_teleport_emits_exactly_one_two_bit_message():
     # A teleport draws its outcome with one draw; the correction is that
     # outcome's two bits, SUPERDENSE_MESSAGES[index].
     rng = np.random.default_rng(22)
-    table = teleport_table(pair_correlations(werner_pair(1.0))).tolist()
+    table = teleport_table(werner_correlations(1.0)).tolist()
     weights = teleport_weights(table, bloch(random_pure_state(rng).matrix))
     counting = _CountingDraw(22)
     index = draw_bell_outcome(weights, cumulative_weights(weights), counting)
@@ -336,7 +330,7 @@ def test_teleport_uncorrected_state_is_pauli_frame_of_payload():
     # The table's output is that state with the frame undone.
     payload = random_pure_state(np.random.default_rng(23)).matrix
     r = bloch(payload)
-    table = teleport_table(pair_correlations(werner_pair(1.0)))
+    table = teleport_table(werner_correlations(1.0))
     pending = []
     for index, bits in enumerate(SUPERDENSE_MESSAGES):
         drawn, destination = teleport_circuit(payload, bell_matrix(0, 0), forced_outcome(index))
@@ -355,7 +349,7 @@ def test_teleport_with_product_resource_degrades_to_mixed():
     payload = random_pure_state(rng).matrix
     r = bloch(payload)
     product = np.eye(4, dtype=complex) / 4
-    table = teleport_table(pair_correlations(QuantumState(2, product))).tolist()
+    table = teleport_table(hand_built_correlations(product)).tolist()
     assert teleport_weights(table, r) == pytest.approx((0.25,) * 4, abs=1e-15)
     for index, bits in enumerate(SUPERDENSE_MESSAGES):
         _, destination = teleport_circuit(payload, product, forced_outcome(index))
@@ -388,7 +382,7 @@ def test_teleport_werner_fidelity_matches_oracle():
         [_teleport_fidelity_oracle(random_pure_state(rng_oracle).matrix, w) for _ in range(200)]
     )
     rng = np.random.default_rng(202)
-    table = teleport_table(pair_correlations(werner_pair(w))).tolist()
+    table = teleport_table(werner_correlations(w)).tolist()
     observed = []
     for _ in range(200):
         r = bloch(random_pure_state(rng).matrix)
@@ -416,7 +410,7 @@ def _check_teleport_table_against_per_trial_path(pair_matrix, n_payloads, seed):
     """For each payload and each outcome: the table's weight against the
     hand-built CNOT-H circuit, and its fidelity against that circuit forced
     onto the outcome, then corrected by the outcome's frame."""
-    table = teleport_table(pair_correlations(QuantumState(2, pair_matrix))).tolist()
+    table = teleport_table(hand_built_correlations(pair_matrix)).tolist()
     rng = np.random.default_rng(seed)
     for _ in range(n_payloads):
         payload = random_pure_state(rng).matrix
@@ -429,7 +423,7 @@ def _check_teleport_table_against_per_trial_path(pair_matrix, n_payloads, seed):
         for index, bits in enumerate(SUPERDENSE_MESSAGES):
             if expected[index] < 1e-9:
                 continue
-            draw = _ForcedDraw((lower[index] + upper[index]) / 2)
+            draw = ForcedDraw((lower[index] + upper[index]) / 2)
             drawn, destination = teleport_circuit(payload, pair_matrix, draw)
             assert drawn == bits
             oracle = overlap(corrected(destination, bits), payload)
@@ -460,23 +454,25 @@ def test_teleport_table_matches_per_trial_teleport_on_mixed_resources(entries, s
 def test_teleport_table_of_phi_plus_is_identity_per_outcome():
     # An ideal pair teleports any payload exactly: each outcome, weight 1/4,
     # passes the Pauli vector through unchanged.
-    table = teleport_table(pair_correlations(werner_pair(1.0)))
+    table = teleport_table(werner_correlations(1.0))
     assert np.allclose(table, np.broadcast_to(np.eye(4) / 4, (4, 4, 4)), rtol=0.0, atol=1e-15)
 
 
 def test_teleport_table_draw_guards_a_branch_below_the_floor():
     # Over the product resource |00> a payload |0> never yields a psi
     # outcome; a draw >= 1 selects (1, 1), which the draw must refuse.
-    pair = QuantumState(2, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    weights = teleport_weights(teleport_table(pair_correlations(pair)).tolist(), (0.0, 0.0, 1.0))
+    table = teleport_table(hand_built_correlations(np.diag([1.0, 0.0, 0.0, 0.0])))
+    weights = teleport_weights(table.tolist(), (0.0, 0.0, 1.0))
     assert weights == pytest.approx((0.5, 0.0, 0.5, 0.0), abs=1e-15)
     with pytest.raises(RenormalizationError):
-        draw_bell_outcome(weights, cumulative_weights(weights), _ForcedDraw(1.5))
+        draw_bell_outcome(weights, cumulative_weights(weights), ForcedDraw(1.5))
 
 
 def test_teleport_table_needs_a_two_qubit_resource():
-    with pytest.raises(ValueError):
-        teleport_table(pair_correlations(QuantumState(1, np.eye(2, dtype=complex) / 2)))
+    # A pair's correlations are 4x4; a smaller or larger matrix is refused.
+    for wrong in (np.eye(2), np.eye(8)):
+        with pytest.raises(ValueError):
+            teleport_table(wrong)
 
 
 # -- superdense coding --------------------------------------------------------
@@ -485,14 +481,14 @@ def test_teleport_table_needs_a_two_qubit_resource():
 def test_superdense_round_trip_all_messages():
     rng = np.random.default_rng(31)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        joint = superdense_encode(bits, pair_correlations(werner_pair(1.0)))
+        joint = superdense_encode(bits, werner_correlations(1.0))
         assert superdense_decode(joint, rng) == bits
 
 
 def test_superdense_encoding_images():
     psi_plus = hand_built_correlations(bell_matrix(0, 1))
     phi_minus = hand_built_correlations(bell_matrix(1, 0))
-    pair = pair_correlations(werner_pair(1.0))
+    pair = werner_correlations(1.0)
     assert np.allclose(superdense_encode((0, 1), pair), psi_plus, atol=1e-12)
     assert np.allclose(superdense_encode((1, 0), pair), phi_minus, atol=1e-12)
     phi_plus = hand_built_correlations(bell_matrix(0, 0))
@@ -504,17 +500,20 @@ def test_superdense_encode_is_the_frame_on_the_first_half():
     # the sender's qubit of the register.
     rng = np.random.default_rng(68)
     for _ in range(20):
-        state = QuantumState(2, _random_mixed(rng, 4))
+        rho = _random_mixed(rng, 4)
         for bits in SUPERDENSE_MESSAGES:
-            encoded = superdense_encode(bits, pair_correlations(state))
-            expected = pair_correlations(pauli_correct(state, 0, bits))
-            assert np.max(np.abs(encoded - expected)) <= 1e-15, bits
+            encoded = superdense_encode(bits, hand_built_correlations(rho))
+            frame = np.kron(pauli_frame(bits), I2)
+            framed = frame @ rho @ frame.conj().T
+            assert np.max(np.abs(encoded - hand_built_correlations(framed))) <= 1e-15, bits
+            corrected_state = pauli_correct(QuantumState(2, rho), 0, bits)
+            assert np.allclose(corrected_state.matrix, framed, rtol=0.0, atol=1e-15), bits
 
 
 def test_superdense_werner_statistics_match_born_oracle():
     w = 0.9
     rng = np.random.default_rng(32)
-    pair = pair_correlations(werner_pair(w))
+    pair = werner_correlations(w)
     per_message = 25_000
     encodings = {
         (0, 0): I2,
@@ -542,7 +541,7 @@ def test_superdense_distribution_is_werner_closed_form():
     messages = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for w in (1.0, 0.9, 0.7, 0.34):
         for bits in messages:
-            pair = pair_correlations(werner_pair(w))
+            pair = werner_correlations(w)
             distribution = superdense_distribution(superdense_encode(bits, pair))
             expected = [(1 + 3 * w) / 4 if m == bits else (1 - w) / 4 for m in messages]
             assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), (w, bits)
@@ -554,7 +553,7 @@ def test_superdense_distribution_matches_cnot_h_circuit_near_phi_plus():
     rng = np.random.default_rng(66)
     for _ in range(20):
         rho = 0.7 * bell_matrix(0, 0) + 0.3 * _random_mixed(rng, 4)
-        pair = pair_correlations(QuantumState(2, rho))
+        pair = hand_built_correlations(rho)
         for bits in SUPERDENSE_MESSAGES:
             frame = np.kron(pauli_frame(bits), I2)
             expected = hand_built_bell_weights(frame @ rho @ frame.conj().T, 0, 1, 2)
@@ -564,9 +563,9 @@ def test_superdense_distribution_matches_cnot_h_circuit_near_phi_plus():
 
 def test_superdense_decode_ambiguity_on_maximally_mixed():
     rng = np.random.default_rng(33)
-    mixed = QuantumState(2, np.eye(4, dtype=complex) / 4)
+    mixed = np.eye(4, dtype=complex) / 4
     with pytest.raises(DecodeAmbiguityError) as info:
-        superdense_decode(pair_correlations(mixed), rng)
+        superdense_decode(hand_built_correlations(mixed), rng)
     assert info.value.best_guess in [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -576,7 +575,7 @@ def test_superdense_decode_ambiguity_on_maximally_mixed():
 def test_swap_ideal_inputs_yield_phi_plus():
     # Each outcome of two phi+ pairs has weight 1/4, and its corrected end
     # pair is phi+.
-    phi = pair_correlations(werner_pair(1.0))
+    phi = werner_correlations(1.0)
     weights, fidelities = swap_outcome_table(phi, phi)
     assert weights == pytest.approx((0.25,) * 4, abs=1e-15)
     assert fidelities == pytest.approx((1.0,) * 4, abs=1e-12)
@@ -595,7 +594,7 @@ def test_swap_signals_even_for_trivial_outcome():
     )
     result = SCENARIOS["swap"](topology, {"n_swaps": 40})([42])
     deliveries = [d for _, _, kind, d in result.trace if kind is EventKind.CLASSICAL_DELIVER]
-    sent = [message.bits for message, _ in deliveries]
+    sent = [message.bits for message in deliveries]
     assert len(sent) == 40
     assert all(bits in SUPERDENSE_MESSAGES for bits in sent)
     assert any(bits == (0, 0) for bits in sent)
@@ -607,7 +606,7 @@ def test_swap_preserves_werner_parameter():
     # weight w after every outcome.
     w = 0.7
     weights, fidelities = swap_outcome_table(
-        pair_correlations(werner_pair(w)), pair_correlations(werner_pair(1.0))
+        werner_correlations(w), werner_correlations(1.0)
     )
     assert weights == pytest.approx((0.25,) * 4, abs=1e-15)
     for index, bits in enumerate(SUPERDENSE_MESSAGES):
@@ -620,7 +619,7 @@ def test_swap_outcome_distribution():
     rng = np.random.default_rng(44)
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     n = 100_000
-    phi = pair_correlations(werner_pair(1.0))
+    phi = werner_correlations(1.0)
     weights, _ = swap_outcome_table(phi, phi)
     cumulative = cumulative_weights(weights)
     for _ in range(n):
@@ -660,14 +659,14 @@ def test_swap_outcome_table_agrees_with_entanglement_swap():
     for _ in range(20):
         left, right = _random_mixed(rng, 4), _random_mixed(rng, 4)
         weights, fidelities = swap_outcome_table(
-            pair_correlations(QuantumState(2, left)), pair_correlations(QuantumState(2, right))
+            hand_built_correlations(left), hand_built_correlations(right)
         )
         expected_weights = hand_built_bell_weights(np.kron(left, right), 1, 2, 4)
         assert np.allclose(weights, expected_weights, rtol=0.0, atol=1e-12)
         upper = np.cumsum(weights) / sum(weights)
         lower = np.concatenate(([0.0], upper[:-1]))
         for index, bits in enumerate(SUPERDENSE_MESSAGES):
-            draw = _ForcedDraw((lower[index] + upper[index]) / 2)
+            draw = ForcedDraw((lower[index] + upper[index]) / 2)
             drawn, pending = swap_circuit(left, right, draw)
             assert drawn == bits
             oracle = overlap(corrected(pending, bits), phi)
@@ -675,10 +674,12 @@ def test_swap_outcome_table_agrees_with_entanglement_swap():
 
 
 def test_protocols_reject_a_pair_that_is_not_two_qubits():
-    payload = random_pure_state(np.random.default_rng(46))
-    for wrong in (payload, make_w_state(3)):
-        with pytest.raises(ValueError, match="needs a two-qubit pair"):
-            superdense_encode((0, 1), pair_correlations(wrong))
+    # Only a 4x4 matrix is a pair's correlations; 2x2 and 8x8 ones are refused.
+    for wrong in (np.eye(2), np.eye(8)):
+        with pytest.raises(ValueError):
+            superdense_encode((0, 1), wrong)
+        with pytest.raises(ValueError):
+            swap_outcome_table(wrong, werner_correlations(1.0))
 
 
 # -- W-state election ---------------------------------------------------------
@@ -764,7 +765,7 @@ def test_protocols_leave_their_inputs_alone():
     # are unchanged.
     payload = _read_only(random_pure_state(np.random.default_rng(91)))
     pair = _read_only(werner_pair(0.8))
-    correlations = pair_correlations(pair)
+    correlations = hand_built_correlations(pair.matrix)
     correlations.flags.writeable = False
     joint = _read_only(QuantumState(3, np.kron(payload.matrix, pair.matrix)))
     w_state = _read_only(make_w_state(3))

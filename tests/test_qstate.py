@@ -23,7 +23,7 @@ from qnetsim.qstate import (
     random_pure_state,
     von_neumann_entropy,
 )
-from reference import I2, X, Y, Z, assert_density_matrix, basis_state
+from reference import I2, X, Y, Z, ForcedDraw, assert_density_matrix, basis_state, random_kraus
 
 # Hand-built references, kept independent of the package constants.
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -157,14 +157,6 @@ def _kron_embedding(op, targets, num_qubits):
     return full
 
 
-def _random_kraus(rng, num_ops, dim):
-    """The Kraus set of a random channel as an ``(num_ops, dim, dim)`` stack:
-    the blocks of one ``(num_ops * dim, dim)`` isometry."""
-    g = rng.normal(size=(num_ops * dim, dim)) + 1j * rng.normal(size=(num_ops * dim, dim))
-    isometry, _ = np.linalg.qr(g)
-    return isometry.reshape(num_ops, dim, dim)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -187,7 +179,7 @@ def test_gates_and_kraus_sets_match_kron_embedding_oracle(seed, num_qubits, num_
                 full = _kron_embedding(u, targets, num_qubits)
                 out = apply_unitary(state, GateSpec(name, targets))
                 assert np.max(np.abs(out.matrix - full @ state.matrix @ full.conj().T)) <= 1e-12
-        kraus = _random_kraus(rng, num_ops, 2 ** len(targets))
+        kraus = random_kraus(rng, num_ops, 2 ** len(targets))
         oracle = sum(
             full @ state.matrix @ full.conj().T
             for full in (_kron_embedding(k, targets, num_qubits) for k in kraus)
@@ -242,20 +234,10 @@ def test_measure_index_error():
         measure(QuantumState(1, basis_state("0")), 2, rng)
 
 
-class _ForcedDraw:
-    """Stub generator whose random() forces an impossible branch."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
 def test_measure_guards_zero_probability_branch():
     # on |1> the bit-0 branch has probability 0; a draw >= 1 selects it
     with pytest.raises(RenormalizationError):
-        measure(QuantumState(1, basis_state("1")), 0, _ForcedDraw(1.5))
+        measure(QuantumState(1, basis_state("1")), 0, ForcedDraw(1.5))
 
 
 # -- partial trace ------------------------------------------------------------

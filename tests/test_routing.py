@@ -1,7 +1,6 @@
 """Widest-path planning and switch-merged superposed trajectories."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -22,15 +21,13 @@ from qnetsim.services.routing import (
     route_with_switch_merging,
     simple_paths,
 )
-from reference import CONFIG_DIR, SWITCH_ACTIVATION_GOLDEN, load_benchmark_module
-
-
-def dep_rate(p):
-    """Analytic Holevo rate of dep(p) on the computational ensemble."""
-    x = p / 2.0
-    if x <= 0.0 or x >= 1.0:
-        return 1.0 if x <= 0.0 else 0.0
-    return 1.0 + x * math.log2(x) + (1 - x) * math.log2(1 - x)
+from reference import (
+    CONFIG_DIR,
+    SWITCH_ACTIVATION_GOLDEN,
+    dep_holevo,
+    ginibre_kraus,
+    load_benchmark_module,
+)
 
 
 def topology_from_links(link_params):
@@ -68,7 +65,7 @@ def rate_of(link_params, path):
     rates = []
     for a, b in zip(path, path[1:]):
         p = link_params.get((a, b), link_params.get((b, a)))
-        rates.append(dep_rate(p))
+        rates.append(dep_holevo(p))
     return min(rates)
 
 
@@ -93,8 +90,8 @@ def test_two_link_chain_takes_the_minimum():
     assert plan.mode is PlanMode.SINGLE_PATH
     assert plan.paths == (("a", "b", "c"),)
     # bottleneck is the noisy link, whose rate is known in closed form
-    assert plan.effective_rate == pytest.approx(dep_rate(0.5), abs=1e-9)
-    assert plan.effective_rate == pytest.approx(min(dep_rate(0.0), dep_rate(0.5)), abs=1e-9)
+    assert plan.effective_rate == pytest.approx(dep_holevo(0.5), abs=1e-9)
+    assert plan.effective_rate == pytest.approx(min(dep_holevo(0.0), dep_holevo(0.5)), abs=1e-9)
 
 
 def test_all_depolarizing_links_are_unreachable():
@@ -319,15 +316,6 @@ def test_plans_are_deterministic():
 # -- merged plan against a fold-every-path reference ---------------------------
 
 
-def random_kraus_channel(rng):
-    """Ginibre Kraus set of 2 to 4 operators normalized to completeness:
-    a generic, non-Pauli qubit channel."""
-    raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(rng.integers(2, 5))]
-    w, v = np.linalg.eigh(sum(k.conj().T @ k for k in raw))
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return ChannelModel(tuple(k @ inv_sqrt for k in raw))
-
-
 def random_channel_topology(rng):
     """Random graph of 3 to 8 nodes: a spanning tree plus up to 2n - 1
     chord draws, so that many simple paths share prefixes.  One in three
@@ -346,7 +334,7 @@ def random_channel_topology(rng):
         if kind < 1 / 3:
             channels[pair] = depolarizing_channel(1.0)
         elif kind < 2 / 3:
-            channels[pair] = random_kraus_channel(rng)
+            channels[pair] = ChannelModel(ginibre_kraus(rng, rng.integers(2, 5)))
             kraus_links.add(frozenset(pair))
         else:
             channels[pair] = depolarizing_channel(float(np.round(rng.uniform(0.0, 0.9), 3)))
