@@ -16,8 +16,8 @@ and only the delivered bits select the corrected output.  On a register,
 ``bell_basis_measure`` measures and ``pauli_correct`` corrects; no scenario
 calls either.
 
-Leader election samples a W state's diagonal with no classical exchange,
-and ``w_election_probabilities`` is its exact distribution.
+Leader election samples a W state's diagonal with no classical exchange;
+``w_election_probabilities`` is its closed form, 1/n for each of n nodes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .qstate import (
 )
 
 W_STATE_MAX_NODES = 10
+# The largest count one NumPy binomial or multinomial draw takes.
+MAX_DRAW_COUNT = 2**63 - 1
 
 
 class Purpose(enum.Enum):
@@ -89,19 +91,17 @@ def _one_hot_indices(n: int) -> list[int]:
     return [1 << (n - 1 - q) for q in range(n)]
 
 
-def _w_amplitudes(n: int) -> np.ndarray:
-    """State vector of the ``n``-node W state: ``1/sqrt(n)`` on each
-    weight-one bitstring, qubit 0 the most significant bit."""
+def _check_w_size(n: int) -> None:
     if not 2 <= n <= W_STATE_MAX_NODES:
         raise CapacityError(f"W state size {n} outside [2, {W_STATE_MAX_NODES}]")
-    amplitudes = np.zeros(2**n, dtype=complex)
-    amplitudes[_one_hot_indices(n)] = 1.0 / np.sqrt(n)
-    return amplitudes
 
 
 def make_w_state(n: int) -> QuantumState:
-    """Equal superposition of all weight-one bitstrings over ``n`` nodes."""
-    amplitudes = _w_amplitudes(n)
+    """Equal superposition of all weight-one bitstrings over ``n`` nodes:
+    ``1/sqrt(n)`` on each, qubit 0 the most significant bit."""
+    _check_w_size(n)
+    amplitudes = np.zeros(2**n, dtype=complex)
+    amplitudes[_one_hot_indices(n)] = 1.0 / np.sqrt(n)
     return QuantumState(n, np.outer(amplitudes, amplitudes.conj()))
 
 
@@ -315,15 +315,8 @@ def w_election_round(
 
 
 def w_election_probabilities(n: int) -> np.ndarray:
-    """Win probability of each of ``n`` nodes in one W-state election round.
-
-    Reads the Born weights of the W state's amplitudes at the weight-one
-    bitstrings.  Raises if any weight falls on another bitstring, as
-    ``w_election_round`` does before its draw.
-    """
-    weights = np.abs(_w_amplitudes(n)) ** 2
-    one_hot = _one_hot_indices(n)
-    if np.any(np.delete(weights, one_hot) != 0.0):
-        raise RuntimeError(f"W state of {n} nodes has weight off the one-hot strings")
-    wins = weights[one_hot]
-    return wins / wins.sum()
+    """Win probability of each of ``n`` nodes in one W-state election round:
+    the W state's Born weight ``1/n`` on each weight-one bitstring, from
+    its closed form, with no state vector built."""
+    _check_w_size(n)
+    return np.full(n, 1.0 / n)

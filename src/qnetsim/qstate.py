@@ -3,8 +3,9 @@
 States are dense ``2^n x 2^n`` complex matrices with qubit 0 as the most
 significant tensor factor, so ``int(bits, 2)`` is the basis index of the
 ket ``|bits>``.  No operation changes a state in place.  No scenario run
-applies an operator to a register: these kernels build the states the
-services start from, and serve the tests and the benchmark's kernel sweep.
+builds a register or applies an operator to one: the register and its
+kernels serve the tests and the benchmark's kernel sweep, and a run takes
+only the tolerances, the Pauli matrices and ``haar_bloch_vector`` from here.
 """
 
 from __future__ import annotations

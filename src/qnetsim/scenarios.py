@@ -23,6 +23,7 @@ from .channels import bottleneck_check, depolarizing_channel
 from .engine import EventEngine, EventKind, QuantumLink, Topology, TraceRecord
 from .fields import Fields
 from .protocols import (
+    MAX_DRAW_COUNT,
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
     Purpose,
@@ -143,6 +144,9 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
     n_trials = params.integer("n_trials", low=1)
     werner_w = params.probability("werner_w", 1.0)
     params.done()
+    # Each message's trials are one binomial draw.
+    if n_trials // len(SUPERDENSE_MESSAGES) > MAX_DRAW_COUNT:
+        raise ValueError(f"n_trials must be at most 4 (2^63 - 1) + 3, got {n_trials}")
     # Decoding needs a Bell overlap above 0.5; a Werner pair's best is (1 + 3w) / 4.
     if (1.0 + 3.0 * werner_w) / 4.0 < 0.5 + SCALAR_ATOL:
         raise ValueError(f"werner_w {werner_w} must exceed 1/3 for superdense decoding")

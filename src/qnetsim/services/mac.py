@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..protocols import W_STATE_MAX_NODES, w_election_probabilities
+from ..protocols import MAX_DRAW_COUNT, W_STATE_MAX_NODES, w_election_probabilities
 
 _BACKOFF_WINDOW_CAP = 1024
 # Uniforms in one block of contention draws, so the working set does not
@@ -63,6 +63,11 @@ class MacConfig:
             raise ValueError(f"offered_load: offered load {self.offered_load} outside [0, 1]")
         if self.w_refresh_cost < 0:
             raise ValueError(f"w_refresh_cost: refresh cost {self.w_refresh_cost} is negative")
+        if self.protocol is MacProtocol.W_STATE_ACCESS and self.w_resources > MAX_DRAW_COUNT:
+            raise ValueError(
+                f"slots: {self.slots} slots consume {self.w_resources} W states, more than "
+                "the 2^63 - 1 one binomial draw takes"
+            )
         if not 0 <= self.backoff_window <= _BACKOFF_WINDOW_CAP:
             raise ValueError(
                 f"backoff_window: backoff window {self.backoff_window} outside "
@@ -71,6 +76,12 @@ class MacConfig:
         for k, (i, j) in enumerate(self.hidden_pairs):
             if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"hidden_pairs[{k}]: {(i, j)} is not two distinct node indices")
+
+    @property
+    def w_resources(self) -> int:
+        """W resources a W-access run consumes: one in the first slot and
+        one in every slot after its ``w_refresh_cost`` idle refresh slots."""
+        return -(-self.slots // (1 + self.w_refresh_cost))
 
 
 class MacMetrics(NamedTuple):
@@ -128,14 +139,13 @@ def run_mac_sim(config: MacConfig, seed) -> MacMetrics:
 
 def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> _Counts:
     n = config.n_nodes
-    # A W resource is consumed in the first slot and then in every slot
-    # after its w_refresh_cost idle refresh slots.  Only the winner may
-    # transmit, and only if it has traffic; every other node observed a 0
-    # on its own qubit and nothing else, so no contention message ever
-    # crosses the classical plane.  The winner and the traffic draw are
-    # independent, so the slots that carry a packet are one binomial draw
-    # and their winners one multinomial draw.
-    consumed = -(-config.slots // (1 + config.w_refresh_cost))
+    # Only the winner of a consumed W resource may transmit, and only if
+    # it has traffic; every other node observed a 0 on its own qubit and
+    # nothing else, so no contention message ever crosses the classical
+    # plane.  The winner and the traffic draw are independent, so the
+    # slots that carry a packet are one binomial draw and their winners
+    # one multinomial draw.
+    consumed = config.w_resources
     sent = int(rng.binomial(consumed, config.offered_load))
     successes = rng.multinomial(sent, w_election_probabilities(n)).tolist()
     return successes, 0, consumed * n

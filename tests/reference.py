@@ -29,6 +29,11 @@ SOURCE_PAULI_VECTORS = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]
 # channels, from ``switch_activation_oracle``.
 SWITCH_ACTIVATION_GOLDEN = 0.048794940695398914
 
+# The benchmark workloads whose configs the tests run, and the seeds they
+# run them at: the benchmark's held-out seed, then three free ones.
+RUN_WORKLOADS = ("engine_chain", "protocol_trials", "routing_grid")
+WORKLOAD_SEEDS = (7919, 1, 2, 3)
+
 
 def load_benchmark_module(name):
     """The module ``benchmark/<name>.py``, loaded unchanged from its file."""
@@ -36,6 +41,20 @@ def load_benchmark_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_configs(seeds):
+    """``(name, yaml_text)`` of each shipped config, named
+    ``configs/<config>``, then of each config that the benchmark's
+    ``workloads.generate`` makes for ``RUN_WORKLOADS`` at each of ``seeds``,
+    named ``<workload>/<seed>/<config>``."""
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        yield f"configs/{path.stem}", path.read_text()
+    generate = load_benchmark_module("workloads").generate
+    for workload in RUN_WORKLOADS:
+        for seed in seeds:
+            for config, _, text in generate(workload, seed):
+                yield f"{workload}/{seed}/{config}", text
 
 
 def entropy_bits(matrix):

