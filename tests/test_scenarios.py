@@ -1,5 +1,6 @@
 """Scenario runners end to end, pinned to closed forms."""
 
+import hashlib
 import math
 import time
 
@@ -76,6 +77,51 @@ def test_teleport_cell_leaves_the_stream_where_per_trial_teleport_does(werner_w,
         per_trial.random()
     (engine,) = engines
     assert engine.rng.bit_generator.state == per_trial.bit_generator.state
+
+
+# sha256 of each trace file of configs/teleport.yaml, as the per-trial
+# density-matrix path wrote them.
+TELEPORT_TRACE_SHA256 = "66cdd31d97bb6bce86db21a7c282d33c8afa46426809c736864fc605d7ffc1a4"
+# sha256 of the trace file of configs/swap.yaml, as the engine wrote it
+# when it formatted every event into a line as it fired: attempt, step
+# and delivery lines.
+SWAP_TRACE_SHA256 = "e0919df2fc401864bf92c2c5f5ea69e4b2db6dc529c9b235ff27680d68193d6e"
+
+
+# sha256 of the metrics.csv of each shipped config whose rows come from a
+# Bell measurement, recorded when teleport, swap and superdense decoding
+# became closed forms of the pair's correlation matrix.  A change that
+# moves any of these rows, even in the last digit, must re-record them.
+BELL_METRICS_SHA256 = {
+    "teleport": "62ddd7e6e1809a08b9c20bc0ef0c6cb3a5728280b5f5b6337dd3547e5f089fb1",
+    "swap": "a5b2d3da83314f2e772faa898fa6fbadb7156743577b7f9d8d45b94cacfb7f60",
+    "superdense": "e96b065fd0479afbeac9dbe27905630ec394353c8e5ed139b31a51b18eec44a0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BELL_METRICS_SHA256))
+def test_shipped_bell_configs_write_the_pinned_metrics(tmp_path, name):
+    _, aborted = run_experiment(load_config(CONFIG_DIR / f"{name}.yaml"), tmp_path)
+    assert aborted == 0
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == BELL_METRICS_SHA256[name]
+
+
+def test_shipped_teleport_config_writes_the_pinned_traces(tmp_path):
+    _, aborted = run_experiment(load_config(CONFIG_DIR / "teleport.yaml"), tmp_path, trace=True)
+    assert aborted == 0
+    traces = sorted(tmp_path.glob("*.trace"))
+    assert [t.name for t in traces] == ["teleport_s101_t0.trace", "teleport_s102_t0.trace"]
+    for path in traces:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TELEPORT_TRACE_SHA256, path.name
+
+
+def test_shipped_swap_config_writes_the_pinned_trace(tmp_path):
+    _, aborted = run_experiment(load_config(CONFIG_DIR / "swap.yaml"), tmp_path, trace=True)
+    assert aborted == 0
+    traces = sorted(tmp_path.glob("*.trace"))
+    assert [t.name for t in traces] == ["swap_s21_t0.trace"]
+    assert hashlib.sha256(traces[0].read_bytes()).hexdigest() == SWAP_TRACE_SHA256
 
 
 @pytest.mark.parametrize("name", ["teleport", "swap"])
