@@ -22,6 +22,11 @@ form, with no eigensolver, on plain Python floats.  The switch's flagged
 output blocks are bilinear in the two PTMs, so all 16 of their
 coefficients come from one constant (16, 256) matrix applied to the outer
 product of the two.
+
+A ``ChannelModel`` computes its PTM and its rate, ``holevo``, once, on
+first use, and keeps them for its lifetime: every cell that uses one
+instance, such as the one ``depolarizing_channel`` shares for each ``p``,
+shares both.
 """
 
 from __future__ import annotations
@@ -131,6 +136,13 @@ class ChannelModel:
         ptm.flags.writeable = False
         return ptm
 
+    @cached_property
+    def holevo(self) -> float:
+        """Holevo rate in bits of a qubit channel fed ``|0>`` or ``|1>``,
+        computed from ``ptm`` on first use; a channel it fails on raises
+        on every use."""
+        return _ptm_holevo(self.ptm)
+
 
 class BottleneckReport(NamedTuple):
     """Data-processing check for a serial composition."""
@@ -142,12 +154,14 @@ class BottleneckReport(NamedTuple):
 
 
 # A 10x10 sweep of switch cells asks for 200 channels of at most 20 values
-# of p, and each build takes about 25 us.
+# of p, and each build takes about 25 us.  The shared instance computes its
+# PTM and its rate once, so every cell with that p shares them too.
 @lru_cache(maxsize=256)
 def depolarizing_channel(p: float) -> ChannelModel:
     """Qubit depolarizing channel with Kraus weights
     ``{sqrt(1-3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z}``; equal
-    ``p`` give the one shared, frozen instance, and with it its ``ptm``."""
+    ``p`` give the one shared, frozen instance, and with it its ``ptm``
+    and ``holevo``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
     weights = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
@@ -194,12 +208,6 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     return ChannelModel(tuple(ops))
 
 
-def _block_spectrum(c0: float, c1: float, c2: float, c3: float) -> tuple[float, float]:
-    """Eigenvalues ``(c_0 -+ |c_xyz|) / 2`` of the 2x2 block ``sum_m c_m P_m / 2``."""
-    norm = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    return (c0 - norm) / 2, (c0 + norm) / 2
-
-
 def _pauli_holevo(blocks: Sequence[Sequence[Sequence[float]]]) -> float:
     """Holevo quantity ``S(avg) - avg S`` in bits of the outputs of the
     equiprobable inputs ``|0>`` and ``|1>``.
@@ -211,10 +219,15 @@ def _pauli_holevo(blocks: Sequence[Sequence[Sequence[float]]]) -> float:
     mean: list[float] = []
     zero: list[float] = []
     one: list[float] = []
+    # Block sum_m c_m P_m / 2 has the eigenvalues (c_0 -+ |c_xyz|) / 2.
     for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in blocks:
-        mean += _block_spectrum((a0 + b0) / 2, (a1 + b1) / 2, (a2 + b2) / 2, (a3 + b3) / 2)
-        zero += _block_spectrum(a0, a1, a2, a3)
-        one += _block_spectrum(b0, b1, b2, b3)
+        m0, m1, m2, m3 = (a0 + b0) / 2, (a1 + b1) / 2, (a2 + b2) / 2, (a3 + b3) / 2
+        norm = math.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+        mean += ((m0 - norm) / 2, (m0 + norm) / 2)
+        norm = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+        zero += ((a0 - norm) / 2, (a0 + norm) / 2)
+        norm = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+        one += ((b0 - norm) / 2, (b0 + norm) / 2)
     dim = len(mean)
     chi = spectrum_entropy(mean) - 0.5 * spectrum_entropy(zero) - 0.5 * spectrum_entropy(one)
     if chi < -SCALAR_ATOL:
@@ -239,8 +252,9 @@ def _ptm_holevo(ptm: np.ndarray) -> float:
 
 
 def holevo_information(channel: ChannelModel) -> float:
-    """Holevo rate in bits of a qubit channel fed ``|0>`` or ``|1>``."""
-    return _ptm_holevo(channel.ptm)
+    """Holevo rate in bits of a qubit channel fed ``|0>`` or ``|1>``;
+    ``channel.holevo``, so one instance is rated once."""
+    return channel.holevo
 
 
 def switch_holevo_from_ptms(first: np.ndarray, second: np.ndarray) -> float:

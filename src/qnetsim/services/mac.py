@@ -68,6 +68,17 @@ class MacConfig:
                 f"slots: {self.slots} slots consume {self.w_resources} W states, more than "
                 "the 2^63 - 1 one binomial draw takes"
             )
+        # Every node hears one herald bit per consumed W state, and the
+        # total is written as a count that readers parse as a signed 64-bit int.
+        if (
+            self.protocol is MacProtocol.W_STATE_ACCESS
+            and self.w_resources * self.n_nodes > MAX_DRAW_COUNT
+        ):
+            raise ValueError(
+                f"slots: {self.slots} slots consume {self.w_resources} W states, whose heralds "
+                f"to {self.n_nodes} nodes total {self.w_resources * self.n_nodes} bits, more "
+                "than 2^63 - 1"
+            )
         if not 0 <= self.backoff_window <= _BACKOFF_WINDOW_CAP:
             raise ValueError(
                 f"backoff_window: backoff window {self.backoff_window} outside "

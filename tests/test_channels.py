@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnetsim.channels
 from qnetsim.channels import (
     _SWITCH_BLOCKS,
     ChannelModel,
@@ -24,8 +26,10 @@ from qnetsim.channels import (
     reduce_kraus,
     switch_holevo_from_ptms,
 )
+from qnetsim.config import load_config
 from qnetsim.errors import CapacityError, UnsupportedDimensionError
 from qnetsim.qstate import QuantumState, random_pure_state
+from qnetsim.runner import run_experiment
 from qnetsim.services.phy import phy_effective_rate
 from reference import (
     I2,
@@ -38,7 +42,9 @@ from reference import (
     dep_holevo,
     entropy_bits,
     ginibre_kraus,
+    load_benchmark_module,
     random_kraus,
+    run_configs,
     switch_activation_oracle,
     switch_blocks_reference,
 )
@@ -467,6 +473,62 @@ def test_ptm_matches_pauli_traces_and_is_cached_read_only():
     assert np.allclose(depolarizing_channel(0.4).ptm, np.diag([1, 0.6, 0.6, 0.6]), atol=1e-15)
     with pytest.raises(UnsupportedDimensionError):
         _identity(2).ptm
+
+
+def test_holevo_is_the_ptm_rate_cached_read_only():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        channel = ChannelModel(random_kraus(rng, int(rng.integers(1, 5))))
+        assert "holevo" not in vars(channel)  # not rated at construction
+        chi = channel.holevo
+        assert chi == _ptm_holevo(channel.ptm)
+        assert vars(channel)["holevo"] is chi and holevo_information(channel) is chi
+        with pytest.raises(FrozenInstanceError):
+            channel.holevo = 0.5
+    assert channel.holevo is chi
+
+
+def test_holevo_of_a_two_qubit_channel_raises_on_every_use():
+    channel = _identity(2)
+    for _ in range(2):
+        with pytest.raises(UnsupportedDimensionError):
+            channel.holevo
+    assert "holevo" not in vars(channel) and "ptm" not in vars(channel)
+
+
+def test_routing_runs_rate_each_channel_instance_once(tmp_path, monkeypatch):
+    # switch_activation rates both channels of each of its cells, and each
+    # routing plan rates every link; the instances depolarizing_channel
+    # shares by p recur across cells, plans and configs, and each must reach
+    # the rating kernel once.  Every binding of holevo_information records
+    # the channels it is asked to rate.
+    depolarizing_channel.cache_clear()
+    kernel = qnetsim.channels._ptm_holevo
+    rate = qnetsim.channels.holevo_information
+    kernel_args, rated = [], []
+
+    def count(ptm):
+        kernel_args.append(ptm)
+        return kernel(ptm)
+
+    def record(channel):
+        rated.append(channel)
+        return rate(channel)
+
+    monkeypatch.setattr(qnetsim.channels, "_ptm_holevo", count)
+    for module in [m for n, m in sys.modules.items() if n.startswith("qnetsim")]:
+        if vars(module).get("holevo_information") is rate:
+            monkeypatch.setattr(module, "holevo_information", record)
+    seed = load_benchmark_module("workloads").HELD_OUT_SEED
+    path = tmp_path / "config.yaml"
+    for name, text in run_configs([seed]):
+        if name == "configs/switch_activation" or name.startswith("routing_grid/"):
+            path.write_text(text)
+            rows, aborted = run_experiment(load_config(path))
+            assert aborted == 0 and rows, name
+    channels = list({id(c): c for c in rated}.values())
+    assert len(rated) > 2 * len(channels)
+    assert [sum(arg is c.ptm for arg in kernel_args) for c in channels] == [1] * len(channels)
 
 
 def test_ptm_of_serial_composition_is_the_matrix_product():

@@ -287,6 +287,12 @@ def chain(*quantum_links):
         (W_ACCESS + ", slots: 9223372036854775808}",
          "slots: 9223372036854775808 slots consume 9223372036854775808 W states, more than "
          "the 2^63 - 1 one binomial draw takes"),
+        (W_ACCESS + ", slots: 2305843009213693952}",
+         "slots: 2305843009213693952 slots consume 2305843009213693952 W states, whose heralds "
+         "to 4 nodes total 9223372036854775808 bits, more than 2^63 - 1"),
+        (W_ACCESS + ", slots: 4611686018427387903, w_refresh_cost: 1}",
+         "slots: 4611686018427387903 slots consume 2305843009213693952 W states, whose heralds "
+         "to 4 nodes total 9223372036854775808 bits, more than 2^63 - 1"),
         (MAC.replace("slotted_contention", "aloha") + "}",
          "protocol 'aloha' is not one of ('w_state_access', 'slotted_contention')"),
         ("scenario: mac_compare\nparams: {protocol: slotted_contention, n_nodes: 3, slots: 9,"
@@ -321,6 +327,8 @@ def chain(*quantum_links):
         "misspelt-parameter",
         "mac-w-state-too-large",
         "mac-w-state-past-binomial-draw",
+        "mac-w-state-heralds-past-int64",
+        "mac-w-state-refreshed-heralds-past-int64",
         "mac-unknown-protocol",
         "mac-carrier-sensing-not-bool",
         "mac-hidden-pair-fraction",
@@ -344,13 +352,14 @@ def test_validate_rejects_cells_run_would_abort_or_misread(tmp_path, capsys, tex
     "text",
     [
         "scenario: superdense\nparams: {n_trials: 36893488147419103231}",
-        W_ACCESS + ", slots: 9223372036854775807}",
-        W_ACCESS + ", slots: 9223372036854775808, w_refresh_cost: 1}",
+        W_ACCESS + ", slots: 2305843009213693951}",
+        W_ACCESS + ", slots: 4611686018427387902, w_refresh_cost: 1}",
     ],
     ids=["superdense-most-trials", "mac-w-state-most-slots", "mac-w-state-most-slots-refreshed"],
 )
 def test_largest_counts_validate_accepts_run(tmp_path, text):
-    # Each is the largest count whose binomial draw NumPy takes.
+    # Each is the largest count whose binomial draw NumPy takes and, for W
+    # access on 4 nodes, whose herald total fits a signed 64-bit int.
     path = tmp_path / "exp.yaml"
     path.write_text("seeds: [1]\n" + text)
     assert main(["validate", str(path)]) == 0
