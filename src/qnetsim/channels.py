@@ -39,7 +39,6 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
 from .fields import Fields
 from .qstate import (
     PAULIS,
@@ -127,7 +126,7 @@ class ChannelModel:
         """Read-only Pauli transfer matrix ``R_ij = tr(P_i E(P_j)) / 2`` of
         a qubit channel, computed on first use."""
         if self.dim != 2:
-            raise UnsupportedDimensionError(
+            raise ValueError(
                 f"a Pauli transfer matrix needs a qubit channel, got dimension {self.dim}"
             )
         vecs = self.stack.reshape(-1, 4)
@@ -197,7 +196,7 @@ def quantum_switch(first: ChannelModel, second: ChannelModel) -> ChannelModel:
     """
     for c in (first, second):
         if c.dim != 2:
-            raise UnsupportedDimensionError("switch requires single-qubit channels")
+            raise ValueError("switch requires single-qubit channels")
     ops = []
     for ki in second.kraus_ops:
         for kj in first.kraus_ops:

@@ -6,8 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config
-from .errors import ConfigError
+from .config import ConfigError, load_config
 from .runner import run_experiment
 from .scenarios import SCENARIOS
 

@@ -21,9 +21,20 @@ import yaml
 
 from .channels import ChannelModel, channel_from_spec
 from .engine import ClassicalLink, QuantumLink, Topology
-from .errors import ConfigError
 from .fields import Fields
 from .scenarios import SCENARIOS, Run
+
+
+class ConfigError(ValueError):
+    """Experiment configuration failed validation.
+
+    Carries the full list of violations so callers can report all of
+    them at once instead of stopping at the first.
+    """
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
 
 
 class ExperimentConfig(NamedTuple):

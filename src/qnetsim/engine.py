@@ -25,8 +25,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .channels import ChannelModel
-from .errors import EngineAborted, SchedulingError
-from .protocols import CorrectionMessage, bell_pair_correlations
+from .protocols import MAX_DRAW_COUNT, CorrectionMessage, bell_pair_correlations
 
 
 class EventKind(enum.Enum):
@@ -40,14 +39,20 @@ class SignalingScope(enum.Enum):
     END_TO_END = "end_to_end"
 
 
-# NumPy clamps a geometric draw at this value.
-_GEOMETRIC_CAP = int(np.iinfo(np.int64).max)
-
 # (time, seq, kind, detail) of one fired event.
 TraceRecord = tuple[int, int, EventKind, Any]
 
 # Called as handler(engine, detail) when its event fires.
 Handler = Callable[["EventEngine", Any], None]
+
+
+class EngineAborted(RuntimeError):
+    """An event handler raised; the trace records up to the abort are kept."""
+
+    def __init__(self, cause: BaseException, trace: tuple):
+        super().__init__(f"engine aborted: {cause!r}")
+        self.cause = cause
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,9 @@ class Topology:
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node ids in topology")
-        classical, self._classical_neighbors = _index_links(
+        self._classical_links, self._classical_neighbors = _index_links(
             self.nodes, "classical_links", self.classical_links
         )
-        self._latency = {pair: link.latency for pair, link in classical.items()}
         self._quantum_links, self.quantum_neighbors = _index_links(
             self.nodes, "quantum_links", self.quantum_links
         )
@@ -135,7 +139,7 @@ class Topology:
         summed latency, or None."""
         if src == dst:
             return ClassicalRoute((src,), 0)
-        neighbors = self._classical_neighbors
+        neighbors, links = self._classical_neighbors, self._classical_links
         previous: dict[str, str] = {}
         frontier = [src]
         seen = {src}
@@ -151,7 +155,7 @@ class Topology:
                             latency = 0
                             while route[-1] != src:
                                 hop = previous[route[-1]]
-                                latency += self._latency[frozenset((hop, route[-1]))]
+                                latency += links[frozenset((hop, route[-1]))].latency
                                 route.append(hop)
                             return ClassicalRoute(tuple(reversed(route)), latency)
                         nxt.append(other)
@@ -212,7 +216,7 @@ class EventEngine:
     def schedule(self, time: int, kind: EventKind, detail: Any, handler: Handler) -> None:
         """Fire ``handler(engine, detail)`` at ``time``, recorded as ``detail``."""
         if time < self.now:
-            raise SchedulingError(f"cannot schedule at t={time}, current time is {self.now}")
+            raise ValueError(f"cannot schedule at t={time}, current time is {self.now}")
         heapq.heappush(self._queue, (int(time), self._seq, kind, detail, handler))
         self._seq += 1
 
@@ -254,7 +258,7 @@ class EventEngine:
         ``now + (attempts - 1) * attempt_period``.
         """
         attempts = int(self.rng.geometric(link.gen_success_prob))
-        if attempts == _GEOMETRIC_CAP:
+        if attempts == MAX_DRAW_COUNT:
             raise OverflowError(
                 f"link {link.a}-{link.b}: at gen_success_prob {link.gen_success_prob} the "
                 "attempt count reached the geometric draw's cap of 2^63 - 1"

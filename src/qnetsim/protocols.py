@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from .qstate import (
     EIGENVALUE_FLOOR,
     GateSpec,
@@ -38,7 +37,8 @@ from .qstate import (
 )
 
 W_STATE_MAX_NODES = 10
-# The largest count one NumPy binomial or multinomial draw takes.
+# The largest count one NumPy binomial or multinomial draw takes, and the
+# value at which NumPy clamps a geometric draw.
 MAX_DRAW_COUNT = 2**63 - 1
 
 
@@ -93,7 +93,7 @@ def _one_hot_indices(n: int) -> list[int]:
 
 def _check_w_size(n: int) -> None:
     if not 2 <= n <= W_STATE_MAX_NODES:
-        raise CapacityError(f"W state size {n} outside [2, {W_STATE_MAX_NODES}]")
+        raise ValueError(f"W state size {n} outside [2, {W_STATE_MAX_NODES}]")
 
 
 def make_w_state(n: int) -> QuantumState:
@@ -147,12 +147,12 @@ def draw_bell_outcome(
     branches) with one ``rng.random()`` draw; ``cumulative`` is
     ``cumulative_weights(weights)``.
 
-    Raises ``RenormalizationError`` when the drawn weight is below
+    Raises ``ArithmeticError`` when the drawn weight is below
     ``EIGENVALUE_FLOOR``: that branch cannot be normalised.
     """
     index = _draw_index(cumulative, rng)
     if weights[index] < EIGENVALUE_FLOOR:
-        raise RenormalizationError(
+        raise ArithmeticError(
             f"Bell outcome {SUPERDENSE_MESSAGES[index]} has weight {weights[index]}"
         )
     return index
@@ -250,15 +250,13 @@ def superdense_distribution(joint: np.ndarray) -> np.ndarray:
     correlations ``joint``, in ``SUPERDENSE_MESSAGES`` order, clipped at 0
     and normalised.
 
-    Raises a decode-ambiguity error (carrying the best guess) when the
-    pair is not within fidelity 0.5 of any Bell state.
+    Raises ``RuntimeError`` when the pair is not within fidelity 0.5 of
+    any Bell state.
     """
     overlaps = 0.25 * _BELL_DIAGONALS @ np.diag(joint)
     best = int(np.argmax(overlaps))
     if overlaps[best] < 0.5:
-        raise DecodeAmbiguityError(
-            f"best Bell overlap {overlaps[best]:.4f} below 0.5", SUPERDENSE_MESSAGES[best]
-        )
+        raise RuntimeError(f"best Bell overlap {overlaps[best]:.4f} below 0.5")
     probabilities = np.clip(overlaps, 0.0, None)
     return probabilities / probabilities.sum()
 

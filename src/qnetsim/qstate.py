@@ -16,8 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, RenormalizationError
-
 # The largest register anything may build or apply an operator to: its
 # density matrix is 256 x 256, 1 MiB of complex entries.
 MAX_QUBITS = 8
@@ -113,7 +111,7 @@ class MeasurementOutcome(NamedTuple):
 
 def _check_register_size(num_qubits: int) -> None:
     if not 1 <= num_qubits <= MAX_QUBITS:
-        raise CapacityError(f"register size {num_qubits} outside [1, {MAX_QUBITS}]")
+        raise ValueError(f"register size {num_qubits} outside [1, {MAX_QUBITS}]")
 
 
 def apply_operators(
@@ -175,7 +173,7 @@ def measure(
     bit = 1 if rng.random() < p_one else 0
     prob = p_one if bit == 1 else 1.0 - p_one
     if prob < EIGENVALUE_FLOOR:
-        raise RenormalizationError(
+        raise ArithmeticError(
             f"measurement branch {bit} on qubit {qubit} has probability {prob}"
         )
     mask = (bits == bit).astype(float)

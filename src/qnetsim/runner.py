@@ -18,8 +18,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .config import ExperimentConfig
-from .engine import TraceRecord, format_record
-from .errors import EngineAborted
+from .engine import EngineAborted, TraceRecord, format_record
 from .scenarios import ScenarioResult
 
 

@@ -173,6 +173,14 @@ def dep_holevo(p):
     return 1.0 + x * math.log2(x) + (1 - x) * math.log2(1 - x)
 
 
+def amplitude_damping_kraus(gamma):
+    """The two Kraus operators of amplitude damping with decay ``gamma``."""
+    return [
+        np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
+        np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex),
+    ]
+
+
 class ForcedDraw:
     """Stub generator whose random() returns a fixed value."""
 
@@ -344,3 +352,74 @@ def corrected(state, bits):
 def overlap(state, pure):
     """``tr(state pure)``, the fidelity of ``state`` with a pure state."""
     return float(np.real(np.trace(state @ pure)))
+
+
+# -- routing ------------------------------------------------------------------
+
+
+def random_link_params(rng):
+    """``{(a, b): depolarizing p}`` of a small random graph on nodes
+    ``n0``, ``n1``, ...: a spanning tree plus a few chords.  Link noise
+    mixes moderate depolarizing with fully depolarizing blockers."""
+    n = int(rng.integers(3, 9))
+    nodes = [f"n{i}" for i in range(n)]
+    links = {}
+    for i in range(1, n):
+        j = int(rng.integers(0, i))
+        links[(nodes[j], nodes[i])] = draw_noise(rng)
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.choice(n, size=2, replace=False)
+        a, b = sorted((nodes[int(i)], nodes[int(j)]))
+        if (a, b) not in links:
+            links[(a, b)] = draw_noise(rng)
+    return links
+
+
+def draw_noise(rng):
+    """Fully depolarizing with probability 0.35, else ``p`` in [0, 0.9]."""
+    if rng.random() < 0.35:
+        return 1.0
+    return float(np.round(rng.uniform(0.0, 0.9), 3))
+
+
+def enumerate_paths(link_params, src, dst):
+    """Every simple path from ``src`` to ``dst`` over ``link_params``'
+    pairs, sorted: a DFS independent of the planner."""
+    neighbors = {}
+    for a, b in link_params:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    for adj in neighbors.values():
+        adj.sort()
+    paths = []
+    stack = [(src,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == dst:
+            paths.append(path)
+            continue
+        for other in neighbors.get(path[-1], ()):
+            if other not in path:
+                stack.append(path + (other,))
+    return sorted(paths)
+
+
+def rate_of(link_params, path):
+    """The bottleneck Holevo rate of ``path``'s depolarizing links."""
+    rates = []
+    for a, b in zip(path, path[1:]):
+        p = link_params.get((a, b), link_params.get((b, a)))
+        rates.append(dep_holevo(p))
+    return min(rates)
+
+
+def oracle_best(link_params, src, dst):
+    """Exhaustive enumeration: (max bottleneck rate, lexicographically
+    smallest path among the winners)."""
+    paths = enumerate_paths(link_params, src, dst)
+    usable = [p for p in paths if rate_of(link_params, p) > 1e-9]
+    if not usable:
+        return 0.0, ()
+    best_rate = max(rate_of(link_params, p) for p in usable)
+    winners = [p for p in usable if rate_of(link_params, p) >= best_rate - 1e-12]
+    return best_rate, min(winners)

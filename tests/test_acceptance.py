@@ -51,12 +51,13 @@ from reference import (
     Z,
     bell_matrix,
     corrected,
-    dep_holevo,
     haar_ket,
     hand_built_correlations,
     kraus_from_spec,
     load_benchmark_module,
+    oracle_best,
     overlap,
+    random_link_params,
     switch_activation_oracle,
     swap_circuit_problems,
     teleport_circuit,
@@ -285,60 +286,16 @@ def test_criterion_4_w_state_channel_access():
 # -- criterion 5: multipath quantum network service ----------------------------
 
 
-def _enumeration_oracle(link_params, src, dst):
-    neighbors = {}
-    for a, b in link_params:
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-    for adj in neighbors.values():
-        adj.sort()
-    best_rate, best_path = 0.0, ()
-    stack = [(src,)]
-    while stack:
-        path = stack.pop()
-        if path[-1] == dst:
-            rate = min(
-                dep_holevo(link_params.get((a, b), link_params.get((b, a))))
-                for a, b in zip(path, path[1:])
-            )
-            if rate > 1e-9 and (
-                rate > best_rate + 1e-12
-                or (abs(rate - best_rate) <= 1e-12 and (not best_path or path < best_path))
-            ):
-                best_rate, best_path = rate, path
-            continue
-        for other in neighbors.get(path[-1], ()):
-            if other not in path:
-                stack.append(path + (other,))
-    return best_rate, best_path
-
-
 def _random_topology(rng):
     from qnetsim.engine import QuantumLink, Topology
 
-    n = int(rng.integers(3, 9))
-    nodes = [f"n{i}" for i in range(n)]
-    link_params = {}
-    for i in range(1, n):
-        j = int(rng.integers(0, i))
-        a, b = sorted((nodes[j], nodes[i]))
-        link_params[(a, b)] = _draw_noise(rng)
-    for _ in range(int(rng.integers(0, 3))):
-        i, j = rng.choice(n, size=2, replace=False)
-        a, b = sorted((nodes[int(i)], nodes[int(j)]))
-        if (a, b) not in link_params:
-            link_params[(a, b)] = _draw_noise(rng)
+    link_params = random_link_params(rng)
+    nodes = sorted({n for pair in link_params for n in pair})
     links = tuple(
         QuantumLink(a, b, depolarizing_channel(p), 1.0, 1)
         for (a, b), p in sorted(link_params.items())
     )
     return Topology(tuple(nodes), (), links), link_params, nodes[0], nodes[-1]
-
-
-def _draw_noise(rng):
-    if rng.random() < 0.35:
-        return 1.0
-    return float(np.round(rng.uniform(0.0, 0.9), 3))
 
 
 def test_criterion_5_multipath_service():
@@ -365,7 +322,7 @@ def test_criterion_5_multipath_service():
         topo, link_params, g_src, g_dst = _random_topology(rng)
         plan = route_max_bottleneck(topo, g_src, g_dst)
         merged_plan = route_with_switch_merging(topo, simple_paths(topo, g_src, g_dst), plan)
-        oracle_rate, oracle_path = _enumeration_oracle(link_params, g_src, g_dst)
+        oracle_rate, oracle_path = oracle_best(link_params, g_src, g_dst)
         if abs(plan.effective_rate - oracle_rate) > 1e-9:
             enumeration_ok = False
         elif oracle_path and plan.paths[0] != oracle_path:

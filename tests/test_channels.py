@@ -27,7 +27,6 @@ from qnetsim.channels import (
     switch_holevo_from_ptms,
 )
 from qnetsim.config import load_config
-from qnetsim.errors import CapacityError, UnsupportedDimensionError
 from qnetsim.qstate import QuantumState, random_pure_state
 from qnetsim.runner import run_experiment
 from qnetsim.services.phy import phy_effective_rate
@@ -37,6 +36,7 @@ from reference import (
     X,
     Y,
     Z,
+    amplitude_damping_kraus,
     assert_density_matrix,
     basis_state,
     dep_holevo,
@@ -49,6 +49,8 @@ from reference import (
     switch_blocks_reference,
 )
 
+# What a PTM or rate of a two-qubit channel raises.
+NO_QUBIT_PTM = "a Pauli transfer matrix needs a qubit channel, got dimension 4"
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 PLUS_MINUS = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -80,15 +82,6 @@ def _act(channel, rho):
 
 def _identity(num_qubits=1):
     return ChannelModel((np.eye(2**num_qubits, dtype=complex),))
-
-
-def _amplitude_damping(gamma):
-    return ChannelModel(
-        (
-            np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
-            np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex),
-        )
-    )
 
 
 def _unitary_channel(rng):
@@ -228,7 +221,7 @@ def test_apply_channel_on_full_register_matches_kron_oracle():
 
 def test_apply_channel_rejects_register_above_cap():
     state = QuantumState(9, np.eye(2**9, dtype=complex) / 2**9)
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match=r"register size 9 outside \[1, 8\]"):
         apply_channel(depolarizing_channel(0.1), state, targets=(0,))
 
 
@@ -315,7 +308,7 @@ def test_switch_joint_completeness_and_lift():
 
 
 def test_switch_rejects_non_qubit_channels():
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(ValueError, match="switch requires single-qubit channels"):
         quantum_switch(_identity(2), _identity(2))
 
 
@@ -372,7 +365,8 @@ def test_switch_rate_does_not_depend_on_the_kraus_sets():
     # more, and with the minimal set rebuilt through its Choi matrix; the
     # kron path on the original sets is the oracle.
     rng = np.random.default_rng(41)
-    pairs = _switch_pairs() + [(_amplitude_damping(0.6), _unitary_channel(rng))]
+    damping = ChannelModel(amplitude_damping_kraus(0.6))
+    pairs = _switch_pairs() + [(damping, _unitary_channel(rng))]
     pairs += [
         (ChannelModel(random_kraus(rng, 2)), ChannelModel(random_kraus(rng, 3))) for _ in range(5)
     ]
@@ -392,7 +386,8 @@ def test_switch_map_equals_serial_plus_cross_reference():
     rng = np.random.default_rng(47)
     channels = [ChannelModel(ginibre_kraus(rng, n)) for n in (1, 2, 3, 4) for _ in range(10)]
     channels += [ChannelModel(random_kraus(rng, n)) for n in (1, 2, 3, 4) for _ in range(5)]
-    channels += [depolarizing_channel(p) for p in (0.0, 0.3, 1.0)] + [_amplitude_damping(0.6)]
+    channels += [depolarizing_channel(p) for p in (0.0, 0.3, 1.0)]
+    channels += [ChannelModel(amplitude_damping_kraus(0.6))]
     worst_block = worst_rate = 0.0
     for first in channels:
         for second in channels[::3]:
@@ -451,7 +446,7 @@ def test_holevo_matches_analytic_depolarizing_curve():
 def _oracle_channels():
     rng = np.random.default_rng(23)
     channels = [ChannelModel(random_kraus(rng, n)) for n in (1, 2, 3, 4) for _ in range(5)]
-    channels += [_amplitude_damping(g) for g in (0.0, 0.3, 0.9, 1.0)]
+    channels += [ChannelModel(amplitude_damping_kraus(g)) for g in (0.0, 0.3, 0.9, 1.0)]
     channels += [depolarizing_channel(p) for p in (0.0, 0.25, 0.7, 1.0)]
     channels += [_unitary_channel(rng) for _ in range(3)] + [ChannelModel((PLUS_MINUS,))]
     return channels
@@ -471,7 +466,7 @@ def test_ptm_matches_pauli_traces_and_is_cached_read_only():
         assert np.allclose(ptm, _oracle_ptm(channel), rtol=0.0, atol=1e-14)
         assert channel.ptm is ptm and not ptm.flags.writeable
     assert np.allclose(depolarizing_channel(0.4).ptm, np.diag([1, 0.6, 0.6, 0.6]), atol=1e-15)
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(ValueError, match=NO_QUBIT_PTM):
         _identity(2).ptm
 
 
@@ -491,7 +486,7 @@ def test_holevo_is_the_ptm_rate_cached_read_only():
 def test_holevo_of_a_two_qubit_channel_raises_on_every_use():
     channel = _identity(2)
     for _ in range(2):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(ValueError, match=NO_QUBIT_PTM):
             channel.holevo
     assert "holevo" not in vars(channel) and "ptm" not in vars(channel)
 
@@ -590,7 +585,7 @@ def test_holevo_kernel_rejects_chi_above_log2_dim():
 def test_rates_of_pure_outputs_match_eigvalsh_oracles():
     # eigenvalues exactly 0 and 1: the identity, and amplitude damping at
     # gamma = 1, which sends both inputs to |0>
-    identity, damping = _identity(), _amplitude_damping(1.0)
+    identity, damping = _identity(), ChannelModel(amplitude_damping_kraus(1.0))
     assert holevo_information(identity) == 1.0
     assert holevo_information(damping) == 0.0
     for first, second in ((identity, identity), (damping, damping), (identity, damping)):
@@ -606,7 +601,7 @@ def test_rates_with_an_eigenvalue_at_the_floor_match_eigvalsh_oracles(gamma):
     # input |1> leaves diag(gamma, 1 - gamma); counting gamma or not moves
     # the rate by about 2e-11, so a rule that puts it on the wrong side of
     # the floor fails here
-    damping = _amplitude_damping(gamma)
+    damping = ChannelModel(amplitude_damping_kraus(gamma))
     oracle = _holevo_oracle(_channel_outputs(damping))
     assert abs(holevo_information(damping) - oracle) <= 1e-12
     serial = bottleneck_check(damping, _identity()).chi_serial
@@ -696,9 +691,9 @@ def test_phy_rate_of_one_link_is_its_holevo_information():
     rng = np.random.default_rng(11)
     for channel in (_identity(), depolarizing_channel(0.4), ChannelModel(ginibre_kraus(rng))):
         assert phy_effective_rate(channel) == holevo_information(channel)
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(ValueError, match=NO_QUBIT_PTM):
         phy_effective_rate(_identity(2))
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(ValueError, match=NO_QUBIT_PTM):
         phy_effective_rate(depolarizing_channel(0.4), _identity(2))
 
 

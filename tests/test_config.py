@@ -8,11 +8,11 @@ import yaml
 from qnetsim.config import (
     _EXPONENT_FLOAT,
     SCENARIOS,
+    ConfigError,
     _UniqueKeyLoader,
     load_config,
     parse_config,
 )
-from qnetsim.errors import ConfigError
 from reference import WORKLOAD_SEEDS, run_configs
 
 MINIMAL_TELEPORT = {

@@ -12,6 +12,7 @@ import qnetsim.qstate
 from qnetsim.engine import (
     ClassicalLink,
     ClassicalRoute,
+    EngineAborted,
     EventEngine,
     EventKind,
     QuantumLink,
@@ -20,7 +21,6 @@ from qnetsim.engine import (
     format_record,
 )
 from qnetsim.channels import depolarizing_channel
-from qnetsim.errors import EngineAborted, SchedulingError
 from qnetsim.protocols import CorrectionMessage, Purpose
 from reference import corrected, haar_ket, link_pair_matrix, overlap, teleport_circuit
 
@@ -80,7 +80,7 @@ def test_past_time_scheduling_rejected():
     engine = EventEngine(chain_topology(), seed=0)
     engine.schedule(3, EventKind.PROTOCOL_STEP, "", ignore)
     engine.run_until()
-    with pytest.raises(SchedulingError):
+    with pytest.raises(ValueError, match="cannot schedule at t=2, current time is 3"):
         engine.schedule(2, EventKind.PROTOCOL_STEP, "", ignore)
 
 

@@ -1,7 +1,8 @@
 """The import surface: each name is imported from the module that defines
 it, so the package itself imports nothing, and every module imports on its
 own, which an import cycle between modules would break.  Only the record
-types whose constructors check their input are dataclasses."""
+types whose constructors check their input are dataclasses.  The tests'
+oracles in ``reference.py`` import nothing from the package."""
 
 import ast
 import json
@@ -49,6 +50,19 @@ def test_package_imports_no_module_and_each_module_imports_alone():
         check=True,
     )
     assert json.loads(child.stdout) == {"eager": [], "failed": {}}
+
+
+def test_reference_oracles_import_no_qnetsim_module():
+    # Every oracle test compares the package with reference.py, so an oracle
+    # built from package code would check that code against itself.
+    tree = ast.parse((REPO_ROOT / "tests" / "reference.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert imported and not {name for name in imported if name.split(".")[0] == "qnetsim"}
 
 
 # A dataclass costs about 0.7 ms of import, since the decorator execs the

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qnetsim.channels import ChannelModel, depolarizing_channel
 from qnetsim.engine import ClassicalLink, EventKind, QuantumLink, Topology
-from qnetsim.errors import CapacityError, DecodeAmbiguityError, RenormalizationError
 from qnetsim.protocols import (
     SUPERDENSE_MESSAGES,
     CorrectionMessage,
@@ -42,6 +41,7 @@ from reference import (
     Y,
     Z,
     ForcedDraw,
+    amplitude_damping_kraus,
     bell_ket,
     bell_matrix,
     corrected,
@@ -136,9 +136,9 @@ def test_w_state_purity_across_range():
 
 def test_w_state_node_count_bounds():
     for build in (make_w_state, w_election_probabilities):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError, match=r"W state size 1 outside \[2, 10\]"):
             build(1)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError, match=r"W state size 11 outside \[2, 10\]"):
             build(11)
 
 
@@ -200,7 +200,7 @@ def test_bell_measure_guards_a_branch_below_the_floor():
     # phi+ (x) |0>: only outcome (0, 0) has weight; a draw >= 1 selects the
     # last outcome, (1, 1), whose weight is 0
     state = QuantumState(3, np.kron(bell_matrix(0, 0), np.diag([1.0, 0.0])))
-    with pytest.raises(RenormalizationError):
+    with pytest.raises(ArithmeticError, match=r"Bell outcome \(1, 1\) has weight 0"):
         bell_basis_measure(state, 0, 1, ForcedDraw(1.5))
     for a, b in ((1, 1), (0, 3), (-1, 0)):
         with pytest.raises(IndexError):
@@ -278,7 +278,7 @@ _RANDOM_CHANNELS = [
     [
         depolarizing_channel(0.05),
         depolarizing_channel(0.6),
-        ChannelModel((np.diag([1.0, math.sqrt(0.7)]), np.array([[0.0, math.sqrt(0.3)], [0, 0]]))),
+        ChannelModel(amplitude_damping_kraus(0.3)),
         *_RANDOM_CHANNELS,
     ],
     ids=[
@@ -397,10 +397,7 @@ def amplitude_damped_pair(gamma, halves=(0, 1)):
     """Hand-built phi+ with amplitude damping on the given halves: not
     Bell-diagonal.  Damping one half only also makes the two halves'
     marginals differ, so each outcome's transfer matrix is not symmetric."""
-    damping = [
-        np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
-        np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex),
-    ]
+    damping = amplitude_damping_kraus(gamma)
     first, second = (damping if half in halves else [I2] for half in (0, 1))
     phi = bell_matrix(0, 0)
     return sum(np.kron(a, b) @ phi @ np.kron(a, b).conj().T for a in first for b in second)
@@ -464,7 +461,7 @@ def test_teleport_table_draw_guards_a_branch_below_the_floor():
     table = teleport_table(hand_built_correlations(np.diag([1.0, 0.0, 0.0, 0.0])))
     weights = teleport_weights(table.tolist(), (0.0, 0.0, 1.0))
     assert weights == pytest.approx((0.5, 0.0, 0.5, 0.0), abs=1e-15)
-    with pytest.raises(RenormalizationError):
+    with pytest.raises(ArithmeticError, match=r"Bell outcome \(1, 1\) has weight 0"):
         draw_bell_outcome(weights, cumulative_weights(weights), ForcedDraw(1.5))
 
 
@@ -564,9 +561,8 @@ def test_superdense_distribution_matches_cnot_h_circuit_near_phi_plus():
 def test_superdense_decode_ambiguity_on_maximally_mixed():
     rng = np.random.default_rng(33)
     mixed = np.eye(4, dtype=complex) / 4
-    with pytest.raises(DecodeAmbiguityError) as info:
+    with pytest.raises(RuntimeError, match="best Bell overlap 0.2500 below 0.5"):
         superdense_decode(hand_built_correlations(mixed), rng)
-    assert info.value.best_guess in [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # -- entanglement swapping ----------------------------------------------------

@@ -23,8 +23,12 @@ from reference import (
     CONFIG_DIR,
     SWITCH_ACTIVATION_GOLDEN,
     dep_holevo,
+    enumerate_paths,
     ginibre_kraus,
     load_benchmark_module,
+    oracle_best,
+    random_link_params,
+    rate_of,
 )
 
 
@@ -36,47 +40,6 @@ def topology_from_links(link_params):
         for (a, b), p in sorted(link_params.items())
     )
     return Topology(tuple(nodes), (), links)
-
-
-def enumerate_paths(link_params, src, dst):
-    """Test-local DFS over all simple paths, independent of the planner."""
-    neighbors = {}
-    for a, b in link_params:
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-    for adj in neighbors.values():
-        adj.sort()
-    paths = []
-    stack = [(src,)]
-    while stack:
-        path = stack.pop()
-        if path[-1] == dst:
-            paths.append(path)
-            continue
-        for other in neighbors.get(path[-1], ()):
-            if other not in path:
-                stack.append(path + (other,))
-    return sorted(paths)
-
-
-def rate_of(link_params, path):
-    rates = []
-    for a, b in zip(path, path[1:]):
-        p = link_params.get((a, b), link_params.get((b, a)))
-        rates.append(dep_holevo(p))
-    return min(rates)
-
-
-def oracle_best(link_params, src, dst):
-    """Exhaustive enumeration: (max bottleneck rate, lexicographically
-    smallest path among the winners)."""
-    paths = enumerate_paths(link_params, src, dst)
-    usable = [p for p in paths if rate_of(link_params, p) > 1e-9]
-    if not usable:
-        return 0.0, ()
-    best_rate = max(rate_of(link_params, p) for p in usable)
-    winners = [p for p in usable if rate_of(link_params, p) >= best_rate - 1e-12]
-    return best_rate, min(winners)
 
 
 # -- single-path planning -----------------------------------------------------
@@ -277,29 +240,6 @@ def test_merging_never_below_single_path():
         assert single.effective_rate == pytest.approx(oracle_rate, abs=1e-9), (trial, links)
         if oracle_path:
             assert single.paths[0] == oracle_path, (trial, links)
-
-
-def random_link_params(rng):
-    """Small random graph: a spanning tree plus a few chords; link noise
-    mixes moderate depolarizing with fully depolarizing blockers."""
-    n = int(rng.integers(3, 9))
-    nodes = [f"n{i}" for i in range(n)]
-    links = {}
-    for i in range(1, n):
-        j = int(rng.integers(0, i))
-        links[(nodes[j], nodes[i])] = draw_noise(rng)
-    for _ in range(int(rng.integers(0, 3))):
-        i, j = rng.choice(n, size=2, replace=False)
-        a, b = sorted((nodes[int(i)], nodes[int(j)]))
-        if (a, b) not in links:
-            links[(a, b)] = draw_noise(rng)
-    return links
-
-
-def draw_noise(rng):
-    if rng.random() < 0.35:
-        return 1.0
-    return float(np.round(rng.uniform(0.0, 0.9), 3))
 
 
 def test_plans_are_deterministic():

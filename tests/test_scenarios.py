@@ -16,7 +16,13 @@ from qnetsim.engine import ClassicalLink, EventEngine, EventKind, QuantumLink, T
 from qnetsim.protocols import swap_outcome_table
 from qnetsim.runner import run_experiment
 from qnetsim.scenarios import SCENARIOS
-from reference import CONFIG_DIR, kraus_from_spec, swap_circuit_oracle, swap_circuit_problems
+from reference import (
+    CONFIG_DIR,
+    amplitude_damping_kraus,
+    kraus_from_spec,
+    swap_circuit_oracle,
+    swap_circuit_problems,
+)
 
 
 def metrics_by_cell(config):
@@ -297,13 +303,6 @@ def test_swap_over_near_dead_links_completes_without_a_horizon():
     assert len(result.trace) == 15
     assert ready_delays(result.trace).max() > 10_000_000
     assert elapsed < 1.0
-
-
-def amplitude_damping_kraus(gamma):
-    return [
-        np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
-        np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
-    ]
 
 
 @pytest.mark.parametrize(
