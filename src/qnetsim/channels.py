@@ -23,19 +23,20 @@ output blocks are bilinear in the two PTMs, so all 16 of their
 coefficients come from one constant (16, 256) matrix applied to the outer
 product of the two.
 
-A ``ChannelModel`` computes its PTM and its rate, ``holevo``, once, on
-first use, and keeps them for its lifetime: every cell that uses one
-instance, such as the one ``depolarizing_channel`` shares for each ``p``,
-shares both.
+A ``ChannelModel`` is a plain class whose ``__setattr__`` refuses every
+assignment, so one instance can be shared.  It computes its PTM and its
+rate, ``holevo``, once, on first use, and keeps them in its instance dict
+for its lifetime: every cell that uses one instance, such as the one
+``depolarizing_channel`` shares for each ``p``, shares both.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -82,34 +83,30 @@ def _switch_blocks() -> np.ndarray:
 _SWITCH_BLOCKS = _switch_blocks()
 
 
-@dataclass(eq=False, frozen=True)
 class ChannelModel:
     """Kraus representation of a completely positive trace-preserving map
     on k >= 1 qubits; its operators share one ``dim x dim`` shape, ``dim = 2^k``,
     and ``stack`` holds them as one read-only ``(m, dim, dim)`` array, of
     which ``kraus_ops`` are the views.
 
-    Frozen, so that one instance can be shared, as ``depolarizing_channel``
-    shares it.  Compared and hashed by identity, since ``==`` on its arrays
-    is elementwise.
+    Assignment to an instance raises ``AttributeError``, so that one
+    instance can be shared, as ``depolarizing_channel`` shares it; its
+    cached ``ptm`` and ``holevo`` are written to the instance dict on
+    first use.  Compared and hashed by identity, since ``==`` on its
+    arrays is elementwise.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = [np.asarray(k, dtype=complex) for k in self.kraus_ops]
+    def __init__(self, kraus_ops: Sequence[np.ndarray]):
+        ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         shape = ops[0].shape
         dim = shape[0] if shape else 0
-        object.__setattr__(self, "dim", dim)
         for k in ops:
             if k.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
                 raise ValueError(f"Kraus operators must share one 2^k x 2^k shape, got {k.shape}")
         stack = np.array(ops, dtype=complex)
         stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "kraus_ops", tuple(stack))
         # A NaN entry would pass the completeness test below, since no
         # comparison with NaN is true.
         if not np.isfinite(stack).all():
@@ -120,6 +117,13 @@ class ChannelModel:
         err = float(np.abs(total - np.eye(dim)).max())
         if err > STRUCTURAL_ATOL:
             raise ValueError(f"Kraus completeness violated by {err}")
+        vars(self).update(dim=dim, stack=stack, kraus_ops=tuple(stack))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def ptm(self) -> np.ndarray:
@@ -143,13 +147,10 @@ class ChannelModel:
         return _ptm_holevo(self.ptm)
 
 
-class BottleneckReport(NamedTuple):
-    """Data-processing check for a serial composition."""
-
-    chi_first: float
-    chi_second: float
-    chi_serial: float
-    holds: bool
+BottleneckReport = namedtuple("BottleneckReport", "chi_first chi_second chi_serial holds")
+BottleneckReport.__doc__ = """Data-processing check for a serial composition: the
+rates ``chi_first``, ``chi_second`` and ``chi_serial`` (float) and whether
+the serial one is at most the smaller, ``holds`` (bool)."""
 
 
 # A 10x10 sweep of switch cells asks for 200 channels of at most 20 values

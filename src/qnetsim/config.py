@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from collections.abc import Hashable, Iterable
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import yaml
 
@@ -37,16 +38,12 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class ExperimentConfig(NamedTuple):
-    """A validated experiment; ``cells`` holds each sweep cell's params
-    label and prepared ``run``, in grid order."""
-
-    scenario: str
-    seeds: tuple[int, ...]
-    params: dict[str, Any]
-    topology: Topology | None
-    sweep: dict[str, list]
-    cells: tuple[tuple[str, Run], ...]
+ExperimentConfig = namedtuple("ExperimentConfig", "scenario seeds params topology sweep cells")
+ExperimentConfig.__doc__ = """A validated experiment: its ``scenario`` (str),
+``seeds`` (tuple[int, ...]), ``params`` (dict[str, Any]), ``topology``
+(Topology | None) and ``sweep`` (dict[str, list]); ``cells``
+(tuple[tuple[str, Run], ...]) holds each sweep cell's params label and
+prepared ``run``, in grid order."""
 
 
 def _link_channel(entry: Fields) -> ChannelModel:

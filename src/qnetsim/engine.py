@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple
+from collections import namedtuple
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -55,30 +55,34 @@ class EngineAborted(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class ClassicalLink:
-    a: str
-    b: str
-    latency: int
+class ClassicalLink(namedtuple("ClassicalLink", "a b latency")):
+    """Classical link between nodes ``a`` and ``b`` (str) with a
+    ``latency`` (int) of at least one tick."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.latency < 1:
             raise ValueError(f"classical link latency must be >= 1, got {self.latency}")
+        return self
 
 
-@dataclass(frozen=True)
-class QuantumLink:
-    a: str
-    b: str
-    channel: ChannelModel
-    gen_success_prob: float
-    attempt_period: int
+class QuantumLink(namedtuple("QuantumLink", "a b channel gen_success_prob attempt_period")):
+    """Quantum link between nodes ``a`` and ``b`` (str) whose halves each
+    cross ``channel`` (ChannelModel); an attempt, one every
+    ``attempt_period`` (int) ticks, succeeds with ``gen_success_prob``
+    (float)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.gen_success_prob <= 1.0:
             raise ValueError(f"generation probability {self.gen_success_prob} outside [0, 1]")
         if self.attempt_period < 1:
             raise ValueError(f"attempt period must be >= 1, got {self.attempt_period}")
+        return self
 
     @property
     def pair_correlations(self) -> np.ndarray:
@@ -111,27 +115,32 @@ def _index_links(
     return index, neighbors
 
 
-class ClassicalRoute(NamedTuple):
-    """A hop-count shortest path and the sum of its links' latencies."""
-
-    nodes: tuple[str, ...]
-    latency: int
+ClassicalRoute = namedtuple("ClassicalRoute", "nodes latency")
+ClassicalRoute.__doc__ = """A hop-count shortest path, ``nodes`` (tuple[str, ...]),
+and the sum of its links' latencies, ``latency`` (int)."""
 
 
-@dataclass
 class Topology:
-    nodes: tuple[str, ...]
-    classical_links: tuple[ClassicalLink, ...] = ()
-    quantum_links: tuple[QuantumLink, ...] = ()
+    """Nodes, ``nodes`` (tuple[str, ...]), and the classical and quantum
+    links between them, ``classical_links`` (tuple[ClassicalLink, ...]) and
+    ``quantum_links`` (tuple[QuantumLink, ...]); compared by identity."""
 
-    def __post_init__(self):
-        if len(set(self.nodes)) != len(self.nodes):
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        classical_links: tuple[ClassicalLink, ...] = (),
+        quantum_links: tuple[QuantumLink, ...] = (),
+    ):
+        if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids in topology")
+        self.nodes = nodes
+        self.classical_links = classical_links
+        self.quantum_links = quantum_links
         self._classical_links, self._classical_neighbors = _index_links(
-            self.nodes, "classical_links", self.classical_links
+            nodes, "classical_links", classical_links
         )
         self._quantum_links, self.quantum_neighbors = _index_links(
-            self.nodes, "quantum_links", self.quantum_links
+            nodes, "quantum_links", quantum_links
         )
 
     def shortest_classical_route(self, src: str, dst: str) -> ClassicalRoute | None:
@@ -177,20 +186,15 @@ def format_record(record: TraceRecord) -> str:
     return f"t={time} seq={seq} kind={kind.value} {detail}".rstrip()
 
 
-class LedgerEntry(NamedTuple):
-    time: int
-    bits: int
-    scope: SignalingScope
-    purpose: str
-    origin: str
-    target: str
+LedgerEntry = namedtuple("LedgerEntry", "time bits scope purpose origin target")
+LedgerEntry.__doc__ = """One charge to the ledger: ``bits`` (int) sent at tick
+``time`` (int) in ``scope`` (SignalingScope) for ``purpose`` (str) from
+``origin`` to ``target`` (str)."""
 
-
-class RunResult(NamedTuple):
-    trace: tuple[TraceRecord, ...]
-    events_processed: int
-    bits_host_to_host: int
-    bits_end_to_end: int
+RunResult = namedtuple("RunResult", "trace events_processed bits_host_to_host bits_end_to_end")
+RunResult.__doc__ = """A finished run: its ``trace`` (tuple[TraceRecord, ...]),
+the count of ``events_processed`` (int) and the ledger's totals
+``bits_host_to_host`` and ``bits_end_to_end`` (int)."""
 
 
 class EventEngine:

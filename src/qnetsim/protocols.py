@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,18 +47,18 @@ class Purpose(enum.Enum):
     SWAP = "swap"
 
 
-@dataclass(frozen=True)
-class CorrectionMessage:
-    """Exactly two classical bits steering a Pauli correction."""
+class CorrectionMessage(namedtuple("CorrectionMessage", "bits origin target purpose")):
+    """Exactly two classical ``bits`` (tuple[int, int]) steering a Pauli
+    correction, sent from ``origin`` to ``target`` (str) for ``purpose``
+    (Purpose)."""
 
-    bits: tuple[int, int]
-    origin: str
-    target: str
-    purpose: Purpose
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.bits) != 2 or set(self.bits) - {0, 1}:
             raise ValueError(f"correction message needs exactly 2 bits, got {self.bits}")
+        return self
 
 
 # A Bell outcome (z, x), phase bit then parity bit, is also the superdense

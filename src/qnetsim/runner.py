@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -22,15 +23,14 @@ from .engine import EngineAborted, TraceRecord, format_record
 from .scenarios import ScenarioResult
 
 
-class MetricsRecord(NamedTuple):
-    scenario: str
-    seed: int
-    params: str
-    metric: str
-    value: Any
-    classical_bits_host_to_host: int
-    classical_bits_end_to_end: int
-
+MetricsRecord = namedtuple(
+    "MetricsRecord",
+    "scenario seed params metric value classical_bits_host_to_host classical_bits_end_to_end",
+)
+MetricsRecord.__doc__ = """One row of ``metrics.csv``: ``scenario`` (str), ``seed``
+(int), ``params`` (str), ``metric`` (str), ``value`` (Any), and the
+classical bits the run sent, ``classical_bits_host_to_host`` and
+``classical_bits_end_to_end`` (int)."""
 
 # The columns of ``metrics.csv``, one per field of a row.
 CSV_HEADER = MetricsRecord._fields

@@ -14,8 +14,9 @@ plans over that list.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -48,13 +49,16 @@ from .services.routing import (
 )
 
 
-class ScenarioResult(NamedTuple):
-    metrics: list[tuple[str, Any]]
-    bits_host_to_host: int = 0
-    bits_end_to_end: int = 0
-    # The engine's trace records, or trace lines for a scenario without
-    # an engine.
-    trace: tuple[TraceRecord | str, ...] = ()
+ScenarioResult = namedtuple(
+    "ScenarioResult",
+    "metrics bits_host_to_host bits_end_to_end trace",
+    defaults=(0, 0, ()),
+)
+ScenarioResult.__doc__ = """What one run of a cell reports: its ``metrics``
+(list[tuple[str, Any]]), the classical bits it sent, ``bits_host_to_host``
+and ``bits_end_to_end`` (int, default 0), and its ``trace``
+(tuple[TraceRecord | str, ...], default ()): the engine's trace records,
+or trace lines for a scenario without an engine."""
 
 
 Run = Callable[[list[int]], ScenarioResult]

@@ -19,8 +19,7 @@ a sensing choice among two or more mutually deaf nodes one
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,18 +38,27 @@ class MacProtocol(enum.Enum):
     SLOTTED_CONTENTION = "slotted_contention"
 
 
-@dataclass
-class MacConfig:
-    n_nodes: int
-    protocol: MacProtocol
-    slots: int
-    offered_load: float
-    w_refresh_cost: int = 0
-    backoff_window: int = 0  # 0 disables backoff (pure slotted ALOHA)
-    carrier_sensing: bool = True
-    hidden_pairs: tuple[tuple[int, int], ...] = ()
+class MacConfig(
+    namedtuple(
+        "MacConfig",
+        "n_nodes protocol slots offered_load w_refresh_cost backoff_window "
+        "carrier_sensing hidden_pairs",
+        defaults=(0, 0, True, ()),
+    )
+):
+    """One MAC run: ``n_nodes`` (int) nodes under ``protocol``
+    (MacProtocol) for ``slots`` (int) slots at ``offered_load`` (float).
+    W access idles ``w_refresh_cost`` (int, default 0) slots after each
+    consumed W state.  Contention backs off over ``backoff_window`` (int,
+    default 0, which disables backoff: pure slotted ALOHA), senses the
+    carrier if ``carrier_sensing`` (bool, default True), and the node pairs
+    in ``hidden_pairs`` (tuple[tuple[int, int], ...], default ()) cannot
+    sense each other."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes: need at least 2 nodes, got {self.n_nodes}")
         if self.protocol is MacProtocol.W_STATE_ACCESS and self.n_nodes > W_STATE_MAX_NODES:
@@ -87,6 +95,7 @@ class MacConfig:
         for k, (i, j) in enumerate(self.hidden_pairs):
             if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"hidden_pairs[{k}]: {(i, j)} is not two distinct node indices")
+        return self
 
     @property
     def w_resources(self) -> int:
@@ -95,19 +104,16 @@ class MacConfig:
         return -(-self.slots // (1 + self.w_refresh_cost))
 
 
-class MacMetrics(NamedTuple):
-    protocol: MacProtocol
-    slots: int
-    throughput: float
-    collision_rate: float
-    fairness: float
-    privacy_ok: bool
-    per_node_successes: tuple[int, ...]
-    successes: int
-    collisions: int
-    idle_slots: int
-    contention_signaling_bits: int
-    herald_bits_host_to_host: int
+MacMetrics = namedtuple(
+    "MacMetrics",
+    "protocol slots throughput collision_rate fairness privacy_ok per_node_successes "
+    "successes collisions idle_slots contention_signaling_bits herald_bits_host_to_host",
+)
+MacMetrics.__doc__ = """Outcome of one MAC run under ``protocol`` (MacProtocol)
+over ``slots`` (int): ``throughput``, ``collision_rate`` and ``fairness``
+(float), ``privacy_ok`` (bool), ``per_node_successes`` (tuple[int, ...]),
+and the counts ``successes``, ``collisions``, ``idle_slots``,
+``contention_signaling_bits`` and ``herald_bits_host_to_host`` (int)."""
 
 
 def jain_fairness(shares) -> float:

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Collection, Iterator, Mapping, Sequence
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,11 +56,12 @@ class PlanMode(enum.Enum):
     SUPERPOSED_PAIR = "superposed_pair"
 
 
-class TrajectoryPlan(NamedTuple):
-    mode: PlanMode
-    paths: tuple[tuple[str, ...], ...]
-    effective_rate: float
-    unreachable: bool = False
+TrajectoryPlan = namedtuple(
+    "TrajectoryPlan", "mode paths effective_rate unreachable", defaults=(False,)
+)
+TrajectoryPlan.__doc__ = """A route: its ``mode`` (PlanMode), its ``paths``
+(tuple[tuple[str, ...], ...]), their ``effective_rate`` (float), and
+whether the destination is ``unreachable`` (bool, default False)."""
 
 
 def _usable_rates(topology: Topology) -> dict[str, dict[str, float]]:

@@ -81,13 +81,13 @@ def test_routing_grid_switch_activation_passes_its_oracle(tmp_path, monkeypatch)
 def _count_channel_builds(monkeypatch):
     """The list that every ``ChannelModel`` built from here on joins."""
     built = []
-    post_init = ChannelModel.__post_init__
+    init = ChannelModel.__init__
 
-    def counted(channel):
+    def counted(channel, kraus_ops):
         built.append(channel)
-        post_init(channel)
+        init(channel, kraus_ops)
 
-    monkeypatch.setattr(ChannelModel, "__post_init__", counted)
+    monkeypatch.setattr(ChannelModel, "__init__", counted)
     return built
 
 

@@ -3,7 +3,6 @@
 import math
 import re
 import sys
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -154,7 +153,7 @@ def test_depolarizing_channel_is_shared_and_frozen():
     assert depolarizing_channel.cache_info().maxsize == 256
     assert depolarizing_channel.cache_info().currsize == 2
     for name in ("kraus_ops", "stack", "dim"):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
             setattr(channel, name, getattr(channel, name))
     assert not channel.stack.flags.writeable
     # The shared instance keeps its ptm once built.
@@ -478,7 +477,7 @@ def test_holevo_is_the_ptm_rate_cached_read_only():
         chi = channel.holevo
         assert chi == _ptm_holevo(channel.ptm)
         assert vars(channel)["holevo"] is chi and holevo_information(channel) is chi
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'holevo'"):
             channel.holevo = 0.5
     assert channel.holevo is chi
 

@@ -1,8 +1,11 @@
 """The import surface: each name is imported from the module that defines
 it, so the package itself imports nothing, and every module imports on its
-own, which an import cycle between modules would break.  Only the record
-types whose constructors check their input are dataclasses.  The tests'
-oracles in ``reference.py`` import nothing from the package."""
+own, which an import cycle between modules would break.  No class is
+generated at import: records are ``collections.namedtuple`` types, checked
+in ``__new__`` where they check their input, and the rest are plain
+classes, so past numpy and PyYAML the package loads only its own modules
+and the csv and heapq modules it uses.  The tests' oracles in
+``reference.py`` import nothing from the package."""
 
 import ast
 import json
@@ -33,23 +36,29 @@ print(json.dumps({"eager": eager, "failed": failed}))
 """
 
 
-def test_package_imports_no_module_and_each_module_imports_alone():
-    modules = sorted(
-        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
-        for path in (SRC / "qnetsim").rglob("*.py")
-    )
-    assert {"qnetsim", "qnetsim.services", "qnetsim.services.routing"} <= set(modules)
+def _run_child(code: str, *args: str):
+    """What ``code``, run in a fresh interpreter with ``src`` on its path
+    and ``args`` as its arguments, prints as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", CHILD, *modules],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=30,
         check=True,
     )
-    assert json.loads(child.stdout) == {"eager": [], "failed": {}}
+    return json.loads(child.stdout)
+
+
+def test_package_imports_no_module_and_each_module_imports_alone():
+    modules = sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        for path in (SRC / "qnetsim").rglob("*.py")
+    )
+    assert {"qnetsim", "qnetsim.services", "qnetsim.services.routing"} <= set(modules)
+    assert _run_child(CHILD, *modules) == {"eager": [], "failed": {}}
 
 
 def test_reference_oracles_import_no_qnetsim_module():
@@ -65,32 +74,58 @@ def test_reference_oracles_import_no_qnetsim_module():
     assert imported and not {name for name in imported if name.split(".")[0] == "qnetsim"}
 
 
-# A dataclass costs about 0.7 ms of import, since the decorator execs the
-# methods it generates, against 0.1 ms for a NamedTuple (Python 3.11 on a
-# 2-vCPU host); so a record that checks nothing when built is a NamedTuple.
-CHECKED_DATACLASSES = {
-    "qnetsim.channels.ChannelModel",
-    "qnetsim.engine.ClassicalLink",
-    "qnetsim.engine.QuantumLink",
-    "qnetsim.engine.Topology",
-    "qnetsim.protocols.CorrectionMessage",
-    "qnetsim.qstate.GateSpec",
-    "qnetsim.services.mac.MacConfig",
-}
+# Measured as the median of 21 fresh interpreters with numpy and PyYAML
+# loaded (Python 3.11.7, 2-vCPU host): a first ``@dataclass(frozen=True)``
+# of five fields costs 1.06 ms, since the decorator execs the methods it
+# generates, and ``import dataclasses``, which pulls in ``copy``, another
+# 1.05 ms.  A ``typing.NamedTuple`` of five fields costs 0.24 ms, since
+# under ``from __future__ import annotations`` it compiles every field's
+# string annotation; a ``collections.namedtuple`` costs 0.08 ms, subclassed
+# with a ``__new__`` too, and a plain class 0.01 ms.
 
 
-def _is_dataclass_decorator(node: ast.expr) -> bool:
-    target = node.func if isinstance(node, ast.Call) else node
-    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
-    return name == "dataclass"
+def _class_generators(path) -> list[str]:
+    """Each use in a module of the ``dataclasses`` module or of ``NamedTuple``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [name for name in names if name in ("dataclasses", "NamedTuple")]
+    return found
 
 
-def test_only_records_that_check_their_input_are_dataclasses():
-    found = set()
-    for path in (SRC / "qnetsim").rglob("*.py"):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                if any(map(_is_dataclass_decorator, node.decorator_list)):
-                    found.add(f"{module}.{node.name}")
-    assert found == CHECKED_DATACLASSES
+def test_no_module_imports_a_class_generator():
+    found = {
+        str(path.relative_to(SRC)): uses
+        for path in (SRC / "qnetsim").rglob("*.py")
+        if (uses := _class_generators(path))
+    }
+    assert found == {}
+
+
+# The modules the package may add to a fresh interpreter that has loaded
+# numpy and PyYAML, which a run loads anyway.
+SETUP_CHILD = """
+import json, sys
+import numpy, yaml
+before = set(sys.modules)
+import qnetsim.config, qnetsim.runner
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+SETUP_MODULES = {"csv", "_csv", "heapq", "_heapq", "__future__"}
+
+
+def test_setup_loads_only_qnetsim_csv_and_heapq_past_numpy_and_yaml():
+    added = _run_child(SETUP_CHILD)
+    assert "qnetsim.runner" in added
+    assert [
+        name
+        for name in added
+        if name not in SETUP_MODULES and name.split(".")[0] != "qnetsim"
+    ] == []

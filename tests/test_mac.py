@@ -66,6 +66,8 @@ def test_config_rejects_bad_values():
         contention_config(backoff_window=-1)
     with pytest.raises(ValueError):
         contention_config(backoff_window=_BACKOFF_WINDOW_CAP + 1)
+    with pytest.raises(AttributeError, match="can't set attribute"):
+        w_config().slots = 0
 
 
 def test_jain_fairness_values():

@@ -784,3 +784,5 @@ def test_correction_message_validates_bits():
         CorrectionMessage((0, 1, 1), "a", "b", Purpose.TELEPORT)
     with pytest.raises(ValueError):
         CorrectionMessage((2, 0), "a", "b", Purpose.TELEPORT)
+    with pytest.raises(AttributeError, match="can't set attribute"):
+        CorrectionMessage((0, 1), "a", "b", Purpose.TELEPORT).bits = (2, 0)

@@ -112,6 +112,8 @@ def test_gate_spec_validation():
         GateSpec("H", (0, 1))
     with pytest.raises(ValueError):
         GateSpec("CNOT", (1, 1))
+    with pytest.raises(AttributeError, match="can't set attribute"):
+        GateSpec("H", (0,)).targets = (0, 1)
 
 
 @pytest.mark.parametrize("num_qubits", [7, 8])
@@ -142,6 +144,13 @@ def test_gate_matrices_are_one_read_only_table():
         assert np.array_equal(u, GATES[name])
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
+
+
+def test_every_gate_is_unitary_and_read_only():
+    for name in qstate.GATE_NAMES:
+        u = GateSpec(name, (0,) if len(GATES[name]) == 2 else (0, 1)).matrix()
+        assert float(np.max(np.abs(u @ u.conj().T - np.eye(len(u))))) <= 1e-12, name
+        assert not u.flags.writeable, name
 
 
 def _kron_embedding(op, targets, num_qubits):
