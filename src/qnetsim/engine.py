@@ -55,17 +55,10 @@ class EngineAborted(RuntimeError):
         self.trace = trace
 
 
-class ClassicalLink(namedtuple("ClassicalLink", "a b latency")):
-    """Classical link between nodes ``a`` and ``b`` (str) with a
-    ``latency`` (int) of at least one tick."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.latency < 1:
-            raise ValueError(f"classical link latency must be >= 1, got {self.latency}")
-        return self
+ClassicalLink = namedtuple("ClassicalLink", "a b latency")
+ClassicalLink.__doc__ = """Classical link between nodes ``a`` and ``b`` (str) with a
+``latency`` (int) of at least one tick.  Like ``QuantumLink``, it is plain
+data: the topology reader checks its fields."""
 
 
 class QuantumLink(namedtuple("QuantumLink", "a b channel gen_success_prob attempt_period")):
@@ -75,14 +68,6 @@ class QuantumLink(namedtuple("QuantumLink", "a b channel gen_success_prob attemp
     (float)."""
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 <= self.gen_success_prob <= 1.0:
-            raise ValueError(f"generation probability {self.gen_success_prob} outside [0, 1]")
-        if self.attempt_period < 1:
-            raise ValueError(f"attempt period must be >= 1, got {self.attempt_period}")
-        return self
 
     @property
     def pair_correlations(self) -> np.ndarray:
@@ -100,10 +85,6 @@ def _index_links(
     index: dict[frozenset[str], Any] = {}
     neighbors: dict[str, list[str]] = {n: [] for n in nodes}
     for i, link in enumerate(links):
-        if link.a not in neighbors or link.b not in neighbors:
-            raise ValueError(f"link {link.a}-{link.b} references unknown node")
-        if link.a == link.b:
-            raise ValueError(f"self-link on node {link.a}")
         pair = frozenset((link.a, link.b))
         if pair in index:
             raise ValueError(f"{name}[{i}]: {link.a}-{link.b} is linked already")
@@ -123,7 +104,9 @@ and the sum of its links' latencies, ``latency`` (int)."""
 class Topology:
     """Nodes, ``nodes`` (tuple[str, ...]), and the classical and quantum
     links between them, ``classical_links`` (tuple[ClassicalLink, ...]) and
-    ``quantum_links`` (tuple[QuantumLink, ...]); compared by identity."""
+    ``quantum_links`` (tuple[QuantumLink, ...]); compared by identity.
+    Each link joins two distinct nodes of ``nodes``, as the topology reader
+    checks, and no two link the same pair."""
 
     def __init__(
         self,

@@ -47,18 +47,10 @@ class Purpose(enum.Enum):
     SWAP = "swap"
 
 
-class CorrectionMessage(namedtuple("CorrectionMessage", "bits origin target purpose")):
-    """Exactly two classical ``bits`` (tuple[int, int]) steering a Pauli
-    correction, sent from ``origin`` to ``target`` (str) for ``purpose``
-    (Purpose)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.bits) != 2 or set(self.bits) - {0, 1}:
-            raise ValueError(f"correction message needs exactly 2 bits, got {self.bits}")
-        return self
+CorrectionMessage = namedtuple("CorrectionMessage", "bits origin target purpose")
+CorrectionMessage.__doc__ = """Two classical ``bits`` (tuple[int, int]), a Bell
+outcome from ``SUPERDENSE_MESSAGES``, steering a Pauli correction, sent from
+``origin`` to ``target`` (str) for ``purpose`` (Purpose)."""
 
 
 # A Bell outcome (z, x), phase bit then parity bit, is also the superdense

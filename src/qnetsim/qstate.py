@@ -66,21 +66,11 @@ class GateSpec(namedtuple("GateSpec", "name targets")):
     """A named gate, ``name`` (str), applied to an ordered tuple of target
     qubits, ``targets`` (tuple[int, ...]).
 
-    Controlled gates list the control first, then the target.
+    Controlled gates list the control first, then the target.  Plain data:
+    ``apply_unitary`` checks the name and the number of targets.
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.name not in _GATES:
-            raise ValueError(f"unknown gate {self.name!r}; supported: {GATE_NAMES}")
-        arity = len(_GATES[self.name]).bit_length() - 1
-        if len(self.targets) != arity:
-            raise ValueError(f"gate {self.name} takes {arity} target(s), got {self.targets}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"gate targets must be distinct, got {self.targets}")
-        return self
 
     def matrix(self) -> np.ndarray:
         """The gate's read-only matrix on its targets, in their order."""
@@ -131,7 +121,14 @@ def apply_operators(
 
 
 def apply_unitary(state: QuantumState, gate: GateSpec) -> QuantumState:
-    return apply_operators(state, gate.matrix()[None], gate.targets)
+    """``gate`` on ``state``; an unknown name or a wrong target count raises ValueError."""
+    if gate.name not in _GATES:
+        raise ValueError(f"unknown gate {gate.name!r}; supported: {GATE_NAMES}")
+    u = gate.matrix()
+    arity = len(u).bit_length() - 1
+    if len(gate.targets) != arity:
+        raise ValueError(f"gate {gate.name} takes {arity} target(s), got {gate.targets}")
+    return apply_operators(state, u[None], gate.targets)
 
 
 def _bit_of_index(num_qubits: int, qubit: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .fields import Fields
 from .protocols import (
     MAX_DRAW_COUNT,
     SUPERDENSE_MESSAGES,
+    W_STATE_MAX_NODES,
     CorrectionMessage,
     Purpose,
     bell_pair_correlations,
@@ -39,7 +40,7 @@ from .protocols import (
     teleport_weights,
 )
 from .qstate import SCALAR_ATOL, haar_bloch_vector
-from .services.mac import MacConfig, MacProtocol, run_mac_sim
+from .services.mac import BACKOFF_WINDOW_CAP, MacConfig, MacProtocol, run_mac_sim, w_resources
 from .services.phy import phy_effective_rate
 from .services.routing import (
     PlanMode,
@@ -293,6 +294,37 @@ def _prepare_mac_compare(topology: Topology | None, cell: dict) -> Run:
         carrier_sensing=params.flag("carrier_sensing", True),
         hidden_pairs=tuple(params.items("hidden_pairs", [], partial(_node_index_pair, params))),
     )
+    n, slots = config.n_nodes, config.slots
+    w_access = config.protocol is MacProtocol.W_STATE_ACCESS
+    if n < 2:
+        raise ValueError(f"n_nodes: need at least 2 nodes, got {n}")
+    if w_access and n > W_STATE_MAX_NODES:
+        raise ValueError(f"n_nodes: W states span at most {W_STATE_MAX_NODES} nodes, got {n}")
+    if slots < 1:
+        raise ValueError(f"slots: need at least 1 slot, got {slots}")
+    if config.w_refresh_cost < 0:
+        raise ValueError(f"w_refresh_cost: refresh cost {config.w_refresh_cost} is negative")
+    consumed = w_resources(slots, config.w_refresh_cost)
+    if w_access and consumed > MAX_DRAW_COUNT:
+        raise ValueError(
+            f"slots: {slots} slots consume {consumed} W states, more than "
+            "the 2^63 - 1 one binomial draw takes"
+        )
+    # Every node hears one herald bit per consumed W state, and the
+    # total is written as a count that readers parse as a signed 64-bit int.
+    if w_access and consumed * n > MAX_DRAW_COUNT:
+        raise ValueError(
+            f"slots: {slots} slots consume {consumed} W states, whose heralds "
+            f"to {n} nodes total {consumed * n} bits, more than 2^63 - 1"
+        )
+    window = config.backoff_window
+    if not 0 <= window <= BACKOFF_WINDOW_CAP:
+        raise ValueError(
+            f"backoff_window: backoff window {window} outside [0, {BACKOFF_WINDOW_CAP}]"
+        )
+    for k, (i, j) in enumerate(config.hidden_pairs):
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"hidden_pairs[{k}]: {(i, j)} is not two distinct node indices")
     params.done()
 
     def run(rng_seed: list[int]) -> ScenarioResult:

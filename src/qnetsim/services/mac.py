@@ -23,9 +23,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from ..protocols import MAX_DRAW_COUNT, W_STATE_MAX_NODES, w_election_probabilities
+from ..protocols import w_election_probabilities
 
-_BACKOFF_WINDOW_CAP = 1024
+BACKOFF_WINDOW_CAP = 1024
 # Uniforms in one block of contention draws, so the working set does not
 # grow with the number of slots.
 _BLOCK_UNIFORMS = 2048
@@ -38,70 +38,26 @@ class MacProtocol(enum.Enum):
     SLOTTED_CONTENTION = "slotted_contention"
 
 
-class MacConfig(
-    namedtuple(
-        "MacConfig",
-        "n_nodes protocol slots offered_load w_refresh_cost backoff_window "
-        "carrier_sensing hidden_pairs",
-        defaults=(0, 0, True, ()),
-    )
-):
-    """One MAC run: ``n_nodes`` (int) nodes under ``protocol``
-    (MacProtocol) for ``slots`` (int) slots at ``offered_load`` (float).
-    W access idles ``w_refresh_cost`` (int, default 0) slots after each
-    consumed W state.  Contention backs off over ``backoff_window`` (int,
-    default 0, which disables backoff: pure slotted ALOHA), senses the
-    carrier if ``carrier_sensing`` (bool, default True), and the node pairs
-    in ``hidden_pairs`` (tuple[tuple[int, int], ...], default ()) cannot
-    sense each other."""
+MacConfig = namedtuple(
+    "MacConfig",
+    "n_nodes protocol slots offered_load w_refresh_cost backoff_window "
+    "carrier_sensing hidden_pairs",
+    defaults=(0, 0, True, ()),
+)
+MacConfig.__doc__ = """One MAC run: ``n_nodes`` (int) nodes under ``protocol``
+(MacProtocol) for ``slots`` (int) slots at ``offered_load`` (float).  W
+access idles ``w_refresh_cost`` (int, default 0) slots after each consumed
+W state.  Contention backs off over ``backoff_window`` (int, default 0,
+which disables backoff: pure slotted ALOHA), senses the carrier if
+``carrier_sensing`` (bool, default True), and the node pairs in
+``hidden_pairs`` (tuple[tuple[int, int], ...], default ()) cannot sense
+each other.  Plain data: the ``mac_compare`` reader checks every bound."""
 
-    __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n_nodes < 2:
-            raise ValueError(f"n_nodes: need at least 2 nodes, got {self.n_nodes}")
-        if self.protocol is MacProtocol.W_STATE_ACCESS and self.n_nodes > W_STATE_MAX_NODES:
-            raise ValueError(
-                f"n_nodes: W states span at most {W_STATE_MAX_NODES} nodes, got {self.n_nodes}"
-            )
-        if self.slots < 1:
-            raise ValueError(f"slots: need at least 1 slot, got {self.slots}")
-        if not 0.0 <= self.offered_load <= 1.0:
-            raise ValueError(f"offered_load: offered load {self.offered_load} outside [0, 1]")
-        if self.w_refresh_cost < 0:
-            raise ValueError(f"w_refresh_cost: refresh cost {self.w_refresh_cost} is negative")
-        if self.protocol is MacProtocol.W_STATE_ACCESS and self.w_resources > MAX_DRAW_COUNT:
-            raise ValueError(
-                f"slots: {self.slots} slots consume {self.w_resources} W states, more than "
-                "the 2^63 - 1 one binomial draw takes"
-            )
-        # Every node hears one herald bit per consumed W state, and the
-        # total is written as a count that readers parse as a signed 64-bit int.
-        if (
-            self.protocol is MacProtocol.W_STATE_ACCESS
-            and self.w_resources * self.n_nodes > MAX_DRAW_COUNT
-        ):
-            raise ValueError(
-                f"slots: {self.slots} slots consume {self.w_resources} W states, whose heralds "
-                f"to {self.n_nodes} nodes total {self.w_resources * self.n_nodes} bits, more "
-                "than 2^63 - 1"
-            )
-        if not 0 <= self.backoff_window <= _BACKOFF_WINDOW_CAP:
-            raise ValueError(
-                f"backoff_window: backoff window {self.backoff_window} outside "
-                f"[0, {_BACKOFF_WINDOW_CAP}]"
-            )
-        for k, (i, j) in enumerate(self.hidden_pairs):
-            if i == j or not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"hidden_pairs[{k}]: {(i, j)} is not two distinct node indices")
-        return self
-
-    @property
-    def w_resources(self) -> int:
-        """W resources a W-access run consumes: one in the first slot and
-        one in every slot after its ``w_refresh_cost`` idle refresh slots."""
-        return -(-self.slots // (1 + self.w_refresh_cost))
+def w_resources(slots: int, w_refresh_cost: int) -> int:
+    """W resources a W-access run of ``slots`` consumes: one in the first slot
+    and one in every slot after its ``w_refresh_cost`` idle refresh slots."""
+    return -(-slots // (1 + w_refresh_cost))
 
 
 MacMetrics = namedtuple(
@@ -162,7 +118,7 @@ def _run_w_state_access(config: MacConfig, rng: np.random.Generator) -> _Counts:
     # plane.  The winner and the traffic draw are independent, so the
     # slots that carry a packet are one binomial draw and their winners
     # one multinomial draw.
-    consumed = config.w_resources
+    consumed = w_resources(config.slots, config.w_refresh_cost)
     sent = int(rng.binomial(consumed, config.offered_load))
     successes = rng.multinomial(sent, w_election_probabilities(n)).tolist()
     return successes, 0, consumed * n
@@ -223,7 +179,7 @@ def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> _Cou
         deaf[j] |= 1 << i
     successes = [0] * n
     # The window of a node's next backoff: base_window after a success,
-    # doubled by each collision up to _BACKOFF_WINDOW_CAP.
+    # doubled by each collision up to BACKOFF_WINDOW_CAP.
     window = [base_window] * n
     eligible = (1 << n) - 1  # nodes that are not backing off
     release = {}  # slot -> nodes whose backoff ends just before it
@@ -255,7 +211,7 @@ def _run_slotted_contention(config: MacConfig, rng: np.random.Generator) -> _Cou
                             free = slot + wait + 1
                             release[free] = release.get(free, 0) | bit
                             next_free = min(next_free, free)
-                        window[node] = min(2 * window[node], _BACKOFF_WINDOW_CAP)
+                        window[node] = min(2 * window[node], BACKOFF_WINDOW_CAP)
                     continue
                 node = order[0]
             elif want:

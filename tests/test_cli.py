@@ -305,6 +305,12 @@ def chain(*quantum_links):
         (MAC + ", backoff_window: 5000}", "backoff_window: backoff window 5000 outside [0, 1024]"),
         (MAC + ", hidden_pairs: [[0, 1], [2, 2]]}",
          "hidden_pairs[1]: (2, 2) is not two distinct node indices"),
+        (W_ACCESS + ", slots: 0}", "slots: need at least 1 slot, got 0"),
+        (W_ACCESS + ", slots: 9, w_refresh_cost: -1}",
+         "w_refresh_cost: refresh cost -1 is negative"),
+        (MAC + ", backoff_window: -1}", "backoff_window: backoff window -1 outside [0, 1024]"),
+        (MAC + ", hidden_pairs: [[0, 9]]}",
+         "hidden_pairs[0]: (0, 9) is not two distinct node indices"),
     ],
     ids=[
         "teleport-unknown-dst",
@@ -337,6 +343,10 @@ def chain(*quantum_links):
         "mac-hidden-pair-not-a-list",
         "mac-backoff-window-above-cap",
         "mac-hidden-pair-repeats-a-node",
+        "mac-zero-slots",
+        "mac-negative-refresh-cost",
+        "mac-negative-backoff-window",
+        "mac-hidden-pair-past-the-nodes",
     ],
 )
 def test_validate_rejects_cells_run_would_abort_or_misread(tmp_path, capsys, text, message):
@@ -424,6 +434,10 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "topology: quantum_links[1]: m-l is linked already"),
         ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("b: b", "b: ghost"),
          "topology: classical_links[0]: b 'ghost' is not a topology node"),
+        ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("[a, b]", "[a, a, b]"),
+         "topology: duplicate node ids in topology"),
+        ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("b: b", "b: a"),
+         "topology: classical_links[0]: a and b are both 'a'"),
         ("seeds: [1.5]\nscenario: superdense\nparams: {n_trials: 8}",
          "seeds[0] must be an integer, got 1.5"),
         ("seeds: [true]\nscenario: superdense\nparams: {n_trials: 8}",
@@ -470,6 +484,8 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "repeated-classical-link",
         "repeated-quantum-link-reversed",
         "link-to-unknown-node",
+        "repeated-node",
+        "classical-self-link",
         "fractional-seed",
         "bool-seed",
         "negative-seed",

@@ -20,6 +20,7 @@ from qnetsim.engine import (
     format_record,
 )
 from qnetsim.channels import depolarizing_channel
+from qnetsim.config import ConfigError, parse_config
 from qnetsim.protocols import CorrectionMessage, Purpose
 from reference import corrected, haar_ket, link_pair_matrix, overlap, teleport_circuit
 
@@ -90,17 +91,33 @@ def test_empty_queue_terminates_immediately():
     assert result.events_processed == 0
 
 
+def topology_violations(topology):
+    """The violations ``parse_config`` reports for a teleport over ``topology``."""
+    config = {"scenario": "teleport", "seeds": [1], "params": {"n_teleports": 1}}
+    with pytest.raises(ConfigError) as info:
+        parse_config({**config, "topology": topology})
+    return info.value.violations
+
+
 def test_topology_validation():
-    with pytest.raises(ValueError):
-        Topology(("a",), (ClassicalLink("a", "ghost", 1),), ())
-    with pytest.raises(ValueError):
-        Topology(("a", "b"), (ClassicalLink("a", "a", 1),), ())
-    with pytest.raises(ValueError):
-        ClassicalLink("a", "b", 0)
+    # Links are plain data; the topology reader checks their fields.
+    link = {"a": "a", "b": "b", "latency": 1}
+    channel = {"type": "depolarizing", "p": 0.1}
+    cases = [
+        ({"nodes": ["a"], "classical_links": [{**link, "a": "a", "b": "ghost"}]},
+         "classical_links[0]: b 'ghost' is not a topology node"),
+        ({"nodes": ["a", "b"], "classical_links": [{**link, "b": "a"}]},
+         "classical_links[0]: a and b are both 'a'"),
+        ({"nodes": ["a", "b"], "classical_links": [{**link, "latency": 0}]},
+         "classical_links[0]: latency must be at least 1, got 0"),
+        ({"nodes": ["a", "b"], "classical_links": [link],
+          "quantum_links": [{"a": "a", "b": "b", "channel": channel, "gen_success_prob": 1.5}]},
+         "quantum_links[0]: gen_success_prob must be a number in [0, 1], got 1.5"),
+    ]
+    for topology, message in cases:
+        assert topology_violations(topology) == [f"<config>: topology: {message}"]
     with pytest.raises(AttributeError, match="can't set attribute"):
         ClassicalLink("a", "b", 1).latency = 0
-    with pytest.raises(ValueError):
-        QuantumLink("a", "b", depolarizing_channel(0.1), 1.5, 1)
 
 
 # -- classical plane ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """The import surface: each name is imported from the module that defines
 it, so the package itself imports nothing, and every module imports on its
 own, which an import cycle between modules would break.  No class is
-generated at import: records are ``collections.namedtuple`` types, checked
-in ``__new__`` where they check their input, and the rest are plain
-classes, so past numpy and PyYAML the package loads only its own modules
-and the csv and heapq modules it uses.  The tests' oracles in
-``reference.py`` import nothing from the package."""
+generated at import: records are ``collections.namedtuple`` types and the
+rest are plain classes, so past numpy and PyYAML the package loads only its
+own modules and the csv and heapq modules it uses.  No class defines
+``__new__``: a record is plain data, and the config reader checks every
+bound.  The tests' oracles in ``reference.py`` import nothing from the
+package."""
 
 import ast
 import json
@@ -107,6 +108,20 @@ def test_no_module_imports_a_class_generator():
         if (uses := _class_generators(path))
     }
     assert found == {}
+
+
+def test_no_class_defines_new():
+    # A check in a namedtuple's __new__ is skipped by _make and _replace,
+    # which build through tuple.__new__, so a record checks nothing and
+    # every bound lives in the reader that validate reports from.
+    found = [
+        f"{path.relative_to(SRC)}: {node.name}"
+        for path in (SRC / "qnetsim").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body)
+    ]
+    assert found == []
 
 
 # The modules the package may add to a fresh interpreter that has loaded

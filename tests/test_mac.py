@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qnetsim.config import ConfigError, parse_config
 from qnetsim.services.mac import (
-    _BACKOFF_WINDOW_CAP,
+    BACKOFF_WINDOW_CAP,
     _BLOCK_UNIFORMS,
     MacConfig,
     MacProtocol,
@@ -49,23 +50,33 @@ def contention_config(**overrides):
 # -- config validation --------------------------------------------------------
 
 
+def mac_violations(**params):
+    """The violations ``parse_config`` reports for one ``mac_compare`` cell."""
+    with pytest.raises(ConfigError) as info:
+        parse_config({"scenario": "mac_compare", "seeds": [1], "params": params})
+    return info.value.violations
+
+
 def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        w_config(n_nodes=1)
-    with pytest.raises(ValueError):
-        w_config(slots=0)
-    with pytest.raises(ValueError):
-        w_config(offered_load=1.5)
-    with pytest.raises(ValueError):
-        w_config(w_refresh_cost=-1)
-    with pytest.raises(ValueError):
-        contention_config(hidden_pairs=((0, 0),))
-    with pytest.raises(ValueError):
-        contention_config(hidden_pairs=((0, 9),))
-    with pytest.raises(ValueError):
-        contention_config(backoff_window=-1)
-    with pytest.raises(ValueError):
-        contention_config(backoff_window=_BACKOFF_WINDOW_CAP + 1)
+    # MacConfig is plain data; the mac_compare reader checks every bound.
+    w = dict(protocol="w_state_access", n_nodes=4, slots=20_000, offered_load=1.0)
+    contention = {**w, "protocol": "slotted_contention"}
+    cases = [
+        ({**w, "n_nodes": 1}, "n_nodes: need at least 2 nodes, got 1"),
+        ({**w, "slots": 0}, "slots: need at least 1 slot, got 0"),
+        ({**w, "offered_load": 1.5}, "offered_load must be a number in [0, 1], got 1.5"),
+        ({**w, "w_refresh_cost": -1}, "w_refresh_cost: refresh cost -1 is negative"),
+        ({**contention, "hidden_pairs": [[0, 0]]},
+         "hidden_pairs[0]: (0, 0) is not two distinct node indices"),
+        ({**contention, "hidden_pairs": [[0, 9]]},
+         "hidden_pairs[0]: (0, 9) is not two distinct node indices"),
+        ({**contention, "backoff_window": -1},
+         "backoff_window: backoff window -1 outside [0, 1024]"),
+        ({**contention, "backoff_window": BACKOFF_WINDOW_CAP + 1},
+         "backoff_window: backoff window 1025 outside [0, 1024]"),
+    ]
+    for params, message in cases:
+        assert mac_violations(**params) == [f"<config>: params: {message}"]
     with pytest.raises(AttributeError, match="can't set attribute"):
         w_config().slots = 0
 
@@ -376,7 +387,7 @@ def reference_slotted_contention(config, seed):
             for node in transmitting:
                 streak[node] += 1
                 if config.backoff_window > 0:
-                    window = min(config.backoff_window * 2 ** (streak[node] - 1), _BACKOFF_WINDOW_CAP)
+                    window = min(config.backoff_window * 2 ** (streak[node] - 1), BACKOFF_WINDOW_CAP)
                     countdown[node] = int(rng.integers(0, window))
                     backoffs.append((slot, countdown[node]))
     return tuple(successes), collisions, backoffs
@@ -393,7 +404,7 @@ def test_contention_draws_match_numpy_reference(n):
         "two": ((0, 1), (1, n - 1)) if n > 2 else ((0, 1), (1, 0)),
     }
     grid = itertools.product(
-        (0.0, 0.5, 0.8, 1.0), (0, 2, 3, _BACKOFF_WINDOW_CAP), (True, False), hidden_choices.values()
+        (0.0, 0.5, 0.8, 1.0), (0, 2, 3, BACKOFF_WINDOW_CAP), (True, False), hidden_choices.values()
     )
     for seed, (load, window, sensing, hidden) in enumerate(grid):
         config = contention_config(
@@ -437,7 +448,7 @@ def test_contention_memory_does_not_grow_with_slots():
     # hidden pair under saturation backs off for up to 1023 slots.
     slots, n = 200_000, 2
     config = contention_config(
-        n_nodes=n, slots=slots, backoff_window=_BACKOFF_WINDOW_CAP, hidden_pairs=((0, 1),)
+        n_nodes=n, slots=slots, backoff_window=BACKOFF_WINDOW_CAP, hidden_pairs=((0, 1),)
     )
     run_mac_sim(contention_config(n_nodes=n, slots=10), seed=30)  # imports numpy.random
     tracemalloc.start()

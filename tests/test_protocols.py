@@ -780,9 +780,17 @@ def test_protocols_leave_their_inputs_alone():
 
 
 def test_correction_message_validates_bits():
-    with pytest.raises(ValueError):
-        CorrectionMessage((0, 1, 1), "a", "b", Purpose.TELEPORT)
-    with pytest.raises(ValueError):
-        CorrectionMessage((2, 0), "a", "b", Purpose.TELEPORT)
+    # A message is plain data: its bits are valid because a scenario sends
+    # only SUPERDENSE_MESSAGES, the four Bell outcomes (swap's deliveries:
+    # test_swap_signals_even_for_trivial_outcome).
+    assert sorted(SUPERDENSE_MESSAGES) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    topology = Topology(
+        ("a", "b"),
+        (ClassicalLink("a", "b", 1),),
+        (QuantumLink("a", "b", depolarizing_channel(0.1), 1.0, 1),),
+    )
+    result = SCENARIOS["teleport"](topology, {"n_teleports": 40})([7])
+    sent = [d.bits for _, _, kind, d in result.trace if kind is EventKind.CLASSICAL_DELIVER]
+    assert len(sent) == 40 and set(sent) <= set(SUPERDENSE_MESSAGES)
     with pytest.raises(AttributeError, match="can't set attribute"):
         CorrectionMessage((0, 1), "a", "b", Purpose.TELEPORT).bits = (2, 0)

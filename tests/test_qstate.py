@@ -106,12 +106,14 @@ def test_gate_target_out_of_range():
 
 
 def test_gate_spec_validation():
-    with pytest.raises(ValueError):
-        GateSpec("SWAP", (0, 1))
-    with pytest.raises(ValueError):
-        GateSpec("H", (0, 1))
-    with pytest.raises(ValueError):
-        GateSpec("CNOT", (1, 1))
+    # GateSpec is plain data; apply_unitary checks the gate it is given.
+    state = QuantumState(2, basis_state("00"))
+    with pytest.raises(ValueError, match="unknown gate 'SWAP'"):
+        apply_unitary(state, GateSpec("SWAP", (0, 1)))
+    with pytest.raises(ValueError, match=r"gate H takes 1 target\(s\), got \(0, 1\)"):
+        apply_unitary(state, GateSpec("H", (0, 1)))
+    with pytest.raises(ValueError, match=r"targets must be distinct, got \(1, 1\)"):
+        apply_unitary(state, GateSpec("CNOT", (1, 1)))
     with pytest.raises(AttributeError, match="can't set attribute"):
         GateSpec("H", (0,)).targets = (0, 1)
 
