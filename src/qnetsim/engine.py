@@ -1,18 +1,20 @@
-"""Single-threaded discrete-event engine over a static topology.
+"""Single-threaded discrete-event engine, and the static topology that
+routes and links are resolved on before a run.
 
 Time is an integer tick counter.  An event is a queue entry
 ``(time, seq, kind, detail, handler)``; events fire in ``(time, seq)``
-order, so simultaneous events keep FIFO scheduling order and a fixed
-``(topology, seed)`` pair replays to an identical trace.  Firing an event
+order, so simultaneous events keep FIFO scheduling order and a fixed seed
+replays the same schedule to an identical trace.  Firing an event
 appends its trace record ``(time, seq, kind, detail)`` and calls
 ``handler(engine, detail)``, so a handler gets exactly what its record
 shows.  Every classical bit is charged to a ledger tagged with its
 signaling scope: host-to-host for link-local heralds, which
 ``attempt_entanglement`` charges, and end-to-end for the corrections
 ``send_classical`` carries along a ``ClassicalRoute``.  A delivery's
-detail is its ``CorrectionMessage``; ``format_record`` turns a record
-into its trace line where a trace file is written.  A link's pair is
-only its correlation matrix ``QuantumLink.pair_correlations``.
+detail is its ``CorrectionMessage``, whose origin and target its ledger
+entry names; ``format_record`` turns a record into its trace line where a
+trace file is written.  A link's pair is only its correlation matrix
+``QuantumLink.pair_correlations``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .channels import ChannelModel
 from .protocols import MAX_DRAW_COUNT, CorrectionMessage, bell_pair_correlations
 
 
@@ -181,14 +182,16 @@ the count of ``events_processed`` (int) and the ledger's totals
 
 
 class EventEngine:
-    """Deterministic event loop with a classical-bit ledger.
+    """Deterministic event loop with a classical-bit ledger: a clock
+    ``now``, an event queue, the ``trace`` of fired records, the ``ledger``
+    and the random stream ``rng`` seeded with ``seed``.  It holds no
+    topology; routes and links come resolved.
 
     ``bits_host_to_host`` and ``bits_end_to_end`` are the ledger's running
     totals per scope, kept as each message is charged.
     """
 
-    def __init__(self, topology: Topology, seed):
-        self.topology = topology
+    def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.now = 0
         self._seq = 0
@@ -210,28 +213,18 @@ class EventEngine:
     # -- classical plane -------------------------------------------------
 
     def send_classical(
-        self,
-        message: CorrectionMessage,
-        route: ClassicalRoute,
-        on_deliver: Callable[[CorrectionMessage], None],
+        self, message: CorrectionMessage, route: ClassicalRoute, on_deliver: Handler
     ) -> None:
-        """Charge ``message`` to the end-to-end ledger and call
-        ``on_deliver(message)`` once it arrives, ``route.latency`` ticks
-        from now."""
+        """Charge ``message`` to the end-to-end ledger, from its ``origin``
+        to its ``target``, and fire ``on_deliver(engine, message)`` once it
+        arrives, ``route.latency`` ticks from now."""
         if len(route.nodes) < 2:
             raise ValueError(f"route {route.nodes} needs at least two nodes")
-        src, dst = route.nodes[0], route.nodes[-1]
-        bits = len(message.bits)
-        self.ledger.append(
-            LedgerEntry(self.now, bits, SignalingScope.END_TO_END, message.purpose.value, src, dst)
-        )
+        origin, target, bits = message.origin, message.target, len(message.bits)
+        scope, purpose = SignalingScope.END_TO_END, message.purpose.value
+        self.ledger.append(LedgerEntry(self.now, bits, scope, purpose, origin, target))
         self.bits_end_to_end += bits
-        self.schedule(
-            self.now + route.latency,
-            EventKind.CLASSICAL_DELIVER,
-            message,
-            lambda _engine, _detail: on_deliver(message),
-        )
+        self.schedule(self.now + route.latency, EventKind.CLASSICAL_DELIVER, message, on_deliver)
 
     # -- quantum plane ---------------------------------------------------
 

@@ -4,17 +4,18 @@ entanglement swapping and W-state leader election.
 The Bell services compute on a pair's real 4x4 correlation matrix
 ``T_ij = tr(rho P_i (x) P_j)``, ``P = I, X, Y, Z``, since a Bell
 measurement is linear in ``T``; ``bell_pair_correlations`` builds every
-pair, phi+ with a channel on each half.  Teleporting over a pair is one 4x4
-Pauli-transfer map per Bell outcome (``teleport_table``), which gives a
-payload's outcome weights and corrected fidelity as plain floats
-(``teleport_weights``, ``teleport_fidelity``).  A swap teleports half of
-one pair over the other (``swap_outcome_table``).  Superdense encoding
-flips the signs of rows of ``T``, and decoding reads the Bell overlaps
-off its diagonal (``superdense_distribution``).  ``draw_bell_outcome``
-draws an outcome; the caller sends its bits as a ``CorrectionMessage``,
-and only the delivered bits select the corrected output.  On a register,
-``bell_basis_measure`` measures and ``pauli_correct`` corrects; no scenario
-calls either.
+pair, phi+ with a channel on each half, and ``werner_correlations`` the
+Werner pair.  Teleporting over a pair is one 4x4 Pauli-transfer map per
+Bell outcome (``teleport_table``), which gives a payload's outcome
+weights and corrected fidelity as plain floats (``teleport_weights``,
+``teleport_fidelity``).  A swap teleports half of one pair over the other
+(``swap_outcome_table``).  Superdense encoding flips the signs of rows of
+``T``, and decoding reads the Bell overlaps off its diagonal
+(``superdense_distribution``).  ``draw_bell_outcome`` draws an outcome;
+the caller sends its bits as a ``CorrectionMessage``, and only the
+delivered bits select the corrected output.  On a register,
+``bell_basis_measure`` measures and ``pauli_correct`` corrects; no
+scenario calls either.
 
 Leader election samples a W state's diagonal with no classical exchange;
 ``w_election_probabilities`` is its closed form, 1/n for each of n nodes.
@@ -183,6 +184,13 @@ def bell_pair_correlations(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     the channels of Pauli transfer matrices ``first`` (``R1``) and
     ``second`` (``R2``) on its first and second halves."""
     return (first * PHI_PLUS_DIAGONAL) @ second.T
+
+
+def werner_correlations(w: float) -> np.ndarray:
+    """Correlation matrix of the Werner pair ``w phi+ + (1 - w) I/4``: phi+
+    with the depolarizing channel of Pauli transfer matrix
+    ``diag(1, w, w, w)`` on one half; ``werner_pair`` is its register form."""
+    return bell_pair_correlations(np.diag([1.0, w, w, w]), np.eye(4))
 
 
 def teleport_table(correlations: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .channels import bottleneck_check, depolarizing_channel
-from .engine import EventEngine, EventKind, QuantumLink, Topology, TraceRecord
+from .engine import EventEngine, EventKind, QuantumLink, Topology
 from .fields import Fields
 from .protocols import (
     MAX_DRAW_COUNT,
@@ -29,7 +29,6 @@ from .protocols import (
     W_STATE_MAX_NODES,
     CorrectionMessage,
     Purpose,
-    bell_pair_correlations,
     cumulative_weights,
     draw_bell_outcome,
     superdense_distribution,
@@ -38,6 +37,7 @@ from .protocols import (
     teleport_fidelity,
     teleport_table,
     teleport_weights,
+    werner_correlations,
 )
 from .qstate import SCALAR_ATOL, haar_bloch_vector
 from .services.mac import BACKOFF_WINDOW_CAP, MacConfig, MacProtocol, run_mac_sim, w_resources
@@ -63,12 +63,6 @@ or trace lines for a scenario without an engine."""
 
 
 Run = Callable[[list[int]], ScenarioResult]
-
-
-def _werner_correlations(w: float) -> np.ndarray:
-    """The Werner pair ``w phi+ + (1 - w) I/4``: phi+ with the depolarizing
-    channel of Pauli transfer matrix ``diag(1, w, w, w)`` on one half."""
-    return bell_pair_correlations(np.diag([1.0, w, w, w]), np.eye(4))
 
 
 def _need_topology(topology: Topology | None, scenario: str, min_nodes: int) -> Topology:
@@ -104,13 +98,13 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
         raise ValueError(f"no classical route from src {src!r} to dst {dst!r}")
 
     def run(rng_seed: list[int]) -> ScenarioResult:
-        engine = EventEngine(topology, rng_seed)
+        engine = EventEngine(rng_seed)
         fidelities: list[float] = []
         # Every trial uses up a pair of the same state, so teleporting over
         # it is one branch table, built once per run; a trial reads its
         # payload's outcome weights and corrected fidelity off the table
         # as plain floats, with the draws teleport makes.
-        table = teleport_table(_werner_correlations(werner_w)).tolist()
+        table = teleport_table(werner_correlations(werner_w)).tolist()
         messages = [CorrectionMessage(m, src, dst, Purpose.TELEPORT) for m in SUPERDENSE_MESSAGES]
 
         def teleport_step(eng: EventEngine, _label: str) -> None:
@@ -121,7 +115,7 @@ def _prepare_teleport(topology: Topology | None, cell: dict) -> Run:
             eng.send_classical(
                 message,
                 route,
-                lambda delivered: fidelities.append(
+                lambda _eng, delivered: fidelities.append(
                     teleport_fidelity(table[SUPERDENSE_MESSAGES.index(delivered.bits)], r)
                 ),
             )
@@ -158,7 +152,7 @@ def _prepare_superdense(topology: Topology | None, cell: dict) -> Run:
 
     def run(rng_seed: list[int]) -> ScenarioResult:
         rng = np.random.default_rng(rng_seed)
-        pair = _werner_correlations(werner_w)
+        pair = werner_correlations(werner_w)
         per_message = max(n_trials // len(SUPERDENSE_MESSAGES), 1)
         trials = per_message * len(SUPERDENSE_MESSAGES)
         metrics: list[tuple[str, Any]] = []
@@ -192,7 +186,7 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
         raise ValueError(f"no classical route from mid {mid!r} to dst {dst!r}")
 
     def run(rng_seed: list[int]) -> ScenarioResult:
-        engine = EventEngine(topology, rng_seed)
+        engine = EventEngine(rng_seed)
         fidelities: list[float] = []
         outcome_counts = {m: 0 for m in SUPERDENSE_MESSAGES}
         # A stored pair does not decohere, so every swap splices the same
@@ -213,7 +207,7 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
             eng.send_classical(
                 message,
                 route,
-                lambda delivered: fidelities.append(
+                lambda _eng, delivered: fidelities.append(
                     end_fidelity[SUPERDENSE_MESSAGES.index(delivered.bits)]
                 ),
             )

@@ -95,7 +95,7 @@ def test_criterion_1_teleport_dual_resource():
     e2e_bits = [len(message.bits) for message in deliveries]
 
     # Oracle: the same draws through the hand-built teleport circuit.
-    engine = EventEngine(topo, seed=seed)
+    engine = EventEngine(seed=seed)
     fidelities = []
 
     def step(eng, _label):
@@ -104,7 +104,7 @@ def test_criterion_1_teleport_dual_resource():
         bits, destination = teleport_circuit(payload, bell_matrix(0, 0), eng.rng)
         message = CorrectionMessage(bits, "alice", "bob", Purpose.TELEPORT)
 
-        def on_deliver(delivered):
+        def on_deliver(_eng, delivered):
             fidelities.append(overlap(corrected(destination, delivered.bits), payload))
 
         eng.send_classical(message, topo.shortest_classical_route("alice", "bob"), on_deliver)

@@ -12,7 +12,7 @@ import yaml
 from qnetsim import cli
 from qnetsim.cli import main
 from qnetsim.config import load_config
-from qnetsim.engine import EventEngine, EventKind, Topology
+from qnetsim.engine import EventEngine, EventKind
 from qnetsim.runner import CSV_HEADER, MetricsRecord, csv_text, run_experiment
 from qnetsim.scenarios import SCENARIOS, ScenarioResult
 from qnetsim.services import routing
@@ -46,7 +46,7 @@ def engine_fault_scenario(topology, cell):
             if fail and label == "step 1":
                 raise ConnectionError("far side went dark")
 
-        engine = EventEngine(Topology(("a",)), rng_seed)
+        engine = EventEngine(rng_seed)
         for k in range(2):
             engine.schedule(k, EventKind.PROTOCOL_STEP, f"step {k}", step)
         result = engine.run_until()

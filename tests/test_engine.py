@@ -37,8 +37,8 @@ def msg(origin="n0", target="n1"):
     return CorrectionMessage((0, 1), origin, target, Purpose.TELEPORT)
 
 
-def route(engine, src, dst):
-    return engine.topology.shortest_classical_route(src, dst)
+def route(topology, src, dst):
+    return topology.shortest_classical_route(src, dst)
 
 
 def ignore(*_):
@@ -49,7 +49,7 @@ def ignore(*_):
 
 
 def test_events_fire_at_scheduled_time():
-    engine = EventEngine(chain_topology(), seed=0)
+    engine = EventEngine(seed=0)
     fired = []
     engine.schedule(5, EventKind.PROTOCOL_STEP, "", lambda eng, _: fired.append(eng.now))
     engine.run_until()
@@ -57,7 +57,7 @@ def test_events_fire_at_scheduled_time():
 
 
 def test_equal_time_events_fire_in_insertion_order():
-    engine = EventEngine(chain_topology(), seed=0)
+    engine = EventEngine(seed=0)
     order = []
     for tag in ("first", "second", "third"):
         engine.schedule(7, EventKind.PROTOCOL_STEP, tag, lambda eng, tag: order.append(tag))
@@ -66,7 +66,7 @@ def test_equal_time_events_fire_in_insertion_order():
 
 
 def test_handler_receives_the_detail_its_record_shows():
-    engine = EventEngine(chain_topology(), seed=0)
+    engine = EventEngine(seed=0)
     detail = ["any", "object"]
     received = []
     engine.schedule(4, EventKind.PROTOCOL_STEP, detail, lambda eng, d: received.append(d))
@@ -77,7 +77,7 @@ def test_handler_receives_the_detail_its_record_shows():
 
 
 def test_past_time_scheduling_rejected():
-    engine = EventEngine(chain_topology(), seed=0)
+    engine = EventEngine(seed=0)
     engine.schedule(3, EventKind.PROTOCOL_STEP, "", ignore)
     engine.run_until()
     with pytest.raises(ValueError, match="cannot schedule at t=2, current time is 3"):
@@ -85,7 +85,7 @@ def test_past_time_scheduling_rejected():
 
 
 def test_empty_queue_terminates_immediately():
-    engine = EventEngine(chain_topology(), seed=0)
+    engine = EventEngine(seed=0)
     result = engine.run_until()
     assert result.trace == ()
     assert result.events_processed == 0
@@ -124,22 +124,23 @@ def test_topology_validation():
 
 
 def test_single_hop_delivery_latency():
-    engine = EventEngine(chain_topology((4,)), seed=0)
+    topology = chain_topology((4,))
+    engine = EventEngine(seed=0)
     arrived = []
     engine.send_classical(
-        msg(), route(engine, "n0", "n1"), on_deliver=lambda m: arrived.append(engine.now)
+        msg(), route(topology, "n0", "n1"), on_deliver=lambda eng, m: arrived.append(eng.now)
     )
     engine.run_until()
     assert arrived == [4]
 
 
 def test_multi_hop_latency_is_additive():
-    engine = EventEngine(chain_topology((2, 3, 4)), seed=0)
+    engine = EventEngine(seed=0)
     arrived = []
-    chain = route(engine, "n0", "n3")
+    chain = route(chain_topology((2, 3, 4)), "n0", "n3")
     assert chain == ClassicalRoute(("n0", "n1", "n2", "n3"), 9)
     engine.send_classical(
-        msg("n0", "n3"), chain, on_deliver=lambda m: arrived.append(engine.now)
+        msg("n0", "n3"), chain, on_deliver=lambda eng, m: arrived.append(eng.now)
     )
     engine.run_until()
     assert arrived == [9]
@@ -148,14 +149,15 @@ def test_multi_hop_latency_is_additive():
 def test_each_route_is_delayed_by_its_own_latency_sum():
     # Every message over a route, and every other route, arrives after
     # its own route's summed latency.
-    engine = EventEngine(chain_topology((2, 3, 4)), seed=0)
+    topology = chain_topology((2, 3, 4))
+    engine = EventEngine(seed=0)
     arrived = []
     ends = [("n0", "n1"), ("n1", "n3"), ("n0", "n3"), ("n3", "n2")]
     for src, dst in ends * 2:
         engine.send_classical(
             msg(src, dst),
-            route(engine, src, dst),
-            on_deliver=lambda m, ends=(src, dst): arrived.append((ends, engine.now)),
+            route(topology, src, dst),
+            on_deliver=lambda eng, m, ends=(src, dst): arrived.append((ends, eng.now)),
         )
     engine.run_until()
     assert sorted(arrived) == sorted([(e, d) for e, d in zip(ends, (2, 7, 9, 4))] * 2)
@@ -163,10 +165,13 @@ def test_each_route_is_delayed_by_its_own_latency_sum():
 
 def test_no_delivery_before_latency_elapses():
     # The delivery fires, and is recorded, at the route's summed latency.
-    engine = EventEngine(chain_topology((2, 3)), seed=0)
+    topology = chain_topology((2, 3))
+    engine = EventEngine(seed=0)
     arrived = []
     engine.send_classical(
-        msg("n0", "n2"), route(engine, "n0", "n2"), on_deliver=lambda m: arrived.append(engine.now)
+        msg("n0", "n2"),
+        route(topology, "n0", "n2"),
+        on_deliver=lambda eng, m: arrived.append(eng.now),
     )
     result = engine.run_until()
     assert [time for time, _, _, _ in result.trace] == [5]
@@ -174,14 +179,25 @@ def test_no_delivery_before_latency_elapses():
 
 
 def test_delivery_record_is_the_message_the_handler_gets():
-    engine = EventEngine(chain_topology((2,)), seed=0)
+    # The handler is called as (engine, message), with the record's own
+    # detail, and the ledger entry names the message's origin and target.
+    # The route supplies only its latency, so a route whose nodes are not
+    # the message's leaves the entry naming n0 and n1.
+    engine = EventEngine(seed=0)
     message = msg()
-    delivered = []
-    engine.send_classical(message, route(engine, "n0", "n1"), delivered.append)
+    calls = []
+
+    def on_deliver(*args):
+        calls.append(args)
+
+    engine.send_classical(message, ClassicalRoute(("r0", "r1"), 2), on_deliver)
     ((time, seq, kind, detail),) = engine.run_until().trace
     assert (time, seq, kind) == (2, 0, EventKind.CLASSICAL_DELIVER)
     assert detail is message
-    assert len(delivered) == 1 and delivered[0] is message
+    ((called_engine, called_message),) = calls
+    assert called_engine is engine and called_message is message
+    (entry,) = engine.ledger
+    assert (entry.origin, entry.target) == (detail.origin, detail.target) == ("n0", "n1")
     assert format_record((time, seq, kind, detail)) == (
         "t=2 seq=0 kind=classical_deliver purpose=teleport bits=2 origin=n0 target=n1 "
         "scope=end_to_end"
@@ -189,9 +205,9 @@ def test_delivery_record_is_the_message_the_handler_gets():
 
 
 def test_send_requires_a_route_of_two_nodes():
-    engine = EventEngine(chain_topology((2,)), seed=0)
+    engine = EventEngine(seed=0)
     with pytest.raises(ValueError, match="at least two nodes"):
-        engine.send_classical(msg("n0", "n0"), route(engine, "n0", "n0"), ignore)
+        engine.send_classical(msg("n0", "n0"), route(chain_topology((2,)), "n0", "n0"), ignore)
     assert engine.ledger == []
 
 
@@ -204,9 +220,10 @@ def chain_with_quantum_link():
 
 def test_ledger_records_bits_and_scopes():
     # A herald is charged host-to-host, a correction end-to-end.
-    engine = EventEngine(chain_with_quantum_link(), seed=0)
-    engine.attempt_entanglement(engine.topology.quantum_links[0])
-    engine.send_classical(msg("n0", "n2"), route(engine, "n0", "n2"), ignore)
+    topology = chain_with_quantum_link()
+    engine = EventEngine(seed=0)
+    engine.attempt_entanglement(topology.quantum_links[0])
+    engine.send_classical(msg("n0", "n2"), route(topology, "n0", "n2"), ignore)
     assert engine.bits_host_to_host == 1
     assert engine.bits_end_to_end == 2
     assert [(e.bits, e.scope, e.origin, e.target) for e in engine.ledger] == [
@@ -218,8 +235,9 @@ def test_ledger_records_bits_and_scopes():
 def test_bit_totals_are_the_ledger_sums():
     # The totals run as bits are charged, so run_until reports the sum of
     # the ledger, per scope.
-    engine = EventEngine(chain_with_quantum_link(), seed=0)
-    link, chain_route = engine.topology.quantum_links[0], route(engine, "n0", "n2")
+    topology = chain_with_quantum_link()
+    engine = EventEngine(seed=0)
+    link, chain_route = topology.quantum_links[0], route(topology, "n0", "n2")
 
     def send(eng, t):
         if t % 3 == 0:
@@ -279,7 +297,7 @@ def quantum_topology(p_link, gen_prob, period=1):
 def test_attempt_entanglement_certain_success():
     topo = quantum_topology(0.0, 1.0)
     link = topo.quantum_links[0]
-    engine = EventEngine(topo, seed=1)
+    engine = EventEngine(seed=1)
     for _ in range(20):
         assert engine.attempt_entanglement(link) == 1
         assert phi_plus_fidelity(link.pair_correlations) == pytest.approx(1.0, abs=1e-12)
@@ -291,7 +309,7 @@ def test_attempt_entanglement_success_rate():
     # with mu4 = sigma^4 (9 + p^2/(1 - p)) for the geometric law.
     p = 0.3
     topo = quantum_topology(0.0, p)
-    engine = EventEngine(topo, seed=2)
+    engine = EventEngine(seed=2)
     n = 4000
     attempts = np.array([engine.attempt_entanglement(topo.quantum_links[0]) for _ in range(n)])
     assert attempts.min() >= 1
@@ -309,7 +327,7 @@ def test_degraded_pair_fidelity_matches_channel_oracle():
     oracle = (1 + 3 * lam * lam) / 4
     topo = quantum_topology(p, 0.5)
     link = topo.quantum_links[0]
-    engine = EventEngine(topo, seed=3)
+    engine = EventEngine(seed=3)
     for _ in range(5):
         engine.attempt_entanglement(link)
         assert phi_plus_fidelity(link.pair_correlations) == pytest.approx(oracle, abs=1e-9)
@@ -330,7 +348,7 @@ def test_link_pair_is_read_off_its_channel_without_a_register(monkeypatch):
     oracle = (1 + 3 * (1 - p) ** 2) / 4
     topo = quantum_topology(p, 0.5)
     link = topo.quantum_links[0]
-    engine = EventEngine(topo, seed=8)
+    engine = EventEngine(seed=8)
     pairs = []
     for _ in range(200):
         engine.attempt_entanglement(link)
@@ -354,7 +372,7 @@ def test_heralding_charges_one_bit_per_success():
     period = 3
     topo = quantum_topology(0.0, 0.5, period)
     link = topo.quantum_links[0]
-    engine = EventEngine(topo, seed=4)
+    engine = EventEngine(seed=4)
     calls = []
 
     def attempt(eng, _detail):
@@ -379,7 +397,7 @@ def test_attempt_at_the_geometric_cap_aborts_with_its_cause():
     # NumPy clamps a geometric draw at 2^63 - 1, which every draw at
     # p = 1e-300 reaches; that is no waiting time, so the attempt raises.
     topo = quantum_topology(0.0, 1e-300)
-    engine = EventEngine(topo, seed=5)
+    engine = EventEngine(seed=5)
     engine.schedule(
         0,
         EventKind.ENTANGLEMENT_ATTEMPT,
@@ -394,7 +412,7 @@ def test_attempt_at_the_geometric_cap_aborts_with_its_cause():
 
 
 def test_run_until_without_horizon_empties_the_queue():
-    engine = EventEngine(chain_topology((2,)), seed=0)
+    engine = EventEngine(seed=0)
     fired = []
     for t in (0, 10**12, 3):
         engine.schedule(t, EventKind.PROTOCOL_STEP, "", lambda eng, _: fired.append(eng.now))
@@ -415,7 +433,7 @@ def _stochastic_run(seed):
     # it at the pair's success tick and signals the correction.
     topo = quantum_topology(0.1, 0.3, 2)
     link = topo.quantum_links[0]
-    engine = EventEngine(topo, seed=seed)
+    engine = EventEngine(seed=seed)
     fidelities = []
     link_pair = link_pair_matrix(link.channel.kraus_ops)
 
@@ -425,8 +443,8 @@ def _stochastic_run(seed):
         bits, pending = teleport_circuit(payload, pair, eng.rng)
         eng.send_classical(
             CorrectionMessage(bits, link.a, link.b, Purpose.TELEPORT),
-            route(eng, "u", "v"),
-            lambda delivered: fidelities.append(
+            route(topo, "u", "v"),
+            lambda _eng, delivered: fidelities.append(
                 overlap(corrected(pending, delivered.bits), payload)
             ),
         )
@@ -466,7 +484,7 @@ def test_identical_seeds_reproduce_traces():
 
 
 def test_handler_exception_aborts_with_trace_prefix():
-    engine = EventEngine(chain_topology(), seed=0)
+    engine = EventEngine(seed=0)
     engine.schedule(1, EventKind.PROTOCOL_STEP, "ok", ignore)
 
     def boom(eng, _label):

@@ -5,8 +5,9 @@ generated at import: records are ``collections.namedtuple`` types and the
 rest are plain classes, so past numpy and PyYAML the package loads only its
 own modules and the csv and heapq modules it uses.  No class defines
 ``__new__``: a record is plain data, and the config reader checks every
-bound.  The tests' oracles in ``reference.py`` import nothing from the
-package."""
+bound.  No module imports a name it never uses, and the event engine loads
+only the protocols and the register it uses.  The tests' oracles in
+``reference.py`` import nothing from the package."""
 
 import ast
 import json
@@ -122,6 +123,50 @@ def test_no_class_defines_new():
         and any(isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body)
     ]
     assert found == []
+
+
+def _unused_imports(path) -> list[str]:
+    """Each name a module imports but never reads.  A name that only a
+    docstring mentions counts as unused, since a docstring holds no
+    ``Name`` node; an annotation is parsed into nodes, so a name it
+    mentions counts as used."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted((SRC / "qnetsim").rglob("*.py"))
+        for name in _unused_imports(path)
+    ]
+    assert found == []
+
+
+# Prints the qnetsim modules that ``import qnetsim.engine`` loads on its own.
+ENGINE_CHILD = """
+import json, sys
+import qnetsim.engine
+print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "qnetsim")))
+"""
+
+
+def test_engine_alone_loads_only_the_protocols_and_the_register():
+    # A link's pair is its correlation matrix, built in protocols, so the
+    # engine needs neither the channels module nor the field reader.
+    assert _run_child(ENGINE_CHILD) == [
+        "qnetsim",
+        "qnetsim.engine",
+        "qnetsim.protocols",
+        "qnetsim.qstate",
+    ]
 
 
 # The modules the package may add to a fresh interpreter that has loaded

@@ -30,10 +30,11 @@ from qnetsim.protocols import (
     teleport_weights,
     w_election_probabilities,
     w_election_round,
+    werner_correlations,
     werner_pair,
 )
 from qnetsim.qstate import EIGENVALUE_FLOOR, QuantumState, fidelity, measure, random_pure_state
-from qnetsim.scenarios import SCENARIOS, _werner_correlations
+from qnetsim.scenarios import SCENARIOS
 from reference import (
     H,
     I2,
@@ -60,7 +61,7 @@ def werner_matrix(w):
     return w * bell_matrix(0, 0) + (1 - w) * np.eye(4) / 4
 
 
-def werner_correlations(w):
+def werner_oracle(w):
     return hand_built_correlations(werner_matrix(w))
 
 
@@ -259,9 +260,9 @@ def test_pair_correlations_are_the_pauli_expectations():
 @pytest.mark.parametrize("w", [0.0, 0.34, 0.8, 1.0])
 def test_pair_correlations_of_werner_pairs_are_diagonal(w):
     # phi+ = (II + XX - YY + ZZ) / 4, and white noise scales every
-    # correlation but the trace; the scenarios' Werner pair is exactly that.
+    # correlation but the trace; werner_correlations is exactly that.
     expected = np.diag([1.0, w, -w, w])
-    assert np.array_equal(_werner_correlations(w), expected)
+    assert np.array_equal(werner_correlations(w), expected)
     oracle = hand_built_correlations(werner_pair(w).matrix)
     assert np.allclose(oracle, expected, rtol=0.0, atol=1e-15)
     assert np.array_equal(bell_pair_correlations(np.eye(4), np.eye(4)), PHI_PLUS_DIAGONAL)
@@ -303,7 +304,7 @@ def test_link_pair_correlations_are_its_ptm_on_both_halves(channel):
 def test_teleport_ideal_resource_is_exact():
     # Over phi+ each outcome has weight 1/4 and gives the payload back.
     rng = np.random.default_rng(21)
-    table = teleport_table(werner_correlations(1.0)).tolist()
+    table = teleport_table(werner_oracle(1.0)).tolist()
     for _ in range(50):
         r = bloch(random_pure_state(rng).matrix)
         assert teleport_weights(table, r) == pytest.approx((0.25,) * 4, abs=1e-15)
@@ -315,7 +316,7 @@ def test_teleport_emits_exactly_one_two_bit_message():
     # A teleport draws its outcome with one draw; the correction is that
     # outcome's two bits, SUPERDENSE_MESSAGES[index].
     rng = np.random.default_rng(22)
-    table = teleport_table(werner_correlations(1.0)).tolist()
+    table = teleport_table(werner_oracle(1.0)).tolist()
     weights = teleport_weights(table, bloch(random_pure_state(rng).matrix))
     counting = _CountingDraw(22)
     index = draw_bell_outcome(weights, cumulative_weights(weights), counting)
@@ -330,7 +331,7 @@ def test_teleport_uncorrected_state_is_pauli_frame_of_payload():
     # The table's output is that state with the frame undone.
     payload = random_pure_state(np.random.default_rng(23)).matrix
     r = bloch(payload)
-    table = teleport_table(werner_correlations(1.0))
+    table = teleport_table(werner_oracle(1.0))
     pending = []
     for index, bits in enumerate(SUPERDENSE_MESSAGES):
         drawn, destination = teleport_circuit(payload, bell_matrix(0, 0), forced_outcome(index))
@@ -382,7 +383,7 @@ def test_teleport_werner_fidelity_matches_oracle():
         [_teleport_fidelity_oracle(random_pure_state(rng_oracle).matrix, w) for _ in range(200)]
     )
     rng = np.random.default_rng(202)
-    table = teleport_table(werner_correlations(w)).tolist()
+    table = teleport_table(werner_oracle(w)).tolist()
     observed = []
     for _ in range(200):
         r = bloch(random_pure_state(rng).matrix)
@@ -451,7 +452,7 @@ def test_teleport_table_matches_per_trial_teleport_on_mixed_resources(entries, s
 def test_teleport_table_of_phi_plus_is_identity_per_outcome():
     # An ideal pair teleports any payload exactly: each outcome, weight 1/4,
     # passes the Pauli vector through unchanged.
-    table = teleport_table(werner_correlations(1.0))
+    table = teleport_table(werner_oracle(1.0))
     assert np.allclose(table, np.broadcast_to(np.eye(4) / 4, (4, 4, 4)), rtol=0.0, atol=1e-15)
 
 
@@ -478,14 +479,14 @@ def test_teleport_table_needs_a_two_qubit_resource():
 def test_superdense_round_trip_all_messages():
     rng = np.random.default_rng(31)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        joint = superdense_encode(bits, werner_correlations(1.0))
+        joint = superdense_encode(bits, werner_oracle(1.0))
         assert superdense_decode(joint, rng) == bits
 
 
 def test_superdense_encoding_images():
     psi_plus = hand_built_correlations(bell_matrix(0, 1))
     phi_minus = hand_built_correlations(bell_matrix(1, 0))
-    pair = werner_correlations(1.0)
+    pair = werner_oracle(1.0)
     assert np.allclose(superdense_encode((0, 1), pair), psi_plus, atol=1e-12)
     assert np.allclose(superdense_encode((1, 0), pair), phi_minus, atol=1e-12)
     phi_plus = hand_built_correlations(bell_matrix(0, 0))
@@ -510,7 +511,7 @@ def test_superdense_encode_is_the_frame_on_the_first_half():
 def test_superdense_werner_statistics_match_born_oracle():
     w = 0.9
     rng = np.random.default_rng(32)
-    pair = werner_correlations(w)
+    pair = werner_oracle(w)
     per_message = 25_000
     encodings = {
         (0, 0): I2,
@@ -538,7 +539,7 @@ def test_superdense_distribution_is_werner_closed_form():
     messages = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for w in (1.0, 0.9, 0.7, 0.34):
         for bits in messages:
-            pair = werner_correlations(w)
+            pair = werner_oracle(w)
             distribution = superdense_distribution(superdense_encode(bits, pair))
             expected = [(1 + 3 * w) / 4 if m == bits else (1 - w) / 4 for m in messages]
             assert np.allclose(distribution, expected, rtol=0.0, atol=1e-12), (w, bits)
@@ -571,7 +572,7 @@ def test_superdense_decode_ambiguity_on_maximally_mixed():
 def test_swap_ideal_inputs_yield_phi_plus():
     # Each outcome of two phi+ pairs has weight 1/4, and its corrected end
     # pair is phi+.
-    phi = werner_correlations(1.0)
+    phi = werner_oracle(1.0)
     weights, fidelities = swap_outcome_table(phi, phi)
     assert weights == pytest.approx((0.25,) * 4, abs=1e-15)
     assert fidelities == pytest.approx((1.0,) * 4, abs=1e-12)
@@ -602,7 +603,7 @@ def test_swap_preserves_werner_parameter():
     # weight w after every outcome.
     w = 0.7
     weights, fidelities = swap_outcome_table(
-        werner_correlations(w), werner_correlations(1.0)
+        werner_oracle(w), werner_oracle(1.0)
     )
     assert weights == pytest.approx((0.25,) * 4, abs=1e-15)
     for index, bits in enumerate(SUPERDENSE_MESSAGES):
@@ -615,7 +616,7 @@ def test_swap_outcome_distribution():
     rng = np.random.default_rng(44)
     counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     n = 100_000
-    phi = werner_correlations(1.0)
+    phi = werner_oracle(1.0)
     weights, _ = swap_outcome_table(phi, phi)
     cumulative = cumulative_weights(weights)
     for _ in range(n):
@@ -675,7 +676,7 @@ def test_protocols_reject_a_pair_that_is_not_two_qubits():
         with pytest.raises(ValueError):
             superdense_encode((0, 1), wrong)
         with pytest.raises(ValueError):
-            swap_outcome_table(wrong, werner_correlations(1.0))
+            swap_outcome_table(wrong, werner_oracle(1.0))
 
 
 # -- W-state election ---------------------------------------------------------
