@@ -78,10 +78,16 @@ def _parse_topology(raw: Any) -> Topology:
     )
     for fields in (*classical_entries, *quantum_entries, topology):
         fields.done()
-    try:
-        return Topology(nodes, classical, quantum)
-    except ValueError as exc:
-        raise topology.error(str(exc)) from exc
+    if len(set(nodes)) != len(nodes):
+        raise topology.error("duplicate node ids in topology")
+    for entries, links in ((classical_entries, classical), (quantum_entries, quantum)):
+        pairs: set[frozenset[str]] = set()
+        for entry, link in zip(entries, links):
+            pair = frozenset((link.a, link.b))
+            if pair in pairs:
+                raise entry.error(f"{link.a}-{link.b} is linked already")
+            pairs.add(pair)
+    return Topology(nodes, classical, quantum)
 
 
 def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:

@@ -13,8 +13,9 @@ signaling scope: host-to-host for link-local heralds, which
 ``send_classical`` carries along a ``ClassicalRoute``.  A delivery's
 detail is its ``CorrectionMessage``, whose origin and target its ledger
 entry names; ``format_record`` turns a record into its trace line where a
-trace file is written.  A link's pair is only its correlation matrix
-``QuantumLink.pair_correlations``.
+trace file is written.  Links, routes and ledger entries are plain
+data: the config reader checks the topology and each scenario's reader
+its endpoints, so the engine checks neither.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .protocols import MAX_DRAW_COUNT, CorrectionMessage, bell_pair_correlations
+from .protocols import MAX_DRAW_COUNT, CorrectionMessage
 
 
 class EventKind(enum.Enum):
@@ -62,34 +63,23 @@ ClassicalLink.__doc__ = """Classical link between nodes ``a`` and ``b`` (str) wi
 data: the topology reader checks its fields."""
 
 
-class QuantumLink(namedtuple("QuantumLink", "a b channel gen_success_prob attempt_period")):
-    """Quantum link between nodes ``a`` and ``b`` (str) whose halves each
-    cross ``channel`` (ChannelModel); an attempt, one every
-    ``attempt_period`` (int) ticks, succeeds with ``gen_success_prob``
-    (float)."""
-
-    __slots__ = ()
-
-    @property
-    def pair_correlations(self) -> np.ndarray:
-        """Correlation matrix ``R D R^T`` of the pair the link delivers,
-        phi+ (correlations ``D``) with the link channel, of Pauli transfer
-        matrix ``R``, on each half.  A stored pair does not decohere."""
-        return bell_pair_correlations(self.channel.ptm, self.channel.ptm)
+QuantumLink = namedtuple("QuantumLink", "a b channel gen_success_prob attempt_period")
+QuantumLink.__doc__ = """Quantum link between nodes ``a`` and ``b`` (str) whose halves each
+cross ``channel`` (ChannelModel); an attempt, one every ``attempt_period``
+(int) ticks, succeeds with ``gen_success_prob`` (float).  Plain data: the
+pair it delivers is ``bell_pair_correlations(R, R)`` of the channel's Pauli
+transfer matrix ``R``, which the swap builds."""
 
 
 def _index_links(
-    nodes: tuple[str, ...], name: str, links: Iterable[ClassicalLink | QuantumLink]
+    nodes: tuple[str, ...], links: Iterable[ClassicalLink | QuantumLink]
 ) -> tuple[dict[frozenset[str], Any], dict[str, list[str]]]:
-    """``links`` keyed by their unordered node pair, which only one of them
-    may link, and the sorted neighbour list of every node."""
+    """``links`` keyed by their unordered node pair and the sorted
+    neighbour list of every node."""
     index: dict[frozenset[str], Any] = {}
     neighbors: dict[str, list[str]] = {n: [] for n in nodes}
-    for i, link in enumerate(links):
-        pair = frozenset((link.a, link.b))
-        if pair in index:
-            raise ValueError(f"{name}[{i}]: {link.a}-{link.b} is linked already")
-        index[pair] = link
+    for link in links:
+        index[frozenset((link.a, link.b))] = link
         neighbors[link.a].append(link.b)
         neighbors[link.b].append(link.a)
     for adj in neighbors.values():
@@ -106,8 +96,9 @@ class Topology:
     """Nodes, ``nodes`` (tuple[str, ...]), and the classical and quantum
     links between them, ``classical_links`` (tuple[ClassicalLink, ...]) and
     ``quantum_links`` (tuple[QuantumLink, ...]); compared by identity.
-    Each link joins two distinct nodes of ``nodes``, as the topology reader
-    checks, and no two link the same pair."""
+    The topology reader checks that the nodes are distinct, that each link
+    joins two distinct nodes of ``nodes`` and that no two links of a kind
+    join the same pair; this builds the indexes and checks nothing."""
 
     def __init__(
         self,
@@ -115,17 +106,11 @@ class Topology:
         classical_links: tuple[ClassicalLink, ...] = (),
         quantum_links: tuple[QuantumLink, ...] = (),
     ):
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node ids in topology")
         self.nodes = nodes
         self.classical_links = classical_links
         self.quantum_links = quantum_links
-        self._classical_links, self._classical_neighbors = _index_links(
-            nodes, "classical_links", classical_links
-        )
-        self._quantum_links, self.quantum_neighbors = _index_links(
-            nodes, "quantum_links", quantum_links
-        )
+        self._classical_links, self._classical_neighbors = _index_links(nodes, classical_links)
+        self._quantum_links, self.quantum_neighbors = _index_links(nodes, quantum_links)
 
     def shortest_classical_route(self, src: str, dst: str) -> ClassicalRoute | None:
         """Hop-count shortest path over classical links (BFS) with its
@@ -218,8 +203,6 @@ class EventEngine:
         """Charge ``message`` to the end-to-end ledger, from its ``origin``
         to its ``target``, and fire ``on_deliver(engine, message)`` once it
         arrives, ``route.latency`` ticks from now."""
-        if len(route.nodes) < 2:
-            raise ValueError(f"route {route.nodes} needs at least two nodes")
         origin, target, bits = message.origin, message.target, len(message.bits)
         scope, purpose = SignalingScope.END_TO_END, message.purpose.value
         self.ledger.append(LedgerEntry(self.now, bits, scope, purpose, origin, target))
@@ -232,10 +215,11 @@ class EventEngine:
         """All of a link's generation attempts, up to its first success.
 
         The attempts are independent Bernoulli trials, so their number is
-        one geometric draw, which this returns.  The pair they make is the
-        link's ``pair_correlations``.  The one-bit heralding message is charged to
-        the host-to-host ledger at the tick of the successful attempt,
-        ``now + (attempts - 1) * attempt_period``.
+        one geometric draw, which this returns.  The pair they make is
+        ``bell_pair_correlations(R, R)`` of the link channel's Pauli
+        transfer matrix ``R``, which the caller builds.  The one-bit
+        heralding message is charged to the host-to-host ledger at the tick
+        of the successful attempt, ``now + (attempts - 1) * attempt_period``.
         """
         attempts = int(self.rng.geometric(link.gen_success_prob))
         if attempts == MAX_DRAW_COUNT:

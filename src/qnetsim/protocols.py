@@ -4,10 +4,12 @@ entanglement swapping and W-state leader election.
 The Bell services compute on a pair's real 4x4 correlation matrix
 ``T_ij = tr(rho P_i (x) P_j)``, ``P = I, X, Y, Z``, since a Bell
 measurement is linear in ``T``; ``bell_pair_correlations`` builds every
-pair, phi+ with a channel on each half, and ``werner_correlations`` the
-Werner pair.  Teleporting over a pair is one 4x4 Pauli-transfer map per
-Bell outcome (``teleport_table``), which gives a payload's outcome
-weights and corrected fidelity as plain floats (``teleport_weights``,
+pair, phi+ with a channel on each half, so a link's pair is
+``bell_pair_correlations(R, R)`` for its channel's Pauli transfer matrix
+``R``, and ``werner_correlations`` builds the Werner pair.  Teleporting
+over a pair is one 4x4 Pauli-transfer map per Bell outcome
+(``teleport_table``), which gives a payload's outcome weights and
+corrected fidelity as plain floats (``teleport_weights``,
 ``teleport_fidelity``).  A swap teleports half of one pair over the other
 (``swap_outcome_table``).  Superdense encoding flips the signs of rows of
 ``T``, and decoding reads the Bell overlaps off its diagonal
@@ -19,6 +21,9 @@ scenario calls either.
 
 Leader election samples a W state's diagonal with no classical exchange;
 ``w_election_probabilities`` is its closed form, 1/n for each of n nodes.
+A scenario's reader checks a message is one of ``SUPERDENSE_MESSAGES`` and
+a W state spans 2 to ``W_STATE_MAX_NODES`` nodes; of these functions only
+``make_w_state`` checks either again.
 """
 
 from __future__ import annotations
@@ -84,15 +89,11 @@ def _one_hot_indices(n: int) -> list[int]:
     return [1 << (n - 1 - q) for q in range(n)]
 
 
-def _check_w_size(n: int) -> None:
-    if not 2 <= n <= W_STATE_MAX_NODES:
-        raise ValueError(f"W state size {n} outside [2, {W_STATE_MAX_NODES}]")
-
-
 def make_w_state(n: int) -> QuantumState:
     """Equal superposition of all weight-one bitstrings over ``n`` nodes:
     ``1/sqrt(n)`` on each, qubit 0 the most significant bit."""
-    _check_w_size(n)
+    if not 2 <= n <= W_STATE_MAX_NODES:
+        raise ValueError(f"W state size {n} outside [2, {W_STATE_MAX_NODES}]")
     amplitudes = np.zeros(2**n, dtype=complex)
     amplitudes[_one_hot_indices(n)] = 1.0 / np.sqrt(n)
     return QuantumState(n, np.outer(amplitudes, amplitudes.conj()))
@@ -240,8 +241,6 @@ def superdense_encode(bits: tuple[int, int], correlations: np.ndarray) -> np.nda
     then holds both halves: the frame ``Z^z X^x`` on the first qubit flips
     the sign of each row ``i`` whose Pauli ``P_i`` it anticommutes with.
     """
-    if len(bits) != 2 or set(bits) - {0, 1}:
-        raise ValueError(f"message must be two bits, got {bits}")
     return _FRAME_SIGNS[2 * bits[0] + bits[1]][:, None] * correlations
 
 
@@ -316,5 +315,4 @@ def w_election_probabilities(n: int) -> np.ndarray:
     """Win probability of each of ``n`` nodes in one W-state election round:
     the W state's Born weight ``1/n`` on each weight-one bitstring, from
     its closed form, with no state vector built."""
-    _check_w_size(n)
     return np.full(n, 1.0 / n)

@@ -52,29 +52,15 @@ for _gate in _GATES.values():
 GATE_NAMES = tuple(_GATES)
 
 
-class QuantumState(namedtuple("QuantumState", "num_qubits matrix")):
-    """Density matrix ``matrix`` (np.ndarray) over a register of
-    ``num_qubits`` (int) qubits."""
+QuantumState = namedtuple("QuantumState", "num_qubits matrix")
+QuantumState.__doc__ = """Density matrix ``matrix`` (np.ndarray) over a register of
+``num_qubits`` (int) qubits."""
 
-    __slots__ = ()
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-class GateSpec(namedtuple("GateSpec", "name targets")):
-    """A named gate, ``name`` (str), applied to an ordered tuple of target
-    qubits, ``targets`` (tuple[int, ...]).
-
-    Controlled gates list the control first, then the target.  Plain data:
-    ``apply_unitary`` checks the name and the number of targets.
-    """
-
-    __slots__ = ()
-
-    def matrix(self) -> np.ndarray:
-        """The gate's read-only matrix on its targets, in their order."""
-        return _GATES[self.name]
+GateSpec = namedtuple("GateSpec", "name targets")
+GateSpec.__doc__ = """A named gate, ``name`` (str), applied to an ordered tuple of
+target qubits, ``targets`` (tuple[int, ...]); a controlled gate lists the
+control first.  Plain data: ``apply_unitary`` checks the name and the
+number of targets."""
 
 
 MeasurementOutcome = namedtuple("MeasurementOutcome", "qubit bit probability")
@@ -124,7 +110,7 @@ def apply_unitary(state: QuantumState, gate: GateSpec) -> QuantumState:
     """``gate`` on ``state``; an unknown name or a wrong target count raises ValueError."""
     if gate.name not in _GATES:
         raise ValueError(f"unknown gate {gate.name!r}; supported: {GATE_NAMES}")
-    u = gate.matrix()
+    u = _GATES[gate.name]
     arity = len(u).bit_length() - 1
     if len(gate.targets) != arity:
         raise ValueError(f"gate {gate.name} takes {arity} target(s), got {gate.targets}")
@@ -207,11 +193,16 @@ def von_neumann_entropy(state: QuantumState) -> float:
     return spectrum_entropy(np.linalg.eigvalsh(state.matrix).tolist())
 
 
+def purity(state: QuantumState) -> float:
+    """``tr(rho^2)``, 1 for a pure state."""
+    return float(np.real(np.trace(state.matrix @ state.matrix)))
+
+
 def fidelity(state: QuantumState, reference: QuantumState) -> float:
     """``<psi|rho|psi>`` against a pure reference state."""
     if reference.num_qubits != state.num_qubits:
         raise ValueError("state and reference have different register sizes")
-    if abs(reference.purity() - 1.0) > STRUCTURAL_ATOL:
+    if abs(purity(reference) - 1.0) > STRUCTURAL_ATOL:
         raise ValueError("reference state must be pure")
     value = float(np.real(np.trace(state.matrix @ reference.matrix)))
     return min(max(value, 0.0), 1.0)

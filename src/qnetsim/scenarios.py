@@ -29,6 +29,7 @@ from .protocols import (
     W_STATE_MAX_NODES,
     CorrectionMessage,
     Purpose,
+    bell_pair_correlations,
     cumulative_weights,
     draw_bell_outcome,
     superdense_distribution,
@@ -194,8 +195,9 @@ def _prepare_swap(topology: Topology | None, cell: dict) -> Run:
         # fidelity, and the table its draws search, are built once per
         # run.  A link puts the same channel on both halves of a symmetric
         # Bell pair, so its pair is the same however a link is written.
+        left, right = (link.channel.ptm for link in (left_link, right_link))
         weights, end_fidelity = swap_outcome_table(
-            left_link.pair_correlations, right_link.pair_correlations
+            bell_pair_correlations(left, left), bell_pair_correlations(right, right)
         )
         cumulative = cumulative_weights(weights)
         messages = [CorrectionMessage(m, mid, dst, Purpose.SWAP) for m in SUPERDENSE_MESSAGES]

@@ -10,11 +10,11 @@ information, so the merged plan is never worse than the best single path.
 Exactly one packet instance traverses a merged plan: the switched channel
 acts on a single system qubit plus the order-control qubit.
 
-``simple_paths`` enumerates those paths, checking the endpoints and
-stopping past a cap on the paths it finds and one on the partial paths it
-walks.  The merging planner does not enumerate: it plans over the list its
-caller enumerated once, so a scenario cell validated with that list runs
-every seed over it.
+``simple_paths`` enumerates those paths between two distinct nodes, which
+the scenario reader checks, stopping past a cap on the paths it finds and
+one on the partial paths it walks.  The merging planner does not
+enumerate: it plans over the list its caller enumerated once, so a
+scenario cell validated with that list runs every seed over it.
 
 Link-disjoint pairs come from per-link path bitsets: bit ``i`` of a link's
 int is set when path ``i`` crosses that link, so the paths that share no
@@ -74,13 +74,6 @@ def _usable_rates(topology: Topology) -> dict[str, dict[str, float]]:
     return rates
 
 
-def _check_endpoints(topology: Topology, src: str, dst: str) -> None:
-    if src not in topology.nodes or dst not in topology.nodes:
-        raise ValueError(f"unknown endpoint in ({src}, {dst})")
-    if src == dst:
-        raise ValueError("source and destination must differ")
-
-
 def _component(
     neighbors: Mapping[str, Sequence[str]], start: str, blocked: Collection[str] = ()
 ) -> set[str]:
@@ -128,7 +121,6 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
     which ``dst`` can still be reached over those links without revisiting
     a node, one search per hop.
     """
-    _check_endpoints(topology, src, dst)
     rates = _usable_rates(topology)
     bottleneck = _widest_bottleneck(rates, src, dst)
     if bottleneck is None:
@@ -147,11 +139,10 @@ def route_max_bottleneck(topology: Topology, src: str, dst: str) -> TrajectoryPl
 def simple_paths(topology: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
     """Every simple path of quantum links from ``src`` to ``dst``, sorted.
 
-    Raises ``ValueError`` for an unknown endpoint or ``src == dst``, past
-    ``_SIMPLE_PATH_CAP`` paths found, and past ``_PARTIAL_PATH_CAP``
-    partial paths walked.
+    ``src`` and ``dst`` are distinct nodes of ``topology``, as the scenario
+    reader checks.  Raises ``ValueError`` past ``_SIMPLE_PATH_CAP`` paths
+    found and past ``_PARTIAL_PATH_CAP`` partial paths walked.
     """
-    _check_endpoints(topology, src, dst)
     neighbors = topology.quantum_neighbors
     # Without a path to dst the walk below would visit every simple path
     # from src and find none.

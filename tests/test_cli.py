@@ -262,6 +262,10 @@ def chain(*quantum_links):
          "dst 'ghost' is not a topology node"),
         ("scenario: multipath_routing\nparams: {src: a, dst: a}" + PAIR,
          "src and dst are both 'a'"),
+        ("scenario: teleport\nparams: {n_teleports: 5, src: a, dst: a}" + PAIR,
+         "src and dst are both 'a'"),
+        ("scenario: swap\nparams: {n_swaps: 5, dst: m}" + chain(LEFT, RIGHT),
+         "mid and dst are both 'm'"),
         ("scenario: switch_activation\nparams: {p1: 1.5, p2: 0.5}",
          "p1 must be a number in [0, 1], got 1.5"),
         ("scenario: teleport\nparams: {n_teleports: 0}" + PAIR,
@@ -321,6 +325,8 @@ def chain(*quantum_links):
         "swap-link-below-geometric-cap",
         "multipath-unknown-dst",
         "multipath-dst-is-src",
+        "teleport-dst-is-src",
+        "swap-dst-is-mid",
         "switch-p1-above-1",
         "teleport-zero-runs",
         "swap-zero-runs",
@@ -438,6 +444,13 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
          "topology: duplicate node ids in topology"),
         ("scenario: teleport\nparams: {n_teleports: 5}" + PAIR.replace("b: b", "b: a"),
          "topology: classical_links[0]: a and b are both 'a'"),
+        ("scenario: teleport\nparams: {n_teleports: 5}"
+         + PAIR.replace("[a, b]", "[a, b, a]").replace(
+             "latency: 1}", "latency: 1}, {a: b, b: a, latency: 7}"),
+         "topology: duplicate node ids in topology"),
+        (SWAP + chain(LEFT, RIGHT, LEFT.replace("a: l, b: m", "a: m, b: l")).replace(
+            "latency: 1}]", "latency: 1}, {a: r, b: m, latency: 2}]"),
+         "topology: classical_links[2]: r-m is linked already"),
         ("seeds: [1.5]\nscenario: superdense\nparams: {n_trials: 8}",
          "seeds[0] must be an integer, got 1.5"),
         ("seeds: [true]\nscenario: superdense\nparams: {n_trials: 8}",
@@ -486,6 +499,8 @@ SWAP = "scenario: swap\nparams: {n_swaps: 2}"
         "link-to-unknown-node",
         "repeated-node",
         "classical-self-link",
+        "repeated-node-and-repeated-link",
+        "link-repeated-in-both-lists",
         "fractional-seed",
         "bool-seed",
         "negative-seed",

@@ -4,8 +4,8 @@ own, which an import cycle between modules would break.  No class is
 generated at import: records are ``collections.namedtuple`` types and the
 rest are plain classes, so past numpy and PyYAML the package loads only its
 own modules and the csv and heapq modules it uses.  No class defines
-``__new__``: a record is plain data, and the config reader checks every
-bound.  No module imports a name it never uses, and the event engine loads
+``__new__`` and none subclasses a ``namedtuple``: a record is plain data,
+and the config reader checks every bound.  No module imports a name it never uses, and the event engine loads
 only the protocols and the register it uses.  The tests' oracles in
 ``reference.py`` import nothing from the package."""
 
@@ -121,6 +121,23 @@ def test_no_class_defines_new():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
         and any(isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body)
+    ]
+    assert found == []
+
+
+def test_no_class_subclasses_a_namedtuple():
+    # A record's methods are logic on data; a function of the module that
+    # owns the record does the same and leaves the record plain.
+    found = [
+        f"{path.relative_to(SRC)}: {node.name}"
+        for path in (SRC / "qnetsim").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(base, ast.Call)
+            and getattr(base.func, "id", getattr(base.func, "attr", None)) == "namedtuple"
+            for base in node.bases
+        )
     ]
     assert found == []
 

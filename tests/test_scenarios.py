@@ -13,7 +13,7 @@ from qnetsim import runner, scenarios
 from qnetsim.channels import ChannelModel, depolarizing_channel
 from qnetsim.config import load_config, parse_config
 from qnetsim.engine import ClassicalLink, EventEngine, EventKind, QuantumLink, Topology
-from qnetsim.protocols import swap_outcome_table
+from qnetsim.protocols import bell_pair_correlations, swap_outcome_table
 from qnetsim.runner import run_experiment
 from qnetsim.scenarios import SCENARIOS
 from reference import (
@@ -313,7 +313,8 @@ def test_swap_over_near_dead_links_completes_without_a_horizon():
 def test_swap_outcome_table_matches_circuit_oracle(kraus):
     # At gamma = 1 both psi outcomes have weight 0: they are never drawn,
     # so their end pair is never normalised and has no fidelity.
-    pair = QuantumLink("l", "m", ChannelModel(tuple(kraus)), 0.5, 1).pair_correlations
+    ptm = QuantumLink("l", "m", ChannelModel(tuple(kraus)), 0.5, 1).channel.ptm
+    pair = bell_pair_correlations(ptm, ptm)
     weights, fidelities = swap_outcome_table(pair, pair)
     oracle = swap_circuit_oracle(kraus)
     for (z, x), weight, fid in zip([(0, 0), (0, 1), (1, 0), (1, 1)], weights, fidelities):
